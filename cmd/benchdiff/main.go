@@ -21,8 +21,7 @@
 // ±1-alloc noise. Benchmarks present in only one file are reported but
 // never fail the gate (sub-benchmark names such as workers=GOMAXPROCS
 // legitimately vary across machines), and entries without alloc data
-// (benchmarks missing b.ReportAllocs, or baselines in the legacy flat
-// ns-only format) skip the alloc gate.
+// (benchmarks missing b.ReportAllocs) skip the alloc gate.
 //
 // A third mode folds newly added benchmarks into an existing baseline
 // without hand-editing JSON:
@@ -219,24 +218,17 @@ func runParse(path, out string) error {
 	return os.WriteFile(out, data, 0o644)
 }
 
-// load reads a results file, accepting both the current nested format and
-// the legacy flat name → ns/op map (which carries no alloc data).
+// load reads a results file: a JSON map of benchmark name → {ns_per_op,
+// allocs_per_op}. Anything else — such as the flat name → ns/op map
+// baselines used before they carried alloc data — fails to parse.
 func load(path string) (map[string]*result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var m map[string]*result
-	if err := json.Unmarshal(data, &m); err == nil {
-		return m, nil
-	}
-	var flat map[string]float64
-	if err := json.Unmarshal(data, &flat); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	m = make(map[string]*result, len(flat))
-	for k, v := range flat {
-		m[k] = &result{NsPerOp: v}
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, fmt.Errorf("%s: want benchmark name → {ns_per_op, allocs_per_op}: %w", path, err)
 	}
 	return m, nil
 }

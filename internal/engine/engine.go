@@ -17,13 +17,20 @@
 // join-window state (checkpoint-restore or empty), restarts the pool, and
 // replays the parked backlog; SetSlowdown pauses part of the pool. Crashed
 // nodes report +Inf load so failure-aware policies can evacuate them.
+//
+// The Engine is the one router for every live substrate. It owns plan
+// choice and interning, the statistics offers, the per-node inbox, overflow
+// ring and worker pool, the pending count behind Drain and backpressure,
+// the down/parked failure state, the sink and its counters. What it does
+// not own is operator state: it reaches that through a Transport —
+// in-process (transport.go: direct NodeCore calls, the write-ahead log,
+// the checkpoint snapshots) or netrt's worker processes.
 package engine
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +41,6 @@ import (
 	"rld/internal/runtime"
 	"rld/internal/stats"
 	"rld/internal/stream"
-	"rld/internal/wal"
 )
 
 // PlanChooser selects a logical plan for each batch given fresh statistics
@@ -149,11 +155,15 @@ type nodeState struct {
 	ovCount atomic.Int64
 
 	mu sync.Mutex // guards the failure state and overflow ring below
+	// gen counts the node's incarnations: Recover bumps it, and a failure
+	// report carries the gen it observed, so a stale one — about the
+	// incarnation that already died — cannot take down its successor.
+	gen uint64 //rldlint:guardedby mu
 	// down marks a crashed node: its pool is dead, its queued work has
 	// been reaped (parked for replay in Checkpoint mode, dropped in
 	// LoseState), and sends park or lose directly. The down check and the
 	// enqueue happen in one critical section, so no message can slip into
-	// the inbox after Crash's sweep.
+	// the inbox after MarkDown's sweep.
 	down bool               //rldlint:guardedby mu
 	mode chaos.RecoveryMode //rldlint:guardedby mu
 	// parked holds messages awaiting replay on recovery.
@@ -228,10 +238,14 @@ type Engine struct {
 	assign atomic.Pointer[physical.Assignment]
 
 	nodes []*nodeState
-	// core holds every operator's window state and the stage kernels —
-	// the node-local half shared with netrt workers (see nodecore.go). In
-	// the in-process engine all nodes share this one core.
+	// core is the query's operator metadata — the join schema result
+	// tuples are acquired through, the normalized config. In the
+	// in-process engine it also holds every operator's window state, which
+	// the router touches only through t.
 	core *NodeCore
+	// t reaches operator state: window inserts, stage execution,
+	// snapshots, and a node's death and revival.
+	t Transport
 
 	pending     atomic.Int64   // in-flight messages, for Drain/backpressure
 	nodeQueued  []atomic.Int64 // per-node queued+in-service messages
@@ -273,22 +287,6 @@ type Engine struct {
 	waitMu  sync.Mutex
 	waitCh  chan struct{} //rldlint:guardedby waitMu
 	waiters atomic.Int32
-
-	// wlog is the exactly-once write-ahead log (nil without
-	// Config.WALDir), set once in NewEngine and immutable after — no lock
-	// guards the pointer itself. walMu orders logged inserts against
-	// checkpoint barriers: Ingest holds the read side across its
-	// append+insert pair, Checkpoint the write side across
-	// snapshot+barrier+truncate, and Recover the write side across
-	// restore+replay — so every logged insert is either covered by the
-	// snapshot before the barrier or retained after it, never split.
-	wlog  *wal.Log
-	walMu sync.RWMutex
-
-	// snapMu guards snaps, the latest Checkpoint()'s per-op window
-	// contents as columnar batches (nil until the first checkpoint).
-	snapMu sync.Mutex
-	snaps  []*stream.Batch //rldlint:guardedby snapMu
 
 	// sendMu fences Ingest against Stop: Ingest holds the read side for
 	// its whole body, and Stop takes the write side after setting the
@@ -349,47 +347,39 @@ func (e *Engine) internPlan(plan query.Plan) (internedPlan, bool) {
 	return ip, true
 }
 
-// New builds an engine for query q with operator placement assign over
-// nNodes nodes.
+// New builds an in-process engine for query q with operator placement
+// assign over nNodes nodes.
 func New(q *query.Query, assign physical.Assignment, nNodes int, chooser PlanChooser, cfg Config) (*Engine, error) {
 	core, err := NewNodeCore(q, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if !assign.Complete() || len(assign) != len(q.Ops) {
-		return nil, fmt.Errorf("%w: incomplete", ErrBadPlacement)
+	// Before the transport, which opens the write-ahead log.
+	if err := checkPlacement(q, assign, nNodes); err != nil {
+		return nil, err
 	}
-	for _, n := range assign {
-		if n < 0 || n >= nNodes {
-			return nil, fmt.Errorf("%w: references node %d of %d", ErrBadPlacement, n, nNodes)
-		}
+	t, err := newLocalTransport(core)
+	if err != nil {
+		return nil, err
 	}
-	cfg = core.Config()
-	var wlog *wal.Log
-	if cfg.WALDir != "" {
-		// Each engine incarnation logs into its own subdirectory: the
-		// process survives in-process "crashes", so the same Log instance
-		// serves the whole run and never collides with another engine
-		// sharing the parent directory.
-		dir, derr := os.MkdirTemp(cfg.WALDir, "engine-")
-		if derr != nil {
-			if mkerr := os.MkdirAll(cfg.WALDir, 0o755); mkerr != nil {
-				return nil, fmt.Errorf("%w: %v", wal.ErrWALDir, mkerr)
-			}
-			if dir, derr = os.MkdirTemp(cfg.WALDir, "engine-"); derr != nil {
-				return nil, fmt.Errorf("%w: %v", wal.ErrWALDir, derr)
-			}
-		}
-		if wlog, err = wal.Open(dir); err != nil {
-			return nil, err
-		}
+	return NewOn(core, t, assign, nNodes, chooser)
+}
+
+// NewOn builds the router over a caller-supplied transport: netrt hands in
+// its worker-process cluster (and a NodeCore it never inserts into, for the
+// schema and normalized config). The pool size per node is
+// core.Config().Workers.
+func NewOn(core *NodeCore, t Transport, assign physical.Assignment, nNodes int, chooser PlanChooser) (*Engine, error) {
+	if err := checkPlacement(core.q, assign, nNodes); err != nil {
+		return nil, err
 	}
+	q, cfg := core.q, core.cfg
 	e := &Engine{
 		q:          q,
 		chooser:    chooser,
 		cfg:        cfg,
 		core:       core,
-		wlog:       wlog,
+		t:          t,
 		monitor:    stats.NewMonitor(len(q.Ops), 0.5, 0),
 		planUse:    make(map[string]int64),
 		rateCount:  make(map[string]float64),
@@ -413,6 +403,20 @@ func New(q *query.Query, assign physical.Assignment, nNodes int, chooser PlanCho
 	return e, nil
 }
 
+// checkPlacement rejects an assignment that does not place every operator
+// of q on one of nNodes nodes.
+func checkPlacement(q *query.Query, assign physical.Assignment, nNodes int) error {
+	if !assign.Complete() || len(assign) != len(q.Ops) {
+		return fmt.Errorf("%w: incomplete", ErrBadPlacement)
+	}
+	for _, n := range assign {
+		if n < 0 || n >= nNodes {
+			return fmt.Errorf("%w: references node %d of %d", ErrBadPlacement, n, nNodes)
+		}
+	}
+	return nil
+}
+
 // refreshSnap re-clones the monitor state into the chooser snapshot cache;
 // called after every monitor Offer (the only mutation point).
 func (e *Engine) refreshSnap() {
@@ -433,24 +437,24 @@ func (e *Engine) Start() {
 	}
 }
 
-// startPool spawns node i's worker pool against its current quit channel.
+// startPool spawns node i's worker pool against its current quit channel
+// and incarnation. Both are fixed for the pool's life — Recover replaces
+// them only after close+wg.Wait has retired every worker of the old pool —
+// so one locked snapshot covers every worker's whole loop.
 func (e *Engine) startPool(i int) {
 	ns := e.nodes[i]
+	ns.mu.Lock()
+	quit, gen := ns.quit, ns.gen
+	ns.mu.Unlock()
 	for w := 0; w < e.cfg.Workers; w++ {
 		ns.wg.Add(1)
-		go e.worker(i, w)
+		go e.worker(i, w, quit, gen)
 	}
 }
 
-func (e *Engine) worker(id, idx int) {
+func (e *Engine) worker(id, idx int, quit <-chan struct{}, gen uint64) {
 	ns := e.nodes[id]
 	defer ns.wg.Done()
-	// quit is fixed for this pool generation — Recover replaces it only
-	// after close+wg.Wait has retired every worker reading the old one —
-	// so one locked snapshot covers the whole loop.
-	ns.mu.Lock()
-	quit := ns.quit
-	ns.mu.Unlock()
 	for {
 		// Slowdown gate: paused workers (index ≥ active) block on the
 		// node's wake channel without consuming messages. One atomic load
@@ -481,7 +485,7 @@ func (e *Engine) worker(id, idx int) {
 				ns.flushLocked()
 				ns.mu.Unlock()
 			}
-			e.process(msg)
+			e.process(id, gen, msg)
 			e.nodeQueued[id].Add(-1)
 			e.pending.Add(-1)
 			e.wakePending()
@@ -591,12 +595,29 @@ func (e *Engine) lose(msg *message) {
 	msgPool.Put(msg)
 }
 
-// process executes one stage and forwards or sinks the batch. The stage
-// kernel itself lives in NodeCore (shared with netrt workers); process owns
-// only the forward-or-sink decision.
-func (e *Engine) process(msg *message) {
+// process executes one stage on node (incarnation gen) and forwards or
+// sinks the batch. The stage itself runs behind the transport; process owns
+// only the forward-or-sink decision, and the fate of a hop whose node died
+// under it: the node goes down, and the message — its partials still whole
+// — is parked or destroyed like the rest of the node's queue. Recover
+// waits the pool out before it replays, so the node is still down here.
+func (e *Engine) process(node int, gen uint64, msg *message) {
 	op := msg.plan[msg.stage]
-	out := e.core.runStage(op, msg.partials)
+	out, err := e.t.RunStage(node, op, msg.partials)
+	if err != nil {
+		e.MarkDown(node, gen, chaos.Checkpoint)
+		ns := e.nodes[node]
+		ns.mu.Lock()
+		park := ns.mode == chaos.Checkpoint
+		if park {
+			ns.parked = append(ns.parked, msg)
+		}
+		ns.mu.Unlock()
+		if !park {
+			e.lose(msg)
+		}
+		return
+	}
 	msg.partials = out
 
 	if len(out) == 0 || msg.stage == len(msg.plan)-1 {
@@ -674,26 +695,10 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 	if !ok {
 		return fmt.Errorf("%w: chooser returned %v", ErrInvalidPlan, plan)
 	}
-	// Durable mode: log the window mutation before applying it, fsync'd
-	// (group commit coalesces concurrent producers into shared fsyncs).
-	// The read lock is held across append+insert so a checkpoint barrier
-	// can never land between a logged record and its window insert. A
-	// failed append leaves no engine state behind, so the batch can be
-	// retried. Batches whose stream feeds no join window mutate nothing
-	// durable — their loss story is the parked-replay path — and skip the
-	// log.
-	if e.wlog != nil {
-		if ops := e.core.JoinOpsFor(b.Stream); len(ops) > 0 {
-			e.walMu.RLock()
-			defer e.walMu.RUnlock()
-			err := e.wlog.Append(wal.Record{Ops: ops, Batch: b})
-			if err == nil {
-				err = e.wlog.Sync()
-			}
-			if err != nil {
-				return err
-			}
-		}
+	// Window inserts come before any accounting for the same reason: a
+	// transport that cannot take the batch leaves nothing to undo.
+	if err := e.t.Insert(b, *e.assign.Load()); err != nil {
+		return err
 	}
 
 	e.advanceAppTime(float64(b.MaxTs()))
@@ -713,12 +718,6 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 		e.lastKey = k
 	}
 	e.mu.Unlock()
-
-	// Bulk-insert into the windows of join ops over this stream, one shard
-	// lock per shard per batch.
-	sc := getScratch()
-	e.core.insertStream(b, sc)
-	putScratch(sc)
 
 	// Seed one pooled singleton partial per tuple; the columns are copied,
 	// so the caller may reuse or Release b once Ingest returns.
@@ -749,7 +748,7 @@ func (e *Engine) offerStats(force bool) {
 	if !force && e.statBatches.Add(1)%statsEvery != 1 {
 		return
 	}
-	sels := e.core.ObservedSels()
+	sels := e.t.ObservedSels()
 	e.mu.Lock()
 	rates := make(map[string]float64, len(e.rateCount))
 	for k, v := range e.rateCount {
@@ -798,8 +797,8 @@ func (e *Engine) SetTimeSource(fn func() float64) {
 }
 
 // controlReady rejects control operations (Migrate/Crash/Recover/
-// SetSlowdown) on a stopped engine: the worker pools are gone, and e.g. a
-// Crash would close an already-closed quit channel.
+// SetSlowdown) on a stopped engine: the worker pools and the transport are
+// gone.
 func (e *Engine) controlReady() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -853,11 +852,14 @@ func (e *Engine) Nodes() int { return len(e.nodes) }
 // Start); there is no synchronization against concurrent Ingest.
 func (e *Engine) SetChooser(c PlanChooser) { e.chooser = c }
 
-// Migrate reroutes one operator to another node by swapping the routing
-// table. The engine's operator state is shared memory, so the "migration"
-// is instantaneous — there is no suspension window; DYN-style policies
-// still account their modeled downtime in reports. Migrate must be called
-// from a single control goroutine.
+// Migrate reroutes one operator to another node: the transport carries its
+// state across, then the routing table is swapped. In process the state is
+// shared memory, so the "migration" is instantaneous — there is no
+// suspension window; DYN-style policies still account their modeled
+// downtime in reports. Between worker processes the window state is
+// shipped, and hops already queued to the old node still execute there
+// against its (now stale, but intact) copy. Migrate must be called from a
+// single control goroutine.
 func (e *Engine) Migrate(op, node int) error {
 	if err := e.controlReady(); err != nil {
 		return err
@@ -872,18 +874,16 @@ func (e *Engine) Migrate(op, node int) error {
 	if cur[op] == node {
 		return nil
 	}
+	e.t.MoveOp(op, cur[op], node)
 	next := cur.Clone()
 	next[op] = node
 	e.assign.Store(&next)
 	return nil
 }
 
-// Crash takes a node down: its worker pool is killed (the goroutines
-// exit after finishing their in-flight batch — the crash boundary is the
-// inbox), and everything queued or subsequently routed to it is swept:
-// parked for replay on recovery under chaos.Checkpoint, destroyed and
-// counted as lost under chaos.LoseState. Crashing a crashed node is a
-// no-op. Crash must be called from the control goroutine (like Migrate).
+// Crash takes a node down (see MarkDown) under the given recovery mode and
+// counts it. Crashing a crashed node is a no-op. Crash must be called from
+// the control goroutine (like Migrate).
 func (e *Engine) Crash(node int, mode chaos.RecoveryMode) error {
 	if err := e.controlReady(); err != nil {
 		return err
@@ -893,28 +893,50 @@ func (e *Engine) Crash(node int, mode chaos.RecoveryMode) error {
 	}
 	ns := e.nodes[node]
 	ns.mu.Lock()
-	if ns.down {
-		ns.mu.Unlock()
+	down, gen := ns.down, ns.gen
+	ns.mu.Unlock()
+	if down {
 		return nil
 	}
-	e.downCount.Add(1)
+	e.crashes.Add(1)
+	e.MarkDown(node, gen, mode)
+	return nil
+}
+
+// MarkDown takes node down if it is still incarnation gen and still up:
+// its worker pool is told to quit (the goroutines exit after finishing
+// their in-flight batch — the crash boundary is the inbox), the transport
+// kills whatever executed its stages, and everything queued or subsequently
+// routed to it is swept: parked for replay on recovery under
+// chaos.Checkpoint, destroyed and counted as lost under chaos.LoseState.
+// It is the one way a node goes down, for Crash and for a node that fails
+// on its own — a worker whose stage died under it, a transport's heartbeat
+// or process reaper — so it is safe from any goroutine and never waits for
+// the pool: the caller may be in it. Recover and Stop wait it out.
+func (e *Engine) MarkDown(node int, gen uint64, mode chaos.RecoveryMode) {
+	ns := e.nodes[node]
+	ns.mu.Lock()
+	if ns.down || ns.gen != gen {
+		ns.mu.Unlock()
+		return
+	}
 	ns.down = true
 	ns.mode = mode
 	quit := ns.quit
 	ns.mu.Unlock()
-	e.crashes.Add(1)
+	e.downCount.Add(1)
 	close(quit)
-	ns.wg.Wait()
+	e.t.Kill(node)
 	e.sweep(node)
-	return nil
 }
 
 // sweep empties a freshly crashed node's inbox and overflow ring — parking
 // the backlog for replay (Checkpoint mode) or destroying it (LoseState) —
 // and keeps the pending count honest so Drain never waits on a dead node.
-// It runs once, synchronously, after the worker pool has exited: send's
-// down check is in the same critical section as its enqueue, so nothing
-// can land in either queue afterwards.
+// It runs once per outage, after the down flag is set: send's down check is
+// in the same critical section as its enqueue, so nothing can land in
+// either queue afterwards, and a worker still finishing can only take from
+// them.
 func (e *Engine) sweep(node int) {
 	ns := e.nodes[node]
 	ns.mu.Lock()
@@ -951,12 +973,13 @@ drain:
 }
 
 // Recover brings a crashed node back: the node's operators' join-window
-// state is rebuilt (restored from the last Checkpoint snapshot under
-// chaos.Checkpoint — tuples newer than the snapshot are lost — or cleared
-// under chaos.LoseState), a fresh worker pool is started, and parked
-// messages are replayed through the current routing table (so they follow
-// any migrations made during the outage). Recovering a live node is a
-// no-op.
+// state is rebuilt by the transport (restored from the last Checkpoint
+// snapshot under chaos.Checkpoint — tuples newer than the snapshot are
+// lost unless a write-ahead log covers them — or empty under
+// chaos.LoseState), a fresh worker pool is started, and parked messages are
+// replayed through the current routing table (so they follow any
+// migrations made during the outage). Recovering a live node is a no-op; a
+// failed revival leaves the node down.
 func (e *Engine) Recover(node int) error {
 	if err := e.controlReady(); err != nil {
 		return err
@@ -971,47 +994,23 @@ func (e *Engine) Recover(node int) error {
 		return nil
 	}
 	mode := ns.mode
+	ns.gen++
+	gen := ns.gen
 	ns.mu.Unlock()
-	// Rebuild join-window state for the operators this node currently
-	// hosts (operators migrated away during the outage kept their state:
-	// the engine's state is shared memory, see Migrate). In durable mode
-	// the write lock freezes the log across restore+replay.
-	if e.wlog != nil {
-		e.walMu.Lock()
-	}
-	assign := *e.assign.Load()
-	restored := make(map[int]bool)
-	for op, n := range assign {
-		if n != node || e.core.ops[op].op.Kind != query.Join {
-			continue
-		}
-		if mode == chaos.Checkpoint {
-			if e.restoreOp(op) {
-				e.restores.Add(1)
-			}
-			restored[op] = true
-		} else {
-			e.core.ClearOp(op)
+	// The dead pool has parked or destroyed whatever it still held once
+	// its last worker exits.
+	ns.wg.Wait()
+	var joinOps []int
+	for op, n := range *e.assign.Load() {
+		if n == node && e.q.Ops[op].Kind == query.Join {
+			joinOps = append(joinOps, op)
 		}
 	}
-	// Replay the WAL suffix past the last checkpoint into the restored
-	// operators: the snapshot wound their windows back to the barrier, and
-	// the retained records carry everything since. Records the snapshot
-	// already covers re-insert as duplicates and are dropped by the
-	// per-operator dedup, so the overlap is harmless.
-	if e.wlog != nil {
-		if mode == chaos.Checkpoint && len(restored) > 0 {
-			_ = e.wlog.Replay(func(r wal.Record) error {
-				for _, op := range r.Ops {
-					if restored[op] {
-						_ = e.core.Insert(op, r.Batch)
-					}
-				}
-				return nil
-			})
-		}
-		e.walMu.Unlock()
+	restored, err := e.t.Revive(node, gen, joinOps, mode)
+	if err != nil {
+		return err
 	}
+	e.restores.Add(int64(restored))
 	// Fresh pool against a fresh quit channel, honoring any slowdown
 	// still in effect.
 	ns.mu.Lock()
@@ -1036,8 +1035,9 @@ func (e *Engine) Recover(node int) error {
 
 // SetSlowdown runs a node at the given capacity factor by pausing part of
 // its worker pool: factor 1 restores full speed. The granularity is one
-// worker, so a single-worker node cannot slow below full speed — size
-// Workers accordingly in slowdown experiments.
+// worker, so a single-worker node cannot slow below full speed this way —
+// size Workers accordingly in slowdown experiments; a transport whose
+// nodes serve one stage at a time stretches the stage instead.
 func (e *Engine) SetSlowdown(node int, factor float64) error {
 	if err := e.controlReady(); err != nil {
 		return err
@@ -1053,6 +1053,7 @@ func (e *Engine) SetSlowdown(node int, factor float64) error {
 	ns.slow = factor
 	down := ns.down
 	ns.mu.Unlock()
+	e.t.Slowdown(node, factor)
 	if !down {
 		ns.active.Store(e.activeWorkers(factor))
 		// Paused workers block on the wake channel; signal them to
@@ -1077,45 +1078,7 @@ func (e *Engine) activeWorkers(factor float64) int32 {
 // Checkpoint snapshots every join operator's current window contents; the
 // latest snapshot is what Checkpoint-mode recovery restores. The executor
 // calls it on a periodic virtual-time cadence (FaultPlan.SnapshotEvery).
-func (e *Engine) Checkpoint() {
-	// Durable mode: the write lock excludes in-flight Ingests, so the
-	// snapshot, the WAL barrier, and the truncation form one atomic cut —
-	// every logged insert is either inside the snapshot (and dropped by
-	// Truncate) or after the barrier (and replayed on recovery).
-	if e.wlog != nil {
-		e.walMu.Lock()
-		defer e.walMu.Unlock()
-	}
-	snaps := make([]*stream.Batch, e.core.NumOps())
-	for i := range snaps {
-		snaps[i] = e.core.SnapshotOp(i)
-	}
-	if e.wlog != nil {
-		if err := e.wlog.Barrier(); err == nil {
-			// Only drop segments the barrier proved durable.
-			_ = e.wlog.Truncate()
-		}
-	}
-	e.snapMu.Lock()
-	e.snaps = snaps
-	e.snapMu.Unlock()
-}
-
-// restoreOp replaces an operator's window state with the latest
-// Checkpoint snapshot and reports whether one existed: with no snapshot
-// ever taken the window is cleared (equivalent to LoseState) and the
-// restore must not be counted as one.
-func (e *Engine) restoreOp(op int) bool {
-	e.snapMu.Lock()
-	taken := e.snaps != nil
-	var snap *stream.Batch
-	if taken {
-		snap = e.snaps[op]
-	}
-	e.snapMu.Unlock()
-	e.core.RestoreOp(op, snap)
-	return taken
-}
+func (e *Engine) Checkpoint() { e.t.Snapshot(*e.assign.Load()) }
 
 // NodeLoads returns the per-node queued message counts — the live engine's
 // analogue of the simulator's queued cost-units, fed to Policy.Rebalance.
@@ -1169,25 +1132,25 @@ func (e *Engine) Stop() Results {
 	e.Drain()
 	for _, ns := range e.nodes {
 		ns.mu.Lock()
-		down := ns.down
-		ns.mu.Unlock()
-		if down {
-			// A node still down at shutdown: its queues were swept at
-			// Crash, so only the parked backlog remains — count it as
+		if ns.down {
+			// A node still down at shutdown: its queues were swept when it
+			// went down, so only the parked backlog remains — count it as
 			// lost, there is no recovery to replay into.
-			ns.mu.Lock()
 			parked := ns.parked
 			ns.parked = nil
 			ns.mu.Unlock()
 			for _, m := range parked {
 				e.lose(m)
 			}
-		} else {
-			ns.mu.Lock()
-			quit := ns.quit
-			ns.mu.Unlock()
-			close(quit)
+			continue
 		}
+		// Retire the incarnation: the transport is about to let its nodes
+		// go, and a failure report racing that must find nothing to take
+		// down — MarkDown would close quit a second time.
+		ns.gen++
+		quit := ns.quit
+		ns.mu.Unlock()
+		close(quit)
 	}
 	for _, ns := range e.nodes {
 		ns.wg.Wait()
@@ -1195,9 +1158,7 @@ func (e *Engine) Stop() Results {
 	// Final forced sample so results reflect the fully processed run,
 	// not the last rate-limited offer.
 	e.offerStats(true)
-	if e.wlog != nil {
-		_ = e.wlog.Close()
-	}
+	e.t.Close()
 	close(e.stopDone)
 	return e.results()
 }

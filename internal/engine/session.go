@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -9,68 +10,11 @@ import (
 	"time"
 
 	"rld/internal/chaos"
-	"rld/internal/physical"
 	"rld/internal/query"
 	"rld/internal/runtime"
 	"rld/internal/stats"
 	"rld/internal/stream"
 )
-
-// Backend is the execution substrate a Session drives: the in-process
-// Engine, or any stand-in that executes batches across a set of nodes
-// with the same failure lifecycle (netrt's multi-process Cluster). The
-// session protocol — virtual clock, control ticks, scripted faults,
-// checkpoints, backpressure, result/event delivery — is written entirely
-// against this interface, so every substrate gets it verbatim.
-type Backend interface {
-	// Start launches the backend's execution resources; SetChooser,
-	// SetTimeSource, and SetResultObserver are called before it.
-	Start()
-	// Stop drains, shuts the backend down, and reports the run. It must
-	// be idempotent in the Engine's sense: a loser of a Stop race waits
-	// for the winner and returns fully-drained results.
-	Stop() Results
-	// Ingest admits one batch (never blocking; callers pace through
-	// Pending/AwaitPending). The batch's columns are copied, so the
-	// caller may reuse it on return.
-	Ingest(b *stream.Batch) error
-	// Pending returns the in-flight message count backpressure bounds.
-	Pending() int64
-	// AwaitPending blocks until fewer than limit messages are in flight,
-	// ctx ends, or closed closes (see Engine.AwaitPending).
-	AwaitPending(ctx context.Context, limit int64, closed <-chan struct{}) error
-	// Drain blocks until all in-flight messages are processed.
-	Drain()
-	// Counters is a cheap live snapshot for Stats polling.
-	Counters() Counters
-	// Nodes returns the cluster size.
-	Nodes() int
-	// Assignment returns a copy of the live routing table.
-	Assignment() physical.Assignment
-	// NodeLoads returns per-node load (runtime.DownLoad for crashed nodes).
-	NodeLoads() []float64
-	// Migrate reroutes one operator to another node.
-	Migrate(op, node int) error
-	// Crash takes a node down under the given recovery mode; Recover
-	// brings it back. On the Engine these kill/rebuild goroutine pools;
-	// on netrt Crash is a literal SIGKILL of the worker process and
-	// Recover a respawn with checkpoint restore.
-	Crash(node int, mode chaos.RecoveryMode) error
-	Recover(node int) error
-	// SetSlowdown runs a node at the given capacity factor (1 = full).
-	SetSlowdown(node int, factor float64) error
-	// Checkpoint snapshots every join operator's window state; the latest
-	// snapshot is what Checkpoint-mode recovery restores.
-	Checkpoint()
-	// SetChooser installs the per-batch plan chooser (before Start).
-	SetChooser(c PlanChooser)
-	// SetTimeSource installs the virtual clock for stats stamping.
-	SetTimeSource(fn func() float64)
-	// SetResultObserver taps every non-empty sink emission.
-	SetResultObserver(obs func(tuples []*stream.Joined, ingress time.Time))
-}
-
-var _ Backend = (*Engine)(nil)
 
 // SessionOptions configures an engine session.
 type SessionOptions struct {
@@ -112,7 +56,7 @@ type SessionOptions struct {
 // lock and run Engine.Ingest in parallel, so ingest throughput scales
 // with producer count instead of funneling through one mutex.
 type Session struct {
-	e         Backend
+	e         *Engine
 	substrate string
 	q         *query.Query
 	opts      SessionOptions
@@ -188,30 +132,32 @@ func OpenSession(q *query.Query, nNodes int, pol runtime.Policy, opts SessionOpt
 	if err != nil {
 		return nil, err
 	}
-	return OpenSessionOn(e, q, "engine", pol, opts)
+	return OpenSessionOn(e, "engine", pol, opts)
 }
 
-// OpenSessionOn runs the full session protocol over an already-constructed
-// Backend: netrt opens its multi-process Cluster and hands it here, so the
-// wire substrate inherits the virtual clock, tick/fault/checkpoint edges,
-// backpressure, and result/event plumbing verbatim. The backend must not
-// be started; the session installs its chooser, clock, and result tap,
-// then starts it. On error the backend is left unstarted — the caller owns
-// its teardown.
-func OpenSessionOn(b Backend, q *query.Query, substrate string, pol runtime.Policy, opts SessionOptions) (*Session, error) {
-	if b == nil || q == nil {
-		return nil, fmt.Errorf("engine: session needs a backend and a query")
+// OpenSessionOn runs the session protocol over an already-constructed
+// engine: netrt builds one over its worker-process cluster and hands it
+// here, so the wire substrate shares the virtual clock, tick/fault/
+// checkpoint edges, backpressure, and result/event plumbing. The engine
+// must not be started; the session installs its chooser, clock, and result
+// tap, then starts it. The session owns the engine from the call on: a
+// rejected open stops it, releasing its log and its processes.
+func OpenSessionOn(e *Engine, substrate string, pol runtime.Policy, opts SessionOptions) (*Session, error) {
+	if e == nil {
+		return nil, fmt.Errorf("engine: session needs an engine")
 	}
+	err := opts.Faults.Validate(e.Nodes())
 	if pol == nil {
-		return nil, fmt.Errorf("engine: session needs a policy")
+		err = errors.New("session needs a policy")
 	}
-	if err := opts.Faults.Validate(b.Nodes()); err != nil {
+	if err != nil {
+		e.Stop()
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	s := &Session{
-		e:          b,
+		e:          e,
 		substrate:  substrate,
-		q:          q,
+		q:          e.q,
 		opts:       opts,
 		tick:       opts.TickEvery,
 		mode:       chaos.Checkpoint,
@@ -240,11 +186,11 @@ func OpenSessionOn(b Backend, q *query.Query, substrate string, pol runtime.Poli
 		evBuf = 64
 	}
 	s.events = make(chan runtime.Event, evBuf)
-	// The chooser runs synchronously inside Backend.Ingest, possibly from
+	// The chooser runs synchronously inside Engine.Ingest, possibly from
 	// many producers at once; polMu serializes the policy call and the
 	// plan-switch tracking, honoring the Policy contract's serial-caller
 	// promise.
-	b.SetChooser(ChooserFunc(func(snap stats.Snapshot) query.Plan {
+	e.SetChooser(ChooserFunc(func(snap stats.Snapshot) query.Plan {
 		s.polMu.Lock()
 		defer s.polMu.Unlock()
 		plan := s.pol.PlanFor(s.now(), snap)
@@ -258,12 +204,12 @@ func OpenSessionOn(b Backend, q *query.Query, substrate string, pol runtime.Poli
 		}
 		return plan
 	}))
-	b.SetTimeSource(s.now)
+	e.SetTimeSource(s.now)
 	if opts.ResultBuffer > 0 {
 		s.results = make(chan runtime.ResultBatch, opts.ResultBuffer)
-		b.SetResultObserver(s.observeResult)
+		e.SetResultObserver(s.observeResult)
 	}
-	b.Start()
+	e.Start()
 	return s, nil
 }
 

@@ -118,7 +118,7 @@ func blockedSession(t *testing.T) *Session {
 func awaitBlocked(t *testing.T, s *Session) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.e.(*Engine).waiters.Load() == 0 {
+	for s.e.waiters.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("producer never blocked on backpressure")
 		}
@@ -233,7 +233,7 @@ func TestSessionOffersVirtualTime(t *testing.T) {
 	if err := s.Ingest(ctx, flatBatch("S1", 5, 42)); err != nil { // first batch always offers
 		t.Fatal(err)
 	}
-	if got := s.e.(*Engine).Monitor().Snapshot().Time; got != 42 {
+	if got := s.e.Monitor().Snapshot().Time; got != 42 {
 		t.Fatalf("monitor offer stamped %v, want the virtual time 42", got)
 	}
 	if _, err := s.Close(ctx); err != nil {

@@ -77,7 +77,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // DeclOf returns the package-level declaration of the function object, or
 // nil. Analyzers use it to resolve in-package callees (e.g. unboundedgo
-// following `go c.dispatcher(...)` into dispatcher's body).
+// following `go c.heartbeatLoop()` into heartbeatLoop's body).
 func (p *Pass) DeclOf(obj types.Object) *ast.FuncDecl {
 	if obj == nil {
 		return nil

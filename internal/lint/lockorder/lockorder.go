@@ -7,8 +7,8 @@
 // acquisition sites. A re-acquisition of the very same lock occurrence is
 // a self-cycle (immediate deadlock for a plain Mutex). The invariant this
 // repo pins today: the leader→worker RPC path (callMu before workerProc.mu)
-// and the checkpoint/recovery path (walMu before engine mu / node locks)
-// must never invert.
+// and the checkpoint/recovery path (the in-process transport's walMu before
+// the window-shard locks) must never invert.
 package lockorder
 
 import (

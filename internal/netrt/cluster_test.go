@@ -15,6 +15,7 @@ import (
 	"rld/internal/query"
 	"rld/internal/runtime"
 	"rld/internal/stream"
+	"rld/internal/wire"
 )
 
 // testQuery is a 2-op query (select on S1, join on S2) that passes every
@@ -250,7 +251,7 @@ func TestLeaderRejectsBadHandshakes(t *testing.T) {
 		if ft != frameError {
 			t.Fatalf("got frame %d, want error frame", ft)
 		}
-		d := dec{B: payload}
+		d := wire.Dec{B: payload}
 		got := codeToError(d.U8(), d.Str())
 		if !errors.Is(got, want) {
 			t.Fatalf("got %v, want %v", got, want)
@@ -260,7 +261,7 @@ func TestLeaderRejectsBadHandshakes(t *testing.T) {
 	// Stale worker from a dead leader incarnation.
 	expectRejection(encodeHello(0, c.epoch+1), frameHello, ErrStaleEpoch)
 	// Version-skewed worker.
-	var e enc
+	var e wire.Enc
 	e.U32(protoMagic)
 	e.U16(ProtoVersion + 7)
 	e.U32(0)

@@ -29,12 +29,6 @@ func OpenSession(q *query.Query, nNodes int, pol runtime.Policy, opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	s, err := engine.OpenSessionOn(c, q, "net", pol, opts.Session)
-	if err != nil {
-		// OpenSessionOn leaves a failed backend unstarted; Stop on an
-		// unstarted cluster tears the worker processes down.
-		c.Stop()
-		return nil, err
-	}
-	return s, nil
+	// A rejected open stops the engine, which closes the cluster.
+	return engine.OpenSessionOn(c.Engine, "net", pol, opts.Session)
 }

@@ -2,12 +2,18 @@
 // cluster is a real OS process (cmd/rldworker, or a re-exec of the host
 // binary) owning its operators' join-window state through the same
 // engine.NodeCore the in-process engine runs, and the leader — embedded in
-// the caller's process — owns the routing table, placement, virtual-clock
-// control tick, plan classification, statistics, and failure detection.
-// Leader and workers speak a length-prefixed binary TCP protocol with no
-// dependencies outside the standard library; stream.Batch columns are
-// serialized directly onto the wire, so the columnar hot path survives the
-// hop. Crash here is a literal SIGKILL of the worker process, and Recover
+// the caller's process — is an engine.Engine, the same router the
+// in-process substrate runs: routing table, placement, plan classification,
+// statistics, per-node queues, backpressure, and the down/parked failure
+// state are the engine's, not this package's. What this package owns is the
+// engine.Transport under that router (Cluster): the RPCs, process spawn,
+// kill and reap, failure detection (heartbeat, process exit, a failed
+// call — each reported to the router's MarkDown), the leader-held
+// checkpoint, and the inserts a dead worker never acknowledged; plus the
+// worker loop and the wire codec. Leader and workers speak a
+// length-prefixed binary TCP protocol with no dependencies outside the
+// standard library; stream.Batch columns are serialized directly onto the
+// wire, so the columnar hot path survives the hop. Crash here is a literal SIGKILL of the worker process, and Recover
 // respawns it with a checkpoint restore — the chaos conformance tests run
 // against real process death.
 package netrt
@@ -29,8 +35,9 @@ const (
 	protoMagic = 0x524C4431
 	// ProtoVersion is the wire protocol version; leader and worker must
 	// match exactly. v2 added the WAL control frames (barrier, mark,
-	// replay) for exactly-once durability.
-	ProtoVersion = 2
+	// replay) for exactly-once durability; v3 dropped the clear frame no
+	// leader sent, renumbering the frames after it.
+	ProtoVersion = 3
 	// MaxFrame bounds a single frame's payload. Frames beyond it are
 	// rejected with ErrFrameTooLarge before any allocation.
 	MaxFrame = 64 << 20
@@ -84,7 +91,6 @@ const (
 	frameSnapshot                            // leader → worker: op
 	frameSnapshotResult                      // worker → leader: optional batch
 	frameRestore                             // leader → worker: op + optional batch
-	frameClear                               // leader → worker: op
 	frameOK                                  // worker → leader: empty ack
 	framePing                                // leader → worker: liveness probe
 	framePong                                // worker → leader: liveness reply
@@ -129,6 +135,18 @@ func codeToError(code byte, msg string) error {
 	return fmt.Errorf("%w: %s", ErrRemote, msg)
 }
 
+// decodeError reconstructs the typed error an error frame's payload
+// carries.
+func decodeError(payload []byte) error {
+	d := wire.Dec{B: payload}
+	code := d.U8()
+	msg := d.Str()
+	if d.Err != nil {
+		return d.Err
+	}
+	return codeToError(code, msg)
+}
+
 // wireConn wraps one TCP connection with buffered framed I/O and reusable
 // encode/decode scratch. Not safe for concurrent use; callers serialize
 // (the leader holds a per-worker call mutex, the worker is single-threaded).
@@ -168,7 +186,7 @@ func (wc *wireConn) writeFrame(t frameType, payload []byte) error {
 // writeError best-effort sends a typed error frame (used just before
 // closing a rejected connection).
 func (wc *wireConn) writeError(err error) {
-	var e enc
+	var e wire.Enc
 	e.U8(errorToCode(err))
 	e.Str(err.Error())
 	_ = wc.writeFrame(frameError, e.B)
@@ -202,17 +220,6 @@ func (wc *wireConn) readFrame() (frameType, []byte, error) {
 	return t, wc.buf, nil
 }
 
-// enc and dec are the shared payload codec (internal/wire), aliased so the
-// protocol's message codecs read unqualified; encodeBatch/decodeBatch are
-// the columnar batch serialization both netrt and the WAL use.
-type (
-	enc = wire.Enc
-	dec = wire.Dec
-)
-
-func encodeBatch(e *enc, b *stream.Batch)       { wire.EncodeBatch(e, b) }
-func decodeBatch(d *dec) (*stream.Batch, error) { return wire.DecodeBatch(d) }
-
 // helloMsg is the worker's handshake.
 type helloMsg struct {
 	node  int
@@ -220,7 +227,7 @@ type helloMsg struct {
 }
 
 func encodeHello(node int, epoch uint64) []byte {
-	var e enc
+	var e wire.Enc
 	e.U32(protoMagic)
 	e.U16(ProtoVersion)
 	e.U32(uint32(node))
@@ -231,7 +238,7 @@ func encodeHello(node int, epoch uint64) []byte {
 // decodeHello validates magic and version; epoch/node validation is the
 // leader's (it knows the live epoch and cluster size).
 func decodeHello(payload []byte) (helloMsg, error) {
-	d := dec{B: payload}
+	d := wire.Dec{B: payload}
 	magic := d.U32()
 	ver := d.U16()
 	node := d.U32()
@@ -251,7 +258,7 @@ func decodeHello(payload []byte) (helloMsg, error) {
 // encodePartials appends a slice of join partials: count, then per partial
 // the populated-slot mask followed by each populated part in ascending slot
 // order (seq, ts, key, arrival, payload).
-func encodePartials(e *enc, sch *stream.JoinSchema, ps []*stream.Joined) {
+func encodePartials(e *wire.Enc, sch *stream.JoinSchema, ps []*stream.Joined) {
 	e.U32(uint32(len(ps)))
 	for _, p := range ps {
 		var mask uint64
@@ -318,7 +325,7 @@ func splitPartials(sch *stream.JoinSchema, ps []*stream.Joined, limit int) [][]*
 // decodePartials rebuilds partials into dst (pass an empty pooled slice).
 // Parts are applied in ascending slot order, which reproduces the Ts=max /
 // Arrival=min aggregates SetPart folds exactly as the sender computed them.
-func decodePartials(d *dec, sch *stream.JoinSchema, dst []*stream.Joined) ([]*stream.Joined, error) {
+func decodePartials(d *wire.Dec, sch *stream.JoinSchema, dst []*stream.Joined) ([]*stream.Joined, error) {
 	n := int(d.U32())
 	if d.Err != nil {
 		return dst, d.Err

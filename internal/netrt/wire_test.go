@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rld/internal/stream"
+	"rld/internal/wire"
 )
 
 // pipePair returns two framed ends of an in-memory connection.
@@ -90,7 +91,7 @@ func TestReadFrameTooLarge(t *testing.T) {
 func TestHelloVersionMismatch(t *testing.T) {
 	// A hello from a future protocol version must decode to the typed
 	// mismatch error, not garbage fields.
-	var e enc
+	var e wire.Enc
 	e.U32(protoMagic)
 	e.U16(ProtoVersion + 1)
 	e.U32(3)
@@ -101,7 +102,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 }
 
 func TestHelloBadMagicAndShort(t *testing.T) {
-	var e enc
+	var e wire.Enc
 	e.U32(0xdeadbeef)
 	e.U16(ProtoVersion)
 	e.U32(0)
@@ -142,10 +143,10 @@ func TestBatchRoundTrip(t *testing.T) {
 		row := b.AppendRow(uint64(i), stream.Time(float64(i)*1.5), int64(100+i), stream.Time(float64(i)))
 		row[0], row[1] = float64(i)*10, float64(i)*20
 	}
-	var e enc
-	encodeBatch(&e, b)
-	d := dec{B: e.B}
-	got, err := decodeBatch(&d)
+	var e wire.Enc
+	wire.EncodeBatch(&e, b)
+	d := wire.Dec{B: e.B}
+	got, err := wire.DecodeBatch(&d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +169,12 @@ func TestBatchRoundTrip(t *testing.T) {
 func TestDecodeBatchCorruptRowCount(t *testing.T) {
 	// A header claiming far more rows than the payload holds must fail
 	// typed, before any large allocation.
-	var e enc
+	var e wire.Enc
 	e.Str("S1")
 	e.U16(1)
 	e.U32(1 << 30)
-	d := dec{B: e.B}
-	if _, err := decodeBatch(&d); !errors.Is(err, ErrBadFrame) {
+	d := wire.Dec{B: e.B}
+	if _, err := wire.DecodeBatch(&d); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("got %v, want ErrBadFrame", err)
 	}
 }
@@ -183,9 +184,9 @@ func TestPartialsRoundTrip(t *testing.T) {
 	p := sch.Acquire()
 	p.SetPart(0, 1, 10, 7, 9, []float64{1, 2})
 	p.SetPart(2, 5, 12, 7, 8, []float64{3})
-	var e enc
+	var e wire.Enc
 	encodePartials(&e, sch, []*stream.Joined{p})
-	d := dec{B: e.B}
+	d := wire.Dec{B: e.B}
 	out, err := decodePartials(&d, sch, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -290,10 +291,10 @@ func TestWriteFrameTooLarge(t *testing.T) {
 
 func TestDecodePartialsBadMask(t *testing.T) {
 	sch := stream.NewJoinSchema([]string{"S1", "S2"})
-	var e enc
+	var e wire.Enc
 	e.U32(1)
 	e.U64(1 << 5) // slot 5 of a 2-slot schema
-	d := dec{B: e.B}
+	d := wire.Dec{B: e.B}
 	if _, err := decodePartials(&d, sch, nil); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("got %v, want ErrBadFrame", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"rld/internal/query"
 	"rld/internal/stream"
 	"rld/internal/wal"
+	"rld/internal/wire"
 )
 
 // setupMsg is the Welcome payload: everything a worker needs to build its
@@ -30,7 +31,7 @@ type setupMsg struct {
 // RunWorker connects to the leader, performs the handshake, builds the
 // node's operator state, and serves stage/insert/snapshot requests until a
 // Quit frame or connection loss. The loop is single-threaded — one request
-// at a time per worker, matching the one-dispatcher-per-node leader —
+// at a time per worker, matching the leader's one router goroutine per node —
 // so NodeCore sees no concurrency beyond what the engine's shard locks
 // already absorb.
 //
@@ -56,13 +57,7 @@ func RunWorker(leaderAddr string, node int, epoch uint64) error {
 	switch t {
 	case frameWelcome:
 	case frameError:
-		d := dec{B: payload}
-		code := d.U8()
-		msg := d.Str()
-		if d.Err != nil {
-			return d.Err
-		}
-		return codeToError(code, msg)
+		return decodeError(payload)
 	default:
 		return fmt.Errorf("%w: unexpected handshake frame %d", ErrBadFrame, t)
 	}
@@ -104,7 +99,7 @@ func RunWorker(leaderAddr string, node int, epoch uint64) error {
 // saw acknowledged.
 func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error {
 	sch := core.Schema()
-	var reply enc
+	var reply wire.Enc
 	for {
 		t, payload, err := wc.readFrame()
 		if err != nil {
@@ -113,7 +108,7 @@ func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error 
 			}
 			return err
 		}
-		d := dec{B: payload}
+		d := wire.Dec{B: payload}
 		reply.B = reply.B[:0]
 		switch t {
 		case frameInsert:
@@ -122,7 +117,7 @@ func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error 
 			for i := 0; i < nOps; i++ {
 				ops = append(ops, int(d.U16()))
 			}
-			b, derr := decodeBatch(&d)
+			b, derr := wire.DecodeBatch(&d)
 			if derr != nil {
 				wc.writeError(derr)
 				return derr
@@ -203,7 +198,7 @@ func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error 
 			}
 			if b := core.SnapshotOp(op); b != nil {
 				reply.U8(1)
-				encodeBatch(&reply, b)
+				wire.EncodeBatch(&reply, b)
 			} else {
 				reply.U8(0)
 			}
@@ -219,7 +214,7 @@ func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error 
 				return err
 			}
 			if hasBatch == 1 {
-				snap, derr := decodeBatch(&d)
+				snap, derr := wire.DecodeBatch(&d)
 				if derr != nil {
 					wc.writeError(derr)
 					return derr
@@ -228,17 +223,6 @@ func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error 
 			} else {
 				core.RestoreOp(op, nil)
 			}
-			if err := wc.writeFrame(frameOK, nil); err != nil {
-				return err
-			}
-		case frameClear:
-			op := int(d.U16())
-			if op < 0 || op >= core.NumOps() || d.Err != nil {
-				err := fmt.Errorf("%w: clear op %d", ErrBadFrame, op)
-				wc.writeError(err)
-				return err
-			}
-			core.ClearOp(op)
 			if err := wc.writeFrame(frameOK, nil); err != nil {
 				return err
 			}
