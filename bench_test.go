@@ -267,6 +267,79 @@ func BenchmarkPipelineIngestParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineResults is the result-delivery benchmark: 100-tuple
+// batches of a 3-way join with about three matches per probe (a few hundred
+// result tuples per batch), through a Pipeline opened WithBufferedResults
+// and drained by a consumer. Every other benchmark here runs without a
+// subscriber, so none of them sees what handing results to one costs;
+// allocs/op is the number the CI gate watches.
+func BenchmarkPipelineResults(b *testing.B) {
+	const (
+		batchSize = 100
+		rate      = 1000 // tuples per virtual second per stream
+		span      = 12   // window, virtual seconds
+		keys      = 4096 // rate*span/keys ≈ 3 matches per probe
+	)
+	q := NewNWayJoin("R", 3, rate)
+	q.WindowSeconds = span
+	dims := []Dim{SelDim(0, q.Ops[0].Sel, 3), SelDim(1, q.Ops[1].Sel, 3)}
+	dep, err := Optimize(q, dims, NewCluster(2, 1e9), DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	// Depth 1: each batch's emission is sunk before the next is admitted,
+	// so the consumer below never meets a full buffer.
+	pipe, err := Open(ctx, dep, nil, WithWorkers(1), WithBufferedResults(64), WithMaxPending(1), WithClassifyBatch(batchSize))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var results int64
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for rb := range pipe.Results() {
+			results += int64(len(rb.Tuples))
+		}
+	}()
+	rng := uint64(1)
+	offer := func(i int) {
+		round, slot := i/len(q.Streams), i%len(q.Streams)
+		batch := AcquireBatch(q.Streams[slot], 1)
+		for j := 0; j < batchSize; j++ {
+			n := round*batchSize + j
+			rng = rng*6364136223846793005 + 1442695040888963407
+			ts := Time(float64(n) / rate)
+			row := batch.AppendRow(uint64(n), ts, int64(rng>>33)%keys, ts)
+			row[0] = float64(rng>>40) / (1 << 24) * 100
+		}
+		if err := pipe.Ingest(ctx, batch); err != nil {
+			b.Fatal(err)
+		}
+		batch.Release()
+	}
+	// Fill every window to its full span before timing.
+	warm := len(q.Streams) * span * rate / batchSize
+	for i := 0; i < warm; i++ {
+		offer(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		offer(warm + i)
+	}
+	b.StopTimer()
+	rep, err := pipe.Close(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	<-drained
+	if dropped := pipe.Stats().ResultsDropped; dropped != 0 || float64(results) != rep.Produced {
+		b.Fatalf("consumer saw %d of %.0f results (%d emissions dropped)", results, rep.Produced, dropped)
+	}
+	b.ReportMetric(rep.Produced/float64(warm+b.N), "results/batch")
+}
+
 // BenchmarkERPByUncertainty reports ERP optimization cost as the declared
 // uncertainty grows (the compile-time scaling of Figure 10).
 func BenchmarkERPByUncertainty(b *testing.B) {

@@ -82,6 +82,9 @@ type Deployment struct {
 	Cluster  *cluster.Cluster
 	Model    *paramspace.OccurrenceModel
 	cfg      Config
+	// regions[i] is the certified (or discovery) region list of Plans[i],
+	// resolved once by Optimize so Classify formats no plan keys per batch.
+	regions [][]paramspace.Region
 }
 
 // Optimize runs the two-step RLD optimization for query q over the given
@@ -140,6 +143,12 @@ func Optimize(q *query.Query, dims []paramspace.Dim, cl *cluster.Cluster, cfg Co
 	if pp == nil {
 		return nil, fmt.Errorf("core: no feasible physical plan on %v (total load exceeds capacity)", cl)
 	}
+	regions := make([][]paramspace.Region, len(plans))
+	for i := range plans {
+		if rp := res.PlanByKey(plans[i].Plan.Key()); rp != nil {
+			regions[i] = rp.Regions
+		}
+	}
 	return &Deployment{
 		Query:    q,
 		Space:    space,
@@ -150,6 +159,7 @@ func Optimize(q *query.Query, dims []paramspace.Dim, cl *cluster.Cluster, cfg Co
 		Cluster:  cl,
 		Model:    model,
 		cfg:      cfg,
+		regions:  regions,
 	}, nil
 }
 
@@ -235,13 +245,13 @@ func (d *Deployment) Classify(snap stats.Snapshot) (query.Plan, int) {
 		}
 		return d.Plans[best].Plan, best
 	}
-	// Region containment first.
+	// Region containment first (a deployment not built by Optimize has no
+	// resolved regions and goes straight to the cost fallback).
 	for _, i := range supported {
-		rp := d.Logical.PlanByKey(d.Plans[i].Plan.Key())
-		if rp == nil {
+		if i >= len(d.regions) {
 			continue
 		}
-		for _, reg := range rp.Regions {
+		for _, reg := range d.regions[i] {
 			if reg.Contains(g) {
 				return d.Plans[i].Plan, i
 			}

@@ -135,10 +135,7 @@ type Results struct {
 	Restores int
 }
 
-// resultObserver receives every non-empty sink emission: the batch's
-// surviving result tuples and its ingress wall time. Observers run on
-// worker goroutines and must copy anything they retain — the slice is
-// recycled after the call.
+// resultObserver is the sink tap; SetResultObserver states its contract.
 type resultObserver func(tuples []*stream.Joined, ingress time.Time)
 
 // nodeState is one simulated node of the live engine: its inbox, overflow
@@ -279,14 +276,17 @@ type Engine struct {
 	// tying it to host speed.
 	lastAppTs atomic.Uint64
 
-	// waitCh/waitMu/waiters implement the event-driven pending-count
-	// notifier: every decrement of pending broadcasts (close-and-replace
-	// of waitCh) when someone is waiting, so Drain and backpressured
-	// producers block on a channel instead of polling. The waiters gate
-	// keeps the workers' hot path at one atomic load when nobody waits.
-	waitMu  sync.Mutex
-	waitCh  chan struct{} //rldlint:guardedby waitMu
-	waiters atomic.Int32
+	// waitList/waitMu/waiters implement the event-driven pending-count
+	// notifier: every decrement of pending hands a token to each
+	// registered waiter's channel when someone is waiting, so Drain and
+	// backpressured producers block on a channel instead of polling. The
+	// channels are the waiters' own and recycled through wakeChans, so a
+	// producer that waits out every batch (depth 1) allocates nothing. The
+	// waiters gate keeps the workers' hot path at one atomic load when
+	// nobody waits.
+	waitMu   sync.Mutex
+	waitList []chan struct{} //rldlint:guardedby waitMu
+	waiters  atomic.Int32
 
 	// sendMu fences Ingest against Stop: Ingest holds the read side for
 	// its whole body, and Stop takes the write side after setting the
@@ -385,7 +385,6 @@ func NewOn(core *NodeCore, t Transport, assign physical.Assignment, nNodes int, 
 		rateCount:  make(map[string]float64),
 		nodeQueued: make([]atomic.Int64, nNodes),
 		stopDone:   make(chan struct{}),
-		waitCh:     make(chan struct{}),
 	}
 	a := assign.Clone()
 	e.assign.Store(&a)
@@ -493,15 +492,20 @@ func (e *Engine) worker(id, idx int, quit <-chan struct{}, gen uint64) {
 	}
 }
 
-// wakePending wakes everyone blocked in awaitPending after a pending-count
+// wakeChans recycles the one-token channels AwaitPending waits on.
+var wakeChans = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
+// wakePending wakes everyone blocked in AwaitPending after a pending-count
 // decrement. When nobody waits (the steady state) it is one atomic load.
 func (e *Engine) wakePending() {
 	if e.waiters.Load() == 0 {
 		return
 	}
 	e.waitMu.Lock()
-	close(e.waitCh)
-	e.waitCh = make(chan struct{})
+	for _, ch := range e.waitList {
+		ch <- struct{}{} // never blocks: one token per registration
+	}
+	e.waitList = e.waitList[:0]
 	e.waitMu.Unlock()
 }
 
@@ -514,27 +518,51 @@ func (e *Engine) AwaitPending(ctx context.Context, limit int64, closed <-chan st
 	if limit < 1 {
 		limit = 1
 	}
+	if e.pending.Load() < limit {
+		return nil
+	}
+	e.waiters.Add(1)
+	defer e.waiters.Add(-1)
+	ch := wakeChans.Get().(chan struct{})
+	// Every exit leaves ch unregistered and empty, so the next user of the
+	// recycled channel starts clean.
+	defer wakeChans.Put(ch)
 	for e.pending.Load() >= limit {
-		e.waiters.Add(1)
 		e.waitMu.Lock()
-		ch := e.waitCh
+		e.waitList = append(e.waitList, ch)
 		e.waitMu.Unlock()
 		if e.pending.Load() < limit {
-			e.waiters.Add(-1)
+			e.unregister(ch)
 			return nil
 		}
 		select {
 		case <-ch:
-			e.waiters.Add(-1)
 		case <-ctx.Done():
-			e.waiters.Add(-1)
+			e.unregister(ch)
 			return ctx.Err()
 		case <-closed:
-			e.waiters.Add(-1)
+			e.unregister(ch)
 			return runtime.ErrClosed
 		}
 	}
 	return nil
+}
+
+// unregister withdraws a waiter that stopped waiting before its wakeup: it
+// leaves the list, or — a wakePending got there first — returns the token.
+func (e *Engine) unregister(ch chan struct{}) {
+	e.waitMu.Lock()
+	for i, c := range e.waitList {
+		if c == ch {
+			last := len(e.waitList) - 1
+			e.waitList[i] = e.waitList[last]
+			e.waitList = e.waitList[:last]
+			e.waitMu.Unlock()
+			return
+		}
+	}
+	e.waitMu.Unlock()
+	<-ch
 }
 
 // send routes a message to the node hosting its current stage's operator.
@@ -631,16 +659,11 @@ func (e *Engine) process(node int, gen uint64, msg *message) {
 func (e *Engine) sink(msg *message) {
 	e.produced.Add(int64(len(msg.partials)))
 	e.latencyNano.Add(int64(time.Since(msg.ingress))) //rldlint:allow wallclock -- batch latency is a host-side wall metric, not simulated time
-	if obs := e.resultObs.Load(); obs != nil {
-		if len(msg.partials) > 0 {
-			// Ownership of the result tuples transfers to the observer's
-			// consumer; they are never recycled.
-			(*obs)(msg.partials, msg.ingress)
-		}
-	} else {
-		for _, p := range msg.partials {
-			p.Release()
-		}
+	if obs := e.resultObs.Load(); obs != nil && len(msg.partials) > 0 {
+		(*obs)(msg.partials, msg.ingress)
+	}
+	for _, p := range msg.partials {
+		p.Release()
 	}
 	putPartials(msg.partials)
 	*msg = message{}
@@ -648,8 +671,11 @@ func (e *Engine) sink(msg *message) {
 }
 
 // SetResultObserver installs (or, with nil, removes) the sink tap: obs is
-// invoked on worker goroutines with every non-empty result emission and
-// must copy what it retains. Install before Start to observe every result.
+// invoked on worker goroutines with every non-empty sink emission — the
+// batch's surviving result tuples and its ingress wall time. The slice and
+// the tuples are the engine's: both go back to their pools when obs returns,
+// so obs must copy out (stream.Detach) whatever it keeps. Install before
+// Start to observe every result.
 func (e *Engine) SetResultObserver(obs func(tuples []*stream.Joined, ingress time.Time)) {
 	if obs == nil {
 		e.resultObs.Store(nil)

@@ -20,31 +20,36 @@ import (
 
 // partialsPool recycles the partial-result slices that carry batches between
 // stages; joins grow them, so pooling the backing arrays cuts most of the
-// engine's steady-state allocation.
-var partialsPool = sync.Pool{New: func() any {
-	s := make([]*stream.Joined, 0, 256)
-	return &s
-}}
+// engine's steady-state allocation. A sync.Pool holds pointers, and boxing a
+// slice header on every Put would be an allocation per stage, so the boxes
+// are recycled as well: getPartials empties one into partialsBoxes and
+// putPartials refills it.
+var (
+	partialsPool = sync.Pool{New: func() any {
+		s := make([]*stream.Joined, 0, 256)
+		return &s
+	}}
+	partialsBoxes = sync.Pool{New: func() any { return new([]*stream.Joined) }}
+)
 
 func getPartials() []*stream.Joined {
-	return (*partialsPool.Get().(*[]*stream.Joined))[:0]
+	box := partialsPool.Get().(*[]*stream.Joined)
+	s := *box
+	*box = nil
+	partialsBoxes.Put(box)
+	return s
 }
 
-// putPooled clears a scratch slice to its full capacity and returns it to
-// the pool. Clearing must cover the capacity, not just the length: in-place
-// filtering can leave stale references beyond len, and pooled arrays must
-// not pin tuples past their window life.
-func putPooled[T any](p *sync.Pool, s *[]T) {
-	buf := (*s)[:cap(*s)]
-	var zero T
-	for i := range buf {
-		buf[i] = zero
-	}
-	*s = buf[:0]
-	p.Put(s)
+// putPartials clears s to its full capacity and returns it to the pool.
+// Clearing must cover the capacity, not just the length: in-place filtering
+// can leave stale references beyond len, and pooled arrays must not pin
+// tuples past their window life.
+func putPartials(s []*stream.Joined) {
+	clear(s[:cap(s)])
+	box := partialsBoxes.Get().(*[]*stream.Joined)
+	*box = s[:0]
+	partialsPool.Put(box)
 }
-
-func putPartials(s []*stream.Joined) { putPooled(&partialsPool, &s) }
 
 // shardScratch is the pooled per-batch workspace for the vectorized shard
 // paths: counting-sort arrays that group rows (inserts) or partials (probes)

@@ -1,0 +1,179 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"rld/internal/physical"
+	"rld/internal/query"
+	"rld/internal/runtime"
+	"rld/internal/stream"
+)
+
+// probeFeed builds a 3-way join workload whose result multiset does not
+// depend on scheduling: warm fills the S2 window with dup tuples per key and
+// then the S3 window with one, probes are S1 batches only — S1 feeds a
+// selection and has no window, so once warm has drained every probe tuple
+// finds the same dup matches however the workers interleave. Fed one batch
+// at a time, warm itself emits once: the S3 batch meets the S2 window
+// (keys*dup two-part results).
+func probeFeed(keys, dup, probeBatches, batchSize int) (q *query.Query, warm, probes []*stream.Batch) {
+	q = query.NewNWayJoin("R", 3, 100)
+	q.Ops[0].Sel = 0.99
+	for i, n := range []int{keys * dup, keys} {
+		b := stream.NewSizedBatch(q.Streams[i+1], 1, n)
+		for i := 0; i < n; i++ {
+			b.AppendRow(uint64(i), 1, int64(i%keys), 1)[0] = float64(i)
+		}
+		warm = append(warm, b)
+	}
+	for p := 0; p < probeBatches; p++ {
+		b := stream.NewSizedBatch("S1", 1, batchSize)
+		for j := 0; j < batchSize; j++ {
+			seq := p*batchSize + j
+			b.AppendRow(uint64(seq), 2, int64(seq%keys), 2)[0] = 10
+		}
+		probes = append(probes, b)
+	}
+	return q, warm, probes
+}
+
+// TestSessionRetainedResultsSurviveRecycling is the use-after-release
+// detector for the closed tuple loop: the sink recycles every result tuple
+// the moment the tap returns, so a consumer that keeps every ResultBatch
+// until after Close — while four workers per node reuse the recycled tuples
+// for later batches — must still read exactly the results a synchronous
+// reader of a single-worker engine saw.
+func TestSessionRetainedResultsSurviveRecycling(t *testing.T) {
+	const keys, dup, nProbes, batchSize = 64, 3, 200, 50
+	q, warm, probes := probeFeed(keys, dup, nProbes, batchSize)
+	assign := physical.Assignment{0, 0, 1}
+	plan := query.Plan{0, 1, 2}
+
+	// Reference: bare engine, one worker, IDs read inside the tap.
+	want := map[string]int{}
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	ref, err := New(q, assign, 2, StaticChooser{Plan: plan}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	ref.SetResultObserver(func(tuples []*stream.Joined, _ time.Time) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, j := range tuples {
+			want[fmt.Sprint(j.TupleIDs(nil))]++
+		}
+	})
+	ref.Start()
+	for _, b := range warm {
+		feedAll(t, ref, []*stream.Batch{b})
+		ref.Drain()
+	}
+	feedAll(t, ref, probes)
+	if res := ref.Stop(); res.Produced != (nProbes*batchSize+keys)*dup {
+		t.Fatalf("reference produced %d results, want %d", res.Produced, (nProbes*batchSize+keys)*dup)
+	}
+
+	cfg.Workers = 4
+	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: plan, Assign: assign}
+	s, err := OpenSession(q, 2, pol, SessionOptions{Config: cfg, ResultBuffer: nProbes + 1, MaxPending: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []runtime.ResultBatch
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		for rb := range s.Results() {
+			kept = append(kept, rb)
+		}
+	}()
+	ctx := context.Background()
+	for _, b := range warm {
+		if err := s.Ingest(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+		s.e.Drain()
+	}
+	for _, b := range probes {
+		if err := s.Ingest(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	<-consumed
+	if d := s.Stats().ResultsDropped; d != 0 {
+		t.Fatalf("%d emissions dropped; the buffer was sized for all of them", d)
+	}
+
+	got := map[string]int{}
+	for _, rb := range kept {
+		if float64(len(rb.Tuples)) != rb.Count {
+			t.Fatalf("emission carries %d tuples, Count %v", len(rb.Tuples), rb.Count)
+		}
+		for _, j := range rb.Tuples {
+			got[fmt.Sprint(j.TupleIDs(nil))]++
+			for slot := 0; slot < 3; slot++ {
+				if p, ok := j.Part(slot); ok && p.Key != j.Key() {
+					t.Fatalf("retained tuple %v: part %d = %+v under key %d", j.TupleIDs(nil), slot, p, j.Key())
+				}
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("retained results hold %d distinct tuples, reference %d", len(got), len(want))
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Fatalf("result %s: retained %d times, reference %d", k, got[k], n)
+		}
+	}
+}
+
+// TestSessionSlowSubscriber pins what a full Results buffer costs the run:
+// nothing but the emission — it is counted as dropped, the pipeline neither
+// blocks nor loses count, and what was buffered earlier is still delivered
+// whole.
+func TestSessionSlowSubscriber(t *testing.T) {
+	const keys, batchSize = 16, 16
+	q, warm, probes := probeFeed(keys, 1, 3, batchSize)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1, 2}, Assign: physical.Assignment{0, 0, 0}}
+	s, err := OpenSession(q, 1, pol, SessionOptions{Config: cfg, ResultBuffer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, b := range append(warm, probes...) {
+		if err := s.Ingest(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+		s.e.Drain()
+	}
+	// Four emissions (warm's one, then the probes) into one slot nobody reads.
+	if d := s.Stats().ResultsDropped; d != 3 {
+		t.Fatalf("ResultsDropped = %d, want 3", d)
+	}
+	rep, err := s.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Produced != keys+3*batchSize {
+		t.Fatalf("produced %v results, want %d", rep.Produced, keys+3*batchSize)
+	}
+	rb, ok := <-s.Results()
+	if !ok || len(rb.Tuples) != keys {
+		t.Fatalf("buffered emission: %d tuples (ok=%v), want warm's %d", len(rb.Tuples), ok, keys)
+	}
+	if _, more := <-s.Results(); more {
+		t.Fatal("a dropped emission was delivered after all")
+	}
+}

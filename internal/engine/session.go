@@ -91,7 +91,6 @@ type Session struct {
 	// all in-flight admissions (a tick's Drain settles a quiesced
 	// pipeline), while admissions exclude only each other's edges.
 	mu          sync.RWMutex
-	lastPlanKey string
 	nextTick    float64
 	cursor      *chaos.Cursor
 	nextCkpt    float64
@@ -115,6 +114,8 @@ type Session struct {
 	polMu    sync.Mutex
 	pol      runtime.Policy //rldlint:guardedby polMu
 	overhead float64        //rldlint:guardedby polMu
+	// lastPlan is the previous batch's plan, for the plan-switch event.
+	lastPlan query.Plan //rldlint:guardedby polMu
 
 	report *runtime.Report //rldlint:guardedby mu
 }
@@ -194,13 +195,13 @@ func OpenSessionOn(e *Engine, substrate string, pol runtime.Policy, opts Session
 		s.polMu.Lock()
 		defer s.polMu.Unlock()
 		plan := s.pol.PlanFor(s.now(), snap)
-		if plan != nil {
-			if k := plan.Key(); k != s.lastPlanKey {
-				if s.lastPlanKey != "" {
-					s.emit(runtime.Event{Kind: runtime.EventPlanSwitch, T: s.now(), Node: -1, Op: -1, Plan: k})
-				}
-				s.lastPlanKey = k
+		// Compare orderings, not keys: formatting a key per batch would be
+		// the chooser's only allocation.
+		if plan != nil && !plan.Equal(s.lastPlan) {
+			if s.lastPlan != nil {
+				s.emit(runtime.Event{Kind: runtime.EventPlanSwitch, T: s.now(), Node: -1, Op: -1, Plan: plan.Key()})
 			}
+			s.lastPlan = plan.Clone()
 		}
 		return plan
 	}))
@@ -223,14 +224,18 @@ func (s *Session) Results() <-chan runtime.ResultBatch { return s.results }
 func (s *Session) Events() <-chan runtime.Event { return s.events }
 
 // observeResult is the engine's sink tap: it copies the emission out of the
-// pooled pipeline slice and delivers it without blocking the worker.
+// pooled pipeline tuples and delivers it without blocking the worker. A full
+// buffer is counted before the copy is paid for; the select below stays the
+// authority (the buffer can fill between the two).
 func (s *Session) observeResult(tuples []*stream.Joined, _ time.Time) {
-	cp := make([]*stream.Joined, len(tuples))
-	copy(cp, tuples)
+	if len(s.results) == cap(s.results) {
+		s.resultsDropped.Add(1)
+		return
+	}
 	rb := runtime.ResultBatch{
 		T:      s.now(),
-		Count:  float64(len(cp)),
-		Tuples: cp,
+		Count:  float64(len(tuples)),
+		Tuples: stream.Detach(tuples),
 	}
 	select {
 	case s.results <- rb:

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,6 +167,66 @@ func TestSessionCancelWakesBlockedIngest(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("blocked Ingest not woken by context cancellation")
+	}
+}
+
+// TestSessionManyWaitersAllWake loads the pending notifier's waiter list:
+// eight producers share a one-message bound, so almost every Ingest
+// registers, and every seventh waits on a context that expires within
+// microseconds — withdrawing from the list, or handing back the token a
+// concurrent wakeup had already given it. No producer may be stranded and
+// every admitted batch must be counted.
+func TestSessionManyWaitersAllWake(t *testing.T) {
+	q := twoWay()
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 1}}
+	s, err := OpenSession(q, 2, pol, SessionOptions{Config: cfg, MaxPending: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const producers, perProducer = 8, 200
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				impatient := i%7 == p%7
+				if impatient {
+					ctx, cancel = context.WithTimeout(ctx, 20*time.Microsecond)
+				}
+				err := s.Ingest(ctx, flatBatch(q.Streams[p%2], 4, 1))
+				cancel()
+				switch {
+				case err == nil:
+					admitted.Add(1)
+				case impatient && errors.Is(err, context.DeadlineExceeded):
+				default:
+					t.Errorf("producer %d batch %d: %v", p, i, err)
+					return
+				}
+			}
+		}(p)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("producers stranded on backpressure")
+	}
+	rep, err := s.Close(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Batches != admitted.Load() {
+		t.Fatalf("report counts %d batches, producers had %d admitted", rep.Batches, admitted.Load())
+	}
+	if n := s.e.waiters.Load(); n != 0 {
+		t.Fatalf("%d waiters still registered after Close", n)
 	}
 }
 

@@ -93,9 +93,12 @@ type ResultBatch struct {
 	// Count is the number of result tuples (the simulator's expected
 	// count may be fractional).
 	Count float64
-	// Tuples holds the joined result tuples on the live engine (copied
-	// out of the pipeline; safe to retain). Nil on the simulator, which
-	// models counts, not payloads.
+	// Tuples holds the joined result tuples on the live engine. They are
+	// copies made for the consumer, who owns them for good: nothing in
+	// the pipeline refers to them again. One emission's tuples share
+	// backing storage, so retaining any one of them retains the whole
+	// emission's copy. Nil on the simulator, which models counts, not
+	// payloads.
 	Tuples []*stream.Joined
 }
 

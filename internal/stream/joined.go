@@ -51,7 +51,7 @@ func (s *JoinSchema) Slot(streamName string) int {
 func (s *JoinSchema) Stream(slot int) string { return s.streams[slot] }
 
 // Acquire returns an empty pooled Joined bound to this schema. Release it
-// exactly once when done (or hand it off to a consumer that never recycles).
+// exactly once when done; what must outlive that leaves through Detach.
 func (s *JoinSchema) Acquire() *Joined {
 	return s.pool.Get().(*Joined)
 }
@@ -129,6 +129,38 @@ func (j *Joined) CloneWith(slot int, seq uint64, ts Time, key int64, arrival Tim
 	n.vals = append(n.vals[:0], j.vals...)
 	n.SetPart(slot, seq, ts, key, arrival, vals)
 	return n
+}
+
+// Detach copies src into storage no pool owns, so the copies outlive the
+// originals' Release. The whole call makes four allocations however many
+// tuples it copies — one slab each for the structs, their parts, their
+// payloads and the returned slice — so the copies of one call share backing
+// arrays: retaining any of them retains all four slabs. Each copy's slices
+// are capped at its own segment, so writing to one never reaches another.
+func Detach(src []*Joined) []*Joined {
+	if len(src) == 0 {
+		return nil
+	}
+	nParts, nVals := 0, 0
+	for _, j := range src {
+		nParts += len(j.parts)
+		nVals += len(j.vals)
+	}
+	structs := make([]Joined, len(src))
+	parts := make([]part, nParts)
+	vals := make([]float64, nVals)
+	out := make([]*Joined, len(src))
+	for i, j := range src {
+		d := &structs[i]
+		*d = *j
+		np, nv := len(j.parts), len(j.vals)
+		d.parts, parts = parts[:np:np], parts[np:]
+		d.vals, vals = vals[:nv:nv], vals[nv:]
+		copy(d.parts, j.parts)
+		copy(d.vals, j.vals)
+		out[i] = d
+	}
+	return out
 }
 
 // Has reports whether the given slot is populated (false for negative

@@ -30,8 +30,9 @@
 //   - Tuple views obtained from TupleAt/ValsAt/Part alias pooled storage and
 //     are valid only until the owning Batch/Joined is Released or Reset.
 //   - A Joined is exclusively owned by whoever holds the partials slice it
-//     sits in; it must be Released exactly once, unless ownership is handed
-//     to a result observer (then it is never recycled and the GC reclaims it).
+//     sits in and must be Released exactly once. A result observer only
+//     borrows the tuples it is shown; what it keeps it copies out with Detach,
+//     and those copies belong to no pool.
 package stream
 
 import "fmt"
