@@ -530,7 +530,10 @@ func (c *NodeCore) ObservedSels() []float64 {
 }
 
 // SnapshotOp snapshots operator op's current window contents into a fresh
-// batch (nil for non-join operators, which carry no state).
+// batch (nil for non-join operators, which carry no state). The first
+// non-empty shard fixes the payload width, and with it the batch is sized
+// once for the operator's whole buffered count, so the shards' bulk column
+// copies land in place instead of regrowing the columns as they go.
 func (c *NodeCore) SnapshotOp(op int) *stream.Batch {
 	st := c.ops[op]
 	if st.op.Kind != query.Join {
@@ -539,6 +542,11 @@ func (c *NodeCore) SnapshotOp(op int) *stream.Batch {
 	b := stream.NewBatch(st.op.Stream)
 	for _, sh := range st.shards {
 		sh.mu.Lock()
+		if n := sh.window.Len(); n > 0 && b.Len() == 0 {
+			// winLen trails the shards by whatever inserts are in flight;
+			// it is a sizing hint, floored so it can never be negative.
+			b = stream.NewSizedBatch(st.op.Stream, sh.window.Width(), max(int(st.winLen.Load()), n))
+		}
 		sh.window.Snapshot(b)
 		sh.mu.Unlock()
 	}

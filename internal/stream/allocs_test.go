@@ -18,3 +18,31 @@ func TestDetachAllocs(t *testing.T) {
 		t.Fatalf("Detach of %d tuples made %v allocations, want <= 4", len(src), n)
 	}
 }
+
+// TestWindowInsertExpireAllocs: once a window has reached its steady size,
+// inserting a batch and expiring as many rows touches only the ring and the
+// bucket table — no allocation, whatever the keys.
+func TestWindowInsertExpireAllocs(t *testing.T) {
+	f := newWindowFeed(20, 4800, 4096)
+	w := steadyWindow(f)
+	before := w.Len()
+	if n := testing.AllocsPerRun(500, func() { w.InsertRows(f.next()) }); n != 0 {
+		t.Fatalf("steady-state InsertRows+expire made %v allocations per batch, want 0", n)
+	}
+	if d := w.Len() - before; d < -20 || d > 20 {
+		t.Fatalf("window went from %d to %d rows: not a steady state", before, w.Len())
+	}
+}
+
+// TestWindowSnapshotAllocs: Snapshot into a batch already sized for the
+// window (what NodeCore.SnapshotOp hands it) is five bulk copies.
+func TestWindowSnapshotAllocs(t *testing.T) {
+	w := steadyWindow(newWindowFeed(20, 4800, 4096))
+	snap := NewSizedBatch("S", w.Width(), w.Len())
+	if n := testing.AllocsPerRun(100, func() { snap.Reset(); w.Snapshot(snap) }); n != 0 {
+		t.Fatalf("Snapshot into a pre-sized batch made %v allocations, want 0", n)
+	}
+	if snap.Len() != w.Len() {
+		t.Fatalf("snapshot has %d rows, window %d", snap.Len(), w.Len())
+	}
+}

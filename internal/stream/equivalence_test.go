@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -55,17 +57,123 @@ func (w *oracleWindow) expireBefore(cutoff Time) {
 
 func (w *oracleWindow) probe(key int64) []*Tuple { return w.byKey[key] }
 
+// hashMulInv is hashMul's inverse modulo 2^64 (Newton's iteration doubles
+// the correct low bits each round), so key = hash × hashMulInv is the key
+// with a chosen hash.
+var hashMulInv = func() uint64 {
+	inv := uint64(hashMul) // correct to 3 bits: an odd x is its own inverse mod 8
+	for i := 0; i < 5; i++ {
+		inv *= 2 - hashMul*inv
+	}
+	return inv
+}()
+
+// sameBucketKey returns a key whose hash is bucket in its top 20 bits and
+// low in the rest: keys built from one bucket value share a bucket in every
+// table of up to 2^20 buckets, however often the window grows.
+func sameBucketKey(bucket, low uint64) int64 {
+	return int64((bucket<<44 | low&(1<<44-1)) * hashMulInv)
+}
+
+// oracleKeys draws the key set for one equivalence run. The first return is
+// the keys rows are drawn from, the second a few more that are probed but
+// never inserted. Beyond the seed's "at most 8 keys", the kinds cover what
+// a bucket-chain index can get wrong: a chain that holds foreign keys.
+func oracleKeys(rng *rand.Rand) (inserted, absent []int64) {
+	var keys []int64
+	switch kind := rng.Intn(7); kind {
+	case 0: // a handful of keys: long chains, one key each
+		for k := 0; k < 1+rng.Intn(8); k++ {
+			keys = append(keys, int64(k))
+		}
+	case 1: // a few thousand dense keys: short chains, many buckets
+		for k := 0; k < 16+rng.Intn(4000); k++ {
+			keys = append(keys, int64(k))
+		}
+	case 2: // negative keys, down to the minimum int64
+		for k := 0; k < 1+rng.Intn(300); k++ {
+			keys = append(keys, -int64(k)-1, math.MinInt64+int64(k))
+		}
+	case 3: // only high bits set
+		for k := 0; k < 1+rng.Intn(300); k++ {
+			keys = append(keys, int64(k+1)<<48, int64(k+1)<<56)
+		}
+	case 4: // constant low bits, as inside one engine shard
+		low := int64(rng.Intn(16))
+		for k := 0; k < 1+rng.Intn(2000); k++ {
+			keys = append(keys, int64(k)<<4|low)
+		}
+	default: // kind 5: one to four buckets shared by many keys; kind 6: all keys in one bucket
+		buckets := 1
+		if kind == 5 {
+			buckets += rng.Intn(4)
+		}
+		for b := 0; b < buckets; b++ {
+			bucket := rng.Uint64() >> 44
+			for k := 0; k < 2+rng.Intn(40); k++ {
+				keys = append(keys, sameBucketKey(bucket, rng.Uint64()))
+			}
+		}
+	}
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	nAbsent := min(len(keys)/4, 8)
+	return keys[nAbsent:], keys[:nAbsent]
+}
+
+// checkSnapshot compares w.Snapshot into a batch of the given payload width
+// (-1: unfixed, inherit the window's) with the oracle's retained tuples,
+// payloads truncated or zero-padded row by row.
+func checkSnapshot(t *testing.T, w *Window, o *oracleWindow, width int, where string) {
+	t.Helper()
+	snap := NewBatch("S")
+	if width >= 0 {
+		snap = NewSizedBatch("S", width, 0)
+	}
+	w.Snapshot(snap)
+	if snap.Len() != len(o.tuples) {
+		t.Fatalf("%s: snapshot(width %d) has %d rows, oracle %d", where, width, snap.Len(), len(o.tuples))
+	}
+	if len(o.tuples) == 0 {
+		return
+	}
+	if width < 0 {
+		width = w.Width()
+	}
+	if snap.Width() != width || len(snap.Vals) != snap.Len()*width {
+		t.Fatalf("%s: snapshot width %d with %d values for %d rows, want width %d",
+			where, snap.Width(), len(snap.Vals), snap.Len(), width)
+	}
+	for i, ot := range o.tuples {
+		if snap.Seq[i] != ot.Seq || snap.Ts[i] != ot.Ts || snap.Key[i] != ot.Key || snap.Arr[i] != ot.Arrival {
+			t.Fatalf("%s: snapshot(width %d)[%d] = seq %d key %d, oracle %+v", where, width, i, snap.Seq[i], snap.Key[i], ot)
+		}
+		for vi, v := range snap.ValsAt(i) {
+			want := 0.0
+			if vi < len(ot.Vals) {
+				want = ot.Vals[vi]
+			}
+			if v != want {
+				t.Fatalf("%s: snapshot(width %d)[%d] payload[%d] = %v, want %v", where, width, i, vi, v, want)
+			}
+		}
+	}
+}
+
 // checkWindowEquivalence drives the same randomized, batched, out-of-order
 // tuple sequence through the boxed oracle (per-tuple insert) and the
 // columnar Window (InsertRows + single deferred expiration), asserting
 // identical join (probe) outputs at every batch boundary and identical
-// retained/expired sets after every batch.
+// retained/expired sets after every batch. The seed also picks the key set
+// (oracleKeys), how many tuples a span holds (a few, so the ring stays at
+// its first size, or hundreds, so it grows while chains are mixed and then
+// wraps), and the batches after which the window is Reset and reused.
 func checkWindowEquivalence(t *testing.T, seed int64, nBatches int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	span := 1 + rng.Float64()*9
-	keyDomain := int64(1 + rng.Intn(8))
+	keys, absent := oracleKeys(rng)
 	width := rng.Intn(3)
+	perSpan := []float64{4, 64, 1024}[rng.Intn(3)] // mean tuples per span is twice this
 
 	w := NewWindow(span)
 	o := newOracleWindow(span)
@@ -73,27 +181,44 @@ func checkWindowEquivalence(t *testing.T, seed int64, nBatches int) {
 	ts := 0.0
 	seq := uint64(0)
 	var m Matches
+	var lastKeys []int64
+	probe := func(bi int, k int64) {
+		m.Reset()
+		w.AppendMatches(k, &m)
+		want := o.probe(k)
+		if m.Len() != len(want) {
+			t.Fatalf("seed %d batch %d: probe(%d) = %d matches, oracle %d",
+				seed, bi, k, m.Len(), len(want))
+		}
+		for i, wt := range want {
+			if m.Seq[i] != wt.Seq || m.Ts[i] != wt.Ts || m.Arr[i] != wt.Arrival {
+				t.Fatalf("seed %d batch %d: probe(%d)[%d] = seq %d ts %v, oracle %+v",
+					seed, bi, k, i, m.Seq[i], m.Ts[i], wt)
+			}
+			for vi, v := range wt.Vals {
+				if m.ValsAt(i)[vi] != v {
+					t.Fatalf("seed %d batch %d: probe(%d)[%d] payload mismatch", seed, bi, k, i)
+				}
+			}
+		}
+	}
 	for bi := 0; bi < nBatches; bi++ {
-		// Join outputs: probe every key in the domain before inserting.
-		for k := int64(0); k < keyDomain; k++ {
-			m.Reset()
-			w.AppendMatches(k, &m)
-			want := o.probe(k)
-			if m.Len() != len(want) {
-				t.Fatalf("seed %d batch %d: probe(%d) = %d matches, oracle %d",
-					seed, bi, k, m.Len(), len(want))
+		// Join outputs, before inserting: every key of a small set, else a
+		// sample plus the keys the last batch wrote; and keys never inserted.
+		if len(keys) <= 64 {
+			for _, k := range keys {
+				probe(bi, k)
 			}
-			for i, wt := range want {
-				if m.Seq[i] != wt.Seq || m.Ts[i] != wt.Ts || m.Arr[i] != wt.Arrival {
-					t.Fatalf("seed %d batch %d: probe(%d)[%d] = seq %d ts %v, oracle %+v",
-						seed, bi, k, i, m.Seq[i], m.Ts[i], wt)
-				}
-				for vi, v := range wt.Vals {
-					if m.ValsAt(i)[vi] != v {
-						t.Fatalf("seed %d batch %d: probe(%d)[%d] payload mismatch", seed, bi, k, i)
-					}
-				}
+		} else {
+			for i := 0; i < 48; i++ {
+				probe(bi, keys[rng.Intn(len(keys))])
 			}
+			for _, k := range lastKeys {
+				probe(bi, k)
+			}
+		}
+		for _, k := range absent {
+			probe(bi, k)
 		}
 
 		// Build one batch with jittered (out-of-order) timestamps.
@@ -101,16 +226,17 @@ func checkWindowEquivalence(t *testing.T, seed int64, nBatches int) {
 		b := NewSizedBatch("S", width, n)
 		rows := make([]int32, 0, n)
 		for i := 0; i < n; i++ {
-			ts += rng.Float64() * span / 4
-			jitter := rng.Float64() * span / 8 // rows within a batch may regress
+			ts += rng.Float64() * span / perSpan
+			jitter := rng.Float64() * span / (2 * perSpan) // rows within a batch may regress
 			rts := Time(ts - jitter)
-			row := b.AppendRow(seq, rts, rng.Int63n(keyDomain), rts)
+			row := b.AppendRow(seq, rts, keys[rng.Intn(len(keys))], rts)
 			for vi := range row {
 				row[vi] = rng.NormFloat64()
 			}
 			rows = append(rows, int32(i))
 			seq++
 		}
+		lastKeys = append(lastKeys[:0], b.Key...)
 
 		// Oracle inserts per tuple; columnar inserts the batch.
 		for i := 0; i < n; i++ {
@@ -119,24 +245,31 @@ func checkWindowEquivalence(t *testing.T, seed int64, nBatches int) {
 		}
 		w.InsertRows(b, rows)
 
-		// Expiration sets: the retained sequences must match exactly.
-		if w.Len() != len(o.tuples) || w.Keys() != len(o.byKey) {
-			t.Fatalf("seed %d batch %d: Len/Keys = %d/%d, oracle %d/%d",
-				seed, bi, w.Len(), w.Keys(), len(o.tuples), len(o.byKey))
+		// Expiration sets: the retained sequences must match exactly,
+		// whatever the destination's width.
+		where := fmt.Sprintf("seed %d batch %d", seed, bi)
+		if w.Len() != len(o.tuples) || distinctKeys(w) != len(o.byKey) {
+			t.Fatalf("%s: Len/keys = %d/%d, oracle %d/%d",
+				where, w.Len(), distinctKeys(w), len(o.tuples), len(o.byKey))
 		}
-		snap := NewBatch("S")
-		w.Snapshot(snap)
-		for i, ot := range o.tuples {
-			if snap.Seq[i] != ot.Seq || snap.Ts[i] != ot.Ts || snap.Key[i] != ot.Key {
-				t.Fatalf("seed %d batch %d: retained[%d] = seq %d, oracle seq %d",
-					seed, bi, i, snap.Seq[i], ot.Seq)
+		checkSnapshot(t, w, o, -1, where)
+		checkSnapshot(t, w, o, width+1, where)
+		if width > 0 {
+			checkSnapshot(t, w, o, width-1, where)
+		}
+
+		if rng.Intn(16) == 0 {
+			w.Reset()
+			o = newOracleWindow(span)
+			if w.Len() != 0 {
+				t.Fatalf("%s: Reset left %d tuples", where, w.Len())
 			}
 		}
 	}
 }
 
 func TestWindowMatchesBoxedOracle(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
+	for seed := int64(0); seed < 100; seed++ {
 		checkWindowEquivalence(t, seed, 30)
 	}
 }

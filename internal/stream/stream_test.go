@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -140,8 +141,8 @@ func TestWindowInsertProbe(t *testing.T) {
 	if got := probeSeqs(w, 1); len(got) != 2 {
 		t.Fatalf("Probe(1) = %d matches, want 2", len(got))
 	}
-	if w.Keys() != 2 {
-		t.Fatalf("Keys = %d, want 2", w.Keys())
+	if distinctKeys(w) != 2 {
+		t.Fatalf("Keys = %d, want 2", distinctKeys(w))
 	}
 }
 
@@ -186,8 +187,8 @@ func TestWindowExpireRemovesKeyEntries(t *testing.T) {
 	if got := probeSeqs(w, 7); len(got) != 0 {
 		t.Fatalf("Probe(7) = %d, want 0", len(got))
 	}
-	if w.Keys() != 1 {
-		t.Fatalf("Keys = %d, want 1", w.Keys())
+	if distinctKeys(w) != 1 {
+		t.Fatalf("Keys = %d, want 1", distinctKeys(w))
 	}
 }
 
@@ -230,14 +231,96 @@ func TestWindowGrowKeepsChains(t *testing.T) {
 	}
 }
 
+// TestWindowForeignKeysShareAChain is the index's degenerate case: every key
+// hashes to one bucket, so the single chain holds all records of all keys
+// and a probe must pick its own out by comparing the key column — through
+// three ring doublings (each rebuilds the chain) and a partial expiry.
+func TestWindowForeignKeysShareAChain(t *testing.T) {
+	const nKeys, n = 10, 500
+	keys := make([]int64, nKeys)
+	for i := range keys {
+		keys[i] = sameBucketKey(0xABCDE, uint64(i)*7919)
+	}
+	stranger := sameBucketKey(0xABCDE, 1<<40) // same bucket, never inserted
+	w := NewWindow(1e9)
+	for i := 0; i < n; i++ {
+		w.Insert(&Tuple{Seq: uint64(i), Ts: Time(i), Key: keys[i%nKeys], Vals: []float64{float64(i)}})
+	}
+	if len(w.seq) < n {
+		t.Fatalf("ring capacity %d: the window never grew", len(w.seq))
+	}
+	for _, k := range append(keys, stranger) {
+		if w.bucketOf(k) != w.bucketOf(keys[0]) {
+			t.Fatalf("key %d is not in the shared bucket", k)
+		}
+	}
+	check := func(from int) {
+		t.Helper()
+		for ki, k := range keys {
+			var want []uint64
+			for i := ki; i < n; i += nKeys {
+				if i >= from {
+					want = append(want, uint64(i))
+				}
+			}
+			if got := probeSeqs(w, k); !slices.Equal(got, want) {
+				t.Fatalf("after expiring below %d: probe(key %d) = %v, want %v", from, ki, got, want)
+			}
+		}
+		if got := probeSeqs(w, stranger); len(got) != 0 {
+			t.Fatalf("a key that was never inserted matched %v", got)
+		}
+	}
+	check(0)
+	w.ExpireBefore(237)
+	check(237)
+}
+
+// TestWindowSnapshotWrappedRing takes Snapshot's two-run path: the live
+// records straddle the end of the ring, and the copy must still come out in
+// insertion order, into a destination of the window's width or another.
+func TestWindowSnapshotWrappedRing(t *testing.T) {
+	w := NewWindow(40)
+	const n = 230
+	for i := 0; i < n; i++ {
+		w.Insert(&Tuple{Seq: uint64(i), Ts: Time(i), Key: int64(i % 5), Arrival: Time(i) + 0.5, Vals: []float64{float64(i), -float64(i)}})
+	}
+	lo := int(w.head & uint64(len(w.seq)-1))
+	if lo+w.Len() <= len(w.seq) {
+		t.Fatalf("live records [%d,+%d) do not wrap a ring of %d", lo, w.Len(), len(w.seq))
+	}
+	first := n - w.Len()
+	for _, width := range []int{-1, 2, 1, 3} {
+		snap, kept := NewBatch("S"), 0 // width -1: unfixed, inherits the window's
+		if width >= 0 {
+			snap, kept = NewSizedBatch("S", width, 0), 1
+			snap.AppendRow(999, 0, 0, 0) // Snapshot appends: what is there stays
+		}
+		w.Snapshot(snap)
+		if snap.Len() != kept+w.Len() || (kept == 1 && snap.Seq[0] != 999) {
+			t.Fatalf("width %d: %d rows, first seq %d", width, snap.Len(), snap.Seq[0])
+		}
+		for i := kept; i < snap.Len(); i++ {
+			want := float64(first + i - kept)
+			if snap.Seq[i] != uint64(want) || snap.Ts[i] != Time(want) || snap.Key[i] != int64(want)%5 || snap.Arr[i] != Time(want)+0.5 {
+				t.Fatalf("width %d: row %d = seq %d ts %v key %d arr %v, want tuple %v", width, i, snap.Seq[i], snap.Ts[i], snap.Key[i], snap.Arr[i], want)
+			}
+			full := []float64{want, -want, 0}
+			if got := snap.ValsAt(i); !slices.Equal(got, full[:len(got)]) {
+				t.Fatalf("width %d: row %d payload %v, want a prefix of %v", width, i, got, full)
+			}
+		}
+	}
+}
+
 func TestWindowReset(t *testing.T) {
 	w := NewWindow(10)
 	for i := 0; i < 5; i++ {
 		w.Insert(&Tuple{Seq: uint64(i), Ts: Time(i), Key: 1})
 	}
 	w.Reset()
-	if w.Len() != 0 || w.Keys() != 0 {
-		t.Fatalf("Reset left %d tuples, %d keys", w.Len(), w.Keys())
+	if w.Len() != 0 || distinctKeys(w) != 0 {
+		t.Fatalf("Reset left %d tuples, %d keys", w.Len(), distinctKeys(w))
 	}
 	w.Insert(&Tuple{Seq: 9, Ts: 1, Key: 1})
 	if got := probeSeqs(w, 1); len(got) != 1 || got[0] != 9 {

@@ -12,8 +12,12 @@
 //
 //   - Batch stores per-tuple attributes in parallel Seq/Ts/Key/Arr columns
 //     and payloads in one flat Vals column with a fixed per-stream arity.
-//   - Window is a ring buffer over the same columns with a hash-chain key
-//     index; expiration advances a head position instead of reallocating.
+//   - Window is a ring buffer over the same columns whose key index lives in
+//     the ring too: a bucket table of newest positions plus a per-slot link to
+//     the next-older record of the bucket (no Go map). Expiration advances a
+//     head position and nothing else — a position below head is dead wherever
+//     the index still mentions it — and a checkpoint copies the live ring out
+//     as at most two contiguous runs per column.
 //   - Joined stores its per-stream parts in a slice indexed by a precomputed
 //     stream slot (JoinSchema), with all payload values in one flat buffer.
 //

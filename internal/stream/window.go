@@ -1,20 +1,38 @@
 package stream
 
-// noPos terminates a key chain in Window.next.
-const noPos = ^uint64(0)
+import (
+	"math/bits"
+	"slices"
+)
 
 // Window is a sliding time window buffer over one stream, ordered by
 // application timestamp. It supports insertion, expiration, and key probes —
 // the operations a symmetric windowed join needs.
 //
 // Storage is a columnar ring buffer: records live in power-of-two columns
-// addressed by absolute positions (head..tail), so expiration just advances
-// head — no reallocation or copying. The key index is a hash chain: byKey
-// maps each key to its newest position and next links each record to the
-// previous record with the same key. Because eviction is strictly
-// oldest-first, a key's map entry is deleted exactly when its newest record
-// is evicted (everything older in the chain is already gone), and chain
-// walks stop at the first position below head.
+// addressed by absolute positions, the live ones being [head, tail).
+// Positions only ever grow (they start at 1 and Reset does not rewind them),
+// a record's slot is its position masked by the ring capacity, and
+// expiration just advances head — no reallocation or copying.
+//
+// The key index is a bucket-chain hash table kept inside the ring, with
+// these invariants:
+//
+//   - bucket[h] is the absolute position of the newest record whose key
+//     hashes to h, and next[slot] the position of the next-older record in
+//     the same bucket. A chain therefore runs newest → oldest in strictly
+//     decreasing positions, and may mix keys that share a bucket: a probe
+//     compares the key column as it walks.
+//   - A position below head is dead. Nothing ever unlinks a record: eviction
+//     is strictly oldest-first, so once a walk meets a position below head
+//     everything further down the chain is older still, and the walk stops.
+//     A never-used bucket holds 0, which is below every head.
+//   - Expiry therefore needs no index work at all — it is a timestamp scan
+//     that advances head; stale bucket heads and chain tails are just
+//     positions that have fallen below it, overwritten by later inserts.
+//
+// The table has bucketsPerSlot buckets per ring slot and is rebuilt whenever
+// the ring grows.
 //
 // The zero Window is not usable; construct with NewWindow.
 type Window struct {
@@ -28,17 +46,28 @@ type Window struct {
 	key  []int64
 	arr  []Time
 	vals []float64 // width values per slot
-	next []uint64  // same-key chain: absolute position of the next-older record
+	next []uint64  // bucket chain: absolute position of the next-older record
 
-	byKey map[int64]uint64 // key → newest absolute position
+	bucket []uint64 // hash bucket → newest absolute position
+	shift  uint     // 64 - log2(len(bucket)): bucketOf keeps the hash's top bits
 }
+
+const (
+	// bucketsPerSlot is the index's fixed load factor: at most one live
+	// record per two buckets, so a chain rarely holds a foreign key.
+	bucketsPerSlot = 2
+	// minRing is the initial ring capacity.
+	minRing = 64
+	// hashMul is 2^64/φ (Fibonacci hashing).
+	hashMul = 0x9E3779B97F4A7C15
+)
 
 // NewWindow returns an empty sliding window of the given span in seconds.
 func NewWindow(span float64) *Window {
 	if span <= 0 {
 		span = 1e-9
 	}
-	return &Window{span: span, byKey: make(map[int64]uint64)}
+	return &Window{span: span, head: 1, tail: 1}
 }
 
 // Span returns the window length in seconds.
@@ -47,45 +76,46 @@ func (w *Window) Span() float64 { return w.span }
 // Len returns the number of buffered tuples.
 func (w *Window) Len() int { return int(w.tail - w.head) }
 
-// Keys returns the number of distinct keys currently buffered.
-func (w *Window) Keys() int { return len(w.byKey) }
-
 // Width returns the payload width, or -1 until the first insert fixes it.
 func (w *Window) Width() int { return w.arity - 1 }
 
+// bucketOf hashes key to a bucket. It keeps the *high* bits of a
+// multiplicative hash: the engine shards windows on the key's low bits, so
+// within one shard those are constant and must not pick the bucket.
+func (w *Window) bucketOf(key int64) uint64 { return uint64(key) * hashMul >> w.shift }
+
 // grow doubles the ring capacity, re-slotting live records at their absolute
-// position under the new mask (positions and chain links stay valid).
+// position under the new mask, and rebuilds the (doubled) bucket table by
+// re-linking them oldest-first, which keeps every chain newest → oldest.
 func (w *Window) grow() {
 	oldCap := len(w.seq)
-	newCap := oldCap * 2
-	if newCap < 64 {
-		newCap = 64
-	}
+	newCap := max(oldCap*2, minRing)
 	width := w.arity - 1
 	seq := make([]uint64, newCap)
 	ts := make([]Time, newCap)
 	key := make([]int64, newCap)
 	arr := make([]Time, newCap)
 	vals := make([]float64, newCap*width)
-	next := make([]uint64, newCap)
-	if oldCap > 0 {
-		oldMask := uint64(oldCap - 1)
-		newMask := uint64(newCap - 1)
-		for p := w.head; p < w.tail; p++ {
-			os, ns := p&oldMask, p&newMask
-			seq[ns] = w.seq[os]
-			ts[ns] = w.ts[os]
-			key[ns] = w.key[os]
-			arr[ns] = w.arr[os]
-			next[ns] = w.next[os]
-			copy(vals[int(ns)*width:(int(ns)+1)*width], w.vals[int(os)*width:(int(os)+1)*width])
-		}
+	w.next = make([]uint64, newCap)
+	w.bucket = make([]uint64, newCap*bucketsPerSlot)
+	w.shift = uint(64 - bits.TrailingZeros(uint(len(w.bucket))))
+	oldMask, newMask := uint64(oldCap-1), uint64(newCap-1)
+	for p := w.head; p < w.tail; p++ {
+		os, ns := p&oldMask, p&newMask
+		seq[ns] = w.seq[os]
+		ts[ns] = w.ts[os]
+		key[ns] = w.key[os]
+		arr[ns] = w.arr[os]
+		copy(vals[int(ns)*width:(int(ns)+1)*width], w.vals[int(os)*width:(int(os)+1)*width])
+		h := w.bucketOf(key[ns])
+		w.next[ns] = w.bucket[h]
+		w.bucket[h] = p
 	}
-	w.seq, w.ts, w.key, w.arr, w.vals, w.next = seq, ts, key, arr, vals, next
+	w.seq, w.ts, w.key, w.arr, w.vals = seq, ts, key, arr, vals
 }
 
-// appendRecord writes one record at tail and links it into its key chain.
-// The window's width must already be fixed.
+// appendRecord writes one record at tail and pushes it onto its bucket's
+// chain. The window's width must already be fixed.
 func (w *Window) appendRecord(seq uint64, ts Time, key int64, arrival Time, vals []float64) {
 	if w.Len() == len(w.seq) {
 		w.grow()
@@ -97,17 +127,10 @@ func (w *Window) appendRecord(seq uint64, ts Time, key int64, arrival Time, vals
 	w.key[slot] = key
 	w.arr[slot] = arrival
 	width := w.arity - 1
-	dst := w.vals[int(slot)*width : (int(slot)+1)*width]
-	n := copy(dst, vals)
-	for i := n; i < width; i++ {
-		dst[i] = 0
-	}
-	if prev, ok := w.byKey[key]; ok {
-		w.next[slot] = prev
-	} else {
-		w.next[slot] = noPos
-	}
-	w.byKey[key] = w.tail
+	copyRow(w.vals[int(slot)*width:(int(slot)+1)*width], vals)
+	h := w.bucketOf(key)
+	w.next[slot] = w.bucket[h]
+	w.bucket[h] = w.tail
 	w.tail++
 }
 
@@ -150,16 +173,11 @@ func (w *Window) InsertRows(b *Batch, rows []int32) {
 }
 
 // ExpireBefore removes all tuples with Ts < cutoff (prefix scan from head).
+// The key index is not touched: the evicted positions are now below head,
+// which is all a chain walk needs to skip them.
 func (w *Window) ExpireBefore(cutoff Time) {
-	if w.head == w.tail {
-		return
-	}
 	mask := uint64(len(w.seq) - 1)
 	for w.head < w.tail && w.ts[w.head&mask].Before(cutoff) {
-		slot := w.head & mask
-		if k := w.key[slot]; w.byKey[k] == w.head {
-			delete(w.byKey, k)
-		}
 		w.head++
 	}
 }
@@ -168,14 +186,16 @@ func (w *Window) ExpireBefore(cutoff Time) {
 // first (insertion order), and returns how many were appended. The records
 // are copied out, so m remains valid after further window mutation.
 func (w *Window) AppendMatches(key int64, m *Matches) int {
-	pos, ok := w.byKey[key]
-	if !ok {
+	if w.head == w.tail {
 		return 0
 	}
 	mask := uint64(len(w.seq) - 1)
+	first := w.bucket[w.bucketOf(key)]
 	n := 0
-	for p := pos; p != noPos && p >= w.head; p = w.next[p&mask] {
-		n++
+	for p := first; p >= w.head; p = w.next[p&mask] {
+		if w.key[p&mask] == key {
+			n++
+		}
 	}
 	if n == 0 {
 		return 0
@@ -186,55 +206,78 @@ func (w *Window) AppendMatches(key int64, m *Matches) int {
 	}
 	mw := m.width
 	base := len(m.Seq)
-	for i := 0; i < n; i++ {
-		m.Seq = append(m.Seq, 0)
-		m.Ts = append(m.Ts, 0)
-		m.Arr = append(m.Arr, 0)
-	}
-	for i := 0; i < n*mw; i++ {
-		m.Vals = append(m.Vals, 0)
-	}
-	cw := width
-	if mw < cw {
-		cw = mw
-	}
-	i := base + n - 1
-	for p := pos; p != noPos && p >= w.head; p = w.next[p&mask] {
+	m.Seq = slices.Grow(m.Seq, n)[:base+n]
+	m.Ts = slices.Grow(m.Ts, n)[:base+n]
+	m.Arr = slices.Grow(m.Arr, n)[:base+n]
+	m.Vals = slices.Grow(m.Vals, n*mw)[:(base+n)*mw]
+	// The chain runs newest → oldest; fill the new rows back to front.
+	i := base + n
+	for p := first; p >= w.head; p = w.next[p&mask] {
 		slot := int(p & mask)
-		m.Seq[i] = w.seq[p&mask]
-		m.Ts[i] = w.ts[p&mask]
-		m.Arr[i] = w.arr[p&mask]
-		copy(m.Vals[i*mw:i*mw+cw], w.vals[slot*width:slot*width+cw])
+		if w.key[slot] != key {
+			continue
+		}
 		i--
+		m.Seq[i] = w.seq[slot]
+		m.Ts[i] = w.ts[slot]
+		m.Arr[i] = w.arr[slot]
+		copyRow(m.Vals[i*mw:(i+1)*mw], w.vals[slot*width:(slot+1)*width])
 	}
 	return n
 }
 
 // Snapshot appends every buffered record to b in insertion order (for
 // checkpointing). If b's width is not yet fixed it inherits the window's.
+// The live ring is at most two contiguous runs of slots — [head's slot, end
+// of ring) and [0, tail's slot) — so each column is copied with one or two
+// bulk appends rather than row by row.
 func (w *Window) Snapshot(b *Batch) {
-	if w.head == w.tail {
+	n := w.Len()
+	if n == 0 {
 		return
 	}
 	if b.arity == 0 {
 		b.arity = w.arity
 	}
 	mask := uint64(len(w.seq) - 1)
-	width := w.arity - 1
+	lo := int(w.head & mask)
+	run := min(n, len(w.seq)-lo) // slots in the first run; the second starts at slot 0
+	b.Seq = appendRing(b.Seq, w.seq, lo, run, n)
+	b.Ts = appendRing(b.Ts, w.ts, lo, run, n)
+	b.Key = appendRing(b.Key, w.key, lo, run, n)
+	b.Arr = appendRing(b.Arr, w.arr, lo, run, n)
+	width, bw := w.arity-1, b.arity-1
+	if bw == width {
+		b.Vals = appendRing(b.Vals, w.vals, lo*width, run*width, n*width)
+		return
+	}
+	// b was sized for another width: truncate or zero-pad each row to it.
+	base := len(b.Vals)
+	b.Vals = slices.Grow(b.Vals, n*bw)[:base+n*bw]
 	for p := w.head; p < w.tail; p++ {
 		slot := int(p & mask)
-		row := b.AppendRow(w.seq[p&mask], w.ts[p&mask], w.key[p&mask], w.arr[p&mask])
-		copy(row, w.vals[slot*width:slot*width+width])
+		copyRow(b.Vals[base:base+bw], w.vals[slot*width:(slot+1)*width])
+		base += bw
 	}
 }
 
-// Reset drops all buffered tuples, keeping capacity and span.
-func (w *Window) Reset() {
-	w.head, w.tail = 0, 0
-	for k := range w.byKey {
-		delete(w.byKey, k)
-	}
+// copyRow fills the payload row dst from src, truncating or zero-padding src
+// to dst's width.
+func copyRow(dst, src []float64) { clear(dst[copy(dst, src):]) }
+
+// appendRing appends to dst the n ring elements that start at index lo, the
+// first run of them contiguous and the rest wrapped round to index 0, growing
+// dst at most once.
+func appendRing[T any](dst, ring []T, lo, run, n int) []T {
+	dst = slices.Grow(dst, n)
+	dst = append(dst, ring[lo:lo+run]...)
+	return append(dst, ring[:n-run]...)
 }
+
+// Reset drops all buffered tuples, keeping capacity and span. Positions are
+// not rewound — every record so far simply falls below head — so the index
+// needs no clearing.
+func (w *Window) Reset() { w.head = w.tail }
 
 // Matches is a columnar probe-result scratch buffer: the records matching a
 // sequence of AppendMatches calls, each ValsAt(i) being Width() payload
