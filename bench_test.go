@@ -168,12 +168,15 @@ func BenchmarkSimMinuteCore(b *testing.B) {
 // pipeline execution (2-stream join, 50-tuple batches).
 func BenchmarkEngineIngestCore(b *testing.B) {
 	q := NewNWayJoin("E", 2, 5)
-	e, err := NewStaticEngine(q, []int{0, 1}, 2, Plan{0, 1}, DefaultEngineConfig())
+	dep, err := Optimize(q, []Dim{SelDim(0, q.Ops[0].Sel, 3)}, NewCluster(2, 500), DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.Start()
-	defer e.Stop()
+	ctx := context.Background()
+	pipe, err := Open(ctx, dep, &StaticPolicy{Plan: Plan{0, 1}, Assign: []int{0, 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
 	// Batches come from the pool and are refilled through the columnar
 	// AppendRow path — the zero-allocation producer idiom.
 	mkBatch := func(i int) *Batch {
@@ -188,13 +191,15 @@ func BenchmarkEngineIngestCore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch := mkBatch(i)
-		if err := e.Ingest(batch); err != nil {
+		if err := pipe.Ingest(ctx, batch); err != nil {
 			b.Fatal(err)
 		}
 		batch.Release()
 	}
 	b.StopTimer()
-	e.Drain()
+	if _, err := pipe.Close(ctx); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // benchPipelineIngest drives b.N 100-tuple batches through one live

@@ -140,7 +140,7 @@ func main() {
 		}
 		return []rld.Policy{rod, dynP, dep.NewPolicy(*batch)}
 	}
-	baselines := make([]*rld.Results, 3)
+	baselines := make([]*rld.Report, 3)
 	for i, pol := range mkPolicies() {
 		scCopy := *sc
 		res, err := rld.Run(&scCopy, pol)
@@ -149,7 +149,7 @@ func main() {
 		}
 		baselines[i] = res
 		fmt.Printf("%-6s %13.1f %13.0f %11.0f %11d %9.1fs %8.1f%%\n",
-			res.Policy, res.Latency.MeanMS(), res.Produced, res.Dropped,
+			res.Policy, res.MeanLatencyMS, res.Produced, res.Dropped,
 			res.Migrations, res.MigrationDowntime, 100*res.OverheadRatio())
 	}
 
@@ -292,7 +292,7 @@ func main() {
 			complete = res.Produced / baselines[i].Produced
 		}
 		fmt.Printf("%-6s %13.1f %13.0f %11.0f %11d %9.1fs %8.1f%%\n",
-			res.Policy, res.Latency.MeanMS(), res.Produced, res.TuplesLost,
+			res.Policy, res.MeanLatencyMS, res.Produced, res.TuplesLost,
 			res.Migrations, res.DownSeconds, 100*complete)
 	}
 }

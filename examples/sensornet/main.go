@@ -80,7 +80,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-6s %14.1f %14.0f %12d %11.1f%%\n",
-			res.Policy, res.Latency.MeanMS(), res.Produced,
+			res.Policy, res.MeanLatencyMS, res.Produced,
 			res.Migrations, 100*res.OverheadRatio())
 	}
 	fmt.Println("\nRLD holds the lowest latency with zero migrations; DYN pays")

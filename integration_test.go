@@ -128,44 +128,10 @@ func TestIntegrationRLDNeverWorseThanROD(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rldRes.Latency.Mean() > rodRes.Latency.Mean()*1.10 {
-			t.Fatalf("ratio %v: RLD latency %v exceeds ROD %v by >10%%",
-				ratio, rldRes.Latency.Mean(), rodRes.Latency.Mean())
+		if rldRes.MeanLatencyMS > rodRes.MeanLatencyMS*1.10 {
+			t.Fatalf("ratio %v: RLD latency %v ms exceeds ROD %v ms by >10%%",
+				ratio, rldRes.MeanLatencyMS, rodRes.MeanLatencyMS)
 		}
-	}
-}
-
-// TestIntegrationEngineMatchesSimSelectivity cross-validates the two
-// substrates: the live engine's observed selection pass-rate converges to
-// the same value the simulator's cost model assumes.
-func TestIntegrationEngineMatchesSimSelectivity(t *testing.T) {
-	q := NewNWayJoin("X", 2, 5)
-	q.Ops[0].Sel = 0.4
-	e, err := NewStaticEngine(q, []int{0, 1}, 2, Plan{0, 1}, DefaultEngineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start()
-	rng := rand.New(rand.NewSource(3))
-	ts := 0.0
-	for b := 0; b < 60; b++ {
-		for _, s := range q.Streams {
-			batch := &Batch{Stream: s}
-			for j := 0; j < 40; j++ {
-				ts += 0.001
-				batch.Append(&Tuple{
-					Stream: s, Ts: Time(ts), Key: rng.Int63n(300),
-					Vals: []float64{rng.Float64() * 100},
-				})
-			}
-			if err := e.Ingest(batch); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	res := e.Stop()
-	if math.Abs(res.ObservedSels[0]-0.4) > 0.06 {
-		t.Fatalf("engine observed %v, cost model assumes 0.4", res.ObservedSels[0])
 	}
 }
 

@@ -197,8 +197,8 @@ func (p *FaultPlan) Events() []Event {
 	return out
 }
 
-// Cursor consumes a plan's events as virtual time advances (the live
-// executor injects faults batch by batch; the simulator schedules them as
+// Cursor consumes a plan's events as virtual time advances (a live
+// session injects faults batch by batch; the simulator schedules them as
 // discrete events directly).
 type Cursor struct {
 	events []Event

@@ -112,27 +112,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// calibrationSink defeats dead-code elimination in BenchmarkCalibration.
-var calibrationSink uint64
-
-// BenchmarkCalibration is a fixed pure-CPU workload (no engine code)
-// used as cmd/benchdiff's -normalize reference: dividing every
-// benchmark's ns/op by it cancels machine-speed differences between the
-// committed baseline and the CI runner, while every *real* benchmark
-// stays inside the regression gate.
-func BenchmarkCalibration(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x := uint64(88172645463325252)
-		for j := 0; j < 1<<22; j++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-		calibrationSink = x
-	}
-}
-
 // BenchmarkChaosRecovery measures one full crash→park→recover→drain cycle
 // on the join node: snapshot the window, kill the pool, ingest probes
 // against the dead node (parked), then recover (checkpoint restore +

@@ -1102,7 +1102,7 @@ func (e *Engine) activeWorkers(factor float64) int32 {
 }
 
 // Checkpoint snapshots every join operator's current window contents; the
-// latest snapshot is what Checkpoint-mode recovery restores. The executor
+// latest snapshot is what Checkpoint-mode recovery restores. The session
 // calls it on a periodic virtual-time cadence (FaultPlan.SnapshotEvery).
 func (e *Engine) Checkpoint() { e.t.Snapshot(*e.assign.Load()) }
 

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"context"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -221,17 +224,11 @@ func TestEngineExecutorRunsPolicyWithTicks(t *testing.T) {
 		Plan:       query.Plan{0, 1},
 		Assign:     physical.Assignment{0, 0},
 	}}
-	x := &Executor{
-		Query:     q,
-		Nodes:     2,
-		Feed:      runtime.NewSourceFeed(srcs, 25, 60),
-		Config:    DefaultConfig(),
-		TickEvery: 10,
+	ses, err := OpenSession(q, 2, pol, SessionOptions{Config: DefaultConfig(), TickEvery: 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if x.Substrate() != "engine" {
-		t.Fatalf("substrate = %q", x.Substrate())
-	}
-	rep, err := x.Execute(pol)
+	rep, err := runtime.Replay(context.Background(), ses, runtime.NewSourceFeed(srcs, 25, 60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,14 +250,12 @@ func TestEngineExecutorRunsPolicyWithTicks(t *testing.T) {
 }
 
 func TestEngineExecutorRejectsMissingInputs(t *testing.T) {
-	if _, err := (&Executor{}).Execute(&runtime.StaticPolicy{}); err == nil {
-		t.Fatal("executor without query/feed must error")
+	if _, err := OpenSession(nil, 1, &runtime.StaticPolicy{}, SessionOptions{}); err == nil {
+		t.Fatal("session without a query must error")
 	}
 	// A policy whose placement does not fit the node count must error.
-	q := twoWay()
-	x := &Executor{Query: q, Nodes: 1, Feed: &runtime.BatchSliceFeed{}, Config: DefaultConfig()}
 	pol := &runtime.StaticPolicy{Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 5}}
-	if _, err := x.Execute(pol); err == nil {
+	if _, err := OpenSession(twoWay(), 1, pol, SessionOptions{Config: DefaultConfig()}); err == nil {
 		t.Fatal("out-of-range placement must error")
 	}
 }
@@ -274,5 +269,39 @@ func TestEngineObservedSelWithAtomicCounters(t *testing.T) {
 	st.out.Add(16)
 	if got := st.observedSel(); got != 0.25 {
 		t.Fatalf("observedSel = %v, want 0.25", got)
+	}
+}
+
+// TestEngineMatchesSimSelectivity cross-validates the two substrates: the
+// live engine's observed selection pass-rate converges to the same value
+// the simulator's cost model assumes.
+func TestEngineMatchesSimSelectivity(t *testing.T) {
+	q := query.NewNWayJoin("X", 2, 5)
+	q.Ops[0].Sel = 0.4
+	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	rng := rand.New(rand.NewSource(3))
+	ts := 0.0
+	for b := 0; b < 60; b++ {
+		for _, s := range q.Streams {
+			batch := &stream.Batch{Stream: s}
+			for j := 0; j < 40; j++ {
+				ts += 0.001
+				batch.Append(&stream.Tuple{
+					Stream: s, Ts: stream.Time(ts), Key: rng.Int63n(300),
+					Vals: []float64{rng.Float64() * 100},
+				})
+			}
+			if err := e.Ingest(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	res := e.Stop()
+	if math.Abs(res.ObservedSels[0]-0.4) > 0.06 {
+		t.Fatalf("engine observed %v, cost model assumes 0.4", res.ObservedSels[0])
 	}
 }

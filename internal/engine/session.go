@@ -38,17 +38,17 @@ type SessionOptions struct {
 	// blocks and TryIngest rejects while the pipeline holds this many.
 	// With concurrent producers the bound is approximate — each producer
 	// can admit one batch past it before observing the others. <= 0
-	// disables the bound (the replay Executor's historical mode).
+	// disables the bound: a replay then paces itself through the
+	// per-tick drain.
 	MaxPending int
 }
 
 // Session is the live engine's implementation of runtime.Session: a
 // long-lived streaming run over a real sharded multi-worker engine. The
 // virtual clock advances with ingested batch timestamps; control ticks,
-// scripted faults, and checkpoints fire as the clock passes their edges —
-// exactly the protocol the batch-replay Executor used to run inline, now
-// available to concurrent callers with backpressure, result/event
-// subscriptions, live stats, and policy hot-swap.
+// scripted faults, and checkpoints fire as the clock passes their edges,
+// for concurrent callers with backpressure, result/event subscriptions,
+// live stats, and policy hot-swap.
 //
 // Admission is concurrent: only the session protocol itself — clock
 // edges (ticks, faults, checkpoints), policy calls, and control ops — is
@@ -291,9 +291,8 @@ func (s *Session) recomputeEdgeLocked() {
 }
 
 // applyFaults fires checkpoints and scripted fault edges the clock has
-// passed, in the same order the batch-replay executor used: snapshot
-// first, so a crash at the same boundary sees the freshest state. Caller
-// holds mu.
+// passed: snapshot first, so a crash at the same boundary sees the
+// freshest state. Caller holds mu.
 func (s *Session) applyFaults(now float64) {
 	if now >= s.nextCkpt {
 		s.e.Checkpoint()

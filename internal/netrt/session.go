@@ -1,6 +1,8 @@
 package netrt
 
 import (
+	"fmt"
+
 	"rld/internal/engine"
 	"rld/internal/query"
 	"rld/internal/runtime"
@@ -24,6 +26,10 @@ type Options struct {
 // ingest/backpressure/tick/fault/stats surface — except that Crash is a
 // literal SIGKILL and Recover a respawn with checkpoint restore.
 func OpenSession(q *query.Query, nNodes int, pol runtime.Policy, opts Options) (*engine.Session, error) {
+	if q == nil || pol == nil {
+		//rldlint:allow rawerror -- constructor argument validation, not a wire-path error
+		return nil, fmt.Errorf("netrt: session needs a query and a policy")
+	}
 	opts.Cluster.Engine = opts.Session.Config
 	c, err := NewCluster(q, pol.Placement(), nNodes, opts.Cluster)
 	if err != nil {

@@ -33,20 +33,15 @@ func confFaultPlan(mode chaos.RecoveryMode) *chaos.FaultPlan {
 	}
 }
 
-// completenessOn runs pol fresh on ex with and without the fault plan and
-// returns (completeness, faulted report).
-func completenessOn(t *testing.T, mk func() rt.Executor, mkPol func() rt.Policy, fp *chaos.FaultPlan) (float64, *rt.Report) {
+// completenessOn runs a fresh policy on one substrate without and with the
+// fault plan and returns (completeness, faulted report).
+func completenessOn(t *testing.T, run runner, mkPol func() rt.Policy, fp *chaos.FaultPlan) (float64, *rt.Report) {
 	t.Helper()
-	base, err := mk().Execute(mkPol())
+	base, err := run(mkPol(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx, ok := mk().(rt.FaultInjector)
-	if !ok {
-		t.Fatal("executor is not a FaultInjector")
-	}
-	fx.SetFaults(fp)
-	faulted, err := fx.Execute(mkPol())
+	faulted, err := run(mkPol(), fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +61,12 @@ func TestChaosConformanceSimVsEngine(t *testing.T) {
 			Assign:     []int{0, 1},
 		}
 	}
-	mkSim := func() rt.Executor { return conformanceSimExecutor(q, cl) }
-	mkEng := func() rt.Executor { return conformanceEngineExecutor(q, cl) }
+	runSim, runEng := simRunner(q, cl), engineRunner(q, cl)
 
 	for _, mode := range []chaos.RecoveryMode{chaos.Checkpoint, chaos.LoseState} {
 		fp := confFaultPlan(mode)
-		simC, simRep := completenessOn(t, mkSim, mkPol, fp)
-		engC, engRep := completenessOn(t, mkEng, mkPol, fp)
+		simC, simRep := completenessOn(t, runSim, mkPol, fp)
+		engC, engRep := completenessOn(t, runEng, mkPol, fp)
 		t.Logf("mode=%s: sim completeness %.4f (lost %.0f), engine completeness %.4f (lost %.0f)",
 			mode, simC, simRep.TuplesLost, engC, engRep.TuplesLost)
 		for _, rep := range []*rt.Report{simRep, engRep} {
@@ -134,10 +128,10 @@ func TestChaosNetSubstrateSIGKILL(t *testing.T) {
 			Assign:     []int{0, 1},
 		}
 	}
-	mkNet := func() rt.Executor { return conformanceNetExecutor(q, cl) }
+	runNet := netRunner(q, cl)
 	fp := confFaultPlan(chaos.Checkpoint)
 	fp.CheckpointEvery = 15 // tight snapshots: at most 15 s of window to lose
-	netC, netRep := completenessOn(t, mkNet, mkPol, fp)
+	netC, netRep := completenessOn(t, runNet, mkPol, fp)
 	t.Logf("net SIGKILL: completeness %.4f (produced %.0f, lost %.0f, restores %d)",
 		netC, netRep.Produced, netRep.TuplesLost, netRep.Restores)
 	if netRep.Crashes != 1 {
@@ -156,7 +150,7 @@ func TestChaosNetSubstrateSIGKILL(t *testing.T) {
 	// Lose-state on the net substrate: a respawned process starts empty,
 	// so output must visibly drop and losses must be counted.
 	lose := confFaultPlan(chaos.LoseState)
-	loseC, loseRep := completenessOn(t, mkNet, mkPol, lose)
+	loseC, loseRep := completenessOn(t, runNet, mkPol, lose)
 	t.Logf("net SIGKILL lose-state: completeness %.4f (lost %.0f)", loseC, loseRep.TuplesLost)
 	if loseRep.TuplesLost == 0 {
 		t.Error("lose-state crash lost nothing")
@@ -181,13 +175,8 @@ func TestChaosHorizonClippingParity(t *testing.T) {
 	pol := func() rt.Policy {
 		return &rt.StaticPolicy{PolicyName: "FIXED", Plan: query.Plan{1, 0}, Assign: []int{0, 1}}
 	}
-	for _, mk := range []func() rt.Executor{
-		func() rt.Executor { return conformanceSimExecutor(q, cl) },
-		func() rt.Executor { return conformanceEngineExecutor(q, cl) },
-	} {
-		ex := mk().(rt.FaultInjector)
-		ex.SetFaults(fp)
-		rep, err := ex.Execute(pol())
+	for _, run := range []runner{simRunner(q, cl), engineRunner(q, cl)} {
+		rep, err := run(pol(), fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,13 +204,12 @@ func TestChaosAcceptanceRLDvsDYN(t *testing.T) {
 
 	// Index 0 of conformancePolicies is the RLD deployment policy, 2 is
 	// DYN; fresh instances per run (DYN is stateful).
-	rldBase, err := conformanceEngineExecutor(q, cl).Execute(conformancePolicies(t, q, cl)[0])
+	run := engineRunner(q, cl)
+	rldBase, err := run(conformancePolicies(t, q, cl)[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := conformanceEngineExecutor(q, cl).(rt.FaultInjector)
-	ex.SetFaults(fp)
-	rldFaulted, err := ex.Execute(conformancePolicies(t, q, cl)[0])
+	rldFaulted, err := run(conformancePolicies(t, q, cl)[0], fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,9 +226,7 @@ func TestChaosAcceptanceRLDvsDYN(t *testing.T) {
 		t.Errorf("crashes = %d, want 1", rldFaulted.Crashes)
 	}
 
-	ex = conformanceEngineExecutor(q, cl).(rt.FaultInjector)
-	ex.SetFaults(fp)
-	dynFaulted, err := ex.Execute(conformancePolicies(t, q, cl)[2])
+	dynFaulted, err := run(conformancePolicies(t, q, cl)[2], fp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,12 @@ package runtime_test
 //     own stream).
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"rld/internal/baseline"
+	"rld/internal/chaos"
 	"rld/internal/cluster"
 	"rld/internal/core"
 	"rld/internal/engine"
@@ -84,28 +86,43 @@ func conformancePolicies(t *testing.T, q *query.Query, cl *cluster.Cluster) []rt
 	return []rt.Policy{dep.NewPolicy(confBatch), rod, dyn}
 }
 
-func conformanceSimExecutor(q *query.Query, cl *cluster.Cluster) rt.Executor {
-	sc := &sim.Scenario{
-		Query:       q,
-		Rates:       map[string]gen.Profile{},
-		Sels:        make([]gen.Profile, len(q.Ops)),
-		Cluster:     cl,
-		Horizon:     confHorizon,
-		BatchSize:   confBatch,
-		SampleEvery: 5,
-		TickEvery:   5,
-		Seed:        17,
+// runner executes one fresh run of the calibrated workload on one substrate
+// under pol, with an optional scripted fault plan.
+type runner func(pol rt.Policy, fp *chaos.FaultPlan) (*rt.Report, error)
+
+// simRunner is the simulator driving itself off the scenario's own arrival
+// processes.
+func simRunner(q *query.Query, cl *cluster.Cluster) runner {
+	return func(pol rt.Policy, fp *chaos.FaultPlan) (*rt.Report, error) {
+		sc := &sim.Scenario{
+			Query:       q,
+			Rates:       map[string]gen.Profile{},
+			Sels:        make([]gen.Profile, len(q.Ops)),
+			Cluster:     cl,
+			Horizon:     confHorizon,
+			BatchSize:   confBatch,
+			SampleEvery: 5,
+			TickEvery:   5,
+			Faults:      fp,
+			Seed:        17,
+		}
+		for _, s := range q.Streams {
+			sc.Rates[s] = gen.ConstProfile(q.Rates[s])
+		}
+		for i := range sc.Sels {
+			sc.Sels[i] = gen.ConstProfile(q.Ops[i].Sel)
+		}
+		res, err := sim.Run(sc, pol)
+		if err != nil {
+			return nil, err
+		}
+		return rt.FromSim(res), nil
 	}
-	for _, s := range q.Streams {
-		sc.Rates[s] = gen.ConstProfile(q.Rates[s])
-	}
-	for i := range sc.Sels {
-		sc.Sels[i] = gen.ConstProfile(q.Ops[i].Sel)
-	}
-	return &sim.Executor{Scenario: sc}
 }
 
-func conformanceEngineExecutor(q *query.Query, cl *cluster.Cluster) rt.Executor {
+// conformanceFeed builds the calibrated tuple feed the live substrates
+// replay: same seeds on every call.
+func conformanceFeed(q *query.Query) rt.Feed {
 	domain := keyDomain(confRate2 * q.WindowSeconds)
 	srcs := make([]*gen.Source, len(q.Streams))
 	for i, s := range q.Streams {
@@ -116,38 +133,43 @@ func conformanceEngineExecutor(q *query.Query, cl *cluster.Cluster) rt.Executor 
 			gen.KeyDist{Cold: domain},
 			gen.Uniform{A: 0, B: 100}, 500+int64(i)*13)
 	}
+	return rt.NewSourceFeed(srcs, confBatch, confHorizon)
+}
+
+// liveOptions is the session configuration both live substrates run the
+// conformance workload under.
+func liveOptions(fp *chaos.FaultPlan) engine.SessionOptions {
 	ecfg := engine.DefaultConfig()
 	ecfg.MaxFanout = 0 // counts must not be clipped
-	return &engine.Executor{
-		Query:   q,
-		Nodes:   cl.N(),
-		Feed:    rt.NewSourceFeed(srcs, confBatch, confHorizon),
+	return engine.SessionOptions{
 		Config:  ecfg,
+		Faults:  fp,
 		Horizon: confHorizon, // fault accounting clips where the sim's does
 	}
 }
 
-// conformanceNetExecutor mirrors conformanceEngineExecutor on the
-// multi-process network substrate: same feed seeds, same calibration, but
-// every node is a real worker process (a re-exec of this test binary — see
-// TestMain) behind the netrt wire protocol.
-func conformanceNetExecutor(q *query.Query, cl *cluster.Cluster) rt.Executor {
-	domain := keyDomain(confRate2 * q.WindowSeconds)
-	srcs := make([]*gen.Source, len(q.Streams))
-	for i, s := range q.Streams {
-		srcs[i] = gen.NewSource(s,
-			gen.ConstProfile(q.Rates[s]),
-			gen.KeyDist{Cold: domain},
-			gen.Uniform{A: 0, B: 100}, 500+int64(i)*13)
+// engineRunner replays the feed through a fresh in-process engine session.
+func engineRunner(q *query.Query, cl *cluster.Cluster) runner {
+	return func(pol rt.Policy, fp *chaos.FaultPlan) (*rt.Report, error) {
+		s, err := engine.OpenSession(q, cl.N(), pol, liveOptions(fp))
+		if err != nil {
+			return nil, err
+		}
+		return rt.Replay(context.Background(), s, conformanceFeed(q))
 	}
-	ecfg := engine.DefaultConfig()
-	ecfg.MaxFanout = 0
-	return &netrt.Executor{
-		Query:   q,
-		Nodes:   cl.N(),
-		Feed:    rt.NewSourceFeed(srcs, confBatch, confHorizon),
-		Config:  ecfg,
-		Horizon: confHorizon,
+}
+
+// netRunner mirrors engineRunner on the multi-process network substrate:
+// same feed seeds, same calibration, but every node is a real worker
+// process (a re-exec of this test binary — see TestMain) behind the netrt
+// wire protocol.
+func netRunner(q *query.Query, cl *cluster.Cluster) runner {
+	return func(pol rt.Policy, fp *chaos.FaultPlan) (*rt.Report, error) {
+		s, err := netrt.OpenSession(q, cl.N(), pol, netrt.Options{Session: liveOptions(fp)})
+		if err != nil {
+			return nil, err
+		}
+		return rt.Replay(context.Background(), s, conformanceFeed(q))
 	}
 }
 
@@ -160,7 +182,7 @@ func TestConformanceSimVsEngine(t *testing.T) {
 	cl := cluster.NewHomogeneous(2, 1e6) // ample capacity: no queueing loss
 	want := confDelta1 * confDelta2
 
-	simEx := conformanceSimExecutor(q, cl)
+	runSim, runEng, runNet := simRunner(q, cl), engineRunner(q, cl), netRunner(q, cl)
 	// Policies can be stateful (DYN): give each substrate a fresh set so
 	// one run's cooldown clock and final placement cannot leak into the
 	// other.
@@ -168,15 +190,15 @@ func TestConformanceSimVsEngine(t *testing.T) {
 	engPols := conformancePolicies(t, q, cl)
 	netPols := conformancePolicies(t, q, cl)
 	for i, pol := range simPols {
-		simRep, err := simEx.Execute(pol)
+		simRep, err := runSim(pol, nil)
 		if err != nil {
 			t.Fatalf("%s/sim: %v", pol.Name(), err)
 		}
-		engRep, err := conformanceEngineExecutor(q, cl).Execute(engPols[i])
+		engRep, err := runEng(engPols[i], nil)
 		if err != nil {
 			t.Fatalf("%s/engine: %v", pol.Name(), err)
 		}
-		netRep, err := conformanceNetExecutor(q, cl).Execute(netPols[i])
+		netRep, err := runNet(netPols[i], nil)
 		if err != nil {
 			t.Fatalf("%s/net: %v", pol.Name(), err)
 		}
@@ -207,7 +229,7 @@ func TestConformanceSimVsEngine(t *testing.T) {
 
 // TestConformanceStaticPolicyBothSubstrates runs the same StaticPolicy on
 // every substrate — the minimal policy implementation must be sufficient
-// for each executor.
+// for each of them.
 func TestConformanceStaticPolicyBothSubstrates(t *testing.T) {
 	q := conformanceQuery()
 	cl := cluster.NewHomogeneous(2, 1e6)
@@ -216,23 +238,26 @@ func TestConformanceStaticPolicyBothSubstrates(t *testing.T) {
 		Plan:       query.Plan{1, 0},
 		Assign:     []int{0, 1},
 	}
-	for _, ex := range []rt.Executor{
-		conformanceSimExecutor(q, cl),
-		conformanceEngineExecutor(q, cl),
-		conformanceNetExecutor(q, cl),
+	for _, sub := range []struct {
+		name string
+		run  runner
+	}{
+		{"sim", simRunner(q, cl)},
+		{"engine", engineRunner(q, cl)},
+		{"net", netRunner(q, cl)},
 	} {
-		rep, err := ex.Execute(pol)
+		rep, err := sub.run(pol, nil)
 		if err != nil {
-			t.Fatalf("%s: %v", ex.Substrate(), err)
+			t.Fatalf("%s: %v", sub.name, err)
 		}
-		if rep.Policy != "FIXED" || rep.Substrate != ex.Substrate() {
+		if rep.Policy != "FIXED" || rep.Substrate != sub.name {
 			t.Fatalf("report header %q/%q", rep.Policy, rep.Substrate)
 		}
 		if rep.Produced == 0 || rep.Ingested == 0 {
-			t.Fatalf("%s: empty run", ex.Substrate())
+			t.Fatalf("%s: empty run", sub.name)
 		}
 		if rep.PlanCount() != 1 {
-			t.Fatalf("%s: static policy used %d plans", ex.Substrate(), rep.PlanCount())
+			t.Fatalf("%s: static policy used %d plans", sub.name, rep.PlanCount())
 		}
 	}
 }

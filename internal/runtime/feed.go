@@ -5,7 +5,7 @@ import (
 	"rld/internal/stream"
 )
 
-// Feed supplies batches of real tuples to a live executor, ordered by each
+// Feed supplies batches of real tuples to a session, ordered by each
 // batch's leading application timestamp. Tuples within a batch are in
 // timestamp order, but batches of different streams span overlapping time
 // ranges, so individual tuples across streams may interleave slightly out

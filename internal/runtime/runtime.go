@@ -1,25 +1,25 @@
 // Package runtime defines the substrate-agnostic execution layer of the RLD
 // system: a Policy is a load-distribution strategy (RLD, ROD, DYN, or any
-// custom strategy) expressed independently of where it runs, and an Executor
-// is a substrate — the discrete-event simulator or the live goroutine
-// dataflow engine — that can run any Policy and fill the shared Report
-// result type. This mirrors the paper's central claim: the robust physical
-// plan lets the runtime execute *any* plan in the robust logical solution
-// without migration, so the policy layer must not care whether batches are
-// simulated cost-units or real tuples.
+// custom strategy) expressed independently of where it runs, and a Session
+// is a running pipeline on one substrate — the discrete-event simulator,
+// the live goroutine dataflow engine, or the multi-process cluster — that
+// executes any Policy and fills the shared Report result type. This mirrors
+// the paper's central claim: the robust physical plan lets the runtime
+// execute *any* plan in the robust logical solution without migration, so
+// the policy layer must not care whether batches are simulated cost-units
+// or real tuples.
 package runtime
 
 import (
 	"math"
 
-	"rld/internal/chaos"
 	"rld/internal/metrics"
 	"rld/internal/physical"
 	"rld/internal/query"
 	"rld/internal/stats"
 )
 
-// DownLoad is the sentinel per-node load value executors report to
+// DownLoad is the sentinel per-node load value sessions report to
 // Policy.Rebalance for a crashed node: +Inf, so threshold-based policies
 // naturally treat a dead node as infinitely overloaded. Policies that
 // respond to failures (DYN's emergency re-placement) detect it with
@@ -43,11 +43,11 @@ type Migration struct {
 // Policy is a load-distribution strategy under test: it provides the initial
 // operator placement, chooses a logical plan per batch, and may request
 // operator migrations at control ticks. Implementations must be safe for
-// use from a single executor goroutine; executors and sessions serialize
-// all calls (the live engine's session admits batches concurrently but
-// still funnels PlanFor/ClassifyOverhead through one policy lock).
+// use from a single goroutine; sessions serialize all calls (the live
+// engine's session admits batches concurrently but still funnels
+// PlanFor/ClassifyOverhead through one policy lock).
 // Policies may be stateful (DYN tracks per-operator cooldowns and the live
-// assignment), so use a fresh instance per Execute call when comparing runs
+// assignment), so use a fresh instance per session when comparing runs
 // — carried-over state would leak one run's clock and placement into the
 // next.
 type Policy interface {
@@ -113,7 +113,7 @@ var _ Policy = (*StaticPolicy)(nil)
 type Report struct {
 	// Policy is the load-distribution policy name (RLD/ROD/DYN/...).
 	Policy string
-	// Substrate identifies the executor ("sim" or "engine").
+	// Substrate identifies what ran the session ("sim", "engine" or "net").
 	Substrate string
 	// Ingested counts source tuples admitted.
 	Ingested float64
@@ -166,6 +166,16 @@ func (r *Report) OutputRatio() float64 {
 // PlanCount returns the number of distinct logical plans used.
 func (r *Report) PlanCount() int { return len(r.PlanUse) }
 
+// OverheadRatio returns overhead work as a fraction of query work (§6.5
+// reports ≈2% for RLD classification); 0 when the substrate does not
+// model query work.
+func (r *Report) OverheadRatio() float64 {
+	if r.QueryWork == 0 {
+		return 0
+	}
+	return r.OverheadWork / r.QueryWork
+}
+
 // Completeness returns the faulted run's produced-result count as a
 // fraction of a fault-free baseline run — the robustness metric the chaos
 // experiments compare across policies (1 = no results lost to the fault
@@ -175,28 +185,6 @@ func Completeness(faulted, baseline *Report) float64 {
 		return 0
 	}
 	return faulted.Produced / baseline.Produced
-}
-
-// Executor is one runtime substrate: something that can execute a workload
-// under a Policy and report the outcome. internal/sim and internal/engine
-// each provide one.
-type Executor interface {
-	// Substrate names the executor ("sim", "engine").
-	Substrate() string
-	// Execute runs the configured workload under pol.
-	Execute(pol Policy) (*Report, error)
-}
-
-// FaultInjector is an Executor that can run its workload under a scripted
-// fault plan: node crashes, recoveries, and transient slowdowns injected
-// at virtual-time boundaries. Both substrates implement it, so the same
-// FaultPlan yields identical failure scenarios for every policy on either
-// substrate.
-type FaultInjector interface {
-	Executor
-	// SetFaults installs the fault schedule for subsequent Execute calls
-	// (nil clears it).
-	SetFaults(fp *chaos.FaultPlan)
 }
 
 // FromSim converts the simulator's metrics into the shared Report.

@@ -107,7 +107,8 @@ type ResultBatch struct {
 type SessionStats struct {
 	// Policy is the current policy's name.
 	Policy string
-	// Substrate identifies the session's executor ("sim" or "engine").
+	// Substrate identifies what runs the session ("sim", "engine" or
+	// "net").
 	Substrate string
 	// VirtualTime is the session's current virtual clock in seconds.
 	VirtualTime float64
@@ -203,10 +204,13 @@ type Session interface {
 }
 
 // Replay drives feed through s to exhaustion, then closes s and returns
-// the final report — the batch-replay loop the pre-session Executors ran,
-// now expressed over the session protocol. The session is closed even when
-// ingestion fails.
+// the final report: the one-shot way to run a finite feed. The session is
+// closed even when the feed is nil or ingestion fails.
 func Replay(ctx context.Context, s Session, feed Feed) (*Report, error) {
+	if feed == nil {
+		s.Close(ctx)
+		return nil, errors.New("rld: Replay needs a feed")
+	}
 	for b := feed.Next(); b != nil; b = feed.Next() {
 		if err := s.Ingest(ctx, b); err != nil {
 			s.Close(ctx)

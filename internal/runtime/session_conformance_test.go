@@ -1,9 +1,8 @@
 package runtime_test
 
-// Old-vs-new API conformance: the batch-replay Executor path (old API) and
-// a Session fed the same Feed (new API) must produce equivalent results on
-// both substrates — the pin that the session redesign did not change the
-// execution semantics underneath the public surface.
+// Session-protocol conformance: the simulator's two ways of being driven
+// agree, and both substrates' sessions honour the same subscription
+// protocol.
 
 import (
 	"context"
@@ -13,95 +12,77 @@ import (
 	"rld/internal/chaos"
 	"rld/internal/cluster"
 	"rld/internal/engine"
+	"rld/internal/netrt"
 	"rld/internal/query"
 	rt "rld/internal/runtime"
 	"rld/internal/sim"
 	"rld/internal/stream"
 )
 
-// openConformanceSessions builds one session per substrate for the
-// calibrated conformance workload: the engine session natively, the sim
-// session through its virtual-time adapter (externally driven — no
-// scenario arrivals).
-func openConformanceSessions(t *testing.T, q *query.Query, cl *cluster.Cluster, pol func() rt.Policy, fp *chaos.FaultPlan, buf int) map[string]rt.Session {
+// openSimSession opens an externally fed simulator session of the
+// calibrated conformance workload (virtual-time adapter; it waits for
+// Ingest).
+func openSimSession(t *testing.T, q *query.Query, cl *cluster.Cluster, pol rt.Policy, fp *chaos.FaultPlan, buf int) rt.Session {
 	t.Helper()
-	eng, err := engine.OpenSession(q, cl.N(), pol(), engine.SessionOptions{
-		Config:       engineSessionConfig(),
-		Faults:       fp,
-		Horizon:      confHorizon,
-		ResultBuffer: buf,
-		EventBuffer:  4096,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := &sim.Scenario{
 		Query:   q,
 		Cluster: cl,
 		Horizon: confHorizon,
 		Faults:  fp,
 	}
-	ss, err := sim.OpenSession(sc, pol(), sim.SessionOptions{
+	ss, err := sim.OpenSession(sc, pol, sim.SessionOptions{
 		ResultBuffer: buf,
 		EventBuffer:  4096,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]rt.Session{"engine": eng, "sim": ss}
+	return ss
 }
 
-func engineSessionConfig() engine.Config {
-	cfg := engine.DefaultConfig()
-	cfg.MaxFanout = 0 // counts must not be clipped
-	return cfg
+// openConformanceSessions builds one session per substrate for the
+// calibrated conformance workload: the engine session natively, the sim
+// session through its virtual-time adapter.
+func openConformanceSessions(t *testing.T, q *query.Query, cl *cluster.Cluster, pol func() rt.Policy, fp *chaos.FaultPlan, buf int) map[string]rt.Session {
+	t.Helper()
+	opts := liveOptions(fp)
+	opts.ResultBuffer, opts.EventBuffer = buf, 4096
+	eng, err := engine.OpenSession(q, cl.N(), pol(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]rt.Session{"engine": eng, "sim": openSimSession(t, q, cl, pol(), fp, buf)}
 }
 
-// TestSessionVsExecutorConformance feeds the identical Feed through the
-// old Executor path and through a raw Session on each substrate: the
-// produced/ingested ratios must agree within 15%.
+// TestSessionVsExecutorConformance runs the simulator both ways — driving
+// itself off the scenario's arrival processes, and as a session fed the
+// live substrates' tuple Feed (the adapter abstracts batches to counts at
+// their timestamps): the produced/ingested ratios must agree within 15%.
 func TestSessionVsExecutorConformance(t *testing.T) {
 	q := conformanceQuery()
 	cl := cluster.NewHomogeneous(2, 1e6)
 	mkPol := func() rt.Policy {
 		return &rt.StaticPolicy{PolicyName: "FIXED", Plan: query.Plan{1, 0}, Assign: []int{0, 1}}
 	}
-	ctx := context.Background()
-
-	// Old API, both substrates.
-	oldReps := map[string]*rt.Report{}
-	for name, ex := range map[string]rt.Executor{
-		"engine": conformanceEngineExecutor(q, cl),
-		"sim":    conformanceSimExecutor(q, cl),
-	} {
-		rep, err := ex.Execute(mkPol())
-		if err != nil {
-			t.Fatalf("%s executor: %v", name, err)
-		}
-		oldReps[name] = rep
+	self, err := simRunner(q, cl)(mkPol(), nil)
+	if err != nil {
+		t.Fatalf("self-driven sim: %v", err)
 	}
-
-	// New API: a session per substrate fed the engine-style tuple Feed
-	// (the sim adapter abstracts batches to counts at their timestamps).
-	for name, ses := range openConformanceSessions(t, q, cl, mkPol, nil, 0) {
-		feed := conformanceEngineExecutor(q, cl).(*engine.Executor).Feed
-		newRep, err := rt.Replay(ctx, ses, feed)
-		if err != nil {
-			t.Fatalf("%s session replay: %v", name, err)
-		}
-		old := oldReps[name]
-		rOld, rNew := old.OutputRatio(), newRep.OutputRatio()
-		t.Logf("%s: executor ratio %.4f (produced %.0f), session ratio %.4f (produced %.0f)",
-			name, rOld, old.Produced, rNew, newRep.Produced)
-		if newRep.Produced == 0 {
-			t.Fatalf("%s session produced nothing", name)
-		}
-		if math.Abs(rNew-rOld) > 0.15*rOld {
-			t.Errorf("%s: session ratio %.4f vs executor ratio %.4f (>15%%)", name, rNew, rOld)
-		}
-		if newRep.Substrate != name {
-			t.Errorf("session substrate %q, want %q", newRep.Substrate, name)
-		}
+	fed, err := rt.Replay(context.Background(), openSimSession(t, q, cl, mkPol(), nil, 0), conformanceFeed(q))
+	if err != nil {
+		t.Fatalf("sim session replay: %v", err)
+	}
+	rSelf, rFed := self.OutputRatio(), fed.OutputRatio()
+	t.Logf("self-driven ratio %.4f (produced %.0f), session ratio %.4f (produced %.0f)",
+		rSelf, self.Produced, rFed, fed.Produced)
+	if fed.Produced == 0 {
+		t.Fatal("sim session produced nothing")
+	}
+	if math.Abs(rFed-rSelf) > 0.15*rSelf {
+		t.Errorf("session ratio %.4f vs self-driven ratio %.4f (>15%%)", rFed, rSelf)
+	}
+	if fed.Substrate != "sim" {
+		t.Errorf("session substrate %q, want sim", fed.Substrate)
 	}
 }
 
@@ -119,7 +100,7 @@ func TestSessionResultsAndEvents(t *testing.T) {
 	ctx := context.Background()
 
 	for name, ses := range openConformanceSessions(t, q, cl, mkPol, fp, 1<<15) {
-		feed := conformanceEngineExecutor(q, cl).(*engine.Executor).Feed
+		feed := conformanceFeed(q)
 		for b := feed.Next(); b != nil; b = feed.Next() {
 			if err := ses.Ingest(ctx, b); err != nil {
 				t.Fatalf("%s ingest: %v", name, err)
@@ -160,6 +141,42 @@ func TestSessionResultsAndEvents(t *testing.T) {
 		}
 		if st := ses.Stats(); st.ResultsDropped != 0 {
 			t.Errorf("%s: dropped %d results despite ample buffer", name, st.ResultsDropped)
+		}
+	}
+}
+
+// TestNilInputsAreErrors pins that the run surface reports a missing input
+// as an error — never a panic — and leaves nothing running behind it.
+func TestNilInputsAreErrors(t *testing.T) {
+	q := conformanceQuery()
+	pol := &rt.StaticPolicy{Plan: query.Plan{1, 0}, Assign: []int{0, 1}}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"net session without a policy", func() error {
+			_, err := netrt.OpenSession(q, 2, nil, netrt.Options{})
+			return err
+		}},
+		{"net session without a query", func() error {
+			_, err := netrt.OpenSession(nil, 2, pol, netrt.Options{})
+			return err
+		}},
+		{"replay without a feed", func() error {
+			ses, err := engine.OpenSession(q, 2, pol, liveOptions(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = rt.Replay(ctx, ses, nil)
+			if ierr := ses.Ingest(ctx, feedBatch(q)); ierr != rt.ErrClosed {
+				t.Errorf("ingest after a rejected replay: %v, want ErrClosed (session left open)", ierr)
+			}
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil {
+			t.Errorf("%s: no error", tc.name)
 		}
 	}
 }

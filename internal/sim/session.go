@@ -12,12 +12,6 @@ import (
 
 // SessionOptions configures a simulator session.
 type SessionOptions struct {
-	// ScenarioArrivals, when true, drives the run off the scenario's own
-	// arrival processes (the batch-replay Executor's mode): the whole
-	// simulation then happens inside Close. When false the session is
-	// externally driven — each Ingest advances virtual time to the
-	// batch's timestamp and admits its tuple count.
-	ScenarioArrivals bool
 	// ResultBuffer is the Results subscription buffer; 0 disables result
 	// delivery.
 	ResultBuffer int
@@ -68,9 +62,6 @@ func OpenSession(sc *Scenario, pol runtime.Policy, opts SessionOptions) (*Sessio
 		sim.onResult = ss.observeResult
 	}
 	sim.seedControl()
-	if opts.ScenarioArrivals {
-		sim.seedArrivals()
-	}
 	return ss, nil
 }
 
@@ -226,9 +217,8 @@ func (ss *Session) Stats() runtime.SessionStats {
 }
 
 // Close implements runtime.Session: run the remaining events out to the
-// horizon (in ScenarioArrivals mode this is the whole simulation), close
-// the books, and return the report. The simulator is synchronous, so Close
-// completes inline; ctx is only consulted up front.
+// horizon, close the books, and return the report. The simulator is
+// synchronous, so Close completes inline; ctx is only consulted up front.
 func (ss *Session) Close(ctx context.Context) (*runtime.Report, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()

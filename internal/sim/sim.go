@@ -11,7 +11,6 @@ package sim
 
 import (
 	"container/heap"
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -300,18 +299,13 @@ func (s *Sim) seedControl() {
 	}
 }
 
-// seedArrivals books the scenario's own arrival processes (Run mode; an
-// externally driven session supplies batches instead).
-func (s *Sim) seedArrivals() {
+// Run executes the simulation off the scenario's own arrival processes (an
+// externally driven session supplies batches instead) and returns its
+// metrics.
+func (s *Sim) Run() *metrics.Runtime {
 	for _, st := range s.sc.Query.Streams {
 		s.scheduleNextBatch(st, 0)
 	}
-}
-
-// Run executes the simulation off the scenario's arrival processes and
-// returns its metrics.
-func (s *Sim) Run() *metrics.Runtime {
-	s.seedArrivals()
 	s.seedControl()
 	s.advanceTo(s.sc.Horizon)
 	return s.finish()
@@ -715,31 +709,3 @@ func Run(sc *Scenario, pol Policy) (*metrics.Runtime, error) {
 	}
 	return s.Run(), nil
 }
-
-// Executor adapts the simulator to the substrate-agnostic
-// runtime.Executor interface: every Execute call opens a fresh session of
-// the scenario in ScenarioArrivals mode — the simulation's own arrival
-// processes supply the batches — and closes it, which runs the simulation
-// to the horizon and converts the metrics into the shared Report.
-type Executor struct {
-	Scenario *Scenario
-}
-
-// Substrate implements runtime.Executor.
-func (x *Executor) Substrate() string { return "sim" }
-
-// Execute implements runtime.Executor.
-func (x *Executor) Execute(pol runtime.Policy) (*runtime.Report, error) {
-	sc := *x.Scenario // shallow copy: the run mutates defaulted fields only
-	ses, err := OpenSession(&sc, pol, SessionOptions{ScenarioArrivals: true})
-	if err != nil {
-		return nil, err
-	}
-	return ses.Close(context.Background())
-}
-
-// SetFaults implements runtime.FaultInjector: subsequent Execute calls
-// run under the scripted fault schedule.
-func (x *Executor) SetFaults(fp *chaos.FaultPlan) { x.Scenario.Faults = fp }
-
-var _ runtime.FaultInjector = (*Executor)(nil)

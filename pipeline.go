@@ -227,9 +227,9 @@ type Pipeline struct {
 
 // Open starts a streaming session executing dep's query under pol (nil:
 // dep's own RLD policy) — on the live sharded engine by default, or on the
-// simulator's virtual-time adapter with WithSimulation. The batch-replay
-// Executors remain for finite feeds; Open is the continuous-query surface
-// a server embeds.
+// simulator's virtual-time adapter with WithSimulation, or on worker
+// processes with WithDistributed. It is the one way to run: a server embeds
+// the Pipeline, and Replay drives a finite feed through it.
 func Open(ctx context.Context, dep *Deployment, pol Policy, opts ...Option) (*Pipeline, error) {
 	if dep == nil {
 		//rldlint:allow rawerror -- Open option validation, caught at call time; no sentinel to match
@@ -291,25 +291,7 @@ func Open(ctx context.Context, dep *Deployment, pol Policy, opts ...Option) (*Pi
 		}
 		maxPending = inbox * nNodes
 	}
-	if cfg.distributed {
-		s, err := netrt.OpenSession(dep.Query, nNodes, pol, netrt.Options{
-			Session: engine.SessionOptions{
-				Config:       cfg.engine,
-				TickEvery:    cfg.tickEvery,
-				Faults:       cfg.faults,
-				Horizon:      cfg.horizon,
-				ResultBuffer: cfg.resultBuffer,
-				EventBuffer:  cfg.eventBuffer,
-				MaxPending:   maxPending,
-			},
-			Cluster: netrt.ClusterConfig{WorkerCommand: cfg.workerCmd},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Pipeline{s: s}, nil
-	}
-	s, err := engine.OpenSession(dep.Query, nNodes, pol, engine.SessionOptions{
+	sopts := engine.SessionOptions{
 		Config:       cfg.engine,
 		TickEvery:    cfg.tickEvery,
 		Faults:       cfg.faults,
@@ -317,7 +299,17 @@ func Open(ctx context.Context, dep *Deployment, pol Policy, opts ...Option) (*Pi
 		ResultBuffer: cfg.resultBuffer,
 		EventBuffer:  cfg.eventBuffer,
 		MaxPending:   maxPending,
-	})
+	}
+	var s *engine.Session
+	var err error
+	if cfg.distributed {
+		s, err = netrt.OpenSession(dep.Query, nNodes, pol, netrt.Options{
+			Session: sopts,
+			Cluster: netrt.ClusterConfig{WorkerCommand: cfg.workerCmd},
+		})
+	} else {
+		s, err = engine.OpenSession(dep.Query, nNodes, pol, sopts)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -386,10 +378,10 @@ func (p *Pipeline) Recover(node int) error { return p.s.Recover(node) }
 func (p *Pipeline) Close(ctx context.Context) (*Report, error) { return p.s.Close(ctx) }
 
 // Replay drives feed through a Session to exhaustion, closes it, and
-// returns the final report — the bridge between the finite-feed Executor
-// world and sessions. A *Pipeline is itself a Session, so
-// rld.Replay(ctx, pipe, feed) replays a recorded feed through a live
-// pipeline.
+// returns the final report — the one-shot way to run a finite feed. A
+// *Pipeline is itself a Session, so rld.Replay(ctx, pipe, feed) replays a
+// recorded feed through a live pipeline. The session is closed even when
+// the feed is nil or ingestion fails.
 func Replay(ctx context.Context, s Session, feed Feed) (*Report, error) {
 	return runtime.Replay(ctx, s, feed)
 }

@@ -33,20 +33,23 @@
 //	}
 //	report, _ := pipe.Close(ctx)
 //
-// Pipelines run on two substrates behind one policy layer
+// Pipelines run on three substrates behind one policy layer
 // (internal/runtime): the live sharded multi-worker dataflow engine (the
-// default, used by the examples) and a discrete-event simulator
-// (rld.WithSimulation / rld.Run, for reproducible experiments — see
-// cmd/rldbench), which implements the identical session protocol through a
-// virtual-time adapter. Every load-distribution strategy — RLD itself plus
-// the ROD and DYN baselines of the paper's evaluation (NewROD, NewDYN) —
-// implements the substrate-agnostic rld.Policy interface and runs
-// unchanged on either substrate. The finite-feed batch-replay path is kept
-// as thin replay loops over sessions, filling the shared rld.Report:
+// default, used by the examples), the same engine over one worker process
+// per node (rld.WithDistributed), and a discrete-event simulator
+// (rld.WithSimulation, for reproducible experiments — see cmd/rldbench),
+// which implements the identical session protocol through a virtual-time
+// adapter. Every load-distribution strategy — RLD itself plus the ROD and
+// DYN baselines of the paper's evaluation (NewROD, NewDYN) — implements
+// the substrate-agnostic rld.Policy interface and runs unchanged on each
+// of them. A session is the only way to run; a finite feed is replayed
+// through one, and the simulator can also drive itself off a scenario's
+// own arrival processes. All of them fill the shared rld.Report:
 //
 //	pol, _ := rld.NewROD(dep)                      // or NewDYN, dep.NewPolicy
-//	simRep, _ := rld.NewSimExecutor(sc).Execute(pol)
-//	engRep, _ := rld.NewEngineExecutor(q, nodes, feed, ecfg).Execute(pol)
+//	simRep, _ := rld.Run(sc, pol)                  // self-driven simulation
+//	pipe, _ := rld.Open(ctx, dep, pol)             // live engine
+//	engRep, _ := rld.Replay(ctx, pipe, feed)
 package rld
 
 import (
@@ -60,10 +63,8 @@ import (
 	"rld/internal/engine"
 	"rld/internal/experiments"
 	"rld/internal/gen"
-	"rld/internal/metrics"
 	"rld/internal/optimizer"
 	"rld/internal/paramspace"
-	"rld/internal/physical"
 	"rld/internal/query"
 	"rld/internal/robust"
 	"rld/internal/runtime"
@@ -176,17 +177,10 @@ func Optimize(q *Query, dims []Dim, cl *Cluster, cfg Config) (*Deployment, error
 type (
 	// Snapshot is one consistent view of monitored statistics.
 	Snapshot = stats.Snapshot
-	// Monitor samples and smooths runtime statistics.
-	Monitor = stats.Monitor
 )
 
-// NewMonitor returns a statistics monitor for nOps operators.
-func NewMonitor(nOps int, alpha, interval float64) *Monitor {
-	return stats.NewMonitor(nOps, alpha, interval)
-}
-
 // Unified runtime substrate (internal/runtime): policies are written once
-// and executed on either the simulator or the live engine.
+// and executed on any substrate.
 type (
 	// Policy is a substrate-agnostic load-distribution strategy (RLD,
 	// ROD, DYN, or custom): plan choice per batch plus placement and
@@ -196,28 +190,11 @@ type (
 	Migration = runtime.Migration
 	// StaticPolicy runs one fixed plan on one fixed placement.
 	StaticPolicy = runtime.StaticPolicy
-	// Report is the substrate-agnostic result both executors fill.
+	// Report is the substrate-agnostic result every run fills.
 	Report = runtime.Report
-	// Executor runs a workload under a Policy: sim or live engine.
-	Executor = runtime.Executor
-	// Feed supplies real tuple batches to a live executor.
+	// Feed supplies real tuple batches to Replay.
 	Feed = runtime.Feed
-	// SimExecutor is the simulator substrate.
-	SimExecutor = sim.Executor
-	// EngineExecutor is the live-engine substrate.
-	EngineExecutor = engine.Executor
 )
-
-// NewSimExecutor wraps a scenario as a runtime.Executor; each Execute call
-// simulates a fresh copy of the scenario under the given policy.
-func NewSimExecutor(sc *Scenario) *SimExecutor { return &sim.Executor{Scenario: sc} }
-
-// NewEngineExecutor builds a live-engine executor that replays feed through
-// query q on nNodes nodes under a policy. Build a fresh Feed per Execute
-// call: the feed is consumed.
-func NewEngineExecutor(q *Query, nNodes int, feed Feed, cfg EngineConfig) *EngineExecutor {
-	return &engine.Executor{Query: q, Nodes: nNodes, Feed: feed, Config: cfg}
-}
 
 // NewSourceFeed merges generator sources into a batch feed in application
 // -time order, stopping at the horizon (seconds).
@@ -226,18 +203,16 @@ func NewSourceFeed(srcs []*Source, batchSize int, horizon float64) Feed {
 }
 
 // Fault injection (internal/chaos): scripted node crashes, recoveries,
-// and transient slowdowns that both substrates replay identically.
+// and transient slowdowns that every substrate replays identically.
 type (
 	// FaultPlan is a deterministic fault schedule plus recovery
-	// configuration; set sim.Scenario.Faults or EngineExecutor.Faults (or
-	// use the FaultInjector interface) to run under it.
+	// configuration; pass it to Open with WithFaults, or set
+	// Scenario.Faults for Run.
 	FaultPlan = chaos.FaultPlan
 	// Fault is one scripted crash or slowdown interval.
 	Fault = chaos.Fault
 	// RecoveryMode selects crash-recovery semantics.
 	RecoveryMode = chaos.RecoveryMode
-	// FaultInjector is an Executor that accepts a FaultPlan.
-	FaultInjector = runtime.FaultInjector
 	// FaultConfig parameterizes random fault-schedule generation.
 	FaultConfig = gen.FaultConfig
 )
@@ -278,14 +253,20 @@ type (
 	// Scenario fixes a simulated workload: true statistic trajectories,
 	// cluster, horizon.
 	Scenario = sim.Scenario
-	// Results aggregates a simulation run's metrics.
-	Results = metrics.Runtime
 	// DYNConfig tunes the dynamic load-distribution baseline.
 	DYNConfig = baseline.DYNConfig
 )
 
-// Run simulates scenario sc under policy pol.
-func Run(sc *Scenario, pol Policy) (*Results, error) { return sim.Run(sc, pol) }
+// Run simulates scenario sc under policy pol to its horizon, driven by the
+// scenario's own arrival processes. (Open with WithSimulation is the
+// externally fed simulator: it waits for Ingest.)
+func Run(sc *Scenario, pol Policy) (*Report, error) {
+	res, err := sim.Run(sc, pol)
+	if err != nil {
+		return nil, err
+	}
+	return runtime.FromSim(res), nil
+}
 
 // NewROD builds the resilient-operator-distribution baseline for the
 // deployment's query and space on the cluster.
@@ -342,14 +323,8 @@ func SensorFeed(cfg GenConfig, fluctuationPeriod float64, seed int64) []*Source 
 
 // Live engine (internal/engine).
 type (
-	// Engine is the goroutine-per-node live dataflow engine.
-	Engine = engine.Engine
 	// EngineConfig tunes the live engine.
 	EngineConfig = engine.Config
-	// EngineResults summarizes an engine run.
-	EngineResults = engine.Results
-	// PlanChooser selects a plan per batch.
-	PlanChooser = engine.PlanChooser
 	// Batch groups tuples for routing.
 	Batch = stream.Batch
 	// Tuple is a stream element.
@@ -365,22 +340,6 @@ func DefaultEngineConfig() EngineConfig { return engine.DefaultConfig() }
 // everything it needs before returning.
 func AcquireBatch(streamName string, width int) *Batch {
 	return stream.AcquireBatch(streamName, width)
-}
-
-// NewEngine builds a live engine executing the deployment's query on
-// nNodes simulated nodes using the deployment's placement and classifier.
-func NewEngine(dep *Deployment, cfg EngineConfig) (*Engine, error) {
-	chooser := engine.ChooserFunc(func(snap Snapshot) Plan {
-		p, _ := dep.Classify(snap)
-		return p
-	})
-	return engine.New(dep.Query, dep.Physical.Assign, dep.Cluster.N(), chooser, cfg)
-}
-
-// NewStaticEngine builds a live engine with a fixed logical plan (the
-// ROD-style configuration, for comparisons).
-func NewStaticEngine(q *Query, assign []int, nNodes int, plan Plan, cfg EngineConfig) (*Engine, error) {
-	return engine.New(q, physical.Assignment(assign), nNodes, engine.StaticChooser{Plan: plan}, cfg)
 }
 
 // Experiments (internal/experiments).

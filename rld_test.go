@@ -1,6 +1,9 @@
 package rld
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func testDeployment(t *testing.T) *Deployment {
 	t.Helper()
@@ -76,22 +79,25 @@ func TestPublicSimulationWithAllPolicies(t *testing.T) {
 
 func TestPublicEngine(t *testing.T) {
 	dep := testDeployment(t)
-	e, err := NewEngine(dep, DefaultEngineConfig())
+	ctx := context.Background()
+	pipe, err := Open(ctx, dep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Start()
 	for _, name := range dep.Query.Streams {
 		b := &Batch{Stream: name}
 		for i := 0; i < 10; i++ {
 			b.Append(&Tuple{Stream: name, Seq: uint64(i), Key: int64(i % 3), Vals: []float64{50}})
 		}
-		if err := e.Ingest(b); err != nil {
+		if err := pipe.Ingest(ctx, b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res := e.Stop()
-	if res.Ingested == 0 {
+	rep, err := pipe.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ingested == 0 {
 		t.Fatal("engine ingested nothing")
 	}
 }
@@ -141,17 +147,25 @@ func TestPublicFeeds(t *testing.T) {
 
 func TestPublicStaticEngine(t *testing.T) {
 	q := NewNWayJoin("Q", 3, 2)
-	e, err := NewStaticEngine(q, []int{0, 1, 0}, 2, Plan{0, 1, 2}, DefaultEngineConfig())
+	dep, err := Optimize(q, []Dim{SelDim(0, q.Ops[0].Sel, 3)}, NewCluster(2, 500), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Start()
-	b := &Batch{Stream: "S1"}
-	b.Append(&Tuple{Stream: "S1", Key: 1, Vals: []float64{10}})
-	if err := e.Ingest(b); err != nil {
+	ctx := context.Background()
+	pipe, err := Open(ctx, dep, &StaticPolicy{Plan: Plan{0, 1, 2}, Assign: []int{0, 1, 0}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if res := e.Stop(); res.Batches != 1 {
-		t.Fatalf("batches = %d", res.Batches)
+	b := &Batch{Stream: "S1"}
+	b.Append(&Tuple{Stream: "S1", Key: 1, Vals: []float64{10}})
+	if err := pipe.Ingest(ctx, b); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := pipe.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Batches != 1 || rep.Policy != "STATIC" || rep.PlanCount() != 1 {
+		t.Fatalf("batches = %d under %s on %d plans", rep.Batches, rep.Policy, rep.PlanCount())
 	}
 }
