@@ -52,7 +52,6 @@ func benchThroughput(b *testing.B, workers int) {
 	cfg := DefaultConfig()
 	cfg.Workers = workers
 	cfg.MaxFanout = 8
-	cfg.InboxSize = 4096
 
 	const batchSize = 100
 	warm, probes := buildBenchBatches(q, 64, batchSize)
@@ -126,7 +125,6 @@ func BenchmarkChaosRecovery(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Workers = 2
 	cfg.MaxFanout = 8
-	cfg.InboxSize = 4096
 
 	const batchSize = 100
 	warm, probes := buildBenchBatches(q, 32, batchSize)
@@ -185,7 +183,6 @@ func benchIngestDurable(b *testing.B, walDir string) {
 
 	cfg := DefaultConfig()
 	cfg.Workers = 2
-	cfg.InboxSize = 4096
 	cfg.WALDir = walDir
 
 	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, cfg)

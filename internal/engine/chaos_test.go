@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	stdruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +15,7 @@ import (
 	"rld/internal/query"
 	"rld/internal/runtime"
 	"rld/internal/stream"
+	"rld/internal/wal"
 )
 
 // warmProduced is what the 40 S2 warm-up batches of buildBenchBatches
@@ -143,11 +147,20 @@ func exactlyOnceBatches() (warm, warm2, probes []*stream.Batch) {
 	return warm, warm2, probes
 }
 
+// recoverJoinNode is runExactlyOnce's plain recovery of the crashed node.
+func recoverJoinNode(t *testing.T, e *Engine) {
+	t.Helper()
+	if err := e.Recover(1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // runExactlyOnce drives the phased workload — warm, checkpoint, warm2,
-// then crash/park/recover when fault is set — and returns the final
-// results plus the multiset of produced result identities (each result
-// keyed by the TupleIDs of the input tuples it joins).
-func runExactlyOnce(t *testing.T, walDir string, fault bool) (Results, map[string]int) {
+// then crash/park/recover when revive is non-nil (it must bring node 1
+// back) — and returns the final results plus the multiset of produced
+// result identities (each result keyed by the TupleIDs of the input tuples
+// it joins).
+func runExactlyOnce(t *testing.T, walDir string, revive func(*testing.T, *Engine)) (Results, map[string]int) {
 	t.Helper()
 	warm, warm2, probes := exactlyOnceBatches()
 	q := query.NewNWayJoin("B", 2, 100)
@@ -181,14 +194,12 @@ func runExactlyOnce(t *testing.T, walDir string, fault bool) (Results, map[strin
 	feed(warm)
 	e.Checkpoint()
 	feed(warm2) // window growth past the barrier: covered only by the WAL
-	if fault {
+	if revive != nil {
 		if err := e.Crash(1, chaos.Checkpoint); err != nil {
 			t.Fatal(err)
 		}
 		feed(probes) // the join node is down: probes park
-		if err := e.Recover(1); err != nil {
-			t.Fatal(err)
-		}
+		revive(t, e)
 		e.Drain()
 	} else {
 		feed(probes)
@@ -203,11 +214,11 @@ func runExactlyOnce(t *testing.T, walDir string, fault bool) (Results, map[strin
 // the restored snapshot and the crash point, and insert-time dedup absorbs
 // the overlap.
 func TestChaosExactlyOnce(t *testing.T) {
-	base, baseSet := runExactlyOnce(t, t.TempDir(), false)
+	base, baseSet := runExactlyOnce(t, t.TempDir(), nil)
 	if base.Produced <= warmProduced {
 		t.Fatalf("fault-free run produced no joins (%d)", base.Produced)
 	}
-	got, gotSet := runExactlyOnce(t, t.TempDir(), true)
+	got, gotSet := runExactlyOnce(t, t.TempDir(), recoverJoinNode)
 	if got.Crashes != 1 || got.Restores != 1 {
 		t.Fatalf("crashes=%d restores=%d, want 1/1", got.Crashes, got.Restores)
 	}
@@ -231,9 +242,121 @@ func TestChaosExactlyOnce(t *testing.T) {
 	// the checkpoint, so replayed probes find strictly fewer matches. This
 	// pins that the equality above is the WAL's doing, not slack in the
 	// scenario.
-	noWAL, _ := runExactlyOnce(t, "", true)
+	noWAL, _ := runExactlyOnce(t, "", recoverJoinNode)
 	if noWAL.Produced >= base.Produced {
 		t.Fatalf("non-durable faulted run produced %d, want < %d (scenario does not exercise the WAL)", noWAL.Produced, base.Produced)
+	}
+}
+
+// TestRecoverFailsWhenWALCannotReplay: under exactly-once, a node whose
+// write-ahead log cannot be read must not be reported recovered — it would
+// come back without everything inserted since the last checkpoint, silently.
+// Recover fails with the log's error and leaves the node down; once the log
+// is readable again a second Recover yields exactly the fault-free results.
+func TestRecoverFailsWhenWALCannotReplay(t *testing.T) {
+	base, baseSet := runExactlyOnce(t, t.TempDir(), nil)
+	got, gotSet := runExactlyOnce(t, t.TempDir(), func(t *testing.T, e *Engine) {
+		// A regular file where the log directory was: opening a segment is
+		// ENOTDIR, which is not "no such segment" and fails even as root.
+		dir := e.t.(*localTransport).walDir
+		if err := os.Rename(dir, dir+".away"); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dir, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Recover(1); !errors.Is(err, wal.ErrWALDir) {
+			t.Fatalf("Recover with an unreadable log returned %v, want wal.ErrWALDir", err)
+		}
+		if !runtime.NodeDown(e.NodeLoads()[1]) {
+			t.Fatal("node reported up after a failed recovery")
+		}
+		if err := os.Remove(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(dir+".away", dir); err != nil {
+			t.Fatal(err)
+		}
+		recoverJoinNode(t, e)
+	})
+	if got.Produced != base.Produced || got.TuplesLost != 0 || len(gotSet) != len(baseSet) {
+		t.Fatalf("produced=%d lost=%d distinct=%d after the second recovery, fault-free %d/0/%d",
+			got.Produced, got.TuplesLost, len(gotSet), base.Produced, len(baseSet))
+	}
+	for k, n := range baseSet {
+		if gotSet[k] != n {
+			t.Fatalf("result %s produced %d times after recovery, fault-free %d", k, gotSet[k], n)
+		}
+	}
+}
+
+// TestCrashRecoverLoopUnderConcurrentIngest crashes and recovers the join
+// node over and over while producers keep ingesting into four-worker pools.
+// A send that slipped into a swept queue, a worker that missed its wakeup,
+// or a pool that outlived its retirement would each leave a message counted
+// in flight with nobody to process it: Drain must still return, with nothing
+// pending and — every crash being checkpoint-mode — nothing lost. Run under
+// -race at -cpu 1,4 in CI.
+func TestCrashRecoverLoopUnderConcurrentIngest(t *testing.T) {
+	q := query.NewNWayJoin("B", 2, 100)
+	q.Ops[0].Sel = 0.9
+	cfg := DefaultConfig()
+	cfg.Workers = 4
+	cfg.MaxFanout = 8
+	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	warm, probes := buildBenchBatches(q, 64, 20)
+	feedAll(t, e, warm)
+	e.Drain()
+	e.Checkpoint()
+
+	// The control loop hands out ingest tokens as it goes, so the producers
+	// run freely against the crashes without outrunning them.
+	const rounds, perRound = 100, 64
+	tokens := make(chan int, rounds*perRound)
+	var producers sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		producers.Add(1)
+		go func() {
+			defer producers.Done()
+			for i := range tokens {
+				if err := e.Ingest(probes[i%len(probes)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	next := 0
+	grant := func(n int) {
+		for ; n > 0; n-- {
+			tokens <- next
+			next++
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		grant(perRound / 2)
+		if err := e.Crash(1, chaos.Checkpoint); err != nil {
+			t.Fatal(err)
+		}
+		grant(perRound / 2)
+		stdruntime.Gosched() // let the producers route into the outage
+		if err := e.Recover(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(tokens)
+	producers.Wait()
+	drainOrFail(t, e)
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("%d messages pending after Drain", n)
+	}
+	res := e.Stop()
+	if res.Crashes != rounds || res.TuplesLost != 0 || res.Batches != int64(len(warm)+rounds*perRound) {
+		t.Fatalf("crashes=%d lost=%d batches=%d, want %d/0/%d", res.Crashes, res.TuplesLost, res.Batches, rounds, len(warm)+rounds*perRound)
 	}
 }
 

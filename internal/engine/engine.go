@@ -1,7 +1,7 @@
 // Package engine is the live dataflow engine: the in-process stand-in for
 // the paper's D-CAPE cluster used by the runnable examples and the
 // cross-substrate conformance tests. Each simulated node runs a pool of
-// worker goroutines draining a shared inbox; batches of real tuples flow
+// worker goroutines draining one FIFO queue; batches of real tuples flow
 // through selection and windowed symmetric-hash join operators in the order
 // of their assigned logical plan, hopping between nodes according to the
 // robust physical plan. Join window state is hash-partitioned by join key
@@ -15,13 +15,13 @@
 // worker pool and sweeps its queued work — parking it for replay or
 // destroying it, per the recovery mode — while Recover rebuilds
 // join-window state (checkpoint-restore or empty), restarts the pool, and
-// replays the parked backlog; SetSlowdown pauses part of the pool. Crashed
-// nodes report +Inf load so failure-aware policies can evacuate them.
+// replays the parked backlog; SetSlowdown stretches the node's service time.
+// Crashed nodes report +Inf load so failure-aware policies can evacuate them.
 //
 // The Engine is the one router for every live substrate. It owns plan
-// choice and interning, the statistics offers, the per-node inbox, overflow
-// ring and worker pool, the pending count behind Drain and backpressure,
-// the down/parked failure state, the sink and its counters. What it does
+// choice and interning, the statistics offers, the per-node queue and worker
+// pool, the pending count behind Drain and backpressure, the down/parked
+// failure state, slowdowns, the sink and its counters. What it does
 // not own is operator state: it reaches that through a Transport —
 // in-process (transport.go: direct NodeCore calls, the write-ahead log,
 // the checkpoint snapshots) or netrt's worker processes.
@@ -64,10 +64,6 @@ func (f ChooserFunc) Choose(snap stats.Snapshot) query.Plan { return f(snap) }
 
 // Config tunes the engine.
 type Config struct {
-	// InboxSize is the per-node channel buffer; work beyond it spills to
-	// the node's overflow ring, so it bounds worker handoff, not total
-	// in-flight messages (sessions bound those via MaxPending).
-	InboxSize int
 	// SelectThresholdScale maps operator selectivity estimates to value
 	// thresholds: a Select op passes tuples with Vals[0] <
 	// Sel×Scale (Uniform(0,100) payloads → Scale 100).
@@ -76,7 +72,7 @@ type Config struct {
 	// keys (0 = unlimited).
 	MaxFanout int
 	// Workers is the number of worker goroutines per node draining its
-	// inbox (0 = GOMAXPROCS): concurrent batches on one node process in
+	// queue (0 = GOMAXPROCS): concurrent batches on one node process in
 	// parallel.
 	Workers int
 	// Shards is the number of hash partitions of each join operator's
@@ -94,7 +90,7 @@ type Config struct {
 
 // DefaultConfig returns sensible example defaults.
 func DefaultConfig() Config {
-	return Config{InboxSize: 1024, SelectThresholdScale: 100, MaxFanout: 64}
+	return Config{SelectThresholdScale: 100, MaxFanout: 64}
 }
 
 // statsEvery is the offerStats sampling period in batches.
@@ -138,20 +134,14 @@ type Results struct {
 // resultObserver is the sink tap; SetResultObserver states its contract.
 type resultObserver func(tuples []*stream.Joined, ingress time.Time)
 
-// nodeState is one simulated node of the live engine: its inbox, overflow
-// ring, worker pool, and failure state. The worker pool is genuinely killed
-// on Crash (goroutines exit) and rebuilt on Recover.
+// nodeState is one simulated node of the live engine: its queue, worker
+// pool, and failure state. The worker pool is genuinely killed on Crash
+// (goroutines exit) and rebuilt on Recover.
 type nodeState struct {
-	inbox chan *message
-	// active gates the pool during a transient slowdown: workers with
-	// index ≥ active pause without consuming messages, shrinking the
-	// node's effective capacity.
-	active atomic.Int32
-	// ovCount mirrors the overflow ring's length so workers can skip the
-	// lock when the ring is empty (the common case).
-	ovCount atomic.Int64
-
-	mu sync.Mutex // guards the failure state and overflow ring below
+	mu sync.Mutex // guards the queue and failure state below
+	// ready wakes workers parked in take: signalled per enqueue, broadcast
+	// when the pool is retired.
+	ready sync.Cond
 	// gen counts the node's incarnations: Recover bumps it, and a failure
 	// report carries the gen it observed, so a stale one — about the
 	// incarnation that already died — cannot take down its successor.
@@ -160,66 +150,56 @@ type nodeState struct {
 	// been reaped (parked for replay in Checkpoint mode, dropped in
 	// LoseState), and sends park or lose directly. The down check and the
 	// enqueue happen in one critical section, so no message can slip into
-	// the inbox after MarkDown's sweep.
+	// the queue after MarkDown's sweep.
 	down bool               //rldlint:guardedby mu
 	mode chaos.RecoveryMode //rldlint:guardedby mu
 	// parked holds messages awaiting replay on recovery.
 	parked []*message //rldlint:guardedby mu
-	// overflow is the FIFO ring holding messages that did not fit the
-	// inbox: senders append at the tail, workers (and senders, after a
-	// push) flush from the head into the inbox as slots free up. Entries
-	// [ovHead:len) are live; the backing array is reset when drained.
-	// Replacing the old goroutine-per-message fallback, the ring keeps
-	// goroutine count flat under sustained overload and preserves
-	// per-stage arrival order (the logical queue is inbox followed by
-	// overflow, and nothing ever bypasses a non-empty ring).
-	overflow []*message //rldlint:guardedby mu
-	ovHead   int        //rldlint:guardedby mu
-	// slow is the current capacity factor in (0, 1].
-	slow float64 //rldlint:guardedby mu
-	// wake is closed and replaced when the node's active-worker count
-	// rises, waking workers paused by the slowdown gate.
-	wake chan struct{} //rldlint:guardedby mu
-	// quit kills the current worker pool when closed; wg tracks its
-	// membership.
-	quit chan struct{} //rldlint:guardedby mu
+	// queue is the node's one FIFO, unbounded here (sessions bound total
+	// in-flight messages via MaxPending): senders append at the tail,
+	// workers take from the head, so goroutine count stays flat under
+	// sustained overload and per-stage arrival order holds from send to
+	// process. Entries [head:len) are live.
+	queue []*message //rldlint:guardedby mu
+	head  int        //rldlint:guardedby mu
+	// pool numbers the worker pool allowed to take from the queue: MarkDown
+	// and Stop bump it, which retires every worker started under the old
+	// number; wg tracks the pool's membership.
+	pool uint64 //rldlint:guardedby mu
 	wg   sync.WaitGroup
+	// slow is the current capacity factor in (0, 1], as float64 bits.
+	slow atomic.Uint64
 }
 
-// flushLocked moves overflow entries, oldest first, into the inbox while
-// there is room. Caller holds ns.mu.
-func (ns *nodeState) flushLocked() {
-	for ns.ovHead < len(ns.overflow) {
-		select {
-		case ns.inbox <- ns.overflow[ns.ovHead]:
-			ns.overflow[ns.ovHead] = nil
-			ns.ovHead++
-			ns.ovCount.Add(-1)
-		default:
-			// Inbox full again; compact a mostly-consumed ring so the
-			// backing array doesn't grow without bound across bursts.
-			if ns.ovHead > 0 && ns.ovHead*2 >= len(ns.overflow) {
-				n := copy(ns.overflow, ns.overflow[ns.ovHead:])
-				for i := n; i < len(ns.overflow); i++ {
-					ns.overflow[i] = nil
-				}
-				ns.overflow = ns.overflow[:n]
-				ns.ovHead = 0
-			}
-			return
-		}
+// push appends msg to the queue. Taking only advances head, so once the
+// taken prefix is at least half of a full array it is compacted away
+// instead of the array grown: the array stays O(peak depth) even under a
+// queue that never fully drains. Caller holds ns.mu.
+func (ns *nodeState) push(msg *message) {
+	if len(ns.queue) == cap(ns.queue) && ns.head*2 >= len(ns.queue) {
+		n := copy(ns.queue, ns.queue[ns.head:])
+		clear(ns.queue[n:])
+		ns.queue, ns.head = ns.queue[:n], 0
 	}
-	ns.overflow = ns.overflow[:0]
-	ns.ovHead = 0
+	ns.queue = append(ns.queue, msg)
 }
 
-// wakeAll signals workers paused by the slowdown gate to re-check the
-// active count.
-func (ns *nodeState) wakeAll() {
+// take blocks until the queue has a message for a worker of the given pool
+// and returns it, or returns nil once that pool is retired — a retired
+// worker takes nothing more, whatever is queued.
+func (ns *nodeState) take(pool uint64) *message {
 	ns.mu.Lock()
-	close(ns.wake)
-	ns.wake = make(chan struct{})
-	ns.mu.Unlock()
+	defer ns.mu.Unlock()
+	for ns.pool == pool && ns.head == len(ns.queue) {
+		ns.ready.Wait()
+	}
+	if ns.pool != pool {
+		return nil
+	}
+	msg := ns.queue[ns.head]
+	ns.queue[ns.head] = nil
+	ns.head++
+	return msg
 }
 
 // Engine executes one continuous query across simulated nodes.
@@ -291,7 +271,7 @@ type Engine struct {
 	// sendMu fences Ingest against Stop: Ingest holds the read side for
 	// its whole body, and Stop takes the write side after setting the
 	// stopped flag, so no Ingest can be between its stopped-check and
-	// its send when the node channels close.
+	// its send when the pools retire.
 	sendMu sync.RWMutex
 
 	// stopDone closes when shutdown fully completes, so a Stop racing
@@ -389,13 +369,9 @@ func NewOn(core *NodeCore, t Transport, assign physical.Assignment, nNodes int, 
 	a := assign.Clone()
 	e.assign.Store(&a)
 	for i := 0; i < nNodes; i++ {
-		ns := &nodeState{
-			inbox: make(chan *message, cfg.InboxSize),
-			slow:  1,
-			wake:  make(chan struct{}),
-			quit:  make(chan struct{}),
-		}
-		ns.active.Store(int32(cfg.Workers))
+		ns := &nodeState{}
+		ns.ready.L = &ns.mu
+		ns.slow.Store(math.Float64bits(1))
 		e.nodes = append(e.nodes, ns)
 	}
 	e.refreshSnap()
@@ -436,59 +412,30 @@ func (e *Engine) Start() {
 	}
 }
 
-// startPool spawns node i's worker pool against its current quit channel
-// and incarnation. Both are fixed for the pool's life — Recover replaces
-// them only after close+wg.Wait has retired every worker of the old pool —
-// so one locked snapshot covers every worker's whole loop.
+// startPool spawns node i's worker pool under its current pool number and
+// incarnation. Both are the pool's own for life — a later pool number
+// retires it, a later gen belongs to its successor — so one locked snapshot
+// covers every worker's whole loop.
 func (e *Engine) startPool(i int) {
 	ns := e.nodes[i]
 	ns.mu.Lock()
-	quit, gen := ns.quit, ns.gen
+	pool, gen := ns.pool, ns.gen
 	ns.mu.Unlock()
 	for w := 0; w < e.cfg.Workers; w++ {
 		ns.wg.Add(1)
-		go e.worker(i, w, quit, gen)
+		//rldlint:allow unboundedgo -- fixed-size pool of cfg.Workers; each worker parks in sync.Cond.Wait and exits when take returns nil
+		go e.worker(i, pool, gen)
 	}
 }
 
-func (e *Engine) worker(id, idx int, quit <-chan struct{}, gen uint64) {
+func (e *Engine) worker(id int, pool, gen uint64) {
 	ns := e.nodes[id]
 	defer ns.wg.Done()
-	for {
-		// Slowdown gate: paused workers (index ≥ active) block on the
-		// node's wake channel without consuming messages. One atomic load
-		// at full speed; the paused path sleeps until SetSlowdown or
-		// Recover raises the active count (or the pool is killed).
-		for int32(idx) >= ns.active.Load() {
-			ns.mu.Lock()
-			wake := ns.wake
-			ns.mu.Unlock()
-			if int32(idx) < ns.active.Load() {
-				break
-			}
-			select {
-			case <-quit:
-				return
-			case <-wake:
-			}
-		}
-		select {
-		case <-quit:
-			return
-		case msg := <-ns.inbox:
-			// The receive freed an inbox slot: pull overflowed work in
-			// before processing, so the ring drains in arrival order even
-			// while every worker is busy.
-			if ns.ovCount.Load() > 0 {
-				ns.mu.Lock()
-				ns.flushLocked()
-				ns.mu.Unlock()
-			}
-			e.process(id, gen, msg)
-			e.nodeQueued[id].Add(-1)
-			e.pending.Add(-1)
-			e.wakePending()
-		}
+	for msg := ns.take(pool); msg != nil; msg = ns.take(pool) {
+		e.process(id, gen, msg)
+		e.nodeQueued[id].Add(-1)
+		e.pending.Add(-1)
+		e.wakePending()
 	}
 }
 
@@ -566,16 +513,13 @@ func (e *Engine) unregister(ch chan struct{}) {
 }
 
 // send routes a message to the node hosting its current stage's operator.
-// A worker forwarding to its own (or any full) inbox must not block — that
-// would deadlock the pipeline — so messages that don't fit the inbox go to
-// the node's overflow ring, drained into the inbox in FIFO order by the
-// node's own workers; Drain still accounts for them via the pending
-// counter, and goroutine count stays flat under sustained overload.
-// Messages routed to a crashed node are parked for replay on recovery
-// (Checkpoint mode) or destroyed (LoseState); parked messages leave the
-// pending count so Drain does not wait out an outage. The down check and
-// the enqueue share one ns.mu critical section, so a send can never race a
-// crash into a swept inbox.
+// It never blocks — a worker forwarding to its own node would deadlock the
+// pipeline — the queue simply grows; Drain accounts for every queued message
+// via the pending counter. Messages routed to a crashed node are parked for
+// replay on recovery (Checkpoint mode) or destroyed (LoseState); parked
+// messages leave the pending count so Drain does not wait out an outage. The
+// down check and the enqueue share one ns.mu critical section, so a send can
+// never race a crash into a swept queue.
 func (e *Engine) send(msg *message) {
 	op := msg.plan[msg.stage]
 	node := (*e.assign.Load())[op]
@@ -593,22 +537,9 @@ func (e *Engine) send(msg *message) {
 	}
 	e.pending.Add(1)
 	e.nodeQueued[node].Add(1)
-	if ns.ovHead == len(ns.overflow) {
-		select {
-		case ns.inbox <- msg:
-			ns.mu.Unlock()
-			return
-		default:
-		}
-	}
-	// Inbox full or ring non-empty: append behind everything queued, then
-	// flush in case a worker freed slots since the failed send — the
-	// flush-after-push closes the race that would otherwise strand the
-	// ring with idle workers.
-	ns.overflow = append(ns.overflow, msg)
-	ns.ovCount.Add(1)
-	ns.flushLocked()
+	ns.push(msg)
 	ns.mu.Unlock()
+	ns.ready.Signal()
 }
 
 // lose destroys a message routed to (or stranded on) a dead node,
@@ -627,26 +558,31 @@ func (e *Engine) lose(msg *message) {
 // sinks the batch. The stage itself runs behind the transport; process owns
 // only the forward-or-sink decision, and the fate of a hop whose node died
 // under it: the node goes down, and the message — its partials still whole
-// — is parked or destroyed like the rest of the node's queue. Recover
-// waits the pool out before it replays, so the node is still down here.
+// — is routed again, which parks or destroys it like anything else sent to
+// a down node (Recover waits this pool out first, so the node stays down
+// until then) unless the operator has since been migrated to a live one.
+//
+// A slowed node (SetSlowdown) runs at factor × capacity, which is the
+// simulator's definition — service time divided by the factor — on every
+// transport: the stage's measured time is stretched by (1−f)/f.
 func (e *Engine) process(node int, gen uint64, msg *message) {
 	op := msg.plan[msg.stage]
+	ns := e.nodes[node]
+	slow := math.Float64frombits(ns.slow.Load())
+	var start time.Time
+	if slow < 1 {
+		start = time.Now() //rldlint:allow wallclock -- slowdown emulation stretches real service time
+	}
 	out, err := e.t.RunStage(node, op, msg.partials)
 	if err != nil {
 		e.MarkDown(node, gen, chaos.Checkpoint)
-		ns := e.nodes[node]
-		ns.mu.Lock()
-		park := ns.mode == chaos.Checkpoint
-		if park {
-			ns.parked = append(ns.parked, msg)
-		}
-		ns.mu.Unlock()
-		if !park {
-			e.lose(msg)
-		}
+		e.send(msg)
 		return
 	}
 	msg.partials = out
+	if slow < 1 {
+		time.Sleep(time.Duration(float64(time.Since(start)) * (1 - slow) / slow)) //rldlint:allow wallclock -- slowdown emulation stretches real service time
+	}
 
 	if len(out) == 0 || msg.stage == len(msg.plan)-1 {
 		e.sink(msg)
@@ -687,10 +623,10 @@ func (e *Engine) SetResultObserver(obs func(tuples []*stream.Joined, ingress tim
 
 // Ingest admits one batch of tuples from a single stream: tuples are
 // inserted into their stream's windows, statistics are sampled, the batch is
-// classified to a plan, and the pipeline begins. Ingest never blocks: a full
-// inbox spills to the node's FIFO overflow ring (see send), so callers that
-// outrun the workers must pace themselves via Drain — sessions enforce an
-// in-flight bound on top of this. Failures are typed: ErrNotStarted before
+// classified to a plan, and the pipeline begins. Ingest never blocks: the
+// node queues are unbounded (see send), so callers that outrun the workers
+// must pace themselves via Drain — sessions enforce an in-flight bound on
+// top of this. Failures are typed: ErrNotStarted before
 // Start, ErrStopped after Stop, ErrNodeDown when every node is crashed, and
 // ErrInvalidPlan for a misbehaving chooser; all leave no trace, so the same
 // batch can be retried. Safe for concurrent use.
@@ -930,8 +866,8 @@ func (e *Engine) Crash(node int, mode chaos.RecoveryMode) error {
 }
 
 // MarkDown takes node down if it is still incarnation gen and still up:
-// its worker pool is told to quit (the goroutines exit after finishing
-// their in-flight batch — the crash boundary is the inbox), the transport
+// its worker pool is retired (the goroutines exit after finishing their
+// in-flight batch — the crash boundary is the queue), the transport
 // kills whatever executed its stages, and everything queued or subsequently
 // routed to it is swept: parked for replay on recovery under
 // chaos.Checkpoint, destroyed and counted as lost under chaos.LoseState.
@@ -948,39 +884,26 @@ func (e *Engine) MarkDown(node int, gen uint64, mode chaos.RecoveryMode) {
 	}
 	ns.down = true
 	ns.mode = mode
-	quit := ns.quit
+	ns.pool++
 	ns.mu.Unlock()
+	ns.ready.Broadcast()
 	e.downCount.Add(1)
-	close(quit)
 	e.t.Kill(node)
 	e.sweep(node)
 }
 
-// sweep empties a freshly crashed node's inbox and overflow ring — parking
-// the backlog for replay (Checkpoint mode) or destroying it (LoseState) —
+// sweep empties a freshly crashed node's queue — parking the backlog for
+// replay (Checkpoint mode) or destroying it (LoseState), in arrival order —
 // and keeps the pending count honest so Drain never waits on a dead node.
-// It runs once per outage, after the down flag is set: send's down check is
-// in the same critical section as its enqueue, so nothing can land in
-// either queue afterwards, and a worker still finishing can only take from
-// them.
+// It runs once per outage, after the down flag is set and the pool retired:
+// send's down check is in the same critical section as its enqueue, so
+// nothing can land in the queue afterwards, and a worker still finishing
+// takes nothing more from it.
 func (e *Engine) sweep(node int) {
 	ns := e.nodes[node]
 	ns.mu.Lock()
-	var backlog []*message
-drain:
-	for {
-		select {
-		case msg := <-ns.inbox:
-			backlog = append(backlog, msg)
-		default:
-			break drain
-		}
-	}
-	// Ring entries arrived after everything in the inbox; keep FIFO.
-	backlog = append(backlog, ns.overflow[ns.ovHead:]...)
-	ns.overflow = nil
-	ns.ovHead = 0
-	ns.ovCount.Store(0)
+	backlog := ns.queue[ns.head:]
+	ns.queue, ns.head = nil, 0
 	park := ns.mode == chaos.Checkpoint
 	if park {
 		ns.parked = append(ns.parked, backlog...)
@@ -993,9 +916,7 @@ drain:
 			e.lose(msg)
 		}
 	}
-	if len(backlog) > 0 {
-		e.wakePending()
-	}
+	e.wakePending()
 }
 
 // Recover brings a crashed node back: the node's operators' join-window
@@ -1037,16 +958,11 @@ func (e *Engine) Recover(node int) error {
 		return err
 	}
 	e.restores.Add(int64(restored))
-	// Fresh pool against a fresh quit channel, honoring any slowdown
-	// still in effect.
-	ns.mu.Lock()
-	ns.quit = make(chan struct{})
-	ns.active.Store(e.activeWorkers(ns.slow))
-	ns.mu.Unlock()
-	ns.wakeAll()
+	// Fresh pool under the number MarkDown left, which no worker of the
+	// old pool holds; any slowdown still in effect applies to it as is.
 	e.startPool(node)
 	// Flip live and take the parked backlog atomically: later sends go
-	// straight to the inbox, everything parked before the flip replays.
+	// straight to the queue, everything parked before the flip replays.
 	ns.mu.Lock()
 	ns.down = false
 	e.downCount.Add(-1)
@@ -1059,11 +975,10 @@ func (e *Engine) Recover(node int) error {
 	return nil
 }
 
-// SetSlowdown runs a node at the given capacity factor by pausing part of
-// its worker pool: factor 1 restores full speed. The granularity is one
-// worker, so a single-worker node cannot slow below full speed this way —
-// size Workers accordingly in slowdown experiments; a transport whose
-// nodes serve one stage at a time stretches the stage instead.
+// SetSlowdown runs a node at the given capacity factor in (0, 1] by
+// stretching the service time of every stage it executes (see process);
+// factor 1 restores full speed. A down node keeps the factor for its next
+// incarnation.
 func (e *Engine) SetSlowdown(node int, factor float64) error {
 	if err := e.controlReady(); err != nil {
 		return err
@@ -1074,31 +989,8 @@ func (e *Engine) SetSlowdown(node int, factor float64) error {
 	if factor <= 0 || factor > 1 {
 		factor = 1
 	}
-	ns := e.nodes[node]
-	ns.mu.Lock()
-	ns.slow = factor
-	down := ns.down
-	ns.mu.Unlock()
-	e.t.Slowdown(node, factor)
-	if !down {
-		ns.active.Store(e.activeWorkers(factor))
-		// Paused workers block on the wake channel; signal them to
-		// re-check the active count (a no-op broadcast when lowering).
-		ns.wakeAll()
-	}
+	e.nodes[node].slow.Store(math.Float64bits(factor))
 	return nil
-}
-
-// activeWorkers maps a capacity factor to an unpaused-worker count.
-func (e *Engine) activeWorkers(factor float64) int32 {
-	if factor >= 1 {
-		return int32(e.cfg.Workers)
-	}
-	n := int32(math.Ceil(float64(e.cfg.Workers) * factor))
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // Checkpoint snapshots every join operator's current window contents; the
@@ -1152,9 +1044,8 @@ func (e *Engine) Stop() Results {
 	e.sendMu.Lock()
 	//lint:ignore SA2001 the empty critical section IS the barrier
 	e.sendMu.Unlock()
-	// Drain AFTER the barrier: every accounted message (including async
-	// fallback senders parked on full inboxes) is delivered and
-	// processed before the pools shut down.
+	// Drain AFTER the barrier: every accounted message is processed
+	// before the pools shut down.
 	e.Drain()
 	for _, ns := range e.nodes {
 		ns.mu.Lock()
@@ -1170,13 +1061,13 @@ func (e *Engine) Stop() Results {
 			}
 			continue
 		}
-		// Retire the incarnation: the transport is about to let its nodes
-		// go, and a failure report racing that must find nothing to take
-		// down — MarkDown would close quit a second time.
+		// Retire the incarnation with its pool: the transport is about to
+		// let its nodes go, and a failure report racing that must find
+		// nothing to take down.
 		ns.gen++
-		quit := ns.quit
+		ns.pool++
 		ns.mu.Unlock()
-		close(quit)
+		ns.ready.Broadcast()
 	}
 	for _, ns := range e.nodes {
 		ns.wg.Wait()

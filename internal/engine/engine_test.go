@@ -166,11 +166,11 @@ func TestEngineStopIdempotent(t *testing.T) {
 }
 
 func TestEngineSelfSendNoDeadlock(t *testing.T) {
-	// All operators on one node with a tiny inbox: forwarding to the own
-	// node must not deadlock.
+	// All operators on one single-worker node: the worker forwarding to
+	// its own node's queue must not deadlock.
 	q := query.NewNWayJoin("E", 3, 5)
 	cfg := DefaultConfig()
-	cfg.InboxSize = 1
+	cfg.Workers = 1
 	e, err := New(q, physical.Assignment{0, 0, 0}, 1, StaticChooser{Plan: query.Plan{0, 1, 2}}, cfg)
 	if err != nil {
 		t.Fatal(err)

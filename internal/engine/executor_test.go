@@ -93,14 +93,12 @@ func TestEngineConcurrentStopsAgree(t *testing.T) {
 }
 
 func TestEngineStopDuringConcurrentIngest(t *testing.T) {
-	// Stop racing a concurrent Ingest must never panic with a send on a
-	// closed channel: Ingest either completes its send before the
-	// channels close or observes the stopped flag and errors out.
+	// Stop racing a concurrent Ingest must never panic or strand a
+	// message: Ingest either completes its send before the pools retire
+	// or observes the stopped flag and errors out.
 	for round := 0; round < 25; round++ {
 		q := twoWay()
-		cfg := DefaultConfig()
-		cfg.InboxSize = 1 // force the async-send fallback path
-		e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, cfg)
+		e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,14 +259,11 @@ func TestEngineExecutorRejectsMissingInputs(t *testing.T) {
 }
 
 func TestEngineObservedSelWithAtomicCounters(t *testing.T) {
-	st := &opState{op: query.Operator{Sel: 0.7}}
-	if got := st.observedSel(); got != 0.7 {
-		t.Fatalf("unprimed observedSel = %v", got)
+	if got := ObservedSel(0.7, 31, 5); got != 0.7 {
+		t.Fatalf("unprimed ObservedSel = %v, want the estimate", got)
 	}
-	st.in.Add(64)
-	st.out.Add(16)
-	if got := st.observedSel(); got != 0.25 {
-		t.Fatalf("observedSel = %v, want 0.25", got)
+	if got := ObservedSel(0.7, 64, 16); got != 0.25 {
+		t.Fatalf("ObservedSel = %v, want 0.25", got)
 	}
 }
 

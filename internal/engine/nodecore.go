@@ -255,23 +255,20 @@ func (s *opState) insertBatch(b *stream.Batch, sc *shardScratch) {
 	}
 }
 
-// observedSel returns the operator's observed selectivity (estimate until
-// data arrives).
-func (s *opState) observedSel() float64 {
-	in := s.in.Load()
+// ObservedSel is the one observed-selectivity rule, for in-process operator
+// state and for netrt's leader-side counters alike: the optimizer's estimate
+// est until the operator has seen 32 inputs, then out/in.
+func ObservedSel(est float64, in, out int64) float64 {
 	if in < 32 {
-		return s.op.Sel
+		return est
 	}
-	return float64(s.out.Load()) / float64(in)
+	return float64(out) / float64(in)
 }
 
 // normalizeConfig fills Config defaults in place and rounds the shard count
 // to a power of two; both the Engine and a netrt worker normalize the same
 // way so a serialized Config means the same thing on both sides.
 func normalizeConfig(cfg Config) Config {
-	if cfg.InboxSize < 1 {
-		cfg.InboxSize = 1024
-	}
 	if cfg.SelectThresholdScale <= 0 {
 		cfg.SelectThresholdScale = 100
 	}
@@ -524,7 +521,7 @@ func (c *NodeCore) SelCounters(op int) (in, out int64) {
 func (c *NodeCore) ObservedSels() []float64 {
 	sels := make([]float64, len(c.ops))
 	for i, st := range c.ops {
-		sels[i] = st.observedSel()
+		sels[i] = ObservedSel(st.op.Sel, st.in.Load(), st.out.Load())
 	}
 	return sels
 }

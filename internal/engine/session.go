@@ -18,7 +18,8 @@ import (
 
 // SessionOptions configures an engine session.
 type SessionOptions struct {
-	// Config tunes the underlying engine (workers, shards, fanout, inbox).
+	// Config tunes the underlying engine (workers, shards, fanout, WAL
+	// directory).
 	Config Config
 	// TickEvery is the control (Rebalance) period in virtual seconds
 	// (default 5, matching the simulator's default).

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"rld/internal/chaos"
@@ -15,8 +16,8 @@ import (
 // differs between running every node in this process and running each as
 // a worker process behind a connection. The Engine owns the rest — plan
 // choice, routing, queues and their worker pools, backpressure, the
-// down/parked failure state, counters — once, for both. There are two
-// implementations: localTransport below, and netrt.Cluster.
+// down/parked failure state, slowdowns, counters — once, for both. There
+// are two implementations: localTransport below, and netrt.Cluster.
 type Transport interface {
 	// Insert applies b's rows to the windows of the join operators over
 	// b's stream, wherever assign places them. An error means nothing the
@@ -44,9 +45,6 @@ type Transport interface {
 	MoveOp(op, from, to int)
 	// ObservedSels returns every operator's observed selectivity.
 	ObservedSels() []float64
-	// Slowdown runs node's stages at the given capacity factor in (0, 1],
-	// on top of the router pausing part of the node's pool.
-	Slowdown(node int, factor float64)
 	// Close releases the transport after the router has drained and
 	// stopped its pools.
 	Close()
@@ -186,29 +184,31 @@ func (l *localTransport) Revive(_ int, _ uint64, joinOps []int, mode chaos.Recov
 		return 0, nil
 	}
 	restored := 0
-	hosted := make(map[int]bool, len(joinOps))
 	for _, op := range joinOps {
 		if l.restoreOp(op) {
 			restored++
 		}
-		hosted[op] = true
+	}
+	if l.wlog == nil || len(joinOps) == 0 {
+		return restored, nil
 	}
 	// Replay the WAL suffix past the last checkpoint into the restored
 	// operators: the snapshot wound their windows back to the barrier, and
 	// the retained records carry everything since. Records the snapshot
 	// already covers re-insert as duplicates and are dropped by the
-	// per-operator dedup, so the overlap is harmless.
-	if l.wlog != nil && len(hosted) > 0 {
-		_ = l.wlog.Replay(func(r wal.Record) error {
-			for _, op := range r.Ops {
-				if hosted[op] {
-					_ = l.core.Insert(op, r.Batch)
+	// per-operator dedup, so the overlap is harmless. A log that cannot be
+	// replayed fails the revival: the node stays down rather than come back
+	// without its post-checkpoint suffix.
+	return restored, l.wlog.Replay(func(r wal.Record) error {
+		for _, op := range r.Ops {
+			if slices.Contains(joinOps, op) {
+				if err := l.core.Insert(op, r.Batch); err != nil {
+					return err
 				}
 			}
-			return nil
-		})
-	}
-	return restored, nil
+		}
+		return nil
+	})
 }
 
 // restoreOp replaces an operator's window state with the latest snapshot
@@ -237,10 +237,6 @@ func (l *localTransport) MoveOp(op, from, to int) {}
 
 // ObservedSels implements Transport.
 func (l *localTransport) ObservedSels() []float64 { return l.core.ObservedSels() }
-
-// Slowdown implements Transport: pausing part of the pool is the whole
-// slowdown here.
-func (l *localTransport) Slowdown(int, float64) {}
 
 // Close implements Transport.
 func (l *localTransport) Close() {

@@ -24,6 +24,10 @@ var errNodeDied = errors.New("fake transport: node died under the stage")
 type fakeTransport struct {
 	*localTransport
 
+	// stageDelay, set before the first Ingest, is a fixed service time
+	// added to every stage.
+	stageDelay time.Duration
+
 	mu       sync.Mutex
 	failNext int           // node whose next stage fails at once; -1: none
 	holdNext int           // node whose next stage blocks until Kill; -1: none
@@ -57,6 +61,7 @@ func (f *fakeTransport) RunStage(node, op int, in []*stream.Joined) ([]*stream.J
 	f.mu.Lock()
 	f.ranOn = append(f.ranOn, [2]int{op, node})
 	f.mu.Unlock()
+	time.Sleep(f.stageDelay)
 	return f.localTransport.RunStage(node, op, in)
 }
 
@@ -222,6 +227,104 @@ func TestStageFailureUnderLoseStateCountsLost(t *testing.T) {
 	res := e.Stop()
 	if res.TuplesLost != int64(inFlight) || res.Crashes != 1 {
 		t.Fatalf("lost=%d crashes=%d, want %d/1", res.TuplesLost, res.Crashes, inFlight)
+	}
+}
+
+// TestSlowdownStretchesSingleWorkerNode: a slowdown is stretched service
+// time, so it bites on a node with one worker — every netrt leader, every
+// Workers=1 pipeline — where there is no part of a pool to pause. With each
+// stage taking a fixed ~200 µs, factor 0.25 on the join node must at least
+// double the wall time of the same probes, and factor 1 must restore it.
+func TestSlowdownStretchesSingleWorkerNode(t *testing.T) {
+	q := query.NewNWayJoin("B", 2, 100)
+	warm, probes := buildBenchBatches(q, 300, 10)
+	e, ft := newFakeEngine(t)
+	ft.stageDelay = 200 * time.Microsecond
+	feedAll(t, e, warm)
+	e.Drain()
+	timed := func(bs []*stream.Batch) time.Duration {
+		start := time.Now()
+		feedAll(t, e, bs)
+		e.Drain()
+		return time.Since(start)
+	}
+	before := timed(probes[:100])
+	if err := e.SetSlowdown(1, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	slowed := timed(probes[100:200])
+	if err := e.SetSlowdown(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	after := timed(probes[200:])
+	e.Stop()
+	if slowed < 2*before {
+		t.Fatalf("100 batches took %v at factor 0.25, %v unslowed: a single-worker node did not slow", slowed, before)
+	}
+	if 2*after > slowed {
+		t.Fatalf("100 batches took %v after factor 1, %v at factor 0.25: full speed was not restored", after, slowed)
+	}
+}
+
+// TestCrashedPoolExitsBeforeReviveAndBacklogKeepsOrder holds the join
+// node's only worker inside the sink while probes queue behind it, then
+// crashes the node. The crash must not wait for the worker; Recover must —
+// the transport is not asked to revive the node while a stage of the dead
+// pool is still running — and the swept backlog, followed by what was
+// routed to the node while it was down, must replay in arrival order.
+func TestCrashedPoolExitsBeforeReviveAndBacklogKeepsOrder(t *testing.T) {
+	q := query.NewNWayJoin("B", 2, 100)
+	warm, probes := buildBenchBatches(q, 16, 50)
+	e, ft := newFakeEngine(t)
+	feedAll(t, e, warm)
+	e.Drain()
+	e.Checkpoint() // the revived join must find the warm window again
+
+	held, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var firstSeqs []uint64
+	e.SetResultObserver(func(tuples []*stream.Joined, _ time.Time) {
+		s1, _ := tuples[0].PartByStream("S1")
+		mu.Lock()
+		firstSeqs = append(firstSeqs, s1.Seq)
+		first := len(firstSeqs) == 1
+		mu.Unlock()
+		if first {
+			close(held)
+			<-release
+		}
+	})
+	feedAll(t, e, probes)
+	<-held // node 1's worker is in the sink; the other probes queue behind it
+	if err := e.Crash(1, chaos.Checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	recovered := make(chan error, 1)
+	go func() { recovered <- e.Recover(1) }()
+	time.Sleep(20 * time.Millisecond)
+	ft.mu.Lock()
+	early := len(ft.revived)
+	ft.mu.Unlock()
+	if early != 0 {
+		t.Fatal("Recover revived the node while a worker of the crashed pool was still in its stage")
+	}
+	close(release)
+	if err := <-recovered; err != nil {
+		t.Fatal(err)
+	}
+	drainOrFail(t, e)
+	if res := e.Stop(); res.TuplesLost != 0 {
+		t.Fatalf("checkpoint-mode crash lost %d tuples", res.TuplesLost)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(firstSeqs) != len(probes) {
+		t.Fatalf("%d emissions for %d probe batches", len(firstSeqs), len(probes))
+	}
+	for i := 1; i < len(firstSeqs); i++ {
+		if firstSeqs[i] <= firstSeqs[i-1] {
+			t.Fatalf("replay reordered the backlog: emission %d starts at seq %d after %d", i, firstSeqs[i], firstSeqs[i-1])
+		}
 	}
 }
 

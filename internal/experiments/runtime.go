@@ -48,13 +48,9 @@ type rtOpts struct {
 // to 10 t/s (vs Table 2's 2 t/s) so a 30-minute run carries enough batches
 // for stable latency statistics; all policies see identical workloads.
 func defaultRT() rtOpts {
-	h := 2.3
-	if rtHeadroomOverride > 0 {
-		h = rtHeadroomOverride
-	}
 	return rtOpts{
 		nodes:     4,
-		headroom:  h,
+		headroom:  2.3,
 		rateFor:   func(_ string, base float64) gen.Profile { return gen.ConstProfile(base) },
 		selPeriod: 120,
 		horizon:   1800,
@@ -474,11 +470,3 @@ func AblationBatch(quick bool) []*Table {
 	}
 	return []*Table{t}
 }
-
-// rtHeadroomOverride lets calibration tooling sweep the default headroom;
-// 0 means use the built-in default.
-var rtHeadroomOverride float64
-
-// SetRTHeadroom overrides the runtime experiments' default headroom (used
-// by calibration tooling; tests leave it unset).
-func SetRTHeadroom(h float64) { rtHeadroomOverride = h }

@@ -1,10 +1,11 @@
 // Package unboundedgo pins PR 5's flat-goroutine guarantee: the engine and
 // netrt replaced goroutine-per-message fallbacks with bounded worker pools
-// and overflow rings, so a `go` statement in those packages must spawn a
+// over per-node queues, so a `go` statement in those packages must spawn a
 // goroutine that can be told to stop — its body (or, one call deep, an
 // in-package function it calls) must select on or receive from a
 // done/quit/ctx channel. Goroutines bounded by other means (a listener
-// close, a connection deadline, a child-process exit) carry an explicit
+// close, a connection deadline, a child-process exit, a pool parked in
+// sync.Cond.Wait) carry an explicit
 // //rldlint:allow with the reason.
 package unboundedgo
 
@@ -39,13 +40,13 @@ func run(pass *lint.Pass) {
 			}
 			body := calleeBody(pass, f, g.Call)
 			if body == nil {
-				pass.Reportf(g.Pos(), "goroutine target not resolvable in-package, so it cannot be proven to stop; launch through the worker pool/overflow ring or annotate //rldlint:allow unboundedgo -- reason (PR 5 flat-goroutine guarantee)")
+				pass.Reportf(g.Pos(), "goroutine target not resolvable in-package, so it cannot be proven to stop; queue the work to a node's worker pool or annotate //rldlint:allow unboundedgo -- reason (PR 5 flat-goroutine guarantee)")
 				return true
 			}
 			if receivesOnChannel(pass, body) || callsReceiver(pass, f, body) {
 				return true
 			}
-			pass.Reportf(g.Pos(), "goroutine never selects on a done/ctx channel; launch through the worker pool/overflow ring or annotate //rldlint:allow unboundedgo -- reason (PR 5 flat-goroutine guarantee)")
+			pass.Reportf(g.Pos(), "goroutine never selects on a done/ctx channel; queue the work to a node's worker pool or annotate //rldlint:allow unboundedgo -- reason (PR 5 flat-goroutine guarantee)")
 			return true
 		})
 	}
@@ -134,7 +135,7 @@ func receivesOnChannel(pass *lint.Pass, body *ast.BlockStmt) bool {
 
 // callsReceiver reports whether body calls an in-package function whose
 // own body receives on a channel — one level deep, which covers loops
-// that park in a helper (e.g. the overflow ring's pop).
+// that park in a helper.
 func callsReceiver(pass *lint.Pass, f *ast.File, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {

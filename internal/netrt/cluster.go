@@ -21,8 +21,8 @@ import (
 // ClusterConfig tunes the leader.
 type ClusterConfig struct {
 	// Engine is the operator-state configuration shipped to every worker
-	// (threshold scale, fanout cap, shards); InboxSize is the leader's
-	// per-node inbox, as in the in-process engine.
+	// (threshold scale, fanout cap, shards, WAL directory). Workers is
+	// ignored: the leader's router runs one goroutine per node.
 	Engine engine.Config
 	// WorkerCommand, when non-empty, is the argv prefix used to launch
 	// worker processes (it receives -leader/-node/-epoch flags) — the
@@ -92,7 +92,6 @@ type workerProc struct {
 	// worker's insert-time dedup absorbs any that actually landed before
 	// the crash.
 	unacked [][]byte
-	slow    float64 // capacity factor in (0,1]
 }
 
 // acceptedConn is one handshaken worker connection delivered by the accept
@@ -185,7 +184,7 @@ func NewCluster(q *query.Query, assign physical.Assignment, nNodes int, cfg Clus
 		return nil, fmt.Errorf("netrt: listen: %w", err)
 	}
 	for i := 0; i < nNodes; i++ {
-		c.workers = append(c.workers, &workerProc{node: i, slow: 1})
+		c.workers = append(c.workers, &workerProc{node: i})
 	}
 	// The accept loop starts only after the workers slice is fully built:
 	// handshakes read it unsynchronized (it is immutable once spawning
@@ -444,25 +443,13 @@ func (c *Cluster) call(wp *workerProc, t frameType, payload []byte, want frameTy
 // callStage) to the node's worker. An error leaves in whole; the router
 // marks the node down and parks or destroys the message.
 func (c *Cluster) RunStage(node, op int, in []*stream.Joined) ([]*stream.Joined, error) {
-	wp := c.workers[node]
-	start := time.Now() //rldlint:allow wallclock -- slowdown emulation stretches real service time
-	out, selIn, selOut, err := c.callStage(wp, op, in)
+	out, selIn, selOut, err := c.callStage(c.workers[node], op, in)
 	if err != nil {
 		return nil, err
 	}
 	c.core.ReleasePartials(in)
 	c.selIn[op].Store(selIn)
 	c.selOut[op].Store(selOut)
-
-	// Transient slowdown: stretch each hop's service time by the
-	// capacity factor, the process-level analogue of pausing part of the
-	// engine's worker pool.
-	wp.mu.Lock()
-	slow := wp.slow
-	wp.mu.Unlock()
-	if slow > 0 && slow < 1 {
-		time.Sleep(time.Duration(float64(time.Since(start)) * (1 - slow) / slow)) //rldlint:allow wallclock -- chaos slowdown emulation stretches real service time
-	}
 	return out, nil
 }
 
@@ -549,12 +536,7 @@ func (c *Cluster) callStageChunk(wp *workerProc, op int, ps, dst []*stream.Joine
 func (c *Cluster) ObservedSels() []float64 {
 	sels := make([]float64, len(c.q.Ops))
 	for i := range sels {
-		in := c.selIn[i].Load()
-		if in < 32 {
-			sels[i] = c.q.Ops[i].Sel
-		} else {
-			sels[i] = float64(c.selOut[i].Load()) / float64(in)
-		}
+		sels[i] = engine.ObservedSel(c.q.Ops[i].Sel, c.selIn[i].Load(), c.selOut[i].Load())
 	}
 	return sels
 }
@@ -755,17 +737,6 @@ func (c *Cluster) awaitWorker(node int) (*wireConn, error) {
 			return nil, fmt.Errorf("%w: worker %d handshake outstanding", ErrStartupTimeout, node)
 		}
 	}
-}
-
-// Slowdown implements engine.Transport: hops on the node take 1/factor
-// their service time until restored with factor 1 (the router's own
-// slowdown, pausing part of the pool, has nothing to pause in a pool of
-// one).
-func (c *Cluster) Slowdown(node int, factor float64) {
-	wp := c.workers[node]
-	wp.mu.Lock()
-	wp.slow = factor
-	wp.mu.Unlock()
 }
 
 // Snapshot implements engine.Transport: pull every join operator's window

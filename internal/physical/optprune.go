@@ -86,13 +86,6 @@ func OptPrune(plans []LogicalPlan, c *cluster.Cluster, nOps int) *Plan {
 	return p
 }
 
-// OptPruneUnbounded disables the GreedyPhy bound (the DESIGN.md §6
-// ablation), still returning the optimal plan but expanding more vertices.
-func OptPruneUnbounded(plans []LogicalPlan, c *cluster.Cluster, nOps int) *Plan {
-	p, _ := OptPruneWithStats(plans, c, nOps, false)
-	return p
-}
-
 // OptPruneWithStats runs OptPrune and reports search-effort counters.
 func OptPruneWithStats(plans []LogicalPlan, c *cluster.Cluster, nOps int, useBound bool) (*Plan, OptPruneStats) {
 	var stats OptPruneStats

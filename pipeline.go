@@ -102,16 +102,8 @@ func WithWorkers(n int) Option { return func(c *pipelineConfig) { c.engine.Worke
 // rounded up to a power of two).
 func WithShards(n int) Option { return func(c *pipelineConfig) { c.engine.Shards = n } }
 
-// WithInboxSize sets the per-node inbox buffer, the unit backpressure is
-// measured in.
-func WithInboxSize(n int) Option { return func(c *pipelineConfig) { c.engine.InboxSize = n } }
-
 // WithMaxFanout caps join results per probe (0 = unlimited).
 func WithMaxFanout(n int) Option { return func(c *pipelineConfig) { c.engine.MaxFanout = n } }
-
-// WithEngineConfig replaces the whole engine configuration — the escape
-// hatch for callers migrating from EngineConfig struct literals.
-func WithEngineConfig(cfg EngineConfig) Option { return func(c *pipelineConfig) { c.engine = cfg } }
 
 // WithFaults installs a scripted fault schedule, applied as the pipeline's
 // virtual clock passes each fault's edges.
@@ -138,7 +130,7 @@ func WithBufferedEvents(n int) Option { return func(c *pipelineConfig) { c.event
 
 // WithMaxPending bounds in-flight messages: Ingest blocks and TryIngest
 // returns ErrBackpressure at the bound. n < 0 disables backpressure. The
-// default is InboxSize × nodes. Admission is concurrent, so with several
+// default is 1024 × nodes. Admission is concurrent, so with several
 // producers the bound is approximate — each can admit one batch past it
 // before observing the others.
 func WithMaxPending(n int) Option {
@@ -285,11 +277,7 @@ func Open(ctx context.Context, dep *Deployment, pol Policy, opts ...Option) (*Pi
 	}
 	maxPending := cfg.maxPending
 	if !cfg.havePending {
-		inbox := cfg.engine.InboxSize
-		if inbox < 1 {
-			inbox = 1024
-		}
-		maxPending = inbox * nNodes
+		maxPending = 1024 * nNodes
 	}
 	sopts := engine.SessionOptions{
 		Config:       cfg.engine,
