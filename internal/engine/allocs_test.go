@@ -13,11 +13,13 @@ import (
 
 // TestSessionResultDeliveryAllocs bounds the garbage of one batch's whole
 // trip — admission, two join stages, sink, delivery to a Results subscriber
-// — at 100-tuple batches with three matches per probe: the tuples and
-// slices in between all come from pools the sink refills, so what is left
-// is the emission's four slabs and the occasional GC-driven pool refill.
-// (The race detector changes allocation behaviour; the file is excluded
-// under -race.)
+// — at 100-tuple batches with three matches per probe: the blocks and
+// slices in between all come from pools their consumers refill, and the
+// emission is the last stage's block handed over as it is, so what is left
+// is the slice of pointers delivered, the block that has to replace the
+// stolen one (its header and three slabs), and the occasional GC-driven pool
+// refill. (The race detector changes allocation behaviour; the file is
+// excluded under -race.)
 func TestSessionResultDeliveryAllocs(t *testing.T) {
 	q, warm, probes := probeFeed(100, 3, 1, 100)
 	cfg := DefaultConfig()
@@ -48,12 +50,16 @@ func TestSessionResultDeliveryAllocs(t *testing.T) {
 	if results != 300 {
 		t.Fatalf("a probe batch produced %d results, want 300", results)
 	}
+	acq0, rec0 := s.e.core.Schema().BlockCounts()
 	delivered := testing.AllocsPerRun(200, step)
-	if delivered > 16 {
-		t.Fatalf("%v allocations per batch with a subscriber attached, want <= 16", delivered)
+	if delivered > 8 {
+		t.Fatalf("%v allocations per batch with a subscriber attached, want <= 8", delivered)
+	}
+	if acq, rec := s.e.core.Schema().BlockCounts(); (acq-acq0)-(rec-rec0) != 201 {
+		t.Fatalf("201 delivered emissions took %d blocks out of circulation, want one each", (acq-acq0)-(rec-rec0))
 	}
 	// A subscriber that stopped reading: once the buffer is full an emission
-	// is dropped before it is copied, so the slabs are not paid for.
+	// is dropped before it is stolen, so the block stays in the pool.
 	dropped := testing.AllocsPerRun(200, func() {
 		if err := s.Ingest(ctx, probes[0]); err != nil {
 			t.Fatal(err)
@@ -62,9 +68,49 @@ func TestSessionResultDeliveryAllocs(t *testing.T) {
 	})
 	t.Logf("allocations per batch: %v delivered, %v dropped", delivered, dropped)
 	if dropped > delivered-3 {
-		t.Fatalf("%v allocations per dropped emission against %v per delivered one: the copy was made first", dropped, delivered)
+		t.Fatalf("%v allocations per dropped emission against %v per delivered one: the block was stolen first", dropped, delivered)
 	}
 	if _, err := s.Close(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJoinStageAllocs: an intermediate join stage in steady state — probes
+// arriving as rows of one block, three matches each leaving as rows of
+// another, both blocks and both partials slices back in their pools by the
+// end — allocates nothing.
+func TestJoinStageAllocs(t *testing.T) {
+	q, warm, probes := probeFeed(100, 3, 1, 100)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	core, err := NewNodeCore(q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Insert(1, warm[0]); err != nil {
+		t.Fatal(err)
+	}
+	b, results := probes[0], 0
+	step := func() {
+		blk := core.Schema().AcquireBlock(b.Len(), b.Len()*b.Width())
+		ps := core.NewPartials()
+		for i := 0; i < b.Len(); i++ {
+			ps = append(ps, blk.Seed(0, b.Seq[i], b.Ts[i], b.Key[i], b.Arr[i], b.ValsAt(i)))
+		}
+		out, err := core.ProcessStage(1, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = len(out)
+		core.ReleasePartials(out)
+	}
+	for i := 0; i < 50; i++ {
+		step() // fill the pools
+	}
+	if results != 300 {
+		t.Fatalf("the stage emitted %d rows, want 300", results)
+	}
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Fatalf("steady-state join stage made %v allocations per batch, want 0", n)
 	}
 }

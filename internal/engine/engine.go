@@ -6,8 +6,9 @@
 // of their assigned logical plan, hopping between nodes according to the
 // robust physical plan. Join window state is hash-partitioned by join key
 // across independently locked shards, operator statistics are lock-free
-// atomics, and message/partial allocations are pooled, so throughput scales
-// with GOMAXPROCS instead of being serialized per node. A QueryMesh-style
+// atomics, and messages, partials slices and the blocks stage outputs are
+// written into are pooled, so throughput scales with GOMAXPROCS instead of
+// being serialized per node. A QueryMesh-style
 // router assigns each batch its plan from the latest monitored statistics —
 // the RLD runtime of §3, executed on real data.
 //
@@ -215,8 +216,8 @@ type Engine struct {
 	assign atomic.Pointer[physical.Assignment]
 
 	nodes []*nodeState
-	// core is the query's operator metadata — the join schema result
-	// tuples are acquired through, the normalized config. In the
+	// core is the query's operator metadata — the join schema whose blocks
+	// result tuples are built in, the normalized config. In the
 	// in-process engine it also holds every operator's window state, which
 	// the router touches only through t.
 	core *NodeCore
@@ -609,9 +610,11 @@ func (e *Engine) sink(msg *message) {
 // SetResultObserver installs (or, with nil, removes) the sink tap: obs is
 // invoked on worker goroutines with every non-empty sink emission — the
 // batch's surviving result tuples and its ingress wall time. The slice and
-// the tuples are the engine's: both go back to their pools when obs returns,
-// so obs must copy out (stream.Detach) whatever it keeps. Install before
-// Start to observe every result.
+// the tuples are the engine's: the sink releases both when obs returns, so
+// whatever obs keeps must leave through stream.Detach — which copies the
+// tuples out, or, when they are the last stage's whole block, takes the block
+// out of the engine's circulation instead (the sink's releases then do
+// nothing). Install before Start to observe every result.
 func (e *Engine) SetResultObserver(obs func(tuples []*stream.Joined, ingress time.Time)) {
 	if obs == nil {
 		e.resultObs.Store(nil)
@@ -681,14 +684,15 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 	}
 	e.mu.Unlock()
 
-	// Seed one pooled singleton partial per tuple; the columns are copied,
-	// so the caller may reuse or Release b once Ingest returns.
+	// Seed one singleton partial per tuple, all in one block; the columns
+	// are copied, so the caller may reuse or Release b once Ingest returns.
 	slot := e.core.schema.Slot(b.Stream)
 	partials := getPartials()
-	for i := 0; i < n; i++ {
-		j := e.core.schema.Acquire()
-		j.SetPart(slot, b.Seq[i], b.Ts[i], b.Key[i], b.Arr[i], b.ValsAt(i))
-		partials = append(partials, j)
+	if n > 0 {
+		blk := e.core.schema.AcquireBlock(n, n*b.Width())
+		for i := 0; i < n; i++ {
+			partials = append(partials, blk.Seed(slot, b.Seq[i], b.Ts[i], b.Key[i], b.Arr[i], b.ValsAt(i)))
+		}
 	}
 	msg := msgPool.Get().(*message)
 	*msg = message{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	stdruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,12 +41,12 @@ func getPartials() []*stream.Joined {
 	return s
 }
 
-// putPartials clears s to its full capacity and returns it to the pool.
-// Clearing must cover the capacity, not just the length: in-place filtering
-// can leave stale references beyond len, and pooled arrays must not pin
-// tuples past their window life.
+// putPartials clears s and returns it to the pool. Pooled arrays must not
+// pin tuples past their life, and nothing is ever left beyond len: a slice
+// only grows by append, and the one kernel that shrinks it (select, filtering
+// in place) clears the tail it drops.
 func putPartials(s []*stream.Joined) {
-	clear(s[:cap(s)])
+	clear(s)
 	box := partialsBoxes.Get().(*[]*stream.Joined)
 	*box = s[:0]
 	partialsPool.Put(box)
@@ -295,7 +296,7 @@ type NodeCore struct {
 	q   *query.Query
 	cfg Config
 	// schema maps stream names to Joined part slots for this query; it
-	// also owns the pool join results are recycled through.
+	// also owns the pools the blocks of join results are recycled through.
 	schema *stream.JoinSchema
 	ops    []*opState
 	// joinOps maps a stream name to the indices of the join operators
@@ -337,8 +338,8 @@ func NewNodeCore(q *query.Query, cfg Config) (*NodeCore, error) {
 // stream's batches must target on replay.
 func (c *NodeCore) JoinOpsFor(name string) []int { return c.joinOps[name] }
 
-// Schema returns the query's join schema (decoders acquire result tuples
-// through it).
+// Schema returns the query's join schema (decoders build result tuples in
+// its blocks).
 func (c *NodeCore) Schema() *stream.JoinSchema { return c.schema }
 
 // NumOps returns the operator count.
@@ -377,8 +378,10 @@ func (c *NodeCore) Insert(op int, b *stream.Batch) error {
 // returns the surviving/extended partials. Ownership of the input slice and
 // its tuples transfers to the call: consumed tuples are released, and for
 // join stages the input slice itself is recycled (select stages filter in
-// place and return the input slice). Observed-selectivity counters are
-// updated as a side effect.
+// place and return the input slice). A join's extensions are all rows of one
+// block, sized from the probe pass before the first is written; partials that
+// pass through stay in the block they came in. Observed-selectivity counters
+// are updated as a side effect.
 func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined {
 	st := c.ops[op]
 	var out []*stream.Joined
@@ -404,6 +407,8 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 				p.Release()
 			}
 		}
+		// What the filter dropped is still referenced past len(out).
+		clear(partials[len(out):])
 		// Selections report the pass fraction over their own stream's
 		// tuples only; pass-throughs would dilute the signal the
 		// classifier needs.
@@ -467,21 +472,37 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 			if delta != 0 {
 				st.winLen.Add(delta)
 			}
-			// Build extensions outside every lock, in the partials'
-			// original order; consumed partials are recycled.
-			winTotal := st.winLen.Load()
+			// The probe pass has counted every match, so the stage's whole
+			// output is sized before a row of it is written: mcount drops
+			// to what MaxFanout lets through, and one block takes it all.
+			pairs = st.winLen.Load() * int64(np)
+			width := sc.matches.Width()
+			rows, nvals := 0, 0
 			for k, pi := range sc.probe {
-				p := partials[pi]
-				pairs += winTotal
 				n := int(sc.mcount[k])
 				hits += int64(n)
 				if c.cfg.MaxFanout > 0 && n > c.cfg.MaxFanout {
 					n = c.cfg.MaxFanout
+					sc.mcount[k] = int32(n)
 				}
-				base := int(sc.mstart[k])
+				rows += n
+				nvals += n * (partials[pi].NumVals() + width)
+			}
+			// Build extensions outside every lock, in the partials'
+			// original order; consumed partials go back to their blocks.
+			// (With no match at all there is no block, and no iteration
+			// of the inner loop to miss it.)
+			var blk *stream.Block
+			if rows > 0 {
+				blk = c.schema.AcquireBlock(rows, nvals)
+				out = slices.Grow(out, rows)
+			}
+			for k, pi := range sc.probe {
+				p := partials[pi]
 				key := p.Key()
-				for mi := base; mi < base+n; mi++ {
-					out = append(out, p.CloneWith(st.slot, sc.matches.Seq[mi], sc.matches.Ts[mi], key, sc.matches.Arr[mi], sc.matches.ValsAt(mi)))
+				base := int(sc.mstart[k])
+				for mi := base; mi < base+int(sc.mcount[k]); mi++ {
+					out = append(out, blk.CloneWith(p, st.slot, sc.matches.Seq[mi], sc.matches.Ts[mi], key, sc.matches.Arr[mi], sc.matches.ValsAt(mi)))
 				}
 				p.Release()
 			}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"rld/internal/physical"
 	"rld/internal/query"
 	"rld/internal/stream"
 )
@@ -88,5 +89,186 @@ func TestSnapshotClearRestoreRoundTrip(t *testing.T) {
 	}
 	if empty := core.SnapshotOp(0); empty != nil {
 		t.Fatalf("the selection carries no state, yet SnapshotOp returned %d rows", empty.Len())
+	}
+}
+
+// joinedFields is everything readable off a result tuple, as plain values.
+func joinedFields(j *stream.Joined, slots int) string {
+	s := fmt.Sprint(j.Ts, j.Arrival, j.Key(), j.TupleIDs(nil))
+	for slot := 0; slot < slots; slot++ {
+		p, ok := j.Part(slot)
+		s += fmt.Sprint("|", ok, p.Seq, p.Ts, p.Key, p.Arrival, p.Vals)
+	}
+	return s
+}
+
+// TestJoinStageEqualsSetPartChain: the join kernel sizes one block from its
+// probe pass and writes every match into it; the rows it emits must equal,
+// field for field and in order, the Acquire+SetPart chain over the same
+// probe and the same matches — for payload widths 0–4, for keys with no
+// match at all, with MaxFanout cutting the longer match lists short, and
+// whether the probes arrive as singletons or as rows of a block.
+func TestJoinStageEqualsSetPartChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for width := 0; width <= 4; width++ {
+		q := query.NewNWayJoin("EQ", 2, 100) // op 0 selects on S1, op 1 joins S2
+		cfg := DefaultConfig()
+		cfg.Workers = 1
+		cfg.Shards = 4
+		cfg.MaxFanout = 3
+		core, err := NewNodeCore(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const keys = 40
+		// Key k has k%6 window tuples: 0 to 5 matches against a fanout of 3.
+		win := stream.NewSizedBatch("S2", width, 0)
+		byKey := map[int64][]int{}
+		for k := int64(0); k < keys; k++ {
+			for d := int64(0); d < k%6; d++ {
+				i := win.Len()
+				row := win.AppendRow(uint64(1000+i), stream.Time(10+rng.Intn(20)), k, stream.Time(rng.Intn(20)))
+				for v := range row {
+					row[v] = rng.Float64()
+				}
+				byKey[k] = append(byKey[k], i)
+			}
+		}
+		if err := core.Insert(1, win); err != nil {
+			t.Fatal(err)
+		}
+		probeKeys := make([]int64, 60)
+		for i := range probeKeys {
+			probeKeys[i] = rng.Int63n(keys)
+		}
+		pvals := func(i int) []float64 { return []float64{float64(i), float64(-i)}[:i%3] }
+		sch := core.Schema()
+		var want []string
+		for i, k := range probeKeys {
+			ms := byKey[k]
+			if len(ms) > cfg.MaxFanout {
+				ms = ms[:cfg.MaxFanout]
+			}
+			for _, m := range ms {
+				ref := sch.Acquire()
+				ref.SetPart(0, uint64(i), 15, k, 5, pvals(i))
+				ref.SetPart(1, win.Seq[m], win.Ts[m], k, win.Arr[m], win.ValsAt(m))
+				want = append(want, joinedFields(ref, 2))
+				ref.Release()
+			}
+		}
+		for _, how := range []string{"singletons", "block"} {
+			ps := core.NewPartials()
+			var blk *stream.Block
+			if how == "block" {
+				nvals := 0
+				for i := range probeKeys {
+					nvals += len(pvals(i))
+				}
+				blk = sch.AcquireBlock(len(probeKeys), nvals)
+			}
+			for i, k := range probeKeys {
+				if blk != nil {
+					ps = append(ps, blk.Seed(0, uint64(i), 15, k, 5, pvals(i)))
+					continue
+				}
+				j := sch.Acquire()
+				j.SetPart(0, uint64(i), 15, k, 5, pvals(i))
+				ps = append(ps, j)
+			}
+			out, err := core.ProcessStage(1, ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != len(want) {
+				t.Fatalf("width %d, %s: %d rows out, want %d", width, how, len(out), len(want))
+			}
+			for i, j := range out {
+				if got := joinedFields(j, 2); got != want[i] {
+					t.Fatalf("width %d, %s: row %d = %s, want %s", width, how, i, got, want[i])
+				}
+			}
+			core.ReleasePartials(out)
+		}
+		if acq, rec := sch.BlockCounts(); acq != rec {
+			t.Fatalf("width %d: %d blocks acquired, %d recycled", width, acq, rec)
+		}
+	}
+}
+
+// TestEmptyStagesLeakNoBlock: a join stage whose every probe misses emits
+// nothing, and so does a selection that drops every row; the batch ends
+// there, and the blocks it came in must all be back in the pool.
+func TestEmptyStagesLeakNoBlock(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sel  float64 // op 0 passes payloads below 100×sel; every probe's is 10
+	}{
+		{"every probe misses", 0.99},
+		{"select drops every row", 0.05},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, _, probes := probeFeed(16, 1, 1000, 20)
+			q.Ops[0].Sel = tc.sel
+			cfg := DefaultConfig()
+			cfg.Workers = 2
+			e, err := New(q, physical.Assignment{0, 0, 0}, 1, StaticChooser{Plan: query.Plan{0, 1, 2}}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Start()
+			feedAll(t, e, probes) // the windows were never filled
+			if res := e.Stop(); res.Produced != 0 || res.Batches != 1000 {
+				t.Fatalf("produced %d results over %d batches, want 0 over 1000", res.Produced, res.Batches)
+			}
+			if acq, rec := e.core.Schema().BlockCounts(); acq != rec || acq < 1000 {
+				t.Fatalf("%d blocks acquired, %d recycled, want the same and at least one per batch", acq, rec)
+			}
+		})
+	}
+}
+
+// TestPooledPartialsHoldNoTuples keeps putPartials's shortcut honest: it
+// clears a slice's length, not its capacity, on the promise that nothing is
+// ever left beyond the length. After a run whose selection drops half of
+// every batch in place and whose joins regrow the slices, every slice the
+// pool hands back must be nil through its whole capacity.
+func TestPooledPartialsHoldNoTuples(t *testing.T) {
+	q, warm, _ := probeFeed(32, 2, 0, 0)
+	q.Ops[0].Sel = 0.5
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	e, err := New(q, physical.Assignment{0, 0, 0}, 1, StaticChooser{Plan: query.Plan{0, 1, 2}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	for _, b := range warm {
+		feedAll(t, e, []*stream.Batch{b})
+		e.Drain()
+	}
+	rng := rand.New(rand.NewSource(29))
+	for p := 0; p < 200; p++ {
+		b := stream.NewSizedBatch("S1", 1, 40)
+		for i := 0; i < 40; i++ {
+			b.AppendRow(uint64(p*40+i), 2, rng.Int63n(32), 2)[0] = 100 * rng.Float64()
+		}
+		feedAll(t, e, []*stream.Batch{b})
+	}
+	if res := e.Stop(); res.Produced == 0 {
+		t.Fatal("the run produced nothing: the stages under test never ran")
+	}
+	var held [][]*stream.Joined
+	for i := 0; i < 64; i++ {
+		s := getPartials()
+		for k, j := range s[:cap(s)] {
+			if j != nil {
+				t.Fatalf("pooled partials slice %d (cap %d) still references a tuple at index %d", i, cap(s), k)
+			}
+		}
+		held = append(held, s)
+	}
+	for _, s := range held {
+		putPartials(s)
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -175,5 +176,100 @@ func TestSessionSlowSubscriber(t *testing.T) {
 	}
 	if _, more := <-s.Results(); more {
 		t.Fatal("a dropped emission was delivered after all")
+	}
+}
+
+// TestResultsOutliveThePipeline is the lifetime test for stolen blocks: a
+// delivered emission is, when it fills its block, the last stage's own
+// storage handed over as it is, so the pipeline must never touch that block
+// again. The subscriber keeps every ResultBatch and writes down what each
+// tuple said at receipt; four workers per node then push more than two
+// thousand further batches through a crash, a parked backlog and its replay,
+// and every kept tuple is read again. A recycled block would show up as a
+// tuple that changed.
+func TestResultsOutliveThePipeline(t *testing.T) {
+	const keys, dup, nProbes, batchSize = 64, 2, 2600, 20
+	q, warm, probes := probeFeed(keys, dup, nProbes, batchSize)
+	cfg := DefaultConfig()
+	cfg.Workers = 4
+	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1, 2}, Assign: physical.Assignment{0, 0, 1}}
+	s, err := OpenSession(q, 2, pol, SessionOptions{Config: cfg, ResultBuffer: nProbes + 1, MaxPending: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type seen struct {
+		ids         []stream.TupleID
+		ts, arrival stream.Time
+		vals        []float64
+	}
+	read := func(j *stream.Joined) seen {
+		r := seen{ids: j.TupleIDs(nil), ts: j.Ts, arrival: j.Arrival}
+		for slot := 0; slot < 3; slot++ {
+			if p, ok := j.Part(slot); ok {
+				r.vals = append(r.vals, p.Vals...)
+			}
+		}
+		return r
+	}
+	var kept []runtime.ResultBatch
+	var atReceipt [][]seen
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		for rb := range s.Results() {
+			rec := make([]seen, len(rb.Tuples))
+			for i, j := range rb.Tuples {
+				rec[i] = read(j)
+			}
+			kept = append(kept, rb)
+			atReceipt = append(atReceipt, rec)
+		}
+	}()
+
+	ctx := context.Background()
+	ingest := func(bs []*stream.Batch) {
+		t.Helper()
+		for _, b := range bs {
+			if err := s.Ingest(ctx, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, b := range warm {
+		ingest([]*stream.Batch{b})
+		s.e.Drain()
+	}
+	s.e.Checkpoint() // what Recover restores the S3 window from
+	ingest(probes[:300])
+	if err := s.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	ingest(probes[300:500]) // parked in front of the last join
+	if err := s.Recover(1); err != nil {
+		t.Fatal(err)
+	}
+	ingest(probes[500:])
+	rep, err := s.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-consumed
+	if want := float64((nProbes*batchSize + keys) * dup); rep.Produced != want || rep.TuplesLost != 0 {
+		t.Fatalf("produced %v results and lost %v, want %v and 0", rep.Produced, rep.TuplesLost, want)
+	}
+	if d := s.Stats().ResultsDropped; d != 0 || len(kept) != nProbes+1 {
+		t.Fatalf("%d emissions kept, %d dropped; want all %d kept", len(kept), d, nProbes+1)
+	}
+	// Every emission here is a whole block, so every one was stolen — or the
+	// test watched nothing.
+	if acq, rec := s.e.core.Schema().BlockCounts(); acq-rec != int64(len(kept)) {
+		t.Fatalf("%d blocks acquired and %d recycled over %d emissions: not one stolen block each", acq, rec, len(kept))
+	}
+	for b, rb := range kept {
+		for i, j := range rb.Tuples {
+			if now := read(j); !reflect.DeepEqual(now, atReceipt[b][i]) {
+				t.Fatalf("emission %d tuple %d changed after delivery: %+v, was %+v", b, i, now, atReceipt[b][i])
+			}
+		}
 	}
 }

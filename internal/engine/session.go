@@ -224,10 +224,11 @@ func (s *Session) Results() <-chan runtime.ResultBatch { return s.results }
 // Events implements runtime.Session.
 func (s *Session) Events() <-chan runtime.Event { return s.events }
 
-// observeResult is the engine's sink tap: it copies the emission out of the
-// pooled pipeline tuples and delivers it without blocking the worker. A full
-// buffer is counted before the copy is paid for; the select below stays the
-// authority (the buffer can fill between the two).
+// observeResult is the engine's sink tap: it detaches the emission from the
+// pipeline — steals the last stage's block, or copies out of it — and
+// delivers it without blocking the worker. A full buffer is counted before
+// either is paid for; the select below stays the authority (the buffer can
+// fill between the two).
 func (s *Session) observeResult(tuples []*stream.Joined, _ time.Time) {
 	if len(s.results) == cap(s.results) {
 		s.resultsDropped.Add(1)

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 
 	"rld/internal/stream"
@@ -322,47 +323,66 @@ func splitPartials(sch *stream.JoinSchema, ps []*stream.Joined, limit int) [][]*
 	return append(chunks, ps[start:])
 }
 
-// decodePartials rebuilds partials into dst (pass an empty pooled slice).
-// Parts are applied in ascending slot order, which reproduces the Ts=max /
-// Arrival=min aggregates SetPart folds exactly as the sender computed them.
-func decodePartials(d *wire.Dec, sch *stream.JoinSchema, dst []*stream.Joined) ([]*stream.Joined, error) {
-	n := int(d.U32())
-	if d.Err != nil {
-		return dst, d.Err
-	}
+// partHeader is the fixed wire size of one part: seq, ts, key, arrival and
+// the payload count.
+const partHeader = 8 + 8 + 8 + 8 + 2
+
+// scanPartials walks an encodePartials payload without building anything and
+// returns how many partials and payload values it holds. It is what lets
+// decodePartials size a block from untrusted bytes: every count it returns
+// has been paid for by bytes actually present (a partial costs at least its
+// 8-byte mask, a value 8 bytes), and a payload it accepts decodes without
+// error.
+func scanPartials(d wire.Dec, sch *stream.JoinSchema) (rows, nvals int, err error) {
+	rows = int(d.U32())
 	// Each partial costs at least a mask on the wire.
-	if uint64(n)*8 > uint64(len(d.B)) {
-		return dst, fmt.Errorf("%w: partial count exceeds payload", ErrBadFrame)
+	if d.Err == nil && uint64(rows)*8 > uint64(len(d.B)) {
+		return 0, 0, fmt.Errorf("%w: partial count exceeds payload", ErrBadFrame)
 	}
-	var vals []float64
-	for i := 0; i < n; i++ {
+	for i := 0; i < rows && d.Err == nil; i++ {
 		mask := d.U64()
 		if mask>>uint(sch.Len()) != 0 {
-			d.Err = fmt.Errorf("%w: partial mask has out-of-schema slots", ErrBadFrame)
+			return 0, 0, fmt.Errorf("%w: partial mask has out-of-schema slots", ErrBadFrame)
 		}
-		j := sch.Acquire()
-		for slot := 0; slot < sch.Len() && d.Err == nil; slot++ {
-			if mask&(1<<uint(slot)) == 0 {
-				continue
+		for ; mask != 0 && d.Err == nil; mask &= mask - 1 {
+			if hdr := d.Take(partHeader); hdr != nil {
+				nv := int(binary.LittleEndian.Uint16(hdr[partHeader-2:]))
+				d.Take(8 * nv)
+				nvals += nv
 			}
+		}
+	}
+	return rows, nvals, d.Err
+}
+
+// decodePartials rebuilds partials into dst (pass an empty pooled slice), all
+// of them rows of one block sized by scanPartials first — so a malformed
+// payload fails typed before anything is acquired. Parts are applied in
+// ascending slot order, which reproduces the Ts=max / Arrival=min aggregates
+// SetPart folds exactly as the sender computed them.
+func decodePartials(d *wire.Dec, sch *stream.JoinSchema, dst []*stream.Joined) ([]*stream.Joined, error) {
+	n, nvals, err := scanPartials(*d, sch)
+	if err != nil {
+		d.Err = err
+		return dst, err
+	}
+	d.U32() // the count, which the scan has read and checked
+	if n == 0 {
+		return dst, nil
+	}
+	blk := sch.AcquireBlock(n, nvals)
+	for i := 0; i < n; i++ {
+		j := blk.Row()
+		for mask := d.U64(); mask != 0; mask &= mask - 1 {
+			slot := bits.TrailingZeros64(mask)
 			seq := d.U64()
 			ts := stream.Time(d.F64())
 			key := d.I64()
 			arr := stream.Time(d.F64())
-			nv := int(d.U16())
-			if uint64(nv)*8 > uint64(len(d.B)) {
-				d.Fail()
-				break
+			vals := blk.AddPart(j, slot, seq, ts, key, arr, int(d.U16()))
+			for v := range vals {
+				vals[v] = d.F64()
 			}
-			vals = vals[:0]
-			for v := 0; v < nv; v++ {
-				vals = append(vals, d.F64())
-			}
-			j.SetPart(slot, seq, ts, key, arr, vals)
-		}
-		if d.Err != nil {
-			j.Release()
-			return dst, d.Err
 		}
 		dst = append(dst, j)
 	}

@@ -11,11 +11,19 @@ const maxJoinStreams = 64
 
 // JoinSchema precomputes the stream-name → slot mapping for one query's join
 // results, so a Joined can store its parts in a small slice instead of a
-// per-result map. It also owns the pool Joined objects are recycled through.
+// per-result map. It also owns the pools join results are recycled through:
+// blocks for the pipeline, singletons for Acquire.
 type JoinSchema struct {
 	streams []string
 	index   map[string]int
-	pool    sync.Pool
+	pool    sync.Pool // singleton *Joined, see Acquire
+	blocks  blockPools
+
+	// Every Joined points at a Block; these two stand in for the rows that
+	// have no real one. singles owns what Acquire hands out (Release puts
+	// the tuple back in pool); loose, born detached, owns Detach's copies
+	// (Release does nothing).
+	singles, loose Block
 }
 
 // NewJoinSchema builds the slot mapping for the given streams (at most 64).
@@ -30,8 +38,10 @@ func NewJoinSchema(streams []string) *JoinSchema {
 		idx[s] = i
 	}
 	sch := &JoinSchema{streams: cp, index: idx}
+	sch.singles.schema = sch
+	sch.loose.schema, sch.loose.detached = sch, true
 	sch.pool.New = func() any {
-		return &Joined{schema: sch, parts: make([]part, len(cp))}
+		return &Joined{blk: &sch.singles, parts: make([]part, len(cp))}
 	}
 	return sch
 }
@@ -50,8 +60,10 @@ func (s *JoinSchema) Slot(streamName string) int {
 // Stream returns the stream name at the given slot.
 func (s *JoinSchema) Stream(slot int) string { return s.streams[slot] }
 
-// Acquire returns an empty pooled Joined bound to this schema. Release it
-// exactly once when done; what must outlive that leaves through Detach.
+// Acquire returns an empty pooled Joined bound to this schema and to no
+// block, filled through SetPart — how tests and the layer benchmark seed
+// partials; the pipeline itself builds rows in blocks (AcquireBlock). Release
+// it exactly once when done; what must outlive that leaves through Detach.
 func (s *JoinSchema) Acquire() *Joined {
 	return s.pool.Get().(*Joined)
 }
@@ -75,8 +87,8 @@ type part struct {
 // Ts is the maximum constituent timestamp (the join result's time); Arrival
 // is the earliest constituent arrival (for latency accounting).
 type Joined struct {
-	schema *JoinSchema
-	mask   uint64 // bit i set ⇔ slot i populated
+	blk  *Block // the owner: a real block, or one of the schema's two markers
+	mask uint64 // bit i set ⇔ slot i populated
 
 	Ts      Time
 	Arrival Time
@@ -85,13 +97,26 @@ type Joined struct {
 	vals  []float64
 }
 
-// Release resets j and returns it to its schema's pool. The caller must not
-// use j (or any Part view of it) afterwards, and must not Release twice.
+// Release gives j back to its owner: a block row counts down its block's
+// live rows (the last one recycles the block), an Acquired singleton is reset
+// and pooled. The caller must not use j (or any Part view of it) afterwards,
+// and must not Release twice. On a tuple a subscriber was delivered — stolen
+// or copied by Detach — Release does nothing: no pool owns it.
 func (j *Joined) Release() {
-	j.mask = 0
-	j.Ts, j.Arrival = 0, 0
-	j.vals = j.vals[:0]
-	j.schema.pool.Put(j)
+	b := j.blk
+	switch {
+	case b.detached:
+	case b.structs == nil:
+		j.mask = 0
+		j.Ts, j.Arrival = 0, 0
+		j.vals = j.vals[:0]
+		b.schema.pool.Put(j)
+	default:
+		b.live--
+		if b.live == 0 {
+			b.recycle()
+		}
+	}
 }
 
 // SetPart fills the given slot from raw columns, copying vals into the
@@ -100,6 +125,11 @@ func (j *Joined) SetPart(slot int, seq uint64, ts Time, key int64, arrival Time,
 	off := int32(len(j.vals))
 	j.vals = append(j.vals, vals...)
 	j.parts[slot] = part{seq: seq, key: key, ts: ts, arr: arrival, voff: off, vlen: int32(len(vals))}
+	j.fold(slot, ts, arrival)
+}
+
+// fold marks slot populated and folds its timestamps into the aggregates.
+func (j *Joined) fold(slot int, ts, arrival Time) {
 	if j.mask == 0 {
 		j.Ts, j.Arrival = ts, arrival
 	} else {
@@ -119,27 +149,26 @@ func (j *Joined) SetTuple(slot int, t *Tuple) {
 	j.SetPart(slot, t.Seq, t.Ts, t.Key, t.Arrival, t.Vals)
 }
 
-// CloneWith returns a pooled copy of j with the given slot added — the
-// columnar replacement for the old map-copying Extend.
-func (j *Joined) CloneWith(slot int, seq uint64, ts Time, key int64, arrival Time, vals []float64) *Joined {
-	n := j.schema.Acquire()
-	n.mask = j.mask
-	n.Ts, n.Arrival = j.Ts, j.Arrival
-	copy(n.parts, j.parts)
-	n.vals = append(n.vals[:0], j.vals...)
-	n.SetPart(slot, seq, ts, key, arrival, vals)
-	return n
-}
-
-// Detach copies src into storage no pool owns, so the copies outlive the
-// originals' Release. The whole call makes four allocations however many
-// tuples it copies — one slab each for the structs, their parts, their
-// payloads and the returned slice — so the copies of one call share backing
-// arrays: retaining any of them retains all four slabs. Each copy's slices
-// are capped at its own segment, so writing to one never reaches another.
+// Detach turns src — tuples the pipeline is about to Release — into tuples
+// that outlive it, by the cheaper of two means. When src is every live row of
+// one block and fills at least half of it, the block is stolen: it is marked
+// detached, never recycled, and the returned slice points at the rows as they
+// are — one allocation, no copy. Otherwise each tuple is copied into three
+// fresh slabs (structs, parts, payloads) sized for exactly src. Either way the
+// results of one call share backing arrays — retaining any retains them all —
+// which hold at most twice the bytes of the tuples themselves; each tuple's
+// slices are capped at its own segment, so writing to one never reaches
+// another; and Release on them, by the pipeline afterwards or by the
+// subscriber ever, does nothing.
 func Detach(src []*Joined) []*Joined {
 	if len(src) == 0 {
 		return nil
+	}
+	out := make([]*Joined, len(src))
+	if b := src[0].blk; b.structs != nil && b.live == len(src) && 2*len(src) >= len(b.structs) && ownsAll(b, src) {
+		b.detached = true
+		copy(out, src)
+		return out
 	}
 	nParts, nVals := 0, 0
 	for _, j := range src {
@@ -149,10 +178,10 @@ func Detach(src []*Joined) []*Joined {
 	structs := make([]Joined, len(src))
 	parts := make([]part, nParts)
 	vals := make([]float64, nVals)
-	out := make([]*Joined, len(src))
 	for i, j := range src {
 		d := &structs[i]
 		*d = *j
+		d.blk = &j.blk.schema.loose
 		np, nv := len(j.parts), len(j.vals)
 		d.parts, parts = parts[:np:np], parts[np:]
 		d.vals, vals = vals[:nv:nv], vals[nv:]
@@ -163,12 +192,26 @@ func Detach(src []*Joined) []*Joined {
 	return out
 }
 
+// ownsAll reports whether every tuple of src is a row of b.
+func ownsAll(b *Block, src []*Joined) bool {
+	for _, j := range src {
+		if j.blk != b {
+			return false
+		}
+	}
+	return true
+}
+
 // Has reports whether the given slot is populated (false for negative
 // slots, so a not-in-schema lookup degrades to "absent").
 func (j *Joined) Has(slot int) bool { return slot >= 0 && j.mask&(1<<uint(slot)) != 0 }
 
 // Len returns the number of populated parts.
 func (j *Joined) Len() int { return bits.OnesCount64(j.mask) }
+
+// NumVals returns the number of payload values across all parts — what a
+// clone of j occupies in a block's payload slab.
+func (j *Joined) NumVals() int { return len(j.vals) }
 
 // Key returns the equi-join key of the first populated part (all parts of an
 // equi-join share it), or 0 if j is empty.
@@ -200,7 +243,7 @@ func (j *Joined) Part(slot int) (Tuple, bool) {
 	}
 	p := &j.parts[slot]
 	return Tuple{
-		Stream:  j.schema.streams[slot],
+		Stream:  j.blk.schema.streams[slot],
 		Seq:     p.seq,
 		Ts:      p.ts,
 		Key:     p.key,
@@ -211,7 +254,7 @@ func (j *Joined) Part(slot int) (Tuple, bool) {
 
 // PartByStream is Part keyed by stream name.
 func (j *Joined) PartByStream(streamName string) (Tuple, bool) {
-	slot := j.schema.Slot(streamName)
+	slot := j.blk.schema.Slot(streamName)
 	if slot < 0 {
 		return Tuple{}, false
 	}
@@ -221,7 +264,7 @@ func (j *Joined) PartByStream(streamName string) (Tuple, bool) {
 // Streams returns the populated stream names in slot (schema) order.
 func (j *Joined) Streams() []string {
 	out := make([]string, 0, j.Len())
-	for i, s := range j.schema.streams {
+	for i, s := range j.blk.schema.streams {
 		if j.Has(i) {
 			out = append(out, s)
 		}

@@ -96,11 +96,12 @@ func TestJoinedCombines(t *testing.T) {
 	j.Release()
 }
 
-func TestJoinedCloneWith(t *testing.T) {
+func TestBlockCloneWith(t *testing.T) {
 	sch := NewJoinSchema([]string{"A", "C"})
 	j := sch.Acquire()
 	j.SetTuple(0, &Tuple{Stream: "A", Ts: 1, Arrival: 4, Key: 9, Vals: []float64{7}})
-	j2 := j.CloneWith(1, 11, 9, 9, 1, []float64{8})
+	blk := sch.AcquireBlock(1, 2)
+	j2 := blk.CloneWith(j, 1, 11, 9, 9, 1, []float64{8})
 	if j.Len() != 1 {
 		t.Fatal("CloneWith mutated the original")
 	}
@@ -118,6 +119,9 @@ func TestJoinedCloneWith(t *testing.T) {
 		t.Fatalf("Part(1) = %+v", c)
 	}
 	j2.Release()
+	if acq, rec := sch.BlockCounts(); acq != 1 || rec != 1 {
+		t.Fatalf("releasing the block's only row: %d acquired, %d recycled", acq, rec)
+	}
 }
 
 // probeSeqs materializes a window probe as a seq slice (test helper).

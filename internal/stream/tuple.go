@@ -26,17 +26,30 @@
 //
 // # Ownership and reuse
 //
-// Batch, Joined, and the engine-side scratch buffers are pooled. The rules:
+// Batch, the blocks join results live in, and the engine-side scratch buffers
+// are pooled. The rules:
 //
 //   - A Batch handed to Engine.Ingest (or Session.Ingest) is fully copied
 //     during the call; the caller may Reset, Release, or reuse it as soon as
 //     Ingest returns.
 //   - Tuple views obtained from TupleAt/ValsAt/Part alias pooled storage and
 //     are valid only until the owning Batch/Joined is Released or Reset.
-//   - A Joined is exclusively owned by whoever holds the partials slice it
-//     sits in and must be Released exactly once. A result observer only
-//     borrows the tuples it is shown; what it keeps it copies out with Detach,
-//     and those copies belong to no pool.
+//   - A Joined in the pipeline is a row of a Block: one stage's whole output
+//     (or one ingested batch's seeds, or one decoded wire frame) written
+//     sequentially into three slabs sized before the first row. A row belongs
+//     to its block, and a block to the one message whose partials hold its
+//     live rows — so a block has one holder at a time and needs no lock. Each
+//     row is Released exactly once, by whoever consumes the partials slice it
+//     sits in; the last Release recycles the block. (JoinSchema.Acquire still
+//     hands out block-less singletons for tests and the layer benchmark;
+//     Release serves both kinds.)
+//   - A result observer only borrows the tuples it is shown; what it keeps
+//     leaves through Detach. Detach steals the block when the emission is
+//     every live row of one block and fills at least half of it — the rows
+//     are handed over as they are and the block is never recycled — and
+//     copies into exact-size slabs otherwise, so a kept emission never pins
+//     more than twice its own bytes. Either way the tuples belong to no pool
+//     afterwards, and Release on them does nothing.
 package stream
 
 import "fmt"

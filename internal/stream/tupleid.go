@@ -30,7 +30,7 @@ func (id TupleID) Seq() uint64 { return uint64(id) & (1<<tupleIDSeqBits - 1) }
 // match. The exactly-once acceptance tests compare faulted and fault-free
 // runs on these sets.
 func (j *Joined) TupleIDs(dst []TupleID) []TupleID {
-	for slot := range j.schema.streams {
+	for slot := range j.blk.schema.streams {
 		if j.Has(slot) {
 			dst = append(dst, MakeTupleID(slot, j.parts[slot].seq))
 		}
