@@ -63,6 +63,8 @@ type shardScratch struct {
 	cnt     []int32 // counting-sort cursors
 	order   []int32 // item indices grouped by shard
 	probe   []int32 // join stage: indices of partials that probe
+	keys    []int64 // per probe: its join key, then the same keys grouped by shard
+	gcount  []int32 // per grouped probe: match count
 	mstart  []int32 // per probe: match range start in matches
 	mcount  []int32 // per probe: match count
 	matches stream.Matches
@@ -86,9 +88,7 @@ func grow32(s []int32, n int) []int32 {
 // sc.order[sc.starts[s]:sc.starts[s+1]] lists shard s's items in input order.
 func (sc *shardScratch) group(n, nShards int) {
 	sc.cnt = grow32(sc.cnt, nShards)
-	for i := range sc.cnt {
-		sc.cnt[i] = 0
-	}
+	clear(sc.cnt)
 	for _, sh := range sc.shardOf[:n] {
 		sc.cnt[sh]++
 	}
@@ -431,23 +431,29 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 		}
 		var pairs, hits int64
 		if np := len(sc.probe); np > 0 {
-			// Vectorized probe: hash the whole key set up front, group
+			// Vectorized probe: read the whole key set up front, group
 			// probes by destination shard, and take each shard lock once
 			// per batch — expiring the shard against the operator-wide
-			// high-water timestamp, then copying every probe's matches
-			// into the columnar scratch. (Per-shard windows only see
-			// their own inserts, so without the expire a cold shard
-			// would answer probes with tuples far older than the span.)
+			// high-water timestamp, then probing the shard's keys as one
+			// group, which copies every probe's matches into the columnar
+			// scratch in group order. (Per-shard windows only see their
+			// own inserts, so without the expire a cold shard would
+			// answer probes with tuples far older than the span.)
 			nShards := len(st.shards)
 			mask := uint64(nShards - 1)
 			sc.shardOf = grow32(sc.shardOf, np)
+			sc.keys = slices.Grow(sc.keys[:0], 2*np)[:2*np]
+			keys, grouped := sc.keys[:np], sc.keys[np:]
 			for k, pi := range sc.probe {
-				sc.shardOf[k] = int32(uint64(partials[pi].Key()) & mask)
+				keys[k] = partials[pi].Key()
+				sc.shardOf[k] = int32(uint64(keys[k]) & mask)
 			}
 			sc.group(np, nShards)
+			for oi, k := range sc.order[:np] {
+				grouped[oi] = keys[k]
+			}
 			sc.matches.Reset()
-			sc.mstart = grow32(sc.mstart, np)
-			sc.mcount = grow32(sc.mcount, np)
+			sc.gcount = grow32(sc.gcount, np)
 			cutoff := stream.Time(math.Float64frombits(st.maxTs.Load()) - st.span)
 			var delta int64
 			for si := 0; si < nShards; si++ {
@@ -460,17 +466,18 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 				before := sh.window.Len()
 				sh.window.ExpireBefore(cutoff)
 				delta += int64(sh.window.Len() - before)
-				for oi := lo; oi < hi; oi++ {
-					k := sc.order[oi]
-					ms := sc.matches.Len()
-					sh.window.AppendMatches(partials[sc.probe[k]].Key(), &sc.matches)
-					sc.mstart[k] = int32(ms)
-					sc.mcount[k] = int32(sc.matches.Len() - ms)
-				}
+				sh.window.AppendGroupMatches(grouped[lo:hi], sc.gcount[lo:hi], &sc.matches)
 				sh.mu.Unlock()
 			}
 			if delta != 0 {
 				st.winLen.Add(delta)
+			}
+			sc.mstart = grow32(sc.mstart, np)
+			sc.mcount = grow32(sc.mcount, np)
+			ms := int32(0)
+			for oi, k := range sc.order[:np] {
+				sc.mstart[k], sc.mcount[k] = ms, sc.gcount[oi]
+				ms += sc.gcount[oi]
 			}
 			// The probe pass has counted every match, so the stage's whole
 			// output is sized before a row of it is written: mcount drops
@@ -499,10 +506,9 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 			}
 			for k, pi := range sc.probe {
 				p := partials[pi]
-				key := p.Key()
 				base := int(sc.mstart[k])
 				for mi := base; mi < base+int(sc.mcount[k]); mi++ {
-					out = append(out, blk.CloneWith(p, st.slot, sc.matches.Seq[mi], sc.matches.Ts[mi], key, sc.matches.Arr[mi], sc.matches.ValsAt(mi)))
+					out = append(out, blk.CloneWith(p, st.slot, sc.matches.Seq[mi], sc.matches.Ts[mi], keys[k], sc.matches.Arr[mi], sc.matches.ValsAt(mi)))
 				}
 				p.Release()
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"rld/internal/physical"
@@ -271,4 +272,182 @@ func TestPooledPartialsHoldNoTuples(t *testing.T) {
 	for _, s := range held {
 		putPartials(s)
 	}
+}
+
+// TestJoinStageGroupsEqualSingles pins what the stage's one probe call per
+// shard has to reproduce. The reference is built here, from a mirror window
+// probed one key at a time and Block.CloneWith over the matches MaxFanout
+// lets through, in the partials' order; ProcessStage's rows must equal it
+// field for field — for 1, 4 and 16 shards, payload widths 0–4, with and
+// without a fanout cap, and for probe sets whose keys all land in one shard
+// (one group holds them all), land one per shard (sixteen groups of one), or
+// fall anywhere, repeats and absent keys included. A last part probes while
+// four goroutines insert (the CI step runs it under -race -cpu 1,4).
+func TestJoinStageGroupsEqualSingles(t *testing.T) {
+	const op, slot, nKeys, rows = 1, 1, 192, 1200
+	rng := rand.New(rand.NewSource(31))
+	probeSets := []struct {
+		name  string
+		keyOf func(i int) int64
+	}{
+		{"one shard", func(i int) int64 { return int64(16*(i%12) + 5) }},
+		{"one per shard", func(i int) int64 { return int64(i % 16) }},
+		{"anywhere", func(int) int64 { return rng.Int63n(nKeys + 20) }}, // the last 20 are never inserted
+	}
+	for _, shards := range []int{1, 4, 16} {
+		for width := 0; width <= 4; width++ {
+			for _, fanout := range []int{0, 3} {
+				q := query.NewNWayJoin("GS", 3, 100) // op 0 selects on S1, ops 1 and 2 join S2 and S3
+				cfg := DefaultConfig()
+				cfg.Workers, cfg.Shards, cfg.MaxFanout = 1, shards, fanout
+				core, err := NewNodeCore(q, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Two spans of strictly ascending timestamps, so the shards
+				// (each expiring its own prefix) and the mirror (expiring one
+				// prefix) keep the same records.
+				mirror := stream.NewWindow(q.WindowSeconds)
+				var maxTs stream.Time
+				for r := 0; r < rows; r += 40 {
+					b := stream.NewSizedBatch("S2", width, 40)
+					all := make([]int32, 40)
+					for i := range all {
+						all[i] = int32(i)
+						maxTs = stream.Time(float64(r+i) * 2 * q.WindowSeconds / rows)
+						row := b.AppendRow(uint64(r+i), maxTs, rng.Int63n(nKeys), maxTs+0.25)
+						for v := range row {
+							row[v] = rng.Float64()
+						}
+					}
+					if err := core.Insert(op, b); err != nil {
+						t.Fatal(err)
+					}
+					mirror.InsertRows(b, all)
+				}
+				mirror.ExpireBefore(maxTs.Add(-q.WindowSeconds))
+				for _, set := range probeSets {
+					where := fmt.Sprintf("%d shards, width %d, fanout %d, %s", shards, width, fanout, set.name)
+					// Probes carry S1 alone or S1+S3; every seventh partial
+					// already holds S2 and passes through, ahead of the rest.
+					const n = 48
+					sch := core.Schema()
+					in := sch.AcquireBlock(n, 3*n)
+					ps := core.NewPartials()
+					for i := 0; i < n; i++ {
+						k := set.keyOf(i)
+						j := in.Seed(0, uint64(i), maxTs, k, maxTs, []float64{float64(i)}[:i%2])
+						if i%3 == 0 {
+							in.AddPart(j, 2, uint64(100+i), maxTs-1, k, maxTs, 1)[0] = -float64(i)
+						}
+						if i%7 == 0 {
+							in.AddPart(j, slot, uint64(200+i), maxTs-2, k, maxTs, 1)[0] = 7
+						}
+						ps = append(ps, j)
+					}
+					var want []string
+					for _, p := range ps {
+						if p.Has(slot) {
+							want = append(want, joinedFields(p, 3))
+						}
+					}
+					ref := stream.NewJoinSchema(q.Streams)
+					var m stream.Matches
+					for _, p := range ps {
+						if p.Has(slot) {
+							continue
+						}
+						m.Reset()
+						hits := mirror.AppendMatches(p.Key(), &m)
+						if fanout > 0 {
+							hits = min(hits, fanout)
+						}
+						if hits == 0 {
+							continue
+						}
+						blk := ref.AcquireBlock(hits, hits*(p.NumVals()+width))
+						for i := 0; i < hits; i++ {
+							row := blk.CloneWith(p, slot, m.Seq[i], m.Ts[i], p.Key(), m.Arr[i], m.ValsAt(i))
+							want = append(want, joinedFields(row, 3))
+						}
+					}
+					out, err := core.ProcessStage(op, ps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(out) != len(want) || len(want) < n/7 {
+						t.Fatalf("%s: %d rows out, reference has %d", where, len(out), len(want))
+					}
+					for i, j := range out {
+						if got := joinedFields(j, 3); got != want[i] {
+							t.Fatalf("%s: row %d = %s, want %s", where, i, got, want[i])
+						}
+					}
+					core.ReleasePartials(out)
+					if acq, rec := sch.BlockCounts(); acq != rec {
+						t.Fatalf("%s: %d blocks acquired, %d recycled", where, acq, rec)
+					}
+				}
+			}
+		}
+	}
+
+	// Grouped probes against concurrent inserts: each goroutine owns a key
+	// range, inserts ascending sequence numbers into it and probes it, so
+	// whatever interleaves, a probe's matches must carry its own key and
+	// come out oldest first.
+	q := query.NewNWayJoin("GS", 3, 100)
+	cfg := DefaultConfig()
+	cfg.Workers = 4
+	core, err := NewNodeCore(q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for round := 0; round < 150; round++ {
+				b := stream.NewSizedBatch("S2", 1, 30)
+				for i := 0; i < 30; i++ {
+					ts := stream.Time(round) / 10
+					b.AppendRow(uint64(round*30+i), ts, int64(g*64)+rng.Int63n(64), ts)[0] = float64(g)
+				}
+				if err := core.Insert(op, b); err != nil {
+					t.Error(err)
+					return
+				}
+				in := core.Schema().AcquireBlock(30, 0)
+				ps := core.NewPartials()
+				for i := 0; i < 30; i++ {
+					ps = append(ps, in.Seed(0, uint64(i), 0, int64(g*64)+rng.Int63n(64), 0, nil))
+				}
+				out, err := core.ProcessStage(op, ps)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, j := range out {
+					p, _ := j.Part(slot)
+					probe, _ := j.Part(0)
+					if p.Key != j.Key() || p.Vals[0] != float64(g) {
+						t.Errorf("goroutine %d: probe of key %d matched key %d of goroutine %v", g, j.Key(), p.Key, p.Vals[0])
+						return
+					}
+					if i > 0 {
+						prev, _ := out[i-1].Part(slot)
+						prevProbe, _ := out[i-1].Part(0)
+						if prevProbe.Seq == probe.Seq && prev.Seq >= p.Seq {
+							t.Errorf("goroutine %d: probe %d got seq %d after %d: not oldest first", g, probe.Seq, p.Seq, prev.Seq)
+							return
+						}
+					}
+				}
+				core.ReleasePartials(out)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -59,8 +59,40 @@ func TestWindowInsertExpireAllocs(t *testing.T) {
 	}
 }
 
+// TestWindowProbeGroupAllocs: a group probe's only scratch is the cursor
+// array inside Matches, which stops growing at the largest group it has
+// seen; after that neither a group nor the one-key probe built on it
+// allocates.
+func TestWindowProbeGroupAllocs(t *testing.T) {
+	f := newWindowFeed(20, 4800, 4096)
+	w := steadyWindow(f)
+	var m Matches
+	keys := make([]int64, 64)
+	counts := make([]int32, len(keys))
+	round, matched := int64(0), 0
+	step := func() {
+		m.Reset()
+		for i := range keys {
+			keys[i] = (round*64 + int64(i)) % f.keys
+		}
+		round++
+		matched += w.AppendGroupMatches(keys, counts, &m)
+		matched += w.AppendGroupMatches(keys[:1], counts, &m)
+		matched += w.AppendMatches(keys[63], &m)
+	}
+	for i := 0; i < 64; i++ {
+		step() // every key once: Matches reaches its largest size
+	}
+	if n := testing.AllocsPerRun(500, step); n != 0 {
+		t.Fatalf("steady-state group probe made %v allocations per round, want 0", n)
+	}
+	if matched == 0 {
+		t.Fatal("no probe matched anything")
+	}
+}
+
 // TestWindowSnapshotAllocs: Snapshot into a batch already sized for the
-// window (what NodeCore.SnapshotOp hands it) is five bulk copies.
+// window (what NodeCore.SnapshotOp hands it) grows nothing.
 func TestWindowSnapshotAllocs(t *testing.T) {
 	w := steadyWindow(newWindowFeed(20, 4800, 4096))
 	snap := NewSizedBatch("S", w.Width(), w.Len())

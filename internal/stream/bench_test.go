@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -68,20 +69,33 @@ func BenchmarkWindowInsertExpire(b *testing.B) {
 	}
 }
 
+// BenchmarkWindowProbe probes 20 keys per op, as groups of 1 (what a
+// 20-tuple batch over 16 shards mostly gives), 6 (a 100-tuple batch) and 20,
+// so ns/op is comparable across the sizes. The window fits in L2 here: the
+// sizes differ by call overhead only, not by the misses grouping overlaps.
 func BenchmarkWindowProbe(b *testing.B) {
-	f := newWindowFeed(20, 4800, 4096)
-	w := steadyWindow(f)
-	var m Matches
-	matched := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Reset()
-		for k := int64(0); k < 20; k++ {
-			matched += w.AppendMatches((int64(i)*20+k)%f.keys, &m)
-		}
+	for _, group := range []int{1, 6, 20} {
+		b.Run(fmt.Sprintf("group=%d", group), func(b *testing.B) {
+			f := newWindowFeed(20, 4800, 4096)
+			w := steadyWindow(f)
+			var m Matches
+			keys := make([]int64, 20)
+			counts := make([]int32, group)
+			matched := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Reset()
+				for k := range keys {
+					keys[k] = (int64(i)*20 + int64(k)) % f.keys
+				}
+				for lo := 0; lo < len(keys); lo += group {
+					matched += w.AppendGroupMatches(keys[lo:min(lo+group, len(keys))], counts, &m)
+				}
+			}
+			b.ReportMetric(float64(matched)/float64(b.N)/20, "matches/probe")
+		})
 	}
-	b.ReportMetric(float64(matched)/float64(b.N)/20, "matches/probe")
 }
 
 func BenchmarkWindowSnapshot(b *testing.B) {

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // oracleWindow is the seed's boxed sliding-window implementation, kept
-// verbatim as a test oracle for the columnar ring-buffer Window.
+// verbatim as a test oracle for the ring-buffer Window.
 type oracleWindow struct {
 	span   float64
 	tuples []*Tuple
@@ -159,14 +160,68 @@ func checkSnapshot(t *testing.T, w *Window, o *oracleWindow, width int, where st
 	}
 }
 
+// groupSizes are the group-probe sizes checkGroups draws from: the empty
+// group, the group of one every small batch degenerates to, and up to more
+// keys than any shard sees in one stage.
+var groupSizes = []int{0, 1, 1, 2, 3, 5, 8, 16, 33, 64}
+
+// checkGroups re-issues one probe round's keys — shuffled, some repeated,
+// one repeated back to back — as group probes of random sizes appended to a
+// single Matches, and asserts that the groups' output equals the
+// concatenation of one-key probes over the same sequence, and every count
+// both the one-key probe's and the oracle's.
+func checkGroups(t *testing.T, rng *rand.Rand, w *Window, o *oracleWindow, round []int64, where string) {
+	t.Helper()
+	keys := slices.Clone(round)
+	for i := 0; i <= len(round)/4; i++ {
+		keys = append(keys, round[rng.Intn(len(round))])
+	}
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	dup := round[rng.Intn(len(round))]
+	keys = append(keys, dup, dup)
+
+	var grouped, singles Matches
+	for lo := 0; lo < len(keys); {
+		group := keys[lo:min(lo+groupSizes[rng.Intn(len(groupSizes))], len(keys))]
+		lo += len(group)
+		counts := make([]int32, len(group)+1)
+		for i := range counts {
+			counts[i] = -7 // stale: the probe must overwrite its keys' counts, and only those
+		}
+		before := grouped.Len()
+		total := w.AppendGroupMatches(group, counts, &grouped)
+		sum := 0
+		for i, k := range group {
+			n := w.AppendMatches(k, &singles)
+			if int(counts[i]) != n || n != len(o.probe(k)) {
+				t.Fatalf("%s: group of %d, key %d (#%d): count %d, one-key probe %d, oracle %d",
+					where, len(group), k, i, counts[i], n, len(o.probe(k)))
+			}
+			sum += n
+		}
+		if total != sum || grouped.Len()-before != sum || counts[len(group)] != -7 {
+			t.Fatalf("%s: group of %d returned %d and appended %d rows, want %d (count past the group: %d)",
+				where, len(group), total, grouped.Len()-before, sum, counts[len(group)])
+		}
+	}
+	if grouped.Width() != singles.Width() || !slices.Equal(grouped.Seq, singles.Seq) || !slices.Equal(grouped.Ts, singles.Ts) ||
+		!slices.Equal(grouped.Arr, singles.Arr) || !slices.Equal(grouped.Vals, singles.Vals) {
+		t.Fatalf("%s: group probes over %d keys appended seqs %v, one-key probes %v", where, len(keys), grouped.Seq, singles.Seq)
+	}
+}
+
 // checkWindowEquivalence drives the same randomized, batched, out-of-order
 // tuple sequence through the boxed oracle (per-tuple insert) and the
-// columnar Window (InsertRows + single deferred expiration), asserting
-// identical join (probe) outputs at every batch boundary and identical
-// retained/expired sets after every batch. The seed also picks the key set
-// (oracleKeys), how many tuples a span holds (a few, so the ring stays at
-// its first size, or hundreds, so it grows while chains are mixed and then
-// wraps), and the batches after which the window is Reset and reused.
+// row-major Window (InsertRows + single deferred expiration), asserting
+// identical join (probe) outputs at every batch boundary — key by key
+// against the oracle, then the same keys again as group probes
+// (checkGroups) — and identical retained/expired sets after every batch.
+// The seed also picks the key set (oracleKeys), how many tuples a span holds
+// (a few, so the ring stays at its first size, or hundreds, so it grows
+// while chains are mixed and then wraps), and the batches after which the
+// window is Reset and reused; so groups are issued across grows, ring wraps,
+// partial expiries and Resets, with absent and same-bucket foreign keys
+// among them.
 func checkWindowEquivalence(t *testing.T, seed int64, nBatches int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -181,8 +236,10 @@ func checkWindowEquivalence(t *testing.T, seed int64, nBatches int) {
 	ts := 0.0
 	seq := uint64(0)
 	var m Matches
-	var lastKeys []int64
+	var lastKeys, round []int64
+	grng := rand.New(rand.NewSource(seed ^ 0x67726f7570)) // group draws must not shift the sequence the seed stands for
 	probe := func(bi int, k int64) {
+		round = append(round, k)
 		m.Reset()
 		w.AppendMatches(k, &m)
 		want := o.probe(k)
@@ -220,6 +277,8 @@ func checkWindowEquivalence(t *testing.T, seed int64, nBatches int) {
 		for _, k := range absent {
 			probe(bi, k)
 		}
+		checkGroups(t, grng, w, o, round, fmt.Sprintf("seed %d batch %d", seed, bi))
+		round = round[:0]
 
 		// Build one batch with jittered (out-of-order) timestamps.
 		n := 1 + rng.Intn(40)

@@ -250,8 +250,8 @@ func TestWindowForeignKeysShareAChain(t *testing.T) {
 	for i := 0; i < n; i++ {
 		w.Insert(&Tuple{Seq: uint64(i), Ts: Time(i), Key: keys[i%nKeys], Vals: []float64{float64(i)}})
 	}
-	if len(w.seq) < n {
-		t.Fatalf("ring capacity %d: the window never grew", len(w.seq))
+	if ringCap(w) < n {
+		t.Fatalf("ring capacity %d: the window never grew", ringCap(w))
 	}
 	for _, k := range append(keys, stranger) {
 		if w.bucketOf(k) != w.bucketOf(keys[0]) {
@@ -280,18 +280,18 @@ func TestWindowForeignKeysShareAChain(t *testing.T) {
 	check(237)
 }
 
-// TestWindowSnapshotWrappedRing takes Snapshot's two-run path: the live
-// records straddle the end of the ring, and the copy must still come out in
-// insertion order, into a destination of the window's width or another.
+// TestWindowSnapshotWrappedRing: the live records straddle the end of the
+// ring, and the snapshot must still equal the insertion order, into a
+// destination of the window's width or another.
 func TestWindowSnapshotWrappedRing(t *testing.T) {
 	w := NewWindow(40)
 	const n = 230
 	for i := 0; i < n; i++ {
 		w.Insert(&Tuple{Seq: uint64(i), Ts: Time(i), Key: int64(i % 5), Arrival: Time(i) + 0.5, Vals: []float64{float64(i), -float64(i)}})
 	}
-	lo := int(w.head & uint64(len(w.seq)-1))
-	if lo+w.Len() <= len(w.seq) {
-		t.Fatalf("live records [%d,+%d) do not wrap a ring of %d", lo, w.Len(), len(w.seq))
+	lo := int(w.head & uint64(ringCap(w)-1))
+	if lo+w.Len() <= ringCap(w) {
+		t.Fatalf("live records [%d,+%d) do not wrap a ring of %d", lo, w.Len(), ringCap(w))
 	}
 	first := n - w.Len()
 	for _, width := range []int{-1, 2, 1, 3} {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -9,20 +10,25 @@ import (
 // application timestamp. It supports insertion, expiration, and key probes —
 // the operations a symmetric windowed join needs.
 //
-// Storage is a columnar ring buffer: records live in power-of-two columns
-// addressed by absolute positions, the live ones being [head, tail).
+// Storage is a row-major ring buffer: one []uint64 holding a fixed-stride
+// record per slot — key, next, seq, ts, arr, then the payload (floats as
+// their bit patterns), 48 bytes at width 1 — for a power-of-two number of
+// slots addressed by absolute positions, the live ones being [head, tail).
 // Positions only ever grow (they start at 1 and Reset does not rewind them),
 // a record's slot is its position masked by the ring capacity, and
-// expiration just advances head — no reallocation or copying.
+// expiration just advances head — no reallocation or copying. Everything a
+// chain step reads (key, next) and everything a match copies out sits in the
+// one record, so a step touches one cache line where parallel columns
+// touched two, and a match costs no further miss.
 //
 // The key index is a bucket-chain hash table kept inside the ring, with
 // these invariants:
 //
 //   - bucket[h] is the absolute position of the newest record whose key
-//     hashes to h, and next[slot] the position of the next-older record in
-//     the same bucket. A chain therefore runs newest → oldest in strictly
-//     decreasing positions, and may mix keys that share a bucket: a probe
-//     compares the key column as it walks.
+//     hashes to h, and a record's next word the position of the next-older
+//     record in the same bucket. A chain therefore runs newest → oldest in
+//     strictly decreasing positions, and may mix keys that share a bucket: a
+//     probe compares each record's key as it walks.
 //   - A position below head is dead. Nothing ever unlinks a record: eviction
 //     is strictly oldest-first, so once a walk meets a position below head
 //     everything further down the chain is older still, and the walk stops.
@@ -41,16 +47,23 @@ type Window struct {
 
 	head, tail uint64 // absolute positions; live records are [head, tail)
 
-	seq  []uint64
-	ts   []Time
-	key  []int64
-	arr  []Time
-	vals []float64 // width values per slot
-	next []uint64  // bucket chain: absolute position of the next-older record
+	recs   []uint64 // slots records of stride words each
+	slots  int      // ring capacity, a power of two (0 before the first insert)
+	stride int      // recFixed + payload width
 
 	bucket []uint64 // hash bucket → newest absolute position
 	shift  uint     // 64 - log2(len(bucket)): bucketOf keeps the hash's top bits
 }
+
+// Word offsets within a record; the payload follows from recFixed on.
+const (
+	recKey = iota
+	recNext
+	recSeq
+	recTs
+	recArr
+	recFixed
+)
 
 const (
 	// bucketsPerSlot is the index's fixed load factor: at most one live
@@ -84,52 +97,50 @@ func (w *Window) Width() int { return w.arity - 1 }
 // within one shard those are constant and must not pick the bucket.
 func (w *Window) bucketOf(key int64) uint64 { return uint64(key) * hashMul >> w.shift }
 
+// rec returns the record at absolute position p.
+func (w *Window) rec(p uint64) []uint64 {
+	off := int(p&uint64(w.slots-1)) * w.stride
+	return w.recs[off : off+w.stride : off+w.stride]
+}
+
 // grow doubles the ring capacity, re-slotting live records at their absolute
 // position under the new mask, and rebuilds the (doubled) bucket table by
 // re-linking them oldest-first, which keeps every chain newest → oldest.
 func (w *Window) grow() {
-	oldCap := len(w.seq)
-	newCap := max(oldCap*2, minRing)
-	width := w.arity - 1
-	seq := make([]uint64, newCap)
-	ts := make([]Time, newCap)
-	key := make([]int64, newCap)
-	arr := make([]Time, newCap)
-	vals := make([]float64, newCap*width)
-	w.next = make([]uint64, newCap)
-	w.bucket = make([]uint64, newCap*bucketsPerSlot)
+	old := *w
+	w.slots = max(old.slots*2, minRing)
+	w.stride = recFixed + w.arity - 1
+	w.recs = make([]uint64, w.slots*w.stride)
+	w.bucket = make([]uint64, w.slots*bucketsPerSlot)
 	w.shift = uint(64 - bits.TrailingZeros(uint(len(w.bucket))))
-	oldMask, newMask := uint64(oldCap-1), uint64(newCap-1)
 	for p := w.head; p < w.tail; p++ {
-		os, ns := p&oldMask, p&newMask
-		seq[ns] = w.seq[os]
-		ts[ns] = w.ts[os]
-		key[ns] = w.key[os]
-		arr[ns] = w.arr[os]
-		copy(vals[int(ns)*width:(int(ns)+1)*width], w.vals[int(os)*width:(int(os)+1)*width])
-		h := w.bucketOf(key[ns])
-		w.next[ns] = w.bucket[h]
+		r := w.rec(p)
+		copy(r, old.rec(p))
+		h := w.bucketOf(int64(r[recKey]))
+		r[recNext] = w.bucket[h]
 		w.bucket[h] = p
 	}
-	w.seq, w.ts, w.key, w.arr, w.vals = seq, ts, key, arr, vals
 }
 
 // appendRecord writes one record at tail and pushes it onto its bucket's
 // chain. The window's width must already be fixed.
 func (w *Window) appendRecord(seq uint64, ts Time, key int64, arrival Time, vals []float64) {
-	if w.Len() == len(w.seq) {
+	if w.Len() == w.slots {
 		w.grow()
 	}
-	mask := uint64(len(w.seq) - 1)
-	slot := w.tail & mask
-	w.seq[slot] = seq
-	w.ts[slot] = ts
-	w.key[slot] = key
-	w.arr[slot] = arrival
-	width := w.arity - 1
-	copyRow(w.vals[int(slot)*width:(int(slot)+1)*width], vals)
+	r := w.rec(w.tail)
 	h := w.bucketOf(key)
-	w.next[slot] = w.bucket[h]
+	r[recKey] = uint64(key)
+	r[recNext] = w.bucket[h]
+	r[recSeq] = seq
+	r[recTs] = math.Float64bits(float64(ts))
+	r[recArr] = math.Float64bits(float64(arrival))
+	pay := r[recFixed:]
+	n := min(len(pay), len(vals))
+	for i, v := range vals[:n] {
+		pay[i] = math.Float64bits(v)
+	}
+	clear(pay[n:])
 	w.bucket[h] = w.tail
 	w.tail++
 }
@@ -176,61 +187,112 @@ func (w *Window) InsertRows(b *Batch, rows []int32) {
 // The key index is not touched: the evicted positions are now below head,
 // which is all a chain walk needs to skip them.
 func (w *Window) ExpireBefore(cutoff Time) {
-	mask := uint64(len(w.seq) - 1)
-	for w.head < w.tail && w.ts[w.head&mask].Before(cutoff) {
-		w.head++
+	head := w.head
+	for head < w.tail && math.Float64frombits(w.rec(head)[recTs]) < float64(cutoff) {
+		head++
 	}
+	w.head = head
 }
 
 // AppendMatches appends all buffered records matching key to m, oldest
-// first (insertion order), and returns how many were appended. The records
-// are copied out, so m remains valid after further window mutation.
+// first (insertion order), and returns how many were appended: the group
+// probe with a group of one. The records are copied out, so m remains valid
+// after further window mutation.
 func (w *Window) AppendMatches(key int64, m *Matches) int {
+	var n [1]int32
+	return w.AppendGroupMatches([]int64{key}, n[:], m)
+}
+
+// AppendGroupMatches probes every key of keys at once: it sets counts[i] to
+// the number of buffered records matching keys[i] and appends those records
+// to m key by key, each key's oldest first — the rows one AppendMatches call
+// per key would append — returning the total. counts must be at least as
+// long as keys; a key may repeat.
+//
+// The count pass walks all the chains together, one step per key per round:
+// a step is a dependent load that usually misses, and the steps of one round
+// are independent of each other, so their misses overlap where a chain
+// walked on its own waits for each in turn. (The last chain still running,
+// or a group of one, is on its own anyway and is walked out in place.) The
+// fill pass then re-walks each chain, now cached, as far as the key's oldest
+// match.
+func (w *Window) AppendGroupMatches(keys []int64, counts []int32, m *Matches) int {
+	counts = counts[:len(keys)]
 	if w.head == w.tail {
+		clear(counts)
 		return 0
 	}
-	mask := uint64(len(w.seq) - 1)
-	first := w.bucket[w.bucketOf(key)]
-	n := 0
-	for p := first; p >= w.head; p = w.next[p&mask] {
-		if w.key[p&mask] == key {
-			n++
+	n := len(keys)
+	if cap(m.walk) < 2*n {
+		m.walk = make([]uint64, 2*n)
+	}
+	first, cur := m.walk[:n], m.walk[n:2*n]
+	for i, k := range keys {
+		first[i] = w.bucket[w.bucketOf(k)]
+		cur[i], counts[i] = first[i], 0
+	}
+	recs, head, mask, stride := w.recs, w.head, uint64(w.slots-1), w.stride
+	total := 0
+	for live := n; live > 0; {
+		// A chain left on its own has nothing to overlap with: walk it out.
+		alone := live == 1
+		live = 0
+		for i, p := range cur {
+			if p < head {
+				continue // this key's chain has run out
+			}
+			for {
+				r := recs[int(p&mask)*stride:]
+				if int64(r[recKey]) == keys[i] {
+					counts[i]++
+					total++
+				}
+				p = r[recNext]
+				if p < head || !alone {
+					break
+				}
+			}
+			cur[i] = p
+			if p >= head {
+				live++
+			}
 		}
 	}
-	if n == 0 {
+	if total == 0 {
 		return 0
 	}
-	width := w.arity - 1
 	if m.Len() == 0 {
-		m.width = width
+		m.width = stride - recFixed
 	}
 	mw := m.width
-	base := len(m.Seq)
-	m.Seq = slices.Grow(m.Seq, n)[:base+n]
-	m.Ts = slices.Grow(m.Ts, n)[:base+n]
-	m.Arr = slices.Grow(m.Arr, n)[:base+n]
-	m.Vals = slices.Grow(m.Vals, n*mw)[:(base+n)*mw]
-	// The chain runs newest → oldest; fill the new rows back to front.
-	i := base + n
-	for p := first; p >= w.head; p = w.next[p&mask] {
-		slot := int(p & mask)
-		if w.key[slot] != key {
-			continue
+	end := len(m.Seq)
+	m.Seq = slices.Grow(m.Seq, total)[:end+total]
+	m.Ts = slices.Grow(m.Ts, total)[:end+total]
+	m.Arr = slices.Grow(m.Arr, total)[:end+total]
+	m.Vals = slices.Grow(m.Vals, total*mw)[:(end+total)*mw]
+	for i, k := range keys {
+		// The chain runs newest → oldest; fill the key's rows back to front.
+		start := end
+		end += int(counts[i])
+		for j, p := end, first[i]; j > start; {
+			r := recs[int(p&mask)*stride:][:stride]
+			p = r[recNext]
+			if int64(r[recKey]) != k {
+				continue
+			}
+			j--
+			m.Seq[j] = r[recSeq]
+			m.Ts[j] = Time(math.Float64frombits(r[recTs]))
+			m.Arr[j] = Time(math.Float64frombits(r[recArr]))
+			copyVals(m.Vals[j*mw:(j+1)*mw], r[recFixed:])
 		}
-		i--
-		m.Seq[i] = w.seq[slot]
-		m.Ts[i] = w.ts[slot]
-		m.Arr[i] = w.arr[slot]
-		copyRow(m.Vals[i*mw:(i+1)*mw], w.vals[slot*width:(slot+1)*width])
 	}
-	return n
+	return total
 }
 
 // Snapshot appends every buffered record to b in insertion order (for
-// checkpointing). If b's width is not yet fixed it inherits the window's.
-// The live ring is at most two contiguous runs of slots — [head's slot, end
-// of ring) and [0, tail's slot) — so each column is copied with one or two
-// bulk appends rather than row by row.
+// checkpointing). If b's width is not yet fixed it inherits the window's;
+// a b sized for another width gets each payload truncated or zero-padded.
 func (w *Window) Snapshot(b *Batch) {
 	n := w.Len()
 	if n == 0 {
@@ -239,39 +301,36 @@ func (w *Window) Snapshot(b *Batch) {
 	if b.arity == 0 {
 		b.arity = w.arity
 	}
-	mask := uint64(len(w.seq) - 1)
-	lo := int(w.head & mask)
-	run := min(n, len(w.seq)-lo) // slots in the first run; the second starts at slot 0
-	b.Seq = appendRing(b.Seq, w.seq, lo, run, n)
-	b.Ts = appendRing(b.Ts, w.ts, lo, run, n)
-	b.Key = appendRing(b.Key, w.key, lo, run, n)
-	b.Arr = appendRing(b.Arr, w.arr, lo, run, n)
-	width, bw := w.arity-1, b.arity-1
-	if bw == width {
-		b.Vals = appendRing(b.Vals, w.vals, lo*width, run*width, n*width)
-		return
-	}
-	// b was sized for another width: truncate or zero-pad each row to it.
-	base := len(b.Vals)
-	b.Vals = slices.Grow(b.Vals, n*bw)[:base+n*bw]
-	for p := w.head; p < w.tail; p++ {
-		slot := int(p & mask)
-		copyRow(b.Vals[base:base+bw], w.vals[slot*width:(slot+1)*width])
-		base += bw
+	bw := b.arity - 1
+	base := len(b.Seq)
+	b.Seq = slices.Grow(b.Seq, n)[:base+n]
+	b.Ts = slices.Grow(b.Ts, n)[:base+n]
+	b.Key = slices.Grow(b.Key, n)[:base+n]
+	b.Arr = slices.Grow(b.Arr, n)[:base+n]
+	b.Vals = slices.Grow(b.Vals, n*bw)[:(base+n)*bw]
+	seq, ts, key, arr, vals := b.Seq[base:], b.Ts[base:][:n], b.Key[base:][:n], b.Arr[base:][:n], b.Vals[base*bw:]
+	recs, head, mask, stride := w.recs, w.head, uint64(w.slots-1), w.stride
+	for i := range seq {
+		off := int((head+uint64(i))&mask) * stride
+		r := recs[off : off+stride]
+		seq[i] = r[recSeq]
+		ts[i] = Time(math.Float64frombits(r[recTs]))
+		key[i] = int64(r[recKey])
+		arr[i] = Time(math.Float64frombits(r[recArr]))
+		copyVals(vals[i*bw:(i+1)*bw], r[recFixed:])
 	}
 }
 
-// copyRow fills the payload row dst from src, truncating or zero-padding src
-// to dst's width.
-func copyRow(dst, src []float64) { clear(dst[copy(dst, src):]) }
-
-// appendRing appends to dst the n ring elements that start at index lo, the
-// first run of them contiguous and the rest wrapped round to index 0, growing
-// dst at most once.
-func appendRing[T any](dst, ring []T, lo, run, n int) []T {
-	dst = slices.Grow(dst, n)
-	dst = append(dst, ring[lo:lo+run]...)
-	return append(dst, ring[:n-run]...)
+// copyVals fills the payload row dst from a record's payload words,
+// truncating or zero-padding them to dst's width.
+func copyVals(dst []float64, src []uint64) {
+	n := min(len(dst), len(src))
+	for i, u := range src[:n] {
+		dst[i] = math.Float64frombits(u)
+	}
+	for i := n; i < len(dst); i++ { // a plain loop: the pad is nearly always empty
+		dst[i] = 0
+	}
 }
 
 // Reset drops all buffered tuples, keeping capacity and span. Positions are
@@ -280,9 +339,11 @@ func appendRing[T any](dst, ring []T, lo, run, n int) []T {
 func (w *Window) Reset() { w.head = w.tail }
 
 // Matches is a columnar probe-result scratch buffer: the records matching a
-// sequence of AppendMatches calls, each ValsAt(i) being Width() payload
-// values. Reset before reuse across operators (the width follows the first
-// window appended after a Reset).
+// sequence of AppendMatches / AppendGroupMatches calls, each ValsAt(i) being
+// Width() payload values. Reset before reuse across operators (the width
+// follows the first window appended after a Reset). It also carries the group
+// probe's per-key chain cursors, kept across calls so a probe allocates
+// nothing once they have reached the largest group's size.
 type Matches struct {
 	Seq  []uint64
 	Ts   []Time
@@ -290,6 +351,7 @@ type Matches struct {
 	Vals []float64
 
 	width int
+	walk  []uint64 // per key of the group in hand: bucket head, then cursor
 }
 
 // Len returns the number of buffered match records.
