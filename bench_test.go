@@ -211,7 +211,7 @@ func BenchmarkEngineIngestCore(b *testing.B) {
 func benchPipelineIngest(b *testing.B, producers int) {
 	dep := benchDeployment(b, 0.2)
 	ctx := context.Background()
-	pipe, err := Open(ctx, dep, nil, WithShards(64))
+	pipe, err := Open(ctx, dep, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func BenchmarkPipelineIngestParallel(b *testing.B) {
 // result tuples per batch), through a Pipeline opened WithBufferedResults
 // and drained by a consumer. Every other benchmark here runs without a
 // subscriber, so none of them sees what handing results to one costs;
-// allocs/op is the number the CI gate watches.
+// TestBenchmarkAllocs bounds its allocs/op.
 func BenchmarkPipelineResults(b *testing.B) {
 	const (
 		batchSize = 100
@@ -293,9 +293,11 @@ func BenchmarkPipelineResults(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	// Depth 1: each batch's emission is sunk before the next is admitted,
-	// so the consumer below never meets a full buffer.
-	pipe, err := Open(ctx, dep, nil, WithWorkers(1), WithBufferedResults(64), WithMaxPending(1), WithClassifyBatch(batchSize))
+	// Depth 1: each batch's emission is sunk before the next is admitted.
+	// Sunk is not consumed, though: producer and worker hand the processor
+	// to each other, and when no other one is free the consumer waits out
+	// their time slice — about 125 batches. The buffer covers several.
+	pipe, err := Open(ctx, dep, nil, WithWorkers(1), WithBufferedResults(1024), WithMaxPending(1), WithClassifyBatch(batchSize))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Command apisurface renders the public rld package's exported API surface
-// and maintains the committed golden file the CI api-gate compares against
+// and maintains the committed golden file TestAPISurface compares against
 // (the in-repo stand-in for golang.org/x/exp/cmd/apidiff, which would pull
 // a dependency this module deliberately avoids).
 //
 //	go run ./cmd/apisurface            # print the current surface
-//	go run ./cmd/apisurface -check     # diff against API_SURFACE.txt (CI)
+//	go run ./cmd/apisurface -check     # diff against API_SURFACE.txt
 //	go run ./cmd/apisurface -write     # regenerate after an intended change
 package main
 

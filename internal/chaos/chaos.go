@@ -254,7 +254,9 @@ func (p *FaultPlan) String() string {
 	return sb.String()
 }
 
-func fmtNum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// fmtNum prints v without an exponent: the interval syntax splits on "-",
+// so "1e-05" would not parse back.
+func fmtNum(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 
 // Parse reads a fault plan from the -faults flag syntax:
 //

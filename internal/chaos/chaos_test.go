@@ -151,3 +151,46 @@ func TestPlanAccounting(t *testing.T) {
 		t.Fatalf("String() lost the mode: %q", p.String())
 	}
 }
+
+// FuzzParseFaultPlan: the -faults flag is typed by a person, so Parse must
+// answer any string with a plan or an error that says "chaos:" — never a
+// panic — and a plan it accepts must survive its own notation: String parses
+// back to a plan that prints the same, fault for fault, and Validate and the
+// event cursor accept whatever numbers it holds without panicking.
+func FuzzParseFaultPlan(f *testing.F) {
+	for _, s := range []string{
+		"crash:1@120-180,slow:0@300-360x0.5;mode=checkpoint;every=30",
+		"crash:0@10-20",
+		"",
+		"crash:0@10-40,crash:1@100-130,slow:0@50-60x0.25;mode=lose",
+		"boom:0@1-2", "crash:0", "crash:x@1-2", "slow:0@1-2",
+		"crash:0@1-2;mode=up", "crash:0@1-2;every=0", "crash:0@12",
+		"crash:0@1e3-NaN;every=Inf",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil {
+			if p != nil || !strings.HasPrefix(err.Error(), "chaos: ") {
+				t.Fatalf("Parse(%q) = (%v, %v), want no plan and a chaos: error", s, p, err)
+			}
+			return
+		}
+		printed := p.String()
+		back, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("Parse(%q) printed as %q, which does not parse: %v", s, printed, err)
+		}
+		if again := back.String(); again != printed || len(back.Faults) != len(p.Faults) || back.Mode != p.Mode {
+			t.Fatalf("Parse(%q) printed as %q, which parses to %q", s, printed, again)
+		}
+		_ = p.Validate(4)
+		for c := p.Cursor(); !c.Done(); {
+			at, _ := c.Peek()
+			if len(c.Advance(at)) == 0 {
+				break // a NaN edge never compares as due
+			}
+		}
+	})
+}

@@ -4,8 +4,10 @@ package engine
 
 import (
 	"context"
+	stdruntime "runtime"
 	"testing"
 
+	"rld/internal/alloctest"
 	"rld/internal/physical"
 	"rld/internal/query"
 	"rld/internal/runtime"
@@ -112,5 +114,26 @@ func TestJoinStageAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, step); n != 0 {
 		t.Fatalf("steady-state join stage made %v allocations per batch, want 0", n)
+	}
+}
+
+// TestBenchmarkAllocs holds each engine benchmark to its allocation bound —
+// the allocs/op last recorded for it at -benchtime 3x, × 1.25 + 8 — by
+// running the benchmark's own body. bench/rldperf referees time; this is
+// the only other thing a benchmark here is gated on.
+func TestBenchmarkAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		bound int64
+		body  func(*testing.B)
+	}{
+		{"EngineThroughput/workers=1", 511, func(b *testing.B) { benchThroughput(b, 1) }},
+		{"EngineThroughput/workers=max", 551, func(b *testing.B) { benchThroughput(b, stdruntime.GOMAXPROCS(0)) }},
+		{"ChaosRecovery", 291, BenchmarkChaosRecovery},
+		// The WAL-off side only: what the dedup hooks cost the path that
+		// does not use them.
+		{"IngestDurable/wal=off", 275, func(b *testing.B) { benchIngestDurable(b, "") }},
+	} {
+		alloctest.Bound(t, c.name, "3x", c.bound, c.body)
 	}
 }

@@ -61,7 +61,7 @@ func benchThroughput(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, cfg)
+		e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,9 +95,8 @@ func benchThroughput(b *testing.B, workers int) {
 //
 //	go test ./internal/engine -bench EngineThroughput -benchtime 2x
 func BenchmarkEngineThroughput(b *testing.B) {
-	// Stable sub-benchmark names ("max", not the numeric GOMAXPROCS):
-	// cmd/benchdiff compares runs across machines with different core
-	// counts, and mismatched names silently drop out of the gate.
+	// Stable sub-benchmark names ("max", not the numeric GOMAXPROCS), so
+	// results compare across machines with different core counts.
 	for _, c := range []struct {
 		name    string
 		workers int
@@ -114,8 +113,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // BenchmarkChaosRecovery measures one full crash→park→recover→drain cycle
 // on the join node: snapshot the window, kill the pool, ingest probes
 // against the dead node (parked), then recover (checkpoint restore +
-// replay) and drain. It is the CI perf gate for the failure path. Run
-// with:
+// replay) and drain — the failure path's benchmark. Run with:
 //
 //	go test ./internal/engine -bench ChaosRecovery -benchtime 3x
 func BenchmarkChaosRecovery(b *testing.B) {
@@ -134,7 +132,7 @@ func BenchmarkChaosRecovery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, cfg)
+		e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +183,7 @@ func benchIngestDurable(b *testing.B, walDir string) {
 	cfg.Workers = 2
 	cfg.WALDir = walDir
 
-	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, cfg)
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

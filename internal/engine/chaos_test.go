@@ -33,7 +33,7 @@ func newChaosEngine(t *testing.T) *Engine {
 	cfg := DefaultConfig()
 	cfg.Workers = 2
 	cfg.MaxFanout = 8
-	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, cfg)
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func runExactlyOnce(t *testing.T, walDir string, revive func(*testing.T, *Engine
 	cfg := DefaultConfig()
 	cfg.Workers = 2
 	cfg.WALDir = walDir
-	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, cfg)
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestCrashRecoverLoopUnderConcurrentIngest(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 4
 	cfg.MaxFanout = 8
-	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, cfg)
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

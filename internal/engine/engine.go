@@ -45,17 +45,10 @@ import (
 )
 
 // PlanChooser selects a logical plan for each batch given fresh statistics
-// (core.Deployment.Classify satisfies this via an adapter; fixed-plan
-// baselines use StaticChooser).
+// (a session wraps its policy's Classify in a ChooserFunc).
 type PlanChooser interface {
 	Choose(snap stats.Snapshot) query.Plan
 }
-
-// StaticChooser always returns one plan.
-type StaticChooser struct{ Plan query.Plan }
-
-// Choose implements PlanChooser.
-func (s StaticChooser) Choose(stats.Snapshot) query.Plan { return s.Plan }
 
 // ChooserFunc adapts a function to PlanChooser.
 type ChooserFunc func(snap stats.Snapshot) query.Plan
@@ -76,10 +69,6 @@ type Config struct {
 	// queue (0 = GOMAXPROCS): concurrent batches on one node process in
 	// parallel.
 	Workers int
-	// Shards is the number of hash partitions of each join operator's
-	// window state, each with its own lock (0 = 16; rounded up to a
-	// power of two). More shards → less insert/probe contention.
-	Shards int
 	// WALDir, when non-empty, turns on exactly-once durability: every
 	// window mutation is logged to a write-ahead log under this directory
 	// (fsync'd before it applies) and deduplicated by tuple ID on
@@ -1107,6 +1096,3 @@ func (e *Engine) results() Results {
 	r.ObservedSels = snap.Sels
 	return r
 }
-
-// Monitor exposes the engine's statistics monitor (examples print it).
-func (e *Engine) Monitor() *stats.Monitor { return e.monitor }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -11,6 +12,11 @@ import (
 	"rld/internal/stats"
 	"rld/internal/stream"
 )
+
+// staticChooser always returns one plan.
+type staticChooser struct{ Plan query.Plan }
+
+func (s staticChooser) Choose(stats.Snapshot) query.Plan { return s.Plan }
 
 // twoWay builds a tiny 2-stream join query: one select on S1, one join on
 // S2.
@@ -49,7 +55,7 @@ func feed(t *testing.T, e *Engine, q *query.Query, batches, size int, sel float6
 
 func TestEngineEndToEndProducesJoins(t *testing.T) {
 	q := twoWay()
-	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +82,7 @@ func TestEngineEndToEndProducesJoins(t *testing.T) {
 func TestEngineSelectivityObserved(t *testing.T) {
 	q := twoWay()
 	q.Ops[0].Sel = 0.3 // select passes ~30% of Uniform(0,100)
-	e, err := New(q, physical.Assignment{0, 0}, 1, StaticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+	e, err := New(q, physical.Assignment{0, 0}, 1, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +137,7 @@ func TestEngineRejectsBadInputs(t *testing.T) {
 
 func TestEngineIngestBeforeStartErrors(t *testing.T) {
 	q := twoWay()
-	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +146,7 @@ func TestEngineIngestBeforeStartErrors(t *testing.T) {
 	}
 	e.Start()
 	defer e.Stop()
-	bad := StaticChooser{Plan: query.Plan{9, 9}}
+	bad := staticChooser{Plan: query.Plan{9, 9}}
 	e2, _ := New(q, physical.Assignment{0, 1}, 2, bad, DefaultConfig())
 	e2.Start()
 	defer e2.Stop()
@@ -153,7 +159,7 @@ func TestEngineIngestBeforeStartErrors(t *testing.T) {
 
 func TestEngineStopIdempotent(t *testing.T) {
 	q := twoWay()
-	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +177,7 @@ func TestEngineSelfSendNoDeadlock(t *testing.T) {
 	q := query.NewNWayJoin("E", 3, 5)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	e, err := New(q, physical.Assignment{0, 0, 0}, 1, StaticChooser{Plan: query.Plan{0, 1, 2}}, cfg)
+	e, err := New(q, physical.Assignment{0, 0, 0}, 1, staticChooser{Plan: query.Plan{0, 1, 2}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +193,7 @@ func TestEngineMaxFanoutBoundsBlowup(t *testing.T) {
 	q := twoWay()
 	cfg := DefaultConfig()
 	cfg.MaxFanout = 2
-	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, cfg)
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +209,173 @@ func TestEngineMaxFanoutBoundsBlowup(t *testing.T) {
 
 func TestEngineMonitorAccessible(t *testing.T) {
 	q := twoWay()
-	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Start()
 	feed(t, e, q, 2, 10, 0.5)
-	if !e.Monitor().Primed() {
+	if !e.monitor.Primed() {
 		t.Fatal("monitor should be primed after ingest")
 	}
 	e.Stop()
+}
+
+func TestEngineConcurrentIngest(t *testing.T) {
+	q := twoWay()
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	const feeders, batches, size = 4, 10, 30
+	var wg sync.WaitGroup
+	for f := 0; f < feeders; f++ {
+		wg.Add(1)
+		go func(f int) {
+			defer wg.Done()
+			src := gen.NewSource(q.Streams[f%2],
+				gen.ConstProfile(50),
+				gen.KeyDist{Target: gen.ConstProfile(0.4), Cold: 512},
+				gen.Uniform{A: 0, B: 100}, int64(f))
+			for i := 0; i < batches; i++ {
+				b := stream.NewBatch(src.Name)
+				for j := 0; j < size; j++ {
+					tu, _ := src.Next()
+					b.Append(tu)
+				}
+				if err := e.Ingest(b); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(f)
+	}
+	wg.Wait()
+	res := e.Stop()
+	if res.Ingested != feeders*batches*size {
+		t.Fatalf("ingested %d, want %d", res.Ingested, feeders*batches*size)
+	}
+	if res.Batches != feeders*batches {
+		t.Fatalf("batches %d, want %d", res.Batches, feeders*batches)
+	}
+}
+
+func TestEngineConcurrentStopsAgree(t *testing.T) {
+	q := twoWay()
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	feed(t, e, q, 20, 50, 0.5)
+	results := make([]Results, 4)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = e.Stop()
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < len(results); i++ {
+		if results[i].Produced != results[0].Produced || results[i].Ingested != results[0].Ingested {
+			t.Fatalf("racing Stops disagree: %+v vs %+v", results[i], results[0])
+		}
+	}
+}
+
+func TestEngineStopDuringConcurrentIngest(t *testing.T) {
+	// Stop racing a concurrent Ingest must never panic or strand a
+	// message: Ingest either completes its send before the pools retire
+	// or observes the stopped flag and errors out.
+	for round := 0; round < 25; round++ {
+		q := twoWay()
+		e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start()
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src := gen.NewSource("S1", gen.ConstProfile(100),
+				gen.KeyDist{Cold: 64}, gen.Uniform{A: 0, B: 100}, int64(round))
+			for {
+				b := stream.NewBatch("S1")
+				for j := 0; j < 20; j++ {
+					tu, _ := src.Next()
+					b.Append(tu)
+				}
+				if err := e.Ingest(b); err != nil {
+					return // engine stopped underneath us: expected
+				}
+			}
+		}()
+		e.Stop()
+		wg.Wait()
+	}
+}
+
+func TestEngineMigrateReroutes(t *testing.T) {
+	q := twoWay()
+	e, err := New(q, physical.Assignment{0, 0}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Migrate(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if a := e.Assignment(); a[1] != 1 || a[0] != 0 {
+		t.Fatalf("assignment after migrate = %v", a)
+	}
+	if err := e.Migrate(9, 0); err == nil {
+		t.Fatal("unknown op must error")
+	}
+	if err := e.Migrate(0, 9); err == nil {
+		t.Fatal("unknown node must error")
+	}
+	// Traffic keeps flowing after a reroute.
+	e.Start()
+	feed(t, e, q, 10, 20, 0.5)
+	res := e.Stop()
+	if res.Ingested == 0 || res.Produced == 0 {
+		t.Fatalf("no traffic after migrate: %+v", res)
+	}
+}
+
+// TestEngineMatchesSimSelectivity cross-validates the two substrates: the
+// live engine's observed selection pass-rate converges to the same value
+// the simulator's cost model assumes.
+func TestEngineMatchesSimSelectivity(t *testing.T) {
+	q := query.NewNWayJoin("X", 2, 5)
+	q.Ops[0].Sel = 0.4
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	rng := rand.New(rand.NewSource(3))
+	ts := 0.0
+	for b := 0; b < 60; b++ {
+		for _, s := range q.Streams {
+			batch := &stream.Batch{Stream: s}
+			for j := 0; j < 40; j++ {
+				ts += 0.001
+				batch.Append(&stream.Tuple{
+					Stream: s, Ts: stream.Time(ts), Key: rng.Int63n(300),
+					Vals: []float64{rng.Float64() * 100},
+				})
+			}
+			if err := e.Ingest(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	res := e.Stop()
+	if math.Abs(res.ObservedSels[0]-0.4) > 0.06 {
+		t.Fatalf("engine observed %v, cost model assumes 0.4", res.ObservedSels[0])
+	}
 }

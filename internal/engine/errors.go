@@ -5,7 +5,9 @@ import "errors"
 // Sentinel errors for the engine's failure modes. Every error the engine
 // returns wraps one of these, so callers distinguish failure classes with
 // errors.Is instead of matching message text. The rld package re-exports
-// them at the public surface.
+// the ones a Pipeline can return; ErrNotStarted and ErrStopped are the bare
+// router's — a session starts its engine before it is handed out and answers
+// ErrClosed before a stopped engine could be asked.
 var (
 	// ErrNotStarted reports an Ingest before Start.
 	ErrNotStarted = errors.New("engine: not started")

@@ -21,7 +21,7 @@ func mkBatch(streamName string, t float64) *stream.Batch {
 // before Start, after Stop, and into a fully-crashed cluster.
 func TestIngestLifecycleErrors(t *testing.T) {
 	q := twoWay()
-	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestIngestLifecycleErrors(t *testing.T) {
 // TestControlArgumentErrors pins the unknown-node/op sentinels.
 func TestControlArgumentErrors(t *testing.T) {
 	q := twoWay()
-	e, err := New(q, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +97,10 @@ func TestControlArgumentErrors(t *testing.T) {
 // TestBadPlacementError pins New's placement validation sentinel.
 func TestBadPlacementError(t *testing.T) {
 	q := twoWay()
-	if _, err := New(q, physical.Assignment{0}, 2, StaticChooser{Plan: query.Plan{0, 1}}, DefaultConfig()); !errors.Is(err, ErrBadPlacement) {
+	if _, err := New(q, physical.Assignment{0}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig()); !errors.Is(err, ErrBadPlacement) {
 		t.Fatalf("incomplete placement: %v, want ErrBadPlacement", err)
 	}
-	if _, err := New(q, physical.Assignment{0, 7}, 2, StaticChooser{Plan: query.Plan{0, 1}}, DefaultConfig()); !errors.Is(err, ErrBadPlacement) {
+	if _, err := New(q, physical.Assignment{0, 7}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig()); !errors.Is(err, ErrBadPlacement) {
 		t.Fatalf("out-of-range placement: %v, want ErrBadPlacement", err)
 	}
 }

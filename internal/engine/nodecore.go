@@ -266,9 +266,15 @@ func ObservedSel(est float64, in, out int64) float64 {
 	return float64(out) / float64(in)
 }
 
-// normalizeConfig fills Config defaults in place and rounds the shard count
-// to a power of two; both the Engine and a netrt worker normalize the same
-// way so a serialized Config means the same thing on both sides.
+// numShards is the number of hash partitions of each join operator's window
+// state, each with its own lock, so concurrent batches on one node contend
+// per shard rather than per operator. A power of two: shards are picked by
+// masking the key.
+const numShards = 16
+
+// normalizeConfig fills Config defaults in place; both the Engine and a netrt
+// worker normalize the same way so a serialized Config means the same thing
+// on both sides.
 func normalizeConfig(cfg Config) Config {
 	if cfg.SelectThresholdScale <= 0 {
 		cfg.SelectThresholdScale = 100
@@ -276,14 +282,6 @@ func normalizeConfig(cfg Config) Config {
 	if cfg.Workers < 1 {
 		cfg.Workers = stdruntime.GOMAXPROCS(0)
 	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 16
-	}
-	shards := 1
-	for shards < cfg.Shards {
-		shards <<= 1
-	}
-	cfg.Shards = shards
 	return cfg
 }
 
@@ -308,6 +306,12 @@ type NodeCore struct {
 // NewNodeCore builds the operator state for q under cfg (normalized with
 // the same defaults the Engine uses).
 func NewNodeCore(q *query.Query, cfg Config) (*NodeCore, error) {
+	return newNodeCore(q, cfg, numShards)
+}
+
+// newNodeCore is NewNodeCore with the shard count (a power of two) as a
+// parameter, for the tests that pin the kernels at 1, 4 and 16 shards.
+func newNodeCore(q *query.Query, cfg Config, shards int) (*NodeCore, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -318,7 +322,7 @@ func NewNodeCore(q *query.Query, cfg Config) (*NodeCore, error) {
 	c := &NodeCore{q: q, cfg: cfg, schema: stream.NewJoinSchema(q.Streams), joinOps: make(map[string][]int)}
 	for i := range q.Ops {
 		st := &opState{op: q.Ops[i], span: q.WindowSeconds, slot: c.schema.Slot(q.Ops[i].Stream)}
-		for s := 0; s < cfg.Shards; s++ {
+		for s := 0; s < shards; s++ {
 			st.shards = append(st.shards, &opShard{window: stream.NewWindow(q.WindowSeconds)})
 		}
 		if cfg.WALDir != "" && st.op.Kind == query.Join {

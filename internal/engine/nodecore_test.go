@@ -22,8 +22,7 @@ func TestSnapshotClearRestoreRoundTrip(t *testing.T) {
 	q := query.NewNWayJoin("RT", 2, 100) // op 0 selects on S1, op 1 joins S2
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	cfg.Shards = 4
-	core, err := NewNodeCore(q, cfg)
+	core, err := newNodeCore(q, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +114,8 @@ func TestJoinStageEqualsSetPartChain(t *testing.T) {
 		q := query.NewNWayJoin("EQ", 2, 100) // op 0 selects on S1, op 1 joins S2
 		cfg := DefaultConfig()
 		cfg.Workers = 1
-		cfg.Shards = 4
 		cfg.MaxFanout = 3
-		core, err := NewNodeCore(q, cfg)
+		core, err := newNodeCore(q, cfg, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +211,7 @@ func TestEmptyStagesLeakNoBlock(t *testing.T) {
 			q.Ops[0].Sel = tc.sel
 			cfg := DefaultConfig()
 			cfg.Workers = 2
-			e, err := New(q, physical.Assignment{0, 0, 0}, 1, StaticChooser{Plan: query.Plan{0, 1, 2}}, cfg)
+			e, err := New(q, physical.Assignment{0, 0, 0}, 1, staticChooser{Plan: query.Plan{0, 1, 2}}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +237,7 @@ func TestPooledPartialsHoldNoTuples(t *testing.T) {
 	q.Ops[0].Sel = 0.5
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	e, err := New(q, physical.Assignment{0, 0, 0}, 1, StaticChooser{Plan: query.Plan{0, 1, 2}}, cfg)
+	e, err := New(q, physical.Assignment{0, 0, 0}, 1, staticChooser{Plan: query.Plan{0, 1, 2}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +297,8 @@ func TestJoinStageGroupsEqualSingles(t *testing.T) {
 			for _, fanout := range []int{0, 3} {
 				q := query.NewNWayJoin("GS", 3, 100) // op 0 selects on S1, ops 1 and 2 join S2 and S3
 				cfg := DefaultConfig()
-				cfg.Workers, cfg.Shards, cfg.MaxFanout = 1, shards, fanout
-				core, err := NewNodeCore(q, cfg)
+				cfg.Workers, cfg.MaxFanout = 1, fanout
+				core, err := newNodeCore(q, cfg, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -450,4 +448,51 @@ func TestJoinStageGroupsEqualSingles(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+func TestEngineProbeExpiresStaleShards(t *testing.T) {
+	// One cold shard must not serve tuples older than the window span
+	// even if that shard never receives another insert.
+	q := twoWay() // op1 joins on S2, window 60 s
+	cfg := DefaultConfig()
+	cfg.MaxFanout = 0
+	e, err := New(q, physical.Assignment{0, 0}, 1, staticChooser{Plan: query.Plan{0, 1}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	mkBatch := func(streamName string, key int64, ts float64) *stream.Batch {
+		b := stream.NewBatch(streamName)
+		b.Append(&stream.Tuple{Stream: streamName, Ts: stream.Time(ts), Key: key, Vals: []float64{1}})
+		return b
+	}
+	// Key 1 lands in shard 1; key 16 lands in shard 0 (16 shards).
+	if err := e.Ingest(mkBatch("S2", 1, 10)); err != nil {
+		t.Fatal(err)
+	}
+	// 500 s later, an insert to shard 0 advances the op's high-water mark.
+	if err := e.Ingest(mkBatch("S2", numShards, 510)); err != nil {
+		t.Fatal(err)
+	}
+	// An S1 probe for key 1 must find nothing: the tuple in shard 1 is
+	// 500 s stale even though its shard saw no insert since.
+	if err := e.Ingest(mkBatch("S1", 1, 511)); err != nil {
+		t.Fatal(err)
+	}
+	res := e.Stop()
+	// The two S2 batches pass through the pipeline untouched (own-stream
+	// join, foreign-stream selection) and reach the sink; the S1 probe
+	// must contribute nothing on top of them.
+	if res.Produced != 2 {
+		t.Fatalf("produced %d results, want 2 (stale shard must not match)", res.Produced)
+	}
+}
+
+func TestEngineObservedSelWithAtomicCounters(t *testing.T) {
+	if got := ObservedSel(0.7, 31, 5); got != 0.7 {
+		t.Fatalf("unprimed ObservedSel = %v, want the estimate", got)
+	}
+	if got := ObservedSel(0.7, 64, 16); got != 0.25 {
+		t.Fatalf("ObservedSel = %v, want 0.25", got)
+	}
 }

@@ -28,7 +28,7 @@ func TestOverloadBoundedGoroutinesAndStageOrder(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	cfg.MaxFanout = 4
-	e, err := New(q, physical.Assignment{0, 0}, 1, StaticChooser{Plan: query.Plan{0, 1}}, cfg)
+	e, err := New(q, physical.Assignment{0, 0}, 1, staticChooser{Plan: query.Plan{0, 1}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

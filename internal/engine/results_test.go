@@ -58,7 +58,7 @@ func TestSessionRetainedResultsSurviveRecycling(t *testing.T) {
 	want := map[string]int{}
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	ref, err := New(q, assign, 2, StaticChooser{Plan: plan}, cfg)
+	ref, err := New(q, assign, 2, staticChooser{Plan: plan}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

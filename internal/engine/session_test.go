@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rld/internal/chaos"
+	"rld/internal/gen"
 	"rld/internal/physical"
 	"rld/internal/query"
 	"rld/internal/runtime"
@@ -295,7 +296,7 @@ func TestSessionOffersVirtualTime(t *testing.T) {
 	if err := s.Ingest(ctx, flatBatch("S1", 5, 42)); err != nil { // first batch always offers
 		t.Fatal(err)
 	}
-	if got := s.e.Monitor().Snapshot().Time; got != 42 {
+	if got := s.e.monitor.Snapshot().Time; got != 42 {
 		t.Fatalf("monitor offer stamped %v, want the virtual time 42", got)
 	}
 	if _, err := s.Close(ctx); err != nil {
@@ -375,5 +376,72 @@ func TestSessionSwapPolicyValidation(t *testing.T) {
 	}
 	if st := s.Stats(); st.PolicySwaps != 1 || st.Policy != "B" {
 		t.Fatalf("stats after swap: %+v", st)
+	}
+}
+
+// recordingPolicy is a static policy that scripts one migration and records
+// Rebalance invocations.
+type recordingPolicy struct {
+	runtime.StaticPolicy
+	ticks    []float64
+	migrated bool
+}
+
+func (p *recordingPolicy) Rebalance(t float64, loads []float64, assign physical.Assignment) *runtime.Migration {
+	p.ticks = append(p.ticks, t)
+	if !p.migrated {
+		p.migrated = true
+		return &runtime.Migration{Op: 1, To: 1, Downtime: 0.25}
+	}
+	return nil
+}
+
+func TestEngineExecutorRunsPolicyWithTicks(t *testing.T) {
+	q := twoWay()
+	srcs := make([]*gen.Source, len(q.Streams))
+	for i, s := range q.Streams {
+		srcs[i] = gen.NewSource(s,
+			gen.ConstProfile(20),
+			gen.KeyDist{Target: gen.ConstProfile(0.1), Cold: 256},
+			gen.Uniform{A: 0, B: 100}, int64(i)+3)
+	}
+	pol := &recordingPolicy{StaticPolicy: runtime.StaticPolicy{
+		PolicyName: "SCRIPT",
+		Plan:       query.Plan{0, 1},
+		Assign:     physical.Assignment{0, 0},
+	}}
+	ses, err := OpenSession(q, 2, pol, SessionOptions{Config: DefaultConfig(), TickEvery: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := runtime.Replay(context.Background(), ses, runtime.NewSourceFeed(srcs, 25, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Policy != "SCRIPT" || rep.Substrate != "engine" {
+		t.Fatalf("report header %q/%q", rep.Policy, rep.Substrate)
+	}
+	if rep.Ingested == 0 || rep.Batches == 0 {
+		t.Fatalf("nothing ran: %+v", rep)
+	}
+	if rep.Migrations != 1 || rep.MigrationDowntime != 0.25 {
+		t.Fatalf("migrations = %d downtime = %v", rep.Migrations, rep.MigrationDowntime)
+	}
+	if len(pol.ticks) < 4 {
+		t.Fatalf("expected ≈5 control ticks over 60 s at TickEvery=10, got %v", pol.ticks)
+	}
+	if rep.PlanCount() != 1 {
+		t.Fatalf("static plan count = %d", rep.PlanCount())
+	}
+}
+
+func TestEngineExecutorRejectsMissingInputs(t *testing.T) {
+	if _, err := OpenSession(nil, 1, &runtime.StaticPolicy{}, SessionOptions{}); err == nil {
+		t.Fatal("session without a query must error")
+	}
+	// A policy whose placement does not fit the node count must error.
+	pol := &runtime.StaticPolicy{Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 5}}
+	if _, err := OpenSession(twoWay(), 1, pol, SessionOptions{Config: DefaultConfig()}); err == nil {
+		t.Fatal("out-of-range placement must error")
 	}
 }

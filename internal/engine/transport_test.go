@@ -103,7 +103,7 @@ func newFakeEngine(t *testing.T) (*Engine, *fakeTransport) {
 	}
 	ft := &fakeTransport{localTransport: lt, failNext: -1, holdNext: -1,
 		entered: make(chan int, 1), killed: make(chan struct{})}
-	e, err := NewOn(core, ft, physical.Assignment{0, 1}, 2, StaticChooser{Plan: query.Plan{0, 1}})
+	e, err := NewOn(core, ft, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"flag"
+	"os"
 	"strings"
 	"testing"
 )
@@ -267,5 +269,30 @@ func TestAblationBatchShape(t *testing.T) {
 	if rows[len(rows)-1].V["overhead ratio"] >= rows[0].V["overhead ratio"] {
 		t.Fatalf("overhead should amortize with batch size: %v vs %v",
 			rows[0].V["overhead ratio"], rows[len(rows)-1].V["overhead ratio"])
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+// TestQuickFig15aGolden pins `rldbench -quick fig15a` byte for byte: the
+// simulator is deterministic, so a refactor that is not meant to change what
+// the policies do must leave this table exactly as it is. After a change
+// that is meant to, rewrite it with
+//
+//	go test ./internal/experiments -run QuickFig15aGolden -update
+func TestQuickFig15aGolden(t *testing.T) {
+	const golden = "testdata/fig15a_quick.golden"
+	got := FormatAll(Fig15a(true))
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("quick fig15a drifted from %s:\n--- got\n%s--- want\n%s", golden, got, want)
 	}
 }

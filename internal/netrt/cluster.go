@@ -21,8 +21,8 @@ import (
 // ClusterConfig tunes the leader.
 type ClusterConfig struct {
 	// Engine is the operator-state configuration shipped to every worker
-	// (threshold scale, fanout cap, shards, WAL directory). Workers is
-	// ignored: the leader's router runs one goroutine per node.
+	// (threshold scale, fanout cap, WAL directory). Workers is ignored: the
+	// leader's router runs one goroutine per node.
 	Engine engine.Config
 	// WorkerCommand, when non-empty, is the argv prefix used to launch
 	// worker processes (it receives -leader/-node/-epoch flags) — the
@@ -31,14 +31,6 @@ type ClusterConfig struct {
 	WorkerCommand []string
 	// ListenAddr is the leader's listen address (default "127.0.0.1:0").
 	ListenAddr string
-	// HeartbeatEvery is the liveness-probe period (default 500ms).
-	HeartbeatEvery time.Duration
-	// CallTimeout bounds every worker RPC; a worker that does not answer
-	// within it is treated as dead, so a hung process degrades to a
-	// detected crash instead of a stuck pipeline (default 60s).
-	CallTimeout time.Duration
-	// StartupTimeout bounds worker spawn + handshake (default 30s).
-	StartupTimeout time.Duration
 	// MaxStageChunk is the soft bound on one stage frame's partials
 	// payload in bytes (default DefaultStageChunk). Larger hops are split
 	// across multiple frames in both directions, so join fanout can grow a
@@ -46,18 +38,20 @@ type ClusterConfig struct {
 	MaxStageChunk int
 }
 
+const (
+	// heartbeatEvery is the liveness-probe period.
+	heartbeatEvery = 500 * time.Millisecond
+	// callTimeout bounds every worker RPC; a worker that does not answer
+	// within it is treated as dead, so a hung process degrades to a
+	// detected crash instead of a stuck pipeline.
+	callTimeout = 60 * time.Second
+	// startupTimeout bounds worker spawn + handshake.
+	startupTimeout = 30 * time.Second
+)
+
 func (cfg ClusterConfig) withDefaults() ClusterConfig {
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 500 * time.Millisecond
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 60 * time.Second
-	}
-	if cfg.StartupTimeout <= 0 {
-		cfg.StartupTimeout = 30 * time.Second
 	}
 	if cfg.MaxStageChunk <= 0 {
 		cfg.MaxStageChunk = DefaultStageChunk
@@ -198,7 +192,7 @@ func NewCluster(q *query.Query, assign physical.Assignment, nNodes int, cfg Clus
 	}
 	// Collect every worker's handshake; any premature exit fails startup
 	// immediately instead of waiting out the timeout.
-	deadline := time.After(cfg.StartupTimeout) //rldlint:allow wallclock -- startup handshake deadline is real elapsed time
+	deadline := time.After(startupTimeout) //rldlint:allow wallclock -- startup handshake deadline is real elapsed time
 	have := 0
 	for have < nNodes {
 		select {
@@ -344,7 +338,7 @@ func (c *Cluster) teardown() {
 // marked down exactly as an unexpected process exit would be.
 func (c *Cluster) heartbeatLoop() {
 	defer close(c.hbDone)
-	tick := time.NewTicker(c.cfg.HeartbeatEvery)
+	tick := time.NewTicker(heartbeatEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -400,7 +394,7 @@ func (c *Cluster) Kill(node int) {
 // rpc performs one request/response exchange on wc under the call timeout;
 // the reply must be a want frame.
 func (c *Cluster) rpc(wc *wireConn, t frameType, payload []byte, want frameType) ([]byte, error) {
-	wc.c.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
+	wc.c.SetDeadline(time.Now().Add(callTimeout))
 	if err := wc.writeFrame(t, payload); err != nil {
 		return nil, err
 	}
@@ -498,14 +492,14 @@ func (c *Cluster) callStageChunk(wp *workerProc, op int, ps, dst []*stream.Joine
 	var e wire.Enc
 	e.U16(uint16(op))
 	encodePartials(&e, sch, ps)
-	wc.c.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
+	wc.c.SetDeadline(time.Now().Add(callTimeout))
 	if err := wc.writeFrame(frameStage, e.B); err != nil {
 		return dst, 0, 0, err
 	}
 	for {
 		// Re-arm per frame: a many-part reply is alive as long as frames
 		// keep landing within the call timeout.
-		wc.c.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
+		wc.c.SetDeadline(time.Now().Add(callTimeout))
 		t, payload, rerr := wc.readFrame()
 		if rerr != nil {
 			return dst, 0, 0, rerr
@@ -725,7 +719,7 @@ func (c *Cluster) Revive(node int, gen uint64, joinOps []int, mode chaos.Recover
 // awaitWorker waits for the accept loop to deliver node's handshaken
 // connection.
 func (c *Cluster) awaitWorker(node int) (*wireConn, error) {
-	deadline := time.After(c.cfg.StartupTimeout)
+	deadline := time.After(startupTimeout)
 	for {
 		select {
 		case ac := <-c.connCh:

@@ -14,9 +14,13 @@ import (
 	"rld/internal/physical"
 	"rld/internal/query"
 	"rld/internal/runtime"
+	"rld/internal/stats"
 	"rld/internal/stream"
 	"rld/internal/wire"
 )
+
+// plan01 is the chooser the bare-cluster tests run under: always plan {0, 1}.
+var plan01 = engine.ChooserFunc(func(stats.Snapshot) query.Plan { return query.Plan{0, 1} })
 
 // testQuery is a 2-op query (select on S1, join on S2) that passes every
 // tuple with payload 50 and joins on small shared keys.
@@ -112,7 +116,7 @@ func TestStageChunkedTransfer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.SetChooser(engine.StaticChooser{Plan: query.Plan{0, 1}})
+		c.SetChooser(plan01)
 		c.Start()
 		var seq uint64
 		for i := 0; i < 30; i++ {
@@ -309,7 +313,7 @@ func runNetExactlyOnce(t *testing.T, walDir string, fault bool) (engine.Results,
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetChooser(engine.StaticChooser{Plan: query.Plan{0, 1}})
+	c.SetChooser(plan01)
 	var mu sync.Mutex
 	set := make(map[string]int)
 	c.SetResultObserver(func(tuples []*stream.Joined, _ time.Time) {

@@ -53,7 +53,7 @@ func TestChaosNetExactlyOnceUnpromptedSIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetChooser(engine.StaticChooser{Plan: query.Plan{0, 1}})
+	c.SetChooser(plan01)
 	var mu sync.Mutex
 	gotSet := make(map[string]int)
 	c.SetResultObserver(func(tuples []*stream.Joined, _ time.Time) {

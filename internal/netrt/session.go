@@ -14,8 +14,8 @@ type Options struct {
 	// Session is the engine-session configuration (Config, TickEvery,
 	// Faults, Horizon, MaxPending, buffers).
 	Session engine.SessionOptions
-	// Cluster tunes the leader/worker substrate (worker command,
-	// heartbeat, call timeouts). Cluster.Engine is overwritten by
+	// Cluster tunes the leader/worker substrate (worker command, listen
+	// address, stage chunk size). Cluster.Engine is overwritten by
 	// Session.Config so the two cannot disagree.
 	Cluster ClusterConfig
 }

@@ -75,7 +75,7 @@ var (
 	// code — the remote detail rides along as wrapped text.
 	ErrRemote = errors.New("netrt: remote error")
 	// ErrStartupTimeout reports workers that failed to complete their
-	// handshake within ClusterConfig.StartupTimeout.
+	// handshake within startupTimeout.
 	ErrStartupTimeout = errors.New("netrt: startup timeout")
 )
 

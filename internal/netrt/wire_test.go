@@ -179,11 +179,30 @@ func TestDecodeBatchCorruptRowCount(t *testing.T) {
 	}
 }
 
-func TestPartialsRoundTrip(t *testing.T) {
-	sch := stream.NewJoinSchema([]string{"S1", "S2", "S3"})
+// fixtureSchema is the three-stream schema partialFixtures fills.
+func fixtureSchema() *stream.JoinSchema {
+	return stream.NewJoinSchema([]string{"S1", "S2", "S3"})
+}
+
+// partialFixtures are the partials every codec test here and
+// FuzzDecodePartials' corpus are built from: one with a gap in its slots and
+// uneven payloads, then ten same-sized singletons.
+func partialFixtures(sch *stream.JoinSchema) []*stream.Joined {
 	p := sch.Acquire()
 	p.SetPart(0, 1, 10, 7, 9, []float64{1, 2})
 	p.SetPart(2, 5, 12, 7, 8, []float64{3})
+	ps := []*stream.Joined{p}
+	for i := int64(0); i < 10; i++ {
+		j := sch.Acquire()
+		j.SetPart(1, uint64(i), stream.Time(i), i, stream.Time(i), []float64{1})
+		ps = append(ps, j)
+	}
+	return ps
+}
+
+func TestPartialsRoundTrip(t *testing.T) {
+	sch := fixtureSchema()
+	p := partialFixtures(sch)[0]
 	var e wire.Enc
 	encodePartials(&e, sch, []*stream.Joined{p})
 	d := wire.Dec{B: e.B}
@@ -215,16 +234,8 @@ func TestPartialsRoundTrip(t *testing.T) {
 // partial larger than the limit still traveling alone, and no chunks for
 // an empty input.
 func TestSplitPartials(t *testing.T) {
-	sch := stream.NewJoinSchema([]string{"S1", "S2"})
-	mk := func(key int64) *stream.Joined {
-		j := sch.Acquire()
-		j.SetPart(0, uint64(key), stream.Time(key), key, stream.Time(key), []float64{1})
-		return j
-	}
-	var ps []*stream.Joined
-	for i := 0; i < 10; i++ {
-		ps = append(ps, mk(int64(i)))
-	}
+	sch := fixtureSchema()
+	ps := partialFixtures(sch)[1:] // the ten singletons
 	per := partialWireSize(sch, ps[0])
 	if per <= 8 {
 		t.Fatalf("partialWireSize = %d, want > 8", per)

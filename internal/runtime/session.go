@@ -159,7 +159,7 @@ type SessionStats struct {
 // operations; they still serialize all Policy calls, honoring the Policy
 // contract's single-caller promise).
 type Session interface {
-	// Substrate names the executing substrate ("sim", "engine").
+	// Substrate names the executing substrate ("sim", "engine" or "net").
 	Substrate() string
 	// Ingest admits one batch, blocking while the pipeline is at its
 	// in-flight capacity; implementations wake blocked callers promptly

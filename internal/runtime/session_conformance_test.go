@@ -1,8 +1,8 @@
 package runtime_test
 
 // Session-protocol conformance: the simulator's two ways of being driven
-// agree, and both substrates' sessions honour the same subscription
-// protocol.
+// agree, the sim and engine sessions honour the same subscription protocol,
+// and a closed session answers ErrClosed on all three substrates.
 
 import (
 	"context"
@@ -141,6 +141,75 @@ func TestSessionResultsAndEvents(t *testing.T) {
 		}
 		if st := ses.Stats(); st.ResultsDropped != 0 {
 			t.Errorf("%s: dropped %d results despite ample buffer", name, st.ResultsDropped)
+		}
+	}
+}
+
+// TestClosedSessionAnswersErrClosed: on every substrate, once Close has been
+// called — whether it returned the report, or its context had already expired
+// and the shutdown finished behind the caller's back — every operation
+// answers ErrClosed, and never a substrate's own lifecycle error (the
+// engine's ErrStopped/ErrNotStarted): the session checks its closed flag
+// before the router can be asked.
+func TestClosedSessionAnswersErrClosed(t *testing.T) {
+	q := conformanceQuery()
+	cl := cluster.NewHomogeneous(2, 1e6)
+	mkPol := func() rt.Policy {
+		return &rt.StaticPolicy{PolicyName: "FIXED", Plan: query.Plan{1, 0}, Assign: []int{0, 1}}
+	}
+	open := map[string]func() (rt.Session, error){
+		"sim": func() (rt.Session, error) { return openSimSession(t, q, cl, mkPol(), nil, 0), nil },
+		"engine": func() (rt.Session, error) {
+			return engine.OpenSession(q, cl.N(), mkPol(), liveOptions(nil))
+		},
+		"net": func() (rt.Session, error) {
+			return netrt.OpenSession(q, cl.N(), mkPol(), netrt.Options{Session: liveOptions(nil)})
+		},
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, closeCtx := range []struct {
+		name string
+		ctx  context.Context
+	}{{"closed", context.Background()}, {"closed on an expired context", expired}} {
+		for name, openSession := range open {
+			ses, err := openSession()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ctx := context.Background()
+			feed := conformanceFeed(q)
+			for i := 0; i < 4; i++ {
+				if err := ses.Ingest(ctx, feed.Next()); err != nil {
+					t.Fatalf("%s ingest: %v", name, err)
+				}
+			}
+			ops := map[string]func() error{
+				"Ingest":     func() error { return ses.Ingest(ctx, feedBatch(q)) },
+				"TryIngest":  func() error { return ses.TryIngest(feedBatch(q)) },
+				"SwapPolicy": func() error { return ses.SwapPolicy(mkPol()) },
+				"Migrate":    func() error { return ses.Migrate(1, 0) },
+				"Crash":      func() error { return ses.Crash(1) },
+				"Recover":    func() error { return ses.Recover(1) },
+			}
+			check := func(when string) {
+				for op, call := range ops {
+					if err := call(); err != rt.ErrClosed {
+						t.Errorf("%s, %s, %s: %s returned %v, want ErrClosed", name, closeCtx.name, when, op, err)
+					}
+				}
+			}
+			// A Close on an expired context may report the expiry and finish
+			// in the background, or finish at once when nothing is in flight.
+			if _, err := ses.Close(closeCtx.ctx); err != nil && err != closeCtx.ctx.Err() {
+				t.Fatalf("%s, %s: Close: %v", name, closeCtx.name, err)
+			}
+			check("as Close returns")
+			rep, err := ses.Close(ctx) // waits for a background shutdown
+			if err != nil || rep == nil || rep.Substrate != name {
+				t.Fatalf("%s, %s: second Close returned (%+v, %v)", name, closeCtx.name, rep, err)
+			}
+			check("after the shutdown finished")
 		}
 	}
 }

@@ -194,41 +194,3 @@ func (b *Batch) Span() float64 {
 	}
 	return b.Ts[len(b.Ts)-1].Sub(b.Ts[0])
 }
-
-// Batcher accumulates tuples into fixed-size batches.
-type Batcher struct {
-	size int
-	cur  *Batch
-}
-
-// NewBatcher returns a Batcher emitting batches of the given size (minimum 1).
-func NewBatcher(size int) *Batcher {
-	if size < 1 {
-		size = 1
-	}
-	return &Batcher{size: size}
-}
-
-// Size returns the configured batch size.
-func (b *Batcher) Size() int { return b.size }
-
-// Add appends t and returns a completed batch when full, else nil.
-func (b *Batcher) Add(t *Tuple) *Batch {
-	if b.cur == nil {
-		b.cur = NewBatch(t.Stream)
-	}
-	b.cur.Append(t)
-	if b.cur.Len() >= b.size {
-		done := b.cur
-		b.cur = nil
-		return done
-	}
-	return nil
-}
-
-// Flush returns the in-progress partial batch (possibly nil) and resets.
-func (b *Batcher) Flush() *Batch {
-	done := b.cur
-	b.cur = nil
-	return done
-}

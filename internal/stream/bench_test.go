@@ -56,8 +56,9 @@ func steadyWindow(f *windowFeed) *Window {
 
 // The three window benchmarks mirror engine_ingest's shape in
 // bench/rldperf: about 4800 buffered rows over a few thousand keys, 20-tuple
-// batches. CI gates their allocs/op (all zero); the timings that count are
-// the stream.* rows of the rldperf trace.
+// batches. The -run Allocs tests hold the same paths at exactly zero
+// allocations; the timings that count are the stream.* rows of the rldperf
+// trace.
 
 func BenchmarkWindowInsertExpire(b *testing.B) {
 	f := newWindowFeed(20, 4800, 4096)

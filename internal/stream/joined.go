@@ -143,12 +143,6 @@ func (j *Joined) fold(slot int, ts, arrival Time) {
 	j.mask |= 1 << uint(slot)
 }
 
-// SetTuple fills the given slot from a boxed tuple (convenience for tests
-// and ingest of singleton partials).
-func (j *Joined) SetTuple(slot int, t *Tuple) {
-	j.SetPart(slot, t.Seq, t.Ts, t.Key, t.Arrival, t.Vals)
-}
-
 // Detach turns src — tuples the pipeline is about to Release — into tuples
 // that outlive it, by the cheaper of two means. When src is every live row of
 // one block and fills at least half of it, the block is stolen: it is marked

@@ -42,27 +42,11 @@ func TestTimeOps(t *testing.T) {
 	}
 }
 
-func TestSchemaIndex(t *testing.T) {
-	// Literal form: linear-scan fallback.
-	s := Schema{Stream: "S", Fields: []string{"price", "volume"}}
-	if s.Index("price") != 0 || s.Index("volume") != 1 {
-		t.Fatal("known fields misindexed")
-	}
-	if s.Index("missing") != -1 {
-		t.Fatal("missing field should be -1")
-	}
-	// NewSchema: cached map lookup must agree.
-	c := NewSchema("S", "price", "volume")
-	if c.Index("price") != 0 || c.Index("volume") != 1 || c.Index("missing") != -1 {
-		t.Fatal("cached schema index disagrees with linear scan")
-	}
-}
-
 func TestJoinedCombines(t *testing.T) {
 	sch := NewJoinSchema([]string{"A", "B", "C"})
 	j := sch.Acquire()
-	j.SetTuple(0, &Tuple{Stream: "A", Ts: 1, Arrival: 10, Key: 5, Vals: []float64{1}})
-	j.SetTuple(1, &Tuple{Stream: "B", Ts: 3, Arrival: 5, Key: 5, Vals: []float64{2, 3}})
+	j.SetPart(0, 0, 1, 5, 10, []float64{1})
+	j.SetPart(1, 0, 3, 5, 5, []float64{2, 3})
 	if j.Ts != 3 {
 		t.Fatalf("Ts = %v, want max 3", j.Ts)
 	}
@@ -99,7 +83,7 @@ func TestJoinedCombines(t *testing.T) {
 func TestBlockCloneWith(t *testing.T) {
 	sch := NewJoinSchema([]string{"A", "C"})
 	j := sch.Acquire()
-	j.SetTuple(0, &Tuple{Stream: "A", Ts: 1, Arrival: 4, Key: 9, Vals: []float64{7}})
+	j.SetPart(0, 0, 1, 9, 4, []float64{7})
 	blk := sch.AcquireBlock(1, 2)
 	j2 := blk.CloneWith(j, 1, 11, 9, 9, 1, []float64{8})
 	if j.Len() != 1 {
@@ -368,44 +352,6 @@ func TestWindowInvariantQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBatcherEmitsFixedSizes(t *testing.T) {
-	b := NewBatcher(3)
-	var done []*Batch
-	for i := 0; i < 10; i++ {
-		if out := b.Add(&Tuple{Stream: "S", Seq: uint64(i), Ts: Time(i)}); out != nil {
-			done = append(done, out)
-		}
-	}
-	if len(done) != 3 {
-		t.Fatalf("emitted %d batches, want 3", len(done))
-	}
-	for _, batch := range done {
-		if batch.Len() != 3 {
-			t.Fatalf("batch size %d, want 3", batch.Len())
-		}
-		if batch.Plan != -1 {
-			t.Fatal("new batch should have Plan -1")
-		}
-	}
-	tail := b.Flush()
-	if tail == nil || tail.Len() != 1 {
-		t.Fatalf("Flush = %v, want 1 leftover tuple", tail)
-	}
-	if b.Flush() != nil {
-		t.Fatal("second Flush should be nil")
-	}
-}
-
-func TestBatcherMinimumSize(t *testing.T) {
-	b := NewBatcher(0)
-	if b.Size() != 1 {
-		t.Fatalf("Size = %d, want clamped 1", b.Size())
-	}
-	if out := b.Add(&Tuple{}); out == nil || out.Len() != 1 {
-		t.Fatal("size-1 batcher must emit immediately")
 	}
 }
 

@@ -7,17 +7,21 @@
 //
 // # Columnar layout
 //
-// The hot-path containers are columnar (struct-of-arrays) so that a batch of
-// n tuples costs a handful of slice allocations instead of n boxed tuples:
+// The hot-path containers hold a batch of n tuples in a handful of slices
+// instead of n boxed tuples:
 //
-//   - Batch stores per-tuple attributes in parallel Seq/Ts/Key/Arr columns
-//     and payloads in one flat Vals column with a fixed per-stream arity.
-//   - Window is a ring buffer over the same columns whose key index lives in
-//     the ring too: a bucket table of newest positions plus a per-slot link to
-//     the next-older record of the bucket (no Go map). Expiration advances a
-//     head position and nothing else — a position below head is dead wherever
-//     the index still mentions it — and a checkpoint copies the live ring out
-//     as at most two contiguous runs per column.
+//   - Batch is columnar (struct-of-arrays): per-tuple attributes in parallel
+//     Seq/Ts/Key/Arr columns and payloads in one flat Vals column with a
+//     fixed per-stream arity.
+//   - Window is a row-major ring buffer: one fixed-stride record per slot
+//     (key, link, seq, ts, arrival, payload — one cache line at width 1), so
+//     a probe step and the match it copies out touch the same line. The key
+//     index lives in the ring too: a bucket table of newest positions plus
+//     each record's link to the next-older record of its bucket (no Go map).
+//     Expiration advances a head position and nothing else — a position
+//     below head is dead wherever the index still mentions it — and a
+//     checkpoint transposes the live records, oldest first, into a Batch's
+//     columns.
 //   - Joined stores its per-stream parts in a slice indexed by a precomputed
 //     stream slot (JoinSchema), with all payload values in one flat buffer.
 //
@@ -68,7 +72,7 @@ func (t Time) Sub(u Time) float64 { return float64(t - u) }
 func (t Time) Add(d float64) Time { return t + Time(d) }
 
 // Tuple is a single stream element. Tuples carry an equi-join key (Key) and
-// a payload vector (Vals); schemas give names to payload positions.
+// a payload vector (Vals).
 type Tuple struct {
 	// Stream identifies the source stream this tuple arrived on.
 	Stream string
@@ -78,7 +82,7 @@ type Tuple struct {
 	Ts Time
 	// Key is the equi-join attribute value.
 	Key int64
-	// Vals is the payload, interpreted by the stream's Schema.
+	// Vals is the payload: a fixed number of values per stream.
 	Vals []float64
 	// Arrival is the system arrival time (set by sources; equals Ts for
 	// replayed data). Latency = completion time - Arrival.
@@ -94,42 +98,4 @@ func (t *Tuple) Clone() *Tuple {
 
 func (t *Tuple) String() string {
 	return fmt.Sprintf("%s#%d@%.3f key=%d vals=%v", t.Stream, t.Seq, float64(t.Ts), t.Key, t.Vals)
-}
-
-// Schema names the payload positions of a stream's tuples. Construct with
-// NewSchema to get O(1) field lookups; the zero-map form still works and
-// falls back to a linear scan.
-type Schema struct {
-	Stream string
-	Fields []string
-
-	// pos caches field → position; built by NewSchema.
-	pos map[string]int
-}
-
-// NewSchema returns a Schema with a precomputed field→position index, so
-// Index is a map lookup instead of a per-call linear scan.
-func NewSchema(streamName string, fields ...string) Schema {
-	s := Schema{Stream: streamName, Fields: fields}
-	s.pos = make(map[string]int, len(fields))
-	for i, f := range fields {
-		s.pos[f] = i
-	}
-	return s
-}
-
-// Index returns the position of the named field, or -1 if absent.
-func (s Schema) Index(field string) int {
-	if s.pos != nil {
-		if i, ok := s.pos[field]; ok {
-			return i
-		}
-		return -1
-	}
-	for i, f := range s.Fields {
-		if f == field {
-			return i
-		}
-	}
-	return -1
 }

@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"rld/internal/stream"
@@ -404,6 +406,62 @@ func FuzzWALRoundTrip(f *testing.F) {
 		// DecodeRecord on the raw bytes: typed error or success, no panic.
 		if _, err := DecodeRecord(raw); err != nil && !errors.Is(err, ErrWALCorrupt) {
 			t.Fatalf("DecodeRecord returned untyped error %v", err)
+		}
+	})
+}
+
+// FuzzDecodeRecord: a record payload is whatever survived the disk, so
+// DecodeRecord must end in ErrWALCorrupt with nothing built, in a barrier,
+// or in a record that encodes back to exactly the bytes it was decoded from
+// — never a panic, and never an allocation the payload did not pay for (an
+// operator index costs 2 bytes, a row at least 32). The length header that
+// precedes a payload on disk is replaySegment's to bound (MaxRecord);
+// FuzzWALRoundTrip covers that.
+func FuzzDecodeRecord(f *testing.F) {
+	// The records and the corrupt payloads the table tests use.
+	for _, r := range []Record{
+		{Ops: []int{1}, Batch: testBatch("S1", 0, 5)},
+		{Ops: []int{0, 2}, Batch: testBatch("S2", 100, 3)},
+		{Ops: nil, Batch: testBatch("S1", 200, 1)},
+	} {
+		var e wire.Enc
+		EncodeRecord(&e, r)
+		f.Add(e.B)
+		f.Add(e.B[:len(e.B)/2])
+	}
+	f.Add([]byte{})
+	f.Add([]byte{recBarrier})
+	f.Add([]byte{99})
+	f.Add([]byte{recInsert, 10, 0})
+	f.Add([]byte{recInsert, 0xff, 0xff})
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec, err := DecodeRecord(raw)
+		runtime.ReadMemStats(&after)
+		// An int per 2-byte operator index, columns and stream name each at
+		// most the payload's size, the error text, and whatever the fuzz
+		// worker itself allocated meanwhile (TotalAlloc is process-wide).
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(6*len(raw)+64<<10); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(raw), got, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrWALCorrupt) || rec.Batch != nil || rec.Ops != nil {
+				t.Fatalf("decoded to (%+v, %v), want an empty record and ErrWALCorrupt", rec, err)
+			}
+			return
+		}
+		if rec.Batch == nil {
+			if raw[0] != recBarrier {
+				t.Fatalf("payload %x decoded to a barrier", raw)
+			}
+			return
+		}
+		var e wire.Enc
+		EncodeRecord(&e, rec)
+		if !bytes.HasPrefix(raw, e.B) {
+			t.Fatalf("decoded record encodes to %x, was decoded from %x", e.B, raw)
 		}
 	})
 }

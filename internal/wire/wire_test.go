@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rld/internal/stream"
@@ -68,4 +70,48 @@ func TestBatchTruncatedPrefixes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDecodeBatch: DecodeBatch sizes five columns from a row count and a
+// width it reads off the wire, so whatever the bytes are it must end in
+// ErrCorrupt with no batch, or in a batch that encodes back to exactly the
+// bytes consumed — never a panic, and never an allocation the input did not
+// pay for (a row costs at least 32 bytes on the wire, a payload value 8).
+func FuzzDecodeBatch(f *testing.F) {
+	for _, b := range testBatches() {
+		var e Enc
+		EncodeBatch(&e, b)
+		f.Add(e.B)
+		f.Add(e.B[:len(e.B)/2])
+	}
+	var huge Enc // a header claiming 2^30 rows and nothing behind it
+	huge.Str("S1")
+	huge.U16(1)
+	huge.U32(1 << 30)
+	f.Add(huge.B)
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := Dec{B: raw}
+		b, err := DecodeBatch(&d)
+		runtime.ReadMemStats(&after)
+		// The columns and the stream name are each at most the input's
+		// size; the rest is the batch header, the error text, and whatever
+		// the fuzz worker itself allocated meanwhile (TotalAlloc is process-wide).
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*len(raw)+64<<10); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(raw), got, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) || b != nil {
+				t.Fatalf("decoded to (%v, %v), want (nil, ErrCorrupt)", b, err)
+			}
+			return
+		}
+		var e Enc
+		EncodeBatch(&e, b)
+		if consumed := raw[:len(raw)-len(d.B)]; !bytes.Equal(e.B, consumed) {
+			t.Fatalf("decoded batch encodes to %x, was decoded from %x", e.B, consumed)
+		}
+	})
 }

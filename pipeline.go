@@ -13,7 +13,8 @@ import (
 )
 
 // Session protocol types (internal/runtime): the long-lived streaming API
-// both substrates implement.
+// all three substrates (simulator, in-process engine, worker processes)
+// implement.
 type (
 	// Session is the substrate-agnostic streaming session a Pipeline
 	// wraps: Ingest with backpressure, Results/Events subscriptions, live
@@ -52,10 +53,6 @@ var (
 	ErrClosed = runtime.ErrClosed
 	// ErrBackpressure reports a TryIngest rejected at capacity.
 	ErrBackpressure = runtime.ErrBackpressure
-	// ErrStopped reports an operation on a stopped engine.
-	ErrStopped = engine.ErrStopped
-	// ErrNotStarted reports an Ingest before the engine started.
-	ErrNotStarted = engine.ErrNotStarted
 	// ErrUnknownNode reports a node index outside the cluster.
 	ErrUnknownNode = engine.ErrUnknownNode
 	// ErrUnknownOp reports an operator index outside the query.
@@ -96,11 +93,9 @@ type pipelineConfig struct {
 type Option func(*pipelineConfig)
 
 // WithWorkers sets the per-node worker-goroutine count (0 = GOMAXPROCS).
+// It is ignored under WithDistributed: a worker process serves one request
+// at a time, so the leader runs one router goroutine per worker process.
 func WithWorkers(n int) Option { return func(c *pipelineConfig) { c.engine.Workers = n } }
-
-// WithShards sets the join-window hash-shard count per operator (0 = 16;
-// rounded up to a power of two).
-func WithShards(n int) Option { return func(c *pipelineConfig) { c.engine.Shards = n } }
 
 // WithMaxFanout caps join results per probe (0 = unlimited).
 func WithMaxFanout(n int) Option { return func(c *pipelineConfig) { c.engine.MaxFanout = n } }
