@@ -40,7 +40,7 @@ func main() {
 	dist := flag.Float64("distributed", 0, "also run each policy on the multi-process network substrate (leader + one worker process per node) over this many seconds of real tuples (0 = off)")
 	workerBin := flag.String("worker-bin", "", "worker binary for -distributed (default: re-exec this binary)")
 	minComplete := flag.Float64("mincomplete", 0, "with -distributed and -faults: exit nonzero unless the faulted RLD run's completeness vs its fault-free run is at least this (0 = report only)")
-	exactlyOnce := flag.Bool("exactly-once", false, "with -distributed: run the sessions with exactly-once durability (per-worker write-ahead logs in a temp dir)")
+	exactlyOnce := flag.Bool("exactly-once", false, "with -distributed: run the sessions with exactly-once durability (a write-ahead log in a temp dir)")
 	flag.Parse()
 	if *minComplete < 0 || *minComplete > 1 {
 		fmt.Fprintf(flag.CommandLine.Output(), "rldrun: -mincomplete=%v out of range: completeness is a ratio in [0,1]\n", *minComplete)

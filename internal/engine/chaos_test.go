@@ -258,7 +258,7 @@ func TestRecoverFailsWhenWALCannotReplay(t *testing.T) {
 	got, gotSet := runExactlyOnce(t, t.TempDir(), func(t *testing.T, e *Engine) {
 		// A regular file where the log directory was: opening a segment is
 		// ENOTDIR, which is not "no such segment" and fails even as root.
-		dir := e.t.(*localTransport).walDir
+		dir := e.walDir
 		if err := os.Rename(dir, dir+".away"); err != nil {
 			t.Fatal(err)
 		}

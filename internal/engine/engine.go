@@ -22,10 +22,11 @@
 // The Engine is the one router for every live substrate. It owns plan
 // choice and interning, the statistics offers, the per-node queue and worker
 // pool, the pending count behind Drain and backpressure, the down/parked
-// failure state, slowdowns, the sink and its counters. What it does
-// not own is operator state: it reaches that through a Transport —
-// in-process (transport.go: direct NodeCore calls, the write-ahead log,
-// the checkpoint snapshots) or netrt's worker processes.
+// failure state, slowdowns, the sink and its counters, and recovery: the
+// checkpoint, the exactly-once write-ahead log and the restore-then-replay
+// that rebuilds a node from them (durable.go). What it does not own is
+// operator state: it reaches that through a Transport — in-process
+// (transport.go: direct NodeCore calls) or netrt's worker processes.
 package engine
 
 import (
@@ -42,6 +43,7 @@ import (
 	"rld/internal/runtime"
 	"rld/internal/stats"
 	"rld/internal/stream"
+	"rld/internal/wal"
 )
 
 // PlanChooser selects a logical plan for each batch given fresh statistics
@@ -69,11 +71,12 @@ type Config struct {
 	// queue (0 = GOMAXPROCS): concurrent batches on one node process in
 	// parallel.
 	Workers int
-	// WALDir, when non-empty, turns on exactly-once durability: every
-	// window mutation is logged to a write-ahead log under this directory
-	// (fsync'd before it applies) and deduplicated by tuple ID on
-	// insert, so Checkpoint-mode recovery replays the suffix past the
-	// last snapshot to Completeness == 1.0. Empty keeps the
+	// WALDir, when non-empty, turns on exactly-once durability: the router
+	// logs every window mutation to one write-ahead log in its own
+	// engine-* subdirectory of this directory (fsync'd before any node,
+	// goroutine or worker process, applies it) and operators deduplicate
+	// inserts by tuple ID, so Checkpoint-mode recovery replays the suffix
+	// past the last snapshot to Completeness == 1.0. Empty keeps the
 	// allocation-free fast path (rld.WithExactlyOnce sets it).
 	WALDir string
 }
@@ -199,10 +202,9 @@ type Engine struct {
 	cfg     Config
 	monitor *stats.Monitor
 
-	// assign is the live routing table (operator → node). Reads are
-	// lock-free; Migrate swaps in a cloned copy (single logical writer:
-	// the control loop).
-	assign atomic.Pointer[physical.Assignment]
+	// route is the live routing table. Reads are lock-free; Migrate swaps
+	// in the next version (single logical writer: the control loop).
+	route atomic.Pointer[routing]
 
 	nodes []*nodeState
 	// core is the query's operator metadata — the join schema whose blocks
@@ -210,9 +212,28 @@ type Engine struct {
 	// in-process engine it also holds every operator's window state, which
 	// the router touches only through t.
 	core *NodeCore
-	// t reaches operator state: window inserts, stage execution,
-	// snapshots, and a node's death and revival.
+	// t reaches operator state: window inserts, stage execution, one
+	// operator's snapshot and restore, and a node's death and restart.
 	t Transport
+
+	// snaps is the checkpoint: each operator's window contents as of the
+	// latest Checkpoint that could pull them (nil until the first).
+	snaps atomic.Pointer[[]*stream.Batch]
+	// wlog is the exactly-once write-ahead log (nil without Config.WALDir),
+	// set once at construction. walMu orders logged inserts against the
+	// checkpoint and recovery: insert holds the read side across its
+	// append + fsync and the window inserts the record covers, Checkpoint
+	// the write side across snapshot + barrier + truncate, and revive the
+	// write side across restore + replay — so every logged insert is either
+	// inside the snapshot a barrier follows or retained after it, and either
+	// attempted before a replay reads the log or delivered to the restarted
+	// node after it; never split.
+	wlog  *wal.Log
+	walMu sync.RWMutex
+	// walDir is this engine's own subdirectory of Config.WALDir. Nothing
+	// reopens it — the log bridges a node's crash, within one engine's
+	// life — so Stop removes it with the log.
+	walDir string
 
 	pending     atomic.Int64   // in-flight messages, for Drain/backpressure
 	nodeQueued  []atomic.Int64 // per-node queued+in-service messages
@@ -283,6 +304,29 @@ type Engine struct {
 	plans []internedPlan //rldlint:guardedby mu
 }
 
+// routing is one version of the routing table: where every operator runs
+// and, worked out from that once per version, where a stream's rows go.
+type routing struct {
+	assign physical.Assignment
+	// inserts holds, per stream slot of the join schema and per node, the
+	// join operators over that stream the node hosts (none on most).
+	inserts [][][]int
+}
+
+func (e *Engine) newRouting(assign physical.Assignment) *routing {
+	r := &routing{assign: assign, inserts: make([][][]int, e.core.schema.Len())}
+	for op, node := range assign {
+		if o := e.q.Ops[op]; o.Kind == query.Join {
+			slot := e.core.schema.Slot(o.Stream)
+			if r.inserts[slot] == nil {
+				r.inserts[slot] = make([][]int, len(e.nodes))
+			}
+			r.inserts[slot][node] = append(r.inserts[slot][node], op)
+		}
+	}
+	return r
+}
+
 // internedPlan is one cached, validated plan and its routing key.
 type internedPlan struct {
 	plan query.Plan
@@ -324,21 +368,15 @@ func New(q *query.Query, assign physical.Assignment, nNodes int, chooser PlanCho
 	if err != nil {
 		return nil, err
 	}
-	// Before the transport, which opens the write-ahead log.
-	if err := checkPlacement(q, assign, nNodes); err != nil {
-		return nil, err
-	}
-	t, err := newLocalTransport(core)
-	if err != nil {
-		return nil, err
-	}
-	return NewOn(core, t, assign, nNodes, chooser)
+	return NewOn(core, localTransport{core}, assign, nNodes, chooser)
 }
 
 // NewOn builds the router over a caller-supplied transport: netrt hands in
 // its worker-process cluster (and a NodeCore it never inserts into, for the
 // schema and normalized config). The pool size per node is
-// core.Config().Workers.
+// core.Config().Workers. With core.Config().WALDir set the router holds an
+// open write-ahead log from here until Stop, so a caller that fails after
+// NewOn must Stop the engine it got.
 func NewOn(core *NodeCore, t Transport, assign physical.Assignment, nNodes int, chooser PlanChooser) (*Engine, error) {
 	if err := checkPlacement(core.q, assign, nNodes); err != nil {
 		return nil, err
@@ -356,15 +394,20 @@ func NewOn(core *NodeCore, t Transport, assign physical.Assignment, nNodes int, 
 		nodeQueued: make([]atomic.Int64, nNodes),
 		stopDone:   make(chan struct{}),
 	}
-	a := assign.Clone()
-	e.assign.Store(&a)
 	for i := 0; i < nNodes; i++ {
 		ns := &nodeState{}
 		ns.ready.L = &ns.mu
 		ns.slow.Store(math.Float64bits(1))
 		e.nodes = append(e.nodes, ns)
 	}
+	e.route.Store(e.newRouting(assign.Clone()))
 	e.refreshSnap()
+	// Last, so nothing can fail with the log open.
+	if cfg.WALDir != "" {
+		if err := e.openLog(cfg.WALDir); err != nil {
+			return nil, err
+		}
+	}
 	return e, nil
 }
 
@@ -512,7 +555,7 @@ func (e *Engine) unregister(ch chan struct{}) {
 // never race a crash into a swept queue.
 func (e *Engine) send(msg *message) {
 	op := msg.plan[msg.stage]
-	node := (*e.assign.Load())[op]
+	node := e.route.Load().assign[op]
 	ns := e.nodes[node]
 	ns.mu.Lock()
 	if ns.down {
@@ -650,8 +693,9 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 		return fmt.Errorf("%w: chooser returned %v", ErrInvalidPlan, plan)
 	}
 	// Window inserts come before any accounting for the same reason: a
-	// transport that cannot take the batch leaves nothing to undo.
-	if err := e.t.Insert(b, *e.assign.Load()); err != nil {
+	// batch the log cannot take leaves nothing to undo.
+	slot := e.core.schema.Slot(b.Stream)
+	if err := e.insert(b, slot); err != nil {
 		return err
 	}
 
@@ -675,7 +719,6 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 
 	// Seed one singleton partial per tuple, all in one block; the columns
 	// are copied, so the caller may reuse or Release b once Ingest returns.
-	slot := e.core.schema.Slot(b.Stream)
 	partials := getPartials()
 	if n > 0 {
 		blk := e.core.schema.AcquireBlock(n, n*b.Width())
@@ -796,7 +839,7 @@ func (e *Engine) Counters() Counters {
 
 // Assignment returns a copy of the live routing table.
 func (e *Engine) Assignment() physical.Assignment {
-	return (*e.assign.Load()).Clone()
+	return e.route.Load().assign.Clone()
 }
 
 // Nodes returns the cluster size.
@@ -819,7 +862,7 @@ func (e *Engine) Migrate(op, node int) error {
 	if err := e.controlReady(); err != nil {
 		return err
 	}
-	cur := *e.assign.Load()
+	cur := e.route.Load().assign
 	if op < 0 || op >= len(cur) {
 		return fmt.Errorf("%w: migrate op %d", ErrUnknownOp, op)
 	}
@@ -829,10 +872,17 @@ func (e *Engine) Migrate(op, node int) error {
 	if cur[op] == node {
 		return nil
 	}
-	e.t.MoveOp(op, cur[op], node)
+	if err := e.t.MoveOp(op, cur[op], node); err != nil {
+		// The old host is down and took the state with it: the checkpoint's
+		// copy is the best there is. A target that cannot take it is marked
+		// down by the transport and rebuilt whole at its Recover.
+		if snaps := e.snaps.Load(); snaps != nil && (*snaps)[op] != nil {
+			_ = e.t.RestoreOp(node, op, (*snaps)[op])
+		}
+	}
 	next := cur.Clone()
 	next[op] = node
-	e.assign.Store(&next)
+	e.route.Store(e.newRouting(next))
 	return nil
 }
 
@@ -912,14 +962,15 @@ func (e *Engine) sweep(node int) {
 	e.wakePending()
 }
 
-// Recover brings a crashed node back: the node's operators' join-window
-// state is rebuilt by the transport (restored from the last Checkpoint
-// snapshot under chaos.Checkpoint — tuples newer than the snapshot are
-// lost unless a write-ahead log covers them — or empty under
-// chaos.LoseState), a fresh worker pool is started, and parked messages are
-// replayed through the current routing table (so they follow any
-// migrations made during the outage). Recovering a live node is a no-op; a
-// failed revival leaves the node down.
+// Recover brings a crashed node back: the transport restarts whatever
+// executes its stages, the join-window state of the operators it hosts is
+// rebuilt (see revive: restored from the last Checkpoint under
+// chaos.Checkpoint — tuples newer than the snapshot are lost unless the
+// write-ahead log covers them — or empty under chaos.LoseState), a fresh
+// worker pool is started, and parked messages are replayed through the
+// current routing table (so they follow any migrations made during the
+// outage). Recovering a live node is a no-op; a failed revival leaves the
+// node down.
 func (e *Engine) Recover(node int) error {
 	if err := e.controlReady(); err != nil {
 		return err
@@ -940,13 +991,7 @@ func (e *Engine) Recover(node int) error {
 	// The dead pool has parked or destroyed whatever it still held once
 	// its last worker exits.
 	ns.wg.Wait()
-	var joinOps []int
-	for op, n := range *e.assign.Load() {
-		if n == node && e.q.Ops[op].Kind == query.Join {
-			joinOps = append(joinOps, op)
-		}
-	}
-	restored, err := e.t.Revive(node, gen, joinOps, mode)
+	restored, err := e.revive(node, gen, mode)
 	if err != nil {
 		return err
 	}
@@ -985,11 +1030,6 @@ func (e *Engine) SetSlowdown(node int, factor float64) error {
 	e.nodes[node].slow.Store(math.Float64bits(factor))
 	return nil
 }
-
-// Checkpoint snapshots every join operator's current window contents; the
-// latest snapshot is what Checkpoint-mode recovery restores. The session
-// calls it on a periodic virtual-time cadence (FaultPlan.SnapshotEvery).
-func (e *Engine) Checkpoint() { e.t.Snapshot(*e.assign.Load()) }
 
 // NodeLoads returns the per-node queued message counts — the live engine's
 // analogue of the simulator's queued cost-units, fed to Policy.Rebalance.
@@ -1069,6 +1109,7 @@ func (e *Engine) Stop() Results {
 	// not the last rate-limited offer.
 	e.offerStats(true)
 	e.t.Close()
+	e.closeLog()
 	close(e.stopDone)
 	return e.results()
 }

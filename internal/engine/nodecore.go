@@ -352,16 +352,6 @@ func (c *NodeCore) NumOps() int { return len(c.ops) }
 // Config returns the normalized configuration.
 func (c *NodeCore) Config() Config { return c.cfg }
 
-// insertStream bulk-inserts b into the windows of every join operator over
-// b's stream, one shard lock per shard per batch.
-func (c *NodeCore) insertStream(b *stream.Batch, sc *shardScratch) {
-	for _, st := range c.ops {
-		if st.op.Kind == query.Join && st.op.Stream == b.Stream {
-			st.insertBatch(b, sc)
-		}
-	}
-}
-
 // Insert bulk-inserts b into operator op's window — the worker-side insert
 // entry point (the leader has already resolved which operators host b's
 // stream on this node).

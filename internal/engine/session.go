@@ -310,27 +310,9 @@ func (s *Session) applyFaults(now float64) {
 		f := ev.Fault
 		switch {
 		case f.Kind == chaos.Crash && ev.Begin:
-			// Guard on downSince, not the Crash error: Crash returns nil
-			// for an already-down node (e.g. crashed manually through the
-			// session), and double-booking would corrupt the downtime
-			// accounting and duplicate the event.
-			if err := s.e.Crash(f.Node, s.mode); err == nil {
-				if _, dn := s.downSince[f.Node]; !dn {
-					s.downSince[f.Node] = ev.T
-					s.emit(runtime.Event{Kind: runtime.EventCrash, T: ev.T, Node: f.Node, Op: -1})
-				}
-			}
+			_ = s.crashAt(f.Node, ev.T) // a scripted edge that cannot apply is skipped
 		case f.Kind == chaos.Crash && !ev.Begin:
-			// Same guard on the way up: a scripted recovery edge for a
-			// node the caller already recovered must be a no-op, not a
-			// phantom downtime interval.
-			if err := s.e.Recover(f.Node); err == nil {
-				if since, dn := s.downSince[f.Node]; dn {
-					s.downSeconds += ev.T - since
-					delete(s.downSince, f.Node)
-					s.emit(runtime.Event{Kind: runtime.EventRecovery, T: ev.T, Node: f.Node, Op: -1})
-				}
-			}
+			_ = s.recoverAt(f.Node, ev.T)
 		case f.Kind == chaos.Slowdown && ev.Begin:
 			s.e.SetSlowdown(f.Node, f.Factor)
 			s.emit(runtime.Event{Kind: runtime.EventSlowdown, T: ev.T, Node: f.Node, Op: -1, Factor: f.Factor})
@@ -339,6 +321,38 @@ func (s *Session) applyFaults(now float64) {
 			s.emit(runtime.Event{Kind: runtime.EventSlowdown, T: ev.T, Node: f.Node, Op: -1, Factor: 1})
 		}
 	}
+}
+
+// crashAt takes node down at virtual time t under the session's recovery
+// mode, for a scripted edge and for Crash alike. The bookkeeping is guarded
+// on downSince, not on the engine's error: Crash returns nil for an
+// already-down node (one edge scripted, one manual), and double-booking
+// would corrupt the downtime accounting and duplicate the event. Caller
+// holds mu.
+func (s *Session) crashAt(node int, t float64) error {
+	if err := s.e.Crash(node, s.mode); err != nil {
+		return err
+	}
+	if _, dn := s.downSince[node]; !dn {
+		s.downSince[node] = t
+		s.emit(runtime.Event{Kind: runtime.EventCrash, T: t, Node: node, Op: -1})
+	}
+	return nil
+}
+
+// recoverAt brings node back at virtual time t, with the same guard on the
+// way up: recovering a node already recovered must be a no-op, not a
+// phantom downtime interval. Caller holds mu.
+func (s *Session) recoverAt(node int, t float64) error {
+	if err := s.e.Recover(node); err != nil {
+		return err
+	}
+	if since, dn := s.downSince[node]; dn {
+		s.downSeconds += t - since
+		delete(s.downSince, node)
+		s.emit(runtime.Event{Kind: runtime.EventRecovery, T: t, Node: node, Op: -1})
+	}
+	return nil
 }
 
 // addOverhead accounts the policy's per-batch classification work.
@@ -508,14 +522,7 @@ func (s *Session) Crash(node int) error {
 	if s.closed {
 		return runtime.ErrClosed
 	}
-	if err := s.e.Crash(node, s.mode); err != nil {
-		return err
-	}
-	if _, dn := s.downSince[node]; !dn {
-		s.downSince[node] = s.now()
-		s.emit(runtime.Event{Kind: runtime.EventCrash, T: s.now(), Node: node, Op: -1})
-	}
-	return nil
+	return s.crashAt(node, s.now())
 }
 
 // Recover implements runtime.Session.
@@ -525,15 +532,7 @@ func (s *Session) Recover(node int) error {
 	if s.closed {
 		return runtime.ErrClosed
 	}
-	if err := s.e.Recover(node); err != nil {
-		return err
-	}
-	if since, dn := s.downSince[node]; dn {
-		s.downSeconds += s.now() - since
-		delete(s.downSince, node)
-		s.emit(runtime.Event{Kind: runtime.EventRecovery, T: s.now(), Node: node, Op: -1})
-	}
-	return nil
+	return s.recoverAt(node, s.now())
 }
 
 // Stats implements runtime.Session. The counter snapshot is taken under

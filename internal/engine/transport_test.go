@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"rld/internal/query"
 	"rld/internal/runtime"
 	"rld/internal/stream"
+	"rld/internal/wal"
 )
 
 var errNodeDied = errors.New("fake transport: node died under the stage")
@@ -20,22 +22,26 @@ var errNodeDied = errors.New("fake transport: node died under the stage")
 // way only a remote one does: on its own, under a stage. RunStage on the
 // armed node either fails at once (failNext) or blocks until the router
 // kills the node and fails then (holdNext) — in both cases leaving the
-// input whole, as the Transport contract requires.
+// input whole, as the Transport contract requires. It can also refuse to
+// snapshot one operator (failSnapshot) and refuse inserts on one node
+// (failInsert), the way a worker that cannot be reached does.
 type fakeTransport struct {
-	*localTransport
+	localTransport
 
 	// stageDelay, set before the first Ingest, is a fixed service time
 	// added to every stage.
 	stageDelay time.Duration
 
-	mu       sync.Mutex
-	failNext int           // node whose next stage fails at once; -1: none
-	holdNext int           // node whose next stage blocks until Kill; -1: none
-	entered  chan int      // receives len(in) when the held stage is reached
-	killed   chan struct{} // closed by Kill of the holding node
-	ranOn    [][2]int      // (op, node) of every stage that ran
-	revived  []uint64      // gen of every Revive
-	kills    []int         // node of every Kill
+	mu           sync.Mutex
+	failNext     int           // node whose next stage fails at once; -1: none
+	holdNext     int           // node whose next stage blocks until Kill; -1: none
+	failSnapshot int           // operator whose snapshots fail; -1: none
+	failInsert   int           // node whose inserts fail until it is restarted; -1: none
+	entered      chan int      // receives len(in) when the held stage is reached
+	killed       chan struct{} // closed by Kill of the holding node
+	ranOn        [][2]int      // (op, node) of every stage that ran
+	revived      []uint64      // gen of every Restart
+	kills        []int         // node of every Kill
 }
 
 func (f *fakeTransport) RunStage(node, op int, in []*stream.Joined) ([]*stream.Joined, error) {
@@ -76,33 +82,54 @@ func (f *fakeTransport) Kill(node int) {
 	}
 }
 
-func (f *fakeTransport) Revive(node int, gen uint64, joinOps []int, mode chaos.RecoveryMode) (int, error) {
+func (f *fakeTransport) Restart(node int, gen uint64) error {
 	f.mu.Lock()
 	f.revived = append(f.revived, gen)
 	f.killed = make(chan struct{})
+	if f.failInsert == node {
+		f.failInsert = -1 // a restarted node can be reached again
+	}
 	f.mu.Unlock()
-	return f.localTransport.Revive(node, gen, joinOps, mode)
+	return f.localTransport.Restart(node, gen)
+}
+
+func (f *fakeTransport) SnapshotOp(node, op int) (*stream.Batch, error) {
+	f.mu.Lock()
+	fail := f.failSnapshot == op
+	f.mu.Unlock()
+	if fail {
+		return nil, errNodeDied
+	}
+	return f.localTransport.SnapshotOp(node, op)
+}
+
+func (f *fakeTransport) Insert(node int, ops []int, b *stream.Batch) error {
+	f.mu.Lock()
+	fail := f.failInsert == node
+	f.mu.Unlock()
+	if fail {
+		return errNodeDied
+	}
+	return f.localTransport.Insert(node, ops, b)
 }
 
 // newFakeEngine builds a started 2-node engine (select on node 0, join on
-// node 1, one worker each) over a fakeTransport.
-func newFakeEngine(t *testing.T) (*Engine, *fakeTransport) {
+// node 1, one worker each) over a fakeTransport, exactly-once when walDir
+// is not empty.
+func newFakeEngine(t *testing.T, walDir string) (*Engine, *fakeTransport) {
 	t.Helper()
 	q := query.NewNWayJoin("B", 2, 100)
 	q.Ops[0].Sel = 0.9
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	cfg.MaxFanout = 8
+	cfg.WALDir = walDir
 	core, err := NewNodeCore(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt, err := newLocalTransport(core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft := &fakeTransport{localTransport: lt, failNext: -1, holdNext: -1,
-		entered: make(chan int, 1), killed: make(chan struct{})}
+	ft := &fakeTransport{localTransport: localTransport{core}, failNext: -1, holdNext: -1,
+		failSnapshot: -1, failInsert: -1, entered: make(chan int, 1), killed: make(chan struct{})}
 	e, err := NewOn(core, ft, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +168,7 @@ func feedAll(t *testing.T, e *Engine, bs []*stream.Batch) {
 func TestStageFailureParksAndRecoverReplays(t *testing.T) {
 	q := query.NewNWayJoin("B", 2, 100)
 	warm, probes := buildBenchBatches(q, 2, 50)
-	e, ft := newFakeEngine(t)
+	e, ft := newFakeEngine(t, "")
 	feedAll(t, e, warm)
 	e.Drain()
 	before := e.Counters().Produced
@@ -208,7 +235,7 @@ func TestStageFailureParksAndRecoverReplays(t *testing.T) {
 func TestStageFailureUnderLoseStateCountsLost(t *testing.T) {
 	q := query.NewNWayJoin("B", 2, 100)
 	warm, probes := buildBenchBatches(q, 1, 50)
-	e, ft := newFakeEngine(t)
+	e, ft := newFakeEngine(t, "")
 	feedAll(t, e, warm)
 	e.Drain()
 
@@ -238,7 +265,7 @@ func TestStageFailureUnderLoseStateCountsLost(t *testing.T) {
 func TestSlowdownStretchesSingleWorkerNode(t *testing.T) {
 	q := query.NewNWayJoin("B", 2, 100)
 	warm, probes := buildBenchBatches(q, 300, 10)
-	e, ft := newFakeEngine(t)
+	e, ft := newFakeEngine(t, "")
 	ft.stageDelay = 200 * time.Microsecond
 	feedAll(t, e, warm)
 	e.Drain()
@@ -275,7 +302,7 @@ func TestSlowdownStretchesSingleWorkerNode(t *testing.T) {
 func TestCrashedPoolExitsBeforeReviveAndBacklogKeepsOrder(t *testing.T) {
 	q := query.NewNWayJoin("B", 2, 100)
 	warm, probes := buildBenchBatches(q, 16, 50)
-	e, ft := newFakeEngine(t)
+	e, ft := newFakeEngine(t, "")
 	feedAll(t, e, warm)
 	e.Drain()
 	e.Checkpoint() // the revived join must find the warm window again
@@ -328,10 +355,127 @@ func TestCrashedPoolExitsBeforeReviveAndBacklogKeepsOrder(t *testing.T) {
 	}
 }
 
+// runFakeExactlyOnce is runExactlyOnce over a fakeTransport: warm,
+// checkpoint, warm2 — with sabotage, when not nil, called halfway through
+// it — then, when crash is set, crash the join node, park the probes behind
+// it and recover. It returns the final results and the multiset of result
+// identities.
+func runFakeExactlyOnce(t *testing.T, walDir string, crash bool, sabotage func(*Engine, *fakeTransport)) (Results, map[string]int) {
+	t.Helper()
+	warm, warm2, probes := exactlyOnceBatches()
+	e, ft := newFakeEngine(t, walDir)
+	var mu sync.Mutex
+	set := make(map[string]int)
+	e.SetResultObserver(func(tuples []*stream.Joined, _ time.Time) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, j := range tuples {
+			set[fmt.Sprint(j.TupleIDs(nil))]++
+		}
+	})
+	feed := func(bs []*stream.Batch) {
+		t.Helper()
+		feedAll(t, e, bs)
+		e.Drain()
+	}
+	feed(warm)
+	e.Checkpoint()
+	feed(warm2[:len(warm2)/2])
+	if sabotage != nil {
+		sabotage(e, ft)
+	}
+	feed(warm2[len(warm2)/2:])
+	if crash {
+		if err := e.Crash(1, chaos.Checkpoint); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed(probes)
+	if crash {
+		if err := e.Recover(1); err != nil {
+			t.Fatal(err)
+		}
+		e.Drain()
+	}
+	return e.Stop(), set
+}
+
+// sameResults fails unless got is exactly base: same count, same result
+// identities the same number of times, nothing lost.
+func sameResults(t *testing.T, got, base Results, gotSet, baseSet map[string]int) {
+	t.Helper()
+	if got.TuplesLost != 0 || got.Produced != base.Produced || len(gotSet) != len(baseSet) {
+		t.Fatalf("produced=%d lost=%d distinct=%d, fault-free %d/0/%d", got.Produced, got.TuplesLost, len(gotSet), base.Produced, len(baseSet))
+	}
+	for k, n := range baseSet {
+		if gotSet[k] != n {
+			t.Fatalf("result %s produced %d times, fault-free %d", k, gotSet[k], n)
+		}
+	}
+}
+
+// TestFailedSnapshotPullKeepsCheckpointAndLog: a checkpoint that cannot
+// pull one operator keeps that operator's previous snapshot and cuts
+// nothing from the log — which is then exactly what bridges the stale
+// snapshot: a later crash and Recover of the operator's node is still exact.
+func TestFailedSnapshotPullKeepsCheckpointAndLog(t *testing.T) {
+	base, baseSet := runFakeExactlyOnce(t, t.TempDir(), false, nil)
+	if base.Produced <= warmProduced {
+		t.Fatalf("fault-free run produced no joins (%d)", base.Produced)
+	}
+	logged := func(e *Engine) (n int) {
+		if err := e.wlog.Replay(func(wal.Record) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	got, gotSet := runFakeExactlyOnce(t, t.TempDir(), true, func(e *Engine, ft *fakeTransport) {
+		prev, sinceCkpt := (*e.snaps.Load())[1], logged(e)
+		if sinceCkpt == 0 {
+			t.Fatal("nothing logged since the checkpoint: the scenario cannot show a truncation")
+		}
+		ft.mu.Lock()
+		ft.failSnapshot = 1
+		ft.mu.Unlock()
+		e.Checkpoint()
+		if (*e.snaps.Load())[1] != prev {
+			t.Fatal("a failed pull replaced the operator's previous snapshot")
+		}
+		if n := logged(e); n != sinceCkpt {
+			t.Fatalf("log holds %d records after a checkpoint with a failed pull, %d before it", n, sinceCkpt)
+		}
+		ft.mu.Lock()
+		ft.failSnapshot = -1
+		ft.mu.Unlock()
+	})
+	if got.Restores != 1 {
+		t.Fatalf("restores=%d, want 1", got.Restores)
+	}
+	sameResults(t, got, base, gotSet, baseSet)
+}
+
+// TestFailedInsertIsRecoveredFromLog: under durability the router logs a
+// batch before any transport sees it, so rows a node could not take are not
+// lost — they are in the log, and the node's recovery replays them. Without
+// the log the same refusals must cost results.
+func TestFailedInsertIsRecoveredFromLog(t *testing.T) {
+	base, baseSet := runFakeExactlyOnce(t, t.TempDir(), false, nil)
+	refuse := func(_ *Engine, ft *fakeTransport) {
+		ft.mu.Lock()
+		ft.failInsert = 1
+		ft.mu.Unlock()
+	}
+	got, gotSet := runFakeExactlyOnce(t, t.TempDir(), true, refuse)
+	sameResults(t, got, base, gotSet, baseSet)
+	if noWAL, _ := runFakeExactlyOnce(t, "", true, refuse); noWAL.Produced >= base.Produced {
+		t.Fatalf("non-durable run with refused inserts produced %d, want < %d (scenario does not exercise the log)", noWAL.Produced, base.Produced)
+	}
+}
+
 // TestRejectedOpenSessionReleasesWAL: a session rejected after its engine
 // was built (here: a fault naming node 9 of 2) must stop that engine, or
-// every rejected open leaks the transport's open WAL segment and its
-// engine-* directory.
+// every rejected open leaks the router's open WAL segment and its engine-*
+// directory.
 func TestRejectedOpenSessionReleasesWAL(t *testing.T) {
 	openFDs := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")

@@ -4,7 +4,6 @@ package analyzers
 
 import (
 	"rld/internal/lint"
-	"rld/internal/lint/atomicmix"
 	"rld/internal/lint/batchrelease"
 	"rld/internal/lint/exhaustiveframe"
 	"rld/internal/lint/guardedby"
@@ -17,7 +16,6 @@ import (
 // All returns every registered analyzer, in stable order.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
-		atomicmix.Analyzer,
 		batchrelease.Analyzer,
 		exhaustiveframe.Analyzer,
 		guardedby.Analyzer,

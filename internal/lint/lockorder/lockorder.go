@@ -6,9 +6,9 @@
 // cycle in the merged graph is reported at each of its in-cycle
 // acquisition sites. A re-acquisition of the very same lock occurrence is
 // a self-cycle (immediate deadlock for a plain Mutex). The invariant this
-// repo pins today: the leader→worker RPC path (callMu before workerProc.mu)
-// and the checkpoint/recovery path (the in-process transport's walMu before
-// the window-shard locks) must never invert.
+// repo pins today: the checkpoint/recovery path (the router's Engine.walMu
+// before the window-shard locks and before the leader→worker RPC path) and
+// that RPC path (callMu before workerProc.mu) must never invert.
 package lockorder
 
 import (

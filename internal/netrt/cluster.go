@@ -20,9 +20,11 @@ import (
 
 // ClusterConfig tunes the leader.
 type ClusterConfig struct {
-	// Engine is the operator-state configuration shipped to every worker
-	// (threshold scale, fanout cap, WAL directory). Workers is ignored: the
-	// leader's router runs one goroutine per node.
+	// Engine is the router's configuration, shipped to every worker for its
+	// operator state (threshold scale, fanout cap; a WAL directory reaches
+	// workers only as the switch for insert-time dedup — the log is the
+	// router's). Workers is ignored: the leader's router runs one goroutine
+	// per node.
 	Engine engine.Config
 	// WorkerCommand, when non-empty, is the argv prefix used to launch
 	// worker processes (it receives -leader/-node/-epoch flags) — the
@@ -69,6 +71,8 @@ type workerProc struct {
 	// callMu serializes RPC use of the connection (one request/response
 	// in flight per worker, matching the worker's single-threaded loop).
 	callMu sync.Mutex
+	// enc is call's request scratch, reused under callMu.
+	enc wire.Enc
 
 	mu sync.Mutex // guards everything below
 	// gen is the router's incarnation number for the process in proc; a
@@ -77,19 +81,12 @@ type workerProc struct {
 	gen      uint64
 	proc     *os.Process
 	procDone <-chan struct{}
-	// wc is the live connection, nil from Kill until Revive's last step.
+	// wc is the live connection, nil from Kill until Restart.
 	wc *wireConn
-	// unacked (durable mode only) retains the encoded frameInsert payload
-	// of every window insert the worker has not acknowledged — inserts
-	// attempted while the worker was down, or whose RPC died mid-call.
-	// Revive re-offers them on the fresh process before it goes live; the
-	// worker's insert-time dedup absorbs any that actually landed before
-	// the crash.
-	unacked [][]byte
 }
 
 // acceptedConn is one handshaken worker connection delivered by the accept
-// loop to whoever is waiting (NewCluster's collector or Revive).
+// loop to whoever is waiting (NewCluster's collector or Restart).
 type acceptedConn struct {
 	node int
 	wc   *wireConn
@@ -100,11 +97,11 @@ type acceptedConn struct {
 // implements. Each node is a worker process owning its operators' window
 // state (an engine.NodeCore behind the wire protocol). The embedded Engine
 // owns routing, placement, classification, statistics, queues and the
-// failure state, and is what callers drive (Start, Ingest, Crash, Recover,
-// Stop, …; engine.OpenSessionOn layers the session protocol on it, so
-// RLD/ROD/DYN run unchanged over real processes). The Cluster's own
-// methods are the transport: the RPCs, the process lifecycle, failure
-// detection, the leader-held checkpoint, and the unacknowledged inserts.
+// failure state, the checkpoint and the write-ahead log, and is what callers
+// drive (Start, Ingest, Crash, Recover, Stop, …; engine.OpenSessionOn layers
+// the session protocol on it, so RLD/ROD/DYN run unchanged over real
+// processes). The Cluster's own methods are the transport: the RPCs, the
+// process lifecycle, and failure detection.
 type Cluster struct {
 	*engine.Engine
 
@@ -129,9 +126,6 @@ type Cluster struct {
 	selIn  []atomic.Int64
 	selOut []atomic.Int64
 
-	snapMu sync.Mutex
-	snaps  []*stream.Batch //rldlint:guardedby snapMu
-
 	hbQuit chan struct{}
 	hbDone chan struct{}
 }
@@ -140,8 +134,8 @@ var _ engine.Transport = (*Cluster)(nil)
 
 // NewCluster spawns nNodes worker processes, waits for their handshakes,
 // and returns a leader ready for engine.OpenSessionOn. On error everything
-// spawned is torn down. The cluster is not started — Start launches the
-// router's pools; only the heartbeat already runs.
+// spawned or opened is released. The cluster is not started — Start launches
+// the router's pools; only the heartbeat already runs.
 func NewCluster(q *query.Query, assign physical.Assignment, nNodes int, cfg ClusterConfig) (*Cluster, error) {
 	// One router goroutine per node: a worker process serves one request
 	// at a time (callMu), so a second would only wait on the first, and
@@ -164,11 +158,6 @@ func NewCluster(q *query.Query, assign physical.Assignment, nNodes int, cfg Clus
 		hbQuit:    make(chan struct{}),
 		hbDone:    make(chan struct{}),
 	}
-	// The router exists before the first process does: a worker's exit is
-	// reported to it from the moment it is spawned.
-	if c.Engine, err = engine.NewOn(core, c, assign, nNodes, nil); err != nil {
-		return nil, err
-	}
 	c.setup, err = json.Marshal(setupMsg{Query: q, Config: core.Config(), StageChunk: cfg.MaxStageChunk})
 	if err != nil {
 		return nil, fmt.Errorf("netrt: marshal setup: %w", err)
@@ -180,13 +169,21 @@ func NewCluster(q *query.Query, assign physical.Assignment, nNodes int, cfg Clus
 	for i := 0; i < nNodes; i++ {
 		c.workers = append(c.workers, &workerProc{node: i})
 	}
-	// The accept loop starts only after the workers slice is fully built:
-	// handshakes read it unsynchronized (it is immutable once spawning
-	// begins).
+	// The router exists before the first process does: a worker's exit is
+	// reported to it from the moment it is spawned. It may hold an open
+	// write-ahead log, so every failure from here on stops it — which closes
+	// this transport, and with it the loops below and whatever was spawned.
+	if c.Engine, err = engine.NewOn(core, c, assign, nNodes, nil); err != nil {
+		c.ln.Close()
+		return nil, err
+	}
+	// The loops start only after the workers slice is fully built: they
+	// read it unsynchronized (it is immutable once spawning begins).
 	go c.acceptLoop()
+	go c.heartbeatLoop()
 	for i := 0; i < nNodes; i++ {
 		if err := c.spawnInto(c.workers[i], 0); err != nil {
-			c.teardown()
+			c.Stop()
 			return nil, err
 		}
 	}
@@ -208,14 +205,13 @@ func NewCluster(q *query.Query, assign physical.Assignment, nNodes int, cfg Clus
 			wp.mu.Unlock()
 			have++
 		case node := <-c.earlyDead:
-			c.teardown()
+			c.Stop()
 			return nil, fmt.Errorf("%w: worker %d exited during startup", ErrWorkerDown, node)
 		case <-deadline:
-			c.teardown()
+			c.Stop()
 			return nil, fmt.Errorf("%w: %d of %d worker handshakes outstanding", ErrStartupTimeout, nNodes-have, nNodes)
 		}
 	}
-	go c.heartbeatLoop()
 	return c, nil
 }
 
@@ -300,39 +296,6 @@ func (c *Cluster) handshake(conn net.Conn) {
 	}
 }
 
-// teardown ends every worker process and closes the listener — the
-// NewCluster error path and Close. A worker with a live connection is asked
-// to quit and given a moment to; the rest, and any that dawdle, are killed.
-func (c *Cluster) teardown() {
-	for _, wp := range c.workers {
-		wp.mu.Lock()
-		proc, done, wc := wp.proc, wp.procDone, wp.wc
-		wp.wc = nil
-		wp.mu.Unlock()
-		asked := false
-		if wc != nil {
-			wp.callMu.Lock()
-			asked = wc.writeFrame(frameQuit, nil) == nil
-			wp.callMu.Unlock()
-		}
-		if proc != nil && !asked {
-			_ = proc.Kill()
-		}
-		if done != nil {
-			select {
-			case <-done:
-			case <-time.After(5 * time.Second): //rldlint:allow wallclock -- shutdown drain bound on a real child process
-				_ = proc.Kill()
-				<-done
-			}
-		}
-		if wc != nil {
-			wc.Close()
-		}
-	}
-	c.ln.Close()
-}
-
 // heartbeatLoop pings every live worker on a period; a worker that cannot
 // answer (dead process, broken pipe, hung loop past the call timeout) is
 // marked down exactly as an unexpected process exit would be.
@@ -352,15 +315,10 @@ func (c *Cluster) heartbeatLoop() {
 	}
 }
 
-// durable reports whether the cluster runs with exactly-once durability:
-// workers keep fsync'd local WALs and the leader retains unacknowledged
-// inserts for re-offer.
-func (c *Cluster) durable() bool { return c.core.Config().WALDir != "" }
-
 // onWorkerExit runs when a worker process is reaped. An exit the leader
 // did not cause is a real failure: the node is marked down in Checkpoint
 // mode, parking its work for a scripted or manual Recover. One the leader
-// did cause — Crash, a failed Revive, Close — finds the node already down
+// did cause — Crash, a failed Recover, Close — finds the node already down
 // or the incarnation retired, and is ignored. During NewCluster it also
 // fails the startup.
 func (c *Cluster) onWorkerExit(node int, gen uint64) {
@@ -413,10 +371,11 @@ func (c *Cluster) rpc(wc *wireConn, t frameType, payload []byte, want frameType)
 	return append([]byte(nil), rp...), nil
 }
 
-// call performs one RPC against wp's live connection. A worker that fails
-// it — anything but ErrWorkerDown, which says the router already knows — is
-// reported down under the generation the call used.
-func (c *Cluster) call(wp *workerProc, t frameType, payload []byte, want frameType) ([]byte, error) {
+// call performs one RPC against wp's live connection; request, when not nil,
+// writes the payload into the worker's scratch. A worker that fails the
+// call — anything but ErrWorkerDown, which says the router already knows —
+// is reported down under the generation the call used.
+func (c *Cluster) call(wp *workerProc, t frameType, request func(*wire.Enc), want frameType) ([]byte, error) {
 	wp.callMu.Lock()
 	wp.mu.Lock()
 	wc, gen := wp.wc, wp.gen
@@ -424,7 +383,11 @@ func (c *Cluster) call(wp *workerProc, t frameType, payload []byte, want frameTy
 	var rp []byte
 	err := ErrWorkerDown
 	if wc != nil {
-		rp, err = c.rpc(wc, t, payload, want)
+		wp.enc.B = wp.enc.B[:0]
+		if request != nil {
+			request(&wp.enc)
+		}
+		rp, err = c.rpc(wc, t, wp.enc.B, want)
 	}
 	wp.callMu.Unlock()
 	if err != nil && !errors.Is(err, ErrWorkerDown) {
@@ -535,185 +498,83 @@ func (c *Cluster) ObservedSels() []float64 {
 	return sels
 }
 
-// Insert implements engine.Transport: push the batch's rows into the join
-// windows of its stream's operators — one Insert RPC per hosting worker,
-// batch columns straight onto the wire, so the batch crosses once per
-// node, not once per operator. Without durability an insert a worker
-// cannot take is dropped — recovery restores from the last checkpoint
-// anyway, exactly the tuples the in-process engine also loses. It never
-// fails: a worker's failure is that node's outage, not the batch's.
-func (c *Cluster) Insert(b *stream.Batch, assign physical.Assignment) error {
-	for node, wp := range c.workers {
-		var ops []int
-		for op, hn := range assign {
-			if hn == node && c.q.Ops[op].Kind == query.Join && c.q.Ops[op].Stream == b.Stream {
-				ops = append(ops, op)
-			}
-		}
-		if len(ops) == 0 {
-			continue
-		}
-		var e wire.Enc
+// Insert implements engine.Transport: one Insert RPC carrying the batch's
+// columns straight onto the wire, so the batch crosses once per node, not
+// once per operator.
+func (c *Cluster) Insert(node int, ops []int, b *stream.Batch) error {
+	_, err := c.call(c.workers[node], frameInsert, func(e *wire.Enc) {
 		e.U16(uint16(len(ops)))
 		for _, op := range ops {
 			e.U16(uint16(op))
 		}
-		wire.EncodeBatch(&e, b)
-		// Durable mode: never drop an insert on the floor. A down worker's
-		// inserts queue as unacked payloads for Revive to re-offer, and a
-		// call that dies mid-RPC retains its payload the same way (the
-		// worker may or may not have logged it; its dedup disambiguates).
-		// Retaining only while the connection is still nil, under the lock
-		// Revive installs the next one under, means a recovery racing this
-		// insert cannot strand it behind the flip: it is sent again.
-		for {
-			if _, err := c.call(wp, frameInsert, e.B, frameOK); err == nil || !c.durable() {
-				break
-			}
-			wp.mu.Lock()
-			down := wp.wc == nil
-			if down {
-				wp.unacked = append(wp.unacked, e.B)
-			}
-			wp.mu.Unlock()
-			if down {
-				break
-			}
-		}
-	}
-	return nil
+		wire.EncodeBatch(e, b)
+	}, frameOK)
+	return err
 }
 
 // MoveOp implements engine.Transport. Unlike the in-process engine, where
 // operator state is shared memory and migration is a pure routing-table
 // swap, moving an operator here transfers its window state: snapshot on
-// the old worker, restore on the new (falling back to the leader's last
-// checkpoint when the old worker is down).
-func (c *Cluster) MoveOp(op, from, to int) {
+// the old worker, restore on the new.
+func (c *Cluster) MoveOp(op, from, to int) error {
 	if c.q.Ops[op].Kind != query.Join {
-		return
-	}
-	snap := c.snapshotOpFrom(from, op)
-	if snap == nil {
-		if snaps := c.lastSnapshot(); snaps != nil {
-			snap = snaps[op]
-		}
-	}
-	if snap != nil {
-		_, _ = c.call(c.workers[to], frameRestore, restorePayload(op, snap), frameOK) // a failed target is marked down and restores at its Revive
-	}
-}
-
-// lastSnapshot returns the latest Snapshot's per-op window contents (nil
-// before the first).
-func (c *Cluster) lastSnapshot() []*stream.Batch {
-	c.snapMu.Lock()
-	defer c.snapMu.Unlock()
-	return c.snaps
-}
-
-// snapshotOpFrom fetches op's live window state from a worker (nil when
-// the worker is down or fails mid-call).
-func (c *Cluster) snapshotOpFrom(node, op int) *stream.Batch {
-	var e wire.Enc
-	e.U16(uint16(op))
-	payload, err := c.call(c.workers[node], frameSnapshot, e.B, frameSnapshotResult)
-	if err != nil {
 		return nil
+	}
+	snap, err := c.SnapshotOp(from, op)
+	if err != nil {
+		return err
+	}
+	_ = c.RestoreOp(to, op, snap) // a failed target is marked down and rebuilt at its Recover
+	return nil
+}
+
+// SnapshotOp implements engine.Transport: pull op's live window state from
+// node's worker into leader memory.
+func (c *Cluster) SnapshotOp(node, op int) (*stream.Batch, error) {
+	payload, err := c.call(c.workers[node], frameSnapshot, func(e *wire.Enc) { e.U16(uint16(op)) }, frameSnapshotResult)
+	if err != nil {
+		return nil, err
 	}
 	d := wire.Dec{B: payload}
 	if d.U8() != 1 {
-		return nil
+		return nil, d.Err // a stateless operator has nothing to snapshot
 	}
-	b, derr := wire.DecodeBatch(&d)
-	if derr != nil {
-		return nil
-	}
-	return b
+	return wire.DecodeBatch(&d)
 }
 
-// restorePayload encodes a frameRestore request replacing op's window
-// state with snap (nil clears it).
-func restorePayload(op int, snap *stream.Batch) []byte {
-	var e wire.Enc
-	e.U16(uint16(op))
-	if snap != nil {
-		e.U8(1)
-		wire.EncodeBatch(&e, snap)
-	} else {
-		e.U8(0)
-	}
-	return e.B
+// RestoreOp implements engine.Transport: ship snap to node's worker in
+// place of op's window state (nil clears it).
+func (c *Cluster) RestoreOp(node, op int, snap *stream.Batch) error {
+	_, err := c.call(c.workers[node], frameRestore, func(e *wire.Enc) {
+		e.U16(uint16(op))
+		if snap != nil {
+			e.U8(1)
+			wire.EncodeBatch(e, snap)
+		} else {
+			e.U8(0)
+		}
+	}, frameOK)
+	return err
 }
 
-// Revive implements engine.Transport: respawn the worker process, restore
-// the join-window state of the operators the node currently hosts from the
-// leader's last checkpoint (Checkpoint mode; LoseState and
-// never-checkpointed recoveries start empty — a fresh process has no state
-// to clear), and install its connection. Every RPC before that last step
-// runs directly on the fresh conn: the node is still down, so c.call
-// would refuse.
-func (c *Cluster) Revive(node int, gen uint64, joinOps []int, mode chaos.RecoveryMode) (int, error) {
+// Restart implements engine.Transport: respawn the worker process — empty,
+// as a fresh process is — and install its connection. The router still
+// holds the node down, so nothing but its restores and replayed inserts
+// reaches the process until it says otherwise.
+func (c *Cluster) Restart(node int, gen uint64) error {
 	wp := c.workers[node]
 	if err := c.spawnInto(wp, gen); err != nil {
-		return 0, err
+		return err
 	}
 	wc, err := c.awaitWorker(node)
 	if err != nil {
 		c.Kill(node)
-		return 0, err
+		return err
 	}
-	// abandon gives the half-revived process up: the node stays down.
-	abandon := func(what string, err error) (int, error) {
-		wc.Close()
-		c.Kill(node)
-		return 0, fmt.Errorf("netrt: %s recovered node %d: %w", what, node, err)
-	}
-	restored := 0
-	if snaps := c.lastSnapshot(); mode == chaos.Checkpoint && snaps != nil {
-		for _, op := range joinOps {
-			if _, err := c.rpc(wc, frameRestore, restorePayload(op, snaps[op]), frameOK); err != nil {
-				return abandon("restore op on", err)
-			}
-			restored++
-		}
-	}
-	// Durable mode: before any traffic, replay the worker's local WAL —
-	// everything it fsync'd past the snapshot the restore just shipped —
-	// then re-offer the inserts the old incarnation never acknowledged.
-	// Both overlap the restored state; the worker's insert-time dedup
-	// makes the union exact. LoseState recoveries drop retained inserts
-	// with the rest of the state.
-	reoffer := c.durable() && mode == chaos.Checkpoint
-	if reoffer {
-		if _, err := c.rpc(wc, frameWALReplay, nil, frameOK); err != nil {
-			return abandon("wal replay on", err)
-		}
-	}
-	// The connection is installed in the critical section that sees no
-	// unacked insert left, so an Ingest racing the recovery either queued
-	// its insert before (and it is re-offered here) or finds the live
-	// connection after.
-	for {
-		wp.mu.Lock()
-		unacked := wp.unacked
-		wp.unacked = nil
-		if len(unacked) == 0 || !reoffer {
-			wp.wc = wc
-			wp.mu.Unlock()
-			return restored, nil
-		}
-		wp.mu.Unlock()
-		for i, payload := range unacked {
-			if _, err := c.rpc(wc, frameInsert, payload, frameOK); err != nil {
-				// Put the undelivered tail back for the next attempt.
-				wp.mu.Lock()
-				wp.unacked = append(unacked[i:], wp.unacked...)
-				wp.mu.Unlock()
-				return abandon("re-offer inserts to", err)
-			}
-		}
-	}
+	wp.mu.Lock()
+	wp.wc = wc
+	wp.mu.Unlock()
+	return nil
 }
 
 // awaitWorker waits for the accept loop to deliver node's handshaken
@@ -733,58 +594,38 @@ func (c *Cluster) awaitWorker(node int) (*wireConn, error) {
 	}
 }
 
-// Snapshot implements engine.Transport: pull every join operator's window
-// state into leader memory — what Checkpoint-mode recovery ships back to a
-// respawned worker. Operators on down workers keep their previous snapshot
-// (their state will be rebuilt from it anyway).
-//
-// In durable mode each live worker first cuts a WAL barrier, so every
-// insert is covered either by the snapshots pulled after it or by the
-// worker's retained log; only a worker whose barrier and every snapshot
-// pull succeeded is told to truncate (frameWALMark). A worker that fails
-// any step keeps its log back to the last successful mark — exactly the
-// suffix replay needs to bridge its stale snapshot.
-func (c *Cluster) Snapshot(assign physical.Assignment) {
-	durable := c.durable()
-	barrierOK := make([]bool, len(c.workers))
-	if durable {
-		for node, wp := range c.workers {
-			_, err := c.call(wp, frameWALBarrier, nil, frameOK)
-			barrierOK[node] = err == nil
-		}
-	}
-	prev := c.lastSnapshot()
-	snaps := make([]*stream.Batch, len(c.q.Ops))
-	pullFailed := make([]bool, len(c.workers))
-	for op := range c.q.Ops {
-		if c.q.Ops[op].Kind != query.Join {
-			continue
-		}
-		if b := c.snapshotOpFrom(assign[op], op); b != nil {
-			snaps[op] = b
-		} else {
-			pullFailed[assign[op]] = true
-			if prev != nil {
-				snaps[op] = prev[op]
-			}
-		}
-	}
-	c.snapMu.Lock()
-	c.snaps = snaps
-	c.snapMu.Unlock()
-	if durable {
-		for node, wp := range c.workers {
-			if barrierOK[node] && !pullFailed[node] {
-				_, _ = c.call(wp, frameWALMark, nil, frameOK) // a worker that fails the mark keeps its longer log
-			}
-		}
-	}
-}
-
-// Close implements engine.Transport: the router has drained and stopped,
-// so stop the heartbeat and let every live worker go.
+// Close implements engine.Transport: the router has drained and stopped —
+// or NewCluster failed — so stop the heartbeat, end every worker process and
+// close the listener. A worker with a live connection is asked to quit and
+// given a moment to; the rest, and any that dawdle, are killed.
 func (c *Cluster) Close() {
 	close(c.hbQuit)
 	<-c.hbDone
-	c.teardown()
+	for _, wp := range c.workers {
+		wp.mu.Lock()
+		proc, done, wc := wp.proc, wp.procDone, wp.wc
+		wp.wc = nil
+		wp.mu.Unlock()
+		asked := false
+		if wc != nil {
+			wp.callMu.Lock()
+			asked = wc.writeFrame(frameQuit, nil) == nil
+			wp.callMu.Unlock()
+		}
+		if proc != nil && !asked {
+			_ = proc.Kill()
+		}
+		if done != nil {
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second): //rldlint:allow wallclock -- shutdown drain bound on a real child process
+				_ = proc.Kill()
+				<-done
+			}
+		}
+		if wc != nil {
+			wc.Close()
+		}
+	}
+	c.ln.Close()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -292,6 +293,41 @@ func TestStaleWorkerRunWorker(t *testing.T) {
 	}
 }
 
+// TestFailedNewClusterReleasesWAL is engine's
+// TestRejectedOpenSessionReleasesWAL for a leader that fails after its
+// router exists (here: workers that exit before their handshake): the
+// router's open log segment and its engine-* directory must go with it.
+func TestFailedNewClusterReleasesWAL(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count descriptors with")
+		}
+		return len(ents)
+	}
+	walDir := t.TempDir()
+	before := openFDs()
+	for i := 0; i < 3; i++ {
+		_, err := NewCluster(testQuery(), physical.Assignment{0, 1}, 2, ClusterConfig{
+			Engine:        engine.Config{WALDir: walDir},
+			WorkerCommand: []string{"/bin/false"},
+		})
+		if !errors.Is(err, ErrWorkerDown) {
+			t.Fatalf("a cluster of /bin/false workers returned %v, want ErrWorkerDown", err)
+		}
+	}
+	if after := openFDs(); after > before {
+		t.Fatalf("3 failed startups left %d descriptors open", after-before)
+	}
+	ents, err := os.ReadDir(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		t.Errorf("failed startup left %s behind", ent.Name())
+	}
+}
+
 // runNetExactlyOnce drives one deterministic phased run over a real
 // worker cluster: warm the join window, checkpoint, grow the window past
 // the barrier, then (when fault is set) SIGKILL the join node, keep
@@ -345,7 +381,7 @@ func runNetExactlyOnce(t *testing.T, walDir string, fault bool) (engine.Results,
 			t.Fatal(err)
 		}
 	}
-	feed("S2", &s2, 2) // outage inserts: retained as unacked, re-offered
+	feed("S2", &s2, 2) // outage inserts: in the router's log only, replayed at recovery
 	feed("S1", &s1, 2) // outage probes: park, replay after recovery
 	if fault {
 		if err := c.Recover(1); err != nil {
@@ -363,9 +399,10 @@ func runNetExactlyOnce(t *testing.T, walDir string, fault bool) (engine.Results,
 // test: a literal SIGKILL of the join worker between checkpoints, with
 // ingest continuing through the outage, must recover to exactly the
 // fault-free run's results — same count, same result identities, zero
-// duplicates. The respawned process replays the WAL its predecessor
-// fsync'd, the leader re-offers the inserts the dead incarnation never
-// acknowledged, and insert-time dedup collapses every overlap.
+// duplicates. The router restores the respawned process from its
+// checkpoint and replays the log suffix into it — the post-checkpoint
+// inserts the dead incarnation held and the ones it never saw — and
+// insert-time dedup collapses every overlap.
 func TestChaosNetExactlyOnceSIGKILL(t *testing.T) {
 	base, baseSet := runNetExactlyOnce(t, t.TempDir(), false)
 	if base.Produced == 0 {

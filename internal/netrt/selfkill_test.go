@@ -34,8 +34,8 @@ func workerPid(t *testing.T, node int) int {
 // with the one fault the leader does not inject: the join worker is
 // SIGKILLed from outside, and no one calls Crash. The leader has to notice
 // by itself — the reaped exit, or the first RPC to fail — mark the node
-// down in Checkpoint mode, retain the outage's inserts and park its probes;
-// Recover then has to rebuild the respawn to exactly the fault-free run's
+// down in Checkpoint mode, and park its probes; Recover then has to rebuild
+// the respawn, outage inserts included, to exactly the fault-free run's
 // results.
 func TestChaosNetExactlyOnceUnpromptedSIGKILL(t *testing.T) {
 	base, baseSet := runNetExactlyOnce(t, t.TempDir(), false)
@@ -92,7 +92,7 @@ func TestChaosNetExactlyOnceUnpromptedSIGKILL(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	feed("S2", &s2, 2) // outage inserts: retained as unacked, re-offered
+	feed("S2", &s2, 2) // outage inserts: in the router's log only, replayed at recovery
 	feed("S1", &s1, 2) // outage probes: park, replay after recovery
 	if err := c.Recover(1); err != nil {
 		t.Fatal(err)

@@ -5,17 +5,18 @@
 // the caller's process — is an engine.Engine, the same router the
 // in-process substrate runs: routing table, placement, plan classification,
 // statistics, per-node queues, backpressure, and the down/parked failure
-// state are the engine's, not this package's. What this package owns is the
-// engine.Transport under that router (Cluster): the RPCs, process spawn,
-// kill and reap, failure detection (heartbeat, process exit, a failed
-// call — each reported to the router's MarkDown), the leader-held
-// checkpoint, and the inserts a dead worker never acknowledged; plus the
-// worker loop and the wire codec. Leader and workers speak a
+// state, the checkpoint and the write-ahead log are the engine's, not this
+// package's. What this package owns is the engine.Transport under that
+// router (Cluster) — the RPCs, process spawn, kill and reap, failure
+// detection (heartbeat, process exit, a failed call — each reported to the
+// router's MarkDown) — plus the worker loop and the wire codec: mechanisms,
+// and no state a recovery needs. Leader and workers speak a
 // length-prefixed binary TCP protocol with no dependencies outside the
 // standard library; stream.Batch columns are serialized directly onto the
-// wire, so the columnar hot path survives the hop. Crash here is a literal SIGKILL of the worker process, and Recover
-// respawns it with a checkpoint restore — the chaos conformance tests run
-// against real process death.
+// wire, so the columnar hot path survives the hop. Crash here is a literal
+// SIGKILL of the worker process, and Recover respawns it for the router to
+// restore from its checkpoint — the chaos conformance tests run against
+// real process death.
 package netrt
 
 import (
@@ -26,6 +27,7 @@ import (
 	"io"
 	"math/bits"
 	"net"
+	"slices"
 
 	"rld/internal/stream"
 	"rld/internal/wire"
@@ -35,13 +37,17 @@ const (
 	// protoMagic opens every Hello frame ("RLD1").
 	protoMagic = 0x524C4431
 	// ProtoVersion is the wire protocol version; leader and worker must
-	// match exactly. v2 added the WAL control frames (barrier, mark,
-	// replay) for exactly-once durability; v3 dropped the clear frame no
-	// leader sent, renumbering the frames after it.
-	ProtoVersion = 3
+	// match exactly. v3 dropped the clear frame no leader sent, renumbering
+	// the frames after it; v4 dropped the three frames that drove a
+	// write-ahead log in each worker (the log is the leader's router's).
+	ProtoVersion = 4
 	// MaxFrame bounds a single frame's payload. Frames beyond it are
 	// rejected with ErrFrameTooLarge before any allocation.
 	MaxFrame = 64 << 20
+	// readStepMin and readStepMax bound how much of a frame readFrame makes
+	// room for ahead of the bytes: the step starts at the first, doubles
+	// with what has arrived, and stops at the second.
+	readStepMin, readStepMax = 64 << 10, 1 << 20
 	// DefaultStageChunk is the soft bound on one stage frame's partials
 	// payload. A hop whose partials encode past it travels as several
 	// frames (frameStagePart… + frameStageResult) instead of one — join
@@ -97,9 +103,6 @@ const (
 	framePong                                // worker → leader: liveness reply
 	frameQuit                                // leader → worker: clean shutdown
 	frameStagePart                           // worker → leader: partials continuation before the stage result
-	frameWALBarrier                          // leader → worker: cut a WAL barrier before snapshot pulls
-	frameWALMark                             // leader → worker: checkpoint durable, truncate to the barrier
-	frameWALReplay                           // leader → worker: replay the retained WAL into the windows
 )
 
 // Error-frame codes, mapped back to the typed errors on decode.
@@ -196,8 +199,10 @@ func (wc *wireConn) writeError(err error) {
 // readFrame reads one frame. A connection ending cleanly between frames
 // returns io.EOF; ending mid-frame returns ErrTruncatedFrame; a length
 // beyond MaxFrame returns ErrFrameTooLarge without reading the payload.
-// The returned payload aliases the connection's scratch buffer and is valid
-// until the next readFrame.
+// The header's length is only a claim, so the scratch grows as the bytes
+// arrive, a step at a time: a frame costs memory in proportion to what was
+// sent, not to what was announced. The returned payload aliases the
+// connection's scratch buffer and is valid until the next readFrame.
 func (wc *wireConn) readFrame() (frameType, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(wc.r, hdr[:]); err != nil {
@@ -211,12 +216,13 @@ func (wc *wireConn) readFrame() (frameType, []byte, error) {
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: %d bytes (max %d)", ErrFrameTooLarge, n, MaxFrame)
 	}
-	if cap(wc.buf) < int(n) {
-		wc.buf = make([]byte, n)
-	}
-	wc.buf = wc.buf[:n]
-	if _, err := io.ReadFull(wc.r, wc.buf); err != nil {
-		return 0, nil, fmt.Errorf("%w: payload: %v", ErrTruncatedFrame, err)
+	wc.buf = wc.buf[:0]
+	for have := 0; have < int(n); have = len(wc.buf) {
+		step := min(int(n)-have, max(have, readStepMin), readStepMax)
+		wc.buf = slices.Grow(wc.buf, step)[:have+step]
+		if _, err := io.ReadFull(wc.r, wc.buf[have:]); err != nil {
+			return 0, nil, fmt.Errorf("%w: payload: %v", ErrTruncatedFrame, err)
+		}
 	}
 	return t, wc.buf, nil
 }

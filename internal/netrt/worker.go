@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"time"
 
 	"rld/internal/engine"
 	"rld/internal/query"
 	"rld/internal/stream"
-	"rld/internal/wal"
 	"rld/internal/wire"
 )
 
@@ -73,32 +70,14 @@ func RunWorker(leaderAddr string, node int, epoch uint64) error {
 	if chunk <= 0 {
 		chunk = DefaultStageChunk
 	}
-	// Durable mode: this node's WAL lives in a per-cluster, per-node
-	// directory keyed by the leader's epoch, so a respawned incarnation of
-	// the same node finds (and replays) the log its predecessor fsync'd
-	// before being SIGKILLed, while a different cluster run in the same
-	// WALDir cannot collide.
-	var wlog *wal.Log
-	if setup.Config.WALDir != "" {
-		dir := filepath.Join(setup.Config.WALDir, fmt.Sprintf("cluster-%d", epoch), fmt.Sprintf("node-%d", node))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrWALDir, err)
-		}
-		if wlog, err = wal.Open(dir); err != nil {
-			return err
-		}
-		defer wlog.Close()
-	}
-	return serve(wc, core, chunk, wlog)
+	return serve(wc, core, chunk)
 }
 
-// serve is the worker request loop. wlog, non-nil only in durable mode,
-// is the node's local write-ahead log: inserts are logged and fsync'd
-// before they touch window state, so the log always covers at least what
-// the windows hold and a SIGKILL at any instant loses nothing the leader
-// saw acknowledged.
-func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error {
-	sch := core.Schema()
+// serve is the worker request loop: read a request, answer it, until Quit.
+// A request that cannot be answered is answered with an error frame — the
+// one place one is written — and ends the worker: the leader treats any
+// failed call as the node's death.
+func serve(wc *wireConn, core *engine.NodeCore, chunk int) error {
 	var reply wire.Enc
 	for {
 		t, payload, err := wc.readFrame()
@@ -108,186 +87,111 @@ func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error 
 			}
 			return err
 		}
-		d := wire.Dec{B: payload}
-		reply.B = reply.B[:0]
-		switch t {
-		case frameInsert:
-			nOps := int(d.U16())
-			ops := make([]int, 0, nOps)
-			for i := 0; i < nOps; i++ {
-				ops = append(ops, int(d.U16()))
-			}
-			b, derr := wire.DecodeBatch(&d)
-			if derr != nil {
-				wc.writeError(derr)
-				return derr
-			}
-			// Log before apply: once the leader sees the OK, the insert is
-			// on disk; a crash before the OK leaves the leader retaining
-			// the batch for re-offer, and the insert-time dedup absorbs
-			// the overlap if both survived.
-			if wlog != nil {
-				lerr := wlog.Append(wal.Record{Ops: ops, Batch: b})
-				if lerr == nil {
-					lerr = wlog.Sync()
-				}
-				if lerr != nil {
-					wc.writeError(lerr)
-					return lerr
-				}
-			}
-			for _, op := range ops {
-				if err := core.Insert(op, b); err != nil {
-					wc.writeError(err)
-					return err
-				}
-			}
-			if err := wc.writeFrame(frameOK, nil); err != nil {
-				return err
-			}
-		case frameStage:
-			op := int(d.U16())
-			partials, derr := decodePartials(&d, sch, core.NewPartials())
-			if derr != nil {
-				core.ReleasePartials(partials)
-				wc.writeError(derr)
-				return derr
-			}
-			out, perr := core.ProcessStage(op, partials)
-			if perr != nil {
-				wc.writeError(perr)
-				return perr
-			}
-			selIn, selOut := core.SelCounters(op)
-			// Join fanout can multiply the input far past MaxFrame, so the
-			// reply is split: every segment but the last travels as a
-			// frameStagePart, and the final frameStageResult carries the
-			// selectivity counters plus the tail segment.
-			segs := splitPartials(sch, out, chunk)
-			for len(segs) > 1 {
-				reply.B = reply.B[:0]
-				encodePartials(&reply, sch, segs[0])
-				if err := wc.writeFrame(frameStagePart, reply.B); err != nil {
-					core.ReleasePartials(out)
-					return err
-				}
-				segs = segs[1:]
-			}
-			var tail []*stream.Joined
-			if len(segs) == 1 {
-				tail = segs[0]
-			}
-			reply.B = reply.B[:0]
-			reply.I64(selIn)
-			reply.I64(selOut)
-			encodePartials(&reply, sch, tail)
-			core.ReleasePartials(out)
-			if err := wc.writeFrame(frameStageResult, reply.B); err != nil {
-				return err
-			}
-		case frameSnapshot:
-			op := int(d.U16())
-			if d.Err != nil {
-				wc.writeError(d.Err)
-				return d.Err
-			}
-			if op < 0 || op >= core.NumOps() {
-				err := fmt.Errorf("%w: snapshot op %d", ErrBadFrame, op)
-				wc.writeError(err)
-				return err
-			}
-			if b := core.SnapshotOp(op); b != nil {
-				reply.U8(1)
-				wire.EncodeBatch(&reply, b)
-			} else {
-				reply.U8(0)
-			}
-			if err := wc.writeFrame(frameSnapshotResult, reply.B); err != nil {
-				return err
-			}
-		case frameRestore:
-			op := int(d.U16())
-			hasBatch := d.U8()
-			if op < 0 || op >= core.NumOps() || d.Err != nil {
-				err := fmt.Errorf("%w: restore op %d", ErrBadFrame, op)
-				wc.writeError(err)
-				return err
-			}
-			if hasBatch == 1 {
-				snap, derr := wire.DecodeBatch(&d)
-				if derr != nil {
-					wc.writeError(derr)
-					return derr
-				}
-				core.RestoreOp(op, snap)
-			} else {
-				core.RestoreOp(op, nil)
-			}
-			if err := wc.writeFrame(frameOK, nil); err != nil {
-				return err
-			}
-		case frameWALBarrier:
-			if wlog == nil {
-				err := fmt.Errorf("%w: wal barrier on non-durable worker", ErrBadFrame)
-				wc.writeError(err)
-				return err
-			}
-			if err := wlog.Barrier(); err != nil {
-				wc.writeError(err)
-				return err
-			}
-			if err := wc.writeFrame(frameOK, nil); err != nil {
-				return err
-			}
-		case frameWALMark:
-			if wlog == nil {
-				err := fmt.Errorf("%w: wal mark on non-durable worker", ErrBadFrame)
-				wc.writeError(err)
-				return err
-			}
-			if err := wlog.Truncate(); err != nil {
-				wc.writeError(err)
-				return err
-			}
-			if err := wc.writeFrame(frameOK, nil); err != nil {
-				return err
-			}
-		case frameWALReplay:
-			if wlog == nil {
-				err := fmt.Errorf("%w: wal replay on non-durable worker", ErrBadFrame)
-				wc.writeError(err)
-				return err
-			}
-			// Re-insert everything the retained log covers; records the
-			// restored snapshot already holds dedup to nothing.
-			var count uint64
-			rerr := wlog.Replay(func(r wal.Record) error {
-				for _, op := range r.Ops {
-					if err := core.Insert(op, r.Batch); err != nil {
-						return err
-					}
-				}
-				count += uint64(r.Batch.Len())
-				return nil
-			})
-			if rerr != nil {
-				wc.writeError(rerr)
-				return rerr
-			}
-			reply.U64(count)
-			if err := wc.writeFrame(frameOK, reply.B); err != nil {
-				return err
-			}
-		case framePing:
-			if err := wc.writeFrame(framePong, nil); err != nil {
-				return err
-			}
-		case frameQuit:
+		if t == frameQuit {
 			return nil
-		default:
-			err := fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, t)
+		}
+		reply.B = reply.B[:0]
+		rt, err := respond(wc, core, chunk, t, wire.Dec{B: payload}, &reply)
+		if err != nil {
 			wc.writeError(err)
 			return err
 		}
+		if err := wc.writeFrame(rt, reply.B); err != nil {
+			return err
+		}
+	}
+}
+
+// respond executes one request against the node's operator state and
+// returns the type of the reply frame, its payload written to reply. A
+// stage's reply may run to several frames; all but the last are written
+// here.
+func respond(wc *wireConn, core *engine.NodeCore, chunk int, t frameType, d wire.Dec, reply *wire.Enc) (frameType, error) {
+	sch := core.Schema()
+	switch t {
+	case frameInsert:
+		nOps := int(d.U16())
+		ops := make([]int, 0, nOps)
+		for i := 0; i < nOps; i++ {
+			ops = append(ops, int(d.U16()))
+		}
+		b, err := wire.DecodeBatch(&d)
+		if err != nil {
+			return 0, err
+		}
+		for _, op := range ops {
+			if err := core.Insert(op, b); err != nil {
+				return 0, err
+			}
+		}
+		return frameOK, nil
+	case frameStage:
+		op := int(d.U16())
+		partials, err := decodePartials(&d, sch, core.NewPartials())
+		if err != nil {
+			core.ReleasePartials(partials)
+			return 0, err
+		}
+		out, err := core.ProcessStage(op, partials)
+		if err != nil {
+			return 0, err
+		}
+		defer core.ReleasePartials(out)
+		selIn, selOut := core.SelCounters(op)
+		// Join fanout can multiply the input far past MaxFrame, so the
+		// reply is split: every segment but the last travels as a
+		// frameStagePart, and the final frameStageResult carries the
+		// selectivity counters plus the tail segment.
+		segs := splitPartials(sch, out, chunk)
+		for ; len(segs) > 1; segs = segs[1:] {
+			reply.B = reply.B[:0]
+			encodePartials(reply, sch, segs[0])
+			if err := wc.writeFrame(frameStagePart, reply.B); err != nil {
+				return 0, err
+			}
+		}
+		var tail []*stream.Joined
+		if len(segs) == 1 {
+			tail = segs[0]
+		}
+		reply.B = reply.B[:0]
+		reply.I64(selIn)
+		reply.I64(selOut)
+		encodePartials(reply, sch, tail)
+		return frameStageResult, nil
+	case frameSnapshot:
+		op := int(d.U16())
+		if d.Err != nil {
+			return 0, d.Err
+		}
+		if op < 0 || op >= core.NumOps() {
+			return 0, fmt.Errorf("%w: snapshot op %d", ErrBadFrame, op)
+		}
+		if b := core.SnapshotOp(op); b != nil {
+			reply.U8(1)
+			wire.EncodeBatch(reply, b)
+		} else {
+			reply.U8(0)
+		}
+		return frameSnapshotResult, nil
+	case frameRestore:
+		op := int(d.U16())
+		hasBatch := d.U8()
+		if op < 0 || op >= core.NumOps() || d.Err != nil {
+			return 0, fmt.Errorf("%w: restore op %d", ErrBadFrame, op)
+		}
+		var snap *stream.Batch
+		if hasBatch == 1 {
+			var err error
+			if snap, err = wire.DecodeBatch(&d); err != nil {
+				return 0, err
+			}
+		}
+		core.RestoreOp(op, snap)
+		return frameOK, nil
+	case framePing:
+		return framePong, nil
+	default:
+		return 0, fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, t)
 	}
 }

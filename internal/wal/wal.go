@@ -1,13 +1,13 @@
 // Package wal is the durability subsystem behind rld.WithExactlyOnce: a
 // segment-based, length-prefixed, CRC-checked write-ahead log with
-// group-commit fsync. Each node (the in-process engine, or one netrt
-// worker process) owns a Log and appends every window mutation — the
-// operator set plus the columnar batch, serialized with the shared
-// internal/wire encoding — before applying it. Checkpoint barriers rotate
-// the active segment and let Truncate drop everything a snapshot already
-// covers; Replay walks the retained suffix in order after a crash, and
-// restore-time dedup (NodeCore's per-operator seen sets) makes replaying
-// an overlap of snapshot and log harmless.
+// group-commit fsync. The router (engine.Engine, over goroutine nodes and
+// worker processes alike) owns one Log and appends every window mutation —
+// the operator set plus the columnar batch, serialized with the shared
+// internal/wire encoding — before any node applies it. Checkpoint barriers
+// rotate the active segment and let Truncate drop everything a snapshot
+// already covers; Replay walks the retained suffix in order after a crash,
+// and restore-time dedup (NodeCore's per-operator seen sets) makes
+// replaying an overlap of snapshot and log harmless.
 //
 // Torn tails are expected, not exceptional: a crash mid-append leaves a
 // partial record whose length or CRC cannot check out, and Replay treats
@@ -45,8 +45,8 @@ var (
 )
 
 // MaxRecord bounds one record's payload, mirroring the wire protocol's
-// frame bound: a corrupt length header beyond it reads as a torn tail, not
-// an allocation request.
+// frame bound: a corrupt length header beyond it — or beyond the bytes the
+// segment still holds — reads as a torn tail, not an allocation request.
 const MaxRecord = 64 << 20
 
 // segExt is the segment file suffix; names are zero-padded indexes so
@@ -361,17 +361,24 @@ func replaySegment(path string, fn func(Record) error) error {
 		return fmt.Errorf("%w: %v", ErrWALDir, err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrWALDir, err)
+	}
+	left := st.Size() // bytes of the segment not yet read
 	var hdr [8]byte
 	var payload []byte
 	for {
 		if _, err := io.ReadFull(f, hdr[:]); err != nil {
 			return nil // clean end, or torn mid-header
 		}
+		left -= int64(len(hdr))
 		d := wire.Dec{B: hdr[:]}
 		n, sum := d.U32(), d.U32()
-		if n > MaxRecord {
-			return nil // corrupt length reads as a torn tail
+		if n > MaxRecord || int64(n) > left {
+			return nil // corrupt length, or torn mid-payload: nothing is allocated for it
 		}
+		left -= int64(n)
 		if cap(payload) < int(n) {
 			payload = make([]byte, n)
 		}

@@ -220,6 +220,33 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 }
 
+// TestOversizedLengthIsTornTailWithoutAllocation: a record header is only a
+// claim. A 20-byte segment whose header announces 60 MiB — under MaxRecord,
+// so the bound alone would believe it — cannot hold that record, and must
+// replay as a clean torn tail without the 60 MiB ever being allocated.
+func TestOversizedLengthIsTornTailWithoutAllocation(t *testing.T) {
+	dir := t.TempDir()
+	var seg wire.Enc
+	seg.U32(60 << 20)
+	seg.U32(0) // CRC, never reached
+	seg.B = append(seg.B, make([]byte, 12)...)
+	path := filepath.Join(dir, "0000000000000001"+segExt)
+	if err := os.WriteFile(path, seg.B, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := 0
+	err := replaySegment(path, func(Record) error { n++; return nil })
+	runtime.ReadMemStats(&after)
+	if err != nil || n != 0 {
+		t.Fatalf("replayed %d records with error %v, want a clean torn tail", n, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("replaying a 20-byte segment allocated %d bytes", got)
+	}
+}
+
 // TestCorruptCRCStopsSegmentNotReplay: a flipped bit inside one segment
 // ends that segment's replay but later segments still replay.
 func TestCorruptCRCStopsSegmentNotReplay(t *testing.T) {

@@ -172,11 +172,12 @@ func WithWorkerCommand(argv ...string) Option {
 // snapshot), and Checkpoint-mode crash recovery replays the retained
 // suffix on top of the restored snapshot, deduplicating on stable per-tuple
 // IDs — a crashed and recovered run produces exactly the results of a
-// fault-free one. On the in-process engine the log guards window state;
-// in distributed mode every worker process keeps its own fsync'd WAL under
-// dir and the leader re-offers unacknowledged inserts on respawn. The
-// simulator ignores the option (it has no real state to lose). Expect an
-// ingest-throughput cost for the fsyncs; see BenchmarkIngestDurable.
+// fault-free one. There is one log per pipeline, kept by its router in a
+// subdirectory of dir it creates and removes, whether the nodes are
+// goroutine pools or — in distributed mode — worker processes, which hold
+// no log of their own. The simulator ignores the option (it has no real
+// state to lose). Expect an ingest-throughput cost for the fsyncs; see
+// BenchmarkIngestDurable.
 func WithExactlyOnce(dir string) Option {
 	return func(c *pipelineConfig) { c.engine.WALDir = dir }
 }
