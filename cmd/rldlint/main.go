@@ -2,7 +2,6 @@
 // internal/lint) over the module and exits nonzero on any finding:
 //
 //	go run ./cmd/rldlint ./...
-//	go run ./cmd/rldlint -only wallclock,rawerror ./internal/netrt
 //	go run ./cmd/rldlint -json ./...
 //
 // Diagnostics print as file:line:col: [analyzer] message, or with -json as
@@ -25,23 +24,14 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit one JSON diagnostic object per line")
-	only := flag.String("only", "", "comma-separated analyzer subset to run (default: all)")
-	skip := flag.String("skip", "", "comma-separated analyzers to exclude (default: none)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: rldlint [-json] [-only a,b] [-skip a,b] [./... | package dirs]\n\nanalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: rldlint [-json] [./... | package dirs]\n\nanalyzers:\n")
 		for _, a := range analyzers.All() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", a.Name, a.Doc)
 		}
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	active, err := selectAnalyzers(*only, *skip)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rldlint:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {
@@ -56,7 +46,7 @@ func main() {
 		fatal(err)
 	}
 
-	diags := lint.Run(pkgs, active)
+	diags := lint.Run(pkgs, analyzers.All())
 	for _, d := range diags {
 		file := d.Pos.Filename
 		if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
@@ -76,55 +66,6 @@ func main() {
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-// selectAnalyzers applies the -only and -skip filters against the
-// registry. Unknown names are usage errors that list the valid set.
-func selectAnalyzers(only, skip string) ([]*lint.Analyzer, error) {
-	all := analyzers.All()
-	valid := make([]string, len(all))
-	byName := make(map[string]bool, len(all))
-	for i, a := range all {
-		valid[i] = a.Name
-		byName[a.Name] = true
-	}
-	parse := func(flagName, list string) (map[string]bool, error) {
-		set := make(map[string]bool)
-		for _, name := range strings.Split(list, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if !byName[name] {
-				return nil, fmt.Errorf("%s: unknown analyzer %q (valid: %s)",
-					flagName, name, strings.Join(valid, ", "))
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	onlySet, err := parse("-only", only)
-	if err != nil {
-		return nil, err
-	}
-	skipSet, err := parse("-skip", skip)
-	if err != nil {
-		return nil, err
-	}
-	var out []*lint.Analyzer
-	for _, a := range all {
-		if len(onlySet) > 0 && !onlySet[a.Name] {
-			continue
-		}
-		if skipSet[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-only/-skip selected no analyzers")
-	}
-	return out, nil
 }
 
 // load resolves the package arguments: no args or any "..." pattern loads

@@ -256,15 +256,10 @@ type Engine struct {
 	// read-only.
 	snapCache atomic.Pointer[stats.Snapshot]
 
-	// timeSource, when set, supplies monitor-offer timestamps (sessions
-	// install their virtual clock so the stats timeline matches the
-	// simulator's); nil falls back to the app-time high-water mark.
-	timeSource atomic.Pointer[func() float64]
-
 	// lastAppTs is the float64 bit pattern of the highest batch timestamp
-	// ingested so far: the bare-engine fallback clock for monitor offers.
-	// App time keeps the stats timeline on the data's own axis instead of
-	// tying it to host speed.
+	// ingested so far: the clock that stamps monitor offers. App time keeps
+	// the stats timeline on the data's own axis — the same CAS-max a
+	// session's virtual clock takes — instead of tying it to host speed.
 	lastAppTs atomic.Uint64
 
 	// waitList/waitMu/waiters implement the event-driven pending-count
@@ -456,7 +451,8 @@ func (e *Engine) startPool(i int) {
 	ns.mu.Unlock()
 	for w := 0; w < e.cfg.Workers; w++ {
 		ns.wg.Add(1)
-		//rldlint:allow unboundedgo -- fixed-size pool of cfg.Workers; each worker parks in sync.Cond.Wait and exits when take returns nil
+		// Fixed-size pool of cfg.Workers; each worker parks in
+		// sync.Cond.Wait and exits when take returns nil.
 		go e.worker(i, pool, gen)
 	}
 }
@@ -753,16 +749,11 @@ func (e *Engine) offerStats(force bool) {
 		rates[k] = v
 	}
 	e.mu.Unlock()
-	// Stamp offers with the installed time source (a session's virtual
-	// clock) so the stats timeline matches the simulator's instead of
-	// diverging with host speed; the app-time high-water mark is the
-	// bare-engine fallback. Offer uses the stamp only to pace resampling,
-	// so any monotone non-decreasing clock is valid.
-	now := math.Float64frombits(e.lastAppTs.Load())
-	if fn := e.timeSource.Load(); fn != nil {
-		now = (*fn)()
-	}
-	e.monitor.Offer(now, sels, rates)
+	// Stamp offers with the app-time high-water mark so the stats timeline
+	// matches the simulator's instead of diverging with host speed. Offer
+	// uses the stamp only to pace resampling, so any monotone
+	// non-decreasing clock is valid.
+	e.monitor.Offer(math.Float64frombits(e.lastAppTs.Load()), sels, rates)
 	e.refreshSnap()
 }
 
@@ -781,17 +772,6 @@ func (e *Engine) advanceAppTime(ts float64) {
 			return
 		}
 	}
-}
-
-// SetTimeSource installs (or, with nil, removes) the clock used to stamp
-// monitor offers: sessions install their virtual clock so observed
-// statistics line up with the simulator's timeline. Install before Start.
-func (e *Engine) SetTimeSource(fn func() float64) {
-	if fn == nil {
-		e.timeSource.Store(nil)
-		return
-	}
-	e.timeSource.Store(&fn)
 }
 
 // controlReady rejects control operations (Migrate/Crash/Recover/

@@ -206,7 +206,6 @@ func OpenSessionOn(e *Engine, substrate string, pol runtime.Policy, opts Session
 		}
 		return plan
 	}))
-	e.SetTimeSource(s.now)
 	if opts.ResultBuffer > 0 {
 		s.results = make(chan runtime.ResultBatch, opts.ResultBuffer)
 		e.SetResultObserver(s.observeResult)
@@ -650,7 +649,8 @@ func (s *Session) Close(ctx context.Context) (*runtime.Report, error) {
 	// where the deadline can interrupt. Event-driven — the last sinking
 	// message wakes this immediately.
 	if err := s.e.AwaitPending(ctx, 1, nil); err != nil {
-		//rldlint:allow unboundedgo -- detached Stop-drain after ctx deadline; bounded by Stop's own drain timeout
+		// Detached Stop-drain after the ctx deadline; bounded by Stop's
+		// own drain timeout.
 		go finish()
 		return nil, err
 	}

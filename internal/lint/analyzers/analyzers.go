@@ -4,24 +4,18 @@ package analyzers
 
 import (
 	"rld/internal/lint"
-	"rld/internal/lint/batchrelease"
-	"rld/internal/lint/exhaustiveframe"
 	"rld/internal/lint/guardedby"
 	"rld/internal/lint/lockorder"
 	"rld/internal/lint/rawerror"
-	"rld/internal/lint/unboundedgo"
 	"rld/internal/lint/wallclock"
 )
 
 // All returns every registered analyzer, in stable order.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
-		batchrelease.Analyzer,
-		exhaustiveframe.Analyzer,
 		guardedby.Analyzer,
 		lockorder.Analyzer,
 		rawerror.Analyzer,
-		unboundedgo.Analyzer,
 		wallclock.Analyzer,
 	}
 }

@@ -3,9 +3,8 @@
 // no-new-dependency stance as internal/apisurface) that loads every package
 // in the module and runs project-invariant analyzers over them. The
 // analyzers pin contracts that the type system cannot: the virtual-clock
-// discipline (PR 5), the pooled-batch ownership protocol (PR 6), the
-// typed-sentinel error contract (PR 3/PR 7), atomic-field access
-// discipline, and the flat-goroutine guarantee.
+// discipline (PR 5), the typed-sentinel error contract (PR 3/PR 7), mutex
+// guard annotations, and a cycle-free lock order.
 //
 // A finding that is intentional is annotated in place with
 //
@@ -39,8 +38,7 @@ type Diagnostic struct {
 // analyzers whose invariant spans packages (lockorder's module-wide
 // acquisition graph). An analyzer may set either or both.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, -only filters, and
-	// allow directives.
+	// Name identifies the analyzer in diagnostics and allow directives.
 	Name string
 	// Doc is a one-line description of the pinned invariant.
 	Doc string
@@ -73,23 +71,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// DeclOf returns the package-level declaration of the function object, or
-// nil. Analyzers use it to resolve in-package callees (e.g. unboundedgo
-// following `go c.heartbeatLoop()` into heartbeatLoop's body).
-func (p *Pass) DeclOf(obj types.Object) *ast.FuncDecl {
-	if obj == nil {
-		return nil
-	}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && p.Info.Defs[fd.Name] == obj {
-				return fd
-			}
-		}
-	}
-	return nil
 }
 
 // Run applies the analyzers to the packages and returns the surviving

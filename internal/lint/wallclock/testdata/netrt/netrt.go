@@ -13,7 +13,7 @@ func heartbeatLoop() {
 	defer tick.Stop()
 }
 
-func rpc() {
+func send() {
 	deadline := func() time.Time { return time.Now().Add(time.Second) }
 	_ = deadline() // closures inherit the enclosing allowlisted function
 }

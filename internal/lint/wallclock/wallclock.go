@@ -44,7 +44,7 @@ var strict = map[string]bool{
 var netrtAllowed = map[string]bool{
 	"handshake":      true, // inbound hello deadline
 	"heartbeatLoop":  true, // ping pacing
-	"rpc":            true, // per-call deadline
+	"send":           true, // per-call deadline
 	"callStageChunk": true, // per-chunk deadline
 	"awaitWorker":    true, // respawn handshake deadline
 }

@@ -33,11 +33,12 @@ type ClusterConfig struct {
 	WorkerCommand []string
 	// ListenAddr is the leader's listen address (default "127.0.0.1:0").
 	ListenAddr string
-	// MaxStageChunk is the soft bound on one stage frame's partials
-	// payload in bytes (default DefaultStageChunk). Larger hops are split
-	// across multiple frames in both directions, so join fanout can grow a
-	// logical hop past MaxFrame without poisoning the connection.
-	MaxStageChunk int
+
+	// stageChunk is the soft bound on one stage frame's partials payload in
+	// bytes (default DefaultStageChunk), a seam for tests. Larger hops are
+	// split across multiple frames in both directions, so join fanout can
+	// grow a logical hop past MaxFrame without poisoning the connection.
+	stageChunk int
 }
 
 const (
@@ -55,8 +56,8 @@ func (cfg ClusterConfig) withDefaults() ClusterConfig {
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
 	}
-	if cfg.MaxStageChunk <= 0 {
-		cfg.MaxStageChunk = DefaultStageChunk
+	if cfg.stageChunk <= 0 {
+		cfg.stageChunk = DefaultStageChunk
 	}
 	return cfg
 }
@@ -71,7 +72,8 @@ type workerProc struct {
 	// callMu serializes RPC use of the connection (one request/response
 	// in flight per worker, matching the worker's single-threaded loop).
 	callMu sync.Mutex
-	// enc is call's request scratch, reused under callMu.
+	// enc is the request scratch, reused under callMu; it retains at most
+	// one stage chunk.
 	enc wire.Enc
 
 	mu sync.Mutex // guards everything below
@@ -158,7 +160,7 @@ func NewCluster(q *query.Query, assign physical.Assignment, nNodes int, cfg Clus
 		hbQuit:    make(chan struct{}),
 		hbDone:    make(chan struct{}),
 	}
-	c.setup, err = json.Marshal(setupMsg{Query: q, Config: core.Config(), StageChunk: cfg.MaxStageChunk})
+	c.setup, err = json.Marshal(setupMsg{Query: q, Config: core.Config(), StageChunk: cfg.stageChunk})
 	if err != nil {
 		return nil, fmt.Errorf("netrt: marshal setup: %w", err)
 	}
@@ -349,13 +351,28 @@ func (c *Cluster) Kill(node int) {
 	}
 }
 
-// rpc performs one request/response exchange on wc under the call timeout;
-// the reply must be a want frame.
-func (c *Cluster) rpc(wc *wireConn, t frameType, payload []byte, want frameType) ([]byte, error) {
-	wc.c.SetDeadline(time.Now().Add(callTimeout))
-	if err := wc.writeFrame(t, payload); err != nil {
-		return nil, err
+// send writes one t request on wp's live connection — ErrWorkerDown if it
+// has none — with the call timeout armed; request, when not nil, writes the
+// payload into the worker's scratch. It returns the connection and the
+// incarnation it serves. Caller holds wp.callMu.
+func (wp *workerProc) send(t frameType, request func(*wire.Enc)) (*wireConn, uint64, error) {
+	wp.mu.Lock()
+	wc, gen := wp.wc, wp.gen
+	wp.mu.Unlock()
+	if wc == nil {
+		return nil, gen, ErrWorkerDown
 	}
+	wp.enc.B = wp.enc.B[:0]
+	if request != nil {
+		request(&wp.enc)
+	}
+	wc.c.SetDeadline(time.Now().Add(callTimeout))
+	return wc, gen, wc.writeFrame(t, wp.enc.B)
+}
+
+// reply reads the answer to the request just sent on wc, which must be a
+// want frame.
+func reply(wc *wireConn, want frameType) ([]byte, error) {
 	rt, rp, err := wc.readFrame()
 	if err != nil {
 		return nil, err
@@ -377,17 +394,10 @@ func (c *Cluster) rpc(wc *wireConn, t frameType, payload []byte, want frameType)
 // is reported down under the generation the call used.
 func (c *Cluster) call(wp *workerProc, t frameType, request func(*wire.Enc), want frameType) ([]byte, error) {
 	wp.callMu.Lock()
-	wp.mu.Lock()
-	wc, gen := wp.wc, wp.gen
-	wp.mu.Unlock()
+	wc, gen, err := wp.send(t, request)
 	var rp []byte
-	err := ErrWorkerDown
-	if wc != nil {
-		wp.enc.B = wp.enc.B[:0]
-		if request != nil {
-			request(&wp.enc)
-		}
-		rp, err = c.rpc(wc, t, wp.enc.B, want)
+	if err == nil {
+		rp, err = reply(wc, want)
 	}
 	wp.callMu.Unlock()
 	if err != nil && !errors.Is(err, ErrWorkerDown) {
@@ -420,7 +430,7 @@ func (c *Cluster) RunStage(node, op int, in []*stream.Joined) ([]*stream.Joined,
 // a single-frame hop.
 func (c *Cluster) callStage(wp *workerProc, op int, partials []*stream.Joined) (out []*stream.Joined, selIn, selOut int64, err error) {
 	sch := c.core.Schema()
-	chunks := splitPartials(sch, partials, c.cfg.MaxStageChunk)
+	chunks := splitPartials(sch, partials, c.cfg.stageChunk)
 	if chunks == nil {
 		chunks = [][]*stream.Joined{nil} // empty hop still runs the stage
 	}
@@ -446,17 +456,11 @@ func (c *Cluster) callStageChunk(wp *workerProc, op int, ps, dst []*stream.Joine
 	sch := c.core.Schema()
 	wp.callMu.Lock()
 	defer wp.callMu.Unlock()
-	wp.mu.Lock()
-	wc := wp.wc
-	wp.mu.Unlock()
-	if wc == nil {
-		return dst, 0, 0, ErrWorkerDown
-	}
-	var e wire.Enc
-	e.U16(uint16(op))
-	encodePartials(&e, sch, ps)
-	wc.c.SetDeadline(time.Now().Add(callTimeout))
-	if err := wc.writeFrame(frameStage, e.B); err != nil {
+	wc, _, err := wp.send(frameStage, func(e *wire.Enc) {
+		e.U16(uint16(op))
+		encodePartials(e, sch, ps)
+	})
+	if err != nil {
 		return dst, 0, 0, err
 	}
 	for {

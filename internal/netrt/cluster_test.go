@@ -113,7 +113,7 @@ func TestSessionLifecycle(t *testing.T) {
 func TestStageChunkedTransfer(t *testing.T) {
 	run := func(chunk int) engine.Results {
 		q := testQuery()
-		c, err := NewCluster(q, physical.Assignment{0, 1}, 2, ClusterConfig{MaxStageChunk: chunk})
+		c, err := NewCluster(q, physical.Assignment{0, 1}, 2, ClusterConfig{stageChunk: chunk})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -129,7 +129,7 @@ func spawnWorker(workerCmd []string, leaderAddr string, node int, epoch uint64, 
 	pid := cmd.Process.Pid
 	registerProc(pid, fmt.Sprintf("node %d epoch %d", node, epoch))
 	done := make(chan struct{})
-	//rldlint:allow unboundedgo -- process reaper: bounded by the child's exit, which Stop forces
+	// Process reaper: bounded by the child's exit, which Stop forces.
 	go func() {
 		_ = cmd.Wait()
 		unregisterProc(pid)

@@ -327,7 +327,6 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	const writers, rounds = 8, 20
 	done := make(chan error, writers)
 	for w := 0; w < writers; w++ {
-		//rldlint:allow unboundedgo -- test goroutines joined via the done channel below
 		go func(w int) {
 			b := testBatch("S1", uint64(w)*1000, 2)
 			for i := 0; i < rounds; i++ {
