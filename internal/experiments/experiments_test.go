@@ -274,25 +274,40 @@ func TestAblationBatchShape(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
-// TestQuickFig15aGolden pins `rldbench -quick fig15a` byte for byte: the
-// simulator is deterministic, so a refactor that is not meant to change what
-// the policies do must leave this table exactly as it is. After a change
-// that is meant to, rewrite it with
+// TestQuickRuntimeGolden pins the quick §6.5 runtime tables byte for byte:
+// the simulator is deterministic, so a refactor that is not meant to change
+// what the policies do must leave them exactly as they are. Between them
+// they read every field of a simulator run's report the experiments use —
+// latency, tuples produced over time, overhead ratio, migrations and their
+// downtime, plan switches. After a change that is meant to move them,
+// rewrite them with
 //
-//	go test ./internal/experiments -run QuickFig15aGolden -update
-func TestQuickFig15aGolden(t *testing.T) {
-	const golden = "testdata/fig15a_quick.golden"
-	got := FormatAll(Fig15a(true))
-	if *update {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("quick fig15a drifted from %s:\n--- got\n%s--- want\n%s", golden, got, want)
+//	go test ./internal/experiments -run QuickRuntimeGolden -update
+func TestQuickRuntimeGolden(t *testing.T) {
+	for _, tc := range []struct {
+		id  string
+		run func(quick bool) []*Table
+	}{
+		{"fig15a", Fig15a},
+		{"fig15b", Fig15b},
+		{"overhead", Overhead},
+		{"ablation-batch", AblationBatch},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			golden := "testdata/" + tc.id + "_quick.golden"
+			got := FormatAll(tc.run(true))
+			if *update {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Fatalf("quick %s drifted from %s:\n--- got\n%s--- want\n%s", tc.id, golden, got, want)
+			}
+		})
 	}
 }
