@@ -162,7 +162,7 @@ func BenchmarkChaosRecovery(b *testing.B) {
 		b.StopTimer()
 		res := e.Stop()
 		if res.Produced == 0 || res.Restores != 1 || res.TuplesLost != 0 {
-			b.Fatalf("recovery run: produced=%d restores=%d lost=%d",
+			b.Fatalf("recovery run: produced=%v restores=%d lost=%v",
 				res.Produced, res.Restores, res.TuplesLost)
 		}
 		b.StartTimer()

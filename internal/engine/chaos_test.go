@@ -43,7 +43,7 @@ func newChaosEngine(t *testing.T) *Engine {
 
 // runFaultFree warms the join window and pushes the probe batches,
 // returning final results — the fault-free reference run.
-func runFaultFree(t *testing.T) Results {
+func runFaultFree(t *testing.T) *runtime.Report {
 	t.Helper()
 	q := query.NewNWayJoin("B", 2, 100)
 	q.Ops[0].Sel = 0.9
@@ -67,7 +67,7 @@ func runFaultFree(t *testing.T) Results {
 func TestCrashCheckpointRestoresAndReplays(t *testing.T) {
 	base := runFaultFree(t)
 	if base.Produced <= warmProduced {
-		t.Fatalf("fault-free run produced no joins (%d)", base.Produced)
+		t.Fatalf("fault-free run produced no joins (%v)", base.Produced)
 	}
 
 	q := query.NewNWayJoin("B", 2, 100)
@@ -108,13 +108,13 @@ func TestCrashCheckpointRestoresAndReplays(t *testing.T) {
 		t.Fatalf("crashes=%d restores=%d, want 1/1", res.Crashes, res.Restores)
 	}
 	if res.TuplesLost != 0 {
-		t.Fatalf("checkpoint recovery lost %d tuples", res.TuplesLost)
+		t.Fatalf("checkpoint recovery lost %v tuples", res.TuplesLost)
 	}
 	// The window snapshot covered the whole warm-up and no inserts happen
 	// while down, so the replayed probes see identical state: counts must
 	// match the fault-free run exactly.
 	if res.Produced != base.Produced {
-		t.Fatalf("produced %d after recovery, fault-free %d", res.Produced, base.Produced)
+		t.Fatalf("produced %v after recovery, fault-free %v", res.Produced, base.Produced)
 	}
 }
 
@@ -160,7 +160,7 @@ func recoverJoinNode(t *testing.T, e *Engine) {
 // back) — and returns the final results plus the multiset of produced
 // result identities (each result keyed by the TupleIDs of the input tuples
 // it joins).
-func runExactlyOnce(t *testing.T, walDir string, revive func(*testing.T, *Engine)) (Results, map[string]int) {
+func runExactlyOnce(t *testing.T, walDir string, revive func(*testing.T, *Engine)) (*runtime.Report, map[string]int) {
 	t.Helper()
 	warm, warm2, probes := exactlyOnceBatches()
 	q := query.NewNWayJoin("B", 2, 100)
@@ -216,17 +216,17 @@ func runExactlyOnce(t *testing.T, walDir string, revive func(*testing.T, *Engine
 func TestChaosExactlyOnce(t *testing.T) {
 	base, baseSet := runExactlyOnce(t, t.TempDir(), nil)
 	if base.Produced <= warmProduced {
-		t.Fatalf("fault-free run produced no joins (%d)", base.Produced)
+		t.Fatalf("fault-free run produced no joins (%v)", base.Produced)
 	}
 	got, gotSet := runExactlyOnce(t, t.TempDir(), recoverJoinNode)
 	if got.Crashes != 1 || got.Restores != 1 {
 		t.Fatalf("crashes=%d restores=%d, want 1/1", got.Crashes, got.Restores)
 	}
 	if got.TuplesLost != 0 {
-		t.Fatalf("exactly-once recovery lost %d tuples", got.TuplesLost)
+		t.Fatalf("exactly-once recovery lost %v tuples", got.TuplesLost)
 	}
 	if got.Produced != base.Produced {
-		t.Fatalf("produced %d after recovery, fault-free %d", got.Produced, base.Produced)
+		t.Fatalf("produced %v after recovery, fault-free %v", got.Produced, base.Produced)
 	}
 	if len(gotSet) != len(baseSet) {
 		t.Fatalf("distinct results %d after recovery, fault-free %d", len(gotSet), len(baseSet))
@@ -244,7 +244,7 @@ func TestChaosExactlyOnce(t *testing.T) {
 	// scenario.
 	noWAL, _ := runExactlyOnce(t, "", recoverJoinNode)
 	if noWAL.Produced >= base.Produced {
-		t.Fatalf("non-durable faulted run produced %d, want < %d (scenario does not exercise the WAL)", noWAL.Produced, base.Produced)
+		t.Fatalf("non-durable faulted run produced %v, want < %v (scenario does not exercise the WAL)", noWAL.Produced, base.Produced)
 	}
 }
 
@@ -280,7 +280,7 @@ func TestRecoverFailsWhenWALCannotReplay(t *testing.T) {
 		recoverJoinNode(t, e)
 	})
 	if got.Produced != base.Produced || got.TuplesLost != 0 || len(gotSet) != len(baseSet) {
-		t.Fatalf("produced=%d lost=%d distinct=%d after the second recovery, fault-free %d/0/%d",
+		t.Fatalf("produced=%v lost=%v distinct=%d after the second recovery, fault-free %v/0/%d",
 			got.Produced, got.TuplesLost, len(gotSet), base.Produced, len(baseSet))
 	}
 	for k, n := range baseSet {
@@ -356,7 +356,7 @@ func TestCrashRecoverLoopUnderConcurrentIngest(t *testing.T) {
 	}
 	res := e.Stop()
 	if res.Crashes != rounds || res.TuplesLost != 0 || res.Batches != int64(len(warm)+rounds*perRound) {
-		t.Fatalf("crashes=%d lost=%d batches=%d, want %d/0/%d", res.Crashes, res.TuplesLost, res.Batches, rounds, len(warm)+rounds*perRound)
+		t.Fatalf("crashes=%d lost=%v batches=%d, want %d/0/%d", res.Crashes, res.TuplesLost, res.Batches, rounds, len(warm)+rounds*perRound)
 	}
 }
 
@@ -397,7 +397,7 @@ func TestCrashLoseStateDropsInFlightAndState(t *testing.T) {
 	// probes sent while down died, and post-recovery probes join against
 	// an empty window.
 	if res.Produced != warmProduced {
-		t.Fatalf("produced %d, want %d (no joins against a discarded window)", res.Produced, warmProduced)
+		t.Fatalf("produced %v, want %d (no joins against a discarded window)", res.Produced, warmProduced)
 	}
 	if res.TuplesLost == 0 {
 		t.Fatal("lose-state crash recorded no lost tuples")
@@ -462,7 +462,7 @@ func TestStopWhileDownCountsParkedAsLost(t *testing.T) {
 		t.Fatal("stop while down lost nothing")
 	}
 	if res.Produced != warmProduced {
-		t.Fatalf("produced %d, want %d (join node down for every probe)", res.Produced, warmProduced)
+		t.Fatalf("produced %v, want %d (join node down for every probe)", res.Produced, warmProduced)
 	}
 }
 
@@ -500,9 +500,9 @@ func TestSlowdownKeepsCountsAndRestores(t *testing.T) {
 	res := e.Stop()
 	// A slowdown stretches wall time but must not change what comes out.
 	if res.Produced != base.Produced {
-		t.Fatalf("slowdown changed counts: %d vs %d", res.Produced, base.Produced)
+		t.Fatalf("slowdown changed counts: %v vs %v", res.Produced, base.Produced)
 	}
 	if res.Crashes != 0 || res.TuplesLost != 0 {
-		t.Fatalf("slowdown accounted as failure: crashes=%d lost=%d", res.Crashes, res.TuplesLost)
+		t.Fatalf("slowdown accounted as failure: crashes=%d lost=%v", res.Crashes, res.TuplesLost)
 	}
 }

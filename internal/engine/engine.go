@@ -32,6 +32,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -98,31 +99,6 @@ type message struct {
 }
 
 var msgPool = sync.Pool{New: func() any { return new(message) }}
-
-// Results summarizes an engine run.
-type Results struct {
-	// Produced is the number of join results emitted.
-	Produced int64
-	// Ingested is the number of source tuples admitted.
-	Ingested int64
-	// Batches is the number of batches routed.
-	Batches int64
-	// MeanLatencyMS is the mean ingress→sink latency per batch.
-	MeanLatencyMS float64
-	// PlanUse counts batches per logical plan key.
-	PlanUse map[string]int64
-	// PlanSwitches counts plan changes between consecutive batches.
-	PlanSwitches int
-	// ObservedSels reports the monitor's final per-op selectivities.
-	ObservedSels []float64
-	// Crashes counts Crash calls applied to the run.
-	Crashes int
-	// TuplesLost counts in-flight partial results discarded because a
-	// node was down in LoseState mode (or still down at Stop).
-	TuplesLost int64
-	// Restores counts checkpoint-restores performed on recovery.
-	Restores int
-}
 
 // resultObserver is the sink tap; SetResultObserver states its contract.
 type resultObserver func(tuples []*stream.Joined, ingress time.Time)
@@ -248,6 +224,9 @@ type Engine struct {
 	// resultObs, when set, taps every non-empty sink emission (sessions
 	// subscribe result streams through it).
 	resultObs atomic.Pointer[resultObserver]
+	// onSwitch, when set, is told each plan switch as Ingest counts it,
+	// under mu. A session sets it before Start to emit its switch events.
+	onSwitch func(key string)
 
 	// snapCache is the monitor snapshot handed to the per-batch plan
 	// chooser. Monitor state changes only on Offer, so refreshing the
@@ -257,9 +236,9 @@ type Engine struct {
 	snapCache atomic.Pointer[stats.Snapshot]
 
 	// lastAppTs is the float64 bit pattern of the highest batch timestamp
-	// ingested so far: the clock that stamps monitor offers. App time keeps
-	// the stats timeline on the data's own axis — the same CAS-max a
-	// session's virtual clock takes — instead of tying it to host speed.
+	// ingested so far: the clock that stamps monitor offers and a session's
+	// virtual clock. App time keeps the stats timeline on the data's own
+	// axis instead of tying it to host speed.
 	lastAppTs atomic.Uint64
 
 	// waitList/waitMu/waiters implement the event-driven pending-count
@@ -708,6 +687,9 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 	if k != e.lastKey {
 		if e.lastKey != "" {
 			e.switches++
+			if e.onSwitch != nil {
+				e.onSwitch(k)
+			}
 		}
 		e.lastKey = k
 	}
@@ -753,9 +735,12 @@ func (e *Engine) offerStats(force bool) {
 	// matches the simulator's instead of diverging with host speed. Offer
 	// uses the stamp only to pace resampling, so any monotone
 	// non-decreasing clock is valid.
-	e.monitor.Offer(math.Float64frombits(e.lastAppTs.Load()), sels, rates)
+	e.monitor.Offer(e.appTime(), sels, rates)
 	e.refreshSnap()
 }
+
+// appTime reads the app-time high-water mark.
+func (e *Engine) appTime() float64 { return math.Float64frombits(e.lastAppTs.Load()) }
 
 // advanceAppTime CAS-maxes the app-time high-water mark to ts. Non-positive
 // timestamps are ignored (MaxTs of an empty batch is 0; a negative float's
@@ -790,32 +775,6 @@ func (e *Engine) controlReady() error {
 // quantity sessions bound for backpressure (parked messages on crashed
 // nodes are excluded, as in Drain).
 func (e *Engine) Pending() int64 { return e.pending.Load() }
-
-// Counters is a cheap live snapshot of the engine's core counters, for
-// session Stats polling without building a full Results.
-type Counters struct {
-	Ingested, Produced, Batches, TuplesLost, Pending int64
-	PlanSwitches, Crashes, Restores                  int
-}
-
-// Counters returns a live snapshot of the run's counters. Safe for
-// concurrent use; the fields are mutually consistent only to within
-// in-flight work.
-func (e *Engine) Counters() Counters {
-	c := Counters{
-		Produced:   e.produced.Load(),
-		TuplesLost: e.lost.Load(),
-		Pending:    e.pending.Load(),
-		Crashes:    int(e.crashes.Load()),
-		Restores:   int(e.restores.Load()),
-	}
-	e.mu.Lock()
-	c.Ingested = e.ingested
-	c.Batches = e.batches
-	c.PlanSwitches = e.switches
-	e.mu.Unlock()
-	return c
-}
 
 // Assignment returns a copy of the live routing table.
 func (e *Engine) Assignment() physical.Assignment {
@@ -1040,15 +999,16 @@ func (e *Engine) Drain() {
 	e.AwaitPending(context.Background(), 1, nil)
 }
 
-// Stop drains, shuts down the workers, and returns the run's results. A
-// Stop that loses the race to another Stop waits for the winner's shutdown
-// to complete, so every caller sees fully-drained results.
-func (e *Engine) Stop() Results {
+// Stop drains, shuts down the workers, and returns the router's part of the
+// run's report (see report). A Stop that loses the race to another Stop
+// waits for the winner's shutdown to complete, so every caller sees a
+// fully-drained report.
+func (e *Engine) Stop() *runtime.Report {
 	e.mu.Lock()
 	if e.stopped {
 		e.mu.Unlock()
 		<-e.stopDone
-		return e.results()
+		return e.report()
 	}
 	e.stopped = true
 	e.mu.Unlock()
@@ -1091,29 +1051,29 @@ func (e *Engine) Stop() Results {
 	e.t.Close()
 	e.closeLog()
 	close(e.stopDone)
-	return e.results()
+	return e.report()
 }
 
-func (e *Engine) results() Results {
+// report snapshots the fields of a run's report the router owns: the
+// ingest-side counts, plan use and switches, the sink's output and latency,
+// and the failure counters. The session fills in the rest. Safe for
+// concurrent use; the worker-side counts trail the ingest side by whatever
+// is in flight.
+func (e *Engine) report() *runtime.Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	r := Results{
-		Produced:     e.produced.Load(),
-		Ingested:     e.ingested,
+	r := &runtime.Report{
+		Ingested:     float64(e.ingested),
+		Produced:     float64(e.produced.Load()),
 		Batches:      e.batches,
+		PlanUse:      maps.Clone(e.planUse),
 		PlanSwitches: e.switches,
-		PlanUse:      make(map[string]int64, len(e.planUse)),
 		Crashes:      int(e.crashes.Load()),
-		TuplesLost:   e.lost.Load(),
+		TuplesLost:   float64(e.lost.Load()),
 		Restores:     int(e.restores.Load()),
-	}
-	for k, v := range e.planUse {
-		r.PlanUse[k] = v
 	}
 	if e.batches > 0 {
 		r.MeanLatencyMS = float64(e.latencyNano.Load()) / 1e6 / float64(e.batches)
 	}
-	snap := e.monitor.Snapshot()
-	r.ObservedSels = snap.Sels
 	return r
 }

@@ -9,6 +9,7 @@ import (
 	"rld/internal/gen"
 	"rld/internal/physical"
 	"rld/internal/query"
+	"rld/internal/runtime"
 	"rld/internal/stats"
 	"rld/internal/stream"
 )
@@ -63,7 +64,7 @@ func TestEngineEndToEndProducesJoins(t *testing.T) {
 	feed(t, e, q, 20, 50, 0.5)
 	res := e.Stop()
 	if res.Ingested != 2*20*50 {
-		t.Fatalf("ingested %d", res.Ingested)
+		t.Fatalf("ingested %v", res.Ingested)
 	}
 	if res.Produced == 0 {
 		t.Fatal("no join results with 0.5 key selectivity")
@@ -88,10 +89,10 @@ func TestEngineSelectivityObserved(t *testing.T) {
 	}
 	e.Start()
 	feed(t, e, q, 40, 50, 0.4)
-	res := e.Stop()
+	e.Stop()
 	// Selections report their own-stream pass fraction: Uniform(0,100)
 	// payloads against threshold 0.3×100 pass ≈30% of the time.
-	got := res.ObservedSels[0]
+	got := e.monitor.Snapshot().Sels[0]
 	if math.Abs(got-0.3) > 0.08 {
 		t.Fatalf("observed select selectivity %v, want ≈0.3", got)
 	}
@@ -203,7 +204,7 @@ func TestEngineMaxFanoutBoundsBlowup(t *testing.T) {
 	res := e.Stop()
 	// With fanout 2 the output is at most 2 per surviving partial.
 	if res.Produced > 2*res.Ingested {
-		t.Fatalf("fanout cap violated: %d produced for %d ingested", res.Produced, res.Ingested)
+		t.Fatalf("fanout cap violated: %v produced for %v ingested", res.Produced, res.Ingested)
 	}
 }
 
@@ -254,7 +255,7 @@ func TestEngineConcurrentIngest(t *testing.T) {
 	wg.Wait()
 	res := e.Stop()
 	if res.Ingested != feeders*batches*size {
-		t.Fatalf("ingested %d, want %d", res.Ingested, feeders*batches*size)
+		t.Fatalf("ingested %v, want %d", res.Ingested, feeders*batches*size)
 	}
 	if res.Batches != feeders*batches {
 		t.Fatalf("batches %d, want %d", res.Batches, feeders*batches)
@@ -269,7 +270,7 @@ func TestEngineConcurrentStopsAgree(t *testing.T) {
 	}
 	e.Start()
 	feed(t, e, q, 20, 50, 0.5)
-	results := make([]Results, 4)
+	results := make([]*runtime.Report, 4)
 	var wg sync.WaitGroup
 	for i := range results {
 		wg.Add(1)
@@ -374,8 +375,8 @@ func TestEngineMatchesSimSelectivity(t *testing.T) {
 			}
 		}
 	}
-	res := e.Stop()
-	if math.Abs(res.ObservedSels[0]-0.4) > 0.06 {
-		t.Fatalf("engine observed %v, cost model assumes 0.4", res.ObservedSels[0])
+	e.Stop()
+	if got := e.monitor.Snapshot().Sels[0]; math.Abs(got-0.4) > 0.06 {
+		t.Fatalf("engine observed %v, cost model assumes 0.4", got)
 	}
 }

@@ -218,7 +218,7 @@ func TestEmptyStagesLeakNoBlock(t *testing.T) {
 			e.Start()
 			feedAll(t, e, probes) // the windows were never filled
 			if res := e.Stop(); res.Produced != 0 || res.Batches != 1000 {
-				t.Fatalf("produced %d results over %d batches, want 0 over 1000", res.Produced, res.Batches)
+				t.Fatalf("produced %v results over %d batches, want 0 over 1000", res.Produced, res.Batches)
 			}
 			if acq, rec := e.core.Schema().BlockCounts(); acq != rec || acq < 1000 {
 				t.Fatalf("%d blocks acquired, %d recycled, want the same and at least one per batch", acq, rec)
@@ -484,7 +484,7 @@ func TestEngineProbeExpiresStaleShards(t *testing.T) {
 	// join, foreign-stream selection) and reach the sink; the S1 probe
 	// must contribute nothing on top of them.
 	if res.Produced != 2 {
-		t.Fatalf("produced %d results, want 2 (stale shard must not match)", res.Produced)
+		t.Fatalf("produced %v results, want 2 (stale shard must not match)", res.Produced)
 	}
 }
 

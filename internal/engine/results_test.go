@@ -77,7 +77,7 @@ func TestSessionRetainedResultsSurviveRecycling(t *testing.T) {
 	}
 	feedAll(t, ref, probes)
 	if res := ref.Stop(); res.Produced != (nProbes*batchSize+keys)*dup {
-		t.Fatalf("reference produced %d results, want %d", res.Produced, (nProbes*batchSize+keys)*dup)
+		t.Fatalf("reference produced %v results, want %d", res.Produced, (nProbes*batchSize+keys)*dup)
 	}
 
 	cfg.Workers = 4

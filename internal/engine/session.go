@@ -67,9 +67,6 @@ type Session struct {
 	maxPending int64
 	start      time.Time
 
-	// vnow is the virtual clock (float64 bits, advanced by lock-free
-	// CAS-max from concurrent producers).
-	vnow atomic.Uint64
 	// nextEdge caches the earliest upcoming tick/checkpoint/fault edge
 	// (float64 bits): a batch whose timestamp stays below it takes the
 	// lock-free fast path; crossing it takes mu and runs the serialized
@@ -115,8 +112,6 @@ type Session struct {
 	polMu    sync.Mutex
 	pol      runtime.Policy //rldlint:guardedby polMu
 	overhead float64        //rldlint:guardedby polMu
-	// lastPlan is the previous batch's plan, for the plan-switch event.
-	lastPlan query.Plan //rldlint:guardedby polMu
 
 	report *runtime.Report //rldlint:guardedby mu
 }
@@ -189,23 +184,18 @@ func OpenSessionOn(e *Engine, substrate string, pol runtime.Policy, opts Session
 	}
 	s.events = make(chan runtime.Event, evBuf)
 	// The chooser runs synchronously inside Engine.Ingest, possibly from
-	// many producers at once; polMu serializes the policy call and the
-	// plan-switch tracking, honoring the Policy contract's serial-caller
-	// promise.
+	// many producers at once; polMu serializes the policy call, honoring
+	// the Policy contract's serial-caller promise. Plan switches are the
+	// router's to detect: it counts an accepted batch's switch and reports
+	// it here in one critical section, so events and count agree.
 	e.SetChooser(ChooserFunc(func(snap stats.Snapshot) query.Plan {
 		s.polMu.Lock()
 		defer s.polMu.Unlock()
-		plan := s.pol.PlanFor(s.now(), snap)
-		// Compare orderings, not keys: formatting a key per batch would be
-		// the chooser's only allocation.
-		if plan != nil && !plan.Equal(s.lastPlan) {
-			if s.lastPlan != nil {
-				s.emit(runtime.Event{Kind: runtime.EventPlanSwitch, T: s.now(), Node: -1, Op: -1, Plan: plan.Key()})
-			}
-			s.lastPlan = plan.Clone()
-		}
-		return plan
+		return s.pol.PlanFor(s.e.appTime(), snap)
 	}))
+	e.onSwitch = func(key string) {
+		s.emit(runtime.Event{Kind: runtime.EventPlanSwitch, T: s.e.appTime(), Node: -1, Op: -1, Plan: key})
+	}
 	if opts.ResultBuffer > 0 {
 		s.results = make(chan runtime.ResultBatch, opts.ResultBuffer)
 		e.SetResultObserver(s.observeResult)
@@ -234,7 +224,7 @@ func (s *Session) observeResult(tuples []*stream.Joined, _ time.Time) {
 		return
 	}
 	rb := runtime.ResultBatch{
-		T:      s.now(),
+		T:      s.e.appTime(),
 		Count:  float64(len(tuples)),
 		Tuples: stream.Detach(tuples),
 	}
@@ -245,30 +235,15 @@ func (s *Session) observeResult(tuples []*stream.Joined, _ time.Time) {
 	}
 }
 
-// emit delivers an event without blocking. Callers hold mu (either side)
-// or polMu, and Close only closes the channel once every admission and
+// emit delivers an event without blocking and never re-enters the engine,
+// so the router may call it under its own lock. Callers hold mu (either
+// side), and Close only closes the channel once every admission and
 // control path has drained, so emission never races the close.
 func (s *Session) emit(ev runtime.Event) {
 	select {
 	case s.events <- ev:
 	default:
 		s.eventsDropped.Add(1)
-	}
-}
-
-// now reads the virtual clock.
-func (s *Session) now() float64 { return math.Float64frombits(s.vnow.Load()) }
-
-// advanceNow lifts the virtual clock to at least t — a lock-free CAS-max,
-// so concurrent producers with out-of-order timestamps never move it
-// backwards. (Non-negative float64 bit patterns order like the floats.)
-func (s *Session) advanceNow(t float64) {
-	bits := math.Float64bits(t)
-	for {
-		old := s.vnow.Load()
-		if old >= bits || s.vnow.CompareAndSwap(old, bits) {
-			return
-		}
 	}
 }
 
@@ -361,22 +336,24 @@ func (s *Session) addOverhead() {
 	s.polMu.Unlock()
 }
 
-// ingest is the admission path. Batches that stay below the next
-// tick/fault/checkpoint edge take the fast path: advance the clock with a
-// CAS-max and run Engine.Ingest (safe for concurrent use) under the read
+// ingest is the admission path. The virtual clock is the router's app time:
+// a batch lifts it to its maximum timestamp (a CAS-max that ignores
+// non-positive stamps) before its plan is chosen. Batches that stay below
+// the next tick/fault/checkpoint edge take the fast path: advance the clock
+// and run Engine.Ingest (safe for concurrent use) under the read
 // lock, in parallel with other producers. A batch that crosses an edge
 // takes the write lock and runs the serialized session protocol — fire due
 // faults, admit, run due control ticks — excluding all concurrent
 // admissions for exactly the span of the edge.
 func (s *Session) ingest(b *stream.Batch) error {
-	ts := float64(b.LastTs())
+	ts := float64(b.MaxTs())
 	if ts < s.edge() {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 		if s.closed {
 			return runtime.ErrClosed
 		}
-		s.advanceNow(ts)
+		s.e.advanceAppTime(ts)
 		err := s.e.Ingest(b)
 		if err == nil {
 			s.addOverhead()
@@ -389,8 +366,8 @@ func (s *Session) ingest(b *stream.Batch) error {
 	if s.closed {
 		return runtime.ErrClosed
 	}
-	s.advanceNow(ts)
-	now := s.now()
+	s.e.advanceAppTime(ts)
+	now := s.e.appTime()
 	s.applyFaults(now)
 	defer s.recomputeEdgeLocked()
 	if err := s.e.Ingest(b); err != nil {
@@ -489,7 +466,7 @@ func (s *Session) SwapPolicy(pol runtime.Policy) error {
 	s.pol = pol
 	s.polMu.Unlock()
 	s.swaps++
-	s.emit(runtime.Event{Kind: runtime.EventPolicySwap, T: s.now(), Node: -1, Op: -1, Policy: pol.Name()})
+	s.emit(runtime.Event{Kind: runtime.EventPolicySwap, T: s.e.appTime(), Node: -1, Op: -1, Policy: pol.Name()})
 	return nil
 }
 
@@ -509,7 +486,7 @@ func (s *Session) Migrate(op, node int) error {
 		return err
 	}
 	s.migrations++
-	s.emit(runtime.Event{Kind: runtime.EventMigration, T: s.now(), Node: node, Op: op})
+	s.emit(runtime.Event{Kind: runtime.EventMigration, T: s.e.appTime(), Node: node, Op: op})
 	return nil
 }
 
@@ -521,7 +498,7 @@ func (s *Session) Crash(node int) error {
 	if s.closed {
 		return runtime.ErrClosed
 	}
-	return s.crashAt(node, s.now())
+	return s.crashAt(node, s.e.appTime())
 }
 
 // Recover implements runtime.Session.
@@ -531,7 +508,7 @@ func (s *Session) Recover(node int) error {
 	if s.closed {
 		return runtime.ErrClosed
 	}
-	return s.recoverAt(node, s.now())
+	return s.recoverAt(node, s.e.appTime())
 }
 
 // Stats implements runtime.Session. The counter snapshot is taken under
@@ -542,8 +519,8 @@ func (s *Session) Recover(node int) error {
 func (s *Session) Stats() runtime.SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := s.e.Counters()
-	now := s.now()
+	r := s.e.report()
+	now := s.e.appTime()
 	ds := s.downSeconds
 	for _, since := range s.downSince {
 		if now > since {
@@ -557,16 +534,16 @@ func (s *Session) Stats() runtime.SessionStats {
 		Policy:         polName,
 		Substrate:      s.substrate,
 		VirtualTime:    now,
-		Ingested:       float64(c.Ingested),
-		Produced:       float64(c.Produced),
-		TuplesLost:     float64(c.TuplesLost),
-		Batches:        c.Batches,
-		Pending:        c.Pending,
-		PlanSwitches:   c.PlanSwitches,
+		Ingested:       r.Ingested,
+		Produced:       r.Produced,
+		TuplesLost:     r.TuplesLost,
+		Batches:        r.Batches,
+		Pending:        s.e.Pending(),
+		PlanSwitches:   r.PlanSwitches,
 		PolicySwaps:    s.swaps,
 		Migrations:     s.migrations,
-		Crashes:        c.Crashes,
-		Restores:       c.Restores,
+		Crashes:        r.Crashes,
+		Restores:       r.Restores,
 		DownSeconds:    ds,
 		ResultsDropped: s.resultsDropped.Load(),
 		EventsDropped:  s.eventsDropped.Load(),
@@ -600,7 +577,7 @@ func (s *Session) Close(ctx context.Context) (*runtime.Report, error) {
 	// stays down — Stop counts its parked backlog as lost; only its
 	// downtime is finalized here.
 	end := s.opts.Horizon
-	if n := s.now(); end < n {
+	if n := s.e.appTime(); end < n {
 		end = n
 	}
 	s.applyFaults(end)
@@ -612,29 +589,15 @@ func (s *Session) Close(ctx context.Context) (*runtime.Report, error) {
 	s.mu.Unlock()
 
 	finish := func() *runtime.Report {
-		res := s.e.Stop()
+		rep := s.e.Stop()
 		s.mu.Lock()
 		s.polMu.Lock()
-		overhead := s.overhead
+		rep.OverheadWork = s.overhead
 		s.polMu.Unlock()
-		rep := &runtime.Report{
-			Policy:            pol.Name(),
-			Substrate:         s.substrate,
-			Ingested:          float64(res.Ingested),
-			Produced:          float64(res.Produced),
-			Batches:           res.Batches,
-			MeanLatencyMS:     res.MeanLatencyMS,
-			PlanUse:           res.PlanUse,
-			PlanSwitches:      res.PlanSwitches,
-			Migrations:        s.migrations,
-			MigrationDowntime: s.downtime,
-			OverheadWork:      overhead,
-			WallSeconds:       time.Since(s.start).Seconds(), //rldlint:allow wallclock -- host wall time by contract
-			Crashes:           res.Crashes,
-			DownSeconds:       s.downSeconds,
-			TuplesLost:        float64(res.TuplesLost),
-			Restores:          res.Restores,
-		}
+		rep.Policy, rep.Substrate = pol.Name(), s.substrate
+		rep.Migrations, rep.MigrationDowntime = s.migrations, s.downtime
+		rep.WallSeconds = time.Since(s.start).Seconds() //rldlint:allow wallclock -- host wall time by contract
+		rep.DownSeconds = s.downSeconds
 		s.report = rep
 		s.mu.Unlock()
 		if s.results != nil {

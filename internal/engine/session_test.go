@@ -14,6 +14,7 @@ import (
 	"rld/internal/physical"
 	"rld/internal/query"
 	"rld/internal/runtime"
+	"rld/internal/stats"
 	"rld/internal/stream"
 )
 
@@ -394,6 +395,124 @@ func (p *recordingPolicy) Rebalance(t float64, loads []float64, assign physical.
 		return &runtime.Migration{Op: 1, To: 1, Downtime: 0.25}
 	}
 	return nil
+}
+
+// TestSessionClockIgnoresNonPositiveTimestamps pins the one clock rule: a
+// non-positive timestamp leaves the virtual clock where it is, so a stray
+// negative stamp at the start cannot freeze the clock — and with it every
+// control tick — for the rest of the run.
+func TestSessionClockIgnoresNonPositiveTimestamps(t *testing.T) {
+	for _, first := range []float64{-1, 0.5} {
+		// migrated: true: the policy only records its ticks.
+		pol := &recordingPolicy{StaticPolicy: runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 0}}, migrated: true}
+		s, err := OpenSession(twoWay(), 1, pol, SessionOptions{TickEvery: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := s.Ingest(ctx, flatBatch("S1", 1, first)); err != nil {
+			t.Fatal(err)
+		}
+		for ts := 1; ts <= 30; ts++ {
+			if err := s.Ingest(ctx, flatBatch("S1", 1, float64(ts))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if vt := s.Stats().VirtualTime; vt != 30 {
+			t.Errorf("first ts %v: virtual time %v, want 30", first, vt)
+		}
+		if _, err := s.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if len(pol.ticks) != 6 {
+			t.Errorf("first ts %v: %d control ticks %v, want 6 (t=5..30)", first, len(pol.ticks), pol.ticks)
+		}
+	}
+}
+
+// alternatingPolicy is a static policy whose every second PlanFor returns
+// alt instead of Plan.
+type alternatingPolicy struct {
+	runtime.StaticPolicy
+	alt   query.Plan
+	calls int
+}
+
+func (p *alternatingPolicy) PlanFor(float64, stats.Snapshot) query.Plan {
+	p.calls++
+	if p.calls%2 == 0 {
+		return p.alt
+	}
+	return p.Plan
+}
+
+// TestPlanSwitchEventsMatchCount pins the one plan-switch detector: every
+// switch the report counts is one EventPlanSwitch delivered or dropped, and
+// nothing else is — not a plan the router rejected, and not a switch seen in
+// a different order than the router accounted it.
+func TestPlanSwitchEventsMatchCount(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		alt       query.Plan
+		producers int
+		perProd   int
+	}{
+		{"invalid-every-other", query.Plan{7, 7}, 1, 10},
+		{"concurrent-valid", query.Plan{1, 0}, 4, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := twoWay()
+			pol := &alternatingPolicy{
+				StaticPolicy: runtime.StaticPolicy{PolicyName: "ALT", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 1}},
+				alt:          tc.alt,
+			}
+			s, err := OpenSession(q, 2, pol, SessionOptions{EventBuffer: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rejected atomic.Int64
+			var wg sync.WaitGroup
+			for p := 0; p < tc.producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					for i := 1; i <= tc.perProd; i++ {
+						err := s.Ingest(context.Background(), flatBatch(q.Streams[p%2], 2, float64(i)))
+						switch {
+						case errors.Is(err, ErrInvalidPlan):
+							rejected.Add(1)
+						case err != nil:
+							t.Errorf("producer %d batch %d: %v", p, i, err)
+							return
+						}
+					}
+				}(p)
+			}
+			wg.Wait()
+			rep, err := s.Close(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := 0
+			for ev := range s.Events() {
+				if ev.Kind == runtime.EventPlanSwitch {
+					events++
+				}
+			}
+			dropped := s.Stats().EventsDropped
+			wantRejected := int64(0)
+			if !tc.alt.Valid(q) {
+				wantRejected = int64(tc.producers * tc.perProd / 2)
+			}
+			if rejected.Load() != wantRejected {
+				t.Fatalf("%d batches rejected with alternate plan %v, want %d", rejected.Load(), tc.alt, wantRejected)
+			}
+			if int64(events)+dropped != int64(rep.PlanSwitches) {
+				t.Fatalf("%d plan-switch events + %d dropped, report counts %d switches (%d batches rejected)",
+					events, dropped, rep.PlanSwitches, rejected.Load())
+			}
+		})
+	}
 }
 
 func TestEngineExecutorRunsPolicyWithTicks(t *testing.T) {

@@ -171,7 +171,7 @@ func TestStageFailureParksAndRecoverReplays(t *testing.T) {
 	e, ft := newFakeEngine(t, "")
 	feedAll(t, e, warm)
 	e.Drain()
-	before := e.Counters().Produced
+	before := e.report().Produced
 
 	ft.mu.Lock()
 	ft.failNext = 1
@@ -181,9 +181,9 @@ func TestStageFailureParksAndRecoverReplays(t *testing.T) {
 	if loads := e.NodeLoads(); !runtime.NodeDown(loads[1]) || runtime.NodeDown(loads[0]) {
 		t.Fatalf("loads %v: want node 1 down, node 0 up", loads)
 	}
-	c := e.Counters()
+	c := e.report()
 	if c.TuplesLost != 0 || c.Crashes != 0 || c.Produced != before {
-		t.Fatalf("after the failed hop: lost=%d crashes=%d produced=%d (was %d); want it parked whole", c.TuplesLost, c.Crashes, c.Produced, before)
+		t.Fatalf("after the failed hop: lost=%v crashes=%d produced=%v (was %v); want it parked whole", c.TuplesLost, c.Crashes, c.Produced, before)
 	}
 	ft.mu.Lock()
 	kills := append([]int(nil), ft.kills...)
@@ -210,8 +210,8 @@ func TestStageFailureParksAndRecoverReplays(t *testing.T) {
 	if last != [2]int{1, 0} {
 		t.Fatalf("replayed hop ran (op, node) %v, want the join on node 0", last)
 	}
-	if got := e.Counters().Produced; got <= before {
-		t.Fatalf("produced %d after replay, %d before: the parked hop never sank", got, before)
+	if got := e.report().Produced; got <= before {
+		t.Fatalf("produced %v after replay, %v before: the parked hop never sank", got, before)
 	}
 
 	// A late report about incarnation 0 must bounce off incarnation 1 …
@@ -225,7 +225,7 @@ func TestStageFailureParksAndRecoverReplays(t *testing.T) {
 		t.Fatal("a current-generation failure report was ignored")
 	}
 	if res := e.Stop(); res.TuplesLost != 0 {
-		t.Fatalf("lost %d tuples with nothing parked", res.TuplesLost)
+		t.Fatalf("lost %v tuples with nothing parked", res.TuplesLost)
 	}
 }
 
@@ -252,8 +252,8 @@ func TestStageFailureUnderLoseStateCountsLost(t *testing.T) {
 	}
 	drainOrFail(t, e)
 	res := e.Stop()
-	if res.TuplesLost != int64(inFlight) || res.Crashes != 1 {
-		t.Fatalf("lost=%d crashes=%d, want %d/1", res.TuplesLost, res.Crashes, inFlight)
+	if res.TuplesLost != float64(inFlight) || res.Crashes != 1 {
+		t.Fatalf("lost=%v crashes=%d, want %d/1", res.TuplesLost, res.Crashes, inFlight)
 	}
 }
 
@@ -341,7 +341,7 @@ func TestCrashedPoolExitsBeforeReviveAndBacklogKeepsOrder(t *testing.T) {
 	}
 	drainOrFail(t, e)
 	if res := e.Stop(); res.TuplesLost != 0 {
-		t.Fatalf("checkpoint-mode crash lost %d tuples", res.TuplesLost)
+		t.Fatalf("checkpoint-mode crash lost %v tuples", res.TuplesLost)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -360,7 +360,7 @@ func TestCrashedPoolExitsBeforeReviveAndBacklogKeepsOrder(t *testing.T) {
 // it — then, when crash is set, crash the join node, park the probes behind
 // it and recover. It returns the final results and the multiset of result
 // identities.
-func runFakeExactlyOnce(t *testing.T, walDir string, crash bool, sabotage func(*Engine, *fakeTransport)) (Results, map[string]int) {
+func runFakeExactlyOnce(t *testing.T, walDir string, crash bool, sabotage func(*Engine, *fakeTransport)) (*runtime.Report, map[string]int) {
 	t.Helper()
 	warm, warm2, probes := exactlyOnceBatches()
 	e, ft := newFakeEngine(t, walDir)
@@ -402,10 +402,10 @@ func runFakeExactlyOnce(t *testing.T, walDir string, crash bool, sabotage func(*
 
 // sameResults fails unless got is exactly base: same count, same result
 // identities the same number of times, nothing lost.
-func sameResults(t *testing.T, got, base Results, gotSet, baseSet map[string]int) {
+func sameResults(t *testing.T, got, base *runtime.Report, gotSet, baseSet map[string]int) {
 	t.Helper()
 	if got.TuplesLost != 0 || got.Produced != base.Produced || len(gotSet) != len(baseSet) {
-		t.Fatalf("produced=%d lost=%d distinct=%d, fault-free %d/0/%d", got.Produced, got.TuplesLost, len(gotSet), base.Produced, len(baseSet))
+		t.Fatalf("produced=%v lost=%v distinct=%d, fault-free %v/0/%d", got.Produced, got.TuplesLost, len(gotSet), base.Produced, len(baseSet))
 	}
 	for k, n := range baseSet {
 		if gotSet[k] != n {
@@ -421,7 +421,7 @@ func sameResults(t *testing.T, got, base Results, gotSet, baseSet map[string]int
 func TestFailedSnapshotPullKeepsCheckpointAndLog(t *testing.T) {
 	base, baseSet := runFakeExactlyOnce(t, t.TempDir(), false, nil)
 	if base.Produced <= warmProduced {
-		t.Fatalf("fault-free run produced no joins (%d)", base.Produced)
+		t.Fatalf("fault-free run produced no joins (%v)", base.Produced)
 	}
 	logged := func(e *Engine) (n int) {
 		if err := e.wlog.Replay(func(wal.Record) error { n++; return nil }); err != nil {
@@ -468,7 +468,7 @@ func TestFailedInsertIsRecoveredFromLog(t *testing.T) {
 	got, gotSet := runFakeExactlyOnce(t, t.TempDir(), true, refuse)
 	sameResults(t, got, base, gotSet, baseSet)
 	if noWAL, _ := runFakeExactlyOnce(t, "", true, refuse); noWAL.Produced >= base.Produced {
-		t.Fatalf("non-durable run with refused inserts produced %d, want < %d (scenario does not exercise the log)", noWAL.Produced, base.Produced)
+		t.Fatalf("non-durable run with refused inserts produced %v, want < %v (scenario does not exercise the log)", noWAL.Produced, base.Produced)
 	}
 }
 

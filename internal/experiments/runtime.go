@@ -8,10 +8,10 @@ import (
 	"rld/internal/core"
 	"rld/internal/cost"
 	"rld/internal/gen"
-	"rld/internal/metrics"
 	"rld/internal/optimizer"
 	"rld/internal/paramspace"
 	"rld/internal/query"
+	"rld/internal/runtime"
 	"rld/internal/sim"
 )
 
@@ -184,8 +184,8 @@ func buildRT(o rtOpts) (*rtBench, error) {
 }
 
 // runAll executes the three policies on identical scenario copies.
-func (b *rtBench) runAll() (map[string]*metrics.Runtime, error) {
-	out := map[string]*metrics.Runtime{}
+func (b *rtBench) runAll() (map[string]*runtime.Report, error) {
+	out := map[string]*runtime.Report{}
 	for _, pol := range []sim.Policy{b.rod, b.dyn, b.rld} {
 		scCopy := *b.sc // policies don't mutate the scenario
 		res, err := sim.Run(&scCopy, pol)
@@ -230,9 +230,9 @@ func Fig15a(quick bool) []*Table {
 			panic(err)
 		}
 		t.Add(fmt.Sprintf("%.0f%%", r*100), map[string]float64{
-			"ROD": res["ROD"].Latency.MeanMS(),
-			"DYN": res["DYN"].Latency.MeanMS(),
-			"RLD": res["RLD"].Latency.MeanMS(),
+			"ROD": res["ROD"].MeanLatencyMS,
+			"DYN": res["DYN"].MeanLatencyMS,
+			"RLD": res["RLD"].MeanLatencyMS,
 		})
 	}
 	return []*Table{t}
@@ -337,9 +337,9 @@ func Fig16a(quick bool) []*Table {
 			panic(err)
 		}
 		t.Add(fmt.Sprintf("%d", n), map[string]float64{
-			"ROD": res["ROD"].Latency.MeanMS(),
-			"DYN": res["DYN"].Latency.MeanMS(),
-			"RLD": res["RLD"].Latency.MeanMS(),
+			"ROD": res["ROD"].MeanLatencyMS,
+			"DYN": res["DYN"].MeanLatencyMS,
+			"RLD": res["RLD"].MeanLatencyMS,
 		})
 	}
 	return []*Table{t}
@@ -379,9 +379,9 @@ func Fig16b(quick bool) []*Table {
 			panic(err)
 		}
 		t.Add(fmt.Sprintf("%.0f", p), map[string]float64{
-			"ROD": res["ROD"].Latency.MeanMS(),
-			"DYN": res["DYN"].Latency.MeanMS(),
-			"RLD": res["RLD"].Latency.MeanMS(),
+			"ROD": res["ROD"].MeanLatencyMS,
+			"DYN": res["DYN"].MeanLatencyMS,
+			"RLD": res["RLD"].MeanLatencyMS,
 		})
 	}
 	return []*Table{t}
@@ -463,7 +463,7 @@ func AblationBatch(quick bool) []*Table {
 			panic(err)
 		}
 		t.Add(fmt.Sprintf("%d", bs), map[string]float64{
-			"latency ms":     res.Latency.MeanMS(),
+			"latency ms":     res.MeanLatencyMS,
 			"overhead ratio": res.OverheadRatio(),
 			"plan switches":  float64(res.PlanSwitches),
 		})

@@ -55,9 +55,7 @@ func testBatch(streamName string, seq *uint64, ts float64, n int) *stream.Batch 
 func openTestSession(t *testing.T, nNodes int, pol runtime.Policy) runtime.Session {
 	t.Helper()
 	q := testQuery()
-	s, err := OpenSession(q, nNodes, pol, Options{
-		Session: engine.SessionOptions{MaxPending: 64},
-	})
+	s, err := OpenSession(q, nNodes, pol, engine.SessionOptions{MaxPending: 64}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func TestSessionLifecycle(t *testing.T) {
 // sequence produces. Draining after every batch serializes inserts and
 // probes, so the two runs see identical window states hop for hop.
 func TestStageChunkedTransfer(t *testing.T) {
-	run := func(chunk int) engine.Results {
+	run := func(chunk int) *runtime.Report {
 		q := testQuery()
 		c, err := NewCluster(q, physical.Assignment{0, 1}, 2, ClusterConfig{stageChunk: chunk})
 		if err != nil {
@@ -139,7 +137,7 @@ func TestStageChunkedTransfer(t *testing.T) {
 		t.Fatal("baseline run produced nothing")
 	}
 	if tiny.Produced != base.Produced || tiny.Ingested != base.Ingested {
-		t.Fatalf("chunked run diverged: produced %d/%d, ingested %d/%d",
+		t.Fatalf("chunked run diverged: produced %v/%v, ingested %v/%v",
 			tiny.Produced, base.Produced, tiny.Ingested, base.Ingested)
 	}
 	if got := len(LiveWorkers()); got != 0 {
@@ -336,7 +334,7 @@ func TestFailedNewClusterReleasesWAL(t *testing.T) {
 // so the faulted run's replayed probes see exactly the window content the
 // fault-free run's probes saw. Returns the final results and the multiset
 // of result identities (each result keyed by its input tuples' TupleIDs).
-func runNetExactlyOnce(t *testing.T, walDir string, fault bool) (engine.Results, map[string]int) {
+func runNetExactlyOnce(t *testing.T, walDir string, fault bool) (*runtime.Report, map[string]int) {
 	t.Helper()
 	// Window far past the feed's timestamp range: no expiry, so probe
 	// results depend only on window content — what the WAL must recover.
@@ -413,10 +411,10 @@ func TestChaosNetExactlyOnceSIGKILL(t *testing.T) {
 		t.Fatalf("crashes=%d, want 1", got.Crashes)
 	}
 	if got.TuplesLost != 0 {
-		t.Fatalf("exactly-once recovery lost %d tuples", got.TuplesLost)
+		t.Fatalf("exactly-once recovery lost %v tuples", got.TuplesLost)
 	}
 	if got.Produced != base.Produced {
-		t.Fatalf("produced %d through SIGKILL+recover, fault-free %d", got.Produced, base.Produced)
+		t.Fatalf("produced %v through SIGKILL+recover, fault-free %v", got.Produced, base.Produced)
 	}
 	if len(gotSet) != len(baseSet) {
 		t.Fatalf("distinct results %d through SIGKILL+recover, fault-free %d", len(gotSet), len(baseSet))
@@ -436,6 +434,6 @@ func TestChaosNetExactlyOnceSIGKILL(t *testing.T) {
 	// that the equality above is the durability layer's doing.
 	noWAL, _ := runNetExactlyOnce(t, "", true)
 	if noWAL.Produced >= base.Produced {
-		t.Fatalf("non-durable faulted run produced %d, want < %d (scenario does not exercise the WAL)", noWAL.Produced, base.Produced)
+		t.Fatalf("non-durable faulted run produced %v, want < %v (scenario does not exercise the WAL)", noWAL.Produced, base.Produced)
 	}
 }

@@ -109,10 +109,10 @@ func TestChaosNetExactlyOnceUnpromptedSIGKILL(t *testing.T) {
 		t.Fatal("recovery restored no operator from the checkpoint")
 	}
 	if got.TuplesLost != 0 {
-		t.Fatalf("exactly-once recovery lost %d tuples", got.TuplesLost)
+		t.Fatalf("exactly-once recovery lost %v tuples", got.TuplesLost)
 	}
 	if got.Produced != base.Produced || len(gotSet) != len(baseSet) {
-		t.Fatalf("produced %d (%d distinct) through an unprompted SIGKILL, fault-free %d (%d distinct)",
+		t.Fatalf("produced %v (%d distinct) through an unprompted SIGKILL, fault-free %v (%d distinct)",
 			got.Produced, len(gotSet), base.Produced, len(baseSet))
 	}
 	for k, n := range baseSet {

@@ -8,33 +8,22 @@ import (
 	"rld/internal/runtime"
 )
 
-// Options configures a distributed session: the full engine session
-// surface plus the cluster knobs.
-type Options struct {
-	// Session is the engine-session configuration (Config, TickEvery,
-	// Faults, Horizon, MaxPending, buffers).
-	Session engine.SessionOptions
-	// Cluster tunes the leader/worker substrate (worker command, listen
-	// address, stage chunk size). Cluster.Engine is overwritten by
-	// Session.Config so the two cannot disagree.
-	Cluster ClusterConfig
-}
-
 // OpenSession spawns a leader/worker cluster for q on nNodes worker
 // processes and layers the full engine session protocol over it. The
 // session is indistinguishable from an in-process one to callers — same
 // ingest/backpressure/tick/fault/stats surface — except that Crash is a
-// literal SIGKILL and Recover a respawn with checkpoint restore.
-func OpenSession(q *query.Query, nNodes int, pol runtime.Policy, opts Options) (*engine.Session, error) {
+// literal SIGKILL and Recover a respawn with checkpoint restore. workerCmd
+// is ClusterConfig.WorkerCommand; the workers' operator configuration is
+// opts.Config.
+func OpenSession(q *query.Query, nNodes int, pol runtime.Policy, opts engine.SessionOptions, workerCmd []string) (*engine.Session, error) {
 	if q == nil || pol == nil {
 		//rldlint:allow rawerror -- constructor argument validation, not a wire-path error
 		return nil, fmt.Errorf("netrt: session needs a query and a policy")
 	}
-	opts.Cluster.Engine = opts.Session.Config
-	c, err := NewCluster(q, pol.Placement(), nNodes, opts.Cluster)
+	c, err := NewCluster(q, pol.Placement(), nNodes, ClusterConfig{Engine: opts.Config, WorkerCommand: workerCmd})
 	if err != nil {
 		return nil, err
 	}
 	// A rejected open stops the engine, which closes the cluster.
-	return engine.OpenSessionOn(c.Engine, "net", pol, opts.Session)
+	return engine.OpenSessionOn(c.Engine, "net", pol, opts)
 }

@@ -112,11 +112,7 @@ func simRunner(q *query.Query, cl *cluster.Cluster) runner {
 		for i := range sc.Sels {
 			sc.Sels[i] = gen.ConstProfile(q.Ops[i].Sel)
 		}
-		res, err := sim.Run(sc, pol)
-		if err != nil {
-			return nil, err
-		}
-		return rt.FromSim(res), nil
+		return sim.Run(sc, pol)
 	}
 }
 
@@ -165,7 +161,7 @@ func engineRunner(q *query.Query, cl *cluster.Cluster) runner {
 // wire protocol.
 func netRunner(q *query.Query, cl *cluster.Cluster) runner {
 	return func(pol rt.Policy, fp *chaos.FaultPlan) (*rt.Report, error) {
-		s, err := netrt.OpenSession(q, cl.N(), pol, netrt.Options{Session: liveOptions(fp)})
+		s, err := netrt.OpenSession(q, cl.N(), pol, liveOptions(fp), nil)
 		if err != nil {
 			return nil, err
 		}

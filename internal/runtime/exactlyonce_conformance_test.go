@@ -99,7 +99,7 @@ func TestSessionExactlyOnceConformance(t *testing.T) {
 			return engine.OpenSession(q, 2, pol, opts)
 		}},
 		{"net", func(q *query.Query, pol rt.Policy, opts engine.SessionOptions) (rt.Session, error) {
-			return netrt.OpenSession(q, 2, pol, netrt.Options{Session: opts})
+			return netrt.OpenSession(q, 2, pol, opts, nil)
 		}},
 	}
 	// Node 1 hosts the join. Checkpoints at t = 15, 30, 45; the outage

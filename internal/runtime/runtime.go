@@ -13,7 +13,6 @@ package runtime
 import (
 	"math"
 
-	"rld/internal/metrics"
 	"rld/internal/physical"
 	"rld/internal/query"
 	"rld/internal/stats"
@@ -119,6 +118,9 @@ type Report struct {
 	Ingested float64
 	// Produced counts result tuples emitted by the query sink.
 	Produced float64
+	// ProducedOverTime samples cumulative Produced over virtual time
+	// (simulation only; empty on the live substrates).
+	ProducedOverTime Timeline
 	// Dropped counts tuples shed by overloaded admission queues.
 	Dropped float64
 	// Batches counts tuple batches routed through the pipeline.
@@ -154,6 +156,32 @@ type Report struct {
 	Restores int
 }
 
+// Timeline records a cumulative series sampled over virtual time —
+// Figure 15(b)'s "total number of tuples produced" curves.
+type Timeline struct {
+	Times  []float64
+	Values []float64
+}
+
+// Record appends a (time, cumulative value) sample.
+func (t *Timeline) Record(at, value float64) {
+	t.Times = append(t.Times, at)
+	t.Values = append(t.Values, value)
+}
+
+// ValueAt returns the last recorded value at or before the given time (0
+// before the first sample).
+func (t *Timeline) ValueAt(at float64) float64 {
+	v := 0.0
+	for i, ts := range t.Times {
+		if ts > at {
+			break
+		}
+		v = t.Values[i]
+	}
+	return v
+}
+
 // OutputRatio returns Produced/Ingested (0 when nothing was ingested) — the
 // quantity the cross-substrate conformance check compares.
 func (r *Report) OutputRatio() float64 {
@@ -185,30 +213,4 @@ func Completeness(faulted, baseline *Report) float64 {
 		return 0
 	}
 	return faulted.Produced / baseline.Produced
-}
-
-// FromSim converts the simulator's metrics into the shared Report.
-func FromSim(res *metrics.Runtime) *Report {
-	r := &Report{
-		Policy:            res.Policy,
-		Substrate:         "sim",
-		Ingested:          res.Ingested,
-		Produced:          res.Produced,
-		Dropped:           res.Dropped,
-		Batches:           res.Batches,
-		MeanLatencyMS:     res.Latency.MeanMS(),
-		PlanUse:           make(map[string]int64, len(res.PlanUse)),
-		PlanSwitches:      res.PlanSwitches,
-		Migrations:        res.Migrations,
-		MigrationDowntime: res.MigrationDowntime,
-		OverheadWork:      res.OverheadWork,
-		QueryWork:         res.QueryWork,
-		Crashes:           res.Crashes,
-		DownSeconds:       res.DownSeconds,
-		TuplesLost:        res.TuplesLost,
-	}
-	for k, v := range res.PlanUse {
-		r.PlanUse[k] = v
-	}
-	return r
 }

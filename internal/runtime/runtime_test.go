@@ -1,10 +1,10 @@
 package runtime
 
 import (
+	"math"
 	"testing"
 
 	"rld/internal/gen"
-	"rld/internal/metrics"
 	"rld/internal/physical"
 	"rld/internal/query"
 	"rld/internal/stats"
@@ -36,41 +36,28 @@ func TestStaticPolicy(t *testing.T) {
 	}
 }
 
-func TestFromSim(t *testing.T) {
-	res := metrics.NewRuntime("RLD")
-	res.Ingested = 100
-	res.Produced = 40
-	res.Dropped = 3
-	res.Batches = 10
-	res.PlanUse["0,1"] = 6
-	res.PlanUse["1,0"] = 4
-	res.PlanSwitches = 2
-	res.Migrations = 1
-	res.MigrationDowntime = 0.5
-	res.OverheadWork = 7
-	res.QueryWork = 70
-	res.Latency.Observe(0.2, 100)
+func TestTimeline(t *testing.T) {
+	var tl Timeline
+	if tl.ValueAt(100) != 0 {
+		t.Fatal("empty timeline should read 0")
+	}
+	tl.Record(10, 100)
+	tl.Record(20, 250)
+	tl.Record(30, 400)
+	if tl.ValueAt(5) != 0 || tl.ValueAt(10) != 100 || tl.ValueAt(25) != 250 || tl.ValueAt(99) != 400 {
+		t.Fatal("ValueAt interpolation wrong")
+	}
+}
 
-	r := FromSim(res)
-	if r.Policy != "RLD" || r.Substrate != "sim" {
-		t.Fatalf("header = %q/%q", r.Policy, r.Substrate)
+func TestReportOverheadRatio(t *testing.T) {
+	r := &Report{Policy: "RLD"}
+	if r.OverheadRatio() != 0 {
+		t.Fatal("empty ratio should be 0")
 	}
-	if r.OutputRatio() != 0.4 {
-		t.Fatalf("ratio = %v", r.OutputRatio())
-	}
-	if r.PlanCount() != 2 || r.PlanUse["0,1"] != 6 {
-		t.Fatalf("plan use = %v", r.PlanUse)
-	}
-	if r.MeanLatencyMS != 200 {
-		t.Fatalf("latency = %v", r.MeanLatencyMS)
-	}
-	if r.Batches != 10 || r.PlanSwitches != 2 || r.Migrations != 1 {
-		t.Fatalf("counters = %+v", r)
-	}
-	// The report owns its map.
-	r.PlanUse["0,1"] = 99
-	if res.PlanUse["0,1"] != 6 {
-		t.Fatal("FromSim aliased the PlanUse map")
+	r.QueryWork = 1000
+	r.OverheadWork = 20
+	if got := r.OverheadRatio(); math.Abs(got-0.02) > 1e-12 {
+		t.Fatalf("OverheadRatio = %v, want 0.02", got)
 	}
 }
 

@@ -145,6 +145,52 @@ func TestSessionResultsAndEvents(t *testing.T) {
 	}
 }
 
+// openers returns, per substrate, a function opening a fault-free session
+// of the conformance workload under a fresh policy from pol.
+func openers(t *testing.T, q *query.Query, cl *cluster.Cluster, pol func() rt.Policy) map[string]func() (rt.Session, error) {
+	return map[string]func() (rt.Session, error){
+		"sim": func() (rt.Session, error) { return openSimSession(t, q, cl, pol(), nil, 0), nil },
+		"engine": func() (rt.Session, error) {
+			return engine.OpenSession(q, cl.N(), pol(), liveOptions(nil))
+		},
+		"net": func() (rt.Session, error) {
+			return netrt.OpenSession(q, cl.N(), pol(), liveOptions(nil), nil)
+		},
+	}
+}
+
+// TestSessionVirtualTimeIsMaxTimestamp pins the one clock rule on every
+// substrate: a batch advances virtual time to its maximum timestamp, not its
+// last row's, so a batch whose rows arrive out of order stamps the same time
+// on sim, engine and net.
+func TestSessionVirtualTimeIsMaxTimestamp(t *testing.T) {
+	q := conformanceQuery()
+	cl := cluster.NewHomogeneous(2, 1e6)
+	mkPol := func() rt.Policy {
+		return &rt.StaticPolicy{PolicyName: "FIXED", Plan: query.Plan{1, 0}, Assign: []int{0, 1}}
+	}
+	ctx := context.Background()
+	for name, open := range openers(t, q, cl, mkPol) {
+		ses, err := open()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b := stream.NewBatch(q.Streams[0])
+		for i, ts := range []stream.Time{3, 7, 5} {
+			b.Append(&stream.Tuple{Stream: q.Streams[0], Seq: uint64(i), Ts: ts, Key: 1, Vals: []float64{10}, Arrival: ts})
+		}
+		if err := ses.Ingest(ctx, b); err != nil {
+			t.Fatalf("%s ingest: %v", name, err)
+		}
+		if vt := ses.Stats().VirtualTime; vt != 7 {
+			t.Errorf("%s: virtual time %v after a batch stamped 3, 7, 5; want its maximum 7", name, vt)
+		}
+		if _, err := ses.Close(ctx); err != nil {
+			t.Fatalf("%s close: %v", name, err)
+		}
+	}
+}
+
 // TestClosedSessionAnswersErrClosed: on every substrate, once Close has been
 // called — whether it returned the report, or its context had already expired
 // and the shutdown finished behind the caller's back — every operation
@@ -157,15 +203,7 @@ func TestClosedSessionAnswersErrClosed(t *testing.T) {
 	mkPol := func() rt.Policy {
 		return &rt.StaticPolicy{PolicyName: "FIXED", Plan: query.Plan{1, 0}, Assign: []int{0, 1}}
 	}
-	open := map[string]func() (rt.Session, error){
-		"sim": func() (rt.Session, error) { return openSimSession(t, q, cl, mkPol(), nil, 0), nil },
-		"engine": func() (rt.Session, error) {
-			return engine.OpenSession(q, cl.N(), mkPol(), liveOptions(nil))
-		},
-		"net": func() (rt.Session, error) {
-			return netrt.OpenSession(q, cl.N(), mkPol(), netrt.Options{Session: liveOptions(nil)})
-		},
-	}
+	open := openers(t, q, cl, mkPol)
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, closeCtx := range []struct {
@@ -225,11 +263,11 @@ func TestNilInputsAreErrors(t *testing.T) {
 		run  func() error
 	}{
 		{"net session without a policy", func() error {
-			_, err := netrt.OpenSession(q, 2, nil, netrt.Options{})
+			_, err := netrt.OpenSession(q, 2, nil, engine.SessionOptions{}, nil)
 			return err
 		}},
 		{"net session without a query", func() error {
-			_, err := netrt.OpenSession(nil, 2, pol, netrt.Options{})
+			_, err := netrt.OpenSession(nil, 2, pol, engine.SessionOptions{}, nil)
 			return err
 		}},
 		{"replay without a feed", func() error {

@@ -108,9 +108,9 @@ func TestSlowdownStretchesService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slowed.Latency.Mean() <= base.Latency.Mean() {
-		t.Fatalf("slowdown did not raise latency: %v ≤ %v",
-			slowed.Latency.Mean(), base.Latency.Mean())
+	if slowed.MeanLatencyMS <= base.MeanLatencyMS {
+		t.Fatalf("slowdown did not raise latency: %vms ≤ %vms",
+			slowed.MeanLatencyMS, base.MeanLatencyMS)
 	}
 	if slowed.Crashes != 0 || slowed.DownSeconds != 0 {
 		t.Fatalf("slowdown accounted as crash: %d/%v", slowed.Crashes, slowed.DownSeconds)

@@ -95,7 +95,7 @@ func (ss *Session) observeResult(t, count float64) {
 }
 
 // Ingest implements runtime.Session: advance virtual time to the batch's
-// last timestamp (firing due ticks, samples, service completions, and
+// maximum timestamp (firing due ticks, samples, service completions, and
 // scripted faults) and admit its tuple count through the admission
 // protocol. Virtual time has no backpressure, so Ingest never blocks.
 func (ss *Session) Ingest(ctx context.Context, b *stream.Batch) error {
@@ -113,7 +113,7 @@ func (ss *Session) TryIngest(b *stream.Batch) error {
 		return runtime.ErrClosed
 	}
 	if b.Len() > 0 {
-		ss.s.advanceTo(float64(b.LastTs()))
+		ss.s.advanceTo(float64(b.MaxTs()))
 	}
 	ss.s.admit(float64(b.Len()))
 	return nil
@@ -233,7 +233,7 @@ func (ss *Session) Close(context.Context) (*runtime.Report, error) {
 		end = ss.s.now
 	}
 	ss.s.advanceTo(end)
-	rep := runtime.FromSim(ss.s.finish())
+	rep := ss.s.finish()
 	rep.Policy = ss.s.pol.Name()
 	if ss.results != nil {
 		close(ss.results)

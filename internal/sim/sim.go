@@ -17,7 +17,6 @@ import (
 	"rld/internal/chaos"
 	"rld/internal/cluster"
 	"rld/internal/gen"
-	"rld/internal/metrics"
 	"rld/internal/physical"
 	"rld/internal/query"
 	"rld/internal/runtime"
@@ -227,8 +226,10 @@ type Sim struct {
 	assign   physical.Assignment
 	paused   map[int]float64 // op → pause end time
 	monitor  *stats.Monitor
-	res      *metrics.Runtime
-	lastKey  string // last batch plan key, for switch counting
+	res      *runtime.Report
+	latSum   float64 // Σ latency × tuples over completed batches, seconds
+	latWt    float64 // Σ tuples over completed batches; see finish
+	lastKey  string  // last batch plan key, for switch counting
 	batchID  int64
 	finished bool
 
@@ -268,7 +269,7 @@ func New(sc *Scenario, pol Policy) (*Sim, error) {
 		assign:  assign.Clone(),
 		paused:  make(map[int]float64),
 		monitor: stats.NewMonitor(len(sc.Query.Ops), 0.6, sc.SampleEvery*0.99),
-		res:     metrics.NewRuntime(pol.Name()),
+		res:     &runtime.Report{Policy: pol.Name(), Substrate: "sim", PlanUse: make(map[string]int64)},
 	}
 	for _, n := range sc.Cluster.Nodes {
 		s.nodes = append(s.nodes, &node{id: n.ID, capacity: n.Capacity, slow: 1})
@@ -301,8 +302,8 @@ func (s *Sim) seedControl() {
 
 // Run executes the simulation off the scenario's own arrival processes (an
 // externally driven session supplies batches instead) and returns its
-// metrics.
-func (s *Sim) Run() *metrics.Runtime {
+// report.
+func (s *Sim) Run() *runtime.Report {
 	for _, st := range s.sc.Query.Streams {
 		s.scheduleNextBatch(st, 0)
 	}
@@ -360,7 +361,7 @@ func (s *Sim) dispatch(e *event) {
 // likewise loses a still-down node's parked backlog at Stop). The cut is
 // the horizon, or the clock's high-water mark for an externally driven
 // session that ran past it.
-func (s *Sim) finish() *metrics.Runtime {
+func (s *Sim) finish() *runtime.Report {
 	if s.finished {
 		return s.res
 	}
@@ -381,6 +382,9 @@ func (s *Sim) finish() *metrics.Runtime {
 		n.queued = 0
 	}
 	s.res.ProducedOverTime.Record(end, s.res.Produced)
+	if s.latWt != 0 {
+		s.res.MeanLatencyMS = s.latSum / s.latWt * 1000
+	}
 	return s.res
 }
 
@@ -618,7 +622,8 @@ func (s *Sim) onStageDone(nodeID int, epoch int) {
 		if b.stage >= len(b.plan) {
 			out := b.tuples * b.carry
 			s.res.Produced += out
-			s.res.Latency.Observe(s.now-b.arrival, b.tuples)
+			s.latSum += (s.now - b.arrival) * b.tuples
+			s.latWt += b.tuples
 			if s.onResult != nil && out > 0 {
 				s.onResult(s.now, out)
 			}
@@ -702,7 +707,7 @@ func (s *Sim) onSample() {
 func (s *Sim) Assignment() physical.Assignment { return s.assign.Clone() }
 
 // Run is a convenience one-shot: build and run.
-func Run(sc *Scenario, pol Policy) (*metrics.Runtime, error) {
+func Run(sc *Scenario, pol Policy) (*runtime.Report, error) {
 	s, err := New(sc, pol)
 	if err != nil {
 		return nil, err

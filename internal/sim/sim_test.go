@@ -97,12 +97,12 @@ func TestSimLatencyLowWhenUnderloaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Latency.Count() == 0 {
+	if res.MeanLatencyMS == 0 {
 		t.Fatal("no latency observations")
 	}
 	// Service of a 10-tuple batch over 3 ops at 100k units/s is sub-ms.
-	if res.Latency.Mean() > 0.05 {
-		t.Fatalf("underloaded mean latency %v too high", res.Latency.Mean())
+	if res.MeanLatencyMS > 50 {
+		t.Fatalf("underloaded mean latency %vms too high", res.MeanLatencyMS)
 	}
 }
 
@@ -117,8 +117,8 @@ func TestSimOverloadGrowsLatencyAndStarvesOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hi.Latency.Mean() <= 10*lo.Latency.Mean() {
-		t.Fatalf("overload latency %v should dwarf underload %v", hi.Latency.Mean(), lo.Latency.Mean())
+	if hi.MeanLatencyMS <= 10*lo.MeanLatencyMS {
+		t.Fatalf("overload latency %vms should dwarf underload %vms", hi.MeanLatencyMS, lo.MeanLatencyMS)
 	}
 	ratioLo := lo.Produced / lo.Ingested
 	ratioHi := hi.Produced / hi.Ingested
@@ -231,8 +231,8 @@ func TestSimTimelineMonotone(t *testing.T) {
 			t.Fatal("cumulative production decreased")
 		}
 	}
-	if tl.Final() != res.Produced {
-		t.Fatalf("timeline final %v != produced %v", tl.Final(), res.Produced)
+	if final := tl.Values[len(tl.Values)-1]; final != res.Produced {
+		t.Fatalf("timeline final %v != produced %v", final, res.Produced)
 	}
 }
 
@@ -284,7 +284,7 @@ func TestSimDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &struct{ produced, latency float64 }{res.Produced, res.Latency.Mean()}
+		return &struct{ produced, latency float64 }{res.Produced, res.MeanLatencyMS}
 	}
 	a, b := run(), run()
 	if a.produced != b.produced || a.latency != b.latency {

@@ -287,10 +287,7 @@ func Open(ctx context.Context, dep *Deployment, pol Policy, opts ...Option) (*Pi
 	var s *engine.Session
 	var err error
 	if cfg.distributed {
-		s, err = netrt.OpenSession(dep.Query, nNodes, pol, netrt.Options{
-			Session: sopts,
-			Cluster: netrt.ClusterConfig{WorkerCommand: cfg.workerCmd},
-		})
+		s, err = netrt.OpenSession(dep.Query, nNodes, pol, sopts, cfg.workerCmd)
 	} else {
 		s, err = engine.OpenSession(dep.Query, nNodes, pol, sopts)
 	}

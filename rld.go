@@ -260,13 +260,7 @@ type (
 // Run simulates scenario sc under policy pol to its horizon, driven by the
 // scenario's own arrival processes. (Open with WithSimulation is the
 // externally fed simulator: it waits for Ingest.)
-func Run(sc *Scenario, pol Policy) (*Report, error) {
-	res, err := sim.Run(sc, pol)
-	if err != nil {
-		return nil, err
-	}
-	return runtime.FromSim(res), nil
-}
+func Run(sc *Scenario, pol Policy) (*Report, error) { return sim.Run(sc, pol) }
 
 // NewROD builds the resilient-operator-distribution baseline for the
 // deployment's query and space on the cluster.
