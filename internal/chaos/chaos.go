@@ -110,28 +110,6 @@ func (p *FaultPlan) SnapshotEvery() float64 {
 // Empty reports whether the plan schedules no faults.
 func (p *FaultPlan) Empty() bool { return p == nil || len(p.Faults) == 0 }
 
-// Crashes returns the number of scripted crash faults.
-func (p *FaultPlan) Crashes() int {
-	n := 0
-	for _, f := range p.Faults {
-		if f.Kind == Crash {
-			n++
-		}
-	}
-	return n
-}
-
-// ScheduledDownSeconds sums the scripted crash outage durations.
-func (p *FaultPlan) ScheduledDownSeconds() float64 {
-	s := 0.0
-	for _, f := range p.Faults {
-		if f.Kind == Crash {
-			s += f.Until - f.At
-		}
-	}
-	return s
-}
-
 // Validate checks the plan against a cluster size: node indexes in range,
 // positive intervals, slowdown factors in (0, 1], and no overlapping
 // same-kind faults on one node — a node cannot crash while already down,

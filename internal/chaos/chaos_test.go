@@ -141,11 +141,15 @@ func TestPlanAccounting(t *testing.T) {
 	if p.Mode != LoseState {
 		t.Fatalf("mode = %v", p.Mode)
 	}
-	if p.Crashes() != 2 {
-		t.Fatalf("crashes = %d", p.Crashes())
+	crashes, down := 0, 0.0
+	for _, f := range p.Faults {
+		if f.Kind == Crash {
+			crashes++
+			down += f.Until - f.At
+		}
 	}
-	if got := p.ScheduledDownSeconds(); got != 60 {
-		t.Fatalf("scheduled down seconds = %v", got)
+	if crashes != 2 || down != 60 {
+		t.Fatalf("crashes = %d, scheduled down seconds = %v; want 2, 60", crashes, down)
 	}
 	if !strings.Contains(p.String(), "mode=lose") {
 		t.Fatalf("String() lost the mode: %q", p.String())

@@ -20,9 +20,10 @@
 // Crashed nodes report +Inf load so failure-aware policies can evacuate them.
 //
 // The Engine is the one router for every live substrate. It owns plan
-// choice and interning, the statistics offers, the per-node queue and worker
-// pool, the pending count behind Drain and backpressure, the down/parked
-// failure state, slowdowns, the sink and its counters, and recovery: the
+// choice and interning, the statistics offers and the selectivity counters
+// behind them, the per-node queue and worker pool, the pending count behind
+// Drain and backpressure, the down/parked failure state and the record of
+// every outage, slowdowns, the sink and its counters, and recovery: the
 // checkpoint, the exactly-once write-ahead log and the restore-then-replay
 // that rebuilds a node from them (durable.go). What it does not own is
 // operator state: it reaches that through a Transport — in-process
@@ -138,6 +139,12 @@ type nodeState struct {
 	wg   sync.WaitGroup
 	// slow is the current capacity factor in (0, 1], as float64 bits.
 	slow atomic.Uint64
+	// downAt is the virtual time the current outage began; downFor sums
+	// the lengths of the finished ones. They are the run's only outage
+	// record, whoever took the node down. (Last, so the hot fields above
+	// keep their cache-line placement.)
+	downAt  float64 //rldlint:guardedby mu
+	downFor float64 //rldlint:guardedby mu
 }
 
 // push appends msg to the queue. Taking only advances head, so once the
@@ -184,7 +191,8 @@ type Engine struct {
 
 	nodes []*nodeState
 	// core is the query's operator metadata — the join schema whose blocks
-	// result tuples are built in, the normalized config. In the
+	// result tuples are built in, the normalized config — and the run's
+	// only selectivity counters, whichever transport ran the stages. In the
 	// in-process engine it also holds every operator's window state, which
 	// the router touches only through t.
 	core *NodeCore
@@ -218,7 +226,7 @@ type Engine struct {
 	statBatches atomic.Int64 // offerStats rate limiter
 	lost        atomic.Int64 // partial results destroyed by faults
 	restores    atomic.Int64 // checkpoint-restores on recovery
-	crashes     atomic.Int64 // Crash calls applied
+	crashes     atomic.Int64 // outages begun, injected or detected
 	downCount   atomic.Int32 // nodes currently down, for the all-down check
 
 	// resultObs, when set, taps every non-empty sink emission (sessions
@@ -276,6 +284,13 @@ type Engine struct {
 	// canonical clone plus its precomputed key, so recurring plans skip
 	// the per-batch Clone/Valid/Key allocations. Bounded by maxInterned.
 	plans []internedPlan //rldlint:guardedby mu
+
+	// onOutage, when set, is told each outage's EventCrash and
+	// EventRecovery under the node's lock. A session sets it; it is atomic
+	// because a transport's failure detection runs before the session
+	// exists. (Last, so the hot fields above keep their cache-line
+	// placement.)
+	onOutage atomic.Pointer[func(runtime.Event)]
 }
 
 // routing is one version of the routing table: where every operator runs
@@ -362,7 +377,7 @@ func NewOn(core *NodeCore, t Transport, assign physical.Assignment, nNodes int, 
 		cfg:        cfg,
 		core:       core,
 		t:          t,
-		monitor:    stats.NewMonitor(len(q.Ops), 0.5, 0),
+		monitor:    stats.NewMonitor(len(q.Ops), 0.5),
 		planUse:    make(map[string]int64),
 		rateCount:  make(map[string]float64),
 		nodeQueued: make([]atomic.Int64, nNodes),
@@ -724,7 +739,7 @@ func (e *Engine) offerStats(force bool) {
 	if !force && e.statBatches.Add(1)%statsEvery != 1 {
 		return
 	}
-	sels := e.t.ObservedSels()
+	sels := e.core.ObservedSels()
 	e.mu.Lock()
 	rates := make(map[string]float64, len(e.rateCount))
 	for k, v := range e.rateCount {
@@ -825,10 +840,16 @@ func (e *Engine) Migrate(op, node int) error {
 	return nil
 }
 
-// Crash takes a node down (see MarkDown) under the given recovery mode and
-// counts it. Crashing a crashed node is a no-op. Crash must be called from
-// the control goroutine (like Migrate).
+// Crash takes a node down now (see MarkDown) under the given recovery mode.
+// Crashing a crashed node is a no-op. Crash must be called from the control
+// goroutine (like Migrate).
 func (e *Engine) Crash(node int, mode chaos.RecoveryMode) error {
+	return e.crashAt(node, mode, e.appTime())
+}
+
+// crashAt is Crash with the outage beginning at virtual time t, a scripted
+// edge's own time.
+func (e *Engine) crashAt(node int, mode chaos.RecoveryMode, t float64) error {
 	if err := e.controlReady(); err != nil {
 		return err
 	}
@@ -837,14 +858,18 @@ func (e *Engine) Crash(node int, mode chaos.RecoveryMode) error {
 	}
 	ns := e.nodes[node]
 	ns.mu.Lock()
-	down, gen := ns.down, ns.gen
+	gen := ns.gen
 	ns.mu.Unlock()
-	if down {
-		return nil
-	}
-	e.crashes.Add(1)
-	e.MarkDown(node, gen, mode)
+	e.markDown(node, gen, mode, t)
 	return nil
+}
+
+// tellOutage hands one edge of an outage to the onOutage hook, if any.
+// Caller holds the node's lock.
+func (e *Engine) tellOutage(kind runtime.EventKind, node int, t float64) {
+	if h := e.onOutage.Load(); h != nil {
+		(*h)(runtime.Event{Kind: kind, T: t, Node: node, Op: -1})
+	}
 }
 
 // MarkDown takes node down if it is still incarnation gen and still up:
@@ -856,8 +881,15 @@ func (e *Engine) Crash(node int, mode chaos.RecoveryMode) error {
 // It is the one way a node goes down, for Crash and for a node that fails
 // on its own — a worker whose stage died under it, a transport's heartbeat
 // or process reaper — so it is safe from any goroutine and never waits for
-// the pool: the caller may be in it. Recover and Stop wait it out.
+// the pool: the caller may be in it. Recover and Stop wait it out. Every
+// outage it begins is booked alike: one crash, one EventCrash, and down
+// time from now until its Recover.
 func (e *Engine) MarkDown(node int, gen uint64, mode chaos.RecoveryMode) {
+	e.markDown(node, gen, mode, e.appTime())
+}
+
+// markDown is MarkDown with the outage beginning at virtual time t.
+func (e *Engine) markDown(node int, gen uint64, mode chaos.RecoveryMode, t float64) {
 	ns := e.nodes[node]
 	ns.mu.Lock()
 	if ns.down || ns.gen != gen {
@@ -867,6 +899,9 @@ func (e *Engine) MarkDown(node int, gen uint64, mode chaos.RecoveryMode) {
 	ns.down = true
 	ns.mode = mode
 	ns.pool++
+	ns.downAt = t
+	e.crashes.Add(1)
+	e.tellOutage(runtime.EventCrash, node, t)
 	ns.mu.Unlock()
 	ns.ready.Broadcast()
 	e.downCount.Add(1)
@@ -911,6 +946,11 @@ func (e *Engine) sweep(node int) {
 // outage). Recovering a live node is a no-op; a failed revival leaves the
 // node down.
 func (e *Engine) Recover(node int) error {
+	return e.recoverAt(node, e.appTime())
+}
+
+// recoverAt is Recover with the outage ending at virtual time t.
+func (e *Engine) recoverAt(node int, t float64) error {
 	if err := e.controlReady(); err != nil {
 		return err
 	}
@@ -942,6 +982,8 @@ func (e *Engine) Recover(node int) error {
 	// straight to the queue, everything parked before the flip replays.
 	ns.mu.Lock()
 	ns.down = false
+	ns.downFor += t - ns.downAt
+	e.tellOutage(runtime.EventRecovery, node, t)
 	e.downCount.Add(-1)
 	parked := ns.parked
 	ns.parked = nil
@@ -992,6 +1034,21 @@ func (e *Engine) NodeLoads() []float64 {
 	return out
 }
 
+// downSeconds is the virtual time nodes have spent down as of now: every
+// finished outage, and each current one up to now.
+func (e *Engine) downSeconds(now float64) float64 {
+	total := 0.0
+	for _, ns := range e.nodes {
+		ns.mu.Lock()
+		total += ns.downFor
+		if ns.down && now > ns.downAt {
+			total += now - ns.downAt
+		}
+		ns.mu.Unlock()
+	}
+	return total
+}
+
 // Drain blocks until all in-flight messages are processed. The wait is
 // event-driven: workers signal every pending-count decrement, so Drain
 // wakes as the last message sinks instead of polling.
@@ -1036,7 +1093,8 @@ func (e *Engine) Stop() *runtime.Report {
 		}
 		// Retire the incarnation with its pool: the transport is about to
 		// let its nodes go, and a failure report racing that must find
-		// nothing to take down.
+		// nothing to take down. Having held every node's lock, Stop also
+		// outlives any outage hook call.
 		ns.gen++
 		ns.pool++
 		ns.mu.Unlock()

@@ -256,10 +256,9 @@ func (s *opState) insertBatch(b *stream.Batch, sc *shardScratch) {
 	}
 }
 
-// ObservedSel is the one observed-selectivity rule, for in-process operator
-// state and for netrt's leader-side counters alike: the optimizer's estimate
-// est until the operator has seen 32 inputs, then out/in.
-func ObservedSel(est float64, in, out int64) float64 {
+// observedSel is the observed-selectivity rule: the optimizer's estimate est
+// until the operator has seen 32 inputs, then out/in.
+func observedSel(est float64, in, out int64) float64 {
 	if in < 32 {
 		return est
 	}
@@ -530,19 +529,26 @@ func (c *NodeCore) ProcessStage(op int, partials []*stream.Joined) ([]*stream.Jo
 }
 
 // SelCounters returns operator op's cumulative observed-selectivity
-// numerator/denominator (pairs examined and matches for joins, tuples
-// examined and passed for selections) — workers piggyback these on stage
-// replies so the leader's monitor sees the same signal the in-process
-// engine does.
+// denominator/numerator (pairs examined and matches for joins, tuples
+// examined and passed for selections). A worker differences them around a
+// stage to report that stage's own counts.
 func (c *NodeCore) SelCounters(op int) (in, out int64) {
 	return c.ops[op].in.Load(), c.ops[op].out.Load()
+}
+
+// AddSelCounters adds a stage's counts, run elsewhere, to operator op's
+// counters: the router's NodeCore keeps the only counters of a run, and a
+// remote stage reports its counts here.
+func (c *NodeCore) AddSelCounters(op int, in, out int64) {
+	c.ops[op].in.Add(in)
+	c.ops[op].out.Add(out)
 }
 
 // ObservedSels returns every operator's observed selectivity.
 func (c *NodeCore) ObservedSels() []float64 {
 	sels := make([]float64, len(c.ops))
 	for i, st := range c.ops {
-		sels[i] = ObservedSel(st.op.Sel, st.in.Load(), st.out.Load())
+		sels[i] = observedSel(st.op.Sel, st.in.Load(), st.out.Load())
 	}
 	return sels
 }

@@ -489,10 +489,10 @@ func TestEngineProbeExpiresStaleShards(t *testing.T) {
 }
 
 func TestEngineObservedSelWithAtomicCounters(t *testing.T) {
-	if got := ObservedSel(0.7, 31, 5); got != 0.7 {
-		t.Fatalf("unprimed ObservedSel = %v, want the estimate", got)
+	if got := observedSel(0.7, 31, 5); got != 0.7 {
+		t.Fatalf("unprimed observedSel = %v, want the estimate", got)
 	}
-	if got := ObservedSel(0.7, 64, 16); got != 0.25 {
-		t.Fatalf("ObservedSel = %v, want 0.25", got)
+	if got := observedSel(0.7, 64, 16); got != 0.25 {
+		t.Fatalf("observedSel = %v, want 0.25", got)
 	}
 }

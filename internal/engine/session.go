@@ -88,16 +88,14 @@ type Session struct {
 	// admission holds the read side, so control decisions still exclude
 	// all in-flight admissions (a tick's Drain settles a quiesced
 	// pipeline), while admissions exclude only each other's edges.
-	mu          sync.RWMutex
-	nextTick    float64
-	cursor      *chaos.Cursor
-	nextCkpt    float64
-	downSince   map[int]float64
-	downSeconds float64
-	migrations  int
-	downtime    float64
-	swaps       int
-	closed      bool
+	mu         sync.RWMutex
+	nextTick   float64
+	cursor     *chaos.Cursor
+	nextCkpt   float64
+	migrations int
+	downtime   float64
+	swaps      int
+	closed     bool
 
 	// done is set at construction and never reassigned; it closes as
 	// finish's last act, after report is published under mu, so a
@@ -161,7 +159,6 @@ func OpenSessionOn(e *Engine, substrate string, pol runtime.Policy, opts Session
 		maxPending: int64(opts.MaxPending),
 		start:      time.Now(), //rldlint:allow wallclock -- Result.WallSeconds reports host wall time by contract
 		pol:        pol,
-		downSince:  make(map[int]float64),
 		nextCkpt:   math.Inf(1),
 		closeCh:    make(chan struct{}),
 		done:       make(chan struct{}),
@@ -185,9 +182,9 @@ func OpenSessionOn(e *Engine, substrate string, pol runtime.Policy, opts Session
 	s.events = make(chan runtime.Event, evBuf)
 	// The chooser runs synchronously inside Engine.Ingest, possibly from
 	// many producers at once; polMu serializes the policy call, honoring
-	// the Policy contract's serial-caller promise. Plan switches are the
-	// router's to detect: it counts an accepted batch's switch and reports
-	// it here in one critical section, so events and count agree.
+	// the Policy contract's serial-caller promise. Plan switches and outages
+	// are the router's to detect: it counts each and reports it here in one
+	// critical section, so events and counts agree.
 	e.SetChooser(ChooserFunc(func(snap stats.Snapshot) query.Plan {
 		s.polMu.Lock()
 		defer s.polMu.Unlock()
@@ -196,6 +193,8 @@ func OpenSessionOn(e *Engine, substrate string, pol runtime.Policy, opts Session
 	e.onSwitch = func(key string) {
 		s.emit(runtime.Event{Kind: runtime.EventPlanSwitch, T: s.e.appTime(), Node: -1, Op: -1, Plan: key})
 	}
+	emit := s.emit
+	e.onOutage.Store(&emit)
 	if opts.ResultBuffer > 0 {
 		s.results = make(chan runtime.ResultBatch, opts.ResultBuffer)
 		e.SetResultObserver(s.observeResult)
@@ -236,9 +235,11 @@ func (s *Session) observeResult(tuples []*stream.Joined, _ time.Time) {
 }
 
 // emit delivers an event without blocking and never re-enters the engine,
-// so the router may call it under its own lock. Callers hold mu (either
-// side), and Close only closes the channel once every admission and
-// control path has drained, so emission never races the close.
+// so the router may call it under its own locks. Callers hold mu (either
+// side) or, for an outage edge, the router's lock on the node; Close
+// closes the channel only after every admission and control path has
+// drained and Stop has taken every node's lock, so emission never races
+// the close.
 func (s *Session) emit(ev runtime.Event) {
 	select {
 	case s.events <- ev:
@@ -284,9 +285,9 @@ func (s *Session) applyFaults(now float64) {
 		f := ev.Fault
 		switch {
 		case f.Kind == chaos.Crash && ev.Begin:
-			_ = s.crashAt(f.Node, ev.T) // a scripted edge that cannot apply is skipped
+			_ = s.e.crashAt(f.Node, s.mode, ev.T) // a scripted edge that cannot apply is skipped
 		case f.Kind == chaos.Crash && !ev.Begin:
-			_ = s.recoverAt(f.Node, ev.T)
+			_ = s.e.recoverAt(f.Node, ev.T)
 		case f.Kind == chaos.Slowdown && ev.Begin:
 			s.e.SetSlowdown(f.Node, f.Factor)
 			s.emit(runtime.Event{Kind: runtime.EventSlowdown, T: ev.T, Node: f.Node, Op: -1, Factor: f.Factor})
@@ -295,38 +296,6 @@ func (s *Session) applyFaults(now float64) {
 			s.emit(runtime.Event{Kind: runtime.EventSlowdown, T: ev.T, Node: f.Node, Op: -1, Factor: 1})
 		}
 	}
-}
-
-// crashAt takes node down at virtual time t under the session's recovery
-// mode, for a scripted edge and for Crash alike. The bookkeeping is guarded
-// on downSince, not on the engine's error: Crash returns nil for an
-// already-down node (one edge scripted, one manual), and double-booking
-// would corrupt the downtime accounting and duplicate the event. Caller
-// holds mu.
-func (s *Session) crashAt(node int, t float64) error {
-	if err := s.e.Crash(node, s.mode); err != nil {
-		return err
-	}
-	if _, dn := s.downSince[node]; !dn {
-		s.downSince[node] = t
-		s.emit(runtime.Event{Kind: runtime.EventCrash, T: t, Node: node, Op: -1})
-	}
-	return nil
-}
-
-// recoverAt brings node back at virtual time t, with the same guard on the
-// way up: recovering a node already recovered must be a no-op, not a
-// phantom downtime interval. Caller holds mu.
-func (s *Session) recoverAt(node int, t float64) error {
-	if err := s.e.Recover(node); err != nil {
-		return err
-	}
-	if since, dn := s.downSince[node]; dn {
-		s.downSeconds += t - since
-		delete(s.downSince, node)
-		s.emit(runtime.Event{Kind: runtime.EventRecovery, T: t, Node: node, Op: -1})
-	}
-	return nil
 }
 
 // addOverhead accounts the policy's per-batch classification work.
@@ -498,7 +467,7 @@ func (s *Session) Crash(node int) error {
 	if s.closed {
 		return runtime.ErrClosed
 	}
-	return s.crashAt(node, s.e.appTime())
+	return s.e.Crash(node, s.mode)
 }
 
 // Recover implements runtime.Session.
@@ -508,7 +477,7 @@ func (s *Session) Recover(node int) error {
 	if s.closed {
 		return runtime.ErrClosed
 	}
-	return s.recoverAt(node, s.e.appTime())
+	return s.e.Recover(node)
 }
 
 // Stats implements runtime.Session. The counter snapshot is taken under
@@ -521,12 +490,6 @@ func (s *Session) Stats() runtime.SessionStats {
 	defer s.mu.Unlock()
 	r := s.e.report()
 	now := s.e.appTime()
-	ds := s.downSeconds
-	for _, since := range s.downSince {
-		if now > since {
-			ds += now - since
-		}
-	}
 	s.polMu.Lock()
 	polName := s.pol.Name()
 	s.polMu.Unlock()
@@ -544,7 +507,7 @@ func (s *Session) Stats() runtime.SessionStats {
 		Migrations:     s.migrations,
 		Crashes:        r.Crashes,
 		Restores:       r.Restores,
-		DownSeconds:    ds,
+		DownSeconds:    s.e.downSeconds(now),
 		ResultsDropped: s.resultsDropped.Load(),
 		EventsDropped:  s.eventsDropped.Load(),
 	}
@@ -574,17 +537,13 @@ func (s *Session) Close(ctx context.Context) (*runtime.Report, error) {
 	// The feed is over; fire the remaining fault events up to the horizon
 	// (the simulator fires them as discrete events regardless of
 	// arrivals). A node whose scripted recovery lies beyond the horizon
-	// stays down — Stop counts its parked backlog as lost; only its
-	// downtime is finalized here.
+	// stays down — Stop counts its parked backlog as lost, and its
+	// downtime runs to the horizon.
 	end := s.opts.Horizon
 	if n := s.e.appTime(); end < n {
 		end = n
 	}
 	s.applyFaults(end)
-	for _, since := range s.downSince {
-		s.downSeconds += end - since
-	}
-	s.downSince = make(map[int]float64)
 	pol := s.pol //rldlint:allow guardedby -- pol writes hold mu too; this read holds mu's write side
 	s.mu.Unlock()
 
@@ -597,7 +556,7 @@ func (s *Session) Close(ctx context.Context) (*runtime.Report, error) {
 		rep.Policy, rep.Substrate = pol.Name(), s.substrate
 		rep.Migrations, rep.MigrationDowntime = s.migrations, s.downtime
 		rep.WallSeconds = time.Since(s.start).Seconds() //rldlint:allow wallclock -- host wall time by contract
-		rep.DownSeconds = s.downSeconds
+		rep.DownSeconds = s.e.downSeconds(end)
 		s.report = rep
 		s.mu.Unlock()
 		if s.results != nil {

@@ -18,8 +18,9 @@ type Transport interface {
 	Insert(node int, ops []int, b *stream.Batch) error
 	// RunStage executes operator op on node over the partials in and
 	// returns the survivors. On success ownership of in has passed to the
-	// transport; an error means the node died under the hop and in is
-	// still whole.
+	// transport, and the stage's selectivity counts are in the router's
+	// NodeCore, which keeps the only ones; an error means the node died
+	// under the hop, in is still whole, and nothing was counted.
 	RunStage(node, op int, in []*stream.Joined) (out []*stream.Joined, err error)
 	// SnapshotOp returns the current window contents of join operator op,
 	// which node hosts. An error means node could not be asked.
@@ -39,8 +40,6 @@ type Transport interface {
 	// of the routing-table swap that sends its stages there. An error means
 	// from could not give the state up, and to holds whatever it held.
 	MoveOp(op, from, to int) error
-	// ObservedSels returns every operator's observed selectivity.
-	ObservedSels() []float64
 	// Close releases the transport after the router has drained and
 	// stopped its pools.
 	Close()
@@ -94,9 +93,6 @@ func (l localTransport) Kill(int) {}
 // MoveOp implements Transport: operator state is shared memory, so a
 // migration is the routing-table swap alone.
 func (l localTransport) MoveOp(int, int, int) error { return nil }
-
-// ObservedSels implements Transport.
-func (l localTransport) ObservedSels() []float64 { return l.core.ObservedSels() }
 
 // Close implements Transport.
 func (l localTransport) Close() {}

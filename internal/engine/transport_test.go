@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -118,6 +119,14 @@ func (f *fakeTransport) Insert(node int, ops []int, b *stream.Batch) error {
 // is not empty.
 func newFakeEngine(t *testing.T, walDir string) (*Engine, *fakeTransport) {
 	t.Helper()
+	e, ft := newFakeRouter(t, walDir)
+	e.Start()
+	return e, ft
+}
+
+// newFakeRouter is newFakeEngine without the Start, for a session to open.
+func newFakeRouter(t *testing.T, walDir string) (*Engine, *fakeTransport) {
+	t.Helper()
 	q := query.NewNWayJoin("B", 2, 100)
 	q.Ops[0].Sel = 0.9
 	cfg := DefaultConfig()
@@ -134,7 +143,6 @@ func newFakeEngine(t *testing.T, walDir string) (*Engine, *fakeTransport) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Start()
 	return e, ft
 }
 
@@ -182,8 +190,8 @@ func TestStageFailureParksAndRecoverReplays(t *testing.T) {
 		t.Fatalf("loads %v: want node 1 down, node 0 up", loads)
 	}
 	c := e.report()
-	if c.TuplesLost != 0 || c.Crashes != 0 || c.Produced != before {
-		t.Fatalf("after the failed hop: lost=%v crashes=%d produced=%v (was %v); want it parked whole", c.TuplesLost, c.Crashes, c.Produced, before)
+	if c.TuplesLost != 0 || c.Crashes != 1 || c.Produced != before {
+		t.Fatalf("after the failed hop: lost=%v crashes=%d produced=%v (was %v); want one outage, the hop parked whole", c.TuplesLost, c.Crashes, c.Produced, before)
 	}
 	ft.mu.Lock()
 	kills := append([]int(nil), ft.kills...)
@@ -226,6 +234,79 @@ func TestStageFailureParksAndRecoverReplays(t *testing.T) {
 	}
 	if res := e.Stop(); res.TuplesLost != 0 {
 		t.Fatalf("lost %v tuples with nothing parked", res.TuplesLost)
+	}
+}
+
+// TestDetectedOutageEvents: an outage the router detects by itself — a stage
+// that fails under node 1's worker goroutine — is booked and told exactly
+// like a Crash call: one crash, one EventCrash at the clock's time, down time
+// until the Recover, one EventRecovery. And a failure report racing Close
+// never emits into the closed events channel: the router calls the hook
+// under the node's lock, and Stop takes every node's lock, retiring the
+// incarnation the report names, before Close closes the channel. Run under
+// -race at -cpu 1,4 in CI.
+func TestDetectedOutageEvents(t *testing.T) {
+	e, ft := newFakeRouter(t, "")
+	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 1}}
+	s, err := OpenSessionOn(e, "engine", pol, SessionOptions{EventBuffer: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ft.mu.Lock()
+	ft.failNext = 1
+	ft.mu.Unlock()
+	if err := s.Ingest(ctx, flatBatch("S1", 5, 20)); err != nil {
+		t.Fatal(err)
+	}
+	drainOrFail(t, e) // the failed hop has taken node 1 down
+	if err := s.Ingest(ctx, flatBatch("S1", 5, 50)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Crashes != 1 || st.DownSeconds != 30 {
+		t.Fatalf("mid-outage stats: crashes=%d down=%v, want 1 and 30", st.Crashes, st.DownSeconds)
+	}
+	if err := s.Recover(1); err != nil {
+		t.Fatal(err)
+	}
+
+	// Report node 0's incarnation of now down while Close runs, the way a
+	// transport's reaper reports the process it watched. The report takes
+	// no lock after its own, so nothing but the router's ordering can place
+	// its event before the channel closes.
+	ns := e.nodes[0]
+	ns.mu.Lock()
+	gen := ns.gen
+	ns.mu.Unlock()
+	reported := make(chan struct{})
+	go func() {
+		defer close(reported)
+		e.MarkDown(0, gen, chaos.Checkpoint)
+	}()
+	rep, err := s.Close(ctx)
+	<-reported
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crashes, recoveries []runtime.Event
+	for ev := range s.Events() {
+		switch ev.Kind {
+		case runtime.EventCrash:
+			crashes = append(crashes, ev)
+		case runtime.EventRecovery:
+			recoveries = append(recoveries, ev)
+		}
+	}
+	// Node 1's outage, then node 0's if a report beat Stop to it.
+	want1 := runtime.Event{Kind: runtime.EventCrash, T: 20, Node: 1, Op: -1}
+	if len(crashes) != rep.Crashes || len(crashes) == 0 || crashes[0] != want1 {
+		t.Fatalf("crash events %+v, report counts %d crashes; want node 1's at 20 first, one event per crash", crashes, rep.Crashes)
+	}
+	if want := (runtime.Event{Kind: runtime.EventRecovery, T: 50, Node: 1, Op: -1}); len(recoveries) != 1 || recoveries[0] != want {
+		t.Fatalf("recovery events %+v, want exactly %+v", recoveries, want)
+	}
+	if rep.DownSeconds != 30 {
+		t.Fatalf("report down seconds %v, want 30", rep.DownSeconds)
 	}
 }
 

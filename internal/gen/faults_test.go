@@ -13,8 +13,14 @@ func TestFaultsDeterministicAndValid(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("same seed diverged:\n%s\n%s", a, b)
 	}
-	if len(a.Faults) != 5 || a.Crashes() != 3 {
-		t.Fatalf("got %d faults / %d crashes", len(a.Faults), a.Crashes())
+	crashes := 0
+	for _, f := range a.Faults {
+		if f.Kind == chaos.Crash {
+			crashes++
+		}
+	}
+	if len(a.Faults) != 5 || crashes != 3 {
+		t.Fatalf("got %d faults / %d crashes", len(a.Faults), crashes)
 	}
 	if err := a.Validate(4); err != nil {
 		t.Fatalf("generated plan invalid: %v", err)

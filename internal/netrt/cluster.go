@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rld/internal/chaos"
@@ -110,9 +109,10 @@ type Cluster struct {
 	q   *query.Query
 	cfg ClusterConfig
 
-	// core is leader-side operator metadata only: the join schema (and
-	// its result pool) plus validated, normalized config. Its windows are
-	// never inserted into — all window state lives in the workers.
+	// core is the router's NodeCore: the join schema (and its result
+	// pool), validated, normalized config, and the selectivity counters
+	// RunStage adds each remote stage's counts to. Its windows are never
+	// inserted into — all window state lives in the workers.
 	core *engine.NodeCore
 
 	workers []*workerProc
@@ -122,11 +122,6 @@ type Cluster struct {
 
 	connCh    chan acceptedConn
 	earlyDead chan int
-
-	// selIn/selOut cache each operator's cumulative observed-selectivity
-	// counters as last reported by its worker on stage replies.
-	selIn  []atomic.Int64
-	selOut []atomic.Int64
 
 	hbQuit chan struct{}
 	hbDone chan struct{}
@@ -155,8 +150,6 @@ func NewCluster(q *query.Query, assign physical.Assignment, nNodes int, cfg Clus
 		epoch:     uint64(time.Now().UnixNano())<<8 | uint64(os.Getpid()&0xff), //rldlint:allow wallclock -- epoch fencing needs a host-unique monotone seed
 		connCh:    make(chan acceptedConn, nNodes),
 		earlyDead: make(chan int, nNodes),
-		selIn:     make([]atomic.Int64, len(q.Ops)),
-		selOut:    make([]atomic.Int64, len(q.Ops)),
 		hbQuit:    make(chan struct{}),
 		hbDone:    make(chan struct{}),
 	}
@@ -406,53 +399,40 @@ func (c *Cluster) call(wp *workerProc, t frameType, request func(*wire.Enc), wan
 	return rp, err
 }
 
-// RunStage implements engine.Transport: one stage RPC (or several, see
-// callStage) to the node's worker. An error leaves in whole; the router
-// marks the node down and parks or destroys the message.
+// RunStage implements engine.Transport: one logical stage on node's worker
+// — serialize the partials, execute remotely, decode the survivors and the
+// stage's own selectivity counts. A hop whose partials exceed the stage
+// chunk bound is issued as several stage RPCs whose counts add up. The
+// input stays whole leader-side, and nothing is counted, until every chunk
+// succeeds: a failed hop is parked or destroyed whole by the router, and a
+// parked one runs again after Recover.
 func (c *Cluster) RunStage(node, op int, in []*stream.Joined) ([]*stream.Joined, error) {
-	out, selIn, selOut, err := c.callStage(c.workers[node], op, in)
-	if err != nil {
-		return nil, err
-	}
-	c.core.ReleasePartials(in)
-	c.selIn[op].Store(selIn)
-	c.selOut[op].Store(selOut)
-	return out, nil
-}
-
-// callStage runs one logical stage on wp's worker: serialize the
-// partials, execute remotely, decode the survivors and the operator's
-// cumulative selectivity counters. A hop whose partials exceed the stage
-// chunk bound is issued as several stage RPCs (the counters are
-// cumulative, so the last response's values cover the whole hop); the
-// input stays whole leader-side until every chunk succeeds, so an error
-// anywhere lets the caller park or lose the full message exactly as with
-// a single-frame hop.
-func (c *Cluster) callStage(wp *workerProc, op int, partials []*stream.Joined) (out []*stream.Joined, selIn, selOut int64, err error) {
-	sch := c.core.Schema()
-	chunks := splitPartials(sch, partials, c.cfg.stageChunk)
+	chunks := splitPartials(c.core.Schema(), in, c.cfg.stageChunk)
 	if chunks == nil {
 		chunks = [][]*stream.Joined{nil} // empty hop still runs the stage
 	}
-	out = c.core.NewPartials()
+	out := c.core.NewPartials()
+	var sel [2]int64 // the hop's examined/passed counts, summed over its chunks
 	for _, ch := range chunks {
-		out, selIn, selOut, err = c.callStageChunk(wp, op, ch, out)
-		if err != nil {
+		var err error
+		if out, err = c.callStageChunk(c.workers[node], op, ch, out, &sel); err != nil {
 			c.core.ReleasePartials(out)
-			return nil, 0, 0, err
+			return nil, err
 		}
 	}
-	return out, selIn, selOut, nil
+	c.core.ReleasePartials(in)
+	c.core.AddSelCounters(op, sel[0], sel[1])
+	return out, nil
 }
 
-// callStageChunk performs one stage RPC and appends the decoded survivors
-// to dst. The reply may span several frames — frameStagePart
-// continuations followed by the frameStageResult that carries the
-// counters — each individually bounded, so the exchange never builds a
-// frame proportional to the hop's total fanout. Always returns dst (with
-// whatever was appended) so the caller can release pooled partials on
-// error.
-func (c *Cluster) callStageChunk(wp *workerProc, op int, ps, dst []*stream.Joined) (out []*stream.Joined, selIn, selOut int64, err error) {
+// callStageChunk performs one stage RPC, appends the decoded survivors to
+// dst and adds the chunk's counts to sel. The reply may span several
+// frames — frameStagePart continuations followed by the frameStageResult
+// that carries the counts — each individually bounded, so the exchange
+// never builds a frame proportional to the hop's total fanout. Always
+// returns dst (with whatever was appended) so the caller can release pooled
+// partials on error.
+func (c *Cluster) callStageChunk(wp *workerProc, op int, ps, dst []*stream.Joined, sel *[2]int64) ([]*stream.Joined, error) {
 	sch := c.core.Schema()
 	wp.callMu.Lock()
 	defer wp.callMu.Unlock()
@@ -461,45 +441,32 @@ func (c *Cluster) callStageChunk(wp *workerProc, op int, ps, dst []*stream.Joine
 		encodePartials(e, sch, ps)
 	})
 	if err != nil {
-		return dst, 0, 0, err
+		return dst, err
 	}
 	for {
 		// Re-arm per frame: a many-part reply is alive as long as frames
 		// keep landing within the call timeout.
 		wc.c.SetDeadline(time.Now().Add(callTimeout))
-		t, payload, rerr := wc.readFrame()
-		if rerr != nil {
-			return dst, 0, 0, rerr
+		t, payload, err := wc.readFrame()
+		if err != nil {
+			return dst, err
 		}
 		d := wire.Dec{B: payload}
 		switch t {
 		case frameStagePart:
-			dst, rerr = decodePartials(&d, sch, dst)
-			if rerr != nil {
-				return dst, 0, 0, rerr
+			if dst, err = decodePartials(&d, sch, dst); err != nil {
+				return dst, err
 			}
 		case frameStageResult:
-			selIn = d.I64()
-			selOut = d.I64()
-			dst, rerr = decodePartials(&d, sch, dst)
-			return dst, selIn, selOut, rerr
+			sel[0] += d.I64()
+			sel[1] += d.I64()
+			return decodePartials(&d, sch, dst)
 		case frameError:
-			return dst, 0, 0, decodeError(payload)
+			return dst, decodeError(payload)
 		default:
-			return dst, 0, 0, fmt.Errorf("%w: want stage result, got frame %d", ErrBadFrame, t)
+			return dst, fmt.Errorf("%w: want stage result, got frame %d", ErrBadFrame, t)
 		}
 	}
-}
-
-// ObservedSels implements engine.Transport: each operator's observed
-// selectivity from the counters last piggybacked on its stage replies (the
-// optimizer's estimate until data arrives).
-func (c *Cluster) ObservedSels() []float64 {
-	sels := make([]float64, len(c.q.Ops))
-	for i := range sels {
-		sels[i] = engine.ObservedSel(c.q.Ops[i].Sel, c.selIn[i].Load(), c.selOut[i].Load())
-	}
-	return sels
 }
 
 // Insert implements engine.Transport: one Insert RPC carrying the batch's

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -107,15 +108,21 @@ func TestSessionLifecycle(t *testing.T) {
 // is forced through frameStagePart continuations, and the run must produce
 // exactly what an unchunked run over the same deterministic ingest
 // sequence produces. Draining after every batch serializes inserts and
-// probes, so the two runs see identical window states hop for hop.
+// probes, so the two runs see identical window states hop for hop — and
+// the router, summing a chunked hop's counts, offers the chooser identical
+// selectivities batch for batch.
 func TestStageChunkedTransfer(t *testing.T) {
-	run := func(chunk int) *runtime.Report {
+	var seen [2][][]float64 // per run: the selectivities of every batch's snapshot
+	run := func(chunk int, sels *[][]float64) *runtime.Report {
 		q := testQuery()
 		c, err := NewCluster(q, physical.Assignment{0, 1}, 2, ClusterConfig{stageChunk: chunk})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.SetChooser(plan01)
+		c.SetChooser(engine.ChooserFunc(func(snap stats.Snapshot) query.Plan {
+			*sels = append(*sels, slices.Clone(snap.Sels))
+			return query.Plan{0, 1}
+		}))
 		c.Start()
 		var seq uint64
 		for i := 0; i < 30; i++ {
@@ -131,14 +138,17 @@ func TestStageChunkedTransfer(t *testing.T) {
 		return c.Stop()
 	}
 
-	base := run(0)  // DefaultStageChunk: single-frame hops
-	tiny := run(48) // below one joined pair's wire size: every hop chunks
+	base := run(0, &seen[0])  // DefaultStageChunk: single-frame hops
+	tiny := run(48, &seen[1]) // below one joined pair's wire size: every hop chunks
 	if base.Produced == 0 {
 		t.Fatal("baseline run produced nothing")
 	}
 	if tiny.Produced != base.Produced || tiny.Ingested != base.Ingested {
 		t.Fatalf("chunked run diverged: produced %v/%v, ingested %v/%v",
 			tiny.Produced, base.Produced, tiny.Ingested, base.Ingested)
+	}
+	if !slices.EqualFunc(seen[0], seen[1], slices.Equal) {
+		t.Fatalf("chunked run offered selectivities %v, unchunked %v", seen[1], seen[0])
 	}
 	if got := len(LiveWorkers()); got != 0 {
 		t.Fatalf("%d workers outlived the chunked runs", got)

@@ -1,7 +1,9 @@
 package netrt
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -102,8 +104,8 @@ func TestChaosNetExactlyOnceUnpromptedSIGKILL(t *testing.T) {
 	feed("S1", &s1, 4)
 	got := c.Stop()
 
-	if got.Crashes != 0 {
-		t.Fatalf("crashes=%d: nobody called Crash", got.Crashes)
+	if got.Crashes != 1 {
+		t.Fatalf("crashes=%d: the detected outage must be booked like an injected one", got.Crashes)
 	}
 	if got.Restores == 0 {
 		t.Fatal("recovery restored no operator from the checkpoint")
@@ -122,5 +124,74 @@ func TestChaosNetExactlyOnceUnpromptedSIGKILL(t *testing.T) {
 	}
 	if live := len(LiveWorkers()); live != 0 {
 		t.Fatalf("%d workers outlived the run", live)
+	}
+}
+
+// TestDetectedOutageIsBooked: a worker SIGKILLed from outside, with no Crash
+// anywhere, is booked by the router the way a scripted outage is — one
+// crash, one EventCrash at the virtual time it was detected, down time until
+// the session's Recover and one EventRecovery there — in Stats mid-outage
+// and in the report.
+func TestDetectedOutageIsBooked(t *testing.T) {
+	c, err := NewCluster(testQuery(), physical.Assignment{0, 1}, 2, ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses, err := engine.OpenSessionOn(c.Engine, "net", testPolicy(), engine.SessionOptions{EventBuffer: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var seq uint64
+	feed := func(from, to int) {
+		t.Helper()
+		for ts := from; ts <= to; ts++ {
+			st := "S1"
+			if ts%2 == 1 {
+				st = "S2"
+			}
+			if err := ses.Ingest(ctx, testBatch(st, &seq, float64(ts), 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed(1, 20)
+	if err := syscall.Kill(workerPid(t, 1), syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !runtime.NodeDown(c.NodeLoads()[1]) {
+		if time.Now().After(deadline) {
+			t.Fatal("the leader never noticed its worker die")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	feed(21, 50)
+	if st := ses.Stats(); st.Crashes != 1 || st.DownSeconds != 30 {
+		t.Fatalf("mid-outage stats: crashes=%d down=%v, want 1 and 30", st.Crashes, st.DownSeconds)
+	}
+	if err := ses.Recover(1); err != nil {
+		t.Fatal(err)
+	}
+	feed(51, 60)
+	rep, err := ses.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Crashes != 1 || rep.DownSeconds != 30 {
+		t.Fatalf("report: crashes=%d down=%v, want 1 and 30", rep.Crashes, rep.DownSeconds)
+	}
+	var outage []runtime.Event
+	for ev := range ses.Events() {
+		if ev.Kind == runtime.EventCrash || ev.Kind == runtime.EventRecovery {
+			outage = append(outage, ev)
+		}
+	}
+	want := []runtime.Event{
+		{Kind: runtime.EventCrash, T: 20, Node: 1, Op: -1},
+		{Kind: runtime.EventRecovery, T: 50, Node: 1, Op: -1},
+	}
+	if !slices.Equal(outage, want) {
+		t.Fatalf("outage events %+v, want %+v", outage, want)
 	}
 }

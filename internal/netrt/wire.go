@@ -39,8 +39,10 @@ const (
 	// ProtoVersion is the wire protocol version; leader and worker must
 	// match exactly. v3 dropped the clear frame no leader sent, renumbering
 	// the frames after it; v4 dropped the three frames that drove a
-	// write-ahead log in each worker (the log is the leader's router's).
-	ProtoVersion = 4
+	// write-ahead log in each worker (the log is the leader's router's); v5
+	// has a stage result carry the stage's own counts, not the worker's
+	// running totals (the counters are the leader's router's).
+	ProtoVersion = 5
 	// MaxFrame bounds a single frame's payload. Frames beyond it are
 	// rejected with ErrFrameTooLarge before any allocation.
 	MaxFrame = 64 << 20
@@ -94,7 +96,7 @@ const (
 	frameError                               // either way: code + message, then close
 	frameInsert                              // leader → worker: ops + batch columns
 	frameStage                               // leader → worker: op + partials
-	frameStageResult                         // worker → leader: sel counters + partials
+	frameStageResult                         // worker → leader: the stage's own sel counts + partials
 	frameSnapshot                            // leader → worker: op
 	frameSnapshotResult                      // worker → leader: optional batch
 	frameRestore                             // leader → worker: op + optional batch

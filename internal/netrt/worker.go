@@ -127,21 +127,27 @@ func respond(wc *wireConn, core *engine.NodeCore, chunk int, t frameType, d wire
 		return frameOK, nil
 	case frameStage:
 		op := int(d.U16())
+		if op >= core.NumOps() {
+			return 0, fmt.Errorf("%w: stage op %d", ErrBadFrame, op)
+		}
 		partials, err := decodePartials(&d, sch, core.NewPartials())
 		if err != nil {
 			core.ReleasePartials(partials)
 			return 0, err
 		}
+		// The loop is single-threaded, so the counters move by this stage
+		// alone: their difference is its own counts.
+		in0, out0 := core.SelCounters(op)
 		out, err := core.ProcessStage(op, partials)
 		if err != nil {
 			return 0, err
 		}
 		defer core.ReleasePartials(out)
-		selIn, selOut := core.SelCounters(op)
+		in1, out1 := core.SelCounters(op)
 		// Join fanout can multiply the input far past MaxFrame, so the
 		// reply is split: every segment but the last travels as a
 		// frameStagePart, and the final frameStageResult carries the
-		// selectivity counters plus the tail segment.
+		// stage's selectivity counts plus the tail segment.
 		segs := splitPartials(sch, out, chunk)
 		for ; len(segs) > 1; segs = segs[1:] {
 			reply.B = reply.B[:0]
@@ -155,8 +161,8 @@ func respond(wc *wireConn, core *engine.NodeCore, chunk int, t frameType, d wire
 			tail = segs[0]
 		}
 		reply.B = reply.B[:0]
-		reply.I64(selIn)
-		reply.I64(selOut)
+		reply.I64(in1 - in0)
+		reply.I64(out1 - out0)
 		encodePartials(reply, sch, tail)
 		return frameStageResult, nil
 	case frameSnapshot:

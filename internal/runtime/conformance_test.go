@@ -20,7 +20,9 @@ package runtime_test
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"rld/internal/baseline"
 	"rld/internal/chaos"
@@ -33,6 +35,7 @@ import (
 	"rld/internal/query"
 	rt "rld/internal/runtime"
 	"rld/internal/sim"
+	"rld/internal/stats"
 )
 
 const (
@@ -254,6 +257,86 @@ func TestConformanceStaticPolicyBothSubstrates(t *testing.T) {
 		}
 		if rep.PlanCount() != 1 {
 			t.Fatalf("%s: static policy used %d plans", sub.name, rep.PlanCount())
+		}
+	}
+}
+
+// selRecorder is a static policy that keeps the selectivities of the last
+// snapshot the router chose a plan on.
+type selRecorder struct {
+	rt.StaticPolicy
+	last []float64
+}
+
+func (p *selRecorder) PlanFor(_ float64, snap stats.Snapshot) query.Plan {
+	p.last = append(p.last[:0], snap.Sels...)
+	return p.Plan
+}
+
+// TestLiveSubstratesObserveTheSameStatistics: the router keeps the only
+// selectivity counters on both live substrates, so the same feed gives the
+// monitor the same input on engine and net — bit for bit, also across a
+// migration, which moves the join's window to another worker process, and
+// across a crash, which respawns one. One batch is in flight at a time and
+// each node runs one worker, so both substrates probe identical windows;
+// the fault waits for the pipeline to drain.
+func TestLiveSubstratesObserveTheSameStatistics(t *testing.T) {
+	q := conformanceQuery()
+	ctx := context.Background()
+	run := func(open func(rt.Policy, engine.SessionOptions) (rt.Session, error), fault func(rt.Session) error) []float64 {
+		t.Helper()
+		pol := &selRecorder{StaticPolicy: rt.StaticPolicy{PolicyName: "FIXED", Plan: query.Plan{0, 1}, Assign: []int{0, 1}}}
+		opts := liveOptions(nil)
+		opts.MaxPending, opts.Config.Workers = 1, 1
+		ses, err := open(pol, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := conformanceFeed(q)
+		for i, b := 1, feed.Next(); b != nil; i, b = i+1, feed.Next() {
+			if err := ses.Ingest(ctx, b); err != nil {
+				t.Fatal(err)
+			}
+			if i != 60 || fault == nil {
+				continue
+			}
+			for deadline := time.Now().Add(10 * time.Second); ses.Stats().Pending > 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("batch 60 never drained")
+				}
+			}
+			if err := fault(ses); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ses.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return pol.last
+	}
+	openEngine := func(pol rt.Policy, opts engine.SessionOptions) (rt.Session, error) {
+		return engine.OpenSession(q, 2, pol, opts)
+	}
+	openNet := func(pol rt.Policy, opts engine.SessionOptions) (rt.Session, error) {
+		return netrt.OpenSession(q, 2, pol, opts, nil)
+	}
+	for _, arm := range []struct {
+		name  string
+		fault func(rt.Session) error
+	}{
+		{"fault-free", nil},
+		{"migrate", func(s rt.Session) error { return s.Migrate(1, 0) }},
+		{"crash", func(s rt.Session) error {
+			if err := s.Crash(1); err != nil {
+				return err
+			}
+			return s.Recover(1)
+		}},
+	} {
+		eng, net := run(openEngine, arm.fault), run(openNet, arm.fault)
+		t.Logf("%s: engine %v, net %v", arm.name, eng, net)
+		if !slices.Equal(eng, net) {
+			t.Errorf("%s: the monitor saw selectivities %v on engine, %v on net", arm.name, eng, net)
 		}
 	}
 }

@@ -144,9 +144,11 @@ type Report struct {
 	QueryWork float64
 	// WallSeconds is the wall-clock duration of the run (engine only).
 	WallSeconds float64
-	// Crashes counts node-crash faults applied during the run.
+	// Crashes counts node outages during the run: every outage, injected
+	// or detected.
 	Crashes int
-	// DownSeconds is the summed virtual time nodes spent crashed.
+	// DownSeconds is the summed virtual time nodes spent down, over every
+	// outage, injected or detected.
 	DownSeconds float64
 	// TuplesLost counts tuples (source tuples or in-flight partial
 	// results) discarded because of node failures.

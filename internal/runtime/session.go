@@ -31,7 +31,8 @@ const (
 	EventPolicySwap
 	// EventMigration fires when an operator is relocated to another node.
 	EventMigration
-	// EventCrash fires when a node goes down (scripted fault or Crash).
+	// EventCrash fires when a node goes down: every outage, injected (a
+	// scripted fault or Crash) or detected.
 	EventCrash
 	// EventRecovery fires when a crashed node comes back.
 	EventRecovery
@@ -130,11 +131,12 @@ type SessionStats struct {
 	PolicySwaps int
 	// Migrations counts operator relocations.
 	Migrations int
-	// Crashes counts node crashes applied.
+	// Crashes counts node outages: every outage, injected or detected.
 	Crashes int
 	// Restores counts checkpoint-restores performed on recovery.
 	Restores int
-	// DownSeconds is the summed virtual time nodes spent crashed.
+	// DownSeconds is the summed virtual time nodes spent down, over every
+	// outage, injected or detected.
 	DownSeconds float64
 	// ResultsDropped counts ResultBatch emissions discarded because the
 	// Results subscriber fell behind its buffer.

@@ -268,7 +268,7 @@ func New(sc *Scenario, pol Policy) (*Sim, error) {
 		rng:     rand.New(rand.NewSource(sc.Seed + 77)),
 		assign:  assign.Clone(),
 		paused:  make(map[int]float64),
-		monitor: stats.NewMonitor(len(sc.Query.Ops), 0.6, sc.SampleEvery*0.99),
+		monitor: stats.NewMonitor(len(sc.Query.Ops), 0.6),
 		res:     &runtime.Report{Policy: pol.Name(), Substrate: "sim", PlanUse: make(map[string]int64)},
 	}
 	for _, n := range sc.Cluster.Nodes {

@@ -29,32 +29,23 @@ func (s Snapshot) Clone() Snapshot {
 
 // Monitor collects periodic samples of the true statistics. It is safe for
 // concurrent use (the live engine samples from several goroutines; the
-// simulator uses it single-threaded).
+// simulator uses it single-threaded). Its callers pace the samples: the
+// engine offers every few batches, the simulator every SampleEvery seconds.
 type Monitor struct {
 	mu sync.Mutex
 	// Alpha is the EWMA smoothing factor in (0, 1]; 1 = no smoothing.
-	alpha float64
-	// Interval is the minimum time between accepted samples (seconds);
-	// more frequent offers are ignored, modeling the sampling period.
-	interval float64
-	cur      Snapshot
-	primed   bool
-	// Samples counts accepted samples.
-	Samples int
+	alpha  float64
+	cur    Snapshot
+	primed bool
 }
 
-// NewMonitor returns a monitor for nOps operators with the given EWMA alpha
-// and sampling interval in seconds.
-func NewMonitor(nOps int, alpha, interval float64) *Monitor {
+// NewMonitor returns a monitor for nOps operators with the given EWMA alpha.
+func NewMonitor(nOps int, alpha float64) *Monitor {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.5
 	}
-	if interval < 0 {
-		interval = 0
-	}
 	return &Monitor{
-		alpha:    alpha,
-		interval: interval,
+		alpha: alpha,
 		cur: Snapshot{
 			Sels:  make([]float64, nOps),
 			Rates: make(map[string]float64),
@@ -62,15 +53,11 @@ func NewMonitor(nOps int, alpha, interval float64) *Monitor {
 	}
 }
 
-// Offer submits a ground-truth observation at time t. The first offer primes
-// the monitor; later offers are EWMA-blended and rate-limited by the
-// sampling interval. It reports whether the sample was accepted.
-func (m *Monitor) Offer(t float64, sels []float64, rates map[string]float64) bool {
+// Offer submits an observation at time t. The first offer primes the
+// monitor; later offers are EWMA-blended into it.
+func (m *Monitor) Offer(t float64, sels []float64, rates map[string]float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.primed && t-m.cur.Time < m.interval {
-		return false
-	}
 	if !m.primed {
 		copy(m.cur.Sels, sels)
 		for k, v := range rates {
@@ -93,8 +80,6 @@ func (m *Monitor) Offer(t float64, sels []float64, rates map[string]float64) boo
 		}
 	}
 	m.cur.Time = t
-	m.Samples++
-	return true
 }
 
 // Snapshot returns the current smoothed view.
@@ -102,11 +87,4 @@ func (m *Monitor) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.cur.Clone()
-}
-
-// Primed reports whether at least one sample has been accepted.
-func (m *Monitor) Primed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.primed
 }
