@@ -52,7 +52,7 @@ func TestAllRegistryComplete(t *testing.T) {
 }
 
 func TestTable2Defaults(t *testing.T) {
-	tabs := Table2(true)
+	tabs := quickRun(t, "table2")
 	if len(tabs) != 2 {
 		t.Fatalf("Table2 returned %d tables", len(tabs))
 	}
@@ -75,7 +75,7 @@ func TestTable2Defaults(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	tabs := Fig10(true)
+	tabs := quickRun(t, "fig10")
 	for _, tb := range tabs {
 		for _, row := range tb.Rows {
 			if row.V["ERP"] > row.V["ES"] {
@@ -94,7 +94,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	tabs := Fig11(true)
+	tabs := quickRun(t, "fig11")
 	for _, tb := range tabs {
 		for _, row := range tb.Rows {
 			for _, s := range tb.Series {
@@ -112,7 +112,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	tabs := Fig12(true)
+	tabs := quickRun(t, "fig12")
 	for _, tb := range tabs {
 		es := tb.Col("ES")
 		erp := tb.Col("ERP")
@@ -128,7 +128,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	tabs := Fig13(true)
+	tabs := quickRun(t, "fig13")
 	for _, tb := range tabs {
 		for _, row := range tb.Rows {
 			if row.V["GreedyPhy"] < 0 || row.V["OptPrune"] < 0 || row.V["ES"] < 0 {
@@ -143,7 +143,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	tabs := Fig14(true)
+	tabs := quickRun(t, "fig14")
 	for _, tb := range tabs {
 		for _, row := range tb.Rows {
 			op, es := row.V["OptPrune"], row.V["ES"]
@@ -159,7 +159,7 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestFig15aShape(t *testing.T) {
-	tabs := Fig15a(true)
+	tabs := quickRun(t, "fig15a")
 	tb := tabs[0]
 	if len(tb.Rows) < 2 {
 		t.Fatal("too few rows")
@@ -183,7 +183,7 @@ func TestFig15aShape(t *testing.T) {
 }
 
 func TestFig15bShape(t *testing.T) {
-	tabs := Fig15b(true)
+	tabs := quickRun(t, "fig15b")
 	tb := tabs[0]
 	for _, s := range tb.Series {
 		col := tb.Col(s)
@@ -199,7 +199,7 @@ func TestFig15bShape(t *testing.T) {
 }
 
 func TestFig16aShape(t *testing.T) {
-	tabs := Fig16a(true)
+	tabs := quickRun(t, "fig16a")
 	tb := tabs[0]
 	for _, s := range tb.Series {
 		col := tb.Col(s)
@@ -211,7 +211,7 @@ func TestFig16aShape(t *testing.T) {
 }
 
 func TestFig16bShape(t *testing.T) {
-	tabs := Fig16b(true)
+	tabs := quickRun(t, "fig16b")
 	tb := tabs[0]
 	for _, row := range tb.Rows {
 		if row.V["RLD"] > row.V["ROD"]+1e-9 && row.V["RLD"] > row.V["ROD"]*1.1 {
@@ -221,7 +221,7 @@ func TestFig16bShape(t *testing.T) {
 }
 
 func TestOverheadShape(t *testing.T) {
-	tabs := Overhead(true)
+	tabs := quickRun(t, "overhead")
 	tb := tabs[0]
 	if tb.Get("overhead ratio", "ROD") != 0 {
 		t.Fatal("ROD must have zero overhead (§6.5)")
@@ -239,7 +239,7 @@ func TestOverheadShape(t *testing.T) {
 }
 
 func TestAblationERPShape(t *testing.T) {
-	tabs := AblationERP(true)
+	tabs := quickRun(t, "ablation-erp")
 	tb := tabs[0]
 	erpCalls := tb.Get("optimizer calls", "ERP")
 	wrpCalls := tb.Get("optimizer calls", "WRP")
@@ -252,7 +252,7 @@ func TestAblationERPShape(t *testing.T) {
 }
 
 func TestAblationBoundShape(t *testing.T) {
-	tabs := AblationBound(true)
+	tabs := quickRun(t, "ablation-bound")
 	tb := tabs[0]
 	for _, row := range tb.Rows {
 		if row.V["bounded"] > row.V["unbounded"] {
@@ -262,7 +262,7 @@ func TestAblationBoundShape(t *testing.T) {
 }
 
 func TestAblationBatchShape(t *testing.T) {
-	tabs := AblationBatch(true)
+	tabs := quickRun(t, "ablation-batch")
 	tb := tabs[0]
 	rows := tb.Rows
 	// Overhead ratio falls as batches grow (classification amortizes).
@@ -274,28 +274,42 @@ func TestAblationBatchShape(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
-// TestQuickRuntimeGolden pins the quick §6.5 runtime tables byte for byte:
-// the simulator is deterministic, so a refactor that is not meant to change
-// what the policies do must leave them exactly as they are. Between them
-// they read every field of a simulator run's report the experiments use —
-// latency, tuples produced over time, overhead ratio, migrations and their
-// downtime, plan switches. After a change that is meant to move them,
-// rewrite them with
+// quickTables caches each experiment's quick tables for the test binary:
+// the shape tests and the goldens read the same run.
+var quickTables = map[string][]*Table{}
+
+// quickRun returns experiment id's quick tables, running it on first use.
+func quickRun(t *testing.T, id string) []*Table {
+	t.Helper()
+	if tabs, ok := quickTables[id]; ok {
+		return tabs
+	}
+	for _, e := range All() {
+		if e.ID == id {
+			quickTables[id] = e.Run(true)
+			return quickTables[id]
+		}
+	}
+	t.Fatalf("unknown experiment %q", id)
+	return nil
+}
+
+// TestQuickGolden pins every deterministic experiment's quick tables byte
+// for byte: the optimizers, the sampler and the simulator are all seeded,
+// so a refactor that is not meant to change a figure must leave it exactly
+// as it is. Only fig13 is left out, because its rows are wall-clock compile
+// times. After a change that is meant to move a figure, rewrite the goldens
+// with
 //
-//	go test ./internal/experiments -run QuickRuntimeGolden -update
-func TestQuickRuntimeGolden(t *testing.T) {
-	for _, tc := range []struct {
-		id  string
-		run func(quick bool) []*Table
-	}{
-		{"fig15a", Fig15a},
-		{"fig15b", Fig15b},
-		{"overhead", Overhead},
-		{"ablation-batch", AblationBatch},
-	} {
-		t.Run(tc.id, func(t *testing.T) {
-			golden := "testdata/" + tc.id + "_quick.golden"
-			got := FormatAll(tc.run(true))
+//	go test ./internal/experiments -run QuickGolden -update
+func TestQuickGolden(t *testing.T) {
+	for _, e := range All() {
+		if e.ID == "fig13" {
+			continue
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			golden := "testdata/" + e.ID + "_quick.golden"
+			got := FormatAll(quickRun(t, e.ID))
 			if *update {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
@@ -306,7 +320,7 @@ func TestQuickRuntimeGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != string(want) {
-				t.Fatalf("quick %s drifted from %s:\n--- got\n%s--- want\n%s", tc.id, golden, got, want)
+				t.Fatalf("quick %s drifted from %s:\n--- got\n%s--- want\n%s", e.ID, golden, got, want)
 			}
 		})
 	}
