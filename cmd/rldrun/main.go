@@ -1,7 +1,8 @@
 // Command rldrun simulates a fluctuating streaming workload under the three
 // load-distribution policies of the paper's §6.5 study — ROD, DYN, and RLD
-// — and prints their runtime metrics side by side. With -faults, every
-// policy additionally runs under the scripted fault schedule and the
+// — and prints their runtime metrics side by side. The workload is the
+// study rldbench's §6.5 figures sweep (experiments.Study). With -faults,
+// every policy additionally runs under the scripted fault schedule and the
 // result-completeness versus its own fault-free run is reported. With
 // -live, every policy additionally runs as a Pipeline session on the live
 // sharded engine, replaying that many seconds of real tuples and counting
@@ -22,6 +23,7 @@ import (
 	"os"
 
 	"rld"
+	"rld/internal/experiments"
 )
 
 func main() {
@@ -48,76 +50,21 @@ func main() {
 		os.Exit(2)
 	}
 
-	q := rld.NewNWayJoin("Q", *ops, 10)
-	dims := []rld.Dim{
-		rld.SelDim(0, q.Ops[0].Sel, 5),
-		rld.SelDim(*ops-2, q.Ops[*ops-2].Sel, 5),
-	}
-	for _, s := range q.Streams {
-		dims = append(dims, rld.RateDim(s, q.Rates[s], 5))
-	}
-	cfg := rld.DefaultConfig()
-	cfg.Steps = 4
-
-	// Size capacity so the estimate-point load sits at ~40% utilization,
-	// floored so the heaviest single operator keeps real slack on its
-	// node (it is every policy's structural bottleneck).
-	probeDep, err := rld.Optimize(q, dims, rld.NewCluster(*nodes, 1e9), cfg)
+	// The §6.5 study the rldbench figures sweep, set from the flags; rldrun
+	// sizes capacity with a little more headroom than the figures.
+	o := experiments.DefaultStudy()
+	o.Ops, o.Nodes, o.Batch, o.Seed = *ops, *nodes, *batch, *seed
+	o.Horizon, o.SelPeriod, o.Headroom = *minutes*60, *period, 2.5
+	o.RateFor = func(_ string, base float64) rld.Profile { return rld.ConstProfile(base * *ratio) }
+	study, err := experiments.NewStudy(o)
 	if err != nil {
 		log.Fatal(err)
 	}
-	center := probeDep.Space.At(probeDep.Space.Center())
-	centerPlan, c0 := rld.BestPlanAt(probeDep, center)
-	maxOp := 0.0
-	for _, l := range probeDep.Ev.OpLoads(centerPlan, probeDep.Space.At(probeDep.Space.FullRegion().Hi)) {
-		if l > maxOp {
-			maxOp = l
-		}
-	}
-	per := 2.5 * c0 / float64(*nodes)
-	if per < 1.6*maxOp {
-		per = 1.6 * maxOp
-	}
-	cl := rld.NewCluster(*nodes, per)
-
-	dep, err := rld.Optimize(q, dims, cl, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rod, err := rld.NewROD(dep)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	sc := &rld.Scenario{
-		Query:        q,
-		Rates:        map[string]rld.Profile{},
-		Sels:         make([]rld.Profile, len(q.Ops)),
-		Cluster:      cl,
-		Horizon:      *minutes * 60,
-		BatchSize:    *batch,
-		SampleEvery:  5,
-		TickEvery:    5,
-		MaxQueue:     2 * cl.Nodes[0].Capacity,
-		CountWindows: true,
-		Seed:         *seed,
-	}
-	for _, s := range q.Streams {
-		sc.Rates[s] = rld.ConstProfile(q.Rates[s] * *ratio)
-	}
-	for i := range sc.Sels {
-		sc.Sels[i] = rld.ConstProfile(q.Ops[i].Sel)
-	}
-	for di, d := range dims[:2] {
-		sc.Sels[d.Op] = rld.SquareProfile{
-			Lo: d.Lo + 0.02*(d.Hi-d.Lo), Hi: d.Hi - 0.02*(d.Hi-d.Lo),
-			Period: *period, PhaseShift: float64(di) * *period / 2,
-		}
-	}
+	dep, q := study.Deployment, study.Scenario.Query
 
 	var plan *rld.FaultPlan
 	if *faults == "random" {
-		plan = rld.RandomFaults(rld.DefaultFaultConfig(), *nodes, sc.Horizon, *seed)
+		plan = rld.RandomFaults(rld.DefaultFaultConfig(), *nodes, o.Horizon, *seed)
 	} else if *faults != "" {
 		if plan, err = rld.ParseFaultPlan(*faults); err != nil {
 			log.Fatal(err)
@@ -128,26 +75,14 @@ func main() {
 	}
 
 	fmt.Printf("%d simulated minutes, ratio %.0f%%, %d nodes × %.0f capacity\n\n",
-		int(*minutes), *ratio*100, *nodes, cl.Nodes[0].Capacity)
+		int(*minutes), *ratio*100, *nodes, dep.Cluster.Nodes[0].Capacity)
 	fmt.Printf("%-6s %13s %13s %11s %11s %10s %9s\n",
 		"policy", "latency ms", "produced", "dropped", "migrations", "downtime", "overhead")
-	mkPolicies := func() []rld.Policy {
-		// DYN is stateful: fresh instances per run so the fault-free and
-		// faulted comparisons don't share cooldown clocks or placements.
-		dynP, err := rld.NewDYN(dep, rld.DefaultDYNConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		return []rld.Policy{rod, dynP, dep.NewPolicy(*batch)}
+	baselines, err := study.Run(nil)
+	if err != nil {
+		log.Fatal(err)
 	}
-	baselines := make([]*rld.Report, 3)
-	for i, pol := range mkPolicies() {
-		scCopy := *sc
-		res, err := rld.Run(&scCopy, pol)
-		if err != nil {
-			log.Fatal(err)
-		}
-		baselines[i] = res
+	for _, res := range baselines {
 		fmt.Printf("%-6s %13.1f %13.0f %11.0f %11d %9.1fs %8.1f%%\n",
 			res.Policy, res.MeanLatencyMS, res.Produced, res.Dropped,
 			res.Migrations, res.MigrationDowntime, 100*res.OverheadRatio())
@@ -182,6 +117,23 @@ func main() {
 		return []rld.Policy{rodP, dynP, dep.NewPolicy(*batch)}
 	}
 	ctx := context.Background()
+	// replay runs pol as a Pipeline session over seconds of the feed and
+	// returns its report and the number of events the session surfaced.
+	replay := func(pol rld.Policy, seconds float64, opts ...rld.Option) (*rld.Report, int) {
+		pipe, err := rld.Open(ctx, dep, pol, opts...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep, err := rld.Replay(ctx, pipe, makeFeed(seconds))
+		if err != nil {
+			log.Fatal(err)
+		}
+		events := 0
+		for range pipe.Events() {
+			events++
+		}
+		return rep, events
+	}
 
 	if *live > 0 {
 		// The same policies as long-lived Pipeline sessions on the live
@@ -192,18 +144,7 @@ func main() {
 		fmt.Printf("%-6s %13s %13s %11s %11s %10s\n",
 			"policy", "latency ms", "produced", "batches", "migrations", "events")
 		for _, pol := range mkLive() {
-			pipe, err := rld.Open(ctx, dep, pol, rld.WithBufferedEvents(1<<16))
-			if err != nil {
-				log.Fatal(err)
-			}
-			rep, err := rld.Replay(ctx, pipe, makeFeed(*live))
-			if err != nil {
-				log.Fatal(err)
-			}
-			events := 0
-			for range pipe.Events() {
-				events++
-			}
+			rep, events := replay(pol, *live, rld.WithBufferedEvents(1<<16))
 			fmt.Printf("%-6s %13.2f %13.0f %11d %11d %10d\n",
 				rep.Policy, rep.MeanLatencyMS, rep.Produced, rep.Batches, rep.Migrations, events)
 		}
@@ -213,44 +154,25 @@ func main() {
 		// The same policies on the multi-process network substrate: a
 		// leader embedded in the Pipeline plus one worker process per
 		// node, speaking the netrt wire protocol over local TCP.
-		walDir := ""
+		distOpts := []rld.Option{rld.WithDistributed(*nodes)}
+		if *workerBin != "" {
+			distOpts = append(distOpts, rld.WithWorkerCommand(*workerBin))
+		}
 		if *exactlyOnce {
-			walDir, err = os.MkdirTemp("", "rldrun-wal-")
+			walDir, err := os.MkdirTemp("", "rldrun-wal-")
 			if err != nil {
 				log.Fatal(err)
 			}
 			defer os.RemoveAll(walDir)
-		}
-		distOpts := func(extra ...rld.Option) []rld.Option {
-			opts := []rld.Option{rld.WithDistributed(*nodes)}
-			if *workerBin != "" {
-				opts = append(opts, rld.WithWorkerCommand(*workerBin))
-			}
-			if walDir != "" {
-				opts = append(opts, rld.WithExactlyOnce(walDir))
-			}
-			return append(opts, extra...)
-		}
-		runDist := func(pol rld.Policy, extra ...rld.Option) *rld.Report {
-			pipe, err := rld.Open(ctx, dep, pol, distOpts(extra...)...)
-			if err != nil {
-				log.Fatal(err)
-			}
-			rep, err := rld.Replay(ctx, pipe, makeFeed(*dist))
-			if err != nil {
-				log.Fatal(err)
-			}
-			return rep
+			distOpts = append(distOpts, rld.WithExactlyOnce(walDir))
 		}
 		fmt.Printf("\ndistributed: %.0fs of real tuples per policy (leader + %d worker processes)\n\n", *dist, *nodes)
 		fmt.Printf("%-6s %13s %13s %11s %11s\n",
 			"policy", "latency ms", "produced", "batches", "migrations")
 		var distBase *rld.Report
-		for i, pol := range mkLive() {
-			rep := runDist(pol)
-			if i == 2 {
-				distBase = rep
-			}
+		for _, pol := range mkLive() {
+			rep, _ := replay(pol, *dist, distOpts...)
+			distBase = rep // RLD runs last
 			fmt.Printf("%-6s %13.2f %13.0f %11d %11d\n",
 				rep.Policy, rep.MeanLatencyMS, rep.Produced, rep.Batches, rep.Migrations)
 		}
@@ -259,10 +181,10 @@ func main() {
 			// processes; completeness is measured against the fault-free
 			// distributed run above and optionally gated (-mincomplete),
 			// the CI chaos smoke's assertion.
-			rep := runDist(dep.NewPolicy(*batch),
-				rld.WithFaults(plan), rld.WithHorizon(*dist))
+			rep, _ := replay(dep.NewPolicy(*batch), *dist,
+				append(distOpts, rld.WithFaults(plan), rld.WithHorizon(*dist))...)
 			complete := 0.0
-			if distBase != nil && distBase.Produced > 0 {
+			if distBase.Produced > 0 {
 				complete = rep.Produced / distBase.Produced
 			}
 			fmt.Printf("\ndistributed + faults %s\n", plan)
@@ -280,13 +202,11 @@ func main() {
 	fmt.Printf("\nfault schedule: %s\n\n", plan)
 	fmt.Printf("%-6s %13s %13s %11s %11s %10s %9s\n",
 		"policy", "latency ms", "produced", "lost", "migrations", "down", "complete")
-	for i, pol := range mkPolicies() {
-		scCopy := *sc
-		scCopy.Faults = plan
-		res, err := rld.Run(&scCopy, pol)
-		if err != nil {
-			log.Fatal(err)
-		}
+	faulted, err := study.Run(plan)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, res := range faulted {
 		complete := 0.0
 		if baselines[i].Produced > 0 {
 			complete = res.Produced / baselines[i].Produced

@@ -33,7 +33,10 @@ type DYNConfig struct {
 	CooldownSeconds float64
 }
 
-// DefaultDYNConfig returns the defaults used by the experiments.
+// DefaultDYNConfig returns DYN's stock tuning. Its ActivationFloor is an
+// absolute 50 cost-units, whatever the cluster's capacity: the §6.5 study
+// (experiments.Study) overrides it with half a node's capacity per second,
+// and cmd/rldrun retunes it for live sessions, whose queues count messages.
 func DefaultDYNConfig() DYNConfig {
 	return DYNConfig{
 		ImbalanceFactor:       2.5,

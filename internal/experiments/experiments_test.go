@@ -34,10 +34,16 @@ func TestTableBasics(t *testing.T) {
 
 func TestAllRegistryComplete(t *testing.T) {
 	ids := map[string]bool{}
+	prev := ""
 	for _, e := range All() {
 		if e.Run == nil {
 			t.Fatalf("runner %s is nil", e.ID)
 		}
+		// rldbench runs the registry in this order.
+		if e.ID <= prev {
+			t.Fatalf("registry IDs not strictly ascending: %q after %q", e.ID, prev)
+		}
+		prev = e.ID
 		ids[e.ID] = true
 	}
 	for _, want := range []string{

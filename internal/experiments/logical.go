@@ -39,6 +39,31 @@ func logicalSetup(q *query.Query, space *paramspace.Space, budget int) (*cost.Ev
 	return ev, c
 }
 
+// logicalRow is one row of Figures 10–12: ES, RS (seeded with rsSeed) and
+// ERP each solve q over a fresh space from mkSpace with their own counting
+// optimizer (budgeted when budget > 0), and metric reads each result.
+func logicalRow(q *query.Query, mkSpace func() *paramspace.Space, budget int, cfg robust.Config, rsSeed int64, metric func(*robust.Result) float64) map[string]float64 {
+	cfgRS := cfg
+	cfgRS.Seed = rsSeed
+	run := func(algo func(*cost.Evaluator, *optimizer.Counter) *robust.Result) float64 {
+		return metric(algo(logicalSetup(q, mkSpace(), budget)))
+	}
+	return map[string]float64{
+		"ES": run(func(ev *cost.Evaluator, c *optimizer.Counter) *robust.Result {
+			return robust.ES(c, ev.Space(), cfg)
+		}),
+		"RS": run(func(ev *cost.Evaluator, c *optimizer.Counter) *robust.Result {
+			return robust.RS(c, ev.Space(), cfgRS)
+		}),
+		"ERP": run(func(ev *cost.Evaluator, c *optimizer.Counter) *robust.Result {
+			return robust.ERP(c, ev, cfg)
+		}),
+	}
+}
+
+// calls is the optimizer-call metric of Figures 10 and 12.
+func calls(r *robust.Result) float64 { return float64(r.Calls) }
+
 // uSteps is the per-dimension grid resolution at uncertainty level u for the
 // Figure 10 sweep: wider spaces are discretized finer (Algorithm 1's fixed
 // Δ=0.1 value granularity implies resolution grows with U).
@@ -67,24 +92,8 @@ func Fig10(quick bool) []*Table {
 			q := q1()
 			cfg := robust.DefaultConfig()
 			cfg.Epsilon = eps
-			row := map[string]float64{}
-
-			space := spaceFor(q, 2, u, uSteps(u))
-			_, c := logicalSetup(q, space, 0)
-			row["ES"] = float64(robust.ES(c, space, cfg).Calls)
-
-			space = spaceFor(q, 2, u, uSteps(u))
-			ev, c := logicalSetup(q, space, 0)
-			_ = ev
-			cfgRS := cfg
-			cfgRS.Seed = int64(u)
-			row["RS"] = float64(robust.RS(c, space, cfgRS).Calls)
-
-			space = spaceFor(q, 2, u, uSteps(u))
-			ev, c = logicalSetup(q, space, 0)
-			row["ERP"] = float64(robust.ERP(c, ev, cfg).Calls)
-
-			t.Add(fmt.Sprintf("U=%d", u), row)
+			mkSpace := func() *paramspace.Space { return spaceFor(q, 2, u, uSteps(u)) }
+			t.Add(fmt.Sprintf("U=%d", u), logicalRow(q, mkSpace, 0, cfg, int64(u), calls))
 		}
 		tables = append(tables, t)
 	}
@@ -120,23 +129,9 @@ func Fig11(quick bool) []*Table {
 			cfg := robust.DefaultConfig()
 			cfg.Epsilon = eps
 			cfg.MaxCalls = budget
-			row := map[string]float64{}
-
-			space := spaceFor(q, 2, u, paramspace.DefaultSteps)
-			_, c := logicalSetup(q, space, budget)
-			row["ES"] = robust.CertifiedCoverage(robust.ES(c, space, cfg))
-
-			space = spaceFor(q, 2, u, paramspace.DefaultSteps)
-			_, c = logicalSetup(q, space, budget)
-			cfgRS := cfg
-			cfgRS.Seed = int64(budget)
-			row["RS"] = robust.CertifiedCoverage(robust.RS(c, space, cfgRS))
-
-			space = spaceFor(q, 2, u, paramspace.DefaultSteps)
-			ev, c := logicalSetup(q, space, budget)
-			row["ERP"] = robust.CertifiedCoverage(robust.ERP(c, ev, cfg))
-
-			t.Add(fmt.Sprintf("%d", budget), row)
+			mkSpace := func() *paramspace.Space { return spaceFor(q, 2, u, paramspace.DefaultSteps) }
+			t.Add(fmt.Sprintf("%d", budget),
+				logicalRow(q, mkSpace, budget, cfg, int64(budget), robust.CertifiedCoverage))
 		}
 		tables = append(tables, t)
 	}
@@ -171,23 +166,8 @@ func Fig12(quick bool) []*Table {
 			q := q2()
 			cfg := robust.DefaultConfig()
 			cfg.Epsilon = cc.eps
-			row := map[string]float64{}
-
-			space := spaceFor(q, d, cc.u, steps)
-			_, c := logicalSetup(q, space, 0)
-			row["ES"] = float64(robust.ES(c, space, cfg).Calls)
-
-			space = spaceFor(q, d, cc.u, steps)
-			_, c = logicalSetup(q, space, 0)
-			cfgRS := cfg
-			cfgRS.Seed = int64(d)
-			row["RS"] = float64(robust.RS(c, space, cfgRS).Calls)
-
-			space = spaceFor(q, d, cc.u, steps)
-			ev, c := logicalSetup(q, space, 0)
-			row["ERP"] = float64(robust.ERP(c, ev, cfg).Calls)
-
-			t.Add(fmt.Sprintf("%d", d), row)
+			mkSpace := func() *paramspace.Space { return spaceFor(q, d, cc.u, steps) }
+			t.Add(fmt.Sprintf("%d", d), logicalRow(q, mkSpace, 0, cfg, int64(d), calls))
 		}
 		tables = append(tables, t)
 	}

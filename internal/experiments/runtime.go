@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rld/internal/baseline"
+	"rld/internal/chaos"
 	"rld/internal/cluster"
 	"rld/internal/core"
 	"rld/internal/cost"
@@ -15,66 +16,66 @@ import (
 	"rld/internal/sim"
 )
 
-// rtOpts parameterizes one §6.5 runtime comparison run.
-type rtOpts struct {
-	// nodes is the cluster size.
-	nodes int
-	// perNodeCapacity in cost-units/sec; 0 derives it from headroom.
-	perNodeCapacity float64
-	// headroom sizes total capacity as headroom × the optimal plan's
-	// center-point cost (used when perNodeCapacity is 0).
-	headroom float64
-	// rateFor builds the true rate profile per stream from its estimate.
-	rateFor func(streamName string, base float64) gen.Profile
-	// selPeriod is the selectivity square-wave period in seconds
+// StudyOptions parameterizes one §6.5 runtime comparison: the query, the
+// cluster it runs on, the fluctuating workload and the run length.
+type StudyOptions struct {
+	// Nodes is the cluster size.
+	Nodes int
+	// PerNodeCapacity in cost-units/sec; 0 derives it from Headroom.
+	PerNodeCapacity float64
+	// Headroom sizes total capacity as Headroom × the optimal plan's
+	// center-point cost (used when PerNodeCapacity is 0).
+	Headroom float64
+	// RateFor builds the true rate profile per stream from its estimate.
+	RateFor func(streamName string, base float64) gen.Profile
+	// SelPeriod is the selectivity square-wave period in seconds
 	// (fluctuations stay inside the declared parameter space).
-	selPeriod float64
-	// horizon, batch, seed are run parameters.
-	horizon float64
-	batch   int
-	seed    int64
-	// ops sizes the query (default 5 = Q1; Fig 16a uses 10 so that node
+	SelPeriod float64
+	// Horizon, Batch, Seed are run parameters.
+	Horizon float64
+	Batch   int
+	Seed    int64
+	// Ops sizes the query (default 5 = Q1; Fig 16a uses 10 so that node
 	// counts beyond 5 matter).
-	ops int
-	// noRateDims drops the rate dimensions from the declared space:
+	Ops int
+	// NoRateDims drops the rate dimensions from the declared space:
 	// rate fluctuations are then *unknown* to every optimizer — the
 	// Figure 15b regime where the final 200% step exceeds what ROD's
 	// single placement supports.
-	noRateDims bool
+	NoRateDims bool
 }
 
-// defaultRT returns the §6.5 defaults: Q1, 4 nodes, 30 minutes, ruster 50,
-// selectivity regime flips every 120 s. The per-stream base rate is raised
-// to 10 t/s (vs Table 2's 2 t/s) so a 30-minute run carries enough batches
-// for stable latency statistics; all policies see identical workloads.
-func defaultRT() rtOpts {
-	return rtOpts{
-		nodes:     4,
-		headroom:  2.3,
-		rateFor:   func(_ string, base float64) gen.Profile { return gen.ConstProfile(base) },
-		selPeriod: 120,
-		horizon:   1800,
-		batch:     50,
-		seed:      42,
+// DefaultStudy returns the §6.5 defaults: Q1, 4 nodes, 30 minutes, ruster
+// 50, selectivity regime flips every 120 s. The per-stream base rate is
+// raised to 10 t/s (vs Table 2's 2 t/s) so a 30-minute run carries enough
+// batches for stable latency statistics; all policies see identical
+// workloads.
+func DefaultStudy() StudyOptions {
+	return StudyOptions{
+		Nodes:     4,
+		Headroom:  2.3,
+		RateFor:   func(_ string, base float64) gen.Profile { return gen.ConstProfile(base) },
+		SelPeriod: 120,
+		Horizon:   1800,
+		Batch:     50,
+		Seed:      42,
 	}
 }
 
-// rtBench holds everything needed to run the three policies on one
-// identical scenario.
-type rtBench struct {
-	sc  *sim.Scenario
-	dep *core.Deployment
-	rld *core.Policy
-	rod *baseline.ROD
-	dyn *baseline.DYN
+// Study is one §6.5 workload: the scenario every policy replays and the
+// RLD deployment the policies are built from. The runtime figures sweep
+// it; cmd/rldrun runs one point of it, set from its flags.
+type Study struct {
+	Scenario   *sim.Scenario
+	Deployment *core.Deployment
 }
 
-// buildRT constructs the scenario + policies. The parameter space declares
-// selectivity uncertainty (U=3) on two operators of Q1; the true
-// selectivities oscillate across that space, which is exactly the "known
-// fluctuation" regime RLD targets.
-func buildRT(o rtOpts) (*rtBench, error) {
-	nOps := o.ops
+// NewStudy builds the scenario and the deployment. The parameter space
+// declares selectivity uncertainty (U=5) on two operators of the query;
+// the true selectivities oscillate across that space, which is exactly
+// the "known fluctuation" regime RLD targets.
+func NewStudy(o StudyOptions) (*Study, error) {
+	nOps := o.Ops
 	if nOps < 2 {
 		nOps = 5
 	}
@@ -89,7 +90,7 @@ func buildRT(o rtOpts) (*rtBench, error) {
 		paramspace.SelDim(0, q.Ops[0].Sel, 5),
 		paramspace.SelDim(nOps-2, q.Ops[nOps-2].Sel, 5),
 	}
-	if !o.noRateDims {
+	if !o.NoRateDims {
 		for _, st := range q.Streams {
 			dims = append(dims, paramspace.RateDim(st, q.Rates[st], 5))
 		}
@@ -102,42 +103,24 @@ func buildRT(o rtOpts) (*rtBench, error) {
 
 	// Size the cluster against the center-point optimal plan cost,
 	// floored so the heaviest single operator always fits one node.
-	evProbe := cost.NewEvaluator(q, space)
-	centerPlan, c0 := optimizer.NewRank(evProbe).Best(space.At(space.Center()))
-	maxOp := 0.0
-	for _, l := range evProbe.OpLoads(centerPlan, space.At(space.FullRegion().Hi)) {
-		if l > maxOp {
-			maxOp = l
+	per := o.PerNodeCapacity
+	if per <= 0 {
+		evProbe := cost.NewEvaluator(q, space)
+		centerPlan, c0 := optimizer.NewRank(evProbe).Best(space.At(space.Center()))
+		maxOp := 0.0
+		for _, l := range evProbe.OpLoads(centerPlan, space.At(space.FullRegion().Hi)) {
+			maxOp = max(maxOp, l)
 		}
-	}
-	var cl *cluster.Cluster
-	if o.perNodeCapacity > 0 {
-		cl = cluster.NewHomogeneous(o.nodes, o.perNodeCapacity)
-	} else {
-		per := c0 * o.headroom / float64(o.nodes)
 		// The heaviest operator (the pipeline's first stage) needs real
 		// slack on its node — it is every policy's structural
 		// bottleneck; 1.6× keeps it at ~60% utilization at base rates.
-		if per < maxOp*1.6 {
-			per = maxOp * 1.6
-		}
-		cl = cluster.NewHomogeneous(o.nodes, per)
+		per = max(c0*o.Headroom/float64(o.Nodes), maxOp*1.6)
 	}
+	cl := cluster.NewHomogeneous(o.Nodes, per)
 
 	dep, err := core.Optimize(q, dims, cl, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: RLD optimize: %w", err)
-	}
-	rod, err := baseline.NewROD(dep.Ev, cl)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ROD: %w", err)
-	}
-	dynCfg := baseline.DefaultDYNConfig()
-	// Activate rebalancing once the hot node holds ≈0.5 s of backlog.
-	dynCfg.ActivationFloor = 0.5 * cl.Nodes[0].Capacity
-	dyn, err := baseline.NewDYN(dep.Ev, cl, dynCfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: DYN: %w", err)
 	}
 
 	sc := &sim.Scenario{
@@ -145,24 +128,24 @@ func buildRT(o rtOpts) (*rtBench, error) {
 		Rates:       map[string]gen.Profile{},
 		Sels:        make([]gen.Profile, len(q.Ops)),
 		Cluster:     cl,
-		Horizon:     o.horizon,
-		BatchSize:   o.batch,
+		Horizon:     o.Horizon,
+		BatchSize:   o.Batch,
 		SampleEvery: 5,
 		TickEvery:   5,
 		// Admission control: bound each node's backlog to ~2 s of work
 		// (the |Tdq| dequeue bound of Table 2 plays this role in
 		// D-CAPE); overload then shows as shed tuples and bounded —
 		// but still strongly separated — latencies, as in Fig 15a.
-		MaxQueue: 2 * cl.Nodes[0].Capacity,
+		MaxQueue: 2 * per,
 		// Count-bounded windows per Table 2's |Tdq|: work scales
 		// linearly with rates, matching the paper's operating range
 		// where 400% rates stress but do not instantly drown the
 		// cluster.
 		CountWindows: true,
-		Seed:         o.seed,
+		Seed:         o.Seed,
 	}
 	for _, s := range q.Streams {
-		sc.Rates[s] = o.rateFor(s, q.Rates[s])
+		sc.Rates[s] = o.RateFor(s, q.Rates[s])
 	}
 	// True selectivities: square waves spanning each declared dimension;
 	// undeclared operators hold their estimates.
@@ -176,26 +159,77 @@ func buildRT(o rtOpts) (*rtBench, error) {
 		sc.Sels[d.Op] = gen.SquareProfile{
 			Lo:         d.Lo + 0.02*(d.Hi-d.Lo),
 			Hi:         d.Hi - 0.02*(d.Hi-d.Lo),
-			Period:     o.selPeriod,
-			PhaseShift: float64(di) * o.selPeriod / 2,
+			Period:     o.SelPeriod,
+			PhaseShift: float64(di) * o.SelPeriod / 2,
 		}
 	}
-	return &rtBench{sc: sc, dep: dep, rld: dep.NewPolicy(o.batch), rod: rod, dyn: dyn}, nil
+	return &Study{Scenario: sc, Deployment: dep}, nil
 }
 
-// runAll executes the three policies on identical scenario copies.
-func (b *rtBench) runAll() (map[string]*runtime.Report, error) {
-	out := map[string]*runtime.Report{}
-	for _, pol := range []sim.Policy{b.rod, b.dyn, b.rld} {
-		scCopy := *b.sc // policies don't mutate the scenario
-		res, err := sim.Run(&scCopy, pol)
-		if err != nil {
+// policies builds ROD, DYN and RLD, in table order. DYN is stateful, so
+// every run gets fresh instances.
+func (s *Study) policies() ([]sim.Policy, error) {
+	dep, cl := s.Deployment, s.Scenario.Cluster
+	rod, err := baseline.NewROD(dep.Ev, cl)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: ROD: %w", err)
+	}
+	dynCfg := baseline.DefaultDYNConfig()
+	// Activate rebalancing once the hot node holds ≈0.5 s of backlog.
+	dynCfg.ActivationFloor = 0.5 * cl.Nodes[0].Capacity
+	dyn, err := baseline.NewDYN(dep.Ev, cl, dynCfg)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: DYN: %w", err)
+	}
+	return []sim.Policy{rod, dyn, dep.NewPolicy(s.Scenario.BatchSize)}, nil
+}
+
+// Run simulates ROD, DYN and RLD on copies of the scenario, under faults
+// when it is non-nil, and returns their reports in that order.
+func (s *Study) Run(faults *chaos.FaultPlan) ([]*runtime.Report, error) {
+	pols, err := s.policies()
+	if err != nil {
+		return nil, err
+	}
+	reports := make([]*runtime.Report, len(pols))
+	for i, pol := range pols {
+		sc := *s.Scenario // policies don't mutate the scenario
+		sc.Faults = faults
+		if reports[i], err = sim.Run(&sc, pol); err != nil {
 			return nil, err
 		}
-		out[pol.Name()] = res
 	}
-	return out, nil
+	return reports, nil
 }
+
+// policySeries is the column order of every §6.5 three-policy table.
+var policySeries = []string{"ROD", "DYN", "RLD"}
+
+// runStudy builds the study for o and runs it fault-free; the figures
+// panic on an error, like every other experiment.
+func runStudy(o StudyOptions) []*runtime.Report {
+	s, err := NewStudy(o)
+	if err != nil {
+		panic(err)
+	}
+	reports, err := s.Run(nil)
+	if err != nil {
+		panic(err)
+	}
+	return reports
+}
+
+// perPolicy reads one metric off each report, keyed by policy name: one
+// row of a three-policy table.
+func perPolicy(reports []*runtime.Report, metric func(*runtime.Report) float64) map[string]float64 {
+	row := make(map[string]float64, len(reports))
+	for _, r := range reports {
+		row[r.Policy] = metric(r)
+	}
+	return row
+}
+
+func meanLatency(r *runtime.Report) float64 { return r.MeanLatencyMS }
 
 // Fig15a — average tuple processing time vs input-rate fluctuation ratio
 // {50,100,200,300,400}% for ROD, DYN, RLD. Expected shape: parity at 50%,
@@ -204,36 +238,23 @@ func (b *rtBench) runAll() (map[string]*runtime.Report, error) {
 // longer balance the overload.
 func Fig15a(quick bool) []*Table {
 	ratios := []float64{0.5, 1, 2, 3, 4}
-	o := defaultRT()
+	o := DefaultStudy()
 	if quick {
 		ratios = []float64{0.5, 2}
-		o.horizon = 400
+		o.Horizon = 400
 	}
 	t := &Table{
 		ID:     "Fig15a",
 		Title:  "average tuple processing time vs input rate fluctuation ratio",
 		XLabel: "ratio",
-		Series: []string{"ROD", "DYN", "RLD"},
+		Series: policySeries,
 		Unit:   "ms",
 	}
 	for _, r := range ratios {
-		ratio := r
-		o.rateFor = func(_ string, base float64) gen.Profile {
-			return gen.Scaled{Inner: gen.ConstProfile(base), Factor: ratio}
+		o.RateFor = func(_ string, base float64) gen.Profile {
+			return gen.Scaled{Inner: gen.ConstProfile(base), Factor: r}
 		}
-		b, err := buildRT(o)
-		if err != nil {
-			panic(err)
-		}
-		res, err := b.runAll()
-		if err != nil {
-			panic(err)
-		}
-		t.Add(fmt.Sprintf("%.0f%%", r*100), map[string]float64{
-			"ROD": res["ROD"].MeanLatencyMS,
-			"DYN": res["DYN"].MeanLatencyMS,
-			"RLD": res["RLD"].MeanLatencyMS,
-		})
+		t.Add(fmt.Sprintf("%.0f%%", r*100), perPolicy(runStudy(o), meanLatency))
 	}
 	return []*Table{t}
 }
@@ -243,47 +264,38 @@ func Fig15a(quick bool) []*Table {
 // Expected shape: ROD flatlines after the 200% step; RLD leads throughout;
 // DYN keeps up but trails RLD due to migration downtime.
 func Fig15b(quick bool) []*Table {
-	o := defaultRT()
-	o.horizon = 3600
+	o := DefaultStudy()
+	o.Horizon = 3600
 	marks := []float64{600, 1200, 1800, 2400, 3000, 3600}
 	if quick {
-		o.horizon = 600
+		o.Horizon = 600
 		marks = []float64{300, 600}
 	}
 	// The 200% step is the stress phase: rate fluctuations are NOT
 	// declared in the space here, so capacity is sized for ±50%
 	// selectivity swings only and the final step overruns every policy's
 	// provisioning — ROD worst, RLD least-worst (cheapest orderings).
-	o.noRateDims = true
-	o.headroom = 1.6
+	o.NoRateDims = true
+	o.Headroom = 1.6
 	step := gen.StepProfile{
-		Times: []float64{o.horizon / 3, 2 * o.horizon / 3},
+		Times: []float64{o.Horizon / 3, 2 * o.Horizon / 3},
 		Vals:  []float64{0.5, 1, 2},
 	}
-	o.rateFor = func(_ string, base float64) gen.Profile {
+	o.RateFor = func(_ string, base float64) gen.Profile {
 		return gen.Scaled{Inner: step, Factor: base}
 	}
-	b, err := buildRT(o)
-	if err != nil {
-		panic(err)
-	}
-	res, err := b.runAll()
-	if err != nil {
-		panic(err)
-	}
+	res := runStudy(o)
 	t := &Table{
 		ID:     "Fig15b",
 		Title:  "cumulative tuples produced over time (rates 50%→100%→200%)",
 		XLabel: "minute",
-		Series: []string{"ROD", "DYN", "RLD"},
+		Series: policySeries,
 		Unit:   "tuples",
 	}
 	for _, m := range marks {
-		t.Add(fmt.Sprintf("%.0f", m/60), map[string]float64{
-			"ROD": res["ROD"].ProducedOverTime.ValueAt(m),
-			"DYN": res["DYN"].ProducedOverTime.ValueAt(m),
-			"RLD": res["RLD"].ProducedOverTime.ValueAt(m),
-		})
+		t.Add(fmt.Sprintf("%.0f", m/60), perPolicy(res, func(r *runtime.Report) float64 {
+			return r.ProducedOverTime.ValueAt(m)
+		}))
 	}
 	return []*Table{t}
 }
@@ -297,50 +309,36 @@ func Fig15b(quick bool) []*Table {
 // as machines are added, RLD flattest throughout.
 func Fig16a(quick bool) []*Table {
 	nodesList := []int{1, 2, 4}
-	o := defaultRT()
+	o := DefaultStudy()
 	if quick {
 		nodesList = []int{1, 4}
-		o.horizon = 400
+		o.Horizon = 400
 	}
 	// Fixed per-node capacity sized so even ONE node can host the whole
 	// query (tightly): adding machines then relaxes the colocation.
-	probe := defaultRT()
-	bProbe, err := buildRT(probe)
+	probe, err := NewStudy(DefaultStudy())
 	if err != nil {
 		panic(err)
 	}
 	total := 0.0
-	for _, l := range bProbe.dep.Logical.MaxLoads(bProbe.dep.Ev) {
+	for _, l := range probe.Deployment.Logical.MaxLoads(probe.Deployment.Ev) {
 		total += l
 	}
-	perNode := total * 1.08
+	o.PerNodeCapacity = total * 1.08
 
-	o.rateFor = func(_ string, base float64) gen.Profile {
+	o.RateFor = func(_ string, base float64) gen.Profile {
 		return gen.Scaled{Inner: gen.ConstProfile(base), Factor: 1.5}
 	}
 	t := &Table{
 		ID:     "Fig16a",
 		Title:  "average tuple processing time vs number of nodes (150% rates)",
 		XLabel: "nodes",
-		Series: []string{"ROD", "DYN", "RLD"},
+		Series: policySeries,
 		Unit:   "ms",
 	}
 	for _, n := range nodesList {
-		o.nodes = n
-		o.perNodeCapacity = perNode
-		b, err := buildRT(o)
-		if err != nil {
-			panic(err)
-		}
-		res, err := b.runAll()
-		if err != nil {
-			panic(err)
-		}
-		t.Add(fmt.Sprintf("%d", n), map[string]float64{
-			"ROD": res["ROD"].MeanLatencyMS,
-			"DYN": res["DYN"].MeanLatencyMS,
-			"RLD": res["RLD"].MeanLatencyMS,
-		})
+		o.Nodes = n
+		t.Add(fmt.Sprintf("%d", n), perPolicy(runStudy(o), meanLatency))
 	}
 	return []*Table{t}
 }
@@ -352,37 +350,24 @@ func Fig16a(quick bool) []*Table {
 // additionally pays migration downtime chasing the wave).
 func Fig16b(quick bool) []*Table {
 	periods := []float64{5, 10, 20}
-	o := defaultRT()
-	o.headroom = 1.6
+	o := DefaultStudy()
+	o.Headroom = 1.6
 	if quick {
 		periods = []float64{5, 20}
-		o.horizon = 400
+		o.Horizon = 400
 	}
 	t := &Table{
 		ID:     "Fig16b",
 		Title:  "average tuple processing time vs input rate fluctuation period",
 		XLabel: "period (s)",
-		Series: []string{"ROD", "DYN", "RLD"},
+		Series: policySeries,
 		Unit:   "ms",
 	}
 	for _, p := range periods {
-		period := p
-		o.rateFor = func(streamName string, base float64) gen.Profile {
-			return gen.SquareProfile{Lo: base * 0.5, Hi: base * 1.5, Period: period}
+		o.RateFor = func(_ string, base float64) gen.Profile {
+			return gen.SquareProfile{Lo: base * 0.5, Hi: base * 1.5, Period: p}
 		}
-		b, err := buildRT(o)
-		if err != nil {
-			panic(err)
-		}
-		res, err := b.runAll()
-		if err != nil {
-			panic(err)
-		}
-		t.Add(fmt.Sprintf("%.0f", p), map[string]float64{
-			"ROD": res["ROD"].MeanLatencyMS,
-			"DYN": res["DYN"].MeanLatencyMS,
-			"RLD": res["RLD"].MeanLatencyMS,
-		})
+		t.Add(fmt.Sprintf("%.0f", p), perPolicy(runStudy(o), meanLatency))
 	}
 	return []*Table{t}
 }
@@ -391,47 +376,24 @@ func Fig16b(quick bool) []*Table {
 // cost (≈2% of execution) vs DYN's migration count/downtime and decision
 // cost; ROD has none by construction.
 func Overhead(quick bool) []*Table {
-	o := defaultRT()
+	o := DefaultStudy()
 	if quick {
-		o.horizon = 400
+		o.Horizon = 400
 	}
-	o.rateFor = func(_ string, base float64) gen.Profile {
+	o.RateFor = func(_ string, base float64) gen.Profile {
 		return gen.Scaled{Inner: gen.ConstProfile(base), Factor: 2}
 	}
-	b, err := buildRT(o)
-	if err != nil {
-		panic(err)
-	}
-	res, err := b.runAll()
-	if err != nil {
-		panic(err)
-	}
+	res := runStudy(o)
 	t := &Table{
 		ID:     "Overhead",
 		Title:  "runtime overhead beyond query processing (200% rates)",
 		XLabel: "metric",
-		Series: []string{"ROD", "DYN", "RLD"},
+		Series: policySeries,
 	}
-	t.Add("overhead ratio", map[string]float64{
-		"ROD": res["ROD"].OverheadRatio(),
-		"DYN": res["DYN"].OverheadRatio(),
-		"RLD": res["RLD"].OverheadRatio(),
-	})
-	t.Add("migrations", map[string]float64{
-		"ROD": float64(res["ROD"].Migrations),
-		"DYN": float64(res["DYN"].Migrations),
-		"RLD": float64(res["RLD"].Migrations),
-	})
-	t.Add("migration downtime s", map[string]float64{
-		"ROD": res["ROD"].MigrationDowntime,
-		"DYN": res["DYN"].MigrationDowntime,
-		"RLD": res["RLD"].MigrationDowntime,
-	})
-	t.Add("plan switches", map[string]float64{
-		"ROD": float64(res["ROD"].PlanSwitches),
-		"DYN": float64(res["DYN"].PlanSwitches),
-		"RLD": float64(res["RLD"].PlanSwitches),
-	})
+	t.Add("overhead ratio", perPolicy(res, (*runtime.Report).OverheadRatio))
+	t.Add("migrations", perPolicy(res, func(r *runtime.Report) float64 { return float64(r.Migrations) }))
+	t.Add("migration downtime s", perPolicy(res, func(r *runtime.Report) float64 { return r.MigrationDowntime }))
+	t.Add("plan switches", perPolicy(res, func(r *runtime.Report) float64 { return float64(r.PlanSwitches) }))
 	return []*Table{t}
 }
 
@@ -440,10 +402,10 @@ func Overhead(quick bool) []*Table {
 // agility degrades.
 func AblationBatch(quick bool) []*Table {
 	sizes := []int{10, 50, 200, 1000}
-	o := defaultRT()
+	o := DefaultStudy()
 	if quick {
 		sizes = []int{10, 200}
-		o.horizon = 400
+		o.Horizon = 400
 	}
 	t := &Table{
 		ID:     "AblationBatch",
@@ -452,13 +414,13 @@ func AblationBatch(quick bool) []*Table {
 		Series: []string{"latency ms", "overhead ratio", "plan switches"},
 	}
 	for _, bs := range sizes {
-		o.batch = bs
-		b, err := buildRT(o)
+		o.Batch = bs
+		s, err := NewStudy(o)
 		if err != nil {
 			panic(err)
 		}
-		scCopy := *b.sc
-		res, err := sim.Run(&scCopy, b.rld)
+		sc := *s.Scenario
+		res, err := sim.Run(&sc, s.Deployment.NewPolicy(bs))
 		if err != nil {
 			panic(err)
 		}

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -96,45 +95,33 @@ func FormatAll(tables []*Table) string {
 	return strings.Join(parts, "\n")
 }
 
-// Registry maps experiment IDs to runners, so cmd/rldbench can run any
-// subset by name. Quick mode shrinks parameters for smoke tests.
+// Runner reproduces one experiment's tables. Quick mode shrinks
+// parameters for smoke tests.
 type Runner func(quick bool) []*Table
 
-// All returns the registry in stable order.
-func All() []struct {
+// Experiment is one registry entry: an ID cmd/rldbench runs by name.
+type Experiment struct {
 	ID  string
 	Run Runner
-} {
-	reg := map[string]Runner{
-		"table2":         Table2,
-		"fig10":          Fig10,
-		"fig11":          Fig11,
-		"fig12":          Fig12,
-		"fig13":          Fig13,
-		"fig14":          Fig14,
-		"fig15a":         Fig15a,
-		"fig15b":         Fig15b,
-		"fig16a":         Fig16a,
-		"fig16b":         Fig16b,
-		"overhead":       Overhead,
-		"ablation-erp":   AblationERP,
-		"ablation-bound": AblationBound,
-		"ablation-batch": AblationBatch,
+}
+
+// All returns the registry in ascending ID order, the order rldbench runs
+// it in.
+func All() []Experiment {
+	return []Experiment{
+		{"ablation-batch", AblationBatch},
+		{"ablation-bound", AblationBound},
+		{"ablation-erp", AblationERP},
+		{"fig10", Fig10},
+		{"fig11", Fig11},
+		{"fig12", Fig12},
+		{"fig13", Fig13},
+		{"fig14", Fig14},
+		{"fig15a", Fig15a},
+		{"fig15b", Fig15b},
+		{"fig16a", Fig16a},
+		{"fig16b", Fig16b},
+		{"overhead", Overhead},
+		{"table2", Table2},
 	}
-	ids := make([]string, 0, len(reg))
-	for id := range reg {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]struct {
-		ID  string
-		Run Runner
-	}, 0, len(reg))
-	for _, id := range ids {
-		out = append(out, struct {
-			ID  string
-			Run Runner
-		}{id, reg[id]})
-	}
-	return out
 }

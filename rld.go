@@ -271,7 +271,10 @@ func NewDYN(dep *Deployment, cfg DYNConfig) (Policy, error) {
 	return baseline.NewDYN(dep.Ev, dep.Cluster, cfg)
 }
 
-// DefaultDYNConfig returns the experiment defaults for DYN.
+// DefaultDYNConfig returns DYN's stock tuning. Its ActivationFloor is an
+// absolute number of cost-units (50), not scaled to the cluster: size it
+// to the nodes' capacity, as the §6.5 experiments do (half a node's
+// capacity per second).
 func DefaultDYNConfig() DYNConfig { return baseline.DefaultDYNConfig() }
 
 // Workload generators (internal/gen).
