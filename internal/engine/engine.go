@@ -71,7 +71,9 @@ type Config struct {
 	MaxFanout int
 	// Workers is the number of worker goroutines per node draining its
 	// queue (0 = GOMAXPROCS): concurrent batches on one node process in
-	// parallel.
+	// parallel. It also sizes each join operator's window state: one
+	// worker keeps one window per operator behind one lock, more keep 16
+	// hash-partitioned shards that parallel workers lock independently.
 	Workers int
 	// WALDir, when non-empty, turns on exactly-once durability: the router
 	// logs every window mutation to one write-ahead log in its own

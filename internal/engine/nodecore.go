@@ -86,7 +86,16 @@ func grow32(s []int32, n int) []int32 {
 // group counting-sorts items 0..n-1 into per-shard runs using the shard
 // assignments the caller wrote to sc.shardOf[:n]. Afterwards
 // sc.order[sc.starts[s]:sc.starts[s+1]] lists shard s's items in input order.
+// With one shard there is nothing to sort: the run is every item, in order.
 func (sc *shardScratch) group(n, nShards int) {
+	if nShards == 1 {
+		sc.starts = append(sc.starts[:0], 0, int32(n))
+		sc.order = grow32(sc.order, n)
+		for i := range sc.order {
+			sc.order[i] = int32(i)
+		}
+		return
+	}
 	sc.cnt = grow32(sc.cnt, nShards)
 	clear(sc.cnt)
 	for _, sh := range sc.shardOf[:n] {
@@ -109,8 +118,8 @@ func (sc *shardScratch) group(n, nShards int) {
 }
 
 // opShard is one hash partition of a join operator's window state, guarded
-// by its own lock so concurrent inserts and probes on different keys don't
-// contend.
+// by its own lock so parallel workers inserting and probing different keys
+// don't contend. A node drained by one worker has one shard per operator.
 type opShard struct {
 	mu     sync.Mutex
 	window *stream.Window //rldlint:guardedby mu
@@ -266,10 +275,21 @@ func observedSel(est float64, in, out int64) float64 {
 }
 
 // numShards is the number of hash partitions of each join operator's window
-// state, each with its own lock, so concurrent batches on one node contend
-// per shard rather than per operator. A power of two: shards are picked by
-// masking the key.
+// state on a node with parallel workers, each with its own lock, so the
+// workers' concurrent batches contend per shard rather than per operator. A
+// power of two: shards are picked by masking the key.
 const numShards = 16
+
+// shardsFor is the shard count of a node drained by workers goroutines. One
+// worker keeps one window per operator: a join stage then probes all of its
+// keys as one group, whose chain walks overlap their cache misses, instead
+// of splitting them across locks that guard no parallel work.
+func shardsFor(workers int) int {
+	if workers == 1 {
+		return 1
+	}
+	return numShards
+}
 
 // normalizeConfig fills Config defaults in place; both the Engine and a netrt
 // worker normalize the same way so a serialized Config means the same thing
@@ -303,9 +323,10 @@ type NodeCore struct {
 }
 
 // NewNodeCore builds the operator state for q under cfg (normalized with
-// the same defaults the Engine uses).
+// the same defaults the Engine uses), with the shard count shardsFor picks
+// for cfg's worker count.
 func NewNodeCore(q *query.Query, cfg Config) (*NodeCore, error) {
-	return newNodeCore(q, cfg, numShards)
+	return newNodeCore(q, cfg, shardsFor(normalizeConfig(cfg).Workers))
 }
 
 // newNodeCore is NewNodeCore with the shard count (a power of two) as a
@@ -347,6 +368,10 @@ func (c *NodeCore) Schema() *stream.JoinSchema { return c.schema }
 
 // NumOps returns the operator count.
 func (c *NodeCore) NumOps() int { return len(c.ops) }
+
+// Shards returns the number of hash partitions operator op's window is
+// split into (see shardsFor).
+func (c *NodeCore) Shards(op int) int { return len(c.ops[op].shards) }
 
 // Config returns the normalized configuration.
 func (c *NodeCore) Config() Config { return c.cfg }

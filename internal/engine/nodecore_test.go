@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	stdruntime "runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -280,7 +281,8 @@ func TestPooledPartialsHoldNoTuples(t *testing.T) {
 // without a fanout cap, and for probe sets whose keys all land in one shard
 // (one group holds them all), land one per shard (sixteen groups of one), or
 // fall anywhere, repeats and absent keys included. A last part probes while
-// four goroutines insert (the CI step runs it under -race -cpu 1,4).
+// four goroutines insert, at Workers 1 and 4 (the CI step runs it under
+// -race -cpu 1,4).
 func TestJoinStageGroupsEqualSingles(t *testing.T) {
 	const op, slot, nKeys, rows = 1, 1, 192, 1200
 	rng := rand.New(rand.NewSource(31))
@@ -393,14 +395,24 @@ func TestJoinStageGroupsEqualSingles(t *testing.T) {
 	// Grouped probes against concurrent inserts: each goroutine owns a key
 	// range, inserts ascending sequence numbers into it and probes it, so
 	// whatever interleaves, a probe's matches must carry its own key and
-	// come out oldest first.
-	q := query.NewNWayJoin("GS", 3, 100)
-	cfg := DefaultConfig()
-	cfg.Workers = 4
-	core, err := NewNodeCore(q, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// come out oldest first — on sixteen shards (Workers 4) and on the one
+	// window per operator a one-worker node keeps, where every producer's
+	// inserts and probes meet on one lock.
+	for _, workers := range []int{1, 4} {
+		q := query.NewNWayJoin("GS", 3, 100)
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		core, err := NewNodeCore(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probeConcurrently(t, core, op, slot)
 	}
+}
+
+// probeConcurrently is TestJoinStageGroupsEqualSingles's concurrent part:
+// four goroutines insert into and probe operator op of core at once.
+func probeConcurrently(t *testing.T, core *NodeCore, op, slot int) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -450,12 +462,62 @@ func TestJoinStageGroupsEqualSingles(t *testing.T) {
 	wg.Wait()
 }
 
+// TestShardsFollowWorkers pins the shard rule: a node drained by one worker
+// keeps one window per join operator, a node with parallel workers keeps
+// numShards, and Workers 0 means GOMAXPROCS workers (the CI step runs it at
+// -cpu 1,4, which takes both branches). A scratch last grouped over sixteen
+// shards must come out of a one-shard group as one run of every item, in
+// input order.
+func TestShardsFollowWorkers(t *testing.T) {
+	q := query.NewNWayJoin("SW", 3, 100) // op 0 selects on S1, ops 1 and 2 join S2 and S3
+	atZero := numShards
+	if stdruntime.GOMAXPROCS(0) == 1 {
+		atZero = 1
+	}
+	for _, tc := range []struct{ workers, want int }{{1, 1}, {2, numShards}, {4, numShards}, {0, atZero}} {
+		cfg := DefaultConfig()
+		cfg.Workers = tc.workers
+		core, err := NewNodeCore(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for op := 1; op <= 2; op++ {
+			if got := core.Shards(op); got != tc.want {
+				t.Errorf("Workers %d (GOMAXPROCS %d): join op %d has %d shards, want %d",
+					tc.workers, stdruntime.GOMAXPROCS(0), op, got, tc.want)
+			}
+		}
+	}
+
+	sc := getScratch()
+	defer putScratch(sc)
+	const wide, n = 100, 37
+	sc.shardOf = grow32(sc.shardOf, wide)
+	for i := range sc.shardOf {
+		sc.shardOf[i] = int32((i * 7) % numShards)
+	}
+	sc.group(wide, numShards)
+	sc.group(n, 1)
+	if !slices.Equal(sc.starts, []int32{0, n}) {
+		t.Fatalf("one-shard group: starts = %v, want [0 %d]", sc.starts, n)
+	}
+	if len(sc.order) != n {
+		t.Fatalf("one-shard group: %d items ordered, want %d", len(sc.order), n)
+	}
+	for i, k := range sc.order {
+		if k != int32(i) {
+			t.Fatalf("one-shard group: order[%d] = %d, want the identity over %d items", i, k, n)
+		}
+	}
+}
+
 func TestEngineProbeExpiresStaleShards(t *testing.T) {
 	// One cold shard must not serve tuples older than the window span
 	// even if that shard never receives another insert.
 	q := twoWay() // op1 joins on S2, window 60 s
 	cfg := DefaultConfig()
 	cfg.MaxFanout = 0
+	cfg.Workers = 2 // more than one worker: 16 shards
 	e, err := New(q, physical.Assignment{0, 0}, 1, staticChooser{Plan: query.Plan{0, 1}}, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ type ClusterConfig struct {
 	// operator state (threshold scale, fanout cap; a WAL directory reaches
 	// workers only as the switch for insert-time dedup — the log is the
 	// router's). Workers is ignored: the leader's router runs one goroutine
-	// per node.
+	// per node, and each worker process keeps one window per operator.
 	Engine engine.Config
 	// WorkerCommand, when non-empty, is the argv prefix used to launch
 	// worker processes (it receives -leader/-node/-epoch flags) — the

@@ -1,10 +1,12 @@
 package netrt
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 
 	"rld/internal/engine"
+	"rld/internal/physical"
 	"rld/internal/wire"
 )
 
@@ -28,6 +30,31 @@ func TestWorkerRejectsUnservedFrames(t *testing.T) {
 		}
 		if !errors.Is(err, ErrBadFrame) {
 			t.Errorf("frame %d: reply %d, err %v; want ErrBadFrame", ft, rt, err)
+		}
+	}
+}
+
+// TestWorkerShardsFollowWorkers: a worker process serves one request at a
+// time, so the leader ships Workers = 1 whatever its caller asked for, and
+// the NodeCore a worker builds from that setup message (as RunWorker does)
+// keeps one window per operator.
+func TestWorkerShardsFollowWorkers(t *testing.T) {
+	c, err := NewCluster(testQuery(), physical.Assignment{0, 0}, 1, ClusterConfig{Engine: engine.Config{Workers: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	var setup setupMsg
+	if err := json.Unmarshal(c.setup, &setup); err != nil {
+		t.Fatal(err)
+	}
+	core, err := engine.NewNodeCore(setup.Query, setup.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for op := 0; op < core.NumOps(); op++ {
+		if got := core.Shards(op); got != 1 {
+			t.Errorf("op %d: the worker's NodeCore has %d shards, want 1 (setup says Workers = %d)", op, got, setup.Config.Workers)
 		}
 	}
 }

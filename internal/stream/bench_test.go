@@ -71,8 +71,9 @@ func BenchmarkWindowInsertExpire(b *testing.B) {
 }
 
 // BenchmarkWindowProbe probes 20 keys per op, as groups of 1 (what a
-// 20-tuple batch over 16 shards mostly gives), 6 (a 100-tuple batch) and 20,
-// so ns/op is comparable across the sizes. The window fits in L2 here: the
+// 20-tuple batch over 16 shards mostly gives), 6 (a 100-tuple batch over 16
+// shards) and 20 (a 20-tuple batch on a one-worker node's single window), so
+// ns/op is comparable across the sizes. The window fits in L2 here: the
 // sizes differ by call overhead only, not by the misses grouping overlaps.
 func BenchmarkWindowProbe(b *testing.B) {
 	for _, group := range []int{1, 6, 20} {

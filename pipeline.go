@@ -93,8 +93,11 @@ type pipelineConfig struct {
 type Option func(*pipelineConfig)
 
 // WithWorkers sets the per-node worker-goroutine count (0 = GOMAXPROCS).
-// It is ignored under WithDistributed: a worker process serves one request
-// at a time, so the leader runs one router goroutine per worker process.
+// One worker also means one window per join operator, probed as one group;
+// more split each window into 16 independently locked shards. It is ignored
+// under WithDistributed: a worker process serves one request at a time, so
+// the leader runs one router goroutine per worker process, and each worker
+// process keeps one window per operator.
 func WithWorkers(n int) Option { return func(c *pipelineConfig) { c.engine.Workers = n } }
 
 // WithMaxFanout caps join results per probe (0 = unlimited).
