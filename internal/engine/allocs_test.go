@@ -27,7 +27,7 @@ func TestSessionResultDeliveryAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1, 2}, Assign: physical.Assignment{0, 0, 0}}
-	s, err := OpenSession(q, 1, pol, SessionOptions{Config: cfg, ResultBuffer: 4, MaxPending: 1})
+	s, err := OpenSession(q, 1, pol, cfg, runtime.SessionOptions{ResultBuffer: 4, MaxPending: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

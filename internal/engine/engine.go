@@ -121,8 +121,9 @@ type nodeState struct {
 	// down marks a crashed node: its pool is dead, its queued work has
 	// been reaped (parked for replay in Checkpoint mode, dropped in
 	// LoseState), and sends park or lose directly. The down check and the
-	// enqueue happen in one critical section, so no message can slip into
-	// the queue after MarkDown's sweep.
+	// enqueue happen in one critical section, and MarkDown sweeps the queue
+	// in the one that sets down, so no message can slip into the queue after
+	// the sweep or park ahead of it.
 	down bool               //rldlint:guardedby mu
 	mode chaos.RecoveryMode //rldlint:guardedby mu
 	// parked holds messages awaiting replay on recovery.
@@ -234,9 +235,11 @@ type Engine struct {
 	// resultObs, when set, taps every non-empty sink emission (sessions
 	// subscribe result streams through it).
 	resultObs atomic.Pointer[resultObserver]
-	// onSwitch, when set, is told each plan switch as Ingest counts it,
-	// under mu. A session sets it before Start to emit its switch events.
-	onSwitch func(key string)
+	// out, when set, is the session's outbox: Ingest emits each plan switch
+	// into it as it counts the switch, under mu, and markDown and recoverAt
+	// each outage edge under the node's lock. It is atomic because a
+	// transport's failure detection runs before the session exists.
+	out atomic.Pointer[runtime.Outbox]
 
 	// snapCache is the monitor snapshot handed to the per-batch plan
 	// chooser. Monitor state changes only on Offer, so refreshing the
@@ -286,13 +289,6 @@ type Engine struct {
 	// canonical clone plus its precomputed key, so recurring plans skip
 	// the per-batch Clone/Valid/Key allocations. Bounded by maxInterned.
 	plans []internedPlan //rldlint:guardedby mu
-
-	// onOutage, when set, is told each outage's EventCrash and
-	// EventRecovery under the node's lock. A session sets it; it is atomic
-	// because a transport's failure detection runs before the session
-	// exists. (Last, so the hot fields above keep their cache-line
-	// placement.)
-	onOutage atomic.Pointer[func(runtime.Event)]
 }
 
 // routing is one version of the routing table: where every operator runs
@@ -406,11 +402,11 @@ func NewOn(core *NodeCore, t Transport, assign physical.Assignment, nNodes int, 
 // of q on one of nNodes nodes.
 func checkPlacement(q *query.Query, assign physical.Assignment, nNodes int) error {
 	if !assign.Complete() || len(assign) != len(q.Ops) {
-		return fmt.Errorf("%w: incomplete", ErrBadPlacement)
+		return fmt.Errorf("%w: incomplete", runtime.ErrBadPlacement)
 	}
 	for _, n := range assign {
 		if n < 0 || n >= nNodes {
-			return fmt.Errorf("%w: references node %d of %d", ErrBadPlacement, n, nNodes)
+			return fmt.Errorf("%w: references node %d of %d", runtime.ErrBadPlacement, n, nNodes)
 		}
 	}
 	return nil
@@ -484,7 +480,7 @@ func (e *Engine) wakePending() {
 // AwaitPending blocks until fewer than limit messages are in flight
 // (limit ≤ 1: until fully drained), the context ends, or closed closes —
 // returning nil, ctx.Err(), or runtime.ErrClosed respectively. Wakeups are
-// edge-triggered from the worker/sweep paths via wakePending; the
+// edge-triggered from the worker and markDown paths via wakePending; the
 // register-then-recheck order makes the wait lose no wakeup.
 func (e *Engine) AwaitPending(ctx context.Context, limit int64, closed <-chan struct{}) error {
 	if limit < 1 {
@@ -704,9 +700,7 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 	if k != e.lastKey {
 		if e.lastKey != "" {
 			e.switches++
-			if e.onSwitch != nil {
-				e.onSwitch(k)
-			}
+			e.out.Load().Emit(runtime.Event{Kind: runtime.EventPlanSwitch, T: e.appTime(), Node: -1, Op: -1, Plan: k})
 		}
 		e.lastKey = k
 	}
@@ -820,10 +814,10 @@ func (e *Engine) Migrate(op, node int) error {
 	}
 	cur := e.route.Load().assign
 	if op < 0 || op >= len(cur) {
-		return fmt.Errorf("%w: migrate op %d", ErrUnknownOp, op)
+		return fmt.Errorf("%w: migrate op %d", runtime.ErrUnknownOp, op)
 	}
 	if node < 0 || node >= len(e.nodes) {
-		return fmt.Errorf("%w: migrate to node %d", ErrUnknownNode, node)
+		return fmt.Errorf("%w: migrate to node %d", runtime.ErrUnknownNode, node)
 	}
 	if cur[op] == node {
 		return nil
@@ -856,7 +850,7 @@ func (e *Engine) crashAt(node int, mode chaos.RecoveryMode, t float64) error {
 		return err
 	}
 	if node < 0 || node >= len(e.nodes) {
-		return fmt.Errorf("%w: crash node %d", ErrUnknownNode, node)
+		return fmt.Errorf("%w: crash node %d", runtime.ErrUnknownNode, node)
 	}
 	ns := e.nodes[node]
 	ns.mu.Lock()
@@ -864,14 +858,6 @@ func (e *Engine) crashAt(node int, mode chaos.RecoveryMode, t float64) error {
 	ns.mu.Unlock()
 	e.markDown(node, gen, mode, t)
 	return nil
-}
-
-// tellOutage hands one edge of an outage to the onOutage hook, if any.
-// Caller holds the node's lock.
-func (e *Engine) tellOutage(kind runtime.EventKind, node int, t float64) {
-	if h := e.onOutage.Load(); h != nil {
-		(*h)(runtime.Event{Kind: kind, T: t, Node: node, Op: -1})
-	}
 }
 
 // MarkDown takes node down if it is still incarnation gen and still up:
@@ -890,7 +876,12 @@ func (e *Engine) MarkDown(node int, gen uint64, mode chaos.RecoveryMode) {
 	e.markDown(node, gen, mode, e.appTime())
 }
 
-// markDown is MarkDown with the outage beginning at virtual time t.
+// markDown is MarkDown with the outage beginning at virtual time t. The
+// queue is swept — its backlog parked for replay (Checkpoint mode) or
+// destroyed (LoseState), in arrival order — in the critical section that
+// sets down, so a send that finds the node down parks behind the backlog,
+// never ahead of it. The pending count drops by the backlog, so Drain never
+// waits on a dead node.
 func (e *Engine) markDown(node int, gen uint64, mode chaos.RecoveryMode, t float64) {
 	ns := e.nodes[node]
 	ns.mu.Lock()
@@ -903,35 +894,21 @@ func (e *Engine) markDown(node int, gen uint64, mode chaos.RecoveryMode, t float
 	ns.pool++
 	ns.downAt = t
 	e.crashes.Add(1)
-	e.tellOutage(runtime.EventCrash, node, t)
-	ns.mu.Unlock()
-	ns.ready.Broadcast()
-	e.downCount.Add(1)
-	e.t.Kill(node)
-	e.sweep(node)
-}
-
-// sweep empties a freshly crashed node's queue — parking the backlog for
-// replay (Checkpoint mode) or destroying it (LoseState), in arrival order —
-// and keeps the pending count honest so Drain never waits on a dead node.
-// It runs once per outage, after the down flag is set and the pool retired:
-// send's down check is in the same critical section as its enqueue, so
-// nothing can land in the queue afterwards, and a worker still finishing
-// takes nothing more from it.
-func (e *Engine) sweep(node int) {
-	ns := e.nodes[node]
-	ns.mu.Lock()
+	e.out.Load().Emit(runtime.Event{Kind: runtime.EventCrash, T: t, Node: node, Op: -1})
 	backlog := ns.queue[ns.head:]
 	ns.queue, ns.head = nil, 0
-	park := ns.mode == chaos.Checkpoint
+	park := mode == chaos.Checkpoint
 	if park {
 		ns.parked = append(ns.parked, backlog...)
 	}
 	ns.mu.Unlock()
-	for _, msg := range backlog {
-		e.nodeQueued[node].Add(-1)
-		e.pending.Add(-1)
-		if !park {
+	ns.ready.Broadcast()
+	e.downCount.Add(1)
+	e.t.Kill(node)
+	e.nodeQueued[node].Add(-int64(len(backlog)))
+	e.pending.Add(-int64(len(backlog)))
+	if !park {
+		for _, msg := range backlog {
 			e.lose(msg)
 		}
 	}
@@ -957,7 +934,7 @@ func (e *Engine) recoverAt(node int, t float64) error {
 		return err
 	}
 	if node < 0 || node >= len(e.nodes) {
-		return fmt.Errorf("%w: recover node %d", ErrUnknownNode, node)
+		return fmt.Errorf("%w: recover node %d", runtime.ErrUnknownNode, node)
 	}
 	ns := e.nodes[node]
 	ns.mu.Lock()
@@ -980,17 +957,29 @@ func (e *Engine) recoverAt(node int, t float64) error {
 	// Fresh pool under the number MarkDown left, which no worker of the
 	// old pool holds; any slowdown still in effect applies to it as is.
 	e.startPool(node)
-	// Flip live and take the parked backlog atomically: later sends go
-	// straight to the queue, everything parked before the flip replays.
+	// Flip live and requeue the parked backlog in one critical section: what
+	// is still routed here goes to the queue ahead of any later send, and
+	// only what migrated away during the outage is sent on after it.
 	ns.mu.Lock()
 	ns.down = false
 	ns.downFor += t - ns.downAt
-	e.tellOutage(runtime.EventRecovery, node, t)
+	e.out.Load().Emit(runtime.Event{Kind: runtime.EventRecovery, T: t, Node: node, Op: -1})
 	e.downCount.Add(-1)
-	parked := ns.parked
+	assign := e.route.Load().assign
+	away := ns.parked[:0]
+	for _, m := range ns.parked {
+		if assign[m.plan[m.stage]] != node {
+			away = append(away, m)
+			continue
+		}
+		e.pending.Add(1)
+		e.nodeQueued[node].Add(1)
+		ns.push(m)
+	}
 	ns.parked = nil
 	ns.mu.Unlock()
-	for _, m := range parked {
+	ns.ready.Broadcast()
+	for _, m := range away {
 		e.send(m)
 	}
 	return nil
@@ -1005,7 +994,7 @@ func (e *Engine) SetSlowdown(node int, factor float64) error {
 		return err
 	}
 	if node < 0 || node >= len(e.nodes) {
-		return fmt.Errorf("%w: slowdown node %d", ErrUnknownNode, node)
+		return fmt.Errorf("%w: slowdown node %d", runtime.ErrUnknownNode, node)
 	}
 	if factor <= 0 || factor > 1 {
 		factor = 1

@@ -39,13 +39,11 @@ func feed(t *testing.T, e *Engine, q *query.Query, batches, size int, sel float6
 	}
 	for b := 0; b < batches; b++ {
 		for i := range srcs {
-			batch := stream.NewBatch(q.Streams[i])
+			batch := stream.NewSizedBatch(q.Streams[i], srcs[i].Arity(), size)
 			for j := 0; j < size; j++ {
-				tu, ok := srcs[i].Next()
-				if !ok {
+				if !srcs[i].AppendNext(batch) {
 					t.Fatal("source dried up")
 				}
-				batch.Append(tu)
 			}
 			if err := e.Ingest(batch); err != nil {
 				t.Fatal(err)
@@ -241,10 +239,9 @@ func TestEngineConcurrentIngest(t *testing.T) {
 				gen.KeyDist{Target: gen.ConstProfile(0.4), Cold: 512},
 				gen.Uniform{A: 0, B: 100}, int64(f))
 			for i := 0; i < batches; i++ {
-				b := stream.NewBatch(src.Name)
+				b := stream.NewSizedBatch(src.Name, src.Arity(), size)
 				for j := 0; j < size; j++ {
-					tu, _ := src.Next()
-					b.Append(tu)
+					src.AppendNext(b)
 				}
 				if err := e.Ingest(b); err != nil {
 					t.Error(err)
@@ -306,10 +303,9 @@ func TestEngineStopDuringConcurrentIngest(t *testing.T) {
 			src := gen.NewSource("S1", gen.ConstProfile(100),
 				gen.KeyDist{Cold: 64}, gen.Uniform{A: 0, B: 100}, int64(round))
 			for {
-				b := stream.NewBatch("S1")
+				b := stream.NewSizedBatch("S1", src.Arity(), 20)
 				for j := 0; j < 20; j++ {
-					tu, _ := src.Next()
-					b.Append(tu)
+					src.AppendNext(b)
 				}
 				if err := e.Ingest(b); err != nil {
 					return // engine stopped underneath us: expected

@@ -13,17 +13,10 @@ var (
 	ErrNotStarted = errors.New("engine: not started")
 	// ErrStopped reports an operation after Stop.
 	ErrStopped = errors.New("engine: stopped")
-	// ErrUnknownNode reports a node index outside the cluster.
-	ErrUnknownNode = errors.New("engine: unknown node")
-	// ErrUnknownOp reports an operator index outside the query.
-	ErrUnknownOp = errors.New("engine: unknown operator")
 	// ErrNodeDown reports an Ingest into a fully-crashed cluster: every
 	// node is down, so the batch has nowhere to run.
 	ErrNodeDown = errors.New("engine: node down")
 	// ErrInvalidPlan reports a plan chooser returning a plan that is not
 	// a valid ordering of the query's operators.
 	ErrInvalidPlan = errors.New("engine: invalid plan")
-	// ErrBadPlacement reports an operator placement that is incomplete or
-	// references nodes outside the cluster.
-	ErrBadPlacement = errors.New("engine: bad placement")
 )

@@ -7,6 +7,7 @@ import (
 	"rld/internal/chaos"
 	"rld/internal/physical"
 	"rld/internal/query"
+	"rld/internal/runtime"
 	"rld/internal/stream"
 )
 
@@ -77,30 +78,30 @@ func TestControlArgumentErrors(t *testing.T) {
 	}
 	e.Start()
 	defer e.Stop()
-	if err := e.Migrate(99, 0); !errors.Is(err, ErrUnknownOp) {
-		t.Fatalf("migrate unknown op: %v, want ErrUnknownOp", err)
+	if err := e.Migrate(99, 0); !errors.Is(err, runtime.ErrUnknownOp) {
+		t.Fatalf("migrate unknown op: %v, want runtime.ErrUnknownOp", err)
 	}
-	if err := e.Migrate(0, 99); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("migrate to unknown node: %v, want ErrUnknownNode", err)
+	if err := e.Migrate(0, 99); !errors.Is(err, runtime.ErrUnknownNode) {
+		t.Fatalf("migrate to unknown node: %v, want runtime.ErrUnknownNode", err)
 	}
-	if err := e.Crash(99, chaos.Checkpoint); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("crash unknown node: %v, want ErrUnknownNode", err)
+	if err := e.Crash(99, chaos.Checkpoint); !errors.Is(err, runtime.ErrUnknownNode) {
+		t.Fatalf("crash unknown node: %v, want runtime.ErrUnknownNode", err)
 	}
-	if err := e.Recover(-1); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("recover unknown node: %v, want ErrUnknownNode", err)
+	if err := e.Recover(-1); !errors.Is(err, runtime.ErrUnknownNode) {
+		t.Fatalf("recover unknown node: %v, want runtime.ErrUnknownNode", err)
 	}
-	if err := e.SetSlowdown(99, 0.5); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("slowdown unknown node: %v, want ErrUnknownNode", err)
+	if err := e.SetSlowdown(99, 0.5); !errors.Is(err, runtime.ErrUnknownNode) {
+		t.Fatalf("slowdown unknown node: %v, want runtime.ErrUnknownNode", err)
 	}
 }
 
 // TestBadPlacementError pins New's placement validation sentinel.
 func TestBadPlacementError(t *testing.T) {
 	q := twoWay()
-	if _, err := New(q, physical.Assignment{0}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig()); !errors.Is(err, ErrBadPlacement) {
-		t.Fatalf("incomplete placement: %v, want ErrBadPlacement", err)
+	if _, err := New(q, physical.Assignment{0}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig()); !errors.Is(err, runtime.ErrBadPlacement) {
+		t.Fatalf("incomplete placement: %v, want runtime.ErrBadPlacement", err)
 	}
-	if _, err := New(q, physical.Assignment{0, 7}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig()); !errors.Is(err, ErrBadPlacement) {
-		t.Fatalf("out-of-range placement: %v, want ErrBadPlacement", err)
+	if _, err := New(q, physical.Assignment{0, 7}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig()); !errors.Is(err, runtime.ErrBadPlacement) {
+		t.Fatalf("out-of-range placement: %v, want runtime.ErrBadPlacement", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"rld/internal/query"
+	"rld/internal/runtime"
 	"rld/internal/stream"
 )
 
@@ -336,7 +337,7 @@ func newNodeCore(q *query.Query, cfg Config, shards int) (*NodeCore, error) {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	if len(q.Streams) > 64 {
-		return nil, fmt.Errorf("%w: %d streams exceed the 64-stream join schema", ErrBadPlacement, len(q.Streams))
+		return nil, fmt.Errorf("%w: %d streams exceed the 64-stream join schema", runtime.ErrBadPlacement, len(q.Streams))
 	}
 	cfg = normalizeConfig(cfg)
 	c := &NodeCore{q: q, cfg: cfg, schema: stream.NewJoinSchema(q.Streams), joinOps: make(map[string][]int)}
@@ -381,10 +382,10 @@ func (c *NodeCore) Config() Config { return c.cfg }
 // stream on this node).
 func (c *NodeCore) Insert(op int, b *stream.Batch) error {
 	if op < 0 || op >= len(c.ops) {
-		return fmt.Errorf("%w: insert op %d", ErrUnknownOp, op)
+		return fmt.Errorf("%w: insert op %d", runtime.ErrUnknownOp, op)
 	}
 	if c.ops[op].op.Kind != query.Join {
-		return fmt.Errorf("%w: insert into non-join op %d", ErrUnknownOp, op)
+		return fmt.Errorf("%w: insert into non-join op %d", runtime.ErrUnknownOp, op)
 	}
 	sc := getScratch()
 	c.ops[op].insertBatch(b, sc)
@@ -548,7 +549,7 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 // deserializing operator indices off the wire.
 func (c *NodeCore) ProcessStage(op int, partials []*stream.Joined) ([]*stream.Joined, error) {
 	if op < 0 || op >= len(c.ops) {
-		return nil, fmt.Errorf("%w: stage op %d", ErrUnknownOp, op)
+		return nil, fmt.Errorf("%w: stage op %d", runtime.ErrUnknownOp, op)
 	}
 	return c.runStage(op, partials), nil
 }

@@ -82,7 +82,7 @@ func TestSessionRetainedResultsSurviveRecycling(t *testing.T) {
 
 	cfg.Workers = 4
 	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: plan, Assign: assign}
-	s, err := OpenSession(q, 2, pol, SessionOptions{Config: cfg, ResultBuffer: nProbes + 1, MaxPending: 32})
+	s, err := OpenSession(q, 2, pol, cfg, runtime.SessionOptions{ResultBuffer: nProbes + 1, MaxPending: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSessionSlowSubscriber(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1, 2}, Assign: physical.Assignment{0, 0, 0}}
-	s, err := OpenSession(q, 1, pol, SessionOptions{Config: cfg, ResultBuffer: 1})
+	s, err := OpenSession(q, 1, pol, cfg, runtime.SessionOptions{ResultBuffer: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestResultsOutliveThePipeline(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 4
 	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1, 2}, Assign: physical.Assignment{0, 0, 1}}
-	s, err := OpenSession(q, 2, pol, SessionOptions{Config: cfg, ResultBuffer: nProbes + 1, MaxPending: 32})
+	s, err := OpenSession(q, 2, pol, cfg, runtime.SessionOptions{ResultBuffer: nProbes + 1, MaxPending: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

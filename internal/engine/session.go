@@ -16,34 +16,6 @@ import (
 	"rld/internal/stream"
 )
 
-// SessionOptions configures an engine session.
-type SessionOptions struct {
-	// Config tunes the underlying engine (workers, shards, fanout, WAL
-	// directory).
-	Config Config
-	// TickEvery is the control (Rebalance) period in virtual seconds
-	// (default 5, matching the simulator's default).
-	TickEvery float64
-	// Faults is an optional scripted fault schedule applied as the
-	// session's virtual clock advances. Nil runs fault-free.
-	Faults *chaos.FaultPlan
-	// Horizon is the virtual-time end in seconds used to finalize fault
-	// accounting at Close (0: the clock's high-water mark).
-	Horizon float64
-	// ResultBuffer is the Results subscription buffer; 0 disables result
-	// delivery entirely (the sink only counts).
-	ResultBuffer int
-	// EventBuffer is the Events subscription buffer (default 64).
-	EventBuffer int
-	// MaxPending bounds in-flight messages for backpressure: Ingest
-	// blocks and TryIngest rejects while the pipeline holds this many.
-	// With concurrent producers the bound is approximate — each producer
-	// can admit one batch past it before observing the others. <= 0
-	// disables the bound: a replay then paces itself through the
-	// per-tick drain.
-	MaxPending int
-}
-
 // Session is the live engine's implementation of runtime.Session: a
 // long-lived streaming run over a real sharded multi-worker engine. The
 // virtual clock advances with ingested batch timestamps; control ticks,
@@ -57,10 +29,14 @@ type SessionOptions struct {
 // lock and run Engine.Ingest in parallel, so ingest throughput scales
 // with producer count instead of funneling through one mutex.
 type Session struct {
+	// Outbox carries the Results and Events subscriptions; the router
+	// emits plan switches and outages into it too.
+	*runtime.Outbox
+
 	e         *Engine
 	substrate string
 	q         *query.Query
-	opts      SessionOptions
+	opts      runtime.SessionOptions
 	tick      float64
 	mode      chaos.RecoveryMode
 
@@ -77,11 +53,6 @@ type Session struct {
 	// closeCh closes when Close begins, waking producers blocked on
 	// backpressure promptly instead of at their next poll.
 	closeCh chan struct{}
-
-	results        chan runtime.ResultBatch
-	events         chan runtime.Event
-	resultsDropped atomic.Int64
-	eventsDropped  atomic.Int64
 
 	// mu serializes the session's control protocol: tick and fault
 	// cursors, control ops, stats snapshots, and close. Fast-path
@@ -115,15 +86,16 @@ type Session struct {
 }
 
 // OpenSession starts a live-engine session executing q across nNodes nodes
-// under pol. The session is running on return; Close shuts it down.
-func OpenSession(q *query.Query, nNodes int, pol runtime.Policy, opts SessionOptions) (*Session, error) {
+// configured by cfg under pol. The session is running on return; Close
+// shuts it down.
+func OpenSession(q *query.Query, nNodes int, pol runtime.Policy, cfg Config, opts runtime.SessionOptions) (*Session, error) {
 	if q == nil {
 		return nil, fmt.Errorf("engine: session needs a query")
 	}
 	if pol == nil {
 		return nil, fmt.Errorf("engine: session needs a policy")
 	}
-	e, err := New(q, pol.Placement(), nNodes, nil, opts.Config)
+	e, err := New(q, pol.Placement(), nNodes, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +109,7 @@ func OpenSession(q *query.Query, nNodes int, pol runtime.Policy, opts SessionOpt
 // must not be started; the session installs its chooser, clock, and result
 // tap, then starts it. The session owns the engine from the call on: a
 // rejected open stops it, releasing its log and its processes.
-func OpenSessionOn(e *Engine, substrate string, pol runtime.Policy, opts SessionOptions) (*Session, error) {
+func OpenSessionOn(e *Engine, substrate string, pol runtime.Policy, opts runtime.SessionOptions) (*Session, error) {
 	if e == nil {
 		return nil, fmt.Errorf("engine: session needs an engine")
 	}
@@ -150,6 +122,7 @@ func OpenSessionOn(e *Engine, substrate string, pol runtime.Policy, opts Session
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	s := &Session{
+		Outbox:     runtime.NewOutbox(opts),
 		e:          e,
 		substrate:  substrate,
 		q:          e.q,
@@ -175,28 +148,18 @@ func OpenSessionOn(e *Engine, substrate string, pol runtime.Policy, opts Session
 		}
 	}
 	s.recomputeEdgeLocked()
-	evBuf := opts.EventBuffer
-	if evBuf <= 0 {
-		evBuf = 64
-	}
-	s.events = make(chan runtime.Event, evBuf)
 	// The chooser runs synchronously inside Engine.Ingest, possibly from
 	// many producers at once; polMu serializes the policy call, honoring
 	// the Policy contract's serial-caller promise. Plan switches and outages
-	// are the router's to detect: it counts each and reports it here in one
-	// critical section, so events and counts agree.
+	// are the router's to detect: it counts each and emits it into the
+	// outbox in one critical section, so events and counts agree.
 	e.SetChooser(ChooserFunc(func(snap stats.Snapshot) query.Plan {
 		s.polMu.Lock()
 		defer s.polMu.Unlock()
 		return s.pol.PlanFor(s.e.appTime(), snap)
 	}))
-	e.onSwitch = func(key string) {
-		s.emit(runtime.Event{Kind: runtime.EventPlanSwitch, T: s.e.appTime(), Node: -1, Op: -1, Plan: key})
-	}
-	emit := s.emit
-	e.onOutage.Store(&emit)
-	if opts.ResultBuffer > 0 {
-		s.results = make(chan runtime.ResultBatch, opts.ResultBuffer)
+	e.out.Store(s.Outbox)
+	if s.Results() != nil {
 		e.SetResultObserver(s.observeResult)
 	}
 	e.Start()
@@ -206,46 +169,19 @@ func OpenSessionOn(e *Engine, substrate string, pol runtime.Policy, opts Session
 // Substrate implements runtime.Session.
 func (s *Session) Substrate() string { return s.substrate }
 
-// Results implements runtime.Session.
-func (s *Session) Results() <-chan runtime.ResultBatch { return s.results }
-
-// Events implements runtime.Session.
-func (s *Session) Events() <-chan runtime.Event { return s.events }
-
 // observeResult is the engine's sink tap: it detaches the emission from the
 // pipeline — steals the last stage's block, or copies out of it — and
 // delivers it without blocking the worker. A full buffer is counted before
-// either is paid for; the select below stays the authority (the buffer can
-// fill between the two).
+// either is paid for.
 func (s *Session) observeResult(tuples []*stream.Joined, _ time.Time) {
-	if len(s.results) == cap(s.results) {
-		s.resultsDropped.Add(1)
+	if s.Full() {
 		return
 	}
-	rb := runtime.ResultBatch{
+	s.Deliver(runtime.ResultBatch{
 		T:      s.e.appTime(),
 		Count:  float64(len(tuples)),
 		Tuples: stream.Detach(tuples),
-	}
-	select {
-	case s.results <- rb:
-	default:
-		s.resultsDropped.Add(1)
-	}
-}
-
-// emit delivers an event without blocking and never re-enters the engine,
-// so the router may call it under its own locks. Callers hold mu (either
-// side) or, for an outage edge, the router's lock on the node; Close
-// closes the channel only after every admission and control path has
-// drained and Stop has taken every node's lock, so emission never races
-// the close.
-func (s *Session) emit(ev runtime.Event) {
-	select {
-	case s.events <- ev:
-	default:
-		s.eventsDropped.Add(1)
-	}
+	})
 }
 
 // edge reads the cached next tick/checkpoint/fault edge.
@@ -273,7 +209,7 @@ func (s *Session) recomputeEdgeLocked() {
 func (s *Session) applyFaults(now float64) {
 	if now >= s.nextCkpt {
 		s.e.Checkpoint()
-		s.emit(runtime.Event{Kind: runtime.EventCheckpoint, T: now, Node: -1, Op: -1})
+		s.Emit(runtime.Event{Kind: runtime.EventCheckpoint, T: now, Node: -1, Op: -1})
 		for now >= s.nextCkpt {
 			s.nextCkpt += s.opts.Faults.SnapshotEvery()
 		}
@@ -290,10 +226,10 @@ func (s *Session) applyFaults(now float64) {
 			_ = s.e.recoverAt(f.Node, ev.T)
 		case f.Kind == chaos.Slowdown && ev.Begin:
 			s.e.SetSlowdown(f.Node, f.Factor)
-			s.emit(runtime.Event{Kind: runtime.EventSlowdown, T: ev.T, Node: f.Node, Op: -1, Factor: f.Factor})
+			s.Emit(runtime.Event{Kind: runtime.EventSlowdown, T: ev.T, Node: f.Node, Op: -1, Factor: f.Factor})
 		case f.Kind == chaos.Slowdown && !ev.Begin:
 			s.e.SetSlowdown(f.Node, 1)
-			s.emit(runtime.Event{Kind: runtime.EventSlowdown, T: ev.T, Node: f.Node, Op: -1, Factor: 1})
+			s.Emit(runtime.Event{Kind: runtime.EventSlowdown, T: ev.T, Node: f.Node, Op: -1, Factor: 1})
 		}
 	}
 }
@@ -367,7 +303,7 @@ func (s *Session) ingest(b *stream.Batch) error {
 					if err := s.e.Migrate(mig.Op, mig.To); err == nil {
 						s.migrations++
 						s.downtime += mig.Downtime
-						s.emit(runtime.Event{Kind: runtime.EventMigration, T: s.nextTick, Node: mig.To, Op: mig.Op})
+						s.Emit(runtime.Event{Kind: runtime.EventMigration, T: s.nextTick, Node: mig.To, Op: mig.Op})
 					}
 				}
 			}
@@ -424,7 +360,7 @@ func (s *Session) SwapPolicy(pol runtime.Policy) error {
 		return fmt.Errorf("engine: nil policy")
 	}
 	if p := pol.Placement(); len(p) != len(s.q.Ops) {
-		return fmt.Errorf("%w: policy %s covers %d of %d ops", ErrBadPlacement, pol.Name(), len(p), len(s.q.Ops))
+		return fmt.Errorf("%w: policy %s covers %d of %d ops", runtime.ErrBadPlacement, pol.Name(), len(p), len(s.q.Ops))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -435,7 +371,7 @@ func (s *Session) SwapPolicy(pol runtime.Policy) error {
 	s.pol = pol
 	s.polMu.Unlock()
 	s.swaps++
-	s.emit(runtime.Event{Kind: runtime.EventPolicySwap, T: s.e.appTime(), Node: -1, Op: -1, Policy: pol.Name()})
+	s.Emit(runtime.Event{Kind: runtime.EventPolicySwap, T: s.e.appTime(), Node: -1, Op: -1, Policy: pol.Name()})
 	return nil
 }
 
@@ -455,7 +391,7 @@ func (s *Session) Migrate(op, node int) error {
 		return err
 	}
 	s.migrations++
-	s.emit(runtime.Event{Kind: runtime.EventMigration, T: s.e.appTime(), Node: node, Op: op})
+	s.Emit(runtime.Event{Kind: runtime.EventMigration, T: s.e.appTime(), Node: node, Op: op})
 	return nil
 }
 
@@ -493,6 +429,7 @@ func (s *Session) Stats() runtime.SessionStats {
 	s.polMu.Lock()
 	polName := s.pol.Name()
 	s.polMu.Unlock()
+	rd, ed := s.Dropped()
 	return runtime.SessionStats{
 		Policy:         polName,
 		Substrate:      s.substrate,
@@ -508,8 +445,8 @@ func (s *Session) Stats() runtime.SessionStats {
 		Crashes:        r.Crashes,
 		Restores:       r.Restores,
 		DownSeconds:    s.e.downSeconds(now),
-		ResultsDropped: s.resultsDropped.Load(),
-		EventsDropped:  s.eventsDropped.Load(),
+		ResultsDropped: rd,
+		EventsDropped:  ed,
 	}
 }
 
@@ -559,10 +496,10 @@ func (s *Session) Close(ctx context.Context) (*runtime.Report, error) {
 		rep.DownSeconds = s.e.downSeconds(end)
 		s.report = rep
 		s.mu.Unlock()
-		if s.results != nil {
-			close(s.results)
-		}
-		close(s.events)
+		// Every admission and control path has drained, and Stop has held
+		// every node's lock, so neither this session nor the router emits
+		// again.
+		s.Outbox.Close()
 		close(s.done)
 		return rep
 	}

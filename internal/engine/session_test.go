@@ -38,7 +38,7 @@ func TestSessionBackpressure(t *testing.T) {
 	cfg.Workers = 1
 	cfg.MaxFanout = 4
 	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 0}}
-	s, err := OpenSession(q, 1, pol, SessionOptions{Config: cfg, MaxPending: 1})
+	s, err := OpenSession(q, 1, pol, cfg, runtime.SessionOptions{MaxPending: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func blockedSession(t *testing.T) *Session {
 	cfg.Workers = 1
 	cfg.MaxFanout = 4
 	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 0}}
-	s, err := OpenSession(q, 1, pol, SessionOptions{Config: cfg, MaxPending: 1})
+	s, err := OpenSession(q, 1, pol, cfg, runtime.SessionOptions{MaxPending: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSessionManyWaitersAllWake(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 2
 	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 1}}
-	s, err := OpenSession(q, 2, pol, SessionOptions{Config: cfg, MaxPending: 1})
+	s, err := OpenSession(q, 2, pol, cfg, runtime.SessionOptions{MaxPending: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestSessionManyWaitersAllWake(t *testing.T) {
 func TestSessionStatsAdmissionConsistency(t *testing.T) {
 	q := twoWay()
 	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 1}}
-	s, err := OpenSession(q, 2, pol, SessionOptions{})
+	s, err := OpenSession(q, 2, pol, Config{}, runtime.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestSessionStatsAdmissionConsistency(t *testing.T) {
 func TestSessionOffersVirtualTime(t *testing.T) {
 	q := twoWay()
 	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 1}}
-	s, err := OpenSession(q, 2, pol, SessionOptions{})
+	s, err := OpenSession(q, 2, pol, Config{}, runtime.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestSessionManualRecoveryVsScriptedEdge(t *testing.T) {
 		Faults: []chaos.Fault{{Kind: chaos.Crash, Node: 1, At: 100, Until: 200}},
 	}
 	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 1}}
-	s, err := OpenSession(q, 2, pol, SessionOptions{Faults: fp, EventBuffer: 64})
+	s, err := OpenSession(q, 2, pol, Config{}, runtime.SessionOptions{Faults: fp, EventBuffer: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestSessionManualRecoveryVsScriptedEdge(t *testing.T) {
 func TestSessionSwapPolicyValidation(t *testing.T) {
 	q := twoWay()
 	pol := &runtime.StaticPolicy{PolicyName: "A", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 1}}
-	s, err := OpenSession(q, 2, pol, SessionOptions{})
+	s, err := OpenSession(q, 2, pol, Config{}, runtime.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,8 +368,8 @@ func TestSessionSwapPolicyValidation(t *testing.T) {
 		t.Fatal("swap to nil policy accepted")
 	}
 	bad := &runtime.StaticPolicy{PolicyName: "B", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0}}
-	if err := s.SwapPolicy(bad); !errors.Is(err, ErrBadPlacement) {
-		t.Fatalf("swap to short placement: %v, want ErrBadPlacement", err)
+	if err := s.SwapPolicy(bad); !errors.Is(err, runtime.ErrBadPlacement) {
+		t.Fatalf("swap to short placement: %v, want runtime.ErrBadPlacement", err)
 	}
 	good := &runtime.StaticPolicy{PolicyName: "B", Plan: query.Plan{1, 0}, Assign: physical.Assignment{1, 0}}
 	if err := s.SwapPolicy(good); err != nil {
@@ -405,7 +405,7 @@ func TestSessionClockIgnoresNonPositiveTimestamps(t *testing.T) {
 	for _, first := range []float64{-1, 0.5} {
 		// migrated: true: the policy only records its ticks.
 		pol := &recordingPolicy{StaticPolicy: runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 0}}, migrated: true}
-		s, err := OpenSession(twoWay(), 1, pol, SessionOptions{TickEvery: 5})
+		s, err := OpenSession(twoWay(), 1, pol, Config{}, runtime.SessionOptions{TickEvery: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,7 +466,7 @@ func TestPlanSwitchEventsMatchCount(t *testing.T) {
 				StaticPolicy: runtime.StaticPolicy{PolicyName: "ALT", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 1}},
 				alt:          tc.alt,
 			}
-			s, err := OpenSession(q, 2, pol, SessionOptions{EventBuffer: 256})
+			s, err := OpenSession(q, 2, pol, Config{}, runtime.SessionOptions{EventBuffer: 256})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -529,7 +529,7 @@ func TestEngineExecutorRunsPolicyWithTicks(t *testing.T) {
 		Plan:       query.Plan{0, 1},
 		Assign:     physical.Assignment{0, 0},
 	}}
-	ses, err := OpenSession(q, 2, pol, SessionOptions{Config: DefaultConfig(), TickEvery: 10})
+	ses, err := OpenSession(q, 2, pol, DefaultConfig(), runtime.SessionOptions{TickEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,12 +555,12 @@ func TestEngineExecutorRunsPolicyWithTicks(t *testing.T) {
 }
 
 func TestEngineExecutorRejectsMissingInputs(t *testing.T) {
-	if _, err := OpenSession(nil, 1, &runtime.StaticPolicy{}, SessionOptions{}); err == nil {
+	if _, err := OpenSession(nil, 1, &runtime.StaticPolicy{}, Config{}, runtime.SessionOptions{}); err == nil {
 		t.Fatal("session without a query must error")
 	}
 	// A policy whose placement does not fit the node count must error.
 	pol := &runtime.StaticPolicy{Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 5}}
-	if _, err := OpenSession(twoWay(), 1, pol, SessionOptions{Config: DefaultConfig()}); err == nil {
+	if _, err := OpenSession(twoWay(), 1, pol, DefaultConfig(), runtime.SessionOptions{}); err == nil {
 		t.Fatal("out-of-range placement must error")
 	}
 }

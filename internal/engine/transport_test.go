@@ -248,7 +248,7 @@ func TestStageFailureParksAndRecoverReplays(t *testing.T) {
 func TestDetectedOutageEvents(t *testing.T) {
 	e, ft := newFakeRouter(t, "")
 	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 1}}
-	s, err := OpenSessionOn(e, "engine", pol, SessionOptions{EventBuffer: 64})
+	s, err := OpenSessionOn(e, "engine", pol, runtime.SessionOptions{EventBuffer: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func TestRejectedOpenSessionReleasesWAL(t *testing.T) {
 	walDir := t.TempDir()
 	before := openFDs()
 	for i := 0; i < 5; i++ {
-		if _, err := OpenSession(q, 2, pol, SessionOptions{Config: Config{WALDir: walDir}, Faults: bad}); err == nil {
+		if _, err := OpenSession(q, 2, pol, Config{WALDir: walDir}, runtime.SessionOptions{Faults: bad}); err == nil {
 			t.Fatal("a fault on node 9 of 2 was accepted")
 		}
 	}

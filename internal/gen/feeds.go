@@ -1,10 +1,6 @@
 package gen
 
-import (
-	"math/rand"
-
-	"rld/internal/stream"
-)
+import "math/rand"
 
 // Regime models the bull/bear market regimes of the paper's motivating
 // Example 1: under a bullish regime the pattern-match operator (op1) is
@@ -128,30 +124,3 @@ func (r *randomWalk) Sample(rng *rand.Rand) float64 {
 
 // Mean implements Dist (approximate: the current level).
 func (r *randomWalk) Mean() float64 { return r.level }
-
-// Merge interleaves per-source tuple slices into a single timestamp-ordered
-// slice (a k-way merge).
-func Merge(streams ...[]*stream.Tuple) []*stream.Tuple {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	out := make([]*stream.Tuple, 0, total)
-	idx := make([]int, len(streams))
-	for len(out) < total {
-		best := -1
-		var bestTs stream.Time
-		for i, s := range streams {
-			if idx[i] >= len(s) {
-				continue
-			}
-			if best == -1 || s[idx[i]].Ts < bestTs {
-				best = i
-				bestTs = s[idx[i]].Ts
-			}
-		}
-		out = append(out, streams[best][idx[best]])
-		idx[best]++
-	}
-	return out
-}

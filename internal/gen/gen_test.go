@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"rld/internal/stream"
 )
 
 func TestUniformSummaryMatchesTable2(t *testing.T) {
@@ -249,9 +251,31 @@ func TestKeyDistHotProbQuick(t *testing.T) {
 	}
 }
 
+// next draws src's next tuple through AppendNext.
+func next(src *Source) (stream.Tuple, bool) {
+	b := stream.NewSizedBatch(src.Name, src.Arity(), 1)
+	if !src.AppendNext(b) {
+		return stream.Tuple{}, false
+	}
+	return b.TupleAt(0), true
+}
+
+// generate draws src's tuples up to application time horizon.
+func generate(src *Source, horizon float64) []stream.Tuple {
+	var out []stream.Tuple
+	for src.Now() < horizon {
+		tu, ok := next(src)
+		if !ok || float64(tu.Ts) > horizon {
+			break
+		}
+		out = append(out, tu)
+	}
+	return out
+}
+
 func TestSourcePoissonRate(t *testing.T) {
 	src := NewSource("S", ConstProfile(10), KeyDist{Target: ConstProfile(0.5), Cold: 100}, Uniform{0, 100}, 42)
-	tuples := src.Generate(200)
+	tuples := generate(src, 200)
 	rate := float64(len(tuples)) / 200
 	if math.Abs(rate-10) > 0.8 {
 		t.Fatalf("empirical rate %.2f, want ≈10", rate)
@@ -265,8 +289,8 @@ func TestSourcePoissonRate(t *testing.T) {
 			t.Fatal("sequence gap")
 		}
 	}
-	if src.Emitted() == 0 || src.Now() < 200 {
-		t.Fatalf("source state wrong: emitted=%d now=%v", src.Emitted(), src.Now())
+	if len(tuples) == 0 || src.Now() < 200 {
+		t.Fatalf("source state wrong: emitted=%d now=%v", len(tuples), src.Now())
 	}
 }
 
@@ -274,7 +298,7 @@ func TestSourceRespectsStepProfile(t *testing.T) {
 	// 2 t/s for 100 s, then 20 t/s for 100 s.
 	p := StepProfile{Times: []float64{100}, Vals: []float64{2, 20}}
 	src := NewSource("S", p, KeyDist{}, nil, 9)
-	tuples := src.Generate(200)
+	tuples := generate(src, 200)
 	var lo, hi int
 	for _, tu := range tuples {
 		if float64(tu.Ts) < 100 {
@@ -294,7 +318,7 @@ func TestSourceRespectsStepProfile(t *testing.T) {
 func TestSourceZeroRateSkipsForward(t *testing.T) {
 	p := StepProfile{Times: []float64{50}, Vals: []float64{0, 10}}
 	src := NewSource("S", p, KeyDist{}, nil, 10)
-	tu, ok := src.Next()
+	tu, ok := next(src)
 	if !ok {
 		t.Fatal("source should eventually produce once rate becomes positive")
 	}
@@ -306,12 +330,12 @@ func TestSourceZeroRateSkipsForward(t *testing.T) {
 func TestSourceWidthAndValues(t *testing.T) {
 	src := NewSource("S", ConstProfile(5), KeyDist{}, Uniform{0, 1}, 11)
 	src.Width = 3
-	tu, _ := src.Next()
+	tu, _ := next(src)
 	if len(tu.Vals) != 3 {
 		t.Fatalf("width = %d, want 3", len(tu.Vals))
 	}
 	src2 := NewSource("S", ConstProfile(5), KeyDist{}, nil, 12)
-	tu2, _ := src2.Next()
+	tu2, _ := next(src2)
 	if len(tu2.Vals) != 0 {
 		t.Fatal("nil Values should yield empty payload")
 	}
@@ -372,7 +396,7 @@ func TestSensorFeed(t *testing.T) {
 	if len(srcs) != len(SensorFeedNames) {
 		t.Fatalf("got %d sensor sources", len(srcs))
 	}
-	tu, ok := srcs[0].Next()
+	tu, ok := next(srcs[0])
 	if !ok || len(tu.Vals) != 1 {
 		t.Fatalf("sensor tuple malformed: %v", tu)
 	}
@@ -380,24 +404,10 @@ func TestSensorFeed(t *testing.T) {
 	// deltas bounded by the step.
 	prev := tu.Vals[0]
 	for i := 0; i < 50; i++ {
-		nxt, _ := srcs[0].Next()
+		nxt, _ := next(srcs[0])
 		if d := math.Abs(nxt.Vals[0] - prev); d > 0.5+1e-9 {
 			t.Fatalf("random walk jumped %v > step", d)
 		}
 		prev = nxt.Vals[0]
-	}
-}
-
-func TestMergeOrdersByTimestamp(t *testing.T) {
-	a := NewSource("A", ConstProfile(5), KeyDist{}, nil, 21).Generate(50)
-	b := NewSource("B", ConstProfile(7), KeyDist{}, nil, 22).Generate(50)
-	merged := Merge(a, b)
-	if len(merged) != len(a)+len(b) {
-		t.Fatalf("merged %d, want %d", len(merged), len(a)+len(b))
-	}
-	for i := 1; i < len(merged); i++ {
-		if merged[i].Ts < merged[i-1].Ts {
-			t.Fatal("merge not timestamp-ordered")
-		}
 	}
 }

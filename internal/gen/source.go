@@ -124,8 +124,7 @@ func (s *Source) Arity() int {
 
 // step advances the arrival process one tuple: an exponential gap at the
 // current instantaneous rate, then a key draw. It returns the new tuple's
-// attributes without materializing it (payload sampling is left to the
-// caller so the RNG draw order matches Next exactly).
+// attributes without materializing it; the payload draws follow (fillVals).
 func (s *Source) step() (seq uint64, ts float64, key int64, ok bool) {
 	if !s.open || s.rng == nil {
 		return 0, 0, 0, false
@@ -170,34 +169,13 @@ func (s *Source) fillVals(row []float64) {
 	}
 }
 
-// Next returns the next tuple and its application timestamp. The arrival
-// process is a time-varying Poisson process realized by inverting
-// exponential gaps against the instantaneous rate (thinning-free because our
-// profiles are piecewise constant at the gap scale). Returns false when the
-// rate is zero or negative forever after.
-func (s *Source) Next() (*stream.Tuple, bool) {
-	seq, ts, key, ok := s.step()
-	if !ok {
-		return nil, false
-	}
-	t := &stream.Tuple{
-		Stream:  s.Name,
-		Seq:     seq,
-		Ts:      stream.Time(ts),
-		Key:     key,
-		Arrival: stream.Time(ts),
-	}
-	if width := s.Arity(); width > 0 {
-		t.Vals = make([]float64, width)
-		s.fillVals(t.Vals)
-	}
-	return t, true
-}
-
-// AppendNext generates the next tuple directly into b's columns — the
-// allocation-free path (b's width should be Arity()). It is draw-for-draw
-// identical to Next, so mixed use stays deterministic. Returns false when
-// the source is exhausted; the batch is unchanged in that case.
+// AppendNext generates the next tuple directly into b's columns, without
+// allocating (b's width should be Arity()); its application timestamp is
+// also its arrival stamp. The arrival process is a time-varying Poisson
+// process realized by inverting exponential gaps against the instantaneous
+// rate (thinning-free because our profiles are piecewise constant at the
+// gap scale). Returns false when the rate is zero or negative forever
+// after; the batch is unchanged in that case.
 func (s *Source) AppendNext(b *stream.Batch) bool {
 	seq, ts, key, ok := s.step()
 	if !ok {
@@ -209,23 +187,3 @@ func (s *Source) AppendNext(b *stream.Batch) bool {
 
 // Now returns the source's current application time in seconds.
 func (s *Source) Now() float64 { return s.now }
-
-// Emitted returns the number of tuples generated so far.
-func (s *Source) Emitted() uint64 { return s.seq }
-
-// Generate produces tuples until application time horizon (seconds),
-// returning them in timestamp order.
-func (s *Source) Generate(horizon float64) []*stream.Tuple {
-	var out []*stream.Tuple
-	for s.now < horizon {
-		t, ok := s.Next()
-		if !ok {
-			break
-		}
-		if float64(t.Ts) > horizon {
-			break
-		}
-		out = append(out, t)
-	}
-	return out
-}

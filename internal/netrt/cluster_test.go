@@ -56,7 +56,7 @@ func testBatch(streamName string, seq *uint64, ts float64, n int) *stream.Batch 
 func openTestSession(t *testing.T, nNodes int, pol runtime.Policy) runtime.Session {
 	t.Helper()
 	q := testQuery()
-	s, err := OpenSession(q, nNodes, pol, engine.SessionOptions{MaxPending: 64}, nil)
+	s, err := OpenSession(q, nNodes, pol, engine.Config{}, runtime.SessionOptions{MaxPending: 64}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func TestDetectedOutageIsBooked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ses, err := engine.OpenSessionOn(c.Engine, "net", testPolicy(), engine.SessionOptions{EventBuffer: 64})
+	ses, err := engine.OpenSessionOn(c.Engine, "net", testPolicy(), runtime.SessionOptions{EventBuffer: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

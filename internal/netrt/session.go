@@ -14,13 +14,13 @@ import (
 // ingest/backpressure/tick/fault/stats surface — except that Crash is a
 // literal SIGKILL and Recover a respawn with checkpoint restore. workerCmd
 // is ClusterConfig.WorkerCommand; the workers' operator configuration is
-// opts.Config.
-func OpenSession(q *query.Query, nNodes int, pol runtime.Policy, opts engine.SessionOptions, workerCmd []string) (*engine.Session, error) {
+// cfg.
+func OpenSession(q *query.Query, nNodes int, pol runtime.Policy, cfg engine.Config, opts runtime.SessionOptions, workerCmd []string) (*engine.Session, error) {
 	if q == nil || pol == nil {
 		//rldlint:allow rawerror -- constructor argument validation, not a wire-path error
 		return nil, fmt.Errorf("netrt: session needs a query and a policy")
 	}
-	c, err := NewCluster(q, pol.Placement(), nNodes, ClusterConfig{Engine: opts.Config, WorkerCommand: workerCmd})
+	c, err := NewCluster(q, pol.Placement(), nNodes, ClusterConfig{Engine: cfg, WorkerCommand: workerCmd})
 	if err != nil {
 		return nil, err
 	}

@@ -135,13 +135,17 @@ func conformanceFeed(q *query.Query) rt.Feed {
 	return rt.NewSourceFeed(srcs, confBatch, confHorizon)
 }
 
-// liveOptions is the session configuration both live substrates run the
+// liveConfig is the engine configuration both live substrates run the
 // conformance workload under.
-func liveOptions(fp *chaos.FaultPlan) engine.SessionOptions {
+func liveConfig() engine.Config {
 	ecfg := engine.DefaultConfig()
 	ecfg.MaxFanout = 0 // counts must not be clipped
-	return engine.SessionOptions{
-		Config:  ecfg,
+	return ecfg
+}
+
+// liveOptions is the session configuration of the conformance workload.
+func liveOptions(fp *chaos.FaultPlan) rt.SessionOptions {
+	return rt.SessionOptions{
 		Faults:  fp,
 		Horizon: confHorizon, // fault accounting clips where the sim's does
 	}
@@ -150,7 +154,7 @@ func liveOptions(fp *chaos.FaultPlan) engine.SessionOptions {
 // engineRunner replays the feed through a fresh in-process engine session.
 func engineRunner(q *query.Query, cl *cluster.Cluster) runner {
 	return func(pol rt.Policy, fp *chaos.FaultPlan) (*rt.Report, error) {
-		s, err := engine.OpenSession(q, cl.N(), pol, liveOptions(fp))
+		s, err := engine.OpenSession(q, cl.N(), pol, liveConfig(), liveOptions(fp))
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +168,7 @@ func engineRunner(q *query.Query, cl *cluster.Cluster) runner {
 // wire protocol.
 func netRunner(q *query.Query, cl *cluster.Cluster) runner {
 	return func(pol rt.Policy, fp *chaos.FaultPlan) (*rt.Report, error) {
-		s, err := netrt.OpenSession(q, cl.N(), pol, liveOptions(fp), nil)
+		s, err := netrt.OpenSession(q, cl.N(), pol, liveConfig(), liveOptions(fp), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -283,12 +287,12 @@ func (p *selRecorder) PlanFor(_ float64, snap stats.Snapshot) query.Plan {
 func TestLiveSubstratesObserveTheSameStatistics(t *testing.T) {
 	q := conformanceQuery()
 	ctx := context.Background()
-	run := func(open func(rt.Policy, engine.SessionOptions) (rt.Session, error), fault func(rt.Session) error) []float64 {
+	run := func(open func(rt.Policy, engine.Config, rt.SessionOptions) (rt.Session, error), fault func(rt.Session) error) []float64 {
 		t.Helper()
 		pol := &selRecorder{StaticPolicy: rt.StaticPolicy{PolicyName: "FIXED", Plan: query.Plan{0, 1}, Assign: []int{0, 1}}}
-		opts := liveOptions(nil)
-		opts.MaxPending, opts.Config.Workers = 1, 1
-		ses, err := open(pol, opts)
+		cfg, opts := liveConfig(), liveOptions(nil)
+		opts.MaxPending, cfg.Workers = 1, 1
+		ses, err := open(pol, cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,11 +318,11 @@ func TestLiveSubstratesObserveTheSameStatistics(t *testing.T) {
 		}
 		return pol.last
 	}
-	openEngine := func(pol rt.Policy, opts engine.SessionOptions) (rt.Session, error) {
-		return engine.OpenSession(q, 2, pol, opts)
+	openEngine := func(pol rt.Policy, cfg engine.Config, opts rt.SessionOptions) (rt.Session, error) {
+		return engine.OpenSession(q, 2, pol, cfg, opts)
 	}
-	openNet := func(pol rt.Policy, opts engine.SessionOptions) (rt.Session, error) {
-		return netrt.OpenSession(q, 2, pol, opts, nil)
+	openNet := func(pol rt.Policy, cfg engine.Config, opts rt.SessionOptions) (rt.Session, error) {
+		return netrt.OpenSession(q, 2, pol, cfg, opts, nil)
 	}
 	for _, arm := range []struct {
 		name  string

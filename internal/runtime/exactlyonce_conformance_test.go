@@ -53,7 +53,7 @@ func exactlyOnceFeed() rt.Feed {
 // runExactlyOnceSession replays exactlyOnceFeed through a session opened by
 // open and returns the report and the multiset of result identities, each
 // result keyed by the TupleIDs of the inputs it joins.
-func runExactlyOnceSession(t *testing.T, fp *chaos.FaultPlan, open func(*query.Query, rt.Policy, engine.SessionOptions) (rt.Session, error)) (*rt.Report, map[string]int) {
+func runExactlyOnceSession(t *testing.T, fp *chaos.FaultPlan, open func(*query.Query, rt.Policy, engine.Config, rt.SessionOptions) (rt.Session, error)) (*rt.Report, map[string]int) {
 	t.Helper()
 	// A window far past the feed's span: results depend on window content
 	// alone, which is what recovery has to get right.
@@ -63,8 +63,7 @@ func runExactlyOnceSession(t *testing.T, fp *chaos.FaultPlan, open func(*query.Q
 	cfg := engine.DefaultConfig()
 	cfg.MaxFanout = 0 // a clipped probe keeps whichever matches the window lists first
 	cfg.WALDir = t.TempDir()
-	s, err := open(q, pol, engine.SessionOptions{
-		Config: cfg,
+	s, err := open(q, pol, cfg, rt.SessionOptions{
 		Faults: fp,
 		// One batch in flight: every insert and every probe lands in feed
 		// order, on either substrate.
@@ -93,13 +92,13 @@ func runExactlyOnceSession(t *testing.T, fp *chaos.FaultPlan, open func(*query.Q
 func TestSessionExactlyOnceConformance(t *testing.T) {
 	substrates := []struct {
 		name string
-		open func(*query.Query, rt.Policy, engine.SessionOptions) (rt.Session, error)
+		open func(*query.Query, rt.Policy, engine.Config, rt.SessionOptions) (rt.Session, error)
 	}{
-		{"engine", func(q *query.Query, pol rt.Policy, opts engine.SessionOptions) (rt.Session, error) {
-			return engine.OpenSession(q, 2, pol, opts)
+		{"engine", func(q *query.Query, pol rt.Policy, cfg engine.Config, opts rt.SessionOptions) (rt.Session, error) {
+			return engine.OpenSession(q, 2, pol, cfg, opts)
 		}},
-		{"net", func(q *query.Query, pol rt.Policy, opts engine.SessionOptions) (rt.Session, error) {
-			return netrt.OpenSession(q, 2, pol, opts, nil)
+		{"net", func(q *query.Query, pol rt.Policy, cfg engine.Config, opts rt.SessionOptions) (rt.Session, error) {
+			return netrt.OpenSession(q, 2, pol, cfg, opts, nil)
 		}},
 	}
 	// Node 1 hosts the join. Checkpoints at t = 15, 30, 45; the outage

@@ -3,13 +3,16 @@ package runtime
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 
+	"rld/internal/chaos"
 	"rld/internal/stream"
 )
 
-// Session errors. Substrate-specific failures (unknown node, invalid plan,
-// …) are defined next to their engine; these two belong to the session
-// protocol itself.
+// Session errors: the session protocol's own, and the control errors every
+// substrate returns alike for a bad node, operator or placement. Failures
+// only a live engine has (invalid plan, every node down, …) are defined
+// next to it.
 var (
 	// ErrClosed reports an operation on a session after Close began.
 	ErrClosed = errors.New("rld: session closed")
@@ -17,7 +20,39 @@ var (
 	// at its in-flight capacity; back off and retry, or use the blocking
 	// Ingest.
 	ErrBackpressure = errors.New("rld: backpressure: pipeline at capacity")
+	// ErrUnknownNode reports a node index outside the cluster.
+	ErrUnknownNode = errors.New("rld: unknown node")
+	// ErrUnknownOp reports an operator index outside the query.
+	ErrUnknownOp = errors.New("rld: unknown operator")
+	// ErrBadPlacement reports an operator placement that is incomplete or
+	// references nodes outside the cluster.
+	ErrBadPlacement = errors.New("rld: bad placement")
 )
+
+// SessionOptions configures a session on any substrate.
+type SessionOptions struct {
+	// TickEvery is the control (Rebalance) period in virtual seconds
+	// (default 5).
+	TickEvery float64
+	// Faults is an optional scripted fault schedule applied as the
+	// session's virtual clock advances. Nil runs fault-free.
+	Faults *chaos.FaultPlan
+	// Horizon is the virtual-time end in seconds used to finalize fault
+	// accounting at Close (0: the clock's high-water mark).
+	Horizon float64
+	// ResultBuffer is the Results subscription buffer; 0 disables result
+	// delivery entirely (the sink only counts).
+	ResultBuffer int
+	// EventBuffer is the Events subscription buffer (default 64).
+	EventBuffer int
+	// MaxPending bounds in-flight messages for backpressure on the live
+	// substrates: Ingest blocks and TryIngest rejects while the pipeline
+	// holds this many. With concurrent producers the bound is approximate
+	// — each producer can admit one batch past it before observing the
+	// others. <= 0 disables the bound: a replay then paces itself through
+	// the per-tick drain. The simulator has no backpressure and ignores it.
+	MaxPending int
+}
 
 // EventKind enumerates the runtime occurrences a Session surfaces on its
 // Events stream.
@@ -203,6 +238,91 @@ type Session interface {
 	// returns ctx.Err() and completes the shutdown in the background.
 	// Further Close calls return the same Report.
 	Close(ctx context.Context) (*Report, error)
+}
+
+// Outbox is a session's two subscriptions, Results and Events, with their
+// drop counters. Delivery never blocks: an emission the subscriber's buffer
+// cannot take is dropped and counted. Sessions embed it for their Results
+// and Events methods; whatever emits into it — the session, the router, the
+// simulator — must not race Close, which the owning session orders.
+type Outbox struct {
+	results        chan ResultBatch
+	events         chan Event
+	resultsDropped atomic.Int64
+	eventsDropped  atomic.Int64
+}
+
+// NewOutbox makes the subscriptions opts asks for: a result channel only
+// with a ResultBuffer, and an event channel always (default 64 slots).
+func NewOutbox(opts SessionOptions) *Outbox {
+	evBuf := opts.EventBuffer
+	if evBuf <= 0 {
+		evBuf = 64
+	}
+	o := &Outbox{events: make(chan Event, evBuf)}
+	if opts.ResultBuffer > 0 {
+		o.results = make(chan ResultBatch, opts.ResultBuffer)
+	}
+	return o
+}
+
+// Results implements Session.
+func (o *Outbox) Results() <-chan ResultBatch { return o.results }
+
+// Events implements Session.
+func (o *Outbox) Events() <-chan Event { return o.events }
+
+// Emit delivers ev without blocking. It is a no-op on a nil outbox, so a
+// substrate running without a session emits unconditionally.
+func (o *Outbox) Emit(ev Event) {
+	if o == nil {
+		return
+	}
+	select {
+	case o.events <- ev:
+	default:
+		o.eventsDropped.Add(1)
+	}
+}
+
+// Full reports whether the result buffer is full, counting the drop if so:
+// a caller checks it before paying for a ResultBatch Deliver would drop.
+// Deliver stays the authority — the buffer can fill between the two. Only
+// meaningful with a result subscription.
+func (o *Outbox) Full() bool {
+	if len(o.results) < cap(o.results) {
+		return false
+	}
+	o.resultsDropped.Add(1)
+	return true
+}
+
+// Deliver hands rb to the Results subscriber without blocking. It is a
+// no-op on a nil outbox or without a result subscription.
+func (o *Outbox) Deliver(rb ResultBatch) {
+	if o == nil || o.results == nil {
+		return
+	}
+	select {
+	case o.results <- rb:
+	default:
+		o.resultsDropped.Add(1)
+	}
+}
+
+// Dropped returns the emissions discarded so far because a subscriber fell
+// behind its buffer.
+func (o *Outbox) Dropped() (results, events int64) {
+	return o.resultsDropped.Load(), o.eventsDropped.Load()
+}
+
+// Close closes both subscriptions. The owning session calls it once, after
+// the last emission.
+func (o *Outbox) Close() {
+	if o.results != nil {
+		close(o.results)
+	}
+	close(o.events)
 }
 
 // Replay drives feed through s to exhaustion, then closes s and returns

@@ -2,12 +2,15 @@ package runtime_test
 
 // Session-protocol conformance: the simulator's two ways of being driven
 // agree, the sim and engine sessions honour the same subscription protocol,
-// and a closed session answers ErrClosed on all three substrates.
+// and on all three substrates the outbox keeps its contract, control errors
+// are typed alike, and a closed session answers ErrClosed.
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"rld/internal/chaos"
 	"rld/internal/cluster"
@@ -16,43 +19,9 @@ import (
 	"rld/internal/query"
 	rt "rld/internal/runtime"
 	"rld/internal/sim"
+	"rld/internal/stats"
 	"rld/internal/stream"
 )
-
-// openSimSession opens an externally fed simulator session of the
-// calibrated conformance workload (virtual-time adapter; it waits for
-// Ingest).
-func openSimSession(t *testing.T, q *query.Query, cl *cluster.Cluster, pol rt.Policy, fp *chaos.FaultPlan, buf int) rt.Session {
-	t.Helper()
-	sc := &sim.Scenario{
-		Query:   q,
-		Cluster: cl,
-		Horizon: confHorizon,
-		Faults:  fp,
-	}
-	ss, err := sim.OpenSession(sc, pol, sim.SessionOptions{
-		ResultBuffer: buf,
-		EventBuffer:  4096,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ss
-}
-
-// openConformanceSessions builds one session per substrate for the
-// calibrated conformance workload: the engine session natively, the sim
-// session through its virtual-time adapter.
-func openConformanceSessions(t *testing.T, q *query.Query, cl *cluster.Cluster, pol func() rt.Policy, fp *chaos.FaultPlan, buf int) map[string]rt.Session {
-	t.Helper()
-	opts := liveOptions(fp)
-	opts.ResultBuffer, opts.EventBuffer = buf, 4096
-	eng, err := engine.OpenSession(q, cl.N(), pol(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]rt.Session{"engine": eng, "sim": openSimSession(t, q, cl, pol(), fp, buf)}
-}
 
 // TestSessionVsExecutorConformance runs the simulator both ways — driving
 // itself off the scenario's arrival processes, and as a session fed the
@@ -68,7 +37,11 @@ func TestSessionVsExecutorConformance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("self-driven sim: %v", err)
 	}
-	fed, err := rt.Replay(context.Background(), openSimSession(t, q, cl, mkPol(), nil, 0), conformanceFeed(q))
+	ses, err := openers(q, cl, mkPol, liveConfig(), liveOptions(nil))["sim"]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := rt.Replay(context.Background(), ses, conformanceFeed(q))
 	if err != nil {
 		t.Fatalf("sim session replay: %v", err)
 	}
@@ -99,7 +72,14 @@ func TestSessionResultsAndEvents(t *testing.T) {
 	fp := confFaultPlan(chaos.Checkpoint)
 	ctx := context.Background()
 
-	for name, ses := range openConformanceSessions(t, q, cl, mkPol, fp, 1<<15) {
+	opts := liveOptions(fp)
+	opts.ResultBuffer, opts.EventBuffer = 1<<15, 4096
+	open := openers(q, cl, mkPol, liveConfig(), opts)
+	for _, name := range []string{"engine", "sim"} {
+		ses, err := open[name]()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		feed := conformanceFeed(q)
 		for b := feed.Next(); b != nil; b = feed.Next() {
 			if err := ses.Ingest(ctx, b); err != nil {
@@ -145,16 +125,19 @@ func TestSessionResultsAndEvents(t *testing.T) {
 	}
 }
 
-// openers returns, per substrate, a function opening a fault-free session
-// of the conformance workload under a fresh policy from pol.
-func openers(t *testing.T, q *query.Query, cl *cluster.Cluster, pol func() rt.Policy) map[string]func() (rt.Session, error) {
+// openers returns, per substrate, a function opening a session of the
+// conformance workload under a fresh policy from pol: all three from the one
+// set of session options, the live ones on engine configuration cfg.
+func openers(q *query.Query, cl *cluster.Cluster, pol func() rt.Policy, cfg engine.Config, opts rt.SessionOptions) map[string]func() (rt.Session, error) {
 	return map[string]func() (rt.Session, error){
-		"sim": func() (rt.Session, error) { return openSimSession(t, q, cl, pol(), nil, 0), nil },
+		"sim": func() (rt.Session, error) {
+			return sim.OpenSession(&sim.Scenario{Query: q, Cluster: cl}, pol(), opts)
+		},
 		"engine": func() (rt.Session, error) {
-			return engine.OpenSession(q, cl.N(), pol(), liveOptions(nil))
+			return engine.OpenSession(q, cl.N(), pol(), cfg, opts)
 		},
 		"net": func() (rt.Session, error) {
-			return netrt.OpenSession(q, cl.N(), pol(), liveOptions(nil), nil)
+			return netrt.OpenSession(q, cl.N(), pol(), cfg, opts, nil)
 		},
 	}
 }
@@ -170,7 +153,7 @@ func TestSessionVirtualTimeIsMaxTimestamp(t *testing.T) {
 		return &rt.StaticPolicy{PolicyName: "FIXED", Plan: query.Plan{1, 0}, Assign: []int{0, 1}}
 	}
 	ctx := context.Background()
-	for name, open := range openers(t, q, cl, mkPol) {
+	for name, open := range openers(q, cl, mkPol, liveConfig(), liveOptions(nil)) {
 		ses, err := open()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -203,7 +186,7 @@ func TestClosedSessionAnswersErrClosed(t *testing.T) {
 	mkPol := func() rt.Policy {
 		return &rt.StaticPolicy{PolicyName: "FIXED", Plan: query.Plan{1, 0}, Assign: []int{0, 1}}
 	}
-	open := openers(t, q, cl, mkPol)
+	open := openers(q, cl, mkPol, liveConfig(), liveOptions(nil))
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, closeCtx := range []struct {
@@ -252,6 +235,171 @@ func TestClosedSessionAnswersErrClosed(t *testing.T) {
 	}
 }
 
+// TestSessionControlErrorsAreTyped: a control operation naming a node or
+// operator outside the deployment, or a policy whose placement misses an
+// operator, fails with the same sentinel on every substrate.
+func TestSessionControlErrorsAreTyped(t *testing.T) {
+	q := conformanceQuery()
+	cl := cluster.NewHomogeneous(2, 1e6)
+	mkPol := func() rt.Policy {
+		return &rt.StaticPolicy{PolicyName: "FIXED", Plan: query.Plan{1, 0}, Assign: []int{0, 1}}
+	}
+	short := &rt.StaticPolicy{PolicyName: "SHORT", Plan: query.Plan{1, 0}, Assign: []int{0}}
+	ctx := context.Background()
+	for name, open := range openers(q, cl, mkPol, liveConfig(), liveOptions(nil)) {
+		ses, err := open()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, tc := range []struct {
+			call string
+			do   func() error
+			want error
+		}{
+			{"Crash(99)", func() error { return ses.Crash(99) }, rt.ErrUnknownNode},
+			{"Recover(-1)", func() error { return ses.Recover(-1) }, rt.ErrUnknownNode},
+			{"Migrate(9, 0)", func() error { return ses.Migrate(9, 0) }, rt.ErrUnknownOp},
+			{"Migrate(0, 99)", func() error { return ses.Migrate(0, 99) }, rt.ErrUnknownNode},
+			{"SwapPolicy(one-op placement)", func() error { return ses.SwapPolicy(short) }, rt.ErrBadPlacement},
+		} {
+			if err := tc.do(); !errors.Is(err, tc.want) {
+				t.Errorf("%s: %s returned %v, want %v", name, tc.call, err, tc.want)
+			}
+		}
+		if _, err := ses.Close(ctx); err != nil {
+			t.Fatalf("%s close: %v", name, err)
+		}
+	}
+}
+
+// TestSessionOutboxContract pins the subscription contract on every
+// substrate. The same deterministic run — scripted checkpoints and a
+// slowdown, a crash and a recovery, a policy swap, and a policy whose plan
+// alternates — goes once with one-slot buffers nobody reads and once fully
+// buffered: per stream, what the first run delivered plus what it dropped is
+// what the second delivered. Close closes both channels, and a second Close
+// returns the same report. One batch is in flight at a time on one worker
+// per node, and the outage waits for the pipeline to drain at both edges, so
+// the live runs emit the same sequence every time.
+func TestSessionOutboxContract(t *testing.T) {
+	q := conformanceQuery()
+	cl := cluster.NewHomogeneous(2, 1e6)
+	mkPol := func() rt.Policy {
+		return &alternating{StaticPolicy: rt.StaticPolicy{PolicyName: "ALT", Plan: query.Plan{1, 0}, Assign: []int{0, 1}}}
+	}
+	fp := &chaos.FaultPlan{
+		Mode:            chaos.Checkpoint,
+		CheckpointEvery: 60,
+		Faults:          []chaos.Fault{{Kind: chaos.Slowdown, Node: 0, At: 300, Until: 360, Factor: 0.5}},
+	}
+	cfg := liveConfig()
+	cfg.Workers = 1
+	ctx := context.Background()
+	// run returns, per stream, the emissions delivered and dropped.
+	run := func(name string, buf int) (results, events [2]int64) {
+		t.Helper()
+		opts := liveOptions(fp)
+		opts.MaxPending, opts.ResultBuffer, opts.EventBuffer = 1, buf, buf
+		ses, err := openers(q, cl, mkPol, cfg, opts)[name]()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		quiesce := func() {
+			for deadline := time.Now().Add(10 * time.Second); ses.Stats().Pending > 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: pipeline never drained", name)
+				}
+			}
+		}
+		feed := conformanceFeed(q)
+		for i, b := 0, feed.Next(); b != nil; i, b = i+1, feed.Next() {
+			switch i {
+			case 40:
+				quiesce()
+				err = ses.Crash(1)
+			case 60:
+				err = ses.Recover(1)
+				quiesce()
+			case 80:
+				err = ses.SwapPolicy(mkPol())
+			}
+			if err != nil {
+				t.Fatalf("%s, batch %d: %v", name, i, err)
+			}
+			if err := ses.Ingest(ctx, b); err != nil {
+				t.Fatalf("%s ingest: %v", name, err)
+			}
+		}
+		rep, err := ses.Close(ctx)
+		if err != nil {
+			t.Fatalf("%s close: %v", name, err)
+		}
+		if again, err := ses.Close(ctx); err != nil || again != rep {
+			t.Errorf("%s: second Close returned (%p, %v), want the first report %p", name, again, err, rep)
+		}
+		st := ses.Stats()
+		var closed bool
+		if results[0], closed = drained(ses.Results()); !closed {
+			t.Errorf("%s: Results still open after Close", name)
+		}
+		if events[0], closed = drained(ses.Events()); !closed {
+			t.Errorf("%s: Events still open after Close", name)
+		}
+		results[1], events[1] = st.ResultsDropped, st.EventsDropped
+		return results, events
+	}
+	for _, name := range []string{"sim", "engine", "net"} {
+		fullRes, fullEv := run(name, 1<<15)
+		if fullRes[1] != 0 || fullEv[1] != 0 {
+			t.Errorf("%s: fully buffered run dropped %d results, %d events", name, fullRes[1], fullEv[1])
+		}
+		res, ev := run(name, 1)
+		t.Logf("%s: results %d = %d delivered + %d dropped, events %d = %d + %d", name,
+			fullRes[0], res[0], res[1], fullEv[0], ev[0], ev[1])
+		if res[1] == 0 || ev[1] == 0 {
+			t.Errorf("%s: one-slot buffers dropped %d results, %d events; the run must overflow both", name, res[1], ev[1])
+		}
+		if res[0]+res[1] != fullRes[0] {
+			t.Errorf("%s: one-slot results %d delivered + %d dropped, full run delivered %d", name, res[0], res[1], fullRes[0])
+		}
+		if ev[0]+ev[1] != fullEv[0] {
+			t.Errorf("%s: one-slot events %d delivered + %d dropped, full run delivered %d", name, ev[0], ev[1], fullEv[0])
+		}
+	}
+}
+
+// alternating is a static policy whose plan flips between its own and the
+// reverse every tenth batch, so the run switches plans a fixed number of
+// times.
+type alternating struct {
+	rt.StaticPolicy
+	calls int
+}
+
+func (p *alternating) PlanFor(float64, stats.Snapshot) query.Plan {
+	p.calls++
+	if p.calls/10%2 == 1 {
+		return query.Plan{p.Plan[1], p.Plan[0]}
+	}
+	return p.Plan
+}
+
+// drained empties a closed channel without blocking: it returns how many
+// values were left and whether the channel was closed behind them.
+func drained[T any](ch <-chan T) (n int64, closed bool) {
+	for {
+		select {
+		case _, ok := <-ch:
+			if !ok {
+				return n, true
+			}
+			n++
+		default:
+			return n, false
+		}
+	}
+}
+
 // TestNilInputsAreErrors pins that the run surface reports a missing input
 // as an error — never a panic — and leaves nothing running behind it.
 func TestNilInputsAreErrors(t *testing.T) {
@@ -263,15 +411,15 @@ func TestNilInputsAreErrors(t *testing.T) {
 		run  func() error
 	}{
 		{"net session without a policy", func() error {
-			_, err := netrt.OpenSession(q, 2, nil, engine.SessionOptions{}, nil)
+			_, err := netrt.OpenSession(q, 2, nil, engine.Config{}, rt.SessionOptions{}, nil)
 			return err
 		}},
 		{"net session without a query", func() error {
-			_, err := netrt.OpenSession(nil, 2, pol, engine.SessionOptions{}, nil)
+			_, err := netrt.OpenSession(nil, 2, pol, engine.Config{}, rt.SessionOptions{}, nil)
 			return err
 		}},
 		{"replay without a feed", func() error {
-			ses, err := engine.OpenSession(q, 2, pol, liveOptions(nil))
+			ses, err := engine.OpenSession(q, 2, pol, liveConfig(), liveOptions(nil))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,20 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"rld/internal/runtime"
 	"rld/internal/stream"
 )
-
-// SessionOptions configures a simulator session.
-type SessionOptions struct {
-	// ResultBuffer is the Results subscription buffer; 0 disables result
-	// delivery.
-	ResultBuffer int
-	// EventBuffer is the Events subscription buffer (default 64).
-	EventBuffer int
-}
 
 // Session is the simulator's implementation of runtime.Session: a
 // virtual-time adapter over the incremental discrete-event core, so tests
@@ -30,69 +20,46 @@ type SessionOptions struct {
 // adapter serializes all calls under one mutex (virtual time admits no
 // useful concurrency).
 type Session struct {
-	mu             sync.Mutex
-	s              *Sim
-	sc             *Scenario
-	results        chan runtime.ResultBatch
-	events         chan runtime.Event
-	resultsDropped atomic.Int64
-	eventsDropped  atomic.Int64
-	swaps          int
-	closed         bool
-	report         *runtime.Report
+	// Outbox carries the Results and Events subscriptions. The sim emits
+	// into it only while advancing under mu, so emissions are ordered and
+	// never race the close in Close.
+	*runtime.Outbox
+
+	mu     sync.Mutex
+	s      *Sim
+	sc     *Scenario
+	swaps  int
+	closed bool
+	report *runtime.Report
 }
 
 // OpenSession starts a simulator session of scenario sc under pol. The
-// scenario is defaulted in place (batch size, sampling, tick) exactly as
-// Run would; pass a private copy when reusing scenarios across runs.
-func OpenSession(sc *Scenario, pol runtime.Policy, opts SessionOptions) (*Session, error) {
+// scenario's unset fault plan, horizon and tick period are filled from
+// opts, then it is defaulted in place (batch size, sampling, tick) exactly
+// as Run would; pass a private copy when reusing scenarios across runs.
+// The simulator has no backpressure, so opts.MaxPending is ignored.
+func OpenSession(sc *Scenario, pol runtime.Policy, opts runtime.SessionOptions) (*Session, error) {
+	if sc.Faults == nil {
+		sc.Faults = opts.Faults
+	}
+	if sc.Horizon == 0 {
+		sc.Horizon = opts.Horizon
+	}
+	if sc.TickEvery == 0 && opts.TickEvery > 0 {
+		sc.TickEvery = opts.TickEvery
+	}
 	sim, err := New(sc, pol)
 	if err != nil {
 		return nil, err
 	}
-	ss := &Session{s: sim, sc: sc}
-	evBuf := opts.EventBuffer
-	if evBuf <= 0 {
-		evBuf = 64
-	}
-	ss.events = make(chan runtime.Event, evBuf)
-	sim.onEvent = ss.emit
-	if opts.ResultBuffer > 0 {
-		ss.results = make(chan runtime.ResultBatch, opts.ResultBuffer)
-		sim.onResult = ss.observeResult
-	}
+	ss := &Session{Outbox: runtime.NewOutbox(opts), s: sim, sc: sc}
+	sim.out = ss.Outbox
 	sim.seedControl()
 	return ss, nil
 }
 
 // Substrate implements runtime.Session.
 func (ss *Session) Substrate() string { return "sim" }
-
-// Results implements runtime.Session.
-func (ss *Session) Results() <-chan runtime.ResultBatch { return ss.results }
-
-// Events implements runtime.Session.
-func (ss *Session) Events() <-chan runtime.Event { return ss.events }
-
-// emit delivers an event without blocking; the sim only advances under
-// ss.mu, so emissions are ordered and never race the close in Close.
-func (ss *Session) emit(ev runtime.Event) {
-	select {
-	case ss.events <- ev:
-	default:
-		ss.eventsDropped.Add(1)
-	}
-}
-
-// observeResult delivers one completed batch's (possibly fractional)
-// result count without blocking.
-func (ss *Session) observeResult(t, count float64) {
-	select {
-	case ss.results <- runtime.ResultBatch{T: t, Count: count}:
-	default:
-		ss.resultsDropped.Add(1)
-	}
-}
 
 // Ingest implements runtime.Session: advance virtual time to the batch's
 // maximum timestamp (firing due ticks, samples, service completions, and
@@ -127,7 +94,7 @@ func (ss *Session) SwapPolicy(pol runtime.Policy) error {
 		return fmt.Errorf("sim: nil policy")
 	}
 	if p := pol.Placement(); len(p) != len(ss.sc.Query.Ops) {
-		return fmt.Errorf("sim: policy %s placement covers %d of %d ops", pol.Name(), len(p), len(ss.sc.Query.Ops))
+		return fmt.Errorf("%w: policy %s covers %d of %d ops", runtime.ErrBadPlacement, pol.Name(), len(p), len(ss.sc.Query.Ops))
 	}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -136,7 +103,7 @@ func (ss *Session) SwapPolicy(pol runtime.Policy) error {
 	}
 	ss.s.pol = pol
 	ss.swaps++
-	ss.emit(runtime.Event{Kind: runtime.EventPolicySwap, T: ss.s.now, Node: -1, Op: -1, Policy: pol.Name()})
+	ss.Emit(runtime.Event{Kind: runtime.EventPolicySwap, T: ss.s.now, Node: -1, Op: -1, Policy: pol.Name()})
 	return nil
 }
 
@@ -148,10 +115,10 @@ func (ss *Session) Migrate(op, node int) error {
 		return runtime.ErrClosed
 	}
 	if op < 0 || op >= len(ss.s.assign) {
-		return fmt.Errorf("sim: migrate unknown op %d", op)
+		return fmt.Errorf("%w: migrate op %d", runtime.ErrUnknownOp, op)
 	}
 	if node < 0 || node >= len(ss.s.nodes) {
-		return fmt.Errorf("sim: migrate to unknown node %d", node)
+		return fmt.Errorf("%w: migrate to node %d", runtime.ErrUnknownNode, node)
 	}
 	ss.s.applyMigration(&Migration{Op: op, To: node})
 	return nil
@@ -166,7 +133,7 @@ func (ss *Session) Crash(node int) error {
 		return runtime.ErrClosed
 	}
 	if node < 0 || node >= len(ss.s.nodes) {
-		return fmt.Errorf("sim: crash unknown node %d", node)
+		return fmt.Errorf("%w: crash node %d", runtime.ErrUnknownNode, node)
 	}
 	ss.s.crashNode(node)
 	return nil
@@ -180,7 +147,7 @@ func (ss *Session) Recover(node int) error {
 		return runtime.ErrClosed
 	}
 	if node < 0 || node >= len(ss.s.nodes) {
-		return fmt.Errorf("sim: recover unknown node %d", node)
+		return fmt.Errorf("%w: recover node %d", runtime.ErrUnknownNode, node)
 	}
 	ss.s.recoverNode(node)
 	return nil
@@ -192,6 +159,7 @@ func (ss *Session) Stats() runtime.SessionStats {
 	defer ss.mu.Unlock()
 	res := ss.s.res
 	ds := res.DownSeconds
+	rd, ed := ss.Dropped()
 	for _, n := range ss.s.nodes {
 		if n.down && ss.s.now > n.downSince {
 			ds += ss.s.now - n.downSince
@@ -211,8 +179,8 @@ func (ss *Session) Stats() runtime.SessionStats {
 		Migrations:     res.Migrations,
 		Crashes:        res.Crashes,
 		DownSeconds:    ds,
-		ResultsDropped: ss.resultsDropped.Load(),
-		EventsDropped:  ss.eventsDropped.Load(),
+		ResultsDropped: rd,
+		EventsDropped:  ed,
 	}
 }
 
@@ -235,10 +203,7 @@ func (ss *Session) Close(context.Context) (*runtime.Report, error) {
 	ss.s.advanceTo(end)
 	rep := ss.s.finish()
 	rep.Policy = ss.s.pol.Name()
-	if ss.results != nil {
-		close(ss.results)
-	}
-	close(ss.events)
+	ss.Outbox.Close()
 	ss.report = rep
 	return rep, nil
 }

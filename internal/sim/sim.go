@@ -233,12 +233,10 @@ type Sim struct {
 	batchID  int64
 	finished bool
 
-	// onResult, when set, observes every completed batch: virtual time
-	// and (possibly fractional) result-tuple count.
-	onResult func(t, count float64)
-	// onEvent, when set, observes plan switches, migrations, and fault
-	// edges as runtime session events.
-	onEvent func(ev runtime.Event)
+	// out, when set, is the session's outbox: every completed batch's
+	// (possibly fractional) result count, and plan switches, migrations,
+	// and fault edges as runtime session events.
+	out *runtime.Outbox
 }
 
 // New prepares a run of scenario sc under policy pol.
@@ -434,9 +432,7 @@ func (s *Sim) crashNode(nodeID int) bool {
 	}
 	n.serving = nil
 	n.busy = false
-	if s.onEvent != nil {
-		s.onEvent(runtime.Event{Kind: runtime.EventCrash, T: s.now, Node: nodeID, Op: -1})
-	}
+	s.out.Emit(runtime.Event{Kind: runtime.EventCrash, T: s.now, Node: nodeID, Op: -1})
 	return true
 }
 
@@ -449,9 +445,7 @@ func (s *Sim) recoverNode(nodeID int) bool {
 	}
 	n.down = false
 	s.res.DownSeconds += s.now - n.downSince
-	if s.onEvent != nil {
-		s.onEvent(runtime.Event{Kind: runtime.EventRecovery, T: s.now, Node: nodeID, Op: -1})
-	}
+	s.out.Emit(runtime.Event{Kind: runtime.EventRecovery, T: s.now, Node: nodeID, Op: -1})
 	s.tryServe(n)
 	return true
 }
@@ -461,9 +455,7 @@ func (s *Sim) recoverNode(nodeID int) bool {
 // started while slowed pay the factor.
 func (s *Sim) slowNode(nodeID int, factor float64) {
 	s.nodes[nodeID].slow = factor
-	if s.onEvent != nil {
-		s.onEvent(runtime.Event{Kind: runtime.EventSlowdown, T: s.now, Node: nodeID, Op: -1, Factor: factor})
-	}
+	s.out.Emit(runtime.Event{Kind: runtime.EventSlowdown, T: s.now, Node: nodeID, Op: -1, Factor: factor})
 }
 
 // onFaultBegin applies the onset of fault i: a crash empties or freezes
@@ -547,9 +539,7 @@ func (s *Sim) admit(tuples float64) {
 	if k != s.lastKey {
 		if s.lastKey != "" {
 			s.res.PlanSwitches++
-			if s.onEvent != nil {
-				s.onEvent(runtime.Event{Kind: runtime.EventPlanSwitch, T: s.now, Node: -1, Op: -1, Plan: k})
-			}
+			s.out.Emit(runtime.Event{Kind: runtime.EventPlanSwitch, T: s.now, Node: -1, Op: -1, Plan: k})
 		}
 		s.lastKey = k
 	}
@@ -624,8 +614,8 @@ func (s *Sim) onStageDone(nodeID int, epoch int) {
 			s.res.Produced += out
 			s.latSum += (s.now - b.arrival) * b.tuples
 			s.latWt += b.tuples
-			if s.onResult != nil && out > 0 {
-				s.onResult(s.now, out)
+			if out > 0 {
+				s.out.Deliver(runtime.ResultBatch{T: s.now, Count: out})
 			}
 		} else {
 			s.enqueueStage(b)
@@ -685,9 +675,7 @@ func (s *Sim) applyMigration(mig *Migration) bool {
 	s.paused[mig.Op] = s.now + dt
 	s.res.Migrations++
 	s.res.MigrationDowntime += dt
-	if s.onEvent != nil {
-		s.onEvent(runtime.Event{Kind: runtime.EventMigration, T: s.now, Node: mig.To, Op: mig.Op})
-	}
+	s.out.Emit(runtime.Event{Kind: runtime.EventMigration, T: s.now, Node: mig.To, Op: mig.Op})
 	s.push(&event{t: s.now + dt, kind: evMigrationEnd, op: mig.Op})
 	s.tryServe(src)
 	return true

@@ -45,24 +45,27 @@ const (
 	EventCheckpoint = runtime.EventCheckpoint
 )
 
-// Sentinel errors. Session-protocol errors come from internal/runtime,
-// engine failure classes from internal/engine; all are matched with
-// errors.Is.
+// Sentinel errors, matched with errors.Is. The session-protocol and
+// control errors (internal/runtime) hold on every substrate: the simulator,
+// the in-process engine and worker processes return the same ones. The
+// failure classes only a live engine has come from internal/engine.
 var (
 	// ErrClosed reports an operation on a closed Pipeline.
 	ErrClosed = runtime.ErrClosed
 	// ErrBackpressure reports a TryIngest rejected at capacity.
 	ErrBackpressure = runtime.ErrBackpressure
 	// ErrUnknownNode reports a node index outside the cluster.
-	ErrUnknownNode = engine.ErrUnknownNode
+	ErrUnknownNode = runtime.ErrUnknownNode
 	// ErrUnknownOp reports an operator index outside the query.
-	ErrUnknownOp = engine.ErrUnknownOp
-	// ErrNodeDown reports an Ingest into a fully-crashed cluster.
+	ErrUnknownOp = runtime.ErrUnknownOp
+	// ErrNodeDown reports an Ingest into a fully-crashed cluster (live
+	// substrates only).
 	ErrNodeDown = engine.ErrNodeDown
-	// ErrInvalidPlan reports a plan chooser returning an invalid plan.
+	// ErrInvalidPlan reports a plan chooser returning an invalid plan (live
+	// substrates only).
 	ErrInvalidPlan = engine.ErrInvalidPlan
 	// ErrBadPlacement reports an incomplete or out-of-range placement.
-	ErrBadPlacement = engine.ErrBadPlacement
+	ErrBadPlacement = runtime.ErrBadPlacement
 	// ErrWALDir reports an unusable exactly-once WAL directory.
 	ErrWALDir = wal.ErrWALDir
 	// ErrWALCorrupt reports a malformed write-ahead-log record. Replay
@@ -73,19 +76,14 @@ var (
 
 // pipelineConfig is the resolved functional-option state.
 type pipelineConfig struct {
-	engine       EngineConfig
-	tickEvery    float64
-	horizon      float64
-	faults       *FaultPlan
-	resultBuffer int
-	eventBuffer  int
-	maxPending   int
-	havePending  bool
-	sim          *Scenario
-	batchSize    int
-	distributed  bool
-	distNodes    int
-	workerCmd    []string
+	engine      EngineConfig
+	session     runtime.SessionOptions
+	havePending bool
+	sim         *Scenario
+	batchSize   int
+	distributed bool
+	distNodes   int
+	workerCmd   []string
 }
 
 // Option configures Open — the functional-option replacement for filling
@@ -105,26 +103,28 @@ func WithMaxFanout(n int) Option { return func(c *pipelineConfig) { c.engine.Max
 
 // WithFaults installs a scripted fault schedule, applied as the pipeline's
 // virtual clock passes each fault's edges.
-func WithFaults(fp *FaultPlan) Option { return func(c *pipelineConfig) { c.faults = fp } }
+func WithFaults(fp *FaultPlan) Option { return func(c *pipelineConfig) { c.session.Faults = fp } }
 
 // WithTickEvery sets the control (Rebalance) period in virtual seconds
 // (default 5).
 func WithTickEvery(seconds float64) Option {
-	return func(c *pipelineConfig) { c.tickEvery = seconds }
+	return func(c *pipelineConfig) { c.session.TickEvery = seconds }
 }
 
 // WithHorizon sets the virtual-time end used to finalize fault accounting
 // at Close (default: the clock's high-water mark).
-func WithHorizon(seconds float64) Option { return func(c *pipelineConfig) { c.horizon = seconds } }
+func WithHorizon(seconds float64) Option {
+	return func(c *pipelineConfig) { c.session.Horizon = seconds }
+}
 
 // WithBufferedResults enables the Results subscription with an n-slot
 // buffer. Without it the pipeline only counts results; with it every
 // non-empty sink emission is delivered (emissions beyond a full buffer are
 // dropped and counted in Stats().ResultsDropped).
-func WithBufferedResults(n int) Option { return func(c *pipelineConfig) { c.resultBuffer = n } }
+func WithBufferedResults(n int) Option { return func(c *pipelineConfig) { c.session.ResultBuffer = n } }
 
 // WithBufferedEvents sets the Events subscription buffer (default 64).
-func WithBufferedEvents(n int) Option { return func(c *pipelineConfig) { c.eventBuffer = n } }
+func WithBufferedEvents(n int) Option { return func(c *pipelineConfig) { c.session.EventBuffer = n } }
 
 // WithMaxPending bounds in-flight messages: Ingest blocks and TryIngest
 // returns ErrBackpressure at the bound. n < 0 disables backpressure. The
@@ -132,7 +132,7 @@ func WithBufferedEvents(n int) Option { return func(c *pipelineConfig) { c.event
 // producers the bound is approximate — each can admit one batch past it
 // before observing the others.
 func WithMaxPending(n int) Option {
-	return func(c *pipelineConfig) { c.maxPending = n; c.havePending = true }
+	return func(c *pipelineConfig) { c.session.MaxPending = n; c.havePending = true }
 }
 
 // WithSimulation opens the pipeline on the discrete-event simulator
@@ -252,19 +252,7 @@ func Open(ctx context.Context, dep *Deployment, pol Policy, opts ...Option) (*Pi
 		if sc.Cluster == nil {
 			sc.Cluster = dep.Cluster
 		}
-		if sc.Faults == nil {
-			sc.Faults = cfg.faults
-		}
-		if sc.Horizon == 0 {
-			sc.Horizon = cfg.horizon
-		}
-		if cfg.tickEvery > 0 && cfg.sim.TickEvery == 0 {
-			sc.TickEvery = cfg.tickEvery
-		}
-		s, err := sim.OpenSession(&sc, pol, sim.SessionOptions{
-			ResultBuffer: cfg.resultBuffer,
-			EventBuffer:  cfg.eventBuffer,
-		})
+		s, err := sim.OpenSession(&sc, pol, cfg.session)
 		if err != nil {
 			return nil, err
 		}
@@ -274,25 +262,15 @@ func Open(ctx context.Context, dep *Deployment, pol Policy, opts ...Option) (*Pi
 	if cfg.distributed && cfg.distNodes > 0 {
 		nNodes = cfg.distNodes
 	}
-	maxPending := cfg.maxPending
 	if !cfg.havePending {
-		maxPending = 1024 * nNodes
-	}
-	sopts := engine.SessionOptions{
-		Config:       cfg.engine,
-		TickEvery:    cfg.tickEvery,
-		Faults:       cfg.faults,
-		Horizon:      cfg.horizon,
-		ResultBuffer: cfg.resultBuffer,
-		EventBuffer:  cfg.eventBuffer,
-		MaxPending:   maxPending,
+		cfg.session.MaxPending = 1024 * nNodes
 	}
 	var s *engine.Session
 	var err error
 	if cfg.distributed {
-		s, err = netrt.OpenSession(dep.Query, nNodes, pol, sopts, cfg.workerCmd)
+		s, err = netrt.OpenSession(dep.Query, nNodes, pol, cfg.engine, cfg.session, cfg.workerCmd)
 	} else {
-		s, err = engine.OpenSession(dep.Query, nNodes, pol, sopts)
+		s, err = engine.OpenSession(dep.Query, nNodes, pol, cfg.engine, cfg.session)
 	}
 	if err != nil {
 		return nil, err

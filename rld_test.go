@@ -140,7 +140,7 @@ func TestPublicFeeds(t *testing.T) {
 	if len(sensor) == 0 {
 		t.Fatal("no sensor sources")
 	}
-	if tu, ok := stock[0].Next(); !ok || tu == nil {
+	if !stock[0].AppendNext(AcquireBatch(stock[0].Name, stock[0].Arity())) {
 		t.Fatal("stock source dead")
 	}
 }
