@@ -21,6 +21,7 @@ package netrt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -340,7 +341,8 @@ const partHeader = 8 + 8 + 8 + 8 + 2
 // decodePartials size a block from untrusted bytes: every count it returns
 // has been paid for by bytes actually present (a partial costs at least its
 // 8-byte mask, a value 8 bytes), and a payload it accepts decodes without
-// error.
+// error, to rows that hold what was sent: the parts of each partial share
+// one key, the only one a row stores.
 func scanPartials(d wire.Dec, sch *stream.JoinSchema) (rows, nvals int, err error) {
 	rows = int(d.U32())
 	// Each partial costs at least a mask on the wire.
@@ -352,8 +354,15 @@ func scanPartials(d wire.Dec, sch *stream.JoinSchema) (rows, nvals int, err erro
 		if mask>>uint(sch.Len()) != 0 {
 			return 0, 0, fmt.Errorf("%w: partial mask has out-of-schema slots", ErrBadFrame)
 		}
+		var key []byte
 		for ; mask != 0 && d.Err == nil; mask &= mask - 1 {
 			if hdr := d.Take(partHeader); hdr != nil {
+				// A row stores one key for all its parts (seq, ts, key, ...).
+				if k := hdr[16:24]; key == nil {
+					key = k
+				} else if !bytes.Equal(k, key) {
+					return 0, 0, fmt.Errorf("%w: parts of one partial disagree on the key", ErrBadFrame)
+				}
 				nv := int(binary.LittleEndian.Uint16(hdr[partHeader-2:]))
 				d.Take(8 * nv)
 				nvals += nv

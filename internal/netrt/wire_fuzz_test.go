@@ -31,6 +31,19 @@ func FuzzDecodePartials(f *testing.F) {
 	huge.U32(1 << 30)
 	f.Add(huge.B)
 	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}) // one partial, one part, no bytes for it
+	// One partial whose two parts carry different keys: a row stores one
+	// key, so this must be refused, not decoded into something else.
+	var split wire.Enc
+	split.U32(1)
+	split.U64(0b11)
+	for key := int64(1); key <= 2; key++ {
+		split.U64(0)
+		split.F64(0)
+		split.I64(key)
+		split.F64(0)
+		split.U16(0)
+	}
+	f.Add(split.B)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		acq0, rec0 := sch.BlockCounts()
@@ -39,7 +52,7 @@ func FuzzDecodePartials(f *testing.F) {
 		d := wire.Dec{B: raw}
 		out, err := decodePartials(&d, sch, nil)
 		runtime.ReadMemStats(&after)
-		// A row of this schema is 200 bytes of block for at least 8 bytes of
+		// A row of this schema is 144 bytes of block for at least 8 bytes of
 		// input, a payload value 8 for 8; the rest is the smallest block
 		// and the error text.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(48*len(raw)+32<<10); got > limit {

@@ -1,10 +1,13 @@
 package netrt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
+	"reflect"
 	"testing"
 
 	"rld/internal/stream"
@@ -227,6 +230,53 @@ func TestPartialsRoundTrip(t *testing.T) {
 	}
 	g.Release()
 	p.Release()
+}
+
+// TestPartialsRoundTripBitExact: every column of a part crosses the wire
+// bit for bit — sequence numbers over all 64 bits, NaN-shaped ones included,
+// and payloads up to the most values the u16 count carries — and what is
+// decoded encodes back to the same bytes.
+func TestPartialsRoundTripBitExact(t *testing.T) {
+	sch := fixtureSchema()
+	wide := make([]float64, math.MaxUint16)
+	for i := range wide {
+		wide[i] = float64(i)
+	}
+	seqs := []uint64{0x7FF0000000000001, 0xFFF8000000000000, math.MaxUint64}
+	var ps []*stream.Joined
+	for i, seq := range seqs {
+		p := sch.Acquire()
+		p.SetPart(i, seq, 1, -1, 2, nil)
+		p.SetPart((i+1)%3, ^seq, 3, -1, 0, wide[:len(wide)>>(2*i)])
+		ps = append(ps, p)
+	}
+	var e wire.Enc
+	encodePartials(&e, sch, ps)
+	d := wire.Dec{B: e.B}
+	out, err := decodePartials(&d, sch, nil)
+	if err != nil || len(out) != len(ps) {
+		t.Fatalf("decoded %d partials, err %v", len(out), err)
+	}
+	for i, p := range ps {
+		for slot := 0; slot < sch.Len(); slot++ {
+			want, _ := p.Part(slot)
+			if got, _ := out[i].Part(slot); !reflect.DeepEqual(got, want) {
+				t.Fatalf("partial %d slot %d: got seq %#x and %d values, want seq %#x and %d", i, slot, got.Seq, len(got.Vals), want.Seq, len(want.Vals))
+			}
+		}
+		if got, _ := out[i].Part(i); got.Seq != seqs[i] {
+			t.Fatalf("partial %d: seq %#x", i, got.Seq)
+		}
+	}
+	var again wire.Enc
+	encodePartials(&again, sch, out)
+	if !bytes.Equal(again.B, e.B) {
+		t.Fatal("decoded partials encode to other bytes")
+	}
+	for i := range ps {
+		ps[i].Release()
+		out[i].Release()
+	}
 }
 
 // TestSplitPartials pins the stage-chunking invariants: order-preserving

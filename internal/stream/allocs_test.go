@@ -2,14 +2,18 @@
 
 package stream
 
-import "testing"
+import (
+	"reflect"
+	"runtime"
+	"testing"
+	"unsafe"
+)
 
 // TestDetachAllocs pins Detach at O(1) allocations per call: four when it
-// copies (the returned slice and one slab each for structs, parts and
-// payloads), one when it steals (the returned slice; the fresh block the
-// pipeline then has to make is the other side of that trade, counted here
-// too). (The race detector changes allocation behaviour; the file is excluded
-// under -race.)
+// copies (the returned slice, and one block's header and two slabs), one when
+// it steals (the returned slice; the fresh block the pipeline then has to
+// make is the other side of that trade, counted here too). (The race
+// detector changes allocation behaviour; the file is excluded under -race.)
 func TestDetachAllocs(t *testing.T) {
 	sch := NewJoinSchema([]string{"A", "B"})
 	src := make([]*Joined, 200)
@@ -38,9 +42,64 @@ func TestDetachAllocs(t *testing.T) {
 		}
 		fill()
 	})
-	// The slice, plus the block's header and three slabs.
-	if stolen != 21 || n > 5 {
-		t.Fatalf("stealing Detach of %d tuples: %d of 21 stolen, %v allocations with the block that replaces it, want <= 5", len(src), stolen, n)
+	// The slice, plus the block's header and two slabs.
+	if stolen != 21 || n > 4 {
+		t.Fatalf("stealing Detach of %d tuples: %d of 21 stolen, %v allocations with the block that replaces it, want <= 4", len(src), stolen, n)
+	}
+}
+
+// TestJoinedLayout pins what a result row costs: a Joined is 48 bytes with
+// one pointer, its block, and the block that replaces a stolen emission
+// costs at most 48 + 8·(4·w + payload) bytes a row, plus the size ladder's
+// 1/blockSteps rounding — 168 for a 3-way result with one value a part,
+// where a Joined of three slabs (a parts and a payload slice beside the
+// block) cost 224.
+func TestJoinedLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Joined{}); size != 48 {
+		t.Fatalf("Joined is %d bytes, want 48", size)
+	}
+	typ := reflect.TypeOf(Joined{})
+	ptrs := 0
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer:
+			ptrs++
+		case reflect.Uint64, reflect.Int64, reflect.Float64, reflect.Int32:
+		default:
+			t.Fatalf("Joined.%s is a %s", f.Name, f.Type)
+		}
+	}
+	if ptrs != 1 {
+		t.Fatalf("Joined has %d pointer fields, want 1", ptrs)
+	}
+
+	const w, rows, rounds = 3, 1024, 8
+	sch := NewJoinSchema([]string{"A", "B", "C"})
+	src := make([]*Joined, rows)
+	fill := func() {
+		blk := sch.AcquireBlock(rows, rows*w)
+		for i := range src {
+			src[i] = blk.Row()
+			for s := 0; s < w; s++ {
+				blk.AddPart(src[i], s, uint64(i), 1, 1, 1, 1)[0] = 1
+			}
+		}
+	}
+	fill()
+	var before, after runtime.MemStats
+	var bytes uint64
+	for round := 0; round < rounds; round++ {
+		if out := Detach(src); out[0] != src[0] {
+			t.Fatal("a full block's emission was copied, not stolen")
+		}
+		runtime.ReadMemStats(&before)
+		fill()
+		runtime.ReadMemStats(&after)
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	perRow := float64(bytes) / (rounds * rows)
+	if limit := (48 + 8*(4*w+w)) * (1 + 1.0/blockSteps); perRow > limit {
+		t.Fatalf("the block replacing a stolen emission costs %.1f bytes a row, want <= %.1f", perRow, limit)
 	}
 }
 

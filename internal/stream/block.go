@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -21,6 +22,7 @@ const (
 	maxBlockBits   = 20
 	numBlockPools  = (maxBlockBits-minBlockBits)*blockSteps + 1
 	unpooledBlocks = -1
+	singletonBlock = -2 // an Acquired row's own block, pooled with the row
 )
 
 // blockClass returns the pool index and row capacity of the smallest rung
@@ -40,38 +42,48 @@ func blockClass(n int) (class, rows int) {
 }
 
 // Block is the storage of one stage output: every row a stage emits (or an
-// ingest seeds, or a wire decoder rebuilds) is carved from one block's three
-// slabs — the Joined structs, their parts, their payloads — by bumping an
-// index and writing sequentially. Rows are handed out through Seed, CloneWith
-// and Row/AddPart and given back one Release each; the release of the last
-// live row recycles the block into its schema's pool, unless Detach has
-// stolen it, in which case it is never recycled and the rows are the
-// subscriber's for good.
+// ingest seeds, or a wire decoder rebuilds) is carved from one block's two
+// slabs by bumping an index and writing sequentially. structs holds the
+// Joined headers; data, which holds no pointer, holds each row's record and
+// nothing else: w part records of partWords words, one per schema slot, then
+// the row's payload values. Rows are handed out through Seed, CloneWith and
+// Row/AddPart and given back one Release each; the release of the last live
+// row recycles the block into its schema's pool, unless Detach has stolen
+// it, in which case it is never recycled and the rows are the subscriber's
+// for good.
 //
 // A block is not safe for concurrent use, and needs no lock: all its live
 // rows sit in the partials of one message, and a message has one holder at a
 // time.
 type Block struct {
 	schema *JoinSchema
-	class  int
+	class  int // where a released block goes: a rung, unpooledBlocks or singletonBlock
 
-	// structs and parts are made once per block and never regrown; row i's
-	// parts slice is carved when they are made. A nil structs marks the
-	// schema's two ownerless markers (see JoinSchema).
-	structs []Joined
-	parts   []part
-	vals    []float64
+	structs []Joined  // made once per block and never regrown
+	data    []float64 // part records and payloads; regrown between uses, or by SetPart
 
 	n    int // rows handed out
-	off  int // vals handed out
+	off  int // data words handed out
 	live int // rows handed out and not yet released
 
-	// detached is set once, by Detach (or at construction, for the
-	// schema's marker of copied rows), before any row reaches a
-	// subscriber; Release reads it from whatever goroutine the subscriber
-	// calls it on.
+	// detached is set once, by Detach (or at construction, for a block
+	// Detach copies into or SetPart moves a delivered row to), before any
+	// row reaches a subscriber; Release reads it from whatever goroutine
+	// the subscriber calls it on.
 	detached bool
 }
+
+// Word offsets within a part record. seq and the payload segment (offset
+// from the row's first payload value in the high half, length in the low)
+// are uint64s stored through math.Float64frombits, which round-trips every
+// bit pattern.
+const (
+	partSeq = iota
+	partTs
+	partArr
+	partVals
+	partWords
+)
 
 // blockPools is a schema's block storage: one pool per rung of the size
 // ladder, plus the two counters that make "every block acquired was
@@ -94,19 +106,18 @@ func (s *JoinSchema) AcquireBlock(rows, nvals int) *Block {
 		b, _ = s.blocks.pools[class].Get().(*Block)
 	}
 	if b == nil {
-		w := len(s.streams)
-		b = &Block{schema: s, class: class, structs: make([]Joined, capRows), parts: make([]part, capRows*w)}
-		for i := range b.structs {
-			b.structs[i].blk = b
-			b.structs[i].parts = b.parts[i*w : (i+1)*w : (i+1)*w]
-		}
+		b = &Block{schema: s, class: class, structs: make([]Joined, capRows)}
 	}
-	if cap(b.vals) < nvals {
-		// Scale the payload slab with the row slab, so the same block serves
+	need := rows*s.rec + nvals
+	if need > math.MaxInt32 {
+		panic("stream: block over 2^31 data words")
+	}
+	if cap(b.data) < need {
+		// Scale the data slab with the row slab, so the same block serves
 		// the same kind of stage again without regrowing. Only a block that
 		// moves to a wider stage regrows, and then once.
-		perRow := (nvals + rows - 1) / max(rows, 1)
-		b.vals = make([]float64, max(nvals, perRow*capRows))
+		perRow := (need + rows - 1) / max(rows, 1)
+		b.data = make([]float64, max(need, perRow*capRows))
 	}
 	return b
 }
@@ -126,11 +137,14 @@ func (b *Block) recycle() {
 	}
 }
 
-// take hands out the block's next row, whatever its last use left in it.
+// take hands out the block's next row with its part records reserved,
+// whatever its last use left in them.
 func (b *Block) take() *Joined {
 	j := &b.structs[b.n]
 	b.n++
 	b.live++
+	j.blk, j.doff = b, int32(b.off)
+	b.off += b.schema.rec
 	return j
 }
 
@@ -138,20 +152,17 @@ func (b *Block) take() *Joined {
 // only until the block's next Row, Seed or CloneWith.
 func (b *Block) Row() *Joined {
 	j := b.take()
-	j.mask, j.Ts, j.Arrival = 0, 0, 0
-	j.vals = b.vals[b.off:b.off:b.off]
+	j.mask, j.Ts, j.Arrival, j.key, j.nv = 0, 0, 0, 0, 0
 	return j
 }
 
 // AddPart fills the given slot of j, which must be the block's newest row,
 // and returns the part's payload — nv values for the caller to write.
 func (b *Block) AddPart(j *Joined, slot int, seq uint64, ts Time, key int64, arrival Time, nv int) []float64 {
-	lo := b.off - len(j.vals)
-	j.parts[slot] = part{seq: seq, key: key, ts: ts, arr: arrival, voff: int32(len(j.vals)), vlen: int32(nv)}
+	vals := b.data[b.off : b.off+nv : b.off+nv]
 	b.off += nv
-	j.vals = b.vals[lo:b.off:b.off]
-	j.fold(slot, ts, arrival)
-	return j.vals[len(j.vals)-nv:]
+	j.setPart(b.data, slot, seq, ts, key, arrival, nv)
+	return vals
 }
 
 // Seed returns the block's next row holding one part: a source tuple
@@ -163,18 +174,15 @@ func (b *Block) Seed(slot int, seq uint64, ts Time, key int64, arrival Time, val
 }
 
 // CloneWith returns the block's next row holding p's parts plus the given
-// slot: one join match. p is left as it was and may belong to any block.
+// slot: one join match. p is left as it was and may belong to any block of
+// the block's schema; key must be p's.
 func (b *Block) CloneWith(p *Joined, slot int, seq uint64, ts Time, key int64, arrival Time, vals []float64) *Joined {
 	j := b.take()
-	np := len(p.vals)
-	end := b.off + np + len(vals)
-	j.vals = b.vals[b.off:end:end]
+	end := b.off + int(p.nv) + len(vals)
+	copy(b.data[j.doff:end], p.record())
+	copy(b.data[end-len(vals):end], vals)
 	b.off = end
-	copy(j.parts, p.parts)
-	copy(j.vals, p.vals)
-	copy(j.vals[np:], vals)
-	j.parts[slot] = part{seq: seq, key: key, ts: ts, arr: arrival, voff: int32(np), vlen: int32(len(vals))}
-	j.mask, j.Ts, j.Arrival = p.mask, p.Ts, p.Arrival
-	j.fold(slot, ts, arrival)
+	j.mask, j.Ts, j.Arrival, j.key, j.nv = p.mask, p.Ts, p.Arrival, p.key, p.nv
+	j.setPart(b.data, slot, seq, ts, key, arrival, len(vals))
 	return j
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -233,4 +234,63 @@ func TestDetachStealOrCopy(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSetPartContract: SetPart grows a tuple a subscriber was delivered — a
+// stolen one too, whose block neighbours must stay as they were, and a
+// copied one alone in its block, which grows where it is — and refuses, with
+// a panic that says why, a row of a block still in the pipeline.
+func TestSetPartContract(t *testing.T) {
+	sch := NewJoinSchema([]string{"A", "B"})
+	blk := sch.AcquireBlock(40, 40)
+	var src []*Joined
+	for i := 0; i < 40; i++ {
+		src = append(src, blk.Seed(0, uint64(i), Time(i), 7, Time(i), []float64{float64(i)}))
+	}
+	held := Detach(src)
+	if held[0] != src[0] {
+		t.Fatal("a full block's emission was copied, not stolen")
+	}
+	want := make([]joinedView, len(held))
+	for i, j := range held {
+		want[i] = viewOf(j, 2)
+	}
+	before, _ := held[11].Part(0)
+	held[10].SetPart(1, 99, 50, 7, 5, []float64{8, 8, 8})
+	for i, j := range held {
+		got := viewOf(j, 2)
+		if i == 10 {
+			if p, ok := j.Part(1); !ok || p.Seq != 99 || len(p.Vals) != 3 || got.Parts[0].Seq != 10 || got.Ts != 50 || got.Arrival != 5 {
+				t.Fatalf("grown tuple = %+v", got)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("growing tuple 10 changed tuple %d: %+v, want %+v", i, got, want[i])
+		}
+	}
+	if before.Vals[0] != 11 {
+		t.Fatalf("a neighbour's payload view reads %v after the grow", before.Vals)
+	}
+
+	one := sch.Acquire()
+	one.SetPart(0, 1, 1, 7, 1, []float64{1})
+	alone := Detach([]*Joined{one})[0]
+	one.Release()
+	owner := alone.blk
+	alone.SetPart(1, 2, 2, 7, 2, []float64{2, 2})
+	if alone.blk != owner || alone.NumVals() != 3 {
+		t.Fatalf("a copy alone in its block moved (%v) or lost values (%d)", alone.blk != owner, alone.NumVals())
+	}
+
+	live := sch.AcquireBlock(1, 1).Seed(0, 1, 1, 7, 1, []float64{1})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "SetPart on a row of a live pipeline block") {
+			t.Fatalf("SetPart on a pipeline row: recovered %q", msg)
+		}
+		live.Release()
+	}()
+	live.SetPart(1, 2, 2, 7, 2, nil)
+	t.Fatal("SetPart on a pipeline row returned")
 }

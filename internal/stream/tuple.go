@@ -22,8 +22,9 @@
 //     below head is dead wherever the index still mentions it — and a
 //     checkpoint transposes the live records, oldest first, into a Batch's
 //     columns.
-//   - Joined stores its per-stream parts in a slice indexed by a precomputed
-//     stream slot (JoinSchema), with all payload values in one flat buffer.
+//   - Joined is a 48-byte row header whose one pointer is its Block; its
+//     parts are fixed records indexed by a precomputed stream slot
+//     (JoinSchema), followed by their payloads, in the block's data slab.
 //
 // The boxed Tuple remains as the interchange/view type: Batch.TupleAt,
 // Joined.Part, and friends materialize views on demand.
@@ -40,20 +41,21 @@
 //     are valid only until the owning Batch/Joined is Released or Reset.
 //   - A Joined in the pipeline is a row of a Block: one stage's whole output
 //     (or one ingested batch's seeds, or one decoded wire frame) written
-//     sequentially into three slabs sized before the first row. A row belongs
-//     to its block, and a block to the one message whose partials hold its
-//     live rows — so a block has one holder at a time and needs no lock. Each
-//     row is Released exactly once, by whoever consumes the partials slice it
-//     sits in; the last Release recycles the block. (JoinSchema.Acquire still
-//     hands out block-less singletons for tests and the layer benchmark;
-//     Release serves both kinds.)
+//     sequentially into two slabs sized before the first row: the row
+//     headers, and one pointer-free slab of part records and payloads. A row
+//     belongs to its block, and a block to the one message whose partials
+//     hold its live rows — so a block has one holder at a time and needs no
+//     lock. Each row is Released exactly once, by whoever consumes the
+//     partials slice it sits in; the last Release recycles the block.
+//     (JoinSchema.Acquire still hands out singletons, each owning a one-row
+//     block, for tests and the layer benchmark; Release serves both kinds.)
 //   - A result observer only borrows the tuples it is shown; what it keeps
 //     leaves through Detach. Detach steals the block when the emission is
 //     every live row of one block and fills at least half of it — the rows
 //     are handed over as they are and the block is never recycled — and
-//     copies into exact-size slabs otherwise, so a kept emission never pins
-//     more than twice its own bytes. Either way the tuples belong to no pool
-//     afterwards, and Release on them does nothing.
+//     copies into one exact-size block otherwise, so a kept emission never
+//     pins more than twice its own bytes. Either way the tuples belong to no
+//     pool afterwards, and Release on them does nothing.
 package stream
 
 import "fmt"

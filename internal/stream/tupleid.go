@@ -1,5 +1,7 @@
 package stream
 
+import "math"
+
 // TupleID is a tuple's stable identity across crashes and replays: the
 // join-schema slot of its stream packed above the source-assigned sequence
 // number. Sources stamp Seq at admission and it rides unchanged through
@@ -32,7 +34,7 @@ func (id TupleID) Seq() uint64 { return uint64(id) & (1<<tupleIDSeqBits - 1) }
 func (j *Joined) TupleIDs(dst []TupleID) []TupleID {
 	for slot := range j.blk.schema.streams {
 		if j.Has(slot) {
-			dst = append(dst, MakeTupleID(slot, j.parts[slot].seq))
+			dst = append(dst, MakeTupleID(slot, math.Float64bits(j.part(slot)[partSeq])))
 		}
 	}
 	return dst
