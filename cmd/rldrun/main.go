@@ -17,8 +17,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -30,24 +32,44 @@ func main() {
 	// Re-exec entry point: when this process was spawned as a
 	// distributed-mode worker, serve the worker loop and never return.
 	rld.MaybeWorker()
-	ops := flag.Int("ops", 5, "number of query operators")
-	nodes := flag.Int("nodes", 4, "cluster size")
-	minutes := flag.Float64("minutes", 30, "simulated run length")
-	ratio := flag.Float64("ratio", 2, "input-rate fluctuation ratio (1 = estimates)")
-	batch := flag.Int("batch", 50, "ruster (batch) size in tuples")
-	period := flag.Float64("period", 120, "selectivity fluctuation period (seconds)")
-	seed := flag.Int64("seed", 42, "simulation seed")
-	faults := flag.String("faults", "", `fault schedule ("crash:1@300-420;mode=checkpoint", or "random")`)
-	live := flag.Float64("live", 0, "also run each policy as a live-engine Pipeline session over this many seconds of real tuples (0 = off)")
-	dist := flag.Float64("distributed", 0, "also run each policy on the multi-process network substrate (leader + one worker process per node) over this many seconds of real tuples (0 = off)")
-	workerBin := flag.String("worker-bin", "", "worker binary for -distributed (default: re-exec this binary)")
-	minComplete := flag.Float64("mincomplete", 0, "with -distributed and -faults: exit nonzero unless the faulted RLD run's completeness vs its fault-free run is at least this (0 = report only)")
-	exactlyOnce := flag.Bool("exactly-once", false, "with -distributed: run the sessions with exactly-once durability (a write-ahead log in a temp dir)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		log.Fatal(err)
+	}
+}
+
+// errUsage reports a command line rldrun cannot run; main exits 2 on it,
+// after the message and the usage have gone to stderr.
+var errUsage = errors.New("usage")
+
+// run parses args, runs the study and writes its tables to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("rldrun", flag.ContinueOnError)
+	ops := fs.Int("ops", 5, "number of query operators")
+	nodes := fs.Int("nodes", 4, "cluster size")
+	minutes := fs.Float64("minutes", 30, "simulated run length")
+	ratio := fs.Float64("ratio", 2, "input-rate fluctuation ratio (1 = estimates)")
+	batch := fs.Int("batch", 50, "ruster (batch) size in tuples")
+	period := fs.Float64("period", 120, "selectivity fluctuation period (seconds)")
+	seed := fs.Int64("seed", 42, "simulation seed")
+	faults := fs.String("faults", "", `fault schedule ("crash:1@300-420;mode=checkpoint", or "random")`)
+	live := fs.Float64("live", 0, "also run each policy as a live-engine Pipeline session over this many seconds of real tuples (0 = off)")
+	dist := fs.Float64("distributed", 0, "also run each policy on the multi-process network substrate (leader + one worker process per node) over this many seconds of real tuples (0 = off)")
+	workerBin := fs.String("worker-bin", "", "worker binary for -distributed (default: re-exec this binary)")
+	minComplete := fs.Float64("mincomplete", 0, "with -distributed and -faults: exit nonzero unless the faulted RLD run's completeness vs its fault-free run is at least this (0 = report only)")
+	exactlyOnce := fs.Bool("exactly-once", false, "with -distributed: run the sessions with exactly-once durability (a write-ahead log in a temp dir)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 	if *minComplete < 0 || *minComplete > 1 {
-		fmt.Fprintf(flag.CommandLine.Output(), "rldrun: -mincomplete=%v out of range: completeness is a ratio in [0,1]\n", *minComplete)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(fs.Output(), "rldrun: -mincomplete=%v out of range: completeness is a ratio in [0,1]\n", *minComplete)
+		fs.Usage()
+		return errUsage
 	}
 
 	// The §6.5 study the rldbench figures sweep, set from the flags; rldrun
@@ -58,7 +80,7 @@ func main() {
 	o.RateFor = func(_ string, base float64) rld.Profile { return rld.ConstProfile(base * *ratio) }
 	study, err := experiments.NewStudy(o)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dep, q := study.Deployment, study.Scenario.Query
 
@@ -67,23 +89,23 @@ func main() {
 		plan = rld.RandomFaults(rld.DefaultFaultConfig(), *nodes, o.Horizon, *seed)
 	} else if *faults != "" {
 		if plan, err = rld.ParseFaultPlan(*faults); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := plan.Validate(*nodes); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
-	fmt.Printf("%d simulated minutes, ratio %.0f%%, %d nodes × %.0f capacity\n\n",
+	fmt.Fprintf(stdout, "%d simulated minutes, ratio %.0f%%, %d nodes × %.0f capacity\n\n",
 		int(*minutes), *ratio*100, *nodes, dep.Cluster.Nodes[0].Capacity)
-	fmt.Printf("%-6s %13s %13s %11s %11s %10s %9s\n",
+	fmt.Fprintf(stdout, "%-6s %13s %13s %11s %11s %10s %9s\n",
 		"policy", "latency ms", "produced", "dropped", "migrations", "downtime", "overhead")
 	baselines, err := study.Run(nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, res := range baselines {
-		fmt.Printf("%-6s %13.1f %13.0f %11.0f %11d %9.1fs %8.1f%%\n",
+		fmt.Fprintf(stdout, "%-6s %13.1f %13.0f %11.0f %11d %9.1fs %8.1f%%\n",
 			res.Policy, res.MeanLatencyMS, res.Produced, res.Dropped,
 			res.Migrations, res.MigrationDowntime, 100*res.OverheadRatio())
 	}
@@ -140,12 +162,12 @@ func main() {
 		// engine: real tuples through worker pools, with the session's
 		// Events stream counting plan switches and migrations as they
 		// happen.
-		fmt.Printf("\nlive engine: %.0fs of real tuples per policy (Pipeline sessions)\n\n", *live)
-		fmt.Printf("%-6s %13s %13s %11s %11s %10s\n",
+		fmt.Fprintf(stdout, "\nlive engine: %.0fs of real tuples per policy (Pipeline sessions)\n\n", *live)
+		fmt.Fprintf(stdout, "%-6s %13s %13s %11s %11s %10s\n",
 			"policy", "latency ms", "produced", "batches", "migrations", "events")
 		for _, pol := range mkLive() {
 			rep, events := replay(pol, *live, rld.WithBufferedEvents(1<<16))
-			fmt.Printf("%-6s %13.2f %13.0f %11d %11d %10d\n",
+			fmt.Fprintf(stdout, "%-6s %13.2f %13.0f %11d %11d %10d\n",
 				rep.Policy, rep.MeanLatencyMS, rep.Produced, rep.Batches, rep.Migrations, events)
 		}
 	}
@@ -161,19 +183,19 @@ func main() {
 		if *exactlyOnce {
 			walDir, err := os.MkdirTemp("", "rldrun-wal-")
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			defer os.RemoveAll(walDir)
 			distOpts = append(distOpts, rld.WithExactlyOnce(walDir))
 		}
-		fmt.Printf("\ndistributed: %.0fs of real tuples per policy (leader + %d worker processes)\n\n", *dist, *nodes)
-		fmt.Printf("%-6s %13s %13s %11s %11s\n",
+		fmt.Fprintf(stdout, "\ndistributed: %.0fs of real tuples per policy (leader + %d worker processes)\n\n", *dist, *nodes)
+		fmt.Fprintf(stdout, "%-6s %13s %13s %11s %11s\n",
 			"policy", "latency ms", "produced", "batches", "migrations")
 		var distBase *rld.Report
 		for _, pol := range mkLive() {
 			rep, _ := replay(pol, *dist, distOpts...)
 			distBase = rep // RLD runs last
-			fmt.Printf("%-6s %13.2f %13.0f %11d %11d\n",
+			fmt.Fprintf(stdout, "%-6s %13.2f %13.0f %11d %11d\n",
 				rep.Policy, rep.MeanLatencyMS, rep.Produced, rep.Batches, rep.Migrations)
 		}
 		if plan != nil {
@@ -187,32 +209,33 @@ func main() {
 			if distBase.Produced > 0 {
 				complete = rep.Produced / distBase.Produced
 			}
-			fmt.Printf("\ndistributed + faults %s\n", plan)
-			fmt.Printf("%-6s produced %.0f lost %.0f crashes %d restores %d complete %.1f%%\n",
+			fmt.Fprintf(stdout, "\ndistributed + faults %s\n", plan)
+			fmt.Fprintf(stdout, "%-6s produced %.0f lost %.0f crashes %d restores %d complete %.1f%%\n",
 				rep.Policy, rep.Produced, rep.TuplesLost, rep.Crashes, rep.Restores, 100*complete)
 			if *minComplete > 0 && complete < *minComplete {
-				log.Fatalf("distributed completeness %.3f below required %.3f", complete, *minComplete)
+				return fmt.Errorf("distributed completeness %.3f below required %.3f", complete, *minComplete)
 			}
 		}
 	}
 
 	if plan == nil {
-		return
+		return nil
 	}
-	fmt.Printf("\nfault schedule: %s\n\n", plan)
-	fmt.Printf("%-6s %13s %13s %11s %11s %10s %9s\n",
+	fmt.Fprintf(stdout, "\nfault schedule: %s\n\n", plan)
+	fmt.Fprintf(stdout, "%-6s %13s %13s %11s %11s %10s %9s\n",
 		"policy", "latency ms", "produced", "lost", "migrations", "down", "complete")
 	faulted, err := study.Run(plan)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i, res := range faulted {
 		complete := 0.0
 		if baselines[i].Produced > 0 {
 			complete = res.Produced / baselines[i].Produced
 		}
-		fmt.Printf("%-6s %13.1f %13.0f %11.0f %11d %9.1fs %8.1f%%\n",
+		fmt.Fprintf(stdout, "%-6s %13.1f %13.0f %11.0f %11d %9.1fs %8.1f%%\n",
 			res.Policy, res.MeanLatencyMS, res.Produced, res.TuplesLost,
 			res.Migrations, res.DownSeconds, 100*complete)
 	}
+	return nil
 }
