@@ -1,12 +1,12 @@
-// Command rldrun simulates a fluctuating streaming workload under the three
+// Command rldrun runs a fluctuating streaming workload under the three
 // load-distribution policies of the paper's §6.5 study — ROD, DYN, and RLD
 // — and prints their runtime metrics side by side. The workload is the
-// study rldbench's §6.5 figures sweep (experiments.Study). With -faults,
-// every policy additionally runs under the scripted fault schedule and the
-// result-completeness versus its own fault-free run is reported. With
-// -live, every policy additionally runs as a Pipeline session on the live
-// sharded engine, replaying that many seconds of real tuples and counting
-// the runtime events the session surfaces.
+// study rldbench's §6.5 figures sweep (experiments.Study). It always runs
+// on the simulator; -live adds the in-process engine and -distributed
+// worker processes, each replaying that many seconds of real tuples. Every
+// substrate prints one fault-free table; with -faults, every policy also
+// runs under the scripted fault schedule, in a second table that reports
+// each policy's completeness versus its own fault-free run.
 //
 //	rldrun -minutes 30 -ratio 2 -nodes 4
 //	rldrun -faults "crash:1@300-420;mode=checkpoint"
@@ -16,7 +16,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -44,6 +43,13 @@ func main() {
 // after the message and the usage have gone to stderr.
 var errUsage = errors.New("usage")
 
+// usage reports a command line rldrun cannot run.
+func usage(fs *flag.FlagSet, format string, a ...any) error {
+	fmt.Fprintf(fs.Output(), "rldrun: "+format+"\n", a...)
+	fs.Usage()
+	return errUsage
+}
+
 // run parses args, runs the study and writes its tables to stdout.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("rldrun", flag.ContinueOnError)
@@ -58,18 +64,26 @@ func run(args []string, stdout io.Writer) error {
 	live := fs.Float64("live", 0, "also run each policy as a live-engine Pipeline session over this many seconds of real tuples (0 = off)")
 	dist := fs.Float64("distributed", 0, "also run each policy on the multi-process network substrate (leader + one worker process per node) over this many seconds of real tuples (0 = off)")
 	workerBin := fs.String("worker-bin", "", "worker binary for -distributed (default: re-exec this binary)")
-	minComplete := fs.Float64("mincomplete", 0, "with -distributed and -faults: exit nonzero unless the faulted RLD run's completeness vs its fault-free run is at least this (0 = report only)")
-	exactlyOnce := fs.Bool("exactly-once", false, "with -distributed: run the sessions with exactly-once durability (a write-ahead log in a temp dir)")
+	minComplete := fs.Float64("mincomplete", 0, "with -faults and -live or -distributed: exit nonzero unless each live substrate's faulted RLD run reaches this completeness vs its fault-free run (0 = report only)")
+	exactlyOnce := fs.Bool("exactly-once", false, "with -live or -distributed: run the live sessions with exactly-once durability (a write-ahead log in a temp dir)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
 		return errUsage
 	}
-	if *minComplete < 0 || *minComplete > 1 {
-		fmt.Fprintf(fs.Output(), "rldrun: -mincomplete=%v out of range: completeness is a ratio in [0,1]\n", *minComplete)
-		fs.Usage()
-		return errUsage
+	liveRun := *live > 0 || *dist > 0
+	switch {
+	case *minComplete < 0 || *minComplete > 1:
+		return usage(fs, "-mincomplete=%v out of range: completeness is a ratio in [0,1]", *minComplete)
+	case *minComplete > 0 && (*faults == "" || !liveRun):
+		return usage(fs, "-mincomplete gates faulted live runs: it needs -faults and -live or -distributed")
+	case *ratio <= 0:
+		return usage(fs, "-ratio=%v: the fluctuation ratio must be positive", *ratio)
+	case *workerBin != "" && *dist <= 0:
+		return usage(fs, "-worker-bin needs -distributed")
+	case *exactlyOnce && !liveRun:
+		return usage(fs, "-exactly-once needs -live or -distributed")
 	}
 
 	// The §6.5 study the rldbench figures sweep, set from the flags; rldrun
@@ -79,10 +93,11 @@ func run(args []string, stdout io.Writer) error {
 	o.Horizon, o.SelPeriod, o.Headroom = *minutes*60, *period, 2.5
 	o.RateFor = func(_ string, base float64) rld.Profile { return rld.ConstProfile(base * *ratio) }
 	study, err := experiments.NewStudy(o)
-	if err != nil {
+	if errors.Is(err, experiments.ErrBadStudy) {
+		return usage(fs, "%v", err)
+	} else if err != nil {
 		return err
 	}
-	dep, q := study.Deployment, study.Scenario.Query
 
 	var plan *rld.FaultPlan
 	if *faults == "random" {
@@ -96,146 +111,72 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	fmt.Fprintf(stdout, "%d simulated minutes, ratio %.0f%%, %d nodes × %.0f capacity\n\n",
-		int(*minutes), *ratio*100, *nodes, dep.Cluster.Nodes[0].Capacity)
-	fmt.Fprintf(stdout, "%-6s %13s %13s %11s %11s %10s %9s\n",
-		"policy", "latency ms", "produced", "dropped", "migrations", "downtime", "overhead")
-	baselines, err := study.Run(nil)
-	if err != nil {
-		return err
+	// The substrates, each with the heading of its tables.
+	type arm struct {
+		sub   experiments.Substrate
+		title string
 	}
-	for _, res := range baselines {
-		fmt.Fprintf(stdout, "%-6s %13.1f %13.0f %11.0f %11d %9.1fs %8.1f%%\n",
-			res.Policy, res.MeanLatencyMS, res.Produced, res.Dropped,
-			res.Migrations, res.MigrationDowntime, 100*res.OverheadRatio())
+	arms := []arm{{study.Sim(), fmt.Sprintf("%d simulated minutes, ratio %.0f%%, %d nodes × %.0f capacity",
+		int(*minutes), *ratio*100, *nodes, study.Deployment.Cluster.Nodes[0].Capacity)}}
+	cfg := rld.DefaultEngineConfig()
+	if *exactlyOnce {
+		if cfg.WALDir, err = os.MkdirTemp("", "rldrun-wal-"); err != nil {
+			return err
+		}
+		defer os.RemoveAll(cfg.WALDir)
 	}
-
-	// Feed and policy factories shared by the live-engine and distributed
-	// sections. DYN's absolute activation floor is in simulator cost-units;
-	// the engine reports queued message counts, so it is retuned to that
-	// scale.
-	makeFeed := func(seconds float64) rld.Feed {
-		srcs := make([]*rld.Source, len(q.Streams))
-		for i, s := range q.Streams {
-			srcs[i] = rld.NewSource(s,
-				rld.ConstProfile(q.Rates[s]**ratio),
-				rld.KeyDist{Target: rld.ConstProfile(0.002), Cold: 4096},
-				rld.UniformDist{A: 0, B: 100}, *seed+int64(i)*13)
-		}
-		return rld.NewSourceFeed(srcs, *batch, seconds)
-	}
-	dynCfg := rld.DefaultDYNConfig()
-	dynCfg.ActivationFloor = 2
-	dynCfg.CooldownSeconds = 10
-	mkLive := func() []rld.Policy {
-		dynP, err := rld.NewDYN(dep, dynCfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rodP, err := rld.NewROD(dep)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return []rld.Policy{rodP, dynP, dep.NewPolicy(*batch)}
-	}
-	ctx := context.Background()
-	// replay runs pol as a Pipeline session over seconds of the feed and
-	// returns its report and the number of events the session surfaced.
-	replay := func(pol rld.Policy, seconds float64, opts ...rld.Option) (*rld.Report, int) {
-		pipe, err := rld.Open(ctx, dep, pol, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep, err := rld.Replay(ctx, pipe, makeFeed(seconds))
-		if err != nil {
-			log.Fatal(err)
-		}
-		events := 0
-		for range pipe.Events() {
-			events++
-		}
-		return rep, events
-	}
-
 	if *live > 0 {
-		// The same policies as long-lived Pipeline sessions on the live
-		// engine: real tuples through worker pools, with the session's
-		// Events stream counting plan switches and migrations as they
-		// happen.
-		fmt.Fprintf(stdout, "\nlive engine: %.0fs of real tuples per policy (Pipeline sessions)\n\n", *live)
-		fmt.Fprintf(stdout, "%-6s %13s %13s %11s %11s %10s\n",
-			"policy", "latency ms", "produced", "batches", "migrations", "events")
-		for _, pol := range mkLive() {
-			rep, events := replay(pol, *live, rld.WithBufferedEvents(1<<16))
-			fmt.Fprintf(stdout, "%-6s %13.2f %13.0f %11d %11d %10d\n",
-				rep.Policy, rep.MeanLatencyMS, rep.Produced, rep.Batches, rep.Migrations, events)
-		}
+		arms = append(arms, arm{study.Engine(*live, cfg),
+			fmt.Sprintf("live engine: %.0fs of real tuples per policy (Pipeline sessions)", *live)})
 	}
-
 	if *dist > 0 {
-		// The same policies on the multi-process network substrate: a
-		// leader embedded in the Pipeline plus one worker process per
-		// node, speaking the netrt wire protocol over local TCP.
-		distOpts := []rld.Option{rld.WithDistributed(*nodes)}
+		var workerCmd []string
 		if *workerBin != "" {
-			distOpts = append(distOpts, rld.WithWorkerCommand(*workerBin))
+			workerCmd = []string{*workerBin}
 		}
-		if *exactlyOnce {
-			walDir, err := os.MkdirTemp("", "rldrun-wal-")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(walDir)
-			distOpts = append(distOpts, rld.WithExactlyOnce(walDir))
-		}
-		fmt.Fprintf(stdout, "\ndistributed: %.0fs of real tuples per policy (leader + %d worker processes)\n\n", *dist, *nodes)
-		fmt.Fprintf(stdout, "%-6s %13s %13s %11s %11s\n",
-			"policy", "latency ms", "produced", "batches", "migrations")
-		var distBase *rld.Report
-		for _, pol := range mkLive() {
-			rep, _ := replay(pol, *dist, distOpts...)
-			distBase = rep // RLD runs last
-			fmt.Fprintf(stdout, "%-6s %13.2f %13.0f %11d %11d\n",
-				rep.Policy, rep.MeanLatencyMS, rep.Produced, rep.Batches, rep.Migrations)
-		}
-		if plan != nil {
-			// The faulted RLD run: scripted crashes SIGKILL real worker
-			// processes; completeness is measured against the fault-free
-			// distributed run above and optionally gated (-mincomplete),
-			// the CI chaos smoke's assertion.
-			rep, _ := replay(dep.NewPolicy(*batch), *dist,
-				append(distOpts, rld.WithFaults(plan), rld.WithHorizon(*dist))...)
-			complete := 0.0
-			if distBase.Produced > 0 {
-				complete = rep.Produced / distBase.Produced
-			}
-			fmt.Fprintf(stdout, "\ndistributed + faults %s\n", plan)
-			fmt.Fprintf(stdout, "%-6s produced %.0f lost %.0f crashes %d restores %d complete %.1f%%\n",
-				rep.Policy, rep.Produced, rep.TuplesLost, rep.Crashes, rep.Restores, 100*complete)
-			if *minComplete > 0 && complete < *minComplete {
-				return fmt.Errorf("distributed completeness %.3f below required %.3f", complete, *minComplete)
-			}
-		}
+		arms = append(arms, arm{study.Net(*dist, cfg, workerCmd),
+			fmt.Sprintf("distributed: %.0fs of real tuples per policy (leader + %d worker processes)", *dist, *nodes)})
 	}
 
-	if plan == nil {
-		return nil
-	}
-	fmt.Fprintf(stdout, "\nfault schedule: %s\n\n", plan)
-	fmt.Fprintf(stdout, "%-6s %13s %13s %11s %11s %10s %9s\n",
-		"policy", "latency ms", "produced", "lost", "migrations", "down", "complete")
-	faulted, err := study.Run(plan)
-	if err != nil {
-		return err
-	}
-	for i, res := range faulted {
-		complete := 0.0
-		if baselines[i].Produced > 0 {
-			complete = res.Produced / baselines[i].Produced
+	for i, a := range arms {
+		if i > 0 {
+			fmt.Fprintln(stdout)
 		}
-		fmt.Fprintf(stdout, "%-6s %13.1f %13.0f %11.0f %11d %9.1fs %8.1f%%\n",
-			res.Policy, res.MeanLatencyMS, res.Produced, res.TuplesLost,
-			res.Migrations, res.DownSeconds, 100*complete)
+		fmt.Fprintf(stdout, "%s\n\n", a.title)
+		fmt.Fprintf(stdout, "%-6s %13s %13s %11s %11s %10s %9s\n",
+			"policy", "latency ms", "produced", "dropped", "migrations", "downtime", "overhead")
+		base, err := study.Run(a.sub, nil)
+		if err != nil {
+			return err
+		}
+		for _, res := range base {
+			fmt.Fprintf(stdout, "%-6s %13.1f %13.0f %11.0f %11d %9.1fs %8.1f%%\n",
+				res.Policy, res.MeanLatencyMS, res.Produced, res.Dropped,
+				res.Migrations, res.MigrationDowntime, 100*res.OverheadRatio())
+		}
+		if plan == nil {
+			continue
+		}
+
+		fmt.Fprintf(stdout, "\nfault schedule: %s\n\n", plan)
+		fmt.Fprintf(stdout, "%-6s %13s %13s %11s %11s %10s %9s\n",
+			"policy", "latency ms", "produced", "lost", "migrations", "down", "complete")
+		faulted, err := study.Run(a.sub, plan)
+		if err != nil {
+			return err
+		}
+		var complete float64
+		for i, res := range faulted {
+			complete = rld.Completeness(res, base[i])
+			fmt.Fprintf(stdout, "%-6s %13.1f %13.0f %11.0f %11d %9.1fs %8.1f%%\n",
+				res.Policy, res.MeanLatencyMS, res.Produced, res.TuplesLost,
+				res.Migrations, res.DownSeconds, 100*complete)
+		}
+		// RLD runs last; -mincomplete gates it on the live substrates, the
+		// CI chaos steps' assertion.
+		if a.sub.Name != "sim" && complete < *minComplete {
+			return fmt.Errorf("%s: RLD completeness %.3f below required %.3f", a.sub.Name, complete, *minComplete)
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"strings"
@@ -41,5 +42,34 @@ func TestRunGolden(t *testing.T) {
 				t.Fatalf("rldrun %s drifted from %s:\n--- got\n%s--- want\n%s", args, golden, out.String(), want)
 			}
 		})
+	}
+}
+
+// TestRunRejectsUnusableFlags: a value no study can be built from, or a
+// flag that cannot take effect with the others given, is a usage error
+// (main exits 2), caught before anything runs.
+func TestRunRejectsUnusableFlags(t *testing.T) {
+	for _, args := range []string{
+		"-nodes 0",
+		"-nodes -1",
+		"-batch 0",
+		"-minutes 0",
+		"-ratio 0",
+		"-ratio -1",
+		"-mincomplete 1.5",
+		"-mincomplete 0.9 -live 10",
+		"-mincomplete 0.9 -faults random",
+		"-worker-bin rldworker",
+		"-worker-bin rldworker -live 10",
+		"-exactly-once",
+		"-no-such-flag",
+	} {
+		var out bytes.Buffer
+		if err := run(strings.Fields(args), &out); !errors.Is(err, errUsage) {
+			t.Errorf("rldrun %s: %v, want a usage error", args, err)
+		}
+		if out.Len() > 0 {
+			t.Errorf("rldrun %s wrote to stdout:\n%s", args, out.String())
+		}
 	}
 }

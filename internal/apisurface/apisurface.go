@@ -1,9 +1,9 @@
 // Package apisurface renders a Go package's exported declaration surface
 // as stable, sorted text — the comparison key of the repository's
 // API-compatibility gate. The golden file API_SURFACE.txt pins the public
-// rld package; TestAPISurface (and `go run ./cmd/apisurface -check` in CI)
-// fails when the surface drifts, so breaking changes must be explicit
-// (regenerate with -write) instead of accidental.
+// rld package; TestAPISurface fails when the surface drifts, so breaking
+// changes must be explicit (regenerate with `go test . -run APISurface
+// -update`) instead of accidental.
 package apisurface
 
 import (

@@ -90,6 +90,10 @@ func DefaultConfig() Config {
 	return Config{SelectThresholdScale: 100, MaxFanout: 64}
 }
 
+// DefaultMaxPending is the in-flight message bound of a session over nodes
+// nodes when the caller sets none: 1024 per node.
+func DefaultMaxPending(nodes int) int { return 1024 * nodes }
+
 // statsEvery is the offerStats sampling period in batches.
 const statsEvery = 8
 

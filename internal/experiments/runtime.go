@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"rld/internal/baseline"
@@ -8,7 +10,9 @@ import (
 	"rld/internal/cluster"
 	"rld/internal/core"
 	"rld/internal/cost"
+	"rld/internal/engine"
 	"rld/internal/gen"
+	"rld/internal/netrt"
 	"rld/internal/optimizer"
 	"rld/internal/paramspace"
 	"rld/internal/query"
@@ -70,11 +74,26 @@ type Study struct {
 	Deployment *core.Deployment
 }
 
+// ErrBadStudy reports study options no cluster or run can be built from.
+var ErrBadStudy = errors.New("experiments: invalid study options")
+
 // NewStudy builds the scenario and the deployment. The parameter space
 // declares selectivity uncertainty (U=5) on two operators of the query;
 // the true selectivities oscillate across that space, which is exactly
-// the "known fluctuation" regime RLD targets.
+// the "known fluctuation" regime RLD targets. Options without a node, a
+// batch size, a positive horizon or a way to size capacity are rejected
+// with ErrBadStudy.
 func NewStudy(o StudyOptions) (*Study, error) {
+	switch {
+	case o.Nodes < 1:
+		return nil, fmt.Errorf("%w: Nodes = %d, need at least 1", ErrBadStudy, o.Nodes)
+	case o.Batch < 1:
+		return nil, fmt.Errorf("%w: Batch = %d, need at least 1", ErrBadStudy, o.Batch)
+	case o.Horizon <= 0:
+		return nil, fmt.Errorf("%w: Horizon = %v, need a positive run length", ErrBadStudy, o.Horizon)
+	case o.PerNodeCapacity <= 0 && o.Headroom <= 0:
+		return nil, fmt.Errorf("%w: Headroom = %v with no PerNodeCapacity, need a positive one", ErrBadStudy, o.Headroom)
+	}
 	nOps := o.Ops
 	if nOps < 2 {
 		nOps = 5
@@ -166,36 +185,103 @@ func NewStudy(o StudyOptions) (*Study, error) {
 	return &Study{Scenario: sc, Deployment: dep}, nil
 }
 
-// policies builds ROD, DYN and RLD, in table order. DYN is stateful, so
-// every run gets fresh instances.
-func (s *Study) policies() ([]sim.Policy, error) {
+// Substrate is what a Study runs its policies on: the simulator (Sim),
+// the in-process engine (Engine) or worker processes (Net).
+type Substrate struct {
+	// Name is the substrate its reports carry: "sim", "engine" or "net".
+	Name string
+	run  func(pol runtime.Policy, faults *chaos.FaultPlan) (*runtime.Report, error)
+}
+
+// Sim runs each policy on a copy of the study's scenario in the simulator.
+func (s *Study) Sim() Substrate {
+	return Substrate{Name: "sim", run: func(pol runtime.Policy, faults *chaos.FaultPlan) (*runtime.Report, error) {
+		sc := *s.Scenario // policies don't mutate the scenario
+		sc.Faults = faults
+		return sim.Run(&sc, pol)
+	}}
+}
+
+// Engine runs each policy as an in-process engine session replaying
+// seconds of the study's Feed.
+func (s *Study) Engine(seconds float64, cfg engine.Config) Substrate {
+	return s.live("engine", seconds, func(pol runtime.Policy, n int, opts runtime.SessionOptions) (*engine.Session, error) {
+		return engine.OpenSession(s.Scenario.Query, n, pol, cfg, opts)
+	})
+}
+
+// Net runs each policy as a session over one worker process per node,
+// replaying seconds of the study's Feed. workerCmd launches a worker; nil
+// re-executes the current binary, which must call netrt.MaybeWorker first.
+func (s *Study) Net(seconds float64, cfg engine.Config, workerCmd []string) Substrate {
+	return s.live("net", seconds, func(pol runtime.Policy, n int, opts runtime.SessionOptions) (*engine.Session, error) {
+		return netrt.OpenSession(s.Scenario.Query, n, pol, cfg, opts, workerCmd)
+	})
+}
+
+// live is a substrate that opens a session per run, with the session
+// defaults rld.Open gives, and replays seconds of the study's Feed.
+func (s *Study) live(name string, seconds float64, open func(runtime.Policy, int, runtime.SessionOptions) (*engine.Session, error)) Substrate {
+	n := s.Scenario.Cluster.N()
+	return Substrate{Name: name, run: func(pol runtime.Policy, faults *chaos.FaultPlan) (*runtime.Report, error) {
+		sess, err := open(pol, n, runtime.SessionOptions{Faults: faults, Horizon: seconds, MaxPending: engine.DefaultMaxPending(n)})
+		if err != nil {
+			return nil, err
+		}
+		return runtime.Replay(context.Background(), sess, s.Feed(seconds))
+	}}
+}
+
+// Feed returns seconds of seeded tuples for the study's streams, the input
+// the live substrates replay: each stream arrives at its scenario rate at
+// t = 0, draws keys toward a 0.2 % join match rate over 4096 cold keys,
+// and carries payloads uniform on [0, 100).
+func (s *Study) Feed(seconds float64) runtime.Feed {
+	sc := s.Scenario
+	srcs := make([]*gen.Source, len(sc.Query.Streams))
+	for i, st := range sc.Query.Streams {
+		srcs[i] = gen.NewSource(st,
+			gen.ConstProfile(sc.Rates[st].At(0)),
+			gen.KeyDist{Target: gen.ConstProfile(0.002), Cold: 4096},
+			gen.Uniform{A: 0, B: 100}, sc.Seed+int64(i)*13)
+	}
+	return runtime.NewSourceFeed(srcs, sc.BatchSize, seconds)
+}
+
+// policies builds ROD, DYN and RLD for sub, in table order. DYN is
+// stateful, so every run gets fresh instances.
+func (s *Study) policies(sub Substrate) ([]runtime.Policy, error) {
 	dep, cl := s.Deployment, s.Scenario.Cluster
 	rod, err := baseline.NewROD(dep.Ev, cl)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ROD: %w", err)
 	}
 	dynCfg := baseline.DefaultDYNConfig()
-	// Activate rebalancing once the hot node holds ≈0.5 s of backlog.
-	dynCfg.ActivationFloor = 0.5 * cl.Nodes[0].Capacity
+	if sub.Name == "sim" {
+		// Activate rebalancing once the hot node holds ≈0.5 s of backlog.
+		dynCfg.ActivationFloor = 0.5 * cl.Nodes[0].Capacity
+	} else {
+		// A live node reports its backlog in queued messages, not in
+		// cost-units.
+		dynCfg.ActivationFloor, dynCfg.CooldownSeconds = 2, 10
+	}
 	dyn, err := baseline.NewDYN(dep.Ev, cl, dynCfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: DYN: %w", err)
 	}
-	return []sim.Policy{rod, dyn, dep.NewPolicy(s.Scenario.BatchSize)}, nil
+	return []runtime.Policy{rod, dyn, dep.NewPolicy(s.Scenario.BatchSize)}, nil
 }
 
-// Run simulates ROD, DYN and RLD on copies of the scenario, under faults
-// when it is non-nil, and returns their reports in that order.
-func (s *Study) Run(faults *chaos.FaultPlan) ([]*runtime.Report, error) {
-	pols, err := s.policies()
+// Run builds fresh ROD, DYN and RLD and runs each on sub, under faults
+// when it is non-nil, returning their reports in that order.
+func (s *Study) Run(sub Substrate, faults *chaos.FaultPlan) ([]*runtime.Report, error) {
+	pols, err := s.policies(sub)
 	if err != nil {
 		return nil, err
 	}
 	reports := make([]*runtime.Report, len(pols))
 	for i, pol := range pols {
-		sc := *s.Scenario // policies don't mutate the scenario
-		sc.Faults = faults
-		if reports[i], err = sim.Run(&sc, pol); err != nil {
+		if reports[i], err = sub.run(pol, faults); err != nil {
 			return nil, err
 		}
 	}
@@ -212,7 +298,7 @@ func runStudy(o StudyOptions) []*runtime.Report {
 	if err != nil {
 		panic(err)
 	}
-	reports, err := s.Run(nil)
+	reports, err := s.Run(s.Sim(), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -419,8 +505,7 @@ func AblationBatch(quick bool) []*Table {
 		if err != nil {
 			panic(err)
 		}
-		sc := *s.Scenario
-		res, err := sim.Run(&sc, s.Deployment.NewPolicy(bs))
+		res, err := s.Sim().run(s.Deployment.NewPolicy(bs), nil)
 		if err != nil {
 			panic(err)
 		}

@@ -263,7 +263,7 @@ func Open(ctx context.Context, dep *Deployment, pol Policy, opts ...Option) (*Pi
 		nNodes = cfg.distNodes
 	}
 	if !cfg.havePending {
-		cfg.session.MaxPending = 1024 * nNodes
+		cfg.session.MaxPending = engine.DefaultMaxPending(nNodes)
 	}
 	var s *engine.Session
 	var err error
