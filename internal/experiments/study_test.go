@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"rld/internal/chaos"
 	"rld/internal/engine"
+	"rld/internal/gen"
 	"rld/internal/netrt"
 )
 
@@ -85,5 +88,70 @@ func TestStudyOnLiveSubstrates(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStudySimGolden pins every field of every simulator report of a
+// small study grid at full precision: constant, square-wave and
+// idle-then-resume rates (the last is 0 for the first minute, so each
+// stream re-polls before its first batch), two batch sizes, and no faults,
+// a checkpointed crash plus a slowdown, or a crash that loses its state.
+// A change to how the simulator is entered or fed must leave it byte for
+// byte. After a change that is meant to move a report, rewrite it with
+//
+//	go test ./internal/experiments -run StudySimGolden -update
+func TestStudySimGolden(t *testing.T) {
+	rates := []struct {
+		name string
+		rate func(base float64) gen.Profile
+	}{
+		{"const", func(base float64) gen.Profile { return gen.ConstProfile(2 * base) }},
+		{"square", func(base float64) gen.Profile { return gen.SquareProfile{Lo: 0.5 * base, Hi: 1.5 * base, Period: 10} }},
+		{"idle-then-resume", func(base float64) gen.Profile {
+			return gen.StepProfile{Times: []float64{60}, Vals: []float64{0, 1.5 * base}}
+		}},
+	}
+	faults := []string{"", "crash:1@100-160,slow:0@200-260x0.5;mode=checkpoint", "crash:2@100-160;mode=lose"}
+	var sb strings.Builder
+	for _, r := range rates {
+		for _, batch := range []int{10, 200} {
+			o := DefaultStudy()
+			o.Ops, o.Nodes, o.Horizon, o.Batch = 3, 3, 300, batch
+			o.RateFor = func(_ string, base float64) gen.Profile { return r.rate(base) }
+			s, err := NewStudy(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range faults {
+				var plan *chaos.FaultPlan
+				if f != "" {
+					if plan, err = chaos.Parse(f); err != nil {
+						t.Fatal(err)
+					}
+				}
+				reports, err := s.Run(s.Sim(), plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&sb, "# rate=%s batch=%d faults=%q\n", r.name, batch, f)
+				for _, rep := range reports {
+					fmt.Fprintf(&sb, "%+v\n", *rep)
+				}
+			}
+		}
+	}
+	const golden = "testdata/study_sim.golden"
+	got := sb.String()
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("simulator reports drifted from %s:\n--- got\n%s--- want\n%s", golden, got, want)
 	}
 }
