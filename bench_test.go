@@ -138,14 +138,11 @@ func BenchmarkBestPlanCore(b *testing.B) {
 func BenchmarkSimMinuteCore(b *testing.B) {
 	dep := benchDeployment(b, 0.2)
 	sc := &Scenario{
-		Query:       dep.Query,
-		Rates:       map[string]Profile{},
-		Sels:        make([]Profile, len(dep.Query.Ops)),
-		Cluster:     dep.Cluster,
-		Horizon:     60,
-		BatchSize:   20,
-		SampleEvery: 5,
-		TickEvery:   5,
+		Query:     dep.Query,
+		Rates:     map[string]Profile{},
+		Sels:      make([]Profile, len(dep.Query.Ops)),
+		Cluster:   dep.Cluster,
+		BatchSize: 20,
 	}
 	for _, s := range dep.Query.Streams {
 		sc.Rates[s] = ConstProfile(dep.Query.Rates[s])
@@ -157,8 +154,7 @@ func BenchmarkSimMinuteCore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scCopy := *sc
-		if _, err := Run(&scCopy, pol); err != nil {
+		if _, err := simulate(dep, sc, pol, 60); err != nil {
 			b.Fatal(err)
 		}
 	}

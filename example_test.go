@@ -43,7 +43,7 @@ func ExampleOpen() {
 	dep := exampleDeployment()
 	ctx := context.Background()
 
-	pipe, err := rld.Open(ctx, dep, nil, rld.WithSimulation(&rld.Scenario{Horizon: 120}))
+	pipe, err := rld.Open(ctx, dep, nil, rld.WithSimulation(&rld.Scenario{}), rld.WithHorizon(120))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +77,8 @@ func ExampleOpen_events() {
 		log.Fatal(err)
 	}
 	pipe, err := rld.Open(ctx, dep, nil,
-		rld.WithSimulation(&rld.Scenario{Horizon: 60}),
+		rld.WithSimulation(&rld.Scenario{}),
+		rld.WithHorizon(60),
 		rld.WithFaults(faults),
 		rld.WithBufferedEvents(256))
 	if err != nil {

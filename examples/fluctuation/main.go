@@ -57,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
-	pipe, err := rld.Open(ctx, dep, rod, rld.WithSimulation(&rld.Scenario{Horizon: 120}))
+	pipe, err := rld.Open(ctx, dep, rod, rld.WithSimulation(&rld.Scenario{}), rld.WithHorizon(120))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,10 +43,7 @@ func main() {
 		Rates:        map[string]rld.Profile{},
 		Sels:         make([]rld.Profile, len(q.Ops)),
 		Cluster:      cl,
-		Horizon:      1800, // 30 simulated minutes
 		BatchSize:    50,
-		SampleEvery:  5,
-		TickEvery:    5,
 		CountWindows: true,
 		Seed:         11,
 	}
@@ -71,11 +68,18 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Each policy runs as a simulator session replaying the scenario's own
+	// arrival processes for 30 simulated minutes.
+	const horizon = 1800
+	ctx := context.Background()
 	fmt.Println("\n30 simulated minutes under bursty sensor load:")
 	fmt.Printf("%-6s %14s %14s %12s %12s\n", "policy", "latency(ms)", "produced", "migrations", "overhead")
 	for _, pol := range []rld.Policy{rod, dyn, dep.NewPolicy(sc.BatchSize)} {
-		scCopy := *sc
-		res, err := rld.Run(&scCopy, pol)
+		pipe, err := rld.Open(ctx, dep, pol, rld.WithSimulation(sc), rld.WithHorizon(horizon))
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := rld.Replay(ctx, pipe, sc.Arrivals(horizon))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -120,7 +124,6 @@ func main() {
 	fmt.Println("\nSame policies on the live engine (2 minutes of real tuples),")
 	fmt.Println("each as a Pipeline session replaying the recorded feed:")
 	fmt.Printf("%-6s %14s %14s %12s %12s\n", "policy", "latency(ms)", "produced", "migrations", "plans used")
-	ctx := context.Background()
 	for _, pol := range []rld.Policy{rod2, dyn2, dep.NewPolicy(50)} {
 		pipe, err := rld.Open(ctx, dep, pol)
 		if err != nil {

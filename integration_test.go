@@ -42,15 +42,12 @@ func TestIntegrationPipelineInvariants(t *testing.T) {
 		// Invariant 3: simulation conserves tuples (produced = ingested ×
 		// Πδ under constant stats, no drops).
 		sc := &Scenario{
-			Query:       q,
-			Rates:       map[string]Profile{},
-			Sels:        make([]Profile, n),
-			Cluster:     cl,
-			Horizon:     150,
-			BatchSize:   10,
-			SampleEvery: 5,
-			TickEvery:   5,
-			Seed:        seed,
+			Query:     q,
+			Rates:     map[string]Profile{},
+			Sels:      make([]Profile, n),
+			Cluster:   cl,
+			BatchSize: 10,
+			Seed:      seed,
 		}
 		want := 1.0
 		for _, s := range q.Streams {
@@ -60,7 +57,7 @@ func TestIntegrationPipelineInvariants(t *testing.T) {
 			sc.Sels[i] = ConstProfile(q.Ops[i].Sel)
 			want *= q.Ops[i].Sel
 		}
-		res, err := Run(sc, dep.NewPolicy(10))
+		res, err := simulate(dep, sc, dep.NewPolicy(10), 150)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -99,10 +96,7 @@ func TestIntegrationRLDNeverWorseThanROD(t *testing.T) {
 			Rates:        map[string]Profile{},
 			Sels:         make([]Profile, len(q.Ops)),
 			Cluster:      cl,
-			Horizon:      600,
 			BatchSize:    25,
-			SampleEvery:  5,
-			TickEvery:    5,
 			CountWindows: true,
 			Seed:         9,
 		}
@@ -118,13 +112,11 @@ func TestIntegrationRLDNeverWorseThanROD(t *testing.T) {
 				Period: 60, PhaseShift: float64(di) * 30,
 			}
 		}
-		scROD := *sc
-		rodRes, err := Run(&scROD, rod)
+		rodRes, err := simulate(dep, sc, rod, 600)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scRLD := *sc
-		rldRes, err := Run(&scRLD, dep.NewPolicy(25))
+		rldRes, err := simulate(dep, sc, dep.NewPolicy(25), 600)
 		if err != nil {
 			t.Fatal(err)
 		}

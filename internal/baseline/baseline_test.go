@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"rld/internal/cluster"
@@ -8,6 +9,7 @@ import (
 	"rld/internal/gen"
 	"rld/internal/paramspace"
 	"rld/internal/query"
+	"rld/internal/runtime"
 	"rld/internal/sim"
 	"rld/internal/stats"
 )
@@ -185,15 +187,12 @@ func TestBaselinesRunInSimulator(t *testing.T) {
 	ev, cl := fixture()
 	q := ev.Query()
 	sc := &sim.Scenario{
-		Query:       q,
-		Rates:       map[string]gen.Profile{},
-		Sels:        make([]gen.Profile, len(q.Ops)),
-		Cluster:     cl,
-		Horizon:     200,
-		BatchSize:   20,
-		SampleEvery: 5,
-		TickEvery:   5,
-		Seed:        4,
+		Query:     q,
+		Rates:     map[string]gen.Profile{},
+		Sels:      make([]gen.Profile, len(q.Ops)),
+		Cluster:   cl,
+		BatchSize: 20,
+		Seed:      4,
 	}
 	for _, s := range q.Streams {
 		sc.Rates[s] = gen.ConstProfile(q.Rates[s])
@@ -210,7 +209,11 @@ func TestBaselinesRunInSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pol := range []sim.Policy{rod, dyn} {
-		res, err := sim.Run(sc, pol)
+		ss, err := sim.OpenSession(sc, pol, runtime.SessionOptions{Horizon: 200})
+		if err != nil {
+			t.Fatalf("%s: %v", pol.Name(), err)
+		}
+		res, err := runtime.Replay(context.Background(), ss, sc.Arrivals(200))
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}

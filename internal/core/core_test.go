@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"rld/internal/gen"
 	"rld/internal/paramspace"
 	"rld/internal/query"
+	"rld/internal/runtime"
 	"rld/internal/sim"
 	"rld/internal/stats"
 )
@@ -211,15 +213,12 @@ func TestPolicyImplementsSimPolicy(t *testing.T) {
 func TestRLDPolicyRunsInSimulator(t *testing.T) {
 	d := deploy(t, DefaultConfig())
 	sc := &sim.Scenario{
-		Query:       d.Query,
-		Rates:       map[string]gen.Profile{},
-		Sels:        make([]gen.Profile, len(d.Query.Ops)),
-		Cluster:     d.Cluster,
-		Horizon:     300,
-		BatchSize:   20,
-		SampleEvery: 5,
-		TickEvery:   5,
-		Seed:        3,
+		Query:     d.Query,
+		Rates:     map[string]gen.Profile{},
+		Sels:      make([]gen.Profile, len(d.Query.Ops)),
+		Cluster:   d.Cluster,
+		BatchSize: 20,
+		Seed:      3,
 	}
 	for _, s := range d.Query.Streams {
 		sc.Rates[s] = gen.ConstProfile(d.Query.Rates[s])
@@ -227,7 +226,11 @@ func TestRLDPolicyRunsInSimulator(t *testing.T) {
 	for i := range sc.Sels {
 		sc.Sels[i] = gen.ConstProfile(d.Query.Ops[i].Sel)
 	}
-	res, err := sim.Run(sc, d.NewPolicy(sc.BatchSize))
+	ss, err := sim.OpenSession(sc, d.NewPolicy(sc.BatchSize), runtime.SessionOptions{Horizon: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runtime.Replay(context.Background(), ss, sc.Arrivals(300))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,9 +68,6 @@ func (e *Engine) insert(b *stream.Batch, slot int) error {
 			}
 		}
 	}
-	if slot < 0 {
-		return nil // a stream the query does not name: no operator is over it
-	}
 	for node, ops := range e.route.Load().inserts[slot] {
 		if len(ops) > 0 {
 			// A node that cannot take the rows is that node's outage, not

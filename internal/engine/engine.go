@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -583,9 +584,9 @@ func (e *Engine) lose(msg *message) {
 // sinks the batch. The stage itself runs behind the transport; process owns
 // only the forward-or-sink decision, and the fate of a hop whose node died
 // under it: the node goes down, and the message — its partials still whole
-// — is routed again, which parks or destroys it like anything else sent to
-// a down node (Recover waits this pool out first, so the node stays down
-// until then) unless the operator has since been migrated to a live one.
+// — goes back ahead of the backlog the outage parked, or is routed again
+// (repark; Recover waits this pool out first, so the node stays down until
+// then).
 //
 // A slowed node (SetSlowdown) runs at factor × capacity, which is the
 // simulator's definition — service time divided by the factor — on every
@@ -601,7 +602,7 @@ func (e *Engine) process(node int, gen uint64, msg *message) {
 	out, err := e.t.RunStage(node, op, msg.partials)
 	if err != nil {
 		e.MarkDown(node, gen, chaos.Checkpoint)
-		e.send(msg)
+		e.repark(node, msg)
 		return
 	}
 	msg.partials = out
@@ -614,6 +615,23 @@ func (e *Engine) process(node int, gen uint64, msg *message) {
 		return
 	}
 	msg.stage++
+	e.send(msg)
+}
+
+// repark returns a hop whose node died under it to the head of the node's
+// parked backlog when the node is down in checkpoint mode and still hosts
+// the operator: the hop was taken from the queue ahead of everything the
+// outage swept, so it replays first. Otherwise it is routed again, which
+// destroys it on a node down under LoseState and follows a migration.
+func (e *Engine) repark(node int, msg *message) {
+	ns := e.nodes[node]
+	ns.mu.Lock()
+	if ns.down && ns.mode == chaos.Checkpoint && e.route.Load().assign[msg.plan[msg.stage]] == node {
+		ns.parked = slices.Insert(ns.parked, 0, msg)
+		ns.mu.Unlock()
+		return
+	}
+	ns.mu.Unlock()
 	e.send(msg)
 }
 
@@ -654,7 +672,8 @@ func (e *Engine) SetResultObserver(obs func(tuples []*stream.Joined, ingress tim
 // node queues are unbounded (see send), so callers that outrun the workers
 // must pace themselves via Drain — sessions enforce an in-flight bound on
 // top of this. Failures are typed: ErrNotStarted before
-// Start, ErrStopped after Stop, ErrNodeDown when every node is crashed, and
+// Start, ErrStopped after Stop, ErrNodeDown when every node is crashed,
+// runtime.ErrUnknownStream for a stream the query does not name, and
 // ErrInvalidPlan for a misbehaving chooser; all leave no trace, so the same
 // batch can be retried. Safe for concurrent use.
 func (e *Engine) Ingest(b *stream.Batch) error {
@@ -679,6 +698,10 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 	// offers), so callers can safely retry the same batch. The snapshot
 	// cache reflects offers up to the previous batch — offers are
 	// rate-limited to every statsEvery-th batch anyway.
+	slot := e.core.schema.Slot(b.Stream)
+	if slot < 0 {
+		return fmt.Errorf("%w: %q", runtime.ErrUnknownStream, b.Stream)
+	}
 	plan := e.chooser.Choose(*e.snapCache.Load())
 	ip, ok := e.internPlan(plan)
 	if !ok {
@@ -686,7 +709,6 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 	}
 	// Window inserts come before any accounting for the same reason: a
 	// batch the log cannot take leaves nothing to undo.
-	slot := e.core.schema.Slot(b.Stream)
 	if err := e.insert(b, slot); err != nil {
 		return err
 	}

@@ -251,6 +251,10 @@ func (s *Session) addOverhead() {
 // faults, admit, run due control ticks — excluding all concurrent
 // admissions for exactly the span of the edge.
 func (s *Session) ingest(b *stream.Batch) error {
+	if s.e.core.schema.Slot(b.Stream) < 0 {
+		// Refused before the clock moves, so the session is unchanged.
+		return fmt.Errorf("%w: %q", runtime.ErrUnknownStream, b.Stream)
+	}
 	ts := float64(b.MaxTs())
 	if ts < s.edge() {
 		s.mu.RLock()

@@ -436,6 +436,54 @@ func TestCrashedPoolExitsBeforeReviveAndBacklogKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestFailedHopReplaysFirstAndBacklogKeepsOrder holds the join node's
+// only worker inside a stage while probes queue behind it, then crashes the
+// node: the held stage fails under the kill, and its hop — taken from the
+// queue ahead of everything the crash swept — must replay ahead of that
+// backlog, so every probe's emission comes out in arrival order.
+func TestFailedHopReplaysFirstAndBacklogKeepsOrder(t *testing.T) {
+	q := query.NewNWayJoin("B", 2, 100)
+	warm, probes := buildBenchBatches(q, 16, 50)
+	e, ft := newFakeEngine(t, "")
+	feedAll(t, e, warm)
+	e.Drain()
+	e.Checkpoint() // the revived join must find the warm window again
+
+	var mu sync.Mutex
+	var firstSeqs []uint64
+	e.SetResultObserver(func(tuples []*stream.Joined, _ time.Time) {
+		s1, _ := tuples[0].PartByStream("S1")
+		mu.Lock()
+		firstSeqs = append(firstSeqs, s1.Seq)
+		mu.Unlock()
+	})
+	ft.mu.Lock()
+	ft.holdNext = 1
+	ft.mu.Unlock()
+	feedAll(t, e, probes)
+	<-ft.entered // the first hop is inside RunStage on node 1
+	if err := e.Crash(1, chaos.Checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Recover(1); err != nil {
+		t.Fatal(err)
+	}
+	drainOrFail(t, e)
+	if res := e.Stop(); res.TuplesLost != 0 || res.Crashes != 1 {
+		t.Fatalf("lost=%v crashes=%d, want nothing lost in one checkpoint-mode crash", res.TuplesLost, res.Crashes)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(firstSeqs) != len(probes) {
+		t.Fatalf("%d emissions for %d probe batches", len(firstSeqs), len(probes))
+	}
+	for i := 1; i < len(firstSeqs); i++ {
+		if firstSeqs[i] <= firstSeqs[i-1] {
+			t.Fatalf("the failed hop replayed out of order: emissions start at seqs %v", firstSeqs)
+		}
+	}
+}
+
 // runFakeExactlyOnce is runExactlyOnce over a fakeTransport: warm,
 // checkpoint, warm2 — with sabotage, when not nil, called halfway through
 // it — then, when crash is set, crash the join node, park the probes behind

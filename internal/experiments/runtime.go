@@ -72,6 +72,7 @@ func DefaultStudy() StudyOptions {
 type Study struct {
 	Scenario   *sim.Scenario
 	Deployment *core.Deployment
+	horizon    float64 // the simulated run length, in virtual seconds
 }
 
 // ErrBadStudy reports study options no cluster or run can be built from.
@@ -143,14 +144,11 @@ func NewStudy(o StudyOptions) (*Study, error) {
 	}
 
 	sc := &sim.Scenario{
-		Query:       q,
-		Rates:       map[string]gen.Profile{},
-		Sels:        make([]gen.Profile, len(q.Ops)),
-		Cluster:     cl,
-		Horizon:     o.Horizon,
-		BatchSize:   o.Batch,
-		SampleEvery: 5,
-		TickEvery:   5,
+		Query:     q,
+		Rates:     map[string]gen.Profile{},
+		Sels:      make([]gen.Profile, len(q.Ops)),
+		Cluster:   cl,
+		BatchSize: o.Batch,
 		// Admission control: bound each node's backlog to ~2 s of work
 		// (the |Tdq| dequeue bound of Table 2 plays this role in
 		// D-CAPE); overload then shows as shed tuples and bounded —
@@ -182,54 +180,58 @@ func NewStudy(o StudyOptions) (*Study, error) {
 			PhaseShift: float64(di) * o.SelPeriod / 2,
 		}
 	}
-	return &Study{Scenario: sc, Deployment: dep}, nil
+	return &Study{Scenario: sc, Deployment: dep, horizon: o.Horizon}, nil
 }
 
-// Substrate is what a Study runs its policies on: the simulator (Sim),
-// the in-process engine (Engine) or worker processes (Net).
+// Substrate is what a Study runs its policies on — the simulator (Sim),
+// the in-process engine (Engine) or worker processes (Net) — and what each
+// run replays: seconds of feed through a freshly opened session.
 type Substrate struct {
 	// Name is the substrate its reports carry: "sim", "engine" or "net".
-	Name string
-	run  func(pol runtime.Policy, faults *chaos.FaultPlan) (*runtime.Report, error)
+	Name    string
+	seconds float64
+	open    func(runtime.Policy, runtime.SessionOptions) (runtime.Session, error)
+	feed    func(seconds float64) runtime.Feed
 }
 
-// Sim runs each policy on a copy of the study's scenario in the simulator.
+// Sim runs each policy in the simulator on the scenario's own arrival
+// processes over the study's horizon.
 func (s *Study) Sim() Substrate {
-	return Substrate{Name: "sim", run: func(pol runtime.Policy, faults *chaos.FaultPlan) (*runtime.Report, error) {
-		sc := *s.Scenario // policies don't mutate the scenario
-		sc.Faults = faults
-		return sim.Run(&sc, pol)
-	}}
+	return Substrate{Name: "sim", seconds: s.horizon, feed: s.Scenario.Arrivals,
+		open: func(pol runtime.Policy, opts runtime.SessionOptions) (runtime.Session, error) {
+			return sim.OpenSession(s.Scenario, pol, opts)
+		}}
 }
 
 // Engine runs each policy as an in-process engine session replaying
 // seconds of the study's Feed.
 func (s *Study) Engine(seconds float64, cfg engine.Config) Substrate {
-	return s.live("engine", seconds, func(pol runtime.Policy, n int, opts runtime.SessionOptions) (*engine.Session, error) {
-		return engine.OpenSession(s.Scenario.Query, n, pol, cfg, opts)
-	})
+	return Substrate{Name: "engine", seconds: seconds, feed: s.Feed,
+		open: func(pol runtime.Policy, opts runtime.SessionOptions) (runtime.Session, error) {
+			return engine.OpenSession(s.Scenario.Query, s.Scenario.Cluster.N(), pol, cfg, opts)
+		}}
 }
 
 // Net runs each policy as a session over one worker process per node,
 // replaying seconds of the study's Feed. workerCmd launches a worker; nil
 // re-executes the current binary, which must call netrt.MaybeWorker first.
 func (s *Study) Net(seconds float64, cfg engine.Config, workerCmd []string) Substrate {
-	return s.live("net", seconds, func(pol runtime.Policy, n int, opts runtime.SessionOptions) (*engine.Session, error) {
-		return netrt.OpenSession(s.Scenario.Query, n, pol, cfg, opts, workerCmd)
-	})
+	return Substrate{Name: "net", seconds: seconds, feed: s.Feed,
+		open: func(pol runtime.Policy, opts runtime.SessionOptions) (runtime.Session, error) {
+			return netrt.OpenSession(s.Scenario.Query, s.Scenario.Cluster.N(), pol, cfg, opts, workerCmd)
+		}}
 }
 
-// live is a substrate that opens a session per run, with the session
-// defaults rld.Open gives, and replays seconds of the study's Feed.
-func (s *Study) live(name string, seconds float64, open func(runtime.Policy, int, runtime.SessionOptions) (*engine.Session, error)) Substrate {
-	n := s.Scenario.Cluster.N()
-	return Substrate{Name: name, run: func(pol runtime.Policy, faults *chaos.FaultPlan) (*runtime.Report, error) {
-		sess, err := open(pol, n, runtime.SessionOptions{Faults: faults, Horizon: seconds, MaxPending: engine.DefaultMaxPending(n)})
-		if err != nil {
-			return nil, err
-		}
-		return runtime.Replay(context.Background(), sess, s.Feed(seconds))
-	}}
+// run opens a session of pol on sub — under faults when non-nil, and with
+// the in-flight bound rld.Open gives, which the simulator ignores — and
+// replays sub's feed through it.
+func (s *Study) run(sub Substrate, pol runtime.Policy, faults *chaos.FaultPlan) (*runtime.Report, error) {
+	opts := runtime.SessionOptions{Faults: faults, Horizon: sub.seconds, MaxPending: engine.DefaultMaxPending(s.Scenario.Cluster.N())}
+	sess, err := sub.open(pol, opts)
+	if err != nil {
+		return nil, err
+	}
+	return runtime.Replay(context.Background(), sess, sub.feed(sub.seconds))
 }
 
 // Feed returns seconds of seeded tuples for the study's streams, the input
@@ -281,7 +283,7 @@ func (s *Study) Run(sub Substrate, faults *chaos.FaultPlan) ([]*runtime.Report, 
 	}
 	reports := make([]*runtime.Report, len(pols))
 	for i, pol := range pols {
-		if reports[i], err = sub.run(pol, faults); err != nil {
+		if reports[i], err = s.run(sub, pol, faults); err != nil {
 			return nil, err
 		}
 	}
@@ -505,7 +507,7 @@ func AblationBatch(quick bool) []*Table {
 		if err != nil {
 			panic(err)
 		}
-		res, err := s.Sim().run(s.Deployment.NewPolicy(bs), nil)
+		res, err := s.run(s.Sim(), s.Deployment.NewPolicy(bs), nil)
 		if err != nil {
 			panic(err)
 		}

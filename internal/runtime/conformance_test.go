@@ -93,21 +93,17 @@ func conformancePolicies(t *testing.T, q *query.Query, cl *cluster.Cluster) []rt
 // under pol, with an optional scripted fault plan.
 type runner func(pol rt.Policy, fp *chaos.FaultPlan) (*rt.Report, error)
 
-// simRunner is the simulator driving itself off the scenario's own arrival
+// simRunner is the simulator replaying the scenario's own arrival
 // processes.
 func simRunner(q *query.Query, cl *cluster.Cluster) runner {
 	return func(pol rt.Policy, fp *chaos.FaultPlan) (*rt.Report, error) {
 		sc := &sim.Scenario{
-			Query:       q,
-			Rates:       map[string]gen.Profile{},
-			Sels:        make([]gen.Profile, len(q.Ops)),
-			Cluster:     cl,
-			Horizon:     confHorizon,
-			BatchSize:   confBatch,
-			SampleEvery: 5,
-			TickEvery:   5,
-			Faults:      fp,
-			Seed:        17,
+			Query:     q,
+			Rates:     map[string]gen.Profile{},
+			Sels:      make([]gen.Profile, len(q.Ops)),
+			Cluster:   cl,
+			BatchSize: confBatch,
+			Seed:      17,
 		}
 		for _, s := range q.Streams {
 			sc.Rates[s] = gen.ConstProfile(q.Rates[s])
@@ -115,7 +111,11 @@ func simRunner(q *query.Query, cl *cluster.Cluster) runner {
 		for i := range sc.Sels {
 			sc.Sels[i] = gen.ConstProfile(q.Ops[i].Sel)
 		}
-		return sim.Run(sc, pol)
+		ss, err := sim.OpenSession(sc, pol, rt.SessionOptions{Horizon: confHorizon, Faults: fp})
+		if err != nil {
+			return nil, err
+		}
+		return rt.Replay(context.Background(), ss, sc.Arrivals(confHorizon))
 	}
 }
 

@@ -24,6 +24,9 @@ var (
 	ErrUnknownNode = errors.New("rld: unknown node")
 	// ErrUnknownOp reports an operator index outside the query.
 	ErrUnknownOp = errors.New("rld: unknown operator")
+	// ErrUnknownStream reports an ingested batch of a stream the query
+	// does not name; the session is left unchanged.
+	ErrUnknownStream = errors.New("rld: unknown stream")
 	// ErrBadPlacement reports an operator placement that is incomplete or
 	// references nodes outside the cluster.
 	ErrBadPlacement = errors.New("rld: bad placement")

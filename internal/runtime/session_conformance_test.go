@@ -1,9 +1,11 @@
 package runtime_test
 
-// Session-protocol conformance: the simulator's two ways of being driven
-// agree, the sim and engine sessions honour the same subscription protocol,
-// and on all three substrates the outbox keeps its contract, control errors
-// are typed alike, and a closed session answers ErrClosed.
+// Session-protocol conformance: the simulator agrees with itself fed its
+// scenario's own arrivals or the live substrates' tuples, the sim and
+// engine sessions honour the same subscription protocol, and on all three
+// substrates the outbox keeps its contract, control errors are typed alike,
+// a batch of an unknown stream is refused, and a closed session answers
+// ErrClosed.
 
 import (
 	"context"
@@ -23,10 +25,10 @@ import (
 	"rld/internal/stream"
 )
 
-// TestSessionVsExecutorConformance runs the simulator both ways — driving
-// itself off the scenario's arrival processes, and as a session fed the
-// live substrates' tuple Feed (the adapter abstracts batches to counts at
-// their timestamps): the produced/ingested ratios must agree within 15%.
+// TestSessionVsExecutorConformance runs the simulator on two feeds — the
+// scenario's own arrival processes, and the live substrates' tuple Feed
+// (the adapter abstracts batches to counts at their timestamps): the
+// produced/ingested ratios must agree within 15%.
 func TestSessionVsExecutorConformance(t *testing.T) {
 	q := conformanceQuery()
 	cl := cluster.NewHomogeneous(2, 1e6)
@@ -35,7 +37,7 @@ func TestSessionVsExecutorConformance(t *testing.T) {
 	}
 	self, err := simRunner(q, cl)(mkPol(), nil)
 	if err != nil {
-		t.Fatalf("self-driven sim: %v", err)
+		t.Fatalf("sim on its own arrivals: %v", err)
 	}
 	ses, err := openers(q, cl, mkPol, liveConfig(), liveOptions(nil))["sim"]()
 	if err != nil {
@@ -46,13 +48,13 @@ func TestSessionVsExecutorConformance(t *testing.T) {
 		t.Fatalf("sim session replay: %v", err)
 	}
 	rSelf, rFed := self.OutputRatio(), fed.OutputRatio()
-	t.Logf("self-driven ratio %.4f (produced %.0f), session ratio %.4f (produced %.0f)",
+	t.Logf("own-arrivals ratio %.4f (produced %.0f), tuple-feed ratio %.4f (produced %.0f)",
 		rSelf, self.Produced, rFed, fed.Produced)
 	if fed.Produced == 0 {
 		t.Fatal("sim session produced nothing")
 	}
 	if math.Abs(rFed-rSelf) > 0.15*rSelf {
-		t.Errorf("session ratio %.4f vs self-driven ratio %.4f (>15%%)", rFed, rSelf)
+		t.Errorf("tuple-feed ratio %.4f vs own-arrivals ratio %.4f (>15%%)", rFed, rSelf)
 	}
 	if fed.Substrate != "sim" {
 		t.Errorf("session substrate %q, want sim", fed.Substrate)
@@ -171,6 +173,59 @@ func TestSessionVirtualTimeIsMaxTimestamp(t *testing.T) {
 		if _, err := ses.Close(ctx); err != nil {
 			t.Fatalf("%s close: %v", name, err)
 		}
+	}
+}
+
+// TestSessionRefusesUnknownStream: on every substrate a batch of a stream
+// the query does not name fails with ErrUnknownStream before anything
+// changes — its later timestamp does not move the virtual clock, and no
+// counter moves — and the session goes on admitting valid batches. Produced
+// and Pending are left out of the comparison: the live substrates may still
+// be processing the batch admitted before.
+func TestSessionRefusesUnknownStream(t *testing.T) {
+	q := conformanceQuery()
+	cl := cluster.NewHomogeneous(2, 1e6)
+	mkPol := func() rt.Policy {
+		return &rt.StaticPolicy{PolicyName: "FIXED", Plan: query.Plan{1, 0}, Assign: []int{0, 1}}
+	}
+	ctx := context.Background()
+	batch := func(st string, ts stream.Time) *stream.Batch {
+		b := stream.NewBatch(st)
+		b.Append(&stream.Tuple{Stream: st, Ts: ts, Key: 1, Vals: []float64{10}, Arrival: ts})
+		return b
+	}
+	settled := func(st rt.SessionStats) rt.SessionStats {
+		st.Produced, st.Pending = 0, 0
+		return st
+	}
+	for name, open := range openers(q, cl, mkPol, liveConfig(), liveOptions(nil)) {
+		t.Run(name, func(t *testing.T) {
+			ses, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ses.Close(ctx)
+			if err := ses.Ingest(ctx, batch(q.Streams[0], 3)); err != nil {
+				t.Fatal(err)
+			}
+			before := settled(ses.Stats())
+			bad := batch("NOPE", 50)
+			if err := ses.Ingest(ctx, bad); !errors.Is(err, rt.ErrUnknownStream) {
+				t.Fatalf("Ingest of stream NOPE = %v, want ErrUnknownStream", err)
+			}
+			if err := ses.TryIngest(bad); !errors.Is(err, rt.ErrUnknownStream) {
+				t.Fatalf("TryIngest of stream NOPE = %v, want ErrUnknownStream", err)
+			}
+			if after := settled(ses.Stats()); after != before {
+				t.Fatalf("refused batch changed the stats:\nbefore %+v\nafter  %+v", before, after)
+			}
+			if err := ses.Ingest(ctx, batch(q.Streams[1], 4)); err != nil {
+				t.Fatalf("valid batch after the refused one: %v", err)
+			}
+			if st := ses.Stats(); st.Batches != before.Batches+1 || st.VirtualTime != 4 {
+				t.Fatalf("after the next valid batch: %d batches at t=%v, want %d at t=4", st.Batches, st.VirtualTime, before.Batches+1)
+			}
+		})
 	}
 }
 

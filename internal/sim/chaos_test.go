@@ -18,18 +18,10 @@ func crashPlan(mode chaos.RecoveryMode) *chaos.FaultPlan {
 }
 
 func TestCrashLoseStateDropsWork(t *testing.T) {
-	sc, pol := testScenario(10000, 600)
-	base, err := Run(sc, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	scF, polF := testScenario(10000, 600)
-	scF.Faults = crashPlan(chaos.LoseState)
-	faulted, err := Run(scF, polF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc, pol := testScenario(10000)
+	base := replay(t, sc, pol, 600, nil)
+	scF, polF := testScenario(10000)
+	faulted := replay(t, scF, polF, 600, crashPlan(chaos.LoseState))
 	if faulted.Crashes != 1 {
 		t.Fatalf("crashes = %d, want 1", faulted.Crashes)
 	}
@@ -51,18 +43,10 @@ func TestCrashLoseStateDropsWork(t *testing.T) {
 }
 
 func TestCrashCheckpointStallsAndReplays(t *testing.T) {
-	sc, pol := testScenario(10000, 600)
-	base, err := Run(sc, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	scF, polF := testScenario(10000, 600)
-	scF.Faults = crashPlan(chaos.Checkpoint)
-	faulted, err := Run(scF, polF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc, pol := testScenario(10000)
+	base := replay(t, sc, pol, 600, nil)
+	scF, polF := testScenario(10000)
+	faulted := replay(t, scF, polF, 600, crashPlan(chaos.Checkpoint))
 	if faulted.TuplesLost != 0 {
 		t.Fatalf("checkpoint crash lost %v tuples", faulted.TuplesLost)
 	}
@@ -78,15 +62,11 @@ func TestCrashCheckpointStallsAndReplays(t *testing.T) {
 }
 
 func TestCrashSpanningHorizonAccruesDowntime(t *testing.T) {
-	sc, pol := testScenario(10000, 600)
-	sc.Faults = &chaos.FaultPlan{
+	sc, pol := testScenario(10000)
+	res := replay(t, sc, pol, 600, &chaos.FaultPlan{
 		Mode:   chaos.Checkpoint,
 		Faults: []chaos.Fault{{Kind: chaos.Crash, Node: 0, At: 500, Until: 900}},
-	}
-	res, err := Run(sc, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if math.Abs(res.DownSeconds-100) > 1e-9 {
 		t.Fatalf("down seconds = %v, want 100 (horizon-clipped)", res.DownSeconds)
 	}
@@ -95,19 +75,12 @@ func TestCrashSpanningHorizonAccruesDowntime(t *testing.T) {
 func TestSlowdownStretchesService(t *testing.T) {
 	// Capacity tight enough that a half-speed node visibly lags: compare
 	// mean latency with and without the slowdown.
-	sc, pol := testScenario(60, 300)
-	base, err := Run(sc, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scF, polF := testScenario(60, 300)
-	scF.Faults = &chaos.FaultPlan{Faults: []chaos.Fault{
+	sc, pol := testScenario(60)
+	base := replay(t, sc, pol, 300, nil)
+	scF, polF := testScenario(60)
+	slowed := replay(t, scF, polF, 300, &chaos.FaultPlan{Faults: []chaos.Fault{
 		{Kind: chaos.Slowdown, Node: 0, At: 50, Until: 250, Factor: 0.3},
-	}}
-	slowed, err := Run(scF, polF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	if slowed.MeanLatencyMS <= base.MeanLatencyMS {
 		t.Fatalf("slowdown did not raise latency: %vms ≤ %vms",
 			slowed.MeanLatencyMS, base.MeanLatencyMS)
@@ -130,12 +103,9 @@ func (d *downWatcher) Rebalance(t float64, loads []float64, a physical.Assignmen
 }
 
 func TestDownNodeReportsInfLoad(t *testing.T) {
-	sc, pol := testScenario(10000, 300)
-	sc.Faults = crashPlan(chaos.Checkpoint)
+	sc, pol := testScenario(10000)
 	w := &downWatcher{scripted: *pol}
-	if _, err := Run(sc, w); err != nil {
-		t.Fatal(err)
-	}
+	replay(t, sc, w, 300, crashPlan(chaos.Checkpoint))
 	sawDown, sawUp := false, false
 	for _, loads := range w.seen {
 		if runtime.NodeDown(loads[1]) {
@@ -156,8 +126,8 @@ func TestMigrationOffDownNodeMovesFrozenQueue(t *testing.T) {
 	// Crash node 1 (hosting op 1) in checkpoint mode, then script a
 	// migration of op 1 to node 0 at the next tick: the frozen queue must
 	// move and drain on the live node.
-	sc, pol := testScenario(10000, 600)
-	sc.Faults = &chaos.FaultPlan{
+	sc, pol := testScenario(10000)
+	plan := &chaos.FaultPlan{
 		Mode:   chaos.Checkpoint,
 		Faults: []chaos.Fault{{Kind: chaos.Crash, Node: 1, At: 100, Until: 550}},
 	}
@@ -172,18 +142,12 @@ func TestMigrationOffDownNodeMovesFrozenQueue(t *testing.T) {
 		}
 	}
 	pol.migrations[21] = Migration{Op: 1, To: 0, Downtime: 0.5}
-	res, err := Run(sc, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replay(t, sc, pol, 600, plan)
 	if res.Migrations != 1 {
 		t.Fatalf("migrations = %d, want 1", res.Migrations)
 	}
-	base, polB := testScenario(10000, 600)
-	baseRes, err := Run(base, polB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, polB := testScenario(10000)
+	baseRes := replay(t, base, polB, 600, nil)
 	comp := res.Produced / baseRes.Produced
 	if comp < 0.9 {
 		t.Fatalf("migration off dead node completeness %v < 0.9", comp)

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"rld/internal/runtime"
@@ -27,34 +28,24 @@ type Session struct {
 
 	mu     sync.Mutex
 	s      *Sim
-	sc     *Scenario
 	swaps  int
 	closed bool
 	report *runtime.Report
 }
 
-// OpenSession starts a simulator session of scenario sc under pol. The
-// scenario's unset fault plan, horizon and tick period are filled from
-// opts, then it is defaulted in place (batch size, sampling, tick) exactly
-// as Run would; pass a private copy when reusing scenarios across runs.
-// The simulator has no backpressure, so opts.MaxPending is ignored.
+// OpenSession starts a simulator session of scenario sc under pol — the
+// only way to run the simulator; Replay it on sc.Arrivals for the
+// scenario's own arrival processes. The horizon, control period and fault
+// plan come from opts, and sc is only read, so one scenario serves any
+// number of sessions. The simulator has no backpressure, so
+// opts.MaxPending is ignored.
 func OpenSession(sc *Scenario, pol runtime.Policy, opts runtime.SessionOptions) (*Session, error) {
-	if sc.Faults == nil {
-		sc.Faults = opts.Faults
-	}
-	if sc.Horizon == 0 {
-		sc.Horizon = opts.Horizon
-	}
-	if sc.TickEvery == 0 && opts.TickEvery > 0 {
-		sc.TickEvery = opts.TickEvery
-	}
-	sim, err := New(sc, pol)
+	sim, err := newSim(sc, pol, opts)
 	if err != nil {
 		return nil, err
 	}
-	ss := &Session{Outbox: runtime.NewOutbox(opts), s: sim, sc: sc}
+	ss := &Session{Outbox: runtime.NewOutbox(opts), s: sim}
 	sim.out = ss.Outbox
-	sim.seedControl()
 	return ss, nil
 }
 
@@ -79,6 +70,9 @@ func (ss *Session) TryIngest(b *stream.Batch) error {
 	if ss.closed {
 		return runtime.ErrClosed
 	}
+	if !slices.Contains(ss.s.sc.Query.Streams, b.Stream) {
+		return fmt.Errorf("%w: %q", runtime.ErrUnknownStream, b.Stream)
+	}
 	if b.Len() > 0 {
 		ss.s.advanceTo(float64(b.MaxTs()))
 	}
@@ -93,8 +87,8 @@ func (ss *Session) SwapPolicy(pol runtime.Policy) error {
 	if pol == nil {
 		return fmt.Errorf("sim: nil policy")
 	}
-	if p := pol.Placement(); len(p) != len(ss.sc.Query.Ops) {
-		return fmt.Errorf("%w: policy %s covers %d of %d ops", runtime.ErrBadPlacement, pol.Name(), len(p), len(ss.sc.Query.Ops))
+	if p := pol.Placement(); len(p) != len(ss.s.sc.Query.Ops) {
+		return fmt.Errorf("%w: policy %s covers %d of %d ops", runtime.ErrBadPlacement, pol.Name(), len(p), len(ss.s.sc.Query.Ops))
 	}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -196,11 +190,7 @@ func (ss *Session) Close(context.Context) (*runtime.Report, error) {
 		return ss.report, nil
 	}
 	ss.closed = true
-	end := ss.sc.Horizon
-	if ss.s.now > end {
-		end = ss.s.now
-	}
-	ss.s.advanceTo(end)
+	ss.s.advanceTo(max(ss.s.horizon, ss.s.now))
 	rep := ss.s.finish()
 	rep.Policy = ss.s.pol.Name()
 	ss.Outbox.Close()

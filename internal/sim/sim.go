@@ -12,7 +12,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"math/rand"
 
 	"rld/internal/chaos"
 	"rld/internal/cluster"
@@ -25,7 +24,9 @@ import (
 
 // Scenario fixes the simulated workload: the query, the *actual* statistic
 // trajectories (which the optimizer only knew as a parameter space), the
-// cluster, and run parameters.
+// cluster, and how its arrivals batch. The run length, control period and
+// fault plan are the session's (runtime.SessionOptions), as on every
+// substrate.
 type Scenario struct {
 	Query *query.Query
 	// Rates holds the true input-rate profile per stream (tuples/sec).
@@ -34,14 +35,9 @@ type Scenario struct {
 	Sels []gen.Profile
 	// Cluster provides node capacities in cost-units/second.
 	Cluster *cluster.Cluster
-	// Horizon is the virtual run length in seconds.
-	Horizon float64
-	// BatchSize is the batch ("ruster") size in tuples (Table 2: 100).
+	// BatchSize is the batch ("ruster") size in tuples of Arrivals (Table
+	// 2: 100).
 	BatchSize int
-	// SampleEvery is the monitor/timeline sampling period in seconds.
-	SampleEvery float64
-	// TickEvery is the control (rebalance) period in seconds.
-	TickEvery float64
 	// MaxQueue bounds per-node queued work (cost-units); arriving batches
 	// are shed at admission when the first node is beyond it. 0 disables.
 	MaxQueue float64
@@ -50,14 +46,12 @@ type Scenario struct {
 	// the probed stream's rate, so total work scales linearly with input
 	// rates instead of quadratically. The §6.5 experiments use this mode.
 	CountWindows bool
-	// Faults is an optional scripted fault schedule: crashed nodes serve
-	// nothing while down; their queued work is dropped (chaos.LoseState)
-	// or held for replay on recovery (chaos.Checkpoint), and slowed nodes
-	// serve at a fraction of capacity. Nil runs fault-free.
-	Faults *chaos.FaultPlan
-	// Seed drives arrival jitter.
+	// Seed drives the jitter of Arrivals.
 	Seed int64
 }
+
+// sampleEvery is the monitor/timeline sampling period in virtual seconds.
+const sampleEvery = 5
 
 // SelAt returns the true selectivity of operator op at time t.
 func (sc *Scenario) SelAt(op int, t float64) float64 {
@@ -129,8 +123,7 @@ type Policy = runtime.Policy
 
 // event kinds.
 const (
-	evBatch = iota
-	evStageDone
+	evStageDone = iota
 	evMigrationEnd
 	evTick
 	evSample
@@ -141,8 +134,8 @@ const (
 type event struct {
 	t    float64
 	kind int
-	// stream for evBatch; node for evStageDone; op for evMigrationEnd;
-	// fault indexes Scenario.Faults.Faults for evFaultBegin/End.
+	// stream for an Arrivals event; node for evStageDone; op for
+	// evMigrationEnd; fault indexes the fault plan for evFaultBegin/End.
 	stream string
 	node   int
 	op     int
@@ -150,8 +143,8 @@ type event struct {
 	// epoch stamps evStageDone with the node's crash epoch: a crash
 	// voids the in-flight service completion by bumping the epoch.
 	epoch int
-	// poll marks an evBatch that only re-checks a zero-rate stream and
-	// must not admit a batch.
+	// poll marks an Arrivals event that only re-checks a zero-rate stream
+	// and delivers no batch.
 	poll bool
 	seq  int64 // tie-break for determinism
 }
@@ -210,15 +203,15 @@ type node struct {
 	epoch int
 }
 
-// Sim is one simulation run. It is an incremental discrete-event core:
-// Run drives it to the horizon off the scenario's own arrival processes,
-// while the Session adapter advances it batch-by-batch off externally
-// ingested timestamps. All methods are single-goroutine; the Session
-// serializes access.
+// Sim is one simulation run: an incremental discrete-event core that the
+// Session advances batch by batch off ingested timestamps. All methods are
+// single-goroutine; the Session serializes access.
 type Sim struct {
 	sc       *Scenario
 	pol      Policy
-	rng      *rand.Rand
+	horizon  float64
+	tick     float64 // control (Rebalance) period
+	faults   *chaos.FaultPlan
 	events   eventQueue
 	seq      int64
 	now      float64
@@ -239,35 +232,33 @@ type Sim struct {
 	out *runtime.Outbox
 }
 
-// New prepares a run of scenario sc under policy pol.
-func New(sc *Scenario, pol Policy) (*Sim, error) {
+// newSim prepares a run of scenario sc under policy pol with the session's
+// horizon, control period (default 5 s) and fault plan, and books its
+// sampling, control ticks and fault edges.
+func newSim(sc *Scenario, pol Policy, opts runtime.SessionOptions) (*Sim, error) {
 	if sc.Query == nil || sc.Cluster == nil {
 		return nil, fmt.Errorf("sim: scenario needs a query and a cluster")
-	}
-	if sc.BatchSize < 1 {
-		sc.BatchSize = 1
-	}
-	if sc.SampleEvery <= 0 {
-		sc.SampleEvery = 5
-	}
-	if sc.TickEvery <= 0 {
-		sc.TickEvery = 5
 	}
 	assign := pol.Placement()
 	if assign == nil || !assign.Complete() {
 		return nil, fmt.Errorf("sim: policy %s has no complete placement", pol.Name())
 	}
-	if err := sc.Faults.Validate(len(sc.Cluster.Nodes)); err != nil {
+	if err := opts.Faults.Validate(len(sc.Cluster.Nodes)); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	s := &Sim{
 		sc:      sc,
 		pol:     pol,
-		rng:     rand.New(rand.NewSource(sc.Seed + 77)),
+		horizon: opts.Horizon,
+		tick:    opts.TickEvery,
+		faults:  opts.Faults,
 		assign:  assign.Clone(),
 		paused:  make(map[int]float64),
 		monitor: stats.NewMonitor(len(sc.Query.Ops), 0.6),
 		res:     &runtime.Report{Policy: pol.Name(), Substrate: "sim", PlanUse: make(map[string]int64)},
+	}
+	if s.tick <= 0 {
+		s.tick = 5
 	}
 	for _, n := range sc.Cluster.Nodes {
 		s.nodes = append(s.nodes, &node{id: n.ID, capacity: n.Capacity, slow: 1})
@@ -275,6 +266,14 @@ func New(sc *Scenario, pol Policy) (*Sim, error) {
 	// Prime the monitor with the t=0 truth (the paper's executor starts
 	// with the compile-time estimates).
 	s.monitor.Offer(0, sc.TruthSels(0), sc.TruthRates(0))
+	s.push(&event{t: sampleEvery, kind: evSample})
+	s.push(&event{t: s.tick, kind: evTick})
+	if !s.faults.Empty() {
+		for i, f := range s.faults.Faults {
+			s.push(&event{t: f.At, kind: evFaultBegin, fault: i})
+			s.push(&event{t: f.Until, kind: evFaultEnd, fault: i})
+		}
+	}
 	return s, nil
 }
 
@@ -284,36 +283,9 @@ func (s *Sim) push(e *event) {
 	heap.Push(&s.events, e)
 }
 
-// seedControl books the recurring sampling and control-tick events plus
-// the scripted fault edges — the machinery every run needs regardless of
-// where its arrivals come from.
-func (s *Sim) seedControl() {
-	s.push(&event{t: s.sc.SampleEvery, kind: evSample})
-	s.push(&event{t: s.sc.TickEvery, kind: evTick})
-	if !s.sc.Faults.Empty() {
-		for i, f := range s.sc.Faults.Faults {
-			s.push(&event{t: f.At, kind: evFaultBegin, fault: i})
-			s.push(&event{t: f.Until, kind: evFaultEnd, fault: i})
-		}
-	}
-}
-
-// Run executes the simulation off the scenario's own arrival processes (an
-// externally driven session supplies batches instead) and returns its
-// report.
-func (s *Sim) Run() *runtime.Report {
-	for _, st := range s.sc.Query.Streams {
-		s.scheduleNextBatch(st, 0)
-	}
-	s.seedControl()
-	s.advanceTo(s.sc.Horizon)
-	return s.finish()
-}
-
 // advanceTo processes every queued event up to and including virtual time
-// target, then advances the clock to target. Recurring events (arrivals,
-// ticks, samples) re-book themselves, so the bound is what terminates the
-// loop.
+// target, then advances the clock to target. Recurring events (ticks,
+// samples) re-book themselves, so the bound is what terminates the loop.
 func (s *Sim) advanceTo(target float64) {
 	for s.events.Len() > 0 {
 		if s.events[0].t > target {
@@ -330,22 +302,16 @@ func (s *Sim) advanceTo(target float64) {
 
 func (s *Sim) dispatch(e *event) {
 	switch e.kind {
-	case evBatch:
-		if e.poll {
-			s.scheduleNextBatch(e.stream, s.now)
-		} else {
-			s.onBatch(e.stream)
-		}
 	case evStageDone:
 		s.onStageDone(e.node, e.epoch)
 	case evMigrationEnd:
 		s.onMigrationEnd(e.op)
 	case evTick:
 		s.onTick()
-		s.push(&event{t: s.now + s.sc.TickEvery, kind: evTick})
+		s.push(&event{t: s.now + s.tick, kind: evTick})
 	case evSample:
 		s.onSample()
-		s.push(&event{t: s.now + s.sc.SampleEvery, kind: evSample})
+		s.push(&event{t: s.now + sampleEvery, kind: evSample})
 	case evFaultBegin:
 		s.onFaultBegin(e.fault)
 	case evFaultEnd:
@@ -357,17 +323,13 @@ func (s *Sim) dispatch(e *event) {
 // accrue downtime to the cut, and their frozen queues count as lost — the
 // replay their recovery would have triggered never comes (the live engine
 // likewise loses a still-down node's parked backlog at Stop). The cut is
-// the horizon, or the clock's high-water mark for an externally driven
-// session that ran past it.
+// the horizon, or the clock's high-water mark when it ran past it.
 func (s *Sim) finish() *runtime.Report {
 	if s.finished {
 		return s.res
 	}
 	s.finished = true
-	end := s.sc.Horizon
-	if s.now > end {
-		end = s.now
-	}
+	end := max(s.horizon, s.now)
 	for _, n := range s.nodes {
 		if !n.down {
 			continue
@@ -392,12 +354,12 @@ func (s *Sim) loseItem(it *item) {
 	s.res.TuplesLost += it.b.tuples * it.b.carry
 }
 
-// recoveryMode returns the run's crash-recovery semantics (Checkpoint
-// when no fault plan declares otherwise, matching enqueueStage's freeze
-// behaviour for nodes crashed outside any plan).
+// recoveryMode returns the run's crash-recovery semantics: Checkpoint
+// when no fault plan declares otherwise, so a node crashed outside any
+// plan freezes its queue.
 func (s *Sim) recoveryMode() chaos.RecoveryMode {
-	if s.sc.Faults != nil {
-		return s.sc.Faults.Mode
+	if s.faults != nil {
+		return s.faults.Mode
 	}
 	return chaos.Checkpoint
 }
@@ -461,7 +423,7 @@ func (s *Sim) slowNode(nodeID int, factor float64) {
 // onFaultBegin applies the onset of fault i: a crash empties or freezes
 // the node, a slowdown scales its capacity for newly started services.
 func (s *Sim) onFaultBegin(i int) {
-	f := s.sc.Faults.Faults[i]
+	f := s.faults.Faults[i]
 	switch f.Kind {
 	case chaos.Crash:
 		s.crashNode(f.Node)
@@ -472,7 +434,7 @@ func (s *Sim) onFaultBegin(i int) {
 
 // onFaultEnd applies the end of fault i: recovery or return to full speed.
 func (s *Sim) onFaultEnd(i int) {
-	f := s.sc.Faults.Faults[i]
+	f := s.faults.Faults[i]
 	switch f.Kind {
 	case chaos.Crash:
 		s.recoverNode(f.Node)
@@ -481,30 +443,9 @@ func (s *Sim) onFaultEnd(i int) {
 	}
 }
 
-// scheduleNextBatch books the arrival of the next full ruster on a stream:
-// the time to accumulate BatchSize tuples at the current rate (±10% jitter).
-func (s *Sim) scheduleNextBatch(streamName string, from float64) {
-	rate := s.sc.RateAt(streamName, from)
-	if rate <= 0 {
-		// Idle stream: poll again in a second without admitting a batch.
-		s.push(&event{t: from + 1, kind: evBatch, stream: streamName, poll: true})
-		return
-	}
-	gap := float64(s.sc.BatchSize) / rate
-	gap *= 0.9 + 0.2*s.rng.Float64()
-	s.push(&event{t: from + gap, kind: evBatch, stream: streamName})
-}
-
-func (s *Sim) onBatch(streamName string) {
-	s.scheduleNextBatch(streamName, s.now)
-	s.admit(float64(s.sc.BatchSize))
-}
-
 // admit runs the per-batch admission protocol for tuples source tuples
 // arriving now: classify to a plan, charge the classification overhead,
-// apply admission control, account, and enqueue the first stage. It is
-// shared by the scenario's own arrivals (onBatch) and externally ingested
-// batches (Session).
+// apply admission control, account, and enqueue the first stage.
 func (s *Sim) admit(tuples float64) {
 	snap := s.monitor.Snapshot()
 	plan := s.pol.PlanFor(s.now, snap)
@@ -560,7 +501,7 @@ func (s *Sim) stageWork(b *batch, t float64) float64 {
 func (s *Sim) enqueueStage(b *batch) {
 	op := b.plan[b.stage]
 	n := s.nodes[s.assign[op]]
-	if n.down && s.sc.Faults != nil && s.sc.Faults.Mode == chaos.LoseState {
+	if n.down && s.recoveryMode() == chaos.LoseState {
 		// Work routed to a dead node is lost outright; in Checkpoint mode
 		// it queues and stalls until recovery instead.
 		s.res.TuplesLost += b.tuples * b.carry
@@ -689,16 +630,4 @@ func (s *Sim) onMigrationEnd(op int) {
 func (s *Sim) onSample() {
 	s.monitor.Offer(s.now, s.sc.TruthSels(s.now), s.sc.TruthRates(s.now))
 	s.res.ProducedOverTime.Record(s.now, s.res.Produced)
-}
-
-// Assignment returns the live operator placement (changes under DYN).
-func (s *Sim) Assignment() physical.Assignment { return s.assign.Clone() }
-
-// Run is a convenience one-shot: build and run.
-func Run(sc *Scenario, pol Policy) (*runtime.Report, error) {
-	s, err := New(sc, pol)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(), nil
 }

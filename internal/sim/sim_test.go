@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"rld/internal/chaos"
 	"rld/internal/cluster"
 	"rld/internal/gen"
 	"rld/internal/physical"
 	"rld/internal/query"
+	"rld/internal/runtime"
 	"rld/internal/stats"
 )
 
@@ -42,18 +45,15 @@ func (s *scripted) Rebalance(float64, []float64, physical.Assignment) *Migration
 }
 
 // testScenario: 3-op query, constant stats, ample capacity by default.
-func testScenario(capacity float64, horizon float64) (*Scenario, *scripted) {
+func testScenario(capacity float64) (*Scenario, *scripted) {
 	q := query.NewNWayJoin("Q", 3, 2)
 	sc := &Scenario{
-		Query:       q,
-		Rates:       map[string]gen.Profile{},
-		Sels:        make([]gen.Profile, 3),
-		Cluster:     cluster.NewHomogeneous(2, capacity),
-		Horizon:     horizon,
-		BatchSize:   10,
-		SampleEvery: 5,
-		TickEvery:   5,
-		Seed:        1,
+		Query:     q,
+		Rates:     map[string]gen.Profile{},
+		Sels:      make([]gen.Profile, 3),
+		Cluster:   cluster.NewHomogeneous(2, capacity),
+		BatchSize: 10,
+		Seed:      1,
 	}
 	for _, s := range q.Streams {
 		sc.Rates[s] = gen.ConstProfile(q.Rates[s])
@@ -69,12 +69,31 @@ func testScenario(capacity float64, horizon float64) (*Scenario, *scripted) {
 	return sc, pol
 }
 
-func TestSimThroughputMatchesSelectivities(t *testing.T) {
-	sc, pol := testScenario(10000, 300)
-	res, err := Run(sc, pol)
+// open starts a session of pol on sc for horizon virtual seconds, under
+// faults when non-nil.
+func open(t *testing.T, sc *Scenario, pol Policy, horizon float64, faults *chaos.FaultPlan) *Session {
+	t.Helper()
+	ss, err := OpenSession(sc, pol, runtime.SessionOptions{Horizon: horizon, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ss
+}
+
+// replay runs pol on sc for horizon virtual seconds, fed by the
+// scenario's own arrivals, under faults when non-nil.
+func replay(t *testing.T, sc *Scenario, pol Policy, horizon float64, faults *chaos.FaultPlan) *runtime.Report {
+	t.Helper()
+	res, err := runtime.Replay(context.Background(), open(t, sc, pol, horizon, faults), sc.Arrivals(horizon))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestSimThroughputMatchesSelectivities(t *testing.T) {
+	sc, pol := testScenario(10000)
+	res := replay(t, sc, pol, 300, nil)
 	if res.Ingested == 0 {
 		t.Fatal("nothing ingested")
 	}
@@ -92,11 +111,8 @@ func TestSimThroughputMatchesSelectivities(t *testing.T) {
 }
 
 func TestSimLatencyLowWhenUnderloaded(t *testing.T) {
-	sc, pol := testScenario(100000, 300)
-	res, err := Run(sc, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc, pol := testScenario(100000)
+	res := replay(t, sc, pol, 300, nil)
 	if res.MeanLatencyMS == 0 {
 		t.Fatal("no latency observations")
 	}
@@ -107,16 +123,10 @@ func TestSimLatencyLowWhenUnderloaded(t *testing.T) {
 }
 
 func TestSimOverloadGrowsLatencyAndStarvesOutput(t *testing.T) {
-	scLo, polLo := testScenario(20000, 300)
-	lo, err := Run(scLo, polLo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scHi, polHi := testScenario(5, 300) // brutally undersized: ~19 units/s load vs 10 capacity
-	hi, err := Run(scHi, polHi)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scLo, polLo := testScenario(20000)
+	lo := replay(t, scLo, polLo, 300, nil)
+	scHi, polHi := testScenario(5) // brutally undersized: ~19 units/s load vs 10 capacity
+	hi := replay(t, scHi, polHi, 300, nil)
 	if hi.MeanLatencyMS <= 10*lo.MeanLatencyMS {
 		t.Fatalf("overload latency %vms should dwarf underload %vms", hi.MeanLatencyMS, lo.MeanLatencyMS)
 	}
@@ -128,32 +138,29 @@ func TestSimOverloadGrowsLatencyAndStarvesOutput(t *testing.T) {
 }
 
 func TestSimAdmissionControlDrops(t *testing.T) {
-	sc, pol := testScenario(5, 300)
+	sc, pol := testScenario(5)
 	sc.MaxQueue = 100
-	res, err := Run(sc, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replay(t, sc, pol, 300, nil)
 	if res.Dropped == 0 {
 		t.Fatal("overload with MaxQueue must shed load")
 	}
 }
 
 func TestSimMigrationMechanics(t *testing.T) {
-	sc, pol := testScenario(10000, 100)
+	sc, pol := testScenario(10000)
 	pol.migrations = []Migration{{Op: 0, To: 1, Downtime: 2}}
-	s, err := New(sc, pol)
+	ss := open(t, sc, pol, 100, nil)
+	res, err := runtime.Replay(context.Background(), ss, sc.Arrivals(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.Run()
 	if res.Migrations != 1 {
 		t.Fatalf("Migrations = %d, want 1", res.Migrations)
 	}
 	if res.MigrationDowntime != 2 {
 		t.Fatalf("Downtime = %v, want 2", res.MigrationDowntime)
 	}
-	if got := s.Assignment(); got[0] != 1 {
+	if got := ss.s.assign; got[0] != 1 {
 		t.Fatalf("op 0 should live on node 1 after migration: %v", got)
 	}
 	// The system keeps producing across the migration.
@@ -163,23 +170,20 @@ func TestSimMigrationMechanics(t *testing.T) {
 }
 
 func TestSimMigrationValidation(t *testing.T) {
-	sc, pol := testScenario(10000, 60)
+	sc, pol := testScenario(10000)
 	pol.migrations = []Migration{
 		{Op: -1, To: 1, Downtime: 1}, // invalid op
 		{Op: 0, To: 99, Downtime: 1}, // invalid node
 		{Op: 2, To: 0, Downtime: -5}, // same node (op2 already on 0)
 	}
-	res, err := Run(sc, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replay(t, sc, pol, 60, nil)
 	if res.Migrations != 0 {
 		t.Fatalf("invalid migrations applied: %d", res.Migrations)
 	}
 }
 
 func TestSimPlanSwitchCounting(t *testing.T) {
-	sc, pol := testScenario(10000, 200)
+	sc, pol := testScenario(10000)
 	a := query.Plan{0, 1, 2}
 	b := query.Plan{2, 1, 0}
 	pol.planFor = func(t float64) query.Plan {
@@ -188,23 +192,17 @@ func TestSimPlanSwitchCounting(t *testing.T) {
 		}
 		return b
 	}
-	res, err := Run(sc, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replay(t, sc, pol, 200, nil)
 	if res.PlanSwitches < 2 {
 		t.Fatalf("PlanSwitches = %d, want ≥2", res.PlanSwitches)
 	}
 }
 
 func TestSimOverheadAccounting(t *testing.T) {
-	sc, pol := testScenario(10000, 100)
+	sc, pol := testScenario(10000)
 	pol.classify = 0.5
 	pol.decide = 2
-	res, err := Run(sc, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replay(t, sc, pol, 100, nil)
 	if res.OverheadWork == 0 {
 		t.Fatal("overhead not accounted")
 	}
@@ -217,11 +215,8 @@ func TestSimOverheadAccounting(t *testing.T) {
 }
 
 func TestSimTimelineMonotone(t *testing.T) {
-	sc, pol := testScenario(10000, 200)
-	res, err := Run(sc, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc, pol := testScenario(10000)
+	res := replay(t, sc, pol, 200, nil)
 	tl := res.ProducedOverTime
 	if len(tl.Times) < 10 {
 		t.Fatalf("timeline too sparse: %d samples", len(tl.Times))
@@ -237,15 +232,11 @@ func TestSimTimelineMonotone(t *testing.T) {
 }
 
 func TestSimRateProfileDrivesIngest(t *testing.T) {
-	sc, pol := testScenario(10000, 400)
+	sc, pol := testScenario(10000)
 	for _, s := range sc.Query.Streams {
 		sc.Rates[s] = gen.StepProfile{Times: []float64{200}, Vals: []float64{2, 8}}
 	}
-	s, err := New(sc, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
+	res := replay(t, sc, pol, 400, nil)
 	early := res.ProducedOverTime.ValueAt(200)
 	late := res.Produced - early
 	if late < 2*early {
@@ -254,36 +245,30 @@ func TestSimRateProfileDrivesIngest(t *testing.T) {
 }
 
 func TestSimZeroRateStreamIdles(t *testing.T) {
-	sc, pol := testScenario(10000, 100)
+	sc, pol := testScenario(10000)
 	for _, s := range sc.Query.Streams {
 		sc.Rates[s] = gen.ConstProfile(0)
 	}
-	res, err := Run(sc, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replay(t, sc, pol, 100, nil)
 	if res.Ingested != 0 || res.Produced != 0 {
 		t.Fatalf("zero-rate run ingested %v produced %v", res.Ingested, res.Produced)
 	}
 }
 
 func TestSimRejectsBadInputs(t *testing.T) {
-	if _, err := New(&Scenario{}, &scripted{}); err == nil {
+	if _, err := OpenSession(&Scenario{}, &scripted{}, runtime.SessionOptions{}); err == nil {
 		t.Fatal("missing query/cluster must error")
 	}
-	sc, _ := testScenario(100, 10)
-	if _, err := New(sc, &scripted{name: "X", assign: physical.NewAssignment(3)}); err == nil {
+	sc, _ := testScenario(100)
+	if _, err := OpenSession(sc, &scripted{name: "X", assign: physical.NewAssignment(3)}, runtime.SessionOptions{}); err == nil {
 		t.Fatal("incomplete placement must error")
 	}
 }
 
 func TestSimDeterminism(t *testing.T) {
 	run := func() *struct{ produced, latency float64 } {
-		sc, pol := testScenario(5000, 150)
-		res, err := Run(sc, pol)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sc, pol := testScenario(5000)
+		res := replay(t, sc, pol, 150, nil)
 		return &struct{ produced, latency float64 }{res.Produced, res.MeanLatencyMS}
 	}
 	a, b := run(), run()
@@ -293,7 +278,7 @@ func TestSimDeterminism(t *testing.T) {
 }
 
 func TestScenarioTruthAccessors(t *testing.T) {
-	sc, _ := testScenario(100, 10)
+	sc, _ := testScenario(100)
 	sc.Sels[0] = gen.ConstProfile(5) // out of range: must clamp
 	if got := sc.SelAt(0, 0); got != 1 {
 		t.Fatalf("SelAt clamp = %v, want 1", got)

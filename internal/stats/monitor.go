@@ -30,7 +30,7 @@ func (s Snapshot) Clone() Snapshot {
 // Monitor collects periodic samples of the true statistics. It is safe for
 // concurrent use (the live engine samples from several goroutines; the
 // simulator uses it single-threaded). Its callers pace the samples: the
-// engine offers every few batches, the simulator every SampleEvery seconds.
+// engine offers every few batches, the simulator every 5 virtual seconds.
 type Monitor struct {
 	mu sync.Mutex
 	// Alpha is the EWMA smoothing factor in (0, 1]; 1 = no smoothing.

@@ -58,6 +58,9 @@ var (
 	ErrUnknownNode = runtime.ErrUnknownNode
 	// ErrUnknownOp reports an operator index outside the query.
 	ErrUnknownOp = runtime.ErrUnknownOp
+	// ErrUnknownStream reports an ingested batch of a stream the query
+	// does not name.
+	ErrUnknownStream = runtime.ErrUnknownStream
 	// ErrNodeDown reports an Ingest into a fully-crashed cluster (live
 	// substrates only).
 	ErrNodeDown = engine.ErrNodeDown
@@ -137,9 +140,13 @@ func WithMaxPending(n int) Option {
 
 // WithSimulation opens the pipeline on the discrete-event simulator
 // instead of the live engine: the scenario supplies the cost-model truth
-// (capacities, true rate/selectivity profiles, horizon), ingested batch
-// timestamps drive virtual time, and batches are abstracted to their
-// tuple counts. The scenario's nil fields default from the deployment.
+// (capacities, true rate/selectivity profiles), ingested batch timestamps
+// drive virtual time, and batches are abstracted to their tuple counts.
+// The scenario's nil query and cluster default from the deployment; the
+// run length, control period and faults come from WithHorizon,
+// WithTickEvery and WithFaults, as on every substrate. Replay
+// sc.Arrivals(horizon) to feed the scenario's own arrival processes (sc
+// must then name its query).
 func WithSimulation(sc *Scenario) Option { return func(c *pipelineConfig) { c.sim = sc } }
 
 // WithDistributed opens the pipeline on the multi-process network

@@ -75,7 +75,7 @@ func TestPipelineDistributed(t *testing.T) {
 // Open-time failure rather than a surprise at runtime.
 func TestDistributedExcludesSimulation(t *testing.T) {
 	dep := testDeployment(t)
-	_, err := Open(context.Background(), dep, nil, WithSimulation(&Scenario{Horizon: 10}), WithDistributed(0))
+	_, err := Open(context.Background(), dep, nil, WithSimulation(&Scenario{}), WithDistributed(0))
 	if err == nil {
 		t.Fatal("Open accepted WithSimulation + WithDistributed")
 	}

@@ -180,7 +180,7 @@ func TestPipelineSimSubstrate(t *testing.T) {
 	dep := testDeployment(t)
 	ctx := context.Background()
 	pipe, err := Open(ctx, dep, nil,
-		WithSimulation(&Scenario{Horizon: 600}),
+		WithSimulation(&Scenario{}), WithHorizon(600),
 		WithBufferedResults(4096))
 	if err != nil {
 		t.Fatal(err)

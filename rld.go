@@ -42,14 +42,15 @@
 // adapter. Every load-distribution strategy — RLD itself plus the ROD and
 // DYN baselines of the paper's evaluation (NewROD, NewDYN) — implements
 // the substrate-agnostic rld.Policy interface and runs unchanged on each
-// of them. A session is the only way to run; a finite feed is replayed
-// through one, and the simulator can also drive itself off a scenario's
-// own arrival processes. All of them fill the shared rld.Report:
+// of them. A session is the only way to run, on every substrate: a finite
+// feed is replayed through one, and a scenario's own arrival processes are
+// one such feed. All of them fill the shared rld.Report:
 //
 //	pol, _ := rld.NewROD(dep)                      // or NewDYN, dep.NewPolicy
-//	simRep, _ := rld.Run(sc, pol)                  // self-driven simulation
 //	pipe, _ := rld.Open(ctx, dep, pol)             // live engine
 //	engRep, _ := rld.Replay(ctx, pipe, feed)
+//	sim, _ := rld.Open(ctx, dep, pol, rld.WithSimulation(sc), rld.WithHorizon(1800))
+//	simRep, _ := rld.Replay(ctx, sim, sc.Arrivals(1800)) // the scenario's own arrivals
 package rld
 
 import (
@@ -206,8 +207,7 @@ func NewSourceFeed(srcs []*Source, batchSize int, horizon float64) Feed {
 // and transient slowdowns that every substrate replays identically.
 type (
 	// FaultPlan is a deterministic fault schedule plus recovery
-	// configuration; pass it to Open with WithFaults, or set
-	// Scenario.Faults for Run.
+	// configuration; pass it to Open with WithFaults.
 	FaultPlan = chaos.FaultPlan
 	// Fault is one scripted crash or slowdown interval.
 	Fault = chaos.Fault
@@ -251,16 +251,11 @@ func Completeness(faulted, baseline *Report) float64 {
 // Simulation substrate (internal/sim) and baselines (internal/baseline).
 type (
 	// Scenario fixes a simulated workload: true statistic trajectories,
-	// cluster, horizon.
+	// cluster, and the batching of its own arrivals (Scenario.Arrivals).
 	Scenario = sim.Scenario
 	// DYNConfig tunes the dynamic load-distribution baseline.
 	DYNConfig = baseline.DYNConfig
 )
-
-// Run simulates scenario sc under policy pol to its horizon, driven by the
-// scenario's own arrival processes. (Open with WithSimulation is the
-// externally fed simulator: it waits for Ingest.)
-func Run(sc *Scenario, pol Policy) (*Report, error) { return sim.Run(sc, pol) }
 
 // NewROD builds the resilient-operator-distribution baseline for the
 // deployment's query and space on the cluster.

@@ -39,17 +39,25 @@ func TestPublicClassify(t *testing.T) {
 	}
 }
 
+// simulate runs pol on the simulator for horizon virtual seconds, fed by
+// the scenario's own arrival processes.
+func simulate(dep *Deployment, sc *Scenario, pol Policy, horizon float64) (*Report, error) {
+	ctx := context.Background()
+	pipe, err := Open(ctx, dep, pol, WithSimulation(sc), WithHorizon(horizon))
+	if err != nil {
+		return nil, err
+	}
+	return Replay(ctx, pipe, sc.Arrivals(horizon))
+}
+
 func TestPublicSimulationWithAllPolicies(t *testing.T) {
 	dep := testDeployment(t)
 	sc := &Scenario{
-		Query:       dep.Query,
-		Rates:       map[string]Profile{},
-		Sels:        make([]Profile, len(dep.Query.Ops)),
-		Cluster:     dep.Cluster,
-		Horizon:     200,
-		BatchSize:   20,
-		SampleEvery: 5,
-		TickEvery:   5,
+		Query:     dep.Query,
+		Rates:     map[string]Profile{},
+		Sels:      make([]Profile, len(dep.Query.Ops)),
+		Cluster:   dep.Cluster,
+		BatchSize: 20,
 	}
 	for _, s := range dep.Query.Streams {
 		sc.Rates[s] = ConstProfile(dep.Query.Rates[s])
@@ -67,7 +75,7 @@ func TestPublicSimulationWithAllPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pol := range []Policy{dep.NewPolicy(20), rod, dyn} {
-		res, err := Run(sc, pol)
+		res, err := simulate(dep, sc, pol, 200)
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
