@@ -208,7 +208,7 @@ func TestBaselinesRunInSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pol := range []sim.Policy{rod, dyn} {
+	for _, pol := range []runtime.Policy{rod, dyn} {
 		ss, err := sim.OpenSession(sc, pol, runtime.SessionOptions{Horizon: 200})
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)

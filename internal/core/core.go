@@ -55,8 +55,8 @@ type Config struct {
 	// Physical picks the placement algorithm (default OptPrune).
 	Physical PhysicalAlgo
 	// ClassifyFraction sizes the per-batch classification overhead as a
-	// fraction of the average batch's first-stage work (§6.5 measures
-	// ≈2%).
+	// fraction of the whole-pipeline work of a reference 100-tuple ruster
+	// at the centre of the space (§6.5 measures ≈2%).
 	ClassifyFraction float64
 }
 
@@ -173,14 +173,17 @@ func (d *Deployment) SupportedPlans() []physical.LogicalPlan {
 }
 
 // snapPoint converts a monitor snapshot to a parameter-space point, clamping
-// each dimension into its [Lo, Hi] range.
+// each dimension into its [Lo, Hi] range. A selectivity is read as it is,
+// zero included: a live monitor publishes the compile-time estimates until
+// its first offer, so a zero is an observation. A rate of zero or none
+// still falls back to the dimension's base.
 func (d *Deployment) snapPoint(snap stats.Snapshot) paramspace.Point {
 	pnt := make(paramspace.Point, d.Space.D())
 	for i, dim := range d.Space.Dims {
 		v := dim.Base
 		switch dim.Kind {
 		case paramspace.Selectivity:
-			if dim.Op >= 0 && dim.Op < len(snap.Sels) && snap.Sels[dim.Op] > 0 {
+			if dim.Op >= 0 && dim.Op < len(snap.Sels) {
 				v = snap.Sels[dim.Op]
 			}
 		case paramspace.Rate:
@@ -301,7 +304,9 @@ type Policy struct {
 	classifyWork float64
 }
 
-// NewPolicy builds the RLD runtime policy for the given ruster size.
+// NewPolicy builds the RLD runtime policy. The ruster size only switches the
+// classification overhead off at ≤ 0: every positive size is charged the
+// same per-batch work (see ClassifyOverheadWork).
 func (d *Deployment) NewPolicy(batchSize int) *Policy {
 	return &Policy{dep: d, classifyWork: d.ClassifyOverheadWork(batchSize)}
 }

@@ -153,6 +153,20 @@ func sels(d *Deployment, k int) []float64 {
 	return out
 }
 
+// TestZeroSelectivityIsObserved: an operator observed to pass nothing is
+// classified at the low edge of its dimension, not at its base estimate.
+// A zero is an observation, since a live monitor publishes the compile-time
+// estimates until its first offer.
+func TestZeroSelectivityIsObserved(t *testing.T) {
+	d := deploy(t, DefaultConfig())
+	pnt := d.snapPoint(stats.Snapshot{Sels: make([]float64, len(d.Query.Ops))})
+	for i, dim := range d.Space.Dims {
+		if dim.Kind == paramspace.Selectivity && pnt[i] != dim.Lo {
+			t.Errorf("dim %d (op %d): zero selectivity read as %v, want Lo %v (base %v)", i, dim.Op, pnt[i], dim.Lo, dim.Base)
+		}
+	}
+}
+
 func TestClassifyClampsOutOfRangeStats(t *testing.T) {
 	d := deploy(t, DefaultConfig())
 	snap := stats.Snapshot{Sels: make([]float64, len(d.Query.Ops)), Rates: map[string]float64{}}

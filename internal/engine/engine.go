@@ -20,8 +20,8 @@
 // Crashed nodes report +Inf load so failure-aware policies can evacuate them.
 //
 // The Engine is the one router for every live substrate. It owns plan
-// choice and interning, the statistics offers and the selectivity counters
-// behind them, the per-node queue and worker pool, the pending count behind
+// choice and interning, the statistics offers and the counters behind
+// them, the per-node queue and worker pool, the pending count behind
 // Drain and backpressure, the down/parked failure state and the record of
 // every outage, slowdowns, the sink and its counters, and recovery: the
 // checkpoint, the exactly-once write-ahead log and the restore-then-replay
@@ -94,9 +94,6 @@ func DefaultConfig() Config {
 // DefaultMaxPending is the in-flight message bound of a session over nodes
 // nodes when the caller sets none: 1024 per node.
 func DefaultMaxPending(nodes int) int { return 1024 * nodes }
-
-// statsEvery is the offerStats sampling period in batches.
-const statsEvery = 8
 
 // message is one batch at one pipeline stage.
 type message struct {
@@ -231,7 +228,6 @@ type Engine struct {
 	nodeQueued  []atomic.Int64 // per-node queued+in-service messages
 	produced    atomic.Int64
 	latencyNano atomic.Int64 // summed batch ingress→sink latency
-	statBatches atomic.Int64 // offerStats rate limiter
 	lost        atomic.Int64 // partial results destroyed by faults
 	restores    atomic.Int64 // checkpoint-restores on recovery
 	crashes     atomic.Int64 // outages begun, injected or detected
@@ -245,13 +241,6 @@ type Engine struct {
 	// each outage edge under the node's lock. It is atomic because a
 	// transport's failure detection runs before the session exists.
 	out atomic.Pointer[runtime.Outbox]
-
-	// snapCache is the monitor snapshot handed to the per-batch plan
-	// chooser. Monitor state changes only on Offer, so refreshing the
-	// cache after every Offer is exactly equivalent to (and far cheaper
-	// than) cloning a snapshot per Ingest. Choosers must treat it as
-	// read-only.
-	snapCache atomic.Pointer[stats.Snapshot]
 
 	// lastAppTs is the float64 bit pattern of the highest batch timestamp
 	// ingested so far: the clock that stamps monitor offers and a session's
@@ -281,15 +270,14 @@ type Engine struct {
 	// another Stop returns fully-drained results.
 	stopDone chan struct{}
 
-	mu        sync.Mutex         // guards the ingest-side state below
-	ingested  int64              //rldlint:guardedby mu
-	batches   int64              //rldlint:guardedby mu
-	planUse   map[string]int64   //rldlint:guardedby mu
-	switches  int                //rldlint:guardedby mu
-	lastKey   string             //rldlint:guardedby mu
-	rateCount map[string]float64 //rldlint:guardedby mu
-	started   bool               //rldlint:guardedby mu
-	stopped   bool               //rldlint:guardedby mu
+	mu       sync.Mutex       // guards the ingest-side state below
+	ingested int64            //rldlint:guardedby mu
+	batches  int64            //rldlint:guardedby mu
+	planUse  map[string]int64 //rldlint:guardedby mu
+	switches int              //rldlint:guardedby mu
+	lastKey  string           //rldlint:guardedby mu
+	started  bool             //rldlint:guardedby mu
+	stopped  bool             //rldlint:guardedby mu
 	// plans interns each distinct plan the chooser has returned: the
 	// canonical clone plus its precomputed key, so recurring plans skip
 	// the per-batch Clone/Valid/Key allocations. Bounded by maxInterned.
@@ -374,15 +362,16 @@ func NewOn(core *NodeCore, t Transport, assign physical.Assignment, nNodes int, 
 		return nil, err
 	}
 	q, cfg := core.q, core.cfg
+	// Until the first offer the monitor publishes the query's compile-time
+	// estimates, which is what fresh counters observe.
 	e := &Engine{
 		q:          q,
 		chooser:    chooser,
 		cfg:        cfg,
 		core:       core,
 		t:          t,
-		monitor:    stats.NewMonitor(len(q.Ops), 0.5),
+		monitor:    stats.NewMonitor(0.5, stats.Snapshot{Sels: core.ObservedSels(), Rates: maps.Clone(q.Rates)}),
 		planUse:    make(map[string]int64),
-		rateCount:  make(map[string]float64),
 		nodeQueued: make([]atomic.Int64, nNodes),
 		stopDone:   make(chan struct{}),
 	}
@@ -393,7 +382,6 @@ func NewOn(core *NodeCore, t Transport, assign physical.Assignment, nNodes int, 
 		e.nodes = append(e.nodes, ns)
 	}
 	e.route.Store(e.newRouting(assign.Clone()))
-	e.refreshSnap()
 	// Last, so nothing can fail with the log open.
 	if cfg.WALDir != "" {
 		if err := e.openLog(cfg.WALDir); err != nil {
@@ -415,13 +403,6 @@ func checkPlacement(q *query.Query, assign physical.Assignment, nNodes int) erro
 		}
 	}
 	return nil
-}
-
-// refreshSnap re-clones the monitor state into the chooser snapshot cache;
-// called after every monitor Offer (the only mutation point).
-func (e *Engine) refreshSnap() {
-	snap := e.monitor.Snapshot()
-	e.snapCache.Store(&snap)
 }
 
 // Start launches the per-node worker pools.
@@ -666,9 +647,9 @@ func (e *Engine) SetResultObserver(obs func(tuples []*stream.Joined, ingress tim
 	e.resultObs.Store(&o)
 }
 
-// Ingest admits one batch of tuples from a single stream: tuples are
-// inserted into their stream's windows, statistics are sampled, the batch is
-// classified to a plan, and the pipeline begins. Ingest never blocks: the
+// Ingest admits one batch of tuples from a single stream: the batch is
+// classified to a plan, its tuples are inserted into their stream's windows
+// and counted, and the pipeline begins. Ingest never blocks: the
 // node queues are unbounded (see send), so callers that outrun the workers
 // must pace themselves via Drain — sessions enforce an in-flight bound on
 // top of this. Failures are typed: ErrNotStarted before
@@ -694,15 +675,14 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 	}
 
 	// Classify and validate BEFORE mutating any state: a failed Ingest
-	// must leave no trace (no counters, no window inserts, no stats
-	// offers), so callers can safely retry the same batch. The snapshot
-	// cache reflects offers up to the previous batch — offers are
-	// rate-limited to every statsEvery-th batch anyway.
+	// must leave no trace (no counters, no window inserts), so callers can
+	// safely retry the same batch. The chooser sees the snapshot the last
+	// control tick offered.
 	slot := e.core.schema.Slot(b.Stream)
 	if slot < 0 {
 		return fmt.Errorf("%w: %q", runtime.ErrUnknownStream, b.Stream)
 	}
-	plan := e.chooser.Choose(*e.snapCache.Load())
+	plan := e.chooser.Choose(e.monitor.Snapshot())
 	ip, ok := e.internPlan(plan)
 	if !ok {
 		return fmt.Errorf("%w: chooser returned %v", ErrInvalidPlan, plan)
@@ -714,14 +694,13 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 	}
 
 	e.advanceAppTime(float64(b.MaxTs()))
-	e.offerStats(false)
 
 	k := ip.key
 	n := b.Len()
+	e.core.admitted[slot].Add(int64(n))
 	e.mu.Lock()
 	e.ingested += int64(n)
 	e.batches++
-	e.rateCount[b.Stream] += float64(n)
 	e.planUse[k]++
 	if k != e.lastKey {
 		if e.lastKey != "" {
@@ -753,27 +732,14 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 	return nil
 }
 
-// offerStats publishes observed per-op selectivities to the monitor. It is
-// rate-limited to every statsEvery-th batch (the slice/map building below
-// would otherwise be a per-batch allocation on the hot path); force bypasses
-// the limiter for the final sample at Stop.
-func (e *Engine) offerStats(force bool) {
-	if !force && e.statBatches.Add(1)%statsEvery != 1 {
-		return
-	}
-	sels := e.core.ObservedSels()
-	e.mu.Lock()
-	rates := make(map[string]float64, len(e.rateCount))
-	for k, v := range e.rateCount {
-		rates[k] = v
-	}
-	e.mu.Unlock()
-	// Stamp offers with the app-time high-water mark so the stats timeline
-	// matches the simulator's instead of diverging with host speed. Offer
-	// uses the stamp only to pace resampling, so any monotone
-	// non-decreasing clock is valid.
-	e.monitor.Offer(e.appTime(), sels, rates)
-	e.refreshSnap()
+// offerStats offers the monitor the router's counters: every operator's
+// observed selectivity and every stream's admitted tuples. The session's
+// control tick calls it right after its Drain, so the counters are settled,
+// and Stop once more for the fully processed run; nothing else does. The
+// offer is stamped with the app-time high-water mark, so the stats timeline
+// matches the simulator's instead of diverging with host speed.
+func (e *Engine) offerStats() {
+	e.monitor.Offer(e.appTime(), e.core.ObservedSels(), e.core.ObservedRates())
 }
 
 // appTime reads the app-time high-water mark.
@@ -1120,9 +1086,8 @@ func (e *Engine) Stop() *runtime.Report {
 	for _, ns := range e.nodes {
 		ns.wg.Wait()
 	}
-	// Final forced sample so results reflect the fully processed run,
-	// not the last rate-limited offer.
-	e.offerStats(true)
+	// A final sample, so the monitor reflects the fully processed run.
+	e.offerStats()
 	e.t.Close()
 	e.closeLog()
 	close(e.stopDone)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -206,19 +207,32 @@ func TestEngineMaxFanoutBoundsBlowup(t *testing.T) {
 	}
 }
 
+// TestEngineMonitorAccessible: the first control tick's offer reaches the
+// monitor. Until then the monitor publishes the compile-time estimates;
+// the tick offers the router's counters, stamped with the virtual clock.
 func TestEngineMonitorAccessible(t *testing.T) {
 	q := twoWay()
-	e, err := New(q, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}}, DefaultConfig())
+	pol := &runtime.StaticPolicy{PolicyName: "S", Plan: query.Plan{0, 1}, Assign: physical.Assignment{0, 1}}
+	s, err := OpenSession(q, 2, pol, DefaultConfig(), runtime.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Start()
-	feed(t, e, q, 2, 10, 0.5)
-	// A fresh monitor holds zeros; the first offer carries the estimates.
-	if got := e.monitor.Snapshot().Sels; got[0] == 0 || got[1] == 0 {
-		t.Fatalf("monitor snapshot %v after ingest: no offer reached it", got)
+	ctx := context.Background()
+	for ts := 1; ts <= 5; ts++ { // the batch at 5 crosses the first tick
+		if snap := s.e.monitor.Snapshot(); snap.Time != 0 || snap.Sels[0] != q.Ops[0].Sel || snap.Rates["S1"] != q.Rates["S1"] {
+			t.Fatalf("before the first tick the monitor holds %+v, want the estimates", snap)
+		}
+		if err := s.Ingest(ctx, flatBatch("S1", 10, float64(ts))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	e.Stop()
+	// Every payload is 10, below the selection's threshold of 30.
+	if snap := s.e.monitor.Snapshot(); snap.Time != 5 || snap.Sels[0] != 1 || snap.Rates["S1"] != 50 {
+		t.Fatalf("after the first tick the monitor holds %+v, want 50 S1 tuples all passing at t=5", snap)
+	}
+	if _, err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestEngineConcurrentIngest(t *testing.T) {

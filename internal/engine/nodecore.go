@@ -317,6 +317,10 @@ type NodeCore struct {
 	// also owns the pools the blocks of join results are recycled through.
 	schema *stream.JoinSchema
 	ops    []*opState
+	// admitted[slot] counts the tuples the router admitted on the stream
+	// of that schema slot: the rate counters beside the operators'
+	// selectivity counters, kept by the router's NodeCore only.
+	admitted []atomic.Int64
 	// joinOps maps a stream name to the indices of the join operators
 	// over it — precomputed so the durable ingest path can stamp WAL
 	// records without a per-batch scan or allocation.
@@ -341,6 +345,7 @@ func newNodeCore(q *query.Query, cfg Config, shards int) (*NodeCore, error) {
 	}
 	cfg = normalizeConfig(cfg)
 	c := &NodeCore{q: q, cfg: cfg, schema: stream.NewJoinSchema(q.Streams), joinOps: make(map[string][]int)}
+	c.admitted = make([]atomic.Int64, c.schema.Len())
 	for i := range q.Ops {
 		st := &opState{op: q.Ops[i], span: q.WindowSeconds, slot: c.schema.Slot(q.Ops[i].Stream)}
 		for s := 0; s < shards; s++ {
@@ -577,6 +582,18 @@ func (c *NodeCore) ObservedSels() []float64 {
 		sels[i] = observedSel(st.op.Sel, st.in.Load(), st.out.Load())
 	}
 	return sels
+}
+
+// ObservedRates returns the tuples admitted so far per stream, for every
+// stream that has admitted any.
+func (c *NodeCore) ObservedRates() map[string]float64 {
+	rates := make(map[string]float64, len(c.admitted))
+	for slot := range c.admitted {
+		if n := c.admitted[slot].Load(); n > 0 {
+			rates[c.schema.Stream(slot)] = float64(n)
+		}
+	}
+	return rates
 }
 
 // SnapshotOp snapshots operator op's current window contents into a fresh

@@ -294,6 +294,10 @@ func (s *Session) ingest(b *stream.Batch) error {
 		// virtual time. The write lock holds new admissions out, so the
 		// drain is of a quiescing pipeline and cannot be starved.
 		s.e.Drain()
+		// The monitor samples here, once per crossing: the drained
+		// counters are settled, and every batch admitted after the tick
+		// classifies on them.
+		s.e.offerStats()
 		for now >= s.nextTick {
 			s.polMu.Lock()
 			s.overhead += s.pol.DecisionOverhead()

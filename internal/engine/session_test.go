@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -294,13 +295,96 @@ func TestSessionOffersVirtualTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := s.Ingest(ctx, flatBatch("S1", 5, 42)); err != nil { // first batch always offers
+	if err := s.Ingest(ctx, flatBatch("S1", 5, 42)); err != nil { // crosses the first tick, which offers
 		t.Fatal(err)
 	}
 	if got := s.e.monitor.Snapshot().Time; got != 42 {
 		t.Fatalf("monitor offer stamped %v, want the virtual time 42", got)
 	}
 	if _, err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// selectOnly is a one-stream query whose only operator is a selection.
+func selectOnly() *query.Query {
+	return &query.Query{
+		Name: "SEL", Streams: []string{"S"}, Rates: map[string]float64{"S": 10}, WindowSeconds: 60,
+		Ops: []query.Operator{{ID: 0, Name: "op1", Kind: query.Select, Cost: 1, Sel: 0.3, Stream: "S"}},
+	}
+}
+
+// snapRecorder is a static policy that keeps every snapshot it classifies
+// a batch on, in admission order.
+type snapRecorder struct {
+	runtime.StaticPolicy
+	snaps []stats.Snapshot
+}
+
+func (p *snapRecorder) PlanFor(_ float64, snap stats.Snapshot) query.Plan {
+	p.snaps = append(p.snaps, snap)
+	return p.Plan
+}
+
+// TestTickOfferSeesSettledCounts pins the monitor's one clock: the control
+// tick offers once per crossing, after its Drain, so with four workers and
+// no bound on the batches in flight the offer still counts every batch
+// admitted before it, and nothing else offers. Each batch must classify on exactly
+// the EWMA, worked out here, of the exact pass fraction over every batch
+// admitted before the last tick it follows.
+func TestTickOfferSeesSettledCounts(t *testing.T) {
+	q := selectOnly()
+	cfg := DefaultConfig()
+	cfg.Workers = 4
+	pol := &snapRecorder{StaticPolicy: runtime.StaticPolicy{PolicyName: "REC", Plan: query.Plan{0}, Assign: physical.Assignment{0}}}
+	s, err := OpenSession(q, 1, pol, cfg, runtime.SessionOptions{MaxPending: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		batches = 200
+		size    = 40
+		step    = 0.3 // virtual seconds between batches: a tick every 16 or 17
+	)
+	threshold := q.Ops[0].Sel * cfg.SelectThresholdScale
+	rng := rand.New(rand.NewSource(7))
+	// want is the snapshot the next batch must see: the estimates until the
+	// first tick, then the monitor's EWMA (alpha 0.5, first offer taken as
+	// is) of the cumulative pass fraction at each tick.
+	want := stats.Snapshot{Sels: []float64{q.Ops[0].Sel}, Rates: map[string]float64{"S": q.Rates["S"]}}
+	var in, out int
+	nextTick, primed := 5.0, false
+	for i := 0; i < batches; i++ {
+		ts := step * float64(i+1)
+		b := stream.NewSizedBatch("S", 1, size)
+		for j := 0; j < size; j++ {
+			v := rng.Float64() * 100
+			b.Append(&stream.Tuple{Stream: "S", Seq: uint64(i*size + j), Ts: stream.Time(ts), Key: int64(j), Vals: []float64{v}})
+			if v < threshold {
+				out++
+			}
+		}
+		in += size
+		if err := s.Ingest(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+		if got := pol.snaps[i]; got.Time != want.Time || got.Sels[0] != want.Sels[0] || got.Rates["S"] != want.Rates["S"] {
+			t.Fatalf("batch %d classified on %+v, want %+v", i, got, want)
+		}
+		if ts < nextTick {
+			continue
+		}
+		for nextTick <= ts {
+			nextTick += 5
+		}
+		sel, rate := float64(out)/float64(in), float64(in)
+		if primed {
+			sel, rate = 0.5*sel+0.5*want.Sels[0], 0.5*rate+0.5*want.Rates["S"]
+		}
+		want = stats.Snapshot{Time: ts, Sels: []float64{sel}, Rates: map[string]float64{"S": rate}}
+		primed = true
+	}
+	if _, err := s.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,6 +19,7 @@ package runtime_test
 
 import (
 	"context"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -265,21 +266,21 @@ func TestConformanceStaticPolicyBothSubstrates(t *testing.T) {
 	}
 }
 
-// selRecorder is a static policy that keeps the selectivities of the last
-// snapshot the router chose a plan on.
+// selRecorder is a static policy that keeps the last snapshot the router
+// chose a plan on.
 type selRecorder struct {
 	rt.StaticPolicy
-	last []float64
+	last stats.Snapshot
 }
 
 func (p *selRecorder) PlanFor(_ float64, snap stats.Snapshot) query.Plan {
-	p.last = append(p.last[:0], snap.Sels...)
+	p.last = snap
 	return p.Plan
 }
 
 // TestLiveSubstratesObserveTheSameStatistics: the router keeps the only
-// selectivity counters on both live substrates, so the same feed gives the
-// monitor the same input on engine and net — bit for bit, also across a
+// selectivity and rate counters on both live substrates, so the same feed
+// gives the monitor the same input on engine and net — bit for bit, also across a
 // migration, which moves the join's window to another worker process, and
 // across a crash, which respawns one. One batch is in flight at a time and
 // each node runs one worker, so both substrates probe identical windows;
@@ -287,7 +288,7 @@ func (p *selRecorder) PlanFor(_ float64, snap stats.Snapshot) query.Plan {
 func TestLiveSubstratesObserveTheSameStatistics(t *testing.T) {
 	q := conformanceQuery()
 	ctx := context.Background()
-	run := func(open func(rt.Policy, engine.Config, rt.SessionOptions) (rt.Session, error), fault func(rt.Session) error) []float64 {
+	run := func(open func(rt.Policy, engine.Config, rt.SessionOptions) (rt.Session, error), fault func(rt.Session) error) stats.Snapshot {
 		t.Helper()
 		pol := &selRecorder{StaticPolicy: rt.StaticPolicy{PolicyName: "FIXED", Plan: query.Plan{0, 1}, Assign: []int{0, 1}}}
 		cfg, opts := liveConfig(), liveOptions(nil)
@@ -338,9 +339,12 @@ func TestLiveSubstratesObserveTheSameStatistics(t *testing.T) {
 		}},
 	} {
 		eng, net := run(openEngine, arm.fault), run(openNet, arm.fault)
-		t.Logf("%s: engine %v, net %v", arm.name, eng, net)
-		if !slices.Equal(eng, net) {
-			t.Errorf("%s: the monitor saw selectivities %v on engine, %v on net", arm.name, eng, net)
+		t.Logf("%s: engine %+v, net %+v", arm.name, eng, net)
+		if !slices.Equal(eng.Sels, net.Sels) {
+			t.Errorf("%s: the monitor saw selectivities %v on engine, %v on net", arm.name, eng.Sels, net.Sels)
+		}
+		if !maps.Equal(eng.Rates, net.Rates) {
+			t.Errorf("%s: the monitor saw rates %v on engine, %v on net", arm.name, eng.Rates, net.Rates)
 		}
 	}
 }

@@ -118,8 +118,9 @@ type Report struct {
 	Ingested float64
 	// Produced counts result tuples emitted by the query sink.
 	Produced float64
-	// ProducedOverTime samples cumulative Produced over virtual time
-	// (simulation only; empty on the live substrates).
+	// ProducedOverTime samples cumulative Produced over virtual time at
+	// every control tick and at the end of the run (simulation only; empty
+	// on the live substrates).
 	ProducedOverTime Timeline
 	// Dropped counts tuples shed by overloaded admission queues.
 	Dropped float64

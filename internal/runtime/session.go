@@ -34,8 +34,9 @@ var (
 
 // SessionOptions configures a session on any substrate.
 type SessionOptions struct {
-	// TickEvery is the control (Rebalance) period in virtual seconds
-	// (default 5).
+	// TickEvery is the control period in virtual seconds (default 5): it
+	// paces both the policy's Rebalance and the statistic monitor's
+	// samples.
 	TickEvery float64
 	// Faults is an optional scripted fault schedule applied as the
 	// session's virtual clock advances. Nil runs fault-free.

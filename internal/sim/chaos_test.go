@@ -96,7 +96,7 @@ type downWatcher struct {
 	seen [][]float64
 }
 
-func (d *downWatcher) Rebalance(t float64, loads []float64, a physical.Assignment) *Migration {
+func (d *downWatcher) Rebalance(t float64, loads []float64, a physical.Assignment) *runtime.Migration {
 	cp := append([]float64(nil), loads...)
 	d.seen = append(d.seen, cp)
 	return nil
@@ -131,17 +131,17 @@ func TestMigrationOffDownNodeMovesFrozenQueue(t *testing.T) {
 		Mode:   chaos.Checkpoint,
 		Faults: []chaos.Fault{{Kind: chaos.Crash, Node: 1, At: 100, Until: 550}},
 	}
-	pol.migrations = make([]Migration, 25)
+	pol.migrations = make([]runtime.Migration, 25)
 	for i := range pol.migrations {
 		// Same-node requests are uncounted no-ops: op 1 sits on node 1
 		// until the move at tick 22, and on node 0 afterwards.
 		if i < 21 {
-			pol.migrations[i] = Migration{Op: 1, To: 1}
+			pol.migrations[i] = runtime.Migration{Op: 1, To: 1}
 		} else {
-			pol.migrations[i] = Migration{Op: 1, To: 0}
+			pol.migrations[i] = runtime.Migration{Op: 1, To: 0}
 		}
 	}
-	pol.migrations[21] = Migration{Op: 1, To: 0, Downtime: 0.5}
+	pol.migrations[21] = runtime.Migration{Op: 1, To: 0, Downtime: 0.5}
 	res := replay(t, sc, pol, 600, plan)
 	if res.Migrations != 1 {
 		t.Fatalf("migrations = %d, want 1", res.Migrations)

@@ -53,7 +53,7 @@ func OpenSession(sc *Scenario, pol runtime.Policy, opts runtime.SessionOptions) 
 func (ss *Session) Substrate() string { return "sim" }
 
 // Ingest implements runtime.Session: advance virtual time to the batch's
-// maximum timestamp (firing due ticks, samples, service completions, and
+// maximum timestamp (firing due ticks, service completions, and
 // scripted faults) and admit its tuple count through the admission
 // protocol. Virtual time has no backpressure, so Ingest never blocks.
 func (ss *Session) Ingest(ctx context.Context, b *stream.Batch) error {
@@ -114,7 +114,7 @@ func (ss *Session) Migrate(op, node int) error {
 	if node < 0 || node >= len(ss.s.nodes) {
 		return fmt.Errorf("%w: migrate to node %d", runtime.ErrUnknownNode, node)
 	}
-	ss.s.applyMigration(&Migration{Op: op, To: node})
+	ss.s.applyMigration(&runtime.Migration{Op: op, To: node})
 	return nil
 }
 

@@ -50,9 +50,6 @@ type Scenario struct {
 	Seed int64
 }
 
-// sampleEvery is the monitor/timeline sampling period in virtual seconds.
-const sampleEvery = 5
-
 // SelAt returns the true selectivity of operator op at time t.
 func (sc *Scenario) SelAt(op int, t float64) float64 {
 	if op < len(sc.Sels) && sc.Sels[op] != nil {
@@ -112,21 +109,11 @@ func (sc *Scenario) TruthRates(t float64) map[string]float64 {
 	return out
 }
 
-// Migration is the substrate-agnostic migration request (see
-// internal/runtime); kept as an alias for existing callers.
-type Migration = runtime.Migration
-
-// Policy is the substrate-agnostic load-distribution strategy (see
-// internal/runtime); kept as an alias for existing callers. RLD, ROD, and
-// DYN all implement it once and run on either substrate.
-type Policy = runtime.Policy
-
 // event kinds.
 const (
 	evStageDone = iota
 	evMigrationEnd
 	evTick
-	evSample
 	evFaultBegin
 	evFaultEnd
 )
@@ -208,7 +195,7 @@ type node struct {
 // single-goroutine; the Session serializes access.
 type Sim struct {
 	sc       *Scenario
-	pol      Policy
+	pol      runtime.Policy
 	horizon  float64
 	tick     float64 // control (Rebalance) period
 	faults   *chaos.FaultPlan
@@ -233,9 +220,9 @@ type Sim struct {
 }
 
 // newSim prepares a run of scenario sc under policy pol with the session's
-// horizon, control period (default 5 s) and fault plan, and books its
-// sampling, control ticks and fault edges.
-func newSim(sc *Scenario, pol Policy, opts runtime.SessionOptions) (*Sim, error) {
+// horizon, control period (default 5 s) and fault plan, primes its
+// monitor, and books its control ticks and fault edges.
+func newSim(sc *Scenario, pol runtime.Policy, opts runtime.SessionOptions) (*Sim, error) {
 	if sc.Query == nil || sc.Cluster == nil {
 		return nil, fmt.Errorf("sim: scenario needs a query and a cluster")
 	}
@@ -254,7 +241,7 @@ func newSim(sc *Scenario, pol Policy, opts runtime.SessionOptions) (*Sim, error)
 		faults:  opts.Faults,
 		assign:  assign.Clone(),
 		paused:  make(map[int]float64),
-		monitor: stats.NewMonitor(len(sc.Query.Ops), 0.6),
+		monitor: stats.NewMonitor(0.6, stats.Snapshot{}),
 		res:     &runtime.Report{Policy: pol.Name(), Substrate: "sim", PlanUse: make(map[string]int64)},
 	}
 	if s.tick <= 0 {
@@ -266,7 +253,6 @@ func newSim(sc *Scenario, pol Policy, opts runtime.SessionOptions) (*Sim, error)
 	// Prime the monitor with the t=0 truth (the paper's executor starts
 	// with the compile-time estimates).
 	s.monitor.Offer(0, sc.TruthSels(0), sc.TruthRates(0))
-	s.push(&event{t: sampleEvery, kind: evSample})
 	s.push(&event{t: s.tick, kind: evTick})
 	if !s.faults.Empty() {
 		for i, f := range s.faults.Faults {
@@ -284,8 +270,8 @@ func (s *Sim) push(e *event) {
 }
 
 // advanceTo processes every queued event up to and including virtual time
-// target, then advances the clock to target. Recurring events (ticks,
-// samples) re-book themselves, so the bound is what terminates the loop.
+// target, then advances the clock to target. Recurring events (the
+// control tick) re-book themselves, so the bound is what terminates the loop.
 func (s *Sim) advanceTo(target float64) {
 	for s.events.Len() > 0 {
 		if s.events[0].t > target {
@@ -307,11 +293,9 @@ func (s *Sim) dispatch(e *event) {
 	case evMigrationEnd:
 		s.onMigrationEnd(e.op)
 	case evTick:
+		s.onSample()
 		s.onTick()
 		s.push(&event{t: s.now + s.tick, kind: evTick})
-	case evSample:
-		s.onSample()
-		s.push(&event{t: s.now + sampleEvery, kind: evSample})
 	case evFaultBegin:
 		s.onFaultBegin(e.fault)
 	case evFaultEnd:
@@ -586,7 +570,7 @@ func (s *Sim) onTick() {
 
 // applyMigration validates and applies one migration request, reporting
 // whether it took effect (out-of-range or same-node requests are no-ops).
-func (s *Sim) applyMigration(mig *Migration) bool {
+func (s *Sim) applyMigration(mig *runtime.Migration) bool {
 	if mig.Op < 0 || mig.Op >= len(s.assign) || mig.To < 0 || mig.To >= len(s.nodes) {
 		return false
 	}
@@ -627,6 +611,9 @@ func (s *Sim) onMigrationEnd(op int) {
 	s.tryServe(s.nodes[s.assign[op]])
 }
 
+// onSample is the monitor's sample, taken at every control tick ahead of the
+// policy's decision: it offers the true statistics and records the produced
+// timeline.
 func (s *Sim) onSample() {
 	s.monitor.Offer(s.now, s.sc.TruthSels(s.now), s.sc.TruthRates(s.now))
 	s.res.ProducedOverTime.Record(s.now, s.res.Produced)

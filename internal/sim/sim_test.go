@@ -21,7 +21,7 @@ type scripted struct {
 	plan       query.Plan
 	classify   float64
 	decide     float64
-	migrations []Migration // popped one per tick
+	migrations []runtime.Migration // popped one per tick
 	planFor    func(t float64) query.Plan
 }
 
@@ -35,7 +35,7 @@ func (s *scripted) PlanFor(t float64, _ stats.Snapshot) query.Plan {
 }
 func (s *scripted) ClassifyOverhead() float64 { return s.classify }
 func (s *scripted) DecisionOverhead() float64 { return s.decide }
-func (s *scripted) Rebalance(float64, []float64, physical.Assignment) *Migration {
+func (s *scripted) Rebalance(float64, []float64, physical.Assignment) *runtime.Migration {
 	if len(s.migrations) == 0 {
 		return nil
 	}
@@ -71,7 +71,7 @@ func testScenario(capacity float64) (*Scenario, *scripted) {
 
 // open starts a session of pol on sc for horizon virtual seconds, under
 // faults when non-nil.
-func open(t *testing.T, sc *Scenario, pol Policy, horizon float64, faults *chaos.FaultPlan) *Session {
+func open(t *testing.T, sc *Scenario, pol runtime.Policy, horizon float64, faults *chaos.FaultPlan) *Session {
 	t.Helper()
 	ss, err := OpenSession(sc, pol, runtime.SessionOptions{Horizon: horizon, Faults: faults})
 	if err != nil {
@@ -82,7 +82,7 @@ func open(t *testing.T, sc *Scenario, pol Policy, horizon float64, faults *chaos
 
 // replay runs pol on sc for horizon virtual seconds, fed by the
 // scenario's own arrivals, under faults when non-nil.
-func replay(t *testing.T, sc *Scenario, pol Policy, horizon float64, faults *chaos.FaultPlan) *runtime.Report {
+func replay(t *testing.T, sc *Scenario, pol runtime.Policy, horizon float64, faults *chaos.FaultPlan) *runtime.Report {
 	t.Helper()
 	res, err := runtime.Replay(context.Background(), open(t, sc, pol, horizon, faults), sc.Arrivals(horizon))
 	if err != nil {
@@ -148,7 +148,7 @@ func TestSimAdmissionControlDrops(t *testing.T) {
 
 func TestSimMigrationMechanics(t *testing.T) {
 	sc, pol := testScenario(10000)
-	pol.migrations = []Migration{{Op: 0, To: 1, Downtime: 2}}
+	pol.migrations = []runtime.Migration{{Op: 0, To: 1, Downtime: 2}}
 	ss := open(t, sc, pol, 100, nil)
 	res, err := runtime.Replay(context.Background(), ss, sc.Arrivals(100))
 	if err != nil {
@@ -171,7 +171,7 @@ func TestSimMigrationMechanics(t *testing.T) {
 
 func TestSimMigrationValidation(t *testing.T) {
 	sc, pol := testScenario(10000)
-	pol.migrations = []Migration{
+	pol.migrations = []runtime.Migration{
 		{Op: -1, To: 1, Downtime: 1}, // invalid op
 		{Op: 0, To: 99, Downtime: 1}, // invalid node
 		{Op: 2, To: 0, Downtime: -5}, // same node (op2 already on 0)

@@ -3,12 +3,19 @@
 // stream input rates and ships them to the robust load executor, which
 // classifies incoming batches against the freshest snapshot. The monitor
 // smooths samples with an EWMA so transient noise does not thrash the
-// classifier.
+// classifier. Every substrate samples at its control tick.
 package stats
 
-import "sync"
+import (
+	"maps"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
-// Snapshot is one consistent view of the monitored statistics.
+// Snapshot is one consistent view of the monitored statistics. A snapshot
+// a Monitor publishes is immutable: readers share it, and the next Offer
+// publishes a new one.
 type Snapshot struct {
 	// Time is the application time of the last incorporated sample.
 	Time float64
@@ -18,73 +25,57 @@ type Snapshot struct {
 	Rates map[string]float64
 }
 
-// Clone deep-copies the snapshot.
-func (s Snapshot) Clone() Snapshot {
-	c := Snapshot{Time: s.Time, Sels: append([]float64(nil), s.Sels...), Rates: make(map[string]float64, len(s.Rates))}
-	for k, v := range s.Rates {
-		c.Rates[k] = v
-	}
-	return c
-}
-
-// Monitor collects periodic samples of the true statistics. It is safe for
-// concurrent use (the live engine samples from several goroutines; the
-// simulator uses it single-threaded). Its callers pace the samples: the
-// engine offers every few batches, the simulator every 5 virtual seconds.
+// Monitor smooths periodic samples of the statistics and publishes the
+// result. Its callers pace the samples, once per control tick on every
+// substrate. Offers are serialized; Snapshot is one atomic load, so
+// classifying a batch never waits for an offer.
 type Monitor struct {
-	mu sync.Mutex
-	// Alpha is the EWMA smoothing factor in (0, 1]; 1 = no smoothing.
+	mu sync.Mutex // serializes Offer
+	// alpha is the EWMA smoothing factor in (0, 1]; 1 = no smoothing.
 	alpha  float64
-	cur    Snapshot
-	primed bool
+	primed bool //rldlint:guardedby mu
+	cur    atomic.Pointer[Snapshot]
 }
 
-// NewMonitor returns a monitor for nOps operators with the given EWMA alpha.
-func NewMonitor(nOps int, alpha float64) *Monitor {
+// NewMonitor returns a monitor with the given EWMA alpha that publishes
+// prior, typically the compile-time estimates, until the first Offer
+// replaces it.
+func NewMonitor(alpha float64, prior Snapshot) *Monitor {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.5
 	}
-	return &Monitor{
-		alpha: alpha,
-		cur: Snapshot{
-			Sels:  make([]float64, nOps),
-			Rates: make(map[string]float64),
-		},
-	}
+	m := &Monitor{alpha: alpha}
+	m.cur.Store(&prior)
+	return m
 }
 
-// Offer submits an observation at time t. The first offer primes the
-// monitor; later offers are EWMA-blended into it.
+// Offer submits an observation at time t and publishes the result. The
+// first offer replaces the prior; later offers are EWMA-blended into the
+// published snapshot, and a stream that an offer leaves out keeps its rate.
 func (m *Monitor) Offer(t float64, sels []float64, rates map[string]float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.primed {
-		copy(m.cur.Sels, sels)
-		for k, v := range rates {
-			m.cur.Rates[k] = v
-		}
-		m.primed = true
-	} else {
-		a := m.alpha
-		for i := range m.cur.Sels {
-			if i < len(sels) {
-				m.cur.Sels[i] = a*sels[i] + (1-a)*m.cur.Sels[i]
+	next := &Snapshot{Time: t, Sels: slices.Clone(sels), Rates: make(map[string]float64, len(rates))}
+	maps.Copy(next.Rates, rates)
+	if m.primed {
+		old, a := m.cur.Load(), m.alpha
+		for i := range next.Sels {
+			if i < len(old.Sels) {
+				next.Sels[i] = a*next.Sels[i] + (1-a)*old.Sels[i]
 			}
 		}
-		for k, v := range rates {
-			if old, ok := m.cur.Rates[k]; ok {
-				m.cur.Rates[k] = a*v + (1-a)*old
+		for k, v := range old.Rates {
+			if r, ok := next.Rates[k]; ok {
+				next.Rates[k] = a*r + (1-a)*v
 			} else {
-				m.cur.Rates[k] = v
+				next.Rates[k] = v
 			}
 		}
 	}
-	m.cur.Time = t
+	m.primed = true
+	m.cur.Store(next)
 }
 
-// Snapshot returns the current smoothed view.
-func (m *Monitor) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cur.Clone()
-}
+// Snapshot returns the published view. It is shared, not copied: callers
+// must not modify it.
+func (m *Monitor) Snapshot() Snapshot { return *m.cur.Load() }

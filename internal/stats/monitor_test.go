@@ -7,20 +7,20 @@ import (
 )
 
 func TestMonitorPrimingAndSnapshot(t *testing.T) {
-	m := NewMonitor(2, 0.5)
-	if snap := m.Snapshot(); snap.Sels[0] != 0 || len(snap.Rates) != 0 {
-		t.Fatalf("fresh monitor holds %+v", snap)
+	m := NewMonitor(0.5, Snapshot{Sels: []float64{0.3, 0.3}, Rates: map[string]float64{"S": 5, "T": 1}})
+	if snap := m.Snapshot(); snap.Sels[0] != 0.3 || snap.Rates["S"] != 5 {
+		t.Fatalf("fresh monitor publishes %+v, want its prior", snap)
 	}
-	// The first offer is taken as is, not blended with the zero state.
+	// The first offer replaces the prior, not blended with it.
 	m.Offer(0, []float64{0.4, 0.6}, map[string]float64{"S": 10})
 	snap := m.Snapshot()
-	if snap.Sels[0] != 0.4 || snap.Sels[1] != 0.6 || snap.Rates["S"] != 10 {
+	if snap.Sels[0] != 0.4 || snap.Sels[1] != 0.6 || snap.Rates["S"] != 10 || len(snap.Rates) != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 }
 
 func TestMonitorEWMA(t *testing.T) {
-	m := NewMonitor(1, 0.5)
+	m := NewMonitor(0.5, Snapshot{})
 	m.Offer(0, []float64{0.0}, map[string]float64{"S": 0})
 	m.Offer(1, []float64{1.0}, map[string]float64{"S": 100})
 	snap := m.Snapshot()
@@ -35,10 +35,15 @@ func TestMonitorEWMA(t *testing.T) {
 	if m.Snapshot().Rates["T"] != 7 {
 		t.Fatal("new stream should be adopted")
 	}
+	// A stream an offer leaves out keeps its rate.
+	m.Offer(3, []float64{1.0}, map[string]float64{"S": 100})
+	if m.Snapshot().Rates["T"] != 7 {
+		t.Fatal("an absent stream lost its rate")
+	}
 }
 
 func TestMonitorAlphaGuard(t *testing.T) {
-	m := NewMonitor(1, -3)
+	m := NewMonitor(-3, Snapshot{})
 	m.Offer(0, []float64{1}, nil)
 	m.Offer(1, []float64{0}, nil)
 	got := m.Snapshot().Sels[0]
@@ -48,7 +53,7 @@ func TestMonitorAlphaGuard(t *testing.T) {
 }
 
 func TestMonitorConcurrentAccess(t *testing.T) {
-	m := NewMonitor(1, 0.5)
+	m := NewMonitor(0.5, Snapshot{})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -67,12 +72,17 @@ func TestMonitorConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestSnapshotCloneIsolation(t *testing.T) {
-	s := Snapshot{Time: 1, Sels: []float64{0.5}, Rates: map[string]float64{"S": 2}}
-	c := s.Clone()
-	c.Sels[0] = 9
-	c.Rates["S"] = 9
-	if s.Sels[0] != 0.5 || s.Rates["S"] != 2 {
-		t.Fatal("Clone aliased state")
+// TestSnapshotIsolation: a snapshot is published, never updated in place,
+// so one read before an Offer still holds what it held.
+func TestSnapshotIsolation(t *testing.T) {
+	m := NewMonitor(0.5, Snapshot{})
+	m.Offer(1, []float64{0.5}, map[string]float64{"S": 2})
+	before := m.Snapshot()
+	m.Offer(2, []float64{0.9}, map[string]float64{"S": 8, "T": 1})
+	if before.Time != 1 || before.Sels[0] != 0.5 || before.Rates["S"] != 2 || len(before.Rates) != 1 {
+		t.Fatalf("an Offer changed the snapshot read before it: %+v", before)
+	}
+	if after := m.Snapshot(); after.Sels[0] != 0.7 || after.Rates["S"] != 5 {
+		t.Fatalf("snapshot after the offer = %+v", after)
 	}
 }

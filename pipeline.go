@@ -108,8 +108,8 @@ func WithMaxFanout(n int) Option { return func(c *pipelineConfig) { c.engine.Max
 // virtual clock passes each fault's edges.
 func WithFaults(fp *FaultPlan) Option { return func(c *pipelineConfig) { c.session.Faults = fp } }
 
-// WithTickEvery sets the control (Rebalance) period in virtual seconds
-// (default 5).
+// WithTickEvery sets the control period in virtual seconds (default 5):
+// it paces both the policy's Rebalance and the statistic monitor's samples.
 func WithTickEvery(seconds float64) Option {
 	return func(c *pipelineConfig) { c.session.TickEvery = seconds }
 }
@@ -192,9 +192,11 @@ func WithExactlyOnce(dir string) Option {
 	return func(c *pipelineConfig) { c.engine.WALDir = dir }
 }
 
-// WithClassifyBatch sets the ruster size used to account the default RLD
-// policy's classification overhead when Open is called with a nil policy
-// (default 100, the paper's minimum).
+// WithClassifyBatch sets the ruster size passed to the default RLD policy
+// when Open is called with a nil policy (default 100, the paper's
+// minimum). It changes nothing: a size ≤ 0 selects the default, and every
+// positive size accounts the same per-batch classification work (see
+// Deployment.ClassifyOverheadWork).
 func WithClassifyBatch(n int) Option { return func(c *pipelineConfig) { c.batchSize = n } }
 
 // Pipeline is a long-lived, context-aware streaming session over a
