@@ -405,7 +405,9 @@ func (c *NodeCore) Insert(op int, b *stream.Batch) error {
 // place and return the input slice). A join's extensions are all rows of one
 // block, sized from the probe pass before the first is written; partials that
 // pass through stay in the block they came in. Observed-selectivity counters
-// are updated as a side effect.
+// are updated as a side effect. The router never sends a message to a stage
+// that would pass all of it through (see passesThrough); direct callers of
+// ProcessStage may.
 func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined {
 	st := c.ops[op]
 	var out []*stream.Joined
@@ -548,6 +550,15 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 		putPartials(partials)
 	}
 	return out
+}
+
+// passesThrough reports whether operator op's stage hands a row with p's
+// parts back unchanged, counting nothing: a select over a stream p lacks, or
+// a join over one p already carries. Every row of one message has the same
+// parts, so one row decides for the whole message.
+func (c *NodeCore) passesThrough(op int, p *stream.Joined) bool {
+	st := c.ops[op]
+	return p.Has(st.slot) == (st.op.Kind == query.Join)
 }
 
 // ProcessStage is the bounds-checked exported form of runStage for workers

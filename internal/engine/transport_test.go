@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -137,13 +139,19 @@ func newFakeRouter(t *testing.T, walDir string) (*Engine, *fakeTransport) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := &fakeTransport{localTransport: localTransport{core}, failNext: -1, holdNext: -1,
-		failSnapshot: -1, failInsert: -1, entered: make(chan int, 1), killed: make(chan struct{})}
+	ft := newFakeTransport(core)
 	e, err := NewOn(core, ft, physical.Assignment{0, 1}, 2, staticChooser{Plan: query.Plan{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e, ft
+}
+
+// newFakeTransport is core's in-process transport as a fakeTransport with
+// nothing armed.
+func newFakeTransport(core *NodeCore) *fakeTransport {
+	return &fakeTransport{localTransport: localTransport{core}, failNext: -1, holdNext: -1,
+		failSnapshot: -1, failInsert: -1, entered: make(chan int, 1), killed: make(chan struct{})}
 }
 
 // drainOrFail is Drain with a deadline: a Drain that waits on a down
@@ -635,5 +643,184 @@ func TestRejectedOpenSessionReleasesWAL(t *testing.T) {
 	}
 	for _, ent := range ents {
 		t.Errorf("rejected open left %s behind", ent.Name())
+	}
+}
+
+// TestRouterSkipsPassThroughStages: the router sends a batch only to the
+// stages that can change it. Over a 3-way join with one operator per node —
+// the select over S1 on node 0, the joins over S2 and S3 on nodes 1 and 2 —
+// an S2 batch skips the select and its own stream's join, an S3 batch
+// likewise, an S1 batch runs all three stages and an empty batch none. The
+// results and the selectivity counters are those of a NodeCore that runs
+// every stage, and with node 0 crashed S2 and S3 batches, which never need
+// it, still complete: none parks or is lost there.
+func TestRouterSkipsPassThroughStages(t *testing.T) {
+	q := query.NewNWayJoin("P", 3, 100)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	plan := query.Plan{0, 1, 2}
+	open := func() (*Engine, *fakeTransport, map[string]int) {
+		t.Helper()
+		core, err := NewNodeCore(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ft := newFakeTransport(core)
+		e, err := NewOn(core, ft, physical.Assignment{0, 1, 2}, 3, staticChooser{Plan: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int{}
+		var mu sync.Mutex
+		e.SetResultObserver(func(tuples []*stream.Joined, _ time.Time) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, j := range tuples {
+				got[fmt.Sprint(j.TupleIDs(nil))]++
+			}
+		})
+		e.Start()
+		return e, ft, got
+	}
+	// batch is round r's batch of stream slot: eight rows over keys 0–3
+	// whose payloads the select (threshold 30) passes three of.
+	batch := func(slot, r int) *stream.Batch {
+		b := stream.NewSizedBatch(q.Streams[slot], 1, 8)
+		for i := 0; i < 8; i++ {
+			seq := uint64(8*r + i)
+			b.AppendRow(seq, stream.Time(r), int64(i%4), stream.Time(r))[0] = float64(seq * 37 % 100)
+		}
+		return b
+	}
+	// The reference inserts each batch as the router does and runs every
+	// plan stage over it through ProcessStage: it skips nothing.
+	ref, err := NewNodeCore(q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	runRef := func(b *stream.Batch) int {
+		t.Helper()
+		for _, op := range ref.JoinOpsFor(b.Stream) {
+			if err := ref.Insert(op, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		slot, n := ref.Schema().Slot(b.Stream), b.Len()
+		ps := ref.NewPartials()
+		blk := ref.Schema().AcquireBlock(n, n*b.Width())
+		for i := 0; i < n; i++ {
+			ps = append(ps, blk.Seed(slot, b.Seq[i], b.Ts[i], b.Key[i], b.Arr[i], b.ValsAt(i)))
+		}
+		for _, op := range plan {
+			if ps, err = ref.ProcessStage(op, ps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n = len(ps)
+		for _, j := range ps {
+			want[fmt.Sprint(j.TupleIDs(nil))]++
+		}
+		ref.ReleasePartials(ps)
+		return n
+	}
+	// ingest feeds b to e, drains, and returns the stages it ran.
+	ingest := func(e *Engine, ft *fakeTransport, b *stream.Batch) [][2]int {
+		t.Helper()
+		ft.mu.Lock()
+		from := len(ft.ranOn)
+		ft.mu.Unlock()
+		feedAll(t, e, []*stream.Batch{b})
+		drainOrFail(t, e)
+		ft.mu.Lock()
+		defer ft.mu.Unlock()
+		return slices.Clone(ft.ranOn[from:])
+	}
+
+	e, ft, got := open()
+	stages := map[string][][2]int{
+		"S1": {{0, 0}, {1, 1}, {2, 2}},
+		"S2": {{2, 2}},
+		"S3": {{1, 1}},
+	}
+	for r := 0; r < 6; r++ {
+		for _, slot := range []int{1, 2, 0} {
+			b := batch(slot, r)
+			runRef(b)
+			if ran := ingest(e, ft, b); !slices.Equal(ran, stages[b.Stream]) {
+				t.Fatalf("round %d: an %s batch ran (op, node) %v, want %v", r, b.Stream, ran, stages[b.Stream])
+			}
+		}
+	}
+	batches := e.report().Batches
+	if ran := ingest(e, ft, stream.NewBatch("S1")); len(ran) != 0 {
+		t.Fatalf("an empty batch ran (op, node) %v, want no stage", ran)
+	}
+	if n := e.report().Batches; n != batches+1 {
+		t.Fatalf("batches %d after an empty one, want %d", n, batches+1)
+	}
+	if len(want) == 0 || !maps.Equal(got, want) {
+		t.Fatalf("results %v, want those of every stage run: %v", got, want)
+	}
+	for op := range q.Ops {
+		gin, gout := e.core.SelCounters(op)
+		win, wout := ref.SelCounters(op)
+		if gin != win || gout != wout {
+			t.Fatalf("op %d counted %d/%d, want %d/%d", op, gout, gin, wout, win)
+		}
+	}
+	if gs, ws := e.core.ObservedSels(), ref.ObservedSels(); !slices.Equal(gs, ws) {
+		t.Fatalf("observed selectivities %v, want %v", gs, ws)
+	}
+	e.Stop()
+
+	// With the select's node down, S2 and S3 batches complete and an S1
+	// batch parks or is lost there, as before.
+	for _, mode := range []chaos.RecoveryMode{chaos.Checkpoint, chaos.LoseState} {
+		if ref, err = NewNodeCore(q, cfg); err != nil {
+			t.Fatal(err)
+		}
+		e, ft, _ := open()
+		for _, slot := range []int{1, 2, 0} {
+			b := batch(slot, 0)
+			runRef(b)
+			ingest(e, ft, b)
+		}
+		if err := e.Crash(0, mode); err != nil {
+			t.Fatal(err)
+		}
+		for _, slot := range []int{1, 2} {
+			b := batch(slot, 1)
+			before, n := e.report().Produced, runRef(b)
+			ingest(e, ft, b)
+			c := e.report()
+			e.nodes[0].mu.Lock()
+			parked := len(e.nodes[0].parked)
+			e.nodes[0].mu.Unlock()
+			if c.Produced != before+float64(n) || c.TuplesLost != 0 || parked != 0 {
+				t.Fatalf("%v: an %s batch past the down select produced %v (want %v), lost %v, parked %d", mode, b.Stream, c.Produced-before, n, c.TuplesLost, parked)
+			}
+		}
+		b := batch(0, 1)
+		before, n := e.report().Produced, runRef(b)
+		ingest(e, ft, b)
+		e.nodes[0].mu.Lock()
+		parked := len(e.nodes[0].parked)
+		e.nodes[0].mu.Unlock()
+		if mode == chaos.Checkpoint {
+			if parked != 1 {
+				t.Fatalf("an S1 batch to the down select parked %d messages, want 1", parked)
+			}
+			if err := e.Recover(0); err != nil {
+				t.Fatal(err)
+			}
+			drainOrFail(t, e)
+			if c := e.report(); c.Produced != before+float64(n) || c.TuplesLost != 0 {
+				t.Fatalf("the replayed S1 batch produced %v (want %v), lost %v", c.Produced-before, n, c.TuplesLost)
+			}
+		} else if c := e.report(); c.TuplesLost != float64(b.Len()) || parked != 0 {
+			t.Fatalf("an S1 batch to the down select under LoseState: lost %v of %d, parked %d", c.TuplesLost, b.Len(), parked)
+		}
+		e.Stop()
 	}
 }
