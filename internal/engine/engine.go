@@ -1,17 +1,20 @@
 // Package engine is the live dataflow engine: the in-process stand-in for
 // the paper's D-CAPE cluster used by the runnable examples and the
 // cross-substrate conformance tests. Each simulated node runs a pool of
-// worker goroutines draining one FIFO queue; batches of real tuples flow
-// through selection and windowed symmetric-hash join operators in the order
-// of their assigned logical plan, hopping between nodes according to the
-// robust physical plan — but only to the stages that can change them: a
-// batch skips a selection over a stream its rows lack and a join over one
-// they already carry, which would hand it back unchanged. Join window state
-// is hash-partitioned by join key across independently locked shards,
-// operator statistics are lock-free atomics, and messages, partials slices
-// and the blocks stage outputs are written into are pooled, so throughput
-// scales with GOMAXPROCS instead of being serialized per node. A
-// QueryMesh-style router assigns each batch its plan from the latest
+// worker goroutines draining one FIFO queue, and at most Workers stages at
+// once: a session's producer whose batch fills its in-flight bound, and
+// which would only wait for it, carries the batch — runs its stages itself
+// on every idle node on its way — instead of handing it off. Batches of real
+// tuples flow through selection and windowed symmetric-hash join operators
+// in the order of their assigned logical plan, hopping between nodes
+// according to the robust physical plan — but only to the stages that can
+// change them: a batch skips a selection over a stream its rows lack and a
+// join over one they already carry, which would hand it back unchanged.
+// Join window state is hash-partitioned by join key across independently
+// locked shards, operator statistics are lock-free atomics, and messages,
+// partials slices and the blocks stage outputs are written into are pooled,
+// so throughput scales with GOMAXPROCS instead of being serialized per node.
+// A QueryMesh-style router assigns each batch its plan from the latest
 // monitored statistics — the RLD runtime of §3, executed on real data.
 //
 // Nodes have a failure lifecycle (internal/chaos): Crash kills a node's
@@ -139,6 +142,8 @@ type nodeState struct {
 	// process. Entries [head:len) are live.
 	queue []*message //rldlint:guardedby mu
 	head  int        //rldlint:guardedby mu
+	// busy counts the stages in service, by pool workers or carriers (send).
+	busy int //rldlint:guardedby mu
 	// pool numbers the worker pool allowed to take from the queue: MarkDown
 	// and Stop bump it, which retires every worker started under the old
 	// number; wg tracks the pool's membership.
@@ -167,18 +172,23 @@ func (ns *nodeState) push(msg *message) {
 	ns.queue = append(ns.queue, msg)
 }
 
-// take blocks until the queue has a message for a worker of the given pool
-// and returns it, or returns nil once that pool is retired — a retired
-// worker takes nothing more, whatever is queued.
-func (ns *nodeState) take(pool uint64) *message {
+// take blocks until the queue has a message and fewer than workers stages
+// are in service (busy), then takes both; or it returns nil once the given
+// pool is retired — a retired worker takes nothing more, whatever is queued.
+// served first gives back the slot of the worker's last message.
+func (ns *nodeState) take(pool uint64, workers int, served bool) *message {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	for ns.pool == pool && ns.head == len(ns.queue) {
+	if served {
+		ns.busy--
+	}
+	for ns.pool == pool && (ns.head == len(ns.queue) || ns.busy >= workers) {
 		ns.ready.Wait()
 	}
 	if ns.pool != pool {
 		return nil
 	}
+	ns.busy++
 	msg := ns.queue[ns.head]
 	ns.queue[ns.head] = nil
 	ns.head++
@@ -440,8 +450,8 @@ func (e *Engine) startPool(i int) {
 func (e *Engine) worker(id int, pool, gen uint64) {
 	ns := e.nodes[id]
 	defer ns.wg.Done()
-	for msg := ns.take(pool); msg != nil; msg = ns.take(pool) {
-		e.process(id, gen, msg)
+	for msg := ns.take(pool, e.cfg.Workers, false); msg != nil; msg = ns.take(pool, e.cfg.Workers, true) {
+		e.send(e.process(id, gen, msg), false)
 		e.nodeQueued[id].Add(-1)
 		e.pending.Add(-1)
 		e.wakePending()
@@ -453,6 +463,7 @@ var wakeChans = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
 // wakePending wakes everyone blocked in AwaitPending after a pending-count
 // decrement. When nobody waits (the steady state) it is one atomic load.
+// A producer never waits for a batch it carries (see carry).
 //
 // Every decrement wakes every waiter, even one still at or above its limit,
 // on purpose. Waking a producer only below its limit saves most producer
@@ -547,33 +558,64 @@ func (e *Engine) unregister(ch chan struct{}) {
 // (LoseState); parked messages leave the pending count so Drain does not
 // wait out an outage. The down check and the enqueue share one ns.mu
 // critical section, so a send can never race a crash into a swept queue.
-func (e *Engine) send(msg *message) {
-	for len(msg.partials) > 0 && msg.stage < len(msg.plan) && e.core.passesThrough(msg.plan[msg.stage], msg.partials[0]) {
-		msg.stage++
-	}
-	if len(msg.partials) == 0 || msg.stage == len(msg.plan) {
-		e.sink(msg)
-		return
-	}
-	op := msg.plan[msg.stage]
-	node := e.route.Load().assign[op]
-	ns := e.nodes[node]
-	ns.mu.Lock()
-	if ns.down {
-		if ns.mode == chaos.Checkpoint {
-			ns.parked = append(ns.parked, msg)
-			ns.mu.Unlock()
+//
+// With carry set, the calling goroutine runs the stage itself when the node
+// is up, has nothing queued and has a worker slot free, holding the slot as
+// a pool worker does (busy, nodeQueued, the pool's wait group), and routes
+// the message on the same way; the first node not idle gets it as above.
+func (e *Engine) send(msg *message, carry bool) {
+	for msg != nil {
+		for len(msg.partials) > 0 && msg.stage < len(msg.plan) && e.core.passesThrough(msg.plan[msg.stage], msg.partials[0]) {
+			msg.stage++
+		}
+		if len(msg.partials) == 0 || msg.stage == len(msg.plan) {
+			e.sink(msg)
 			return
 		}
+		node := e.route.Load().assign[msg.plan[msg.stage]]
+		ns := e.nodes[node]
+		ns.mu.Lock()
+		if ns.down {
+			if ns.mode == chaos.Checkpoint {
+				ns.parked = append(ns.parked, msg)
+				ns.mu.Unlock()
+				return
+			}
+			ns.mu.Unlock()
+			e.lose(msg)
+			return
+		}
+		if !carry || ns.head < len(ns.queue) || ns.busy >= e.cfg.Workers {
+			e.pending.Add(1)
+			e.nodeQueued[node].Add(1)
+			ns.push(msg)
+			ns.mu.Unlock()
+			ns.ready.Signal()
+			return
+		}
+		ns.busy++
+		ns.wg.Add(1)
+		gen := ns.gen
 		ns.mu.Unlock()
-		e.lose(msg)
-		return
+		e.nodeQueued[node].Add(1)
+		msg = e.process(node, gen, msg)
+		e.nodeQueued[node].Add(-1)
+		ns.mu.Lock()
+		if ns.busy--; ns.head < len(ns.queue) {
+			ns.ready.Signal()
+		}
+		ns.mu.Unlock()
+		ns.wg.Done()
 	}
-	e.pending.Add(1)
-	e.nodeQueued[node].Add(1)
-	ns.push(msg)
-	ns.mu.Unlock()
-	ns.ready.Signal()
+}
+
+// carry runs msg, which admit counted in pending, on the calling goroutine
+// through every idle node on its way (send). That one count covers it until
+// the carry ends, so Drain and Stop wait for it.
+func (e *Engine) carry(msg *message) {
+	e.send(msg, true)
+	e.pending.Add(-1)
+	e.wakePending()
 }
 
 // lose destroys a message routed to (or stranded on) a dead node,
@@ -588,20 +630,20 @@ func (e *Engine) lose(msg *message) {
 	msgPool.Put(msg)
 }
 
-// process executes one stage on node (incarnation gen) and hands the batch
-// on to its next stage through send, which skips the stages that would pass
-// it through and sinks it when none is left or no row survived. The stage
-// itself runs behind the transport; process owns only the fate of a hop
+// process executes one stage on node (incarnation gen) and returns the
+// message at its next stage, for its worker or carrier to route on (send).
+// The stage runs behind the transport; process owns only the fate of a hop
 // whose node died under it: the node goes down, and the message — its
 // partials still whole — goes back ahead of the backlog the outage parked,
-// or is routed again (repark; Recover waits this pool out first, so the node
-// stays down until then). Only the stages send did not skip reach a node, so
-// only they can park or be lost with it.
+// or is routed again (repark; Recover waits out the pool and any carrier
+// first, so the node stays down until then), and process returns nil, which
+// send takes as nothing to route. Only the stages send did not skip reach a
+// node, so only they can park or be lost with it.
 //
 // A slowed node (SetSlowdown) runs at factor × capacity, which is the
 // simulator's definition — service time divided by the factor — on every
 // transport: the stage's measured time is stretched by (1−f)/f.
-func (e *Engine) process(node int, gen uint64, msg *message) {
+func (e *Engine) process(node int, gen uint64, msg *message) *message {
 	op := msg.plan[msg.stage]
 	ns := e.nodes[node]
 	slow := math.Float64frombits(ns.slow.Load())
@@ -613,14 +655,14 @@ func (e *Engine) process(node int, gen uint64, msg *message) {
 	if err != nil {
 		e.MarkDown(node, gen, chaos.Checkpoint)
 		e.repark(node, msg)
-		return
+		return nil
 	}
 	msg.partials = out
 	if slow < 1 {
 		time.Sleep(time.Duration(float64(time.Since(start)) * (1 - slow) / slow)) //rldlint:allow wallclock -- slowdown emulation stretches real service time
 	}
 	msg.stage++
-	e.send(msg)
+	return msg
 }
 
 // repark returns a hop whose node died under it to the head of the node's
@@ -637,7 +679,7 @@ func (e *Engine) repark(node int, msg *message) {
 		return
 	}
 	ns.mu.Unlock()
-	e.send(msg)
+	e.send(msg, false)
 }
 
 func (e *Engine) sink(msg *message) {
@@ -680,22 +722,30 @@ func (e *Engine) SetResultObserver(obs func(tuples []*stream.Joined, ingress tim
 // Start, ErrStopped after Stop, ErrNodeDown when every node is crashed,
 // runtime.ErrUnknownStream for a stream the query does not name, and
 // ErrInvalidPlan for a misbehaving chooser; all leave no trace, so the same
-// batch can be retried. Safe for concurrent use.
+// batch can be retried. Safe for concurrent use. Ingest never carries.
 func (e *Engine) Ingest(b *stream.Batch) error {
+	_, err := e.admit(b, false)
+	return err
+}
+
+// admit is Ingest. With carry set it counts the message in pending under
+// sendMu, so Stop's Drain waits for it, and returns it for the caller to
+// carry once it has let go of its own locks.
+func (e *Engine) admit(b *stream.Batch, carry bool) (*message, error) {
 	e.sendMu.RLock()
 	defer e.sendMu.RUnlock()
 	e.mu.Lock()
 	if !e.started {
 		e.mu.Unlock()
-		return ErrNotStarted
+		return nil, ErrNotStarted
 	}
 	if e.stopped {
 		e.mu.Unlock()
-		return ErrStopped
+		return nil, ErrStopped
 	}
 	e.mu.Unlock()
 	if n := len(e.nodes); int(e.downCount.Load()) >= n {
-		return fmt.Errorf("%w: all %d nodes crashed", ErrNodeDown, n)
+		return nil, fmt.Errorf("%w: all %d nodes crashed", ErrNodeDown, n)
 	}
 
 	// Classify and validate BEFORE mutating any state: a failed Ingest
@@ -704,17 +754,17 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 	// control tick offered.
 	slot := e.core.schema.Slot(b.Stream)
 	if slot < 0 {
-		return fmt.Errorf("%w: %q", runtime.ErrUnknownStream, b.Stream)
+		return nil, fmt.Errorf("%w: %q", runtime.ErrUnknownStream, b.Stream)
 	}
 	plan := e.chooser.Choose(e.monitor.Snapshot())
 	ip, ok := e.internPlan(plan)
 	if !ok {
-		return fmt.Errorf("%w: chooser returned %v", ErrInvalidPlan, plan)
+		return nil, fmt.Errorf("%w: chooser returned %v", ErrInvalidPlan, plan)
 	}
 	// Window inserts come before any accounting for the same reason: a
 	// batch the log cannot take leaves nothing to undo.
 	if err := e.insert(b, slot); err != nil {
-		return err
+		return nil, err
 	}
 
 	e.advanceAppTime(float64(b.MaxTs()))
@@ -752,8 +802,12 @@ func (e *Engine) Ingest(b *stream.Batch) error {
 		plan:    ip.plan,
 		ingress: time.Now(), //rldlint:allow wallclock -- ingress stamp feeds the wall-latency metric above
 	}
-	e.send(msg)
-	return nil
+	if carry {
+		e.pending.Add(1)
+		return msg, nil
+	}
+	e.send(msg, false)
+	return nil, nil
 }
 
 // offerStats offers the monitor the router's counters: every operator's
@@ -996,7 +1050,7 @@ func (e *Engine) recoverAt(node int, t float64) error {
 	ns.mu.Unlock()
 	ns.ready.Broadcast()
 	for _, m := range away {
-		e.send(m)
+		e.send(m, false)
 	}
 	return nil
 }

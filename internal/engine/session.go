@@ -245,11 +245,12 @@ func (s *Session) addOverhead() {
 // a batch lifts it to its maximum timestamp (a CAS-max that ignores
 // non-positive stamps) before its plan is chosen. Batches that stay below
 // the next tick/fault/checkpoint edge take the fast path: advance the clock
-// and run Engine.Ingest (safe for concurrent use) under the read
-// lock, in parallel with other producers. A batch that crosses an edge
-// takes the write lock and runs the serialized session protocol — fire due
-// faults, admit, run due control ticks — excluding all concurrent
-// admissions for exactly the span of the edge.
+// and admit (safe for concurrent use) under the read lock, in parallel with
+// other producers; a batch that fills the bound is then carried outside it,
+// so Close, control ops and Stats do not wait behind it. A batch that
+// crosses an edge takes the write lock and runs the serialized session
+// protocol — fire due faults, admit, run due control ticks — excluding all
+// concurrent admissions for exactly the span of the edge; it never carries.
 func (s *Session) ingest(b *stream.Batch) error {
 	if s.e.core.schema.Slot(b.Stream) < 0 {
 		// Refused before the clock moves, so the session is unchanged.
@@ -258,14 +259,18 @@ func (s *Session) ingest(b *stream.Batch) error {
 	ts := float64(b.MaxTs())
 	if ts < s.edge() {
 		s.mu.RLock()
-		defer s.mu.RUnlock()
 		if s.closed {
+			s.mu.RUnlock()
 			return runtime.ErrClosed
 		}
 		s.e.advanceAppTime(ts)
-		err := s.e.Ingest(b)
+		msg, err := s.e.admit(b, s.fills())
 		if err == nil {
 			s.addOverhead()
+		}
+		s.mu.RUnlock()
+		if msg != nil {
+			s.e.carry(msg)
 		}
 		return err
 	}
@@ -326,12 +331,20 @@ func (s *Session) ready() bool {
 	return s.maxPending <= 0 || s.e.Pending() < s.maxPending
 }
 
+// fills reports whether a batch admitted now fills the in-flight bound,
+// which its producer would only wait out, while the Results subscriber is
+// caught up: a producer that never yields would starve a lagging one.
+func (s *Session) fills() bool {
+	return s.maxPending > 0 && s.e.Pending()+1 >= s.maxPending && len(s.Results()) == 0
+}
+
 // Ingest implements runtime.Session: it blocks while the pipeline holds
 // MaxPending in-flight messages, until the context ends or the session
 // closes. The wait is event-driven: workers signal every pending-count
 // decrement, so a blocked producer wakes as soon as capacity frees (and
 // Close or context cancellation wakes it immediately) instead of on a
-// poll tick.
+// poll tick. A batch that fills the bound is carried (Engine.carry): Ingest
+// returns once it has passed every idle node on its way.
 func (s *Session) Ingest(ctx context.Context, b *stream.Batch) error {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -349,7 +362,7 @@ func (s *Session) Ingest(ctx context.Context, b *stream.Batch) error {
 	}
 }
 
-// TryIngest implements runtime.Session.
+// TryIngest implements runtime.Session; it carries as Ingest does.
 func (s *Session) TryIngest(b *stream.Batch) error {
 	if s.closing.Load() {
 		return runtime.ErrClosed

@@ -54,9 +54,7 @@ func TestSessionBackpressure(t *testing.T) {
 	// A 2000-tuple probe against the 2000-tuple hot window takes
 	// milliseconds on one worker: while it is in flight the session is at
 	// its bound.
-	if err := s.Ingest(ctx, heavyBatch("S1", 2000, 1)); err != nil {
-		t.Fatal(err)
-	}
+	probed := ingestInFlight(t, s, heavyBatch("S1", 2000, 1))
 	if err := s.TryIngest(heavyBatch("S1", 1, 2)); !errors.Is(err, runtime.ErrBackpressure) {
 		t.Fatalf("TryIngest at capacity: %v, want ErrBackpressure", err)
 	}
@@ -64,6 +62,9 @@ func TestSessionBackpressure(t *testing.T) {
 	cancel()
 	if err := s.Ingest(cancelled, heavyBatch("S1", 1, 2)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Ingest with cancelled ctx: %v, want context.Canceled", err)
+	}
+	if err := <-probed; err != nil {
+		t.Fatal(err)
 	}
 
 	rep, err := s.Close(ctx)
@@ -88,8 +89,26 @@ func flatBatch(streamName string, n int, t float64) *stream.Batch {
 	return b
 }
 
+// ingestInFlight admits b from a second goroutine and returns once it is
+// in flight: at MaxPending 1 the batch fills the bound, so its producer
+// carries it and Ingest returns only after it has sunk. The channel yields
+// that Ingest's error.
+func ingestInFlight(t *testing.T, s *Session, b *stream.Batch) <-chan error {
+	t.Helper()
+	res := make(chan error, 1)
+	go func() { res <- s.Ingest(context.Background(), b) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.e.Pending() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the batch never went in flight")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return res
+}
+
 // blockedSession opens a 1-node, 1-worker session with MaxPending 1 and
-// parks one expensive probe in flight, so the next Ingest must block on
+// puts one expensive probe in flight, so the next Ingest must block on
 // backpressure. The returned session is at capacity until the probe
 // drains.
 func blockedSession(t *testing.T) *Session {
@@ -112,9 +131,12 @@ func blockedSession(t *testing.T) *Session {
 	// A 5000-tuple probe against the 5000-tuple hot window takes tens of
 	// milliseconds on one worker: the session stays at its bound while it
 	// is in flight.
-	if err := s.Ingest(ctx, heavyBatch("S1", 5000, 1)); err != nil {
-		t.Fatal(err)
-	}
+	probed := ingestInFlight(t, s, heavyBatch("S1", 5000, 1))
+	t.Cleanup(func() {
+		if err := <-probed; err != nil {
+			t.Error(err)
+		}
+	})
 	return s
 }
 

@@ -27,7 +27,9 @@ var errNodeDied = errors.New("fake transport: node died under the stage")
 // kills the node and fails then (holdNext) — in both cases leaving the
 // input whole, as the Transport contract requires. It can also refuse to
 // snapshot one operator (failSnapshot) and refuse inserts on one node
-// (failInsert), the way a worker that cannot be reached does.
+// (failInsert), the way a worker that cannot be reached does. And it can
+// hold a node's next stage until the test lets it run (gateNext), whatever
+// happens to the node meanwhile.
 type fakeTransport struct {
 	localTransport
 
@@ -40,9 +42,14 @@ type fakeTransport struct {
 	holdNext     int           // node whose next stage blocks until Kill; -1: none
 	failSnapshot int           // operator whose snapshots fail; -1: none
 	failInsert   int           // node whose inserts fail until it is restarted; -1: none
-	entered      chan int      // receives len(in) when the held stage is reached
+	gateNext     int           // node whose next stage waits for gate; -1: none
+	gate         chan struct{} // closed by the test to let the gated stage run
+	entered      chan int      // receives len(in) when the held or gated stage is reached
 	killed       chan struct{} // closed by Kill of the holding node
 	ranOn        [][2]int      // (op, node) of every stage that ran
+	ranLen       []int         // len(in) of every stage in ranOn
+	inStage      map[int]int   // node → stages in RunStage now
+	peak         map[int]int   // node → most stages ever in RunStage at once
 	revived      []uint64      // gen of every Restart
 	kills        []int         // node of every Kill
 }
@@ -51,14 +58,25 @@ func (f *fakeTransport) RunStage(node, op int, in []*stream.Joined) ([]*stream.J
 	f.mu.Lock()
 	fail := f.failNext == node
 	hold := f.holdNext == node
+	gated := f.gateNext == node
 	if fail {
 		f.failNext = -1
 	}
 	if hold {
 		f.holdNext = -1
 	}
-	killed := f.killed
+	if gated {
+		f.gateNext = -1
+	}
+	killed, gate := f.killed, f.gate
+	f.inStage[node]++
+	f.peak[node] = max(f.peak[node], f.inStage[node])
 	f.mu.Unlock()
+	defer func() {
+		f.mu.Lock()
+		f.inStage[node]--
+		f.mu.Unlock()
+	}()
 	if fail {
 		return nil, errNodeDied
 	}
@@ -67,8 +85,13 @@ func (f *fakeTransport) RunStage(node, op int, in []*stream.Joined) ([]*stream.J
 		<-killed
 		return nil, errNodeDied
 	}
+	if gated {
+		f.entered <- len(in)
+		<-gate
+	}
 	f.mu.Lock()
 	f.ranOn = append(f.ranOn, [2]int{op, node})
+	f.ranLen = append(f.ranLen, len(in))
 	f.mu.Unlock()
 	time.Sleep(f.stageDelay)
 	return f.localTransport.RunStage(node, op, in)
@@ -151,7 +174,8 @@ func newFakeRouter(t *testing.T, walDir string) (*Engine, *fakeTransport) {
 // nothing armed.
 func newFakeTransport(core *NodeCore) *fakeTransport {
 	return &fakeTransport{localTransport: localTransport{core}, failNext: -1, holdNext: -1,
-		failSnapshot: -1, failInsert: -1, entered: make(chan int, 1), killed: make(chan struct{})}
+		failSnapshot: -1, failInsert: -1, gateNext: -1, entered: make(chan int, 1),
+		killed: make(chan struct{}), inStage: map[int]int{}, peak: map[int]int{}}
 }
 
 // drainOrFail is Drain with a deadline: a Drain that waits on a down

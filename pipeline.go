@@ -133,7 +133,9 @@ func WithBufferedEvents(n int) Option { return func(c *pipelineConfig) { c.sessi
 // returns ErrBackpressure at the bound. n < 0 disables backpressure. The
 // default is 1024 × nodes. Admission is concurrent, so with several
 // producers the bound is approximate — each can admit one batch past it
-// before observing the others.
+// before observing the others. On the live substrates the producer runs a
+// batch that fills the bound itself, while Results has nothing undelivered:
+// Ingest or TryIngest returns once the batch has passed every idle node.
 func WithMaxPending(n int) Option {
 	return func(c *pipelineConfig) { c.session.MaxPending = n; c.havePending = true }
 }
@@ -306,7 +308,8 @@ func (p *Pipeline) Substrate() string { return p.s.Substrate() }
 // (ErrNodeDown, …). Batch timestamps drive the pipeline's virtual clock —
 // control ticks and scripted faults fire as it advances — and must not
 // decrease per producer; across concurrent producers the clock advances
-// to the maximum timestamp observed.
+// to the maximum timestamp observed. At the bound a live pipeline returns
+// once the batch has passed every idle node (see WithMaxPending).
 func (p *Pipeline) Ingest(ctx context.Context, b *Batch) error { return p.s.Ingest(ctx, b) }
 
 // TryIngest admits one batch without blocking: ErrBackpressure at
