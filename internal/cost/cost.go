@@ -30,6 +30,17 @@ type Evaluator struct {
 	rateDim map[string]int
 	// baseRates caches the estimated rates.
 	baseRates map[string]float64
+	// rates lists the streams that have an estimated rate, in q.Streams
+	// order, for TotalRate: a sum in one fixed order is a function of the
+	// point, where one in map order may differ in its last bits per call.
+	rates []streamRate
+}
+
+// streamRate is one stream's estimated rate and the dimension modeling it
+// (-1 if none).
+type streamRate struct {
+	base float64
+	dim  int
 }
 
 // NewEvaluator indexes the space's dimensions against the query.
@@ -56,6 +67,15 @@ func NewEvaluator(q *query.Query, s *paramspace.Space) *Evaluator {
 	}
 	for name, r := range q.Rates {
 		e.baseRates[name] = r
+	}
+	for _, name := range q.Streams {
+		if base, ok := q.Rates[name]; ok {
+			dim, ok := e.rateDim[name]
+			if !ok {
+				dim = -1
+			}
+			e.rates = append(e.rates, streamRate{base, dim})
+		}
 	}
 	return e
 }
@@ -101,14 +121,15 @@ func (e *Evaluator) UnitCost(op int, pnt paramspace.Point) float64 {
 }
 
 // TotalRate returns Λ(pnt): the summed input rates with parameterized
-// streams overridden by the point's values.
+// streams overridden by the point's values, added in the query's stream
+// order.
 func (e *Evaluator) TotalRate(pnt paramspace.Point) float64 {
 	sum := 0.0
-	for name, base := range e.baseRates {
-		if i, ok := e.rateDim[name]; ok && i < len(pnt) {
-			sum += pnt[i]
+	for _, r := range e.rates {
+		if r.dim >= 0 && r.dim < len(pnt) {
+			sum += pnt[r.dim]
 		} else {
-			sum += base
+			sum += r.base
 		}
 	}
 	if sum <= 0 {

@@ -137,3 +137,18 @@ func TestBenchmarkAllocs(t *testing.T) {
 		alloctest.Bound(t, c.name, "3x", c.bound, c.body)
 	}
 }
+
+// TestRestoreOpAllocs: restoring engine_join's join window into the ring it
+// was snapshotted from — sized already, as in the in-process engine's
+// recovery — allocates nothing: the ring keeps its capacity across ClearOp,
+// and the one-shard run and the rest of the scratch come from the pool.
+func TestRestoreOpAllocs(t *testing.T) {
+	core, op, snap := restoreFixture(t, 3)
+	restore := func() { core.RestoreOp(op, snap) }
+	for i := 0; i < 5; i++ {
+		restore() // fill the pool
+	}
+	if n := testing.AllocsPerRun(50, restore); n != 0 {
+		t.Fatalf("a restore into a sized ring made %v allocations, want 0", n)
+	}
+}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand"
 	stdruntime "runtime"
 	"testing"
 
@@ -231,4 +233,60 @@ func benchIngestDurable(b *testing.B, walDir string) {
 func BenchmarkIngestDurable(b *testing.B) {
 	b.Run("wal=off", func(b *testing.B) { benchIngestDurable(b, "") })
 	b.Run("wal=on", func(b *testing.B) { benchIngestDurable(b, b.TempDir()) })
+}
+
+// restoreFixture is engine_join's join window at rest (bench/rldperf): a
+// 3-way join, one worker, whose S2 operator holds a full 12 s span at 1 000
+// tuples a second over 4 096 keys — about 12 000 rows of one payload value —
+// and the snapshot of that window. age lifts the operator's high-water
+// timestamp that many seconds past the snapshot's newest row, as the
+// batches ingested between a checkpoint and a crash do, so that a restore
+// finds the snapshot's oldest rows already below the cutoff.
+func restoreFixture(tb testing.TB, age float64) (core *NodeCore, op int, snap *stream.Batch) {
+	const span, rate, keys, batch = 12, 1000, 4096, 100
+	q := query.NewNWayJoin("RS", 3, rate)
+	q.WindowSeconds = span
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	core, err := NewNodeCore(q, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	op = 1 // joins S2
+	rng := rand.New(rand.NewSource(5))
+	for seq := 0; seq < (span+1)*rate; {
+		b := stream.NewSizedBatch("S2", 1, batch)
+		for range batch {
+			ts := stream.Time(float64(seq) / rate)
+			b.AppendRow(uint64(seq), ts, rng.Int63n(keys), ts)[0] = rng.Float64() * 100
+			seq++
+		}
+		if err := core.Insert(op, b); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	snap = core.SnapshotOp(op)
+	core.ops[op].advanceTs(float64(snap.MaxTs()) + age)
+	return core, op, snap
+}
+
+// BenchmarkRestoreOp restores engine_join's join window from its snapshot
+// into the ring it was taken from, sized already, as the in-process
+// engine's recovery does, and reports the cost per snapshot row. At age 0s
+// every row is loaded; at 3s a quarter of them lie below the operator's
+// cutoff and are skipped.
+//
+//	go test ./internal/engine -run '^$' -bench RestoreOp
+func BenchmarkRestoreOp(b *testing.B) {
+	for _, age := range []float64{0, 3} {
+		b.Run(fmt.Sprintf("age=%gs", age), func(b *testing.B) {
+			core, op, snap := restoreFixture(b, age)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core.RestoreOp(op, snap)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(snap.Len()), "ns/row")
+		})
+	}
 }

@@ -63,6 +63,7 @@ type shardScratch struct {
 	starts  []int32 // shard → group start in order (len nShards+1)
 	cnt     []int32 // counting-sort cursors
 	order   []int32 // item indices grouped by shard
+	ident   []int32 // 0, 1, 2, …: the run of a one-shard insert (see identity)
 	probe   []int32 // join stage: indices of partials that probe
 	keys    []int64 // per probe: its join key, then the same keys grouped by shard
 	gcount  []int32 // per grouped probe: match count
@@ -82,6 +83,15 @@ func grow32(s []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return s[:n]
+}
+
+// identity returns the items 0..n-1 in order: one shard's whole run. The
+// slice only ever grows, so each entry is written once per scratch.
+func (sc *shardScratch) identity(n int) []int32 {
+	for i := len(sc.ident); i < n; i++ {
+		sc.ident = append(sc.ident, int32(i))
+	}
+	return sc.ident[:n]
 }
 
 // group counting-sorts items 0..n-1 into per-shard runs using the shard
@@ -224,12 +234,17 @@ func (s *opState) advanceTs(ts float64) {
 }
 
 // insertBatch bulk-inserts a whole batch into the operator's sharded window:
-// rows are grouped by destination shard (counting sort over the key column),
-// and each shard's lock is taken once for its whole run instead of once per
-// tuple. Deferring each shard's expiration to its run's max timestamp
-// retains exactly the set per-tuple insertion would (expiration is a prefix
-// scan, so intermediate cutoffs only evict what the final one evicts).
-func (s *opState) insertBatch(b *stream.Batch, sc *shardScratch) {
+// rows are grouped by destination shard (counting sort over the key column;
+// with one shard the run is every row, in order), and each shard's lock is
+// taken once for its whole run instead of once per tuple. Deferring each
+// shard's expiration to its run's max timestamp retains exactly the set
+// per-tuple insertion would (expiration is a prefix scan, so intermediate
+// cutoffs only evict what the final one evicts).
+//
+// restore is for shards ClearOp has just emptied (see RestoreOp): each
+// shard's run then starts at its first row whose timestamp is at or above
+// the operator's expiry cutoff. Every row is still recorded as seen.
+func (s *opState) insertBatch(b *stream.Batch, sc *shardScratch, restore bool) {
 	//rldlint:allow guardedby -- nil-ness is a construction-time mode flag (durable vs not), never written after; only the map contents need seenMu
 	if s.seen != nil {
 		if b = s.dedupFilter(b); b == nil {
@@ -241,29 +256,46 @@ func (s *opState) insertBatch(b *stream.Batch, sc *shardScratch) {
 		return
 	}
 	s.advanceTs(float64(b.MaxTs()))
-	nShards := len(s.shards)
-	mask := uint64(nShards - 1)
-	sc.shardOf = grow32(sc.shardOf, n)
-	for i := 0; i < n; i++ {
-		sc.shardOf[i] = int32(uint64(b.Key[i]) & mask)
+	cutoff := stream.Time(math.Inf(-1))
+	if restore {
+		cutoff = s.cutoff()
 	}
-	sc.group(n, nShards)
+	var order, starts []int32
+	if nShards := len(s.shards); nShards == 1 {
+		order, starts = sc.identity(n), []int32{0, int32(n)}
+	} else {
+		mask := uint64(nShards - 1)
+		sc.shardOf = grow32(sc.shardOf, n)
+		for i := 0; i < n; i++ {
+			sc.shardOf[i] = int32(uint64(b.Key[i]) & mask)
+		}
+		sc.group(n, nShards)
+		order, starts = sc.order, sc.starts
+	}
 	var delta int64
-	for si := 0; si < nShards; si++ {
-		lo, hi := sc.starts[si], sc.starts[si+1]
-		if lo == hi {
+	for si, sh := range s.shards {
+		run := order[starts[si]:starts[si+1]]
+		for len(run) > 0 && b.Ts[run[0]] < cutoff {
+			run = run[1:]
+		}
+		if len(run) == 0 {
 			continue
 		}
-		sh := s.shards[si]
 		sh.mu.Lock()
 		before := sh.window.Len()
-		sh.window.InsertRows(b, sc.order[lo:hi])
+		sh.window.InsertRows(b, run)
 		delta += int64(sh.window.Len() - before)
 		sh.mu.Unlock()
 	}
 	if delta != 0 {
 		s.winLen.Add(delta)
 	}
+}
+
+// cutoff is the timestamp a probe expires the operator's shards to: the
+// high-water timestamp less the span.
+func (s *opState) cutoff() stream.Time {
+	return stream.Time(math.Float64frombits(s.maxTs.Load()) - s.span)
 }
 
 // observedSel is the observed-selectivity rule: the optimizer's estimate est
@@ -393,7 +425,7 @@ func (c *NodeCore) Insert(op int, b *stream.Batch) error {
 		return fmt.Errorf("%w: insert into non-join op %d", runtime.ErrUnknownOp, op)
 	}
 	sc := getScratch()
-	c.ops[op].insertBatch(b, sc)
+	c.ops[op].insertBatch(b, sc, false)
 	putScratch(sc)
 	return nil
 }
@@ -480,7 +512,7 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 			}
 			sc.matches.Reset()
 			sc.gcount = grow32(sc.gcount, np)
-			cutoff := stream.Time(math.Float64frombits(st.maxTs.Load()) - st.span)
+			cutoff := st.cutoff()
 			var delta int64
 			for si := 0; si < nShards; si++ {
 				lo, hi := sc.starts[si], sc.starts[si+1]
@@ -632,9 +664,9 @@ func (c *NodeCore) SnapshotOp(op int) *stream.Batch {
 }
 
 // ClearOp discards operator op's window state (LoseState recovery). In
-// durable mode the seen set resets with the window: RestoreOp's snapshot
-// re-insert repopulates it with exactly the surviving tuples, so replayed
-// records dedup against the restored state rather than the lost one.
+// durable mode the seen set resets with the window: RestoreOp repopulates
+// it with every row of the snapshot, so replayed records dedup against the
+// restored state rather than the lost one.
 func (c *NodeCore) ClearOp(op int) {
 	st := c.ops[op]
 	total := 0
@@ -655,12 +687,24 @@ func (c *NodeCore) ClearOp(op int) {
 }
 
 // RestoreOp replaces operator op's window state with the given snapshot
-// (nil clears it).
+// (nil clears it). It clears the operator, runs the snapshot through the
+// dedup filter (in durable mode every snapshot row is recorded as seen, so
+// WAL replay dedups against all of them), lifts the high-water timestamp to
+// the snapshot's, and then loads each shard with its rows from the first
+// one whose timestamp is at or above the operator's cutoff, maxTs − span.
+//
+// That is exact: the cutoff is the one the next probe of any shard expires
+// to, and expiry is a prefix scan, so into an empty shard "load from the
+// first row at or above the cutoff" and "load every row, then expire to the
+// cutoff" leave the same rows. Every probe therefore sees the same matches,
+// and with one shard the same buffered count, as a restore that loads the
+// whole snapshot; the skipped rows would only have been written, counted
+// and expired again.
 func (c *NodeCore) RestoreOp(op int, snap *stream.Batch) {
 	c.ClearOp(op)
 	if snap != nil {
 		sc := getScratch()
-		c.ops[op].insertBatch(snap, sc)
+		c.ops[op].insertBatch(snap, sc, true)
 		putScratch(sc)
 	}
 }

@@ -59,7 +59,7 @@ type localTransport struct {
 func (l localTransport) Insert(_ int, ops []int, b *stream.Batch) error {
 	sc := getScratch()
 	for _, op := range ops {
-		l.core.ops[op].insertBatch(b, sc)
+		l.core.ops[op].insertBatch(b, sc, false)
 	}
 	putScratch(sc)
 	return nil

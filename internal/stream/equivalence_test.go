@@ -221,7 +221,12 @@ func checkGroups(t *testing.T, rng *rand.Rand, w *Window, o *oracleWindow, round
 // while chains are mixed and then wraps), and the batches after which the
 // window is Reset and reused; so groups are issued across grows, ring wraps,
 // partial expiries and Resets, with absent and same-bucket foreign keys
-// among them.
+// among them. A generator of its own adds what the seed's sequence does not
+// cover: batches of another payload width than the window's, which it
+// truncates or zero-pads (the oracle keeps each payload as the window
+// should), and, after one batch, a single InsertRows call of more than four
+// times the ring's capacity, which must grow it, several doublings at once,
+// to the capacity growing when full before each row would reach.
 func checkWindowEquivalence(t *testing.T, seed int64, nBatches int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -238,6 +243,8 @@ func checkWindowEquivalence(t *testing.T, seed int64, nBatches int) {
 	var m Matches
 	var lastKeys, round []int64
 	grng := rand.New(rand.NewSource(seed ^ 0x67726f7570)) // group draws must not shift the sequence the seed stands for
+	xrng := rand.New(rand.NewSource(seed ^ 0x62756c6b))   // nor may the width and bulk draws
+	bulkAt := xrng.Intn(nBatches)
 	probe := func(bi int, k int64) {
 		round = append(round, k)
 		m.Reset()
@@ -257,6 +264,25 @@ func checkWindowEquivalence(t *testing.T, seed int64, nBatches int) {
 					t.Fatalf("seed %d batch %d: probe(%d)[%d] payload mismatch", seed, bi, k, i)
 				}
 			}
+		}
+	}
+	// insert feeds the oracle per tuple and the window the whole batch.
+	insert := func(b *Batch, rows []int32, where string) {
+		for i := range b.Len() {
+			o.insert(fitTuple(b.TupleAt(i), w, b))
+		}
+		w.InsertRows(b, rows)
+
+		// Expiration sets: the retained sequences must match exactly,
+		// whatever the destination's width.
+		if w.Len() != len(o.tuples) || distinctKeys(w) != len(o.byKey) {
+			t.Fatalf("%s: Len/keys = %d/%d, oracle %d/%d",
+				where, w.Len(), distinctKeys(w), len(o.tuples), len(o.byKey))
+		}
+		checkSnapshot(t, w, o, -1, where)
+		checkSnapshot(t, w, o, width+1, where)
+		if width > 0 {
+			checkSnapshot(t, w, o, width-1, where)
 		}
 	}
 	for bi := 0; bi < nBatches; bi++ {
@@ -296,25 +322,37 @@ func checkWindowEquivalence(t *testing.T, seed int64, nBatches int) {
 			seq++
 		}
 		lastKeys = append(lastKeys[:0], b.Key...)
-
-		// Oracle inserts per tuple; columnar inserts the batch.
-		for i := 0; i < n; i++ {
-			tu := b.TupleAt(i)
-			o.insert(tu.Clone())
+		if xrng.Intn(4) == 0 {
+			b = rewiden(xrng, b, xrng.Intn(4))
 		}
-		w.InsertRows(b, rows)
 
-		// Expiration sets: the retained sequences must match exactly,
-		// whatever the destination's width.
 		where := fmt.Sprintf("seed %d batch %d", seed, bi)
-		if w.Len() != len(o.tuples) || distinctKeys(w) != len(o.byKey) {
-			t.Fatalf("%s: Len/keys = %d/%d, oracle %d/%d",
-				where, w.Len(), distinctKeys(w), len(o.tuples), len(o.byKey))
-		}
-		checkSnapshot(t, w, o, -1, where)
-		checkSnapshot(t, w, o, width+1, where)
-		if width > 0 {
-			checkSnapshot(t, w, o, width-1, where)
+		insert(b, rows, where)
+
+		if bi == bulkAt {
+			// One call of over four rings' worth of rows, spread over one
+			// mean gap between tuples, so next to nothing expires before it
+			// ends.
+			n := 4*max(w.slots, minRing) + 1 + xrng.Intn(64)
+			want := max(w.slots, minRing)
+			for want < w.Len()+n {
+				want *= 2
+			}
+			bulk := NewSizedBatch("S", xrng.Intn(4), n)
+			all := make([]int32, n)
+			for i := range all {
+				ts += xrng.Float64() * 2 * span / perSpan / float64(n)
+				row := bulk.AppendRow(seq, Time(ts), keys[xrng.Intn(len(keys))], Time(ts))
+				for vi := range row {
+					row[vi] = xrng.NormFloat64()
+				}
+				all[i] = int32(i)
+				seq++
+			}
+			insert(bulk, all, where+" (bulk)")
+			if w.slots != want {
+				t.Fatalf("%s: %d rows in one call left the ring at %d slots, want %d", where, n, w.slots, want)
+			}
 		}
 
 		if rng.Intn(16) == 0 {
@@ -325,6 +363,33 @@ func checkWindowEquivalence(t *testing.T, seed int64, nBatches int) {
 			}
 		}
 	}
+}
+
+// rewiden returns b's rows as a batch of the given payload width, each
+// payload truncated or extended with fresh values.
+func rewiden(rng *rand.Rand, b *Batch, width int) *Batch {
+	out := NewSizedBatch(b.Stream, width, b.Len())
+	for i := range b.Len() {
+		row := out.AppendRow(b.Seq[i], b.Ts[i], b.Key[i], b.Arr[i])
+		n := copy(row, b.ValsAt(i))
+		for vi := n; vi < len(row); vi++ {
+			row[vi] = rng.NormFloat64()
+		}
+	}
+	return out
+}
+
+// fitTuple is the oracle's copy of tu as window w stores it: the payload
+// truncated or zero-padded to w's width, which b fixes if nothing has yet.
+func fitTuple(tu Tuple, w *Window, b *Batch) *Tuple {
+	width := w.Width()
+	if width < 0 {
+		width = max(b.Width(), 0)
+	}
+	c := tu.Clone()
+	c.Vals = make([]float64, width)
+	copy(c.Vals, tu.Vals)
+	return c
 }
 
 func TestWindowMatchesBoxedOracle(t *testing.T) {

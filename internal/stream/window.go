@@ -103,12 +103,21 @@ func (w *Window) rec(p uint64) []uint64 {
 	return w.recs[off : off+w.stride : off+w.stride]
 }
 
-// grow doubles the ring capacity, re-slotting live records at their absolute
-// position under the new mask, and rebuilds the (doubled) bucket table by
-// re-linking them oldest-first, which keeps every chain newest → oldest.
-func (w *Window) grow() {
+// reserve grows the ring, if need be, to hold n records: it doubles the
+// capacity (from minRing) until n fit, then re-slots every live record at its
+// absolute position under the new mask and rebuilds the bucket table at the
+// new size by re-linking them oldest-first, which keeps every chain newest →
+// oldest. The result is the capacity a grow-when-full check before each
+// append would reach, in one rebuild instead of one per doubling.
+func (w *Window) reserve(n int) {
+	if n <= w.slots {
+		return
+	}
 	old := *w
-	w.slots = max(old.slots*2, minRing)
+	w.slots = max(old.slots, minRing)
+	for w.slots < n {
+		w.slots *= 2
+	}
 	w.stride = recFixed + w.arity - 1
 	w.recs = make([]uint64, w.slots*w.stride)
 	w.bucket = make([]uint64, w.slots*bucketsPerSlot)
@@ -122,27 +131,23 @@ func (w *Window) grow() {
 	}
 }
 
-// appendRecord writes one record at tail and pushes it onto its bucket's
-// chain. The window's width must already be fixed.
-func (w *Window) appendRecord(seq uint64, ts Time, key int64, arrival Time, vals []float64) {
-	if w.Len() == w.slots {
-		w.grow()
-	}
-	r := w.rec(w.tail)
-	h := w.bucketOf(key)
+// putRec fills the record slot r: key, the chain link next, seq, ts, arr,
+// and the payload vals, truncated or zero-padded to the record's width. It is
+// the one step both inserts share, small enough to inline into InsertRows's
+// loop; the caller links r into its bucket.
+func putRec(r []uint64, key int64, next, seq uint64, ts, arr Time, vals []float64) {
 	r[recKey] = uint64(key)
-	r[recNext] = w.bucket[h]
+	r[recNext] = next
 	r[recSeq] = seq
 	r[recTs] = math.Float64bits(float64(ts))
-	r[recArr] = math.Float64bits(float64(arrival))
+	r[recArr] = math.Float64bits(float64(arr))
 	pay := r[recFixed:]
-	n := min(len(pay), len(vals))
-	for i, v := range vals[:n] {
+	for i, v := range vals[:min(len(pay), len(vals))] {
 		pay[i] = math.Float64bits(v)
 	}
-	clear(pay[n:])
-	w.bucket[h] = w.tail
-	w.tail++
+	if len(vals) < len(pay) {
+		clear(pay[len(vals):])
+	}
 }
 
 // Insert adds t and evicts tuples older than t.Ts - span. Tuples must be
@@ -152,7 +157,11 @@ func (w *Window) Insert(t *Tuple) {
 	if w.arity == 0 {
 		w.arity = len(t.Vals) + 1
 	}
-	w.appendRecord(t.Seq, t.Ts, t.Key, t.Arrival, t.Vals)
+	w.reserve(w.Len() + 1)
+	h := w.bucketOf(t.Key)
+	putRec(w.rec(w.tail), t.Key, w.bucket[h], t.Seq, t.Ts, t.Arrival, t.Vals)
+	w.bucket[h] = w.tail
+	w.tail++
 	w.ExpireBefore(t.Ts.Add(-w.span))
 }
 
@@ -161,25 +170,37 @@ func (w *Window) Insert(t *Tuple) {
 // per-row Insert: expiration only scans the (timestamp-ordered-enough)
 // prefix, and deferring it to the batch maximum evicts the union of what the
 // per-row cutoffs would have evicted.
+//
+// It is one pass: the ring grows once, up front, to hold Len()+len(rows)
+// (nothing expires before the end, so that is the capacity per-row growth
+// would reach), and each row is then written straight from b's columns into
+// its slot and pushed onto its chain, with the ring's layout held in locals.
+// A payload of another width than the window's is truncated or zero-padded.
 func (w *Window) InsertRows(b *Batch, rows []int32) {
 	if len(rows) == 0 {
 		return
 	}
 	if w.arity == 0 {
-		if b.arity > 0 {
-			w.arity = b.arity
-		} else {
-			w.arity = 1
-		}
+		w.arity = max(b.arity, 1)
 	}
+	w.reserve(w.Len() + len(rows))
+	recs, bucket, tail := w.recs, w.bucket, w.tail
+	mask, stride, shift := uint64(w.slots-1), w.stride, w.shift
+	bw := max(b.arity-1, 0)
 	maxTs := b.Ts[rows[0]]
-	for _, r := range rows {
-		ts := b.Ts[r]
+	for _, i := range rows {
+		ts, key := b.Ts[i], b.Key[i]
 		if ts > maxTs {
 			maxTs = ts
 		}
-		w.appendRecord(b.Seq[r], ts, b.Key[r], b.Arr[r], b.ValsAt(int(r)))
+		h := uint64(key) * hashMul >> shift // bucketOf, on the local shift
+		off := int(tail&mask) * stride
+		v := int(i) * bw
+		putRec(recs[off:off+stride:off+stride], key, bucket[h], b.Seq[i], ts, b.Arr[i], b.Vals[v:v+bw:v+bw])
+		bucket[h] = tail
+		tail++
 	}
+	w.tail = tail
 	w.ExpireBefore(maxTs.Add(-w.span))
 }
 

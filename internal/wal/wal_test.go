@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 
 	"rld/internal/stream"
@@ -316,8 +317,13 @@ func TestOpenUnusableDir(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalesces: concurrent appenders syncing together must not
-// issue one fsync per appender.
+// TestGroupCommitCoalesces: appenders whose appends overlap, syncing
+// together, must not issue one fsync per appender. The overlap is made
+// explicit: in each round every writer appends, waits at a barrier until
+// all have, then syncs, and waits at a second barrier until all have
+// synced, so no append of the next round lands between the syncs of this
+// one. (Left to the scheduler, one P runs each writer's append and sync
+// back to back, and there is nothing to coalesce.)
 func TestGroupCommitCoalesces(t *testing.T) {
 	l, err := Open(t.TempDir())
 	if err != nil {
@@ -325,19 +331,35 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 	defer l.Close()
 	const writers, rounds = 8, 20
+	// Two barriers per round: appended, then synced.
+	barriers := make([]sync.WaitGroup, 2*rounds)
+	for i := range barriers {
+		barriers[i].Add(writers)
+	}
 	done := make(chan error, writers)
 	for w := 0; w < writers; w++ {
 		go func(w int) {
 			b := testBatch("S1", uint64(w)*1000, 2)
+			next := 0 // the next barrier to pass
+			pass := func() {
+				barriers[next].Done()
+				barriers[next].Wait()
+				next++
+			}
 			for i := 0; i < rounds; i++ {
-				if err := l.Append(Record{Ops: []int{0}, Batch: b}); err != nil {
+				err := l.Append(Record{Ops: []int{0}, Batch: b})
+				if err == nil {
+					pass()
+					err = l.Sync()
+				}
+				if err != nil {
+					for ; next < len(barriers); next++ {
+						barriers[next].Done() // let the others through the barriers left
+					}
 					done <- err
 					return
 				}
-				if err := l.Sync(); err != nil {
-					done <- err
-					return
-				}
+				pass()
 			}
 			done <- nil
 		}(w)
