@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -270,5 +271,45 @@ func TestDefaultConfigValues(t *testing.T) {
 	}
 	if cfg.Steps != paramspace.DefaultSteps {
 		t.Fatal("steps default wrong")
+	}
+}
+
+// TestOptimizeRepeatable pins that Optimize is a function of its inputs:
+// ten compiles of one query give the same plans in the same order, the same
+// regions, the same supported set and the same placement. Algorithm 3's
+// extras used to follow map iteration order, which reordered the plan list
+// and sometimes moved the placement.
+func TestOptimizeRepeatable(t *testing.T) {
+	q := query.NewNWayJoin("Q8way", 8, 2)
+	var sel []paramspace.Dim
+	for _, op := range []int{0, 2, 4, 6} {
+		sel = append(sel, paramspace.SelDim(op, q.Ops[op].Sel, 3))
+	}
+	cases := map[string][]paramspace.Dim{
+		"sel4":  sel,
+		"rate1": append(sel[:3:3], paramspace.RateDim("S1", q.Rates["S1"], 3)),
+	}
+	for name, dims := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Steps = 6
+			var want string
+			for run := 0; run < 10; run++ {
+				d, err := Optimize(q, dims, cluster.NewHomogeneous(4, 80), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var b strings.Builder
+				for _, rp := range d.Logical.AllPlans() {
+					fmt.Fprintln(&b, rp.Plan.Key(), rp.Regions)
+				}
+				fmt.Fprintln(&b, d.Physical.Supported, d.Physical.Assign, d.Physical.Score)
+				if run == 0 {
+					want = b.String()
+				} else if got := b.String(); got != want {
+					t.Fatalf("run %d differs from run 0:\n%s\nwant:\n%s", run, got, want)
+				}
+			}
+		})
 	}
 }

@@ -27,10 +27,12 @@ type partitioner struct {
 	cfg   Config
 	wm    *paramspace.WeightMap
 	res   *Result
-	// seen tracks distinct plan keys discovered by optimizer calls, with
-	// the grid point of first discovery (Algorithm 3 line 10 adds every
-	// distinct discovered plan to LPi).
-	seen map[string]paramspace.GridPoint
+	// seen marks the distinct plan keys discovered by optimizer calls, and
+	// found holds each one's first discovery point in discovery order
+	// (Algorithm 3 line 10 adds every distinct discovered plan to LPi;
+	// finish walks found, so the extras do not follow map order).
+	seen  map[string]bool
+	found []paramspace.GridPoint
 	// misses is the aging counter of Algorithm 3.
 	misses int
 	// early enables Theorem 1's termination (ERP); false for WRP.
@@ -73,7 +75,7 @@ func newPartitioner(opt *optimizer.Counter, ev *cost.Evaluator, cfg Config, earl
 		cfg:      cfg,
 		wm:       paramspace.NewWeightMap(space),
 		res:      &Result{Space: space},
-		seen:     make(map[string]paramspace.GridPoint),
+		seen:     make(map[string]bool),
 		early:    early,
 		midpoint: midpoint,
 	}
@@ -90,10 +92,11 @@ func (p *partitioner) corner(g paramspace.GridPoint) (query.Plan, float64, bool)
 	if !ok {
 		return nil, 0, false
 	}
-	if _, known := p.seen[plan.Key()]; known {
+	if p.seen[plan.Key()] {
 		p.misses++
 	} else {
-		p.seen[plan.Key()] = g.Clone()
+		p.seen[plan.Key()] = true
+		p.found = append(p.found, g.Clone())
 		p.misses = 0
 	}
 	return plan, c, true
@@ -105,12 +108,9 @@ func (p *partitioner) corner(g paramspace.GridPoint) (query.Plan, float64, bool)
 // discovery point, so the physical planner can still budget their loads and
 // the classifier's cost fallback can reach them.
 func (p *partitioner) finish() {
-	for k, g := range p.seen {
-		if p.res.PlanByKey(k) != nil {
-			continue
-		}
+	for _, g := range p.found {
 		plan, _, ok := p.opt.Best(p.space.At(g)) // memoized: no extra call
-		if !ok || plan.Key() != k {
+		if !ok || p.res.PlanByKey(plan.Key()) != nil {
 			continue
 		}
 		p.res.Extras = append(p.res.Extras, &RobustPlan{
