@@ -34,15 +34,6 @@ func NewHomogeneous(n int, capacity float64) *Cluster {
 // N returns the number of nodes.
 func (c *Cluster) N() int { return len(c.Nodes) }
 
-// TotalCapacity returns the summed capacity.
-func (c *Cluster) TotalCapacity() float64 {
-	sum := 0.0
-	for _, n := range c.Nodes {
-		sum += n.Capacity
-	}
-	return sum
-}
-
 // Homogeneous reports whether all nodes share one capacity.
 func (c *Cluster) Homogeneous() bool {
 	for _, n := range c.Nodes[1:] {
@@ -51,17 +42,6 @@ func (c *Cluster) Homogeneous() bool {
 		}
 	}
 	return true
-}
-
-// SizedFor returns a homogeneous cluster of n nodes whose total capacity is
-// headroom × totalLoad — the provisioning rule the experiments use so that
-// feasibility is non-trivial but attainable.
-func SizedFor(n int, totalLoad, headroom float64) *Cluster {
-	if headroom <= 0 {
-		headroom = 1
-	}
-	per := totalLoad * headroom / float64(n)
-	return NewHomogeneous(n, per)
 }
 
 func (c *Cluster) String() string {

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNewHomogeneous(t *testing.T) {
 	c := NewHomogeneous(4, 25)
@@ -15,9 +11,6 @@ func TestNewHomogeneous(t *testing.T) {
 		if n.ID != i || n.Capacity != 25 {
 			t.Fatalf("node %d = %+v", i, n)
 		}
-	}
-	if c.TotalCapacity() != 100 {
-		t.Fatalf("total = %v", c.TotalCapacity())
 	}
 	if !c.Homogeneous() {
 		t.Fatal("should be homogeneous")
@@ -30,18 +23,6 @@ func TestZeroNodeClamp(t *testing.T) {
 	}
 	if NewHomogeneous(-3, 5).N() != 1 {
 		t.Fatal("negative must clamp to 1 node")
-	}
-}
-
-func TestSizedFor(t *testing.T) {
-	c := SizedFor(5, 200, 1.5)
-	if math.Abs(c.TotalCapacity()-300) > 1e-9 {
-		t.Fatalf("total = %v, want 300", c.TotalCapacity())
-	}
-	// Non-positive headroom falls back to 1×.
-	c = SizedFor(2, 100, 0)
-	if math.Abs(c.TotalCapacity()-100) > 1e-9 {
-		t.Fatalf("guarded total = %v, want 100", c.TotalCapacity())
 	}
 }
 
@@ -58,18 +39,5 @@ func TestHeterogeneousDetection(t *testing.T) {
 func TestStringHomogeneous(t *testing.T) {
 	if NewHomogeneous(3, 10).String() == "" {
 		t.Fatal("String empty")
-	}
-}
-
-// Property: total capacity is n × per-node for homogeneous clusters.
-func TestTotalCapacityQuick(t *testing.T) {
-	f := func(nRaw uint8, capRaw uint16) bool {
-		n := int(nRaw)%20 + 1
-		capPer := float64(capRaw)/100 + 0.01
-		c := NewHomogeneous(n, capPer)
-		return math.Abs(c.TotalCapacity()-float64(n)*capPer) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -11,9 +11,16 @@
 // the two properties the paper's Principles 1 and 2 rely on. For a 2-D
 // selectivity space it reduces exactly to the paper's
 // c1·σi + c2·σj + c3·σi·σj + c4 form (see FitSurface).
+//
+// An Evaluator keeps one rate table: each stream's estimated rate and the
+// dimension modeling it, in the query's stream order. Λ sums that table in
+// that order, and each operator indexes it for its ρ, so a cost is a
+// bit-for-bit function of the point.
 package cost
 
 import (
+	"slices"
+
 	"rld/internal/paramspace"
 	"rld/internal/query"
 )
@@ -26,14 +33,12 @@ type Evaluator struct {
 	// selDim[op] is the dimension index modeling that operator's
 	// selectivity, or -1.
 	selDim []int
-	// rateDim[stream] is the dimension index modeling that stream's rate.
-	rateDim map[string]int
-	// baseRates caches the estimated rates.
-	baseRates map[string]float64
-	// rates lists the streams that have an estimated rate, in q.Streams
-	// order, for TotalRate: a sum in one fixed order is a function of the
-	// point, where one in map order may differ in its last bits per call.
+	// rates[i] is stream q.Streams[i]'s estimated rate (0 if it has none)
+	// and the dimension modeling it. It is the one rate table: TotalRate
+	// sums it in this fixed order, so a cost is a function of the point.
 	rates []streamRate
+	// opRate[op] indexes rates with the stream op reads, or is -1.
+	opRate []int
 }
 
 // streamRate is one stream's estimated rate and the dimension modeling it
@@ -45,15 +50,13 @@ type streamRate struct {
 
 // NewEvaluator indexes the space's dimensions against the query.
 func NewEvaluator(q *query.Query, s *paramspace.Space) *Evaluator {
-	e := &Evaluator{
-		q:         q,
-		s:         s,
-		selDim:    make([]int, len(q.Ops)),
-		rateDim:   make(map[string]int),
-		baseRates: make(map[string]float64, len(q.Rates)),
+	e := &Evaluator{q: q, s: s, selDim: make([]int, len(q.Ops)), opRate: make([]int, len(q.Ops))}
+	for _, name := range q.Streams {
+		e.rates = append(e.rates, streamRate{base: q.Rates[name], dim: -1})
 	}
-	for i := range e.selDim {
-		e.selDim[i] = -1
+	for op, o := range q.Ops {
+		e.selDim[op] = -1
+		e.opRate[op] = slices.Index(q.Streams, o.Stream)
 	}
 	for i, d := range s.Dims {
 		switch d.Kind {
@@ -62,19 +65,9 @@ func NewEvaluator(q *query.Query, s *paramspace.Space) *Evaluator {
 				e.selDim[d.Op] = i
 			}
 		case paramspace.Rate:
-			e.rateDim[d.Stream] = i
-		}
-	}
-	for name, r := range q.Rates {
-		e.baseRates[name] = r
-	}
-	for _, name := range q.Streams {
-		if base, ok := q.Rates[name]; ok {
-			dim, ok := e.rateDim[name]
-			if !ok {
-				dim = -1
+			if j := slices.Index(q.Streams, d.Stream); j >= 0 {
+				e.rates[j].dim = i
 			}
-			e.rates = append(e.rates, streamRate{base, dim})
 		}
 	}
 	return e
@@ -97,27 +90,26 @@ func (e *Evaluator) Sel(op int, pnt paramspace.Point) float64 {
 // RateFactor returns stream s's rate relative to its estimate at pnt (1.0
 // when the stream is not parameterized).
 func (e *Evaluator) RateFactor(s string, pnt paramspace.Point) float64 {
-	i, ok := e.rateDim[s]
-	if !ok || i >= len(pnt) {
+	return e.rateFactor(slices.Index(e.q.Streams, s), pnt)
+}
+
+// rateFactor is RateFactor for the stream at rates[i] (1.0 for i < 0).
+func (e *Evaluator) rateFactor(i int, pnt paramspace.Point) float64 {
+	if i < 0 {
 		return 1
 	}
-	base := e.baseRates[s]
-	if base <= 0 {
+	r := e.rates[i]
+	if r.dim < 0 || r.dim >= len(pnt) || r.base <= 0 {
 		return 1
 	}
-	return pnt[i] / base
+	return pnt[r.dim] / r.base
 }
 
 // UnitCost returns operator op's effective per-unit cost e_k at pnt: the
 // estimate scaled by the probe stream's relative rate (a faster stream makes
 // its join's window denser and the probe proportionally more expensive).
 func (e *Evaluator) UnitCost(op int, pnt paramspace.Point) float64 {
-	o := e.q.Ops[op]
-	f := 1.0
-	if o.Stream != "" {
-		f = e.RateFactor(o.Stream, pnt)
-	}
-	return o.Cost * f
+	return e.q.Ops[op].Cost * e.rateFactor(e.opRate[op], pnt)
 }
 
 // TotalRate returns Λ(pnt): the summed input rates with parameterized

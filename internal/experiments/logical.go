@@ -192,9 +192,8 @@ func AblationERP(quick bool) []*Table {
 	cfg.Epsilon = 0.02 // tight ε forces deep partitioning
 	cfg.Delta = 0.05   // patient aging so early-stop is observable
 	type run struct {
-		res     *robust.Result
-		weights int
-		cov     float64
+		res *robust.Result
+		cov float64
 	}
 	runs := map[string]run{}
 	for _, name := range t.Series {
@@ -203,16 +202,15 @@ func AblationERP(quick bool) []*Table {
 		ev, c := logicalSetup(q, space, 0)
 		ref := optimizer.NewRank(ev)
 		var res *robust.Result
-		var w int
 		switch name {
 		case "ERP":
-			res, w = robust.RunERPWithStats(c, ev, cfg)
+			res = robust.ERP(c, ev, cfg)
 		case "WRP":
-			res, w = robust.RunWRPWithStats(c, ev, cfg)
+			res = robust.WRP(c, ev, cfg)
 		case "Midpoint":
 			res = robust.MidpointERP(c, ev, cfg)
 		}
-		runs[name] = run{res: res, weights: w, cov: robust.Coverage(res, ev, ref, cfg.Epsilon)}
+		runs[name] = run{res: res, cov: robust.Coverage(res, ev, ref, cfg.Epsilon)}
 	}
 	t.Add("optimizer calls", map[string]float64{
 		"ERP": float64(runs["ERP"].res.Calls), "WRP": float64(runs["WRP"].res.Calls), "Midpoint": float64(runs["Midpoint"].res.Calls)})
@@ -221,6 +219,6 @@ func AblationERP(quick bool) []*Table {
 	t.Add("plans found", map[string]float64{
 		"ERP": float64(runs["ERP"].res.NumPlans()), "WRP": float64(runs["WRP"].res.NumPlans()), "Midpoint": float64(runs["Midpoint"].res.NumPlans())})
 	t.Add("weight assignments", map[string]float64{
-		"ERP": float64(runs["ERP"].weights), "WRP": float64(runs["WRP"].weights), "Midpoint": 0})
+		"ERP": float64(runs["ERP"].res.Assignments), "WRP": float64(runs["WRP"].res.Assignments), "Midpoint": float64(runs["Midpoint"].res.Assignments)})
 	return []*Table{t}
 }

@@ -65,9 +65,6 @@ type Exhaustive struct {
 	Ev *cost.Evaluator
 }
 
-// NewExhaustive returns the brute-force optimizer over ev.
-func NewExhaustive(ev *cost.Evaluator) *Exhaustive { return &Exhaustive{Ev: ev} }
-
 // Best implements Optimizer.
 func (e *Exhaustive) Best(pnt paramspace.Point) (query.Plan, float64) {
 	n := e.Ev.Query().NumOps()

@@ -24,7 +24,7 @@ func fixture(n int) (*query.Query, *paramspace.Space, *cost.Evaluator) {
 func TestRankMatchesExhaustive(t *testing.T) {
 	_, s, ev := fixture(5)
 	rank := NewRank(ev)
-	ex := NewExhaustive(ev)
+	ex := &Exhaustive{Ev: ev}
 	s.FullRegion().ForEach(func(g paramspace.GridPoint) bool {
 		pnt := s.At(g)
 		rp, rc := rank.Best(pnt)
@@ -50,7 +50,7 @@ func TestRankExactnessQuick(t *testing.T) {
 		s := paramspace.New(dims, 5)
 		ev := cost.NewEvaluator(q, s)
 		rank := NewRank(ev)
-		ex := NewExhaustive(ev)
+		ex := &Exhaustive{Ev: ev}
 		g := paramspace.GridPoint{rng.Intn(5), rng.Intn(5)}
 		pnt := s.At(g)
 		_, rc := rank.Best(pnt)
@@ -156,7 +156,7 @@ func TestCounterBudget(t *testing.T) {
 
 func TestExhaustiveCostAccessor(t *testing.T) {
 	_, s, ev := fixture(3)
-	ex := NewExhaustive(ev)
+	ex := &Exhaustive{Ev: ev}
 	rank := NewRank(ev)
 	pnt := s.At(paramspace.GridPoint{1, 2})
 	p := query.Plan{2, 1, 0}

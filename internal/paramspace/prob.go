@@ -74,21 +74,11 @@ func (m *OccurrenceModel) cellBounds(i, k int) (lo, hi float64) {
 	return lo, hi
 }
 
-// PointProb returns the probability mass of the grid cell at g (the product
-// across dimensions — independence per §5.2: "the correlation between
-// dimensions is zero").
-func (m *OccurrenceModel) PointProb(g GridPoint) float64 {
-	p := 1.0
-	for i, k := range g {
-		lo, hi := m.cellBounds(i, k)
-		p *= m.DimProb(i, lo, hi)
-	}
-	return p
-}
-
-// RegionProb returns the probability mass of all grid cells in the region.
-// Because the model is a product of per-dimension masses over a box, it
-// factorizes: Pr(region) = Π_i Pr(dim i in [lo_i..hi_i]).
+// RegionProb returns the probability mass of all grid cells in the region
+// (a unit region gives one cell's mass). Dimensions are independent per §5.2
+// ("the correlation between dimensions is zero"), so the model is a product
+// of per-dimension masses over a box and it factorizes:
+// Pr(region) = Π_i Pr(dim i in [lo_i..hi_i]).
 func (m *OccurrenceModel) RegionProb(r Region) float64 {
 	p := 1.0
 	for i := range r.Lo {

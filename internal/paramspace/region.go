@@ -55,12 +55,6 @@ func (r Region) IsUnit() bool {
 	return true
 }
 
-// Corners returns (pntLo, pntHi): the bottom-left and top-right grid
-// corners used by the robustness definitions.
-func (r Region) Corners() (lo, hi GridPoint) {
-	return r.Lo.Clone(), r.Hi.Clone()
-}
-
 // AllCorners enumerates the region's 2^d corner grid points (deduplicated
 // along degenerate dimensions). With a cost model monotone along each axis,
 // plan costs over the whole region are bracketed by the corners, so
@@ -165,8 +159,8 @@ func (r Region) Split(p GridPoint) []Region {
 	return out
 }
 
-// ForEach invokes fn for every grid point in the region, in row-major order.
-// fn may return false to stop early; ForEach reports whether it ran to
+// ForEach invokes fn for every grid point in the region, dimension 0 varying
+// fastest (ordinal order, over a full region). fn may return false to stop early; ForEach reports whether it ran to
 // completion.
 func (r Region) ForEach(fn func(GridPoint) bool) bool {
 	d := len(r.Lo)
@@ -187,14 +181,4 @@ func (r Region) ForEach(fn func(GridPoint) bool) bool {
 			return true
 		}
 	}
-}
-
-// Overlaps reports whether r and o share at least one grid point.
-func (r Region) Overlaps(o Region) bool {
-	for i := range r.Lo {
-		if r.Hi[i] < o.Lo[i] || o.Hi[i] < r.Lo[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,7 +2,11 @@
 // space (§2.2): a discretized box around the optimizer's single-point
 // statistic estimates, one dimension per uncertain statistic (operator
 // selectivity or stream input rate). Algorithm 1 derives the box bounds from
-// an uncertainty level U with unit step Δ = 0.1.
+// an uncertainty level U with unit step Δ = 0.1. A grid point is a coordinate
+// vector (GridPoint), and its Space.Ordinal — a mixed-radix number over
+// Steps — is the compile half's one name for it: §4.2's weight map is a
+// slice indexed by the ordinal, and the random-sampling baseline keys its
+// sample set by it.
 package paramspace
 
 import (
@@ -143,6 +147,18 @@ func (s *Space) At(g GridPoint) Point {
 	return p
 }
 
+// Ordinal returns g's index among the space's NumPoints() grid points: a
+// mixed-radix number over Steps with dimension 0 least significant, so
+// FullRegion().ForEach visits the points in ordinal order. It is the compile
+// half's name for a grid point (the weight map's index, RS's sample set).
+func (s *Space) Ordinal(g GridPoint) int {
+	n := 0
+	for i := len(g) - 1; i >= 0; i-- {
+		n = n*s.Steps + g[i]
+	}
+	return n
+}
+
 // Clone copies g.
 func (g GridPoint) Clone() GridPoint { return append(GridPoint(nil), g...) }
 
@@ -157,25 +173,6 @@ func (g GridPoint) Equal(h GridPoint) bool {
 		}
 	}
 	return true
-}
-
-// Dominates reports whether g ≥ h coordinate-wise (the paper's pnt order:
-// pntLo < pntHi means ∀i lo_i ≤ hi_i).
-func (g GridPoint) Dominates(h GridPoint) bool {
-	if len(g) != len(h) {
-		return false
-	}
-	for i := range g {
-		if g[i] < h[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Key returns a canonical map key for the coordinates.
-func (g GridPoint) Key() string {
-	return fmt.Sprint([]int(g))
 }
 
 // Dist returns the Manhattan distance between grid points (the pluggable

@@ -24,15 +24,13 @@ type CostFn func(Point) float64
 // are commensurable.
 type WeightMap struct {
 	space *Space
-	w     map[string]float64
-	// Assignments counts per-point weight computations (ablation metric
-	// for the incremental re-assignment rule of §4.2).
-	Assignments int
+	// w holds one weight per grid point, indexed by Space.Ordinal.
+	w []float64
 }
 
-// NewWeightMap returns an empty weight map over s.
+// NewWeightMap returns a weight map over s with every weight 0.
 func NewWeightMap(s *Space) *WeightMap {
-	return &WeightMap{space: s, w: make(map[string]float64)}
+	return &WeightMap{space: s, w: make([]float64, s.NumPoints())}
 }
 
 // slope returns the normalized cost slope of fn along dimension i at grid
@@ -83,14 +81,13 @@ func (wm *WeightMap) weightAt(g GridPoint, r Region, costLo, costHi CostFn) floa
 // rule (skip when corner plans are unchanged) before invoking it.
 func (wm *WeightMap) Assign(r Region, costLo, costHi CostFn) {
 	r.ForEach(func(g GridPoint) bool {
-		wm.w[g.Key()] = wm.weightAt(g, r, costLo, costHi)
-		wm.Assignments++
+		wm.w[wm.space.Ordinal(g)] = wm.weightAt(g, r, costLo, costHi)
 		return true
 	})
 }
 
 // Weight returns the assigned weight of g (0 if unassigned).
-func (wm *WeightMap) Weight(g GridPoint) float64 { return wm.w[g.Key()] }
+func (wm *WeightMap) Weight(g GridPoint) float64 { return wm.w[wm.space.Ordinal(g)] }
 
 // ArgMax returns the highest-weight grid point in region r, excluding the
 // region's bottom-left corner (partitioning at Lo would not split the
@@ -107,7 +104,7 @@ func (wm *WeightMap) ArgMax(r Region) (best GridPoint, ok bool) {
 		if g.Equal(r.Lo) {
 			return true
 		}
-		w := wm.w[g.Key()]
+		w := wm.w[wm.space.Ordinal(g)]
 		d := g.Dist(center)
 		if w > bestW || (w == bestW && d < bestDist) {
 			bestW, bestDist = w, d

@@ -1,10 +1,6 @@
 package physical
 
-import (
-	"sort"
-
-	"rld/internal/cluster"
-)
+import "rld/internal/cluster"
 
 // GreedyPhy is Algorithm 4: repeatedly try to place lpmax (the per-operator
 // max-load profile over the remaining logical plans) with LLF; on failure,
@@ -71,15 +67,4 @@ func maxOpLoad(lp LogicalPlan) float64 {
 		}
 	}
 	return m
-}
-
-// SortByWeightDesc returns plan indices ordered by descending weight (the
-// heap order GreedyPhy conceptually maintains; exported for the harness).
-func SortByWeightDesc(plans []LogicalPlan) []int {
-	idx := make([]int, len(plans))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return plans[idx[a]].Weight > plans[idx[b]].Weight })
-	return idx
 }

@@ -262,7 +262,7 @@ func TestOptPruneEarlyExitAllSupported(t *testing.T) {
 	for _, l := range maxLoads(plans, 5) {
 		total += l
 	}
-	c := cluster.SizedFor(3, total, 2)
+	c := cluster.NewHomogeneous(3, total*2/3)
 	p, stats := OptPruneWithStats(plans, c, len(ev.Query().Ops), true)
 	if p == nil || len(p.Supported) != len(plans) {
 		t.Fatal("ample capacity should support all plans")
@@ -342,31 +342,19 @@ func TestEvaluateScoreAndArea(t *testing.T) {
 	}
 	c := cluster.NewHomogeneous(2, 3)
 	a := Assignment{0, 1}
-	p := Evaluate(a, plans, c)
+	p := evaluate(a, plans, c)
 	if len(p.Supported) != 1 || p.Score != 0.5 || p.Area != 10 {
-		t.Fatalf("Evaluate = %+v", p)
+		t.Fatalf("evaluate = %+v", p)
 	}
 	if p.String() == "" {
 		t.Fatal("String empty")
 	}
 }
 
-func TestSortByWeightDesc(t *testing.T) {
-	plans := []LogicalPlan{{Weight: 0.2}, {Weight: 0.9}, {Weight: 0.5}}
-	idx := SortByWeightDesc(plans)
-	if idx[0] != 1 || idx[1] != 2 || idx[2] != 0 {
-		t.Fatalf("order = %v", idx)
-	}
-}
-
 func TestClusterHelpers(t *testing.T) {
 	c := cluster.NewHomogeneous(3, 10)
-	if c.N() != 3 || c.TotalCapacity() != 30 || !c.Homogeneous() {
+	if c.N() != 3 || !c.Homogeneous() {
 		t.Fatalf("cluster wrong: %v", c)
-	}
-	c2 := cluster.SizedFor(4, 100, 1.2)
-	if math.Abs(c2.TotalCapacity()-120) > 1e-9 {
-		t.Fatalf("SizedFor capacity = %v", c2.TotalCapacity())
 	}
 	if cluster.NewHomogeneous(0, 5).N() != 1 {
 		t.Fatal("zero-node cluster should clamp to 1")

@@ -183,12 +183,6 @@ func (p *Plan) Better(q *Plan) bool {
 	return p.MaxNodeLoad < q.MaxNodeLoad-eps
 }
 
-// Evaluate is the exported form of evaluate (used by tests and the
-// experiment harness to score arbitrary placements).
-func Evaluate(a Assignment, plans []LogicalPlan, c *cluster.Cluster) *Plan {
-	return evaluate(a, plans, c)
-}
-
 // LLF is the Largest-Load-First list scheduler (the paper's Longest
 // Processing Time reference [9]): operators in descending load order, each
 // to the least-loaded node. Returns ok=false if some operator does not fit

@@ -51,7 +51,7 @@ func RS(opt *optimizer.Counter, space *paramspace.Space, cfg Config) *Result {
 	}
 	misses := 0
 	seen := make(map[string]bool)
-	sampled := make(map[string]bool)
+	sampled := make(map[int]bool)
 	d := space.D()
 	for misses < threshold {
 		if cfg.MaxCalls > 0 && opt.Calls >= cfg.MaxCalls {
@@ -61,12 +61,13 @@ func RS(opt *optimizer.Counter, space *paramspace.Space, cfg Config) *Result {
 		for i := range g {
 			g[i] = rng.Intn(space.Steps)
 		}
-		if sampled[g.Key()] {
+		o := space.Ordinal(g)
+		if sampled[o] {
 			// Re-sampling a known point costs nothing (memoized) and
 			// carries no information; skip without charging a miss.
 			continue
 		}
-		sampled[g.Key()] = true
+		sampled[o] = true
 		plan, _, ok := opt.Best(space.At(g))
 		if !ok {
 			break

@@ -45,9 +45,9 @@ func goldenSpaces() []goldenSpace {
 }
 
 // formatResult renders everything a robust solution carries, in order.
-func formatResult(res *Result, assignments int) string {
+func formatResult(res *Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "calls=%d assignments=%d terminated=%v\n", res.Calls, assignments, res.Terminated)
+	fmt.Fprintf(&b, "calls=%d assignments=%d terminated=%v\n", res.Calls, res.Assignments, res.Terminated)
 	for _, rp := range res.Plans {
 		fmt.Fprintf(&b, "  plan  %s %v\n", rp.Plan.Key(), rp.Regions)
 	}
@@ -79,16 +79,16 @@ func TestResultGolden(t *testing.T) {
 			cfg.Seed = 3
 			runs := []struct {
 				name string
-				run  func(*optimizer.Counter) (*Result, int)
+				run  func(*optimizer.Counter) *Result
 			}{
-				{"ERP", func(c *optimizer.Counter) (*Result, int) { return RunERPWithStats(c, ev, cfg) }},
-				{"WRP", func(c *optimizer.Counter) (*Result, int) { return RunWRPWithStats(c, ev, cfg) }},
-				{"ES", func(c *optimizer.Counter) (*Result, int) { return ES(c, space, cfg), 0 }},
-				{"RS", func(c *optimizer.Counter) (*Result, int) { return RS(c, space, cfg), 0 }},
+				{"ERP", func(c *optimizer.Counter) *Result { return ERP(c, ev, cfg) }},
+				{"WRP", func(c *optimizer.Counter) *Result { return WRP(c, ev, cfg) }},
+				{"ES", func(c *optimizer.Counter) *Result { return ES(c, space, cfg) }},
+				{"RS", func(c *optimizer.Counter) *Result { return RS(c, space, cfg) }},
 			}
 			for _, r := range runs {
-				res, assignments := r.run(optimizer.NewCounter(optimizer.NewRank(ev)))
-				fmt.Fprintf(&b, "%s steps=%d eps=%.2f %s: %s", sp.name, sp.steps, eps, r.name, formatResult(res, assignments))
+				res := r.run(optimizer.NewCounter(optimizer.NewRank(ev)))
+				fmt.Fprintf(&b, "%s steps=%d eps=%.2f %s: %s", sp.name, sp.steps, eps, r.name, formatResult(res))
 			}
 		}
 	}

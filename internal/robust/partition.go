@@ -81,9 +81,6 @@ func newPartitioner(opt *optimizer.Counter, ev *cost.Evaluator, cfg Config, earl
 	}
 }
 
-// WeightAssignments exposes the weight-map work counter for ablations.
-func (p *partitioner) WeightAssignments() int { return p.wm.Assignments }
-
 // corner invokes the counting optimizer at a grid corner and updates the
 // aging counter: a distinct new plan resets it, a known plan increments it
 // (Algorithm 3 lines 7–12). ok is false when the call budget is exhausted.
@@ -223,8 +220,10 @@ func (p *partitioner) run() *Result {
 		predictionHeld := t.weightsInherited &&
 			t.predLo != nil && t.predLo.Equal(lpLo) &&
 			t.predHi != nil && t.predHi.Equal(lpHi)
-		if !predictionHeld {
+		// Midpoint splitting never reads the weights, so it assigns none.
+		if !predictionHeld && !p.midpoint {
 			p.wm.Assign(reg, p.ev.CostFn(lpLo), p.ev.CostFn(lpHi))
+			p.res.Assignments += reg.NumPoints()
 		}
 
 		var pivot paramspace.GridPoint
@@ -258,19 +257,4 @@ func (p *partitioner) run() *Result {
 	p.finish()
 	p.res.Calls = p.opt.Calls
 	return p.res
-}
-
-// RunWRPWithStats runs WRP and also reports the number of per-point weight
-// assignments (the §4.2 incremental-update ablation metric).
-func RunWRPWithStats(opt *optimizer.Counter, ev *cost.Evaluator, cfg Config) (*Result, int) {
-	p := newPartitioner(opt, ev, cfg, false, false)
-	res := p.run()
-	return res, p.WeightAssignments()
-}
-
-// RunERPWithStats is RunWRPWithStats for ERP.
-func RunERPWithStats(opt *optimizer.Counter, ev *cost.Evaluator, cfg Config) (*Result, int) {
-	p := newPartitioner(opt, ev, cfg, true, false)
-	res := p.run()
-	return res, p.WeightAssignments()
 }

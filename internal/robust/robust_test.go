@@ -145,11 +145,11 @@ func TestWRPRegionsDisjointAndComplete(t *testing.T) {
 	ev, mk, _ := fixture(8)
 	res := WRP(mk(), ev, DefaultConfig())
 	// The union of certified regions partitions the space exactly.
-	count := map[string]int{}
+	count := map[int]int{}
 	for _, rp := range res.Plans {
 		for _, reg := range rp.Regions {
 			reg.ForEach(func(g paramspace.GridPoint) bool {
-				count[g.Key()]++
+				count[ev.Space().Ordinal(g)]++
 				return true
 			})
 		}
@@ -159,7 +159,7 @@ func TestWRPRegionsDisjointAndComplete(t *testing.T) {
 	}
 	for k, c := range count {
 		if c != 1 {
-			t.Fatalf("point %s covered %d times", k, c)
+			t.Fatalf("point %d covered %d times", k, c)
 		}
 	}
 }
@@ -338,15 +338,28 @@ func TestEpsilonMonotonicity(t *testing.T) {
 	}
 }
 
-func TestRunWithStatsExposeWeightWork(t *testing.T) {
+func TestAssignmentsCountWeightWork(t *testing.T) {
 	ev, mk, _ := fixture(8)
-	_, wAssign := RunERPWithStats(mk(), ev, DefaultConfig())
-	if wAssign < 0 {
-		t.Fatal("negative weight assignments")
+	cfg := DefaultConfig()
+	cfg.Epsilon = 0.02 // tight ε forces partitioning, hence weights
+	for name, algo := range map[string]func(*optimizer.Counter, *cost.Evaluator, Config) *Result{
+		"ERP": ERP, "WRP": WRP,
+	} {
+		// The full space is not ε-robust, so its first split weighs
+		// every point once.
+		if res := algo(mk(), ev, cfg); res.Assignments < ev.Space().NumPoints() {
+			t.Fatalf("%s assignments = %d, want ≥ %d", name, res.Assignments, ev.Space().NumPoints())
+		}
 	}
-	_, wAssignWRP := RunWRPWithStats(mk(), ev, DefaultConfig())
-	if wAssignWRP < 0 {
-		t.Fatal("negative WRP weight assignments")
+	// Midpoint splitting reads no weights and the baselines have none.
+	for name, res := range map[string]*Result{
+		"Midpoint": MidpointERP(mk(), ev, cfg),
+		"ES":       ES(mk(), ev.Space(), cfg),
+		"RS":       RS(mk(), ev.Space(), cfg),
+	} {
+		if res.Assignments != 0 {
+			t.Fatalf("%s assignments = %d, want 0", name, res.Assignments)
+		}
 	}
 }
 

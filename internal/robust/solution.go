@@ -108,6 +108,10 @@ type Result struct {
 	Extras []*RobustPlan
 	// Calls is the number of optimizer invocations consumed.
 	Calls int
+	// Assignments counts ERP's and WRP's per-point weight computations,
+	// the work §4.2's conditional re-assignment rule saves (0 for the
+	// other algorithms).
+	Assignments int
 	// Uncovered lists regions the algorithm did not certify (empty for
 	// exhaustive search with no budget).
 	Uncovered []paramspace.Region
