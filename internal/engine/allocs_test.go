@@ -143,7 +143,7 @@ func TestBenchmarkAllocs(t *testing.T) {
 // recovery — allocates nothing: the ring keeps its capacity across ClearOp,
 // and the one-shard run and the rest of the scratch come from the pool.
 func TestRestoreOpAllocs(t *testing.T) {
-	core, op, snap := restoreFixture(t, 3)
+	core, op, snap := restoreFixture(t, 3, false)
 	restore := func() { core.RestoreOp(op, snap) }
 	for i := 0; i < 5; i++ {
 		restore() // fill the pool

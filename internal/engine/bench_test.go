@@ -241,13 +241,17 @@ func BenchmarkIngestDurable(b *testing.B) {
 // and the snapshot of that window. age lifts the operator's high-water
 // timestamp that many seconds past the snapshot's newest row, as the
 // batches ingested between a checkpoint and a crash do, so that a restore
-// finds the snapshot's oldest rows already below the cutoff.
-func restoreFixture(tb testing.TB, age float64) (core *NodeCore, op int, snap *stream.Batch) {
+// finds the snapshot's oldest rows already below the cutoff. durable turns
+// on exactly-once mode, in which a restore also rebuilds the dedup set.
+func restoreFixture(tb testing.TB, age float64, durable bool) (core *NodeCore, op int, snap *stream.Batch) {
 	const span, rate, keys, batch = 12, 1000, 4096, 100
 	q := query.NewNWayJoin("RS", 3, rate)
 	q.WindowSeconds = span
 	cfg := DefaultConfig()
 	cfg.Workers = 1
+	if durable {
+		cfg.WALDir = tb.TempDir()
+	}
 	core, err := NewNodeCore(q, cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -274,19 +278,26 @@ func restoreFixture(tb testing.TB, age float64) (core *NodeCore, op int, snap *s
 // into the ring it was taken from, sized already, as the in-process
 // engine's recovery does, and reports the cost per snapshot row. At age 0s
 // every row is loaded; at 3s a quarter of them lie below the operator's
-// cutoff and are skipped.
+// cutoff and are skipped. With wal=on the restore also records every
+// snapshot row in the operator's dedup set.
 //
 //	go test ./internal/engine -run '^$' -bench RestoreOp
 func BenchmarkRestoreOp(b *testing.B) {
-	for _, age := range []float64{0, 3} {
-		b.Run(fmt.Sprintf("age=%gs", age), func(b *testing.B) {
-			core, op, snap := restoreFixture(b, age)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				core.RestoreOp(op, snap)
+	for _, durable := range []bool{false, true} {
+		for _, age := range []float64{0, 3} {
+			name := fmt.Sprintf("age=%gs", age)
+			if durable {
+				name += ",wal=on"
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(snap.Len()), "ns/row")
-		})
+			b.Run(name, func(b *testing.B) {
+				core, op, snap := restoreFixture(b, age, durable)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					core.RestoreOp(op, snap)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(snap.Len()), "ns/row")
+			})
+		}
 	}
 }

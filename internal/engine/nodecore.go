@@ -667,7 +667,10 @@ func (c *NodeCore) SnapshotOp(op int) *stream.Batch {
 // durable mode the seen set resets with the window: RestoreOp repopulates
 // it with every row of the snapshot, so replayed records dedup against the
 // restored state rather than the lost one.
-func (c *NodeCore) ClearOp(op int) {
+func (c *NodeCore) ClearOp(op int) { c.clearOp(op, 0) }
+
+// clearOp is ClearOp with the fresh seen set sized for rows entries.
+func (c *NodeCore) clearOp(op, rows int) {
 	st := c.ops[op]
 	total := 0
 	for _, sh := range st.shards {
@@ -680,7 +683,7 @@ func (c *NodeCore) ClearOp(op int) {
 	//rldlint:allow guardedby -- nil-ness is a construction-time mode flag; ClearOp swaps in a fresh map, never nil
 	if st.seen != nil {
 		st.seenMu.Lock()
-		st.seen = make(map[stream.TupleID]stream.Time)
+		st.seen = make(map[stream.TupleID]stream.Time, rows)
 		st.seenPruneAt = 1024
 		st.seenMu.Unlock()
 	}
@@ -689,7 +692,8 @@ func (c *NodeCore) ClearOp(op int) {
 // RestoreOp replaces operator op's window state with the given snapshot
 // (nil clears it). It clears the operator, runs the snapshot through the
 // dedup filter (in durable mode every snapshot row is recorded as seen, so
-// WAL replay dedups against all of them), lifts the high-water timestamp to
+// WAL replay dedups against all of them; the fresh seen set is sized for
+// the snapshot up front rather than grown row by row), lifts the high-water timestamp to
 // the snapshot's, and then loads each shard with its rows from the first
 // one whose timestamp is at or above the operator's cutoff, maxTs − span.
 //
@@ -701,12 +705,14 @@ func (c *NodeCore) ClearOp(op int) {
 // whole snapshot; the skipped rows would only have been written, counted
 // and expired again.
 func (c *NodeCore) RestoreOp(op int, snap *stream.Batch) {
-	c.ClearOp(op)
-	if snap != nil {
-		sc := getScratch()
-		c.ops[op].insertBatch(snap, sc, true)
-		putScratch(sc)
+	if snap == nil {
+		c.ClearOp(op)
+		return
 	}
+	c.clearOp(op, snap.Len())
+	sc := getScratch()
+	c.ops[op].insertBatch(snap, sc, true)
+	putScratch(sc)
 }
 
 // NewPartials returns an empty pooled partials slice (wire decoders fill it).
