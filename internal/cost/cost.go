@@ -34,8 +34,7 @@ type Evaluator struct {
 	// selectivity, or -1.
 	selDim []int
 	// rates[i] is stream q.Streams[i]'s estimated rate (0 if it has none)
-	// and the dimension modeling it. It is the one rate table: TotalRate
-	// sums it in this fixed order, so a cost is a function of the point.
+	// and the dimension modeling it: the one rate table.
 	rates []streamRate
 	// opRate[op] indexes rates with the stream op reads, or is -1.
 	opRate []int

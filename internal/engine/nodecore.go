@@ -691,11 +691,11 @@ func (c *NodeCore) clearOp(op, rows int) {
 
 // RestoreOp replaces operator op's window state with the given snapshot
 // (nil clears it). It clears the operator, runs the snapshot through the
-// dedup filter (in durable mode every snapshot row is recorded as seen, so
-// WAL replay dedups against all of them; the fresh seen set is sized for
-// the snapshot up front rather than grown row by row), lifts the high-water timestamp to
-// the snapshot's, and then loads each shard with its rows from the first
-// one whose timestamp is at or above the operator's cutoff, maxTs − span.
+// dedup filter (in durable mode every snapshot row is recorded as seen, in
+// a seen set sized for the snapshot, so WAL replay dedups against all of
+// them), lifts the high-water timestamp to the snapshot's, and then loads
+// each shard with its rows from the first one whose timestamp is at or
+// above the operator's cutoff, maxTs − span.
 //
 // That is exact: the cutoff is the one the next probe of any shard expires
 // to, and expiry is a prefix scan, so into an empty shard "load from the

@@ -149,8 +149,7 @@ func (s *Space) At(g GridPoint) Point {
 
 // Ordinal returns g's index among the space's NumPoints() grid points: a
 // mixed-radix number over Steps with dimension 0 least significant, so
-// FullRegion().ForEach visits the points in ordinal order. It is the compile
-// half's name for a grid point (the weight map's index, RS's sample set).
+// FullRegion().ForEach visits the points in ordinal order.
 func (s *Space) Ordinal(g GridPoint) int {
 	n := 0
 	for i := len(g) - 1; i >= 0; i-- {
