@@ -23,6 +23,8 @@ func TestBenchmarkAllocs(t *testing.T) {
 		{"PipelineIngestParallel/producers=1", 4, func(b *testing.B) { benchPipelineIngest(b, 1) }},
 		{"PipelineIngestParallel/producers=4", 4, func(b *testing.B) { benchPipelineIngest(b, 4) }},
 		{"PipelineResults", 12, BenchmarkPipelineResults},
+		{"ClassifyCore/dims=2", 0, benchClassify2D},
+		{"ClassifyCore/dims=4", 0, benchClassify4D},
 	} {
 		alloctest.Bound(t, c.name, "1s", c.bound, c.body)
 	}

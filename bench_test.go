@@ -106,10 +106,46 @@ func BenchmarkOptimizeCore(b *testing.B) {
 }
 
 // BenchmarkClassifyCore measures one online classification — the per-batch
-// runtime cost RLD pays instead of migration.
+// runtime cost RLD pays instead of migration — on the 2-D benchmark
+// deployment and on a 4-D one where the cost fallback decides the cell.
+// Both read one compiled table entry; the 4-D one snaps two more
+// dimensions.
 func BenchmarkClassifyCore(b *testing.B) {
-	dep := benchDeployment(b, 0.05)
-	snap := Snapshot{Sels: []float64{0.3, 0.35, 0.4, 0.45, 0.5}, Rates: map[string]float64{}}
+	b.Run("dims=2", benchClassify2D)
+	b.Run("dims=4", benchClassify4D)
+}
+
+func benchClassify2D(b *testing.B) {
+	benchClassify(b, benchDeployment(b, 0.05), []float64{0.3, 0.35, 0.4, 0.45, 0.5})
+}
+
+// classify4D compiles rldopt's fallback-heavy shape once (an 8-way join with
+// selectivity dims 0, 2, 4 and 6 on four nodes of capacity 80): 14 of its 56
+// plans are supported, and no supported region contains the estimates. The
+// 65 536-point space takes about half a second to compile.
+var classify4D = sync.OnceValues(func() (*Deployment, error) {
+	q := NewNWayJoin("Q8way", 8, 2)
+	var dims []Dim
+	for _, op := range []int{0, 2, 4, 6} {
+		dims = append(dims, SelDim(op, q.Ops[op].Sel, 3))
+	}
+	return Optimize(q, dims, NewCluster(4, 80), DefaultConfig())
+})
+
+func benchClassify4D(b *testing.B) {
+	dep, err := classify4D()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sels []float64
+	for _, op := range dep.Query.Ops {
+		sels = append(sels, op.Sel)
+	}
+	benchClassify(b, dep, sels)
+}
+
+func benchClassify(b *testing.B, dep *Deployment, sels []float64) {
+	snap := Snapshot{Sels: sels, Rates: map[string]float64{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

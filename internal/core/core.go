@@ -4,7 +4,10 @@
 // weights the plans with the occurrence model, maps them onto a single
 // robust physical plan (OptPrune by default), and exposes the runtime side —
 // the QueryMesh-style online classifier that assigns a logical plan to every
-// tuple batch without ever migrating an operator.
+// tuple batch without ever migrating an operator. The classifier's decision
+// is compiled once: Optimize fills a table with the chosen plan at every grid
+// point, and each batch only snaps its statistics to the nearest grid point
+// and reads that point's entry.
 package core
 
 import (
@@ -82,9 +85,9 @@ type Deployment struct {
 	Cluster  *cluster.Cluster
 	Model    *paramspace.OccurrenceModel
 	cfg      Config
-	// regions[i] is the certified (or discovery) region list of Plans[i],
-	// resolved once by Optimize so Classify formats no plan keys per batch.
-	regions [][]paramspace.Region
+	// table[Space.Ordinal(g)] is the index into Plans that Classify
+	// answers at grid point g, filled once by Optimize.
+	table []uint16
 }
 
 // Optimize runs the two-step RLD optimization for query q over the given
@@ -125,6 +128,9 @@ func Optimize(q *query.Query, dims []paramspace.Dim, cl *cluster.Cluster, cfg Co
 	if res.NumPlans() == 0 {
 		return nil, fmt.Errorf("core: %s produced no robust plans (budget too small?)", cfg.Logical)
 	}
+	if res.NumPlans() > math.MaxUint16 {
+		return nil, fmt.Errorf("core: %s produced %d robust plans, more than the classifier indexes (%d)", cfg.Logical, res.NumPlans(), math.MaxUint16)
+	}
 	model := paramspace.NewOccurrenceModel(space)
 	res.AssignWeights(model)
 	plans := physical.FromRobust(res, ev)
@@ -143,13 +149,7 @@ func Optimize(q *query.Query, dims []paramspace.Dim, cl *cluster.Cluster, cfg Co
 	if pp == nil {
 		return nil, fmt.Errorf("core: no feasible physical plan on %v (total load exceeds capacity)", cl)
 	}
-	regions := make([][]paramspace.Region, len(plans))
-	for i := range plans {
-		if rp := res.PlanByKey(plans[i].Plan.Key()); rp != nil {
-			regions[i] = rp.Regions
-		}
-	}
-	return &Deployment{
+	d := &Deployment{
 		Query:    q,
 		Space:    space,
 		Ev:       ev,
@@ -159,8 +159,9 @@ func Optimize(q *query.Query, dims []paramspace.Dim, cl *cluster.Cluster, cfg Co
 		Cluster:  cl,
 		Model:    model,
 		cfg:      cfg,
-		regions:  regions,
-	}, nil
+	}
+	d.fill()
+	return d, nil
 }
 
 // SupportedPlans returns the logical plans the physical plan supports.
@@ -172,14 +173,70 @@ func (d *Deployment) SupportedPlans() []physical.LogicalPlan {
 	return out
 }
 
-// snapPoint converts a monitor snapshot to a parameter-space point, clamping
-// each dimension into its [Lo, Hi] range. A selectivity is read as it is,
-// zero included: a live monitor publishes the compile-time estimates until
-// its first offer, so a zero is an observation. A rate of zero or none
-// still falls back to the dimension's base.
-func (d *Deployment) snapPoint(snap stats.Snapshot) paramspace.Point {
-	pnt := make(paramspace.Point, d.Space.D())
-	for i, dim := range d.Space.Dims {
+// fill compiles Classify's answer at every grid point into d.table: the
+// first supported plan, in Supported order, whose region contains the point,
+// else the cheapest supported plan at the point, else — when nothing is
+// supported — the highest-weight plan.
+func (d *Deployment) fill() {
+	all := d.Logical.AllPlans() // all[i] is Plans[i]'s robust plan
+	d.table = make([]uint16, d.Space.NumPoints())
+	o := 0
+	d.Space.FullRegion().ForEach(func(g paramspace.GridPoint) bool {
+		d.table[o] = uint16(d.planAt(g, all))
+		o++
+		return true
+	})
+}
+
+func (d *Deployment) planAt(g paramspace.GridPoint, all []*robust.RobustPlan) int {
+	supported := d.Physical.Supported
+	if len(supported) == 0 {
+		best := 0
+		for i := range d.Plans {
+			if d.Plans[i].Weight > d.Plans[best].Weight {
+				best = i
+			}
+		}
+		return best
+	}
+	for _, i := range supported {
+		for _, reg := range all[i].Regions {
+			if reg.Contains(g) {
+				return i
+			}
+		}
+	}
+	pnt := d.Space.At(g)
+	best, bestCost := -1, 0.0
+	for _, i := range supported {
+		c := d.Ev.PlanCost(d.Plans[i].Plan, pnt)
+		if best == -1 || c < bestCost {
+			best, bestCost = i, c
+		}
+	}
+	return best
+}
+
+// Classify is the QueryMesh-style online classifier (§3, "robust load
+// executor"): snap the latest statistics to the nearest grid point and
+// return the plan Optimize compiled for it — the supported robust plan
+// whose certified region contains the point, else the cheapest supported
+// plan at that grid point. Returns the plan and its index into Plans.
+func (d *Deployment) Classify(snap stats.Snapshot) (query.Plan, int) {
+	i := int(d.table[d.cell(snap)])
+	return d.Plans[i].Plan, i
+}
+
+// cell returns the ordinal of the grid point nearest to snap. A
+// selectivity is read as it is, zero included: a live monitor publishes the
+// compile-time estimates until its first offer, so a zero is an
+// observation. A missing selectivity, and a rate that is missing or not
+// positive, read as the dimension's base.
+func (d *Deployment) cell(snap stats.Snapshot) int {
+	sp := d.Space
+	o, stride := 0, 1
+	for i := range sp.Dims {
+		dim := &sp.Dims[i]
 		v := dim.Base
 		switch dim.Kind {
 		case paramspace.Selectivity:
@@ -191,84 +248,10 @@ func (d *Deployment) snapPoint(snap stats.Snapshot) paramspace.Point {
 				v = r
 			}
 		}
-		if v < dim.Lo {
-			v = dim.Lo
-		}
-		if v > dim.Hi {
-			v = dim.Hi
-		}
-		pnt[i] = v
+		o += sp.Nearest(i, v) * stride
+		stride *= sp.Steps
 	}
-	return pnt
-}
-
-// gridOf maps a point to the nearest grid coordinates.
-func (d *Deployment) gridOf(pnt paramspace.Point) paramspace.GridPoint {
-	g := make(paramspace.GridPoint, d.Space.D())
-	for i, dim := range d.Space.Dims {
-		if dim.Hi == dim.Lo {
-			continue
-		}
-		frac := (pnt[i] - dim.Lo) / (dim.Hi - dim.Lo)
-		k := int(math.Round(frac * float64(d.Space.Steps-1)))
-		if k < 0 {
-			k = 0
-		}
-		if k > d.Space.Steps-1 {
-			k = d.Space.Steps - 1
-		}
-		g[i] = k
-	}
-	return g
-}
-
-// Classify is the QueryMesh-style online classifier (§3, "robust load
-// executor"): map the latest statistics to a parameter-space point, prefer
-// the supported robust plan whose certified region contains it, and fall
-// back to the cheapest supported plan at that point. Returns the plan and
-// its index into Plans.
-func (d *Deployment) Classify(snap stats.Snapshot) (query.Plan, int) {
-	pnt := d.snapPoint(snap)
-	g := d.gridOf(pnt)
-	if len(d.Plans) == 0 {
-		// Unreachable via Optimize (it rejects empty solutions), but
-		// keep a safe answer for hand-built deployments.
-		p, _ := optimizer.NewRank(d.Ev).Best(pnt)
-		return p, -1
-	}
-	supported := d.Physical.Supported
-	if len(supported) == 0 {
-		// Nothing supported (degenerate deployment): run the
-		// highest-weight plan.
-		best := 0
-		for i := range d.Plans {
-			if d.Plans[i].Weight > d.Plans[best].Weight {
-				best = i
-			}
-		}
-		return d.Plans[best].Plan, best
-	}
-	// Region containment first (a deployment not built by Optimize has no
-	// resolved regions and goes straight to the cost fallback).
-	for _, i := range supported {
-		if i >= len(d.regions) {
-			continue
-		}
-		for _, reg := range d.regions[i] {
-			if reg.Contains(g) {
-				return d.Plans[i].Plan, i
-			}
-		}
-	}
-	// Fallback: cheapest supported plan at the observed point.
-	best, bestCost := -1, 0.0
-	for _, i := range supported {
-		c := d.Ev.PlanCost(d.Plans[i].Plan, pnt)
-		if best == -1 || c < bestCost {
-			best, bestCost = i, c
-		}
-	}
-	return d.Plans[best].Plan, best
+	return o
 }
 
 // referenceRuster is Table 2's default ruster size: the §6.5 "≈2% of

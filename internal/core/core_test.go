@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -126,8 +128,8 @@ func TestClassifyTracksStatistics(t *testing.T) {
 		// to react.
 		t.Fatalf("classifier ignored statistics: %v vs %v", planLo, planHi)
 	}
-	// The chosen plan must always be ε-competitive at the snap point.
-	pnt := d.snapPoint(lo)
+	// The chosen plan must always be ε-competitive at its grid point.
+	pnt := d.Space.At(make(paramspace.GridPoint, d.Space.D()))
 	best := math.Inf(1)
 	for _, lp := range d.SupportedPlans() {
 		if c := d.Ev.PlanCost(lp.Plan, pnt); c < best {
@@ -154,29 +156,207 @@ func sels(d *Deployment, k int) []float64 {
 	return out
 }
 
-// TestZeroSelectivityIsObserved: an operator observed to pass nothing is
-// classified at the low edge of its dimension, not at its base estimate.
-// A zero is an observation, since a live monitor publishes the compile-time
-// estimates until its first offer.
-func TestZeroSelectivityIsObserved(t *testing.T) {
-	d := deploy(t, DefaultConfig())
-	pnt := d.snapPoint(stats.Snapshot{Sels: make([]float64, len(d.Query.Ops))})
-	for i, dim := range d.Space.Dims {
-		if dim.Kind == paramspace.Selectivity && pnt[i] != dim.Lo {
-			t.Errorf("dim %d (op %d): zero selectivity read as %v, want Lo %v (base %v)", i, dim.Op, pnt[i], dim.Lo, dim.Base)
+// TestClassifyClampsOutOfRangeStats: no statistic a monitor can publish —
+// out of range, non-finite, negative, missing — makes Classify panic or
+// answer a plan the physical plan does not support.
+func TestClassifyClampsOutOfRangeStats(t *testing.T) {
+	q := query.NewNWayJoin("Q1", 5, 2)
+	dims := append(fixtureDims(q), paramspace.RateDim("S1", q.Rates["S1"], 3))
+	d, err := Optimize(q, dims, cluster.NewHomogeneous(3, 60), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := func(v float64) stats.Snapshot {
+		snap := stats.Snapshot{Sels: make([]float64, len(q.Ops)), Rates: map[string]float64{"S1": v}}
+		for i := range snap.Sels {
+			snap.Sels[i] = v
+		}
+		return snap
+	}
+	cases := map[string]stats.Snapshot{
+		"far above":      all(5),
+		"NaN":            all(math.NaN()),
+		"+Inf":           all(math.Inf(1)),
+		"-Inf":           all(math.Inf(-1)),
+		"negative":       all(-0.5),
+		"zero rate":      {Sels: sels(d, 1), Rates: map[string]float64{"S1": 0}},
+		"short Sels":     {Sels: []float64{0.3}, Rates: map[string]float64{}},
+		"nil Sels":       {Rates: map[string]float64{"S1": 1e9}},
+		"nil Rates":      {Sels: sels(d, 2)},
+		"empty snapshot": {},
+	}
+	for name, snap := range cases {
+		plan, idx := d.Classify(snap)
+		if plan == nil || !slices.Contains(d.Physical.Supported, idx) {
+			t.Errorf("%s: Classify = %v, %d; want a plan in Supported %v", name, plan, idx, d.Physical.Supported)
 		}
 	}
 }
 
-func TestClassifyClampsOutOfRangeStats(t *testing.T) {
-	d := deploy(t, DefaultConfig())
-	snap := stats.Snapshot{Sels: make([]float64, len(d.Query.Ops)), Rates: map[string]float64{}}
-	for i := range snap.Sels {
-		snap.Sels[i] = 5.0 // far outside the space
+// referencePlan is the classifier Optimize compiles, decided directly at
+// grid point g: the first supported plan, in Supported order, whose region
+// contains g, else the cheapest supported plan at g (fallback reports
+// this case), else the highest-weight plan.
+func referencePlan(d *Deployment, g paramspace.GridPoint) (plan int, fallback bool) {
+	if len(d.Physical.Supported) == 0 {
+		best := 0
+		for i, lp := range d.Plans {
+			if lp.Weight > d.Plans[best].Weight {
+				best = i
+			}
+		}
+		return best, false
 	}
-	plan, idx := d.Classify(snap)
-	if plan == nil || idx < 0 {
-		t.Fatal("classification must survive out-of-range statistics")
+	for _, i := range d.Physical.Supported {
+		for _, reg := range d.Logical.PlanByKey(d.Plans[i].Plan.Key()).Regions {
+			if reg.Contains(g) {
+				return i, false
+			}
+		}
+	}
+	pnt := d.Space.At(g)
+	best := -1
+	for _, i := range d.Physical.Supported {
+		if best == -1 || d.Ev.PlanCost(d.Plans[i].Plan, pnt) < d.Ev.PlanCost(d.Plans[best].Plan, pnt) {
+			best = i
+		}
+	}
+	return best, true
+}
+
+// snapshotAt returns a snapshot holding value(i) on every dimension i of d's
+// space, and the operators' estimates elsewhere.
+func snapshotAt(d *Deployment, value func(i int) float64) stats.Snapshot {
+	snap := stats.Snapshot{Sels: make([]float64, len(d.Query.Ops)), Rates: map[string]float64{}}
+	for i, op := range d.Query.Ops {
+		snap.Sels[i] = op.Sel
+	}
+	for i, dim := range d.Space.Dims {
+		if dim.Kind == paramspace.Selectivity {
+			snap.Sels[dim.Op] = value(i)
+		} else {
+			snap.Rates[dim.Stream] = value(i)
+		}
+	}
+	return snap
+}
+
+// randomDeployments compiles a random query over 1–4 dimensions (selectivity
+// and rate dims alternating) at two ε, each on a roomy cluster and on the
+// first cluster of a shrinking sequence that supports some plans but not
+// all, when one exists: there the cost fallback decides the cells no
+// supported region covers.
+func randomDeployments(t *testing.T) map[string]*Deployment {
+	rng := rand.New(rand.NewSource(51))
+	out := map[string]*Deployment{}
+	for n := 1; n <= 4; n++ {
+		q := query.NewRandomQuery("R", 5, 2, rng)
+		var dims []paramspace.Dim
+		for j := 0; j < n; j++ {
+			if j%2 == 0 {
+				dims = append(dims, paramspace.SelDim(j, q.Ops[j].Sel, 3))
+			} else {
+				dims = append(dims, paramspace.RateDim(q.Streams[j], q.Rates[q.Streams[j]], 3))
+			}
+		}
+		for _, eps := range []float64{0.05, 0.2} {
+			cfg := DefaultConfig()
+			cfg.Robust.Epsilon = eps
+			cfg.Steps = 8
+			roomy, err := Optimize(q, dims, cluster.NewHomogeneous(3, 1e9), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("dims=%d/eps=%v/roomy", n, eps)] = roomy
+			capacity := 0.0
+			for _, lp := range roomy.Plans {
+				sum := 0.0
+				for _, l := range lp.Loads {
+					sum += l
+				}
+				capacity = max(capacity, sum)
+			}
+			for ; capacity > 1e-3; capacity *= 0.9 {
+				d, err := Optimize(q, dims, cluster.NewHomogeneous(3, capacity), cfg)
+				if err == nil && len(d.Physical.Supported) > 0 && len(d.Physical.Supported) < len(d.Plans) {
+					out[fmt.Sprintf("dims=%d/eps=%v/tight", n, eps)] = d
+					break
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestClassifyMatchesReference pins the compiled classifier to
+// referencePlan: at every grid point, at random off-grid snapshots (which
+// must classify like their nearest grid point, found here by brute force),
+// on random deployments and on one whose physical plan supports nothing.
+// Zero selectivities are observations: they classify at coordinate 0 of
+// every selectivity dimension, not at the base estimate.
+func TestClassifyMatchesReference(t *testing.T) {
+	deps := randomDeployments(t)
+	empty := *deps["dims=2/eps=0.05/roomy"]
+	phys := *empty.Physical
+	phys.Supported = nil
+	empty.Physical = &phys
+	empty.fill()
+	deps["supports nothing"] = &empty
+
+	rng := rand.New(rand.NewSource(7))
+	fallbackCells := 0
+	for name, d := range deps {
+		sp := d.Space
+		o := 0
+		sp.FullRegion().ForEach(func(g paramspace.GridPoint) bool {
+			want, fallback := referencePlan(d, g)
+			if fallback {
+				fallbackCells++
+			}
+			snap := snapshotAt(d, func(i int) float64 { return sp.Value(i, g[i]) })
+			if got := d.cell(snap); got != o {
+				t.Fatalf("%s: grid point %v snaps to ordinal %d, want %d", name, g, got, o)
+			}
+			if _, got := d.Classify(snap); got != want {
+				t.Fatalf("%s: Classify at %v = %d, reference %d", name, g, got, want)
+			}
+			o++
+			return true
+		})
+		for k := 0; k < 200; k++ {
+			g := make(paramspace.GridPoint, sp.D())
+			snap := snapshotAt(d, func(i int) float64 {
+				dim := sp.Dims[i]
+				v := dim.Lo + (rng.Float64()*1.5-0.25)*(dim.Hi-dim.Lo)
+				for c := range sp.Steps {
+					if math.Abs(sp.Value(i, c)-v) < math.Abs(sp.Value(i, g[i])-v) {
+						g[i] = c
+					}
+				}
+				return v
+			})
+			if got, want := d.cell(snap), sp.Ordinal(g); got != want {
+				t.Fatalf("%s: off-grid snapshot snaps to ordinal %d, nearest grid point %v is %d", name, got, g, want)
+			}
+			want, _ := referencePlan(d, g)
+			if _, got := d.Classify(snap); got != want {
+				t.Fatalf("%s: off-grid Classify = %d, reference at nearest %v = %d", name, got, g, want)
+			}
+		}
+		// A zero rate is no observation: rate dims stay at the base.
+		zero := snapshotAt(d, func(int) float64 { return 0 })
+		g := sp.Center()
+		for i, dim := range sp.Dims {
+			if dim.Kind == paramspace.Selectivity {
+				g[i] = 0
+			}
+		}
+		if got, want := d.cell(zero), sp.Ordinal(g); got != want {
+			t.Errorf("%s: zero selectivities snap to ordinal %d, want %d (%v)", name, got, want, g)
+		}
+	}
+	if fallbackCells == 0 {
+		t.Fatal("no deployment left a grid point outside every supported region; the cost fallback went untested")
 	}
 }
 

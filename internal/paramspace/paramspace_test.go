@@ -74,6 +74,42 @@ func TestSpaceCenterMapsBase(t *testing.T) {
 	}
 }
 
+// TestNearestRoundsLikeMathRound pins Space.Nearest to the clamp of
+// math.Round over the grid, at random values, at every grid value and at
+// every exact half-step between two (where half away from zero decides),
+// and at values outside the range or not finite.
+func TestNearestRoundsLikeMathRound(t *testing.T) {
+	s := twoDimSpace(16)
+	want := func(i int, v float64) int {
+		d := s.Dims[i]
+		k := math.Round((v - d.Lo) / (d.Hi - d.Lo) * float64(s.Steps-1))
+		if math.IsNaN(k) || k < 0 {
+			return 0
+		}
+		return int(math.Min(k, float64(s.Steps-1)))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i, d := range s.Dims {
+		span := d.Hi - d.Lo
+		vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -d.Hi, 0, d.Base}
+		for k := -2; k <= 2*s.Steps; k++ {
+			vals = append(vals, d.Lo+span*float64(k)/float64(2*(s.Steps-1)))
+		}
+		for n := 0; n < 10000; n++ {
+			vals = append(vals, d.Lo+span*(rng.Float64()*1.4-0.2))
+		}
+		for _, v := range vals {
+			if got, w := s.Nearest(i, v), want(i, v); got != w {
+				t.Fatalf("dim %d: Nearest(%v) = %d, math.Round rule %d", i, v, got, w)
+			}
+		}
+	}
+	flat := New([]Dim{{Lo: 0.5, Hi: 0.5}}, 16)
+	if got := flat.Nearest(0, 0.9); got != 0 {
+		t.Fatalf("degenerate dim: Nearest = %d, want 0", got)
+	}
+}
+
 func TestGridPointOps(t *testing.T) {
 	g := GridPoint{3, 5}
 	h := g.Clone()

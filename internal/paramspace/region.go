@@ -80,13 +80,6 @@ func (r Region) AllCorners() []GridPoint {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Center returns the region's central grid point (floor midpoint).
 func (r Region) Center() GridPoint {
 	c := make(GridPoint, len(r.Lo))

@@ -198,18 +198,32 @@ func (s *Space) FullRegion() Region {
 func (s *Space) Center() GridPoint {
 	g := make(GridPoint, s.D())
 	for i, d := range s.Dims {
-		if d.Hi == d.Lo {
-			continue
-		}
-		frac := (d.Base - d.Lo) / (d.Hi - d.Lo)
-		k := int(math.Round(frac * float64(s.Steps-1)))
-		if k < 0 {
-			k = 0
-		}
-		if k > s.Steps-1 {
-			k = s.Steps - 1
-		}
-		g[i] = k
+		g[i] = s.Nearest(i, d.Base)
 	}
 	return g
+}
+
+// Nearest returns the grid coordinate on dimension i nearest to value v,
+// clamped into [0, Steps-1]: a value below Lo (or NaN) maps to 0, one above
+// Hi to Steps-1, and every value of a degenerate dimension (Hi == Lo) to 0.
+// The clamp is on the coordinate, so no input can index past the grid.
+func (s *Space) Nearest(i int, v float64) int {
+	d := &s.Dims[i]
+	if d.Hi == d.Lo {
+		return 0
+	}
+	x := (v - d.Lo) / (d.Hi - d.Lo) * float64(s.Steps-1)
+	switch {
+	case !(x > 0):
+		return 0
+	case x >= float64(s.Steps-1):
+		return s.Steps - 1
+	}
+	// math.Round(x), half away from zero, in a form the compiler inlines
+	// into the per-batch classifier: x - trunc(x) is exact.
+	k := int(x)
+	if x-float64(k) >= 0.5 {
+		k++
+	}
+	return k
 }

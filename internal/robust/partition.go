@@ -103,7 +103,8 @@ func (p *partitioner) corner(g paramspace.GridPoint) (query.Plan, float64, bool)
 // certify a region (Algorithm 3 line 10: every distinct optimal plan found
 // joins LPi). Such plans become Extras carrying the unit region of their
 // discovery point, so the physical planner can still budget their loads and
-// the classifier's cost fallback can reach them.
+// the classifier compiled at Optimize time can pick them where no supported
+// region covers a grid point.
 func (p *partitioner) finish() {
 	for _, g := range p.found {
 		plan, _, ok := p.opt.Best(p.space.At(g)) // memoized: no extra call

@@ -257,16 +257,13 @@ func TestERPTheorem1UncoveredBoundStatistical(t *testing.T) {
 	}
 }
 
-func TestLookupAndPlanByKey(t *testing.T) {
+func TestPlanByKeyAndString(t *testing.T) {
 	ev, mk, _ := fixture(8)
 	res := WRP(mk(), ev, DefaultConfig())
-	g := paramspace.GridPoint{3, 3}
-	rp := res.Lookup(g)
-	if rp == nil {
-		t.Fatal("Lookup failed inside certified space")
-	}
-	if res.PlanByKey(rp.Plan.Key()) != rp {
-		t.Fatal("PlanByKey mismatch")
+	for _, rp := range res.AllPlans() {
+		if res.PlanByKey(rp.Plan.Key()) != rp {
+			t.Fatalf("PlanByKey(%s) mismatch", rp.Plan.Key())
+		}
 	}
 	if res.PlanByKey("no-such") != nil {
 		t.Fatal("PlanByKey should return nil for unknown keys")

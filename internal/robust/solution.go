@@ -104,7 +104,9 @@ type Result struct {
 	// never used to certify a region (line 10 adds every distinct
 	// optimal plan to LPi). Each carries the unit region of its
 	// discovery point — enough for the physical planner to budget its
-	// loads and for the classifier's cost fallback to reach it.
+	// loads, and for the classifier Optimize compiles to choose it at
+	// grid points no supported region covers, when it is the cheapest
+	// supported plan there.
 	Extras []*RobustPlan
 	// Calls is the number of optimizer invocations consumed.
 	Calls int
@@ -118,18 +120,6 @@ type Result struct {
 	// Terminated reports whether the aging counter (Theorem 1) stopped
 	// the search before the space was fully partitioned.
 	Terminated bool
-}
-
-// Lookup returns the robust plan covering grid point g, or nil.
-func (r *Result) Lookup(g paramspace.GridPoint) *RobustPlan {
-	for _, rp := range r.Plans {
-		for _, reg := range rp.Regions {
-			if reg.Contains(g) {
-				return rp
-			}
-		}
-	}
-	return nil
 }
 
 // PlanByKey returns the robust plan (certified or extra) with the given
