@@ -91,7 +91,8 @@ type Deployment struct {
 }
 
 // Optimize runs the two-step RLD optimization for query q over the given
-// uncertain dimensions and cluster.
+// uncertain dimensions and cluster. It fails when no placement fits the
+// cluster, or when the one it finds supports none of the robust plans.
 func Optimize(q *query.Query, dims []paramspace.Dim, cl *cluster.Cluster, cfg Config) (*Deployment, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -149,6 +150,10 @@ func Optimize(q *query.Query, dims []paramspace.Dim, cl *cluster.Cluster, cfg Co
 	if pp == nil {
 		return nil, fmt.Errorf("core: no feasible physical plan on %v (total load exceeds capacity)", cl)
 	}
+	if len(pp.Supported) == 0 {
+		// The classifier would run a plan the placement cannot carry.
+		return nil, fmt.Errorf("core: the placement on %v supports none of the %d robust plans (capacity too small for any plan)", cl, len(plans))
+	}
 	d := &Deployment{
 		Query:    q,
 		Space:    space,
@@ -176,7 +181,7 @@ func (d *Deployment) SupportedPlans() []physical.LogicalPlan {
 // fill compiles Classify's answer at every grid point into d.table: the
 // first supported plan, in Supported order, whose region contains the point,
 // else the cheapest supported plan at the point, else — when nothing is
-// supported — the highest-weight plan.
+// supported, which Optimize refuses to deploy — the highest-weight plan.
 func (d *Deployment) fill() {
 	all := d.Logical.AllPlans() // all[i] is Plans[i]'s robust plan
 	d.table = make([]uint16, d.Space.NumPoints())

@@ -103,6 +103,42 @@ func TestOptimizeRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// TestOptimizeRejectsPlacementSupportingNothing: random 5-op queries over 3
+// and 4 dimensions on three nodes of capacity 7.5, which leaves the
+// physical phase a placement for some of them that supports none of the
+// robust plans. Optimize must refuse those, and deploy only a placement
+// that supports at least one plan.
+func TestOptimizeRejectsPlacementSupportingNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	cl := cluster.NewHomogeneous(3, 7.5)
+	refused, deployed := 0, 0
+	for trial := 0; trial < 24; trial++ {
+		q := query.NewRandomQuery("R", 5, 2, rng)
+		var dims []paramspace.Dim
+		for j := 0; j < 3+trial%2; j++ {
+			if j%2 == 0 {
+				dims = append(dims, paramspace.SelDim(j, q.Ops[j].Sel, 3))
+			} else {
+				dims = append(dims, paramspace.RateDim(q.Streams[j], q.Rates[q.Streams[j]], 3))
+			}
+		}
+		cfg := DefaultConfig()
+		cfg.Steps = 6
+		d, err := Optimize(q, dims, cl, cfg)
+		switch {
+		case err == nil && len(d.Physical.Supported) == 0:
+			t.Fatalf("trial %d: deployed a placement that supports none of %d plans", trial, len(d.Plans))
+		case err == nil:
+			deployed++
+		case strings.Contains(err.Error(), "supports none"):
+			refused++
+		}
+	}
+	if refused == 0 || deployed == 0 {
+		t.Fatalf("%d placements refused for supporting nothing and %d deployed; the check needs both", refused, deployed)
+	}
+}
+
 func fixtureDimsFor(q *query.Query) []paramspace.Dim {
 	return []paramspace.Dim{
 		paramspace.SelDim(0, 0.4, 2),

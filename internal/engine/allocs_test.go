@@ -133,6 +133,9 @@ func TestBenchmarkAllocs(t *testing.T) {
 		// The WAL-off side only: what the dedup hooks cost the path that
 		// does not use them.
 		{"IngestDurable/wal=off", 275, func(b *testing.B) { benchIngestDurable(b, "") }},
+		// The join stage alone: its blocks, partials and scratch all come
+		// back to their pools, so it holds at nothing.
+		{"JoinStage", 0, BenchmarkJoinStage},
 	} {
 		alloctest.Bound(t, c.name, "3x", c.bound, c.body)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	stdruntime "runtime"
 	"testing"
@@ -235,23 +236,32 @@ func BenchmarkIngestDurable(b *testing.B) {
 	b.Run("wal=on", func(b *testing.B) { benchIngestDurable(b, b.TempDir()) })
 }
 
-// restoreFixture is engine_join's join window at rest (bench/rldperf): a
-// 3-way join, one worker, whose S2 operator holds a full 12 s span at 1 000
-// tuples a second over 4 096 keys — about 12 000 rows of one payload value —
-// and the snapshot of that window. age lifts the operator's high-water
+// restoreFixture is engine_join's join window at rest (see joinWindow) and
+// the snapshot of that window. age lifts the operator's high-water
 // timestamp that many seconds past the snapshot's newest row, as the
 // batches ingested between a checkpoint and a crash do, so that a restore
 // finds the snapshot's oldest rows already below the cutoff. durable turns
 // on exactly-once mode, in which a restore also rebuilds the dedup set.
 func restoreFixture(tb testing.TB, age float64, durable bool) (core *NodeCore, op int, snap *stream.Batch) {
-	const span, rate, keys, batch = 12, 1000, 4096, 100
-	q := query.NewNWayJoin("RS", 3, rate)
-	q.WindowSeconds = span
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	if durable {
 		cfg.WALDir = tb.TempDir()
 	}
+	core, op = joinWindow(tb, cfg)
+	snap = core.SnapshotOp(op)
+	core.ops[op].advanceTs(float64(snap.MaxTs()) + age)
+	return core, op, snap
+}
+
+// joinWindow is engine_join's join window (bench/rldperf): a 3-way join
+// under cfg at one worker, whose S2 operator, op, holds a full 12 s span at
+// 1 000 tuples a second over 4 096 keys — about 12 000 rows of one payload
+// value, about three to a key.
+func joinWindow(tb testing.TB, cfg Config) (core *NodeCore, op int) {
+	const span, rate, keys, batch = 12, 1000, 4096, 100
+	q := query.NewNWayJoin("RS", 3, rate)
+	q.WindowSeconds = span
+	cfg.Workers = 1
 	core, err := NewNodeCore(q, cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -269,9 +279,53 @@ func restoreFixture(tb testing.TB, age float64, durable bool) (core *NodeCore, o
 			tb.Fatal(err)
 		}
 	}
-	snap = core.SnapshotOp(op)
-	core.ops[op].advanceTs(float64(snap.MaxTs()) + age)
-	return core, op, snap
+	return core, op
+}
+
+// BenchmarkJoinStage is engine_join's join stage on its own: a 100-row
+// block-seeded S1 batch, keys drawn from the window's 4 096 (64 batches in
+// turn, so that the chains a batch walks are not the last one's), probes
+// joinWindow's S2 window at MaxFanout 8 — count pass, block, fill pass, and
+// the release of both blocks — and reports the cost per probe.
+//
+//	go test ./internal/engine -run '^$' -bench JoinStage
+func BenchmarkJoinStage(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.MaxFanout = 8
+	core, op := joinWindow(b, cfg)
+	const n = 100
+	rng := rand.New(rand.NewSource(9))
+	keys := make([][n]int64, 64)
+	for i := range keys {
+		for j := range keys[i] {
+			keys[i][j] = rng.Int63n(4096)
+		}
+	}
+	ts := stream.Time(math.Float64frombits(core.ops[op].maxTs.Load()))
+	sch, results, round := core.Schema(), 0, 0
+	step := func() {
+		blk := sch.AcquireBlock(n, n)
+		ps := core.NewPartials()
+		round++
+		for i, k := range keys[round%len(keys)] {
+			ps = append(ps, blk.Seed(0, uint64(i), ts, k, ts, []float64{float64(i)}))
+		}
+		out := core.runStage(op, ps)
+		results += len(out)
+		core.ReleasePartials(out)
+	}
+	for range 50 {
+		step() // fill the pools
+	}
+	if results == 0 {
+		b.Fatal("the join stage emitted nothing")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/probe")
 }
 
 // BenchmarkRestoreOp restores engine_join's join window from its snapshot

@@ -55,21 +55,21 @@ func putPartials(s []*stream.Joined) {
 
 // shardScratch is the pooled per-batch workspace for the vectorized shard
 // paths: counting-sort arrays that group rows (inserts) or partials (probes)
-// by destination shard, per-probe match ranges, and the columnar Matches
-// buffer probe results are copied into under the shard lock. Everything is
-// index- or scalar-typed, so recycling needs no pointer clearing.
+// by destination shard, and the join stage's per-probe match counts and
+// chain heads, which carry its count pass over to its fill pass. Everything
+// is index- or scalar-typed, so recycling needs no pointer clearing.
 type shardScratch struct {
-	shardOf []int32 // item → destination shard
-	starts  []int32 // shard → group start in order (len nShards+1)
-	cnt     []int32 // counting-sort cursors
-	order   []int32 // item indices grouped by shard
-	ident   []int32 // 0, 1, 2, …: the run of a one-shard insert (see identity)
-	probe   []int32 // join stage: indices of partials that probe
-	keys    []int64 // per probe: its join key, then the same keys grouped by shard
-	gcount  []int32 // per grouped probe: match count
-	mstart  []int32 // per probe: match range start in matches
-	mcount  []int32 // per probe: match count
-	matches stream.Matches
+	shardOf []int32  // item → destination shard
+	starts  []int32  // shard → group start in order (len nShards+1)
+	cnt     []int32  // counting-sort cursors
+	order   []int32  // item indices grouped by shard
+	ident   []int32  // 0, 1, 2, …: the run of a one-shard insert (see identity)
+	probe   []int32  // join stage: indices of partials that probe
+	keys    []int64  // per probe: its join key, then the same keys grouped by shard
+	gcount  []int32  // per grouped probe: match count
+	heads   []uint64 // per grouped probe: its chain head
+	mcount  []int32  // per probe: rows written
+	mstart  []int32  // per probe: its first row in the join block
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
@@ -206,6 +206,34 @@ func (s *opState) dedupFilter(b *stream.Batch) *stream.Batch {
 	return out
 }
 
+// recordRestored records the rows of a snapshot RestoreOp is loading in the
+// seen set clearOp has just emptied, leaving the set as dedupFilter would:
+// every row, less — when the snapshot reaches the prune threshold — the rows
+// that filter's first prune would drop, those below the current cutoff. It
+// does so without dedupFilter's lookups, which find nothing in an empty set
+// (a snapshot of a deduplicated window repeats no row), and without the
+// prune's walk over the map. A smaller snapshot's rows below the cutoff stay
+// recorded, though the restore skips loading them: a re-insert of one is
+// dropped as a duplicate, as it is after a restore that loads it.
+func (s *opState) recordRestored(b *stream.Batch) {
+	s.seenMu.Lock()
+	defer s.seenMu.Unlock()
+	n := b.Len()
+	cutoff := stream.Time(math.Inf(-1))
+	pruned := n >= s.seenPruneAt
+	if pruned {
+		cutoff = s.cutoff()
+	}
+	for i := 0; i < n; i++ {
+		if ts := b.Ts[i]; ts >= cutoff {
+			s.seen[stream.MakeTupleID(s.slot, b.Seq[i])] = ts
+		}
+	}
+	if pruned {
+		s.seenPruneAt = max(1024, 2*len(s.seen))
+	}
+}
+
 // pruneSeenLocked drops seen entries whose tuples have aged past the
 // window span — they can no longer be in the window, and a replayed
 // duplicate that old would be expired on arrival anyway. The next prune
@@ -243,10 +271,15 @@ func (s *opState) advanceTs(ts float64) {
 //
 // restore is for shards ClearOp has just emptied (see RestoreOp): each
 // shard's run then starts at its first row whose timestamp is at or above
-// the operator's expiry cutoff. Every row is still recorded as seen.
+// the operator's expiry cutoff, and the rows are recorded as seen by
+// recordRestored rather than filtered.
 func (s *opState) insertBatch(b *stream.Batch, sc *shardScratch, restore bool) {
 	//rldlint:allow guardedby -- nil-ness is a construction-time mode flag (durable vs not), never written after; only the map contents need seenMu
-	if s.seen != nil {
+	switch {
+	case s.seen == nil:
+	case restore:
+		s.recordRestored(b)
+	default:
 		if b = s.dedupFilter(b); b == nil {
 			return
 		}
@@ -434,10 +467,13 @@ func (c *NodeCore) Insert(op int, b *stream.Batch) error {
 // returns the surviving/extended partials. Ownership of the input slice and
 // its tuples transfers to the call: consumed tuples are released, and for
 // join stages the input slice itself is recycled (select stages filter in
-// place and return the input slice). A join's extensions are all rows of one
-// block, sized from the probe pass before the first is written; partials that
-// pass through stay in the block they came in. Observed-selectivity counters
-// are updated as a side effect. The router never sends a message to a stage
+// place and return the input slice). A join stage is one probe-then-build
+// pass: a count pass over each shard's group of keys sizes one block for all
+// of its extensions, and a fill pass writes each probe's matches from their
+// window records straight into their rows (Block.AppendJoin), in the
+// partials' order, oldest first, each probe's cut to its MaxFanout oldest;
+// partials that pass through stay in the block they came in.
+// Observed-selectivity counters are updated as a side effect. The router never sends a message to a stage
 // that would pass all of it through (see passesThrough); direct callers of
 // ProcessStage may.
 func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined {
@@ -491,12 +527,12 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 		if np := len(sc.probe); np > 0 {
 			// Vectorized probe: read the whole key set up front, group
 			// probes by destination shard, and take each shard lock once
-			// per batch — expiring the shard against the operator-wide
-			// high-water timestamp, then probing the shard's keys as one
-			// group, which copies every probe's matches into the columnar
-			// scratch in group order. (Per-shard windows only see their
-			// own inserts, so without the expire a cold shard would
-			// answer probes with tuples far older than the span.)
+			// per batch for the count pass — expiring the shard against
+			// the operator-wide high-water timestamp, then counting the
+			// shard's keys as one group and saving each key's chain head.
+			// (Per-shard windows only see their own inserts, so without
+			// the expire a cold shard would answer probes with tuples far
+			// older than the span.)
 			nShards := len(st.shards)
 			mask := uint64(nShards - 1)
 			sc.shardOf = grow32(sc.shardOf, np)
@@ -510,10 +546,14 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 			for oi, k := range sc.order[:np] {
 				grouped[oi] = keys[k]
 			}
-			sc.matches.Reset()
 			sc.gcount = grow32(sc.gcount, np)
+			sc.heads = slices.Grow(sc.heads[:0], np)[:np]
 			cutoff := st.cutoff()
 			var delta int64
+			// The count pass sizes the stage's whole output before a row
+			// of it is written: each probe keeps what MaxFanout lets
+			// through, and one block takes it all.
+			rows, nvals := 0, 0
 			for si := 0; si < nShards; si++ {
 				lo, hi := sc.starts[si], sc.starts[si+1]
 				if lo == hi {
@@ -524,51 +564,63 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 				before := sh.window.Len()
 				sh.window.ExpireBefore(cutoff)
 				delta += int64(sh.window.Len() - before)
-				sh.window.AppendGroupMatches(grouped[lo:hi], sc.gcount[lo:hi], &sc.matches)
+				sh.window.CountGroupMatches(grouped[lo:hi], sc.gcount[lo:hi], sc.heads[lo:hi])
+				width := sh.window.Width()
 				sh.mu.Unlock()
+				for oi := lo; oi < hi; oi++ {
+					n := int(sc.gcount[oi])
+					hits += int64(n)
+					n = c.keep(n)
+					rows += n
+					nvals += n * (partials[sc.probe[sc.order[oi]]].NumVals() + width)
+				}
 			}
 			if delta != 0 {
 				st.winLen.Add(delta)
 			}
-			sc.mstart = grow32(sc.mstart, np)
-			sc.mcount = grow32(sc.mcount, np)
-			ms := int32(0)
-			for oi, k := range sc.order[:np] {
-				sc.mstart[k], sc.mcount[k] = ms, sc.gcount[oi]
-				ms += sc.gcount[oi]
-			}
-			// The probe pass has counted every match, so the stage's whole
-			// output is sized before a row of it is written: mcount drops
-			// to what MaxFanout lets through, and one block takes it all.
 			pairs = st.winLen.Load() * int64(np)
-			width := sc.matches.Width()
-			rows, nvals := 0, 0
-			for k, pi := range sc.probe {
-				n := int(sc.mcount[k])
-				hits += int64(n)
-				if c.cfg.MaxFanout > 0 && n > c.cfg.MaxFanout {
-					n = c.cfg.MaxFanout
-					sc.mcount[k] = int32(n)
-				}
-				rows += n
-				nvals += n * (partials[pi].NumVals() + width)
-			}
-			// Build extensions outside every lock, in the partials'
-			// original order; consumed partials go back to their blocks.
-			// (With no match at all there is no block, and no iteration
-			// of the inner loop to miss it.)
-			var blk *stream.Block
+			// The fill pass takes the lock of each shard with a match once
+			// more and writes the group's rows straight from the shard's
+			// window into the block (one hold in all at one shard, where
+			// the group is in the partials' order already); the rows then
+			// leave in the partials' order. With no match at all there is
+			// no block, and no lock is taken again.
 			if rows > 0 {
-				blk = c.schema.AcquireBlock(rows, nvals)
-				out = slices.Grow(out, rows)
-			}
-			for k, pi := range sc.probe {
-				p := partials[pi]
-				base := int(sc.mstart[k])
-				for mi := base; mi < base+int(sc.mcount[k]); mi++ {
-					out = append(out, blk.CloneWith(p, st.slot, sc.matches.Seq[mi], sc.matches.Ts[mi], keys[k], sc.matches.Arr[mi], sc.matches.ValsAt(mi)))
+				blk := c.schema.AcquireBlock(rows, nvals)
+				sc.mcount = grow32(sc.mcount, np)
+				sc.mstart = grow32(sc.mstart, np)
+				clear(sc.mcount)
+				at := int32(0)
+				for si := 0; si < nShards; si++ {
+					lo, hi := sc.starts[si], sc.starts[si+1]
+					if !slices.ContainsFunc(sc.gcount[lo:hi], func(n int32) bool { return n > 0 }) {
+						continue
+					}
+					sh := st.shards[si]
+					sh.mu.Lock()
+					for oi := lo; oi < hi; oi++ {
+						k, n := sc.order[oi], int(sc.gcount[oi])
+						if n > 0 {
+							n = blk.AppendJoin(partials[sc.probe[k]], st.slot, sh.window, sc.heads[oi], n, c.keep(n))
+						}
+						sc.mcount[k], sc.mstart[k] = int32(n), at
+						at += int32(n)
+					}
+					sh.mu.Unlock()
 				}
-				p.Release()
+				// Every walk may have fallen below a head that moved since the
+				// count: then no row holds the block, and it goes back here.
+				blk.Discard()
+				out = slices.Grow(out, int(at))
+				for k, n := range sc.mcount[:np] {
+					if n > 0 {
+						out = blk.AppendRows(out, int(sc.mstart[k]), int(n))
+					}
+				}
+			}
+			// Consumed partials go back to their blocks.
+			for _, pi := range sc.probe {
+				partials[pi].Release()
 			}
 		}
 		putScratch(sc)
@@ -582,6 +634,15 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 		putPartials(partials)
 	}
 	return out
+}
+
+// keep is how many of a probe's n matches a join stage emits: all of them,
+// or the oldest MaxFanout.
+func (c *NodeCore) keep(n int) int {
+	if c.cfg.MaxFanout > 0 && n > c.cfg.MaxFanout {
+		return c.cfg.MaxFanout
+	}
+	return n
 }
 
 // passesThrough reports whether operator op's stage hands a row with p's
@@ -665,8 +726,8 @@ func (c *NodeCore) SnapshotOp(op int) *stream.Batch {
 
 // ClearOp discards operator op's window state (LoseState recovery). In
 // durable mode the seen set resets with the window: RestoreOp repopulates
-// it with every row of the snapshot, so replayed records dedup against the
-// restored state rather than the lost one.
+// it from the snapshot, so replayed records dedup against the restored
+// state rather than the lost one.
 func (c *NodeCore) ClearOp(op int) { c.clearOp(op, 0) }
 
 // clearOp is ClearOp with the fresh seen set sized for rows entries.
@@ -690,12 +751,12 @@ func (c *NodeCore) clearOp(op, rows int) {
 }
 
 // RestoreOp replaces operator op's window state with the given snapshot
-// (nil clears it). It clears the operator, runs the snapshot through the
-// dedup filter (in durable mode every snapshot row is recorded as seen, in
-// a seen set sized for the snapshot, so WAL replay dedups against all of
-// them), lifts the high-water timestamp to the snapshot's, and then loads
-// each shard with its rows from the first one whose timestamp is at or
-// above the operator's cutoff, maxTs − span.
+// (nil clears it). It clears the operator, records the snapshot's rows as
+// seen in durable mode (in a seen set sized for the snapshot, see
+// recordRestored, so WAL replay dedups against them), lifts the high-water
+// timestamp to the snapshot's, and then loads each shard with its rows from
+// the first one whose timestamp is at or above the operator's cutoff,
+// maxTs − span.
 //
 // That is exact: the cutoff is the one the next probe of any shard expires
 // to, and expiry is a prefix scan, so into an empty shard "load from the

@@ -46,11 +46,12 @@ func blockClass(n int) (class, rows int) {
 // slabs by bumping an index and writing sequentially. structs holds the
 // Joined headers; data, which holds no pointer, holds each row's record and
 // nothing else: w part records of partWords words, one per schema slot, then
-// the row's payload values. Rows are handed out through Seed, CloneWith and
-// Row/AddPart and given back one Release each; the release of the last live
-// row recycles the block into its schema's pool, unless Detach has stolen
-// it, in which case it is never recycled and the rows are the subscriber's
-// for good.
+// the row's payload values. Rows are handed out through Seed, Row/AddPart,
+// AppendJoin with AppendRows (a probe's join rows, written from the window's
+// records) and CloneWith (one join row from a match's fields), and given
+// back one Release each; the release of the last live row recycles the block
+// into its schema's pool, unless Detach has stolen it, in which case it is
+// never recycled and the rows are the subscriber's for good.
 //
 // A block is not safe for concurrent use, and needs no lock: all its live
 // rows sit in the partials of one message, and a message has one holder at a
@@ -149,7 +150,7 @@ func (b *Block) take() *Joined {
 }
 
 // Row starts the block's next row, empty. It is filled through AddPart, and
-// only until the block's next Row, Seed or CloneWith.
+// only until the block's next Row, Seed, AppendJoin or CloneWith.
 func (b *Block) Row() *Joined {
 	j := b.take()
 	j.mask, j.Ts, j.Arrival, j.key, j.nv = 0, 0, 0, 0, 0
@@ -173,9 +174,108 @@ func (b *Block) Seed(slot int, seq uint64, ts Time, key int64, arrival Time, val
 	return j
 }
 
+// AppendJoin writes one probe's join rows and returns how many it wrote:
+// p's parts plus, in the given slot, each of the keep oldest of the count
+// records of w matching p's key, counted by CountGroupMatches, whose head it
+// re-walks. The rows are the block's next ones, oldest first; AppendRows
+// hands them out. count and keep must not exceed what the block was sized
+// for; p is left as it was and may belong to any block of the block's
+// schema, or be an Acquired singleton.
+//
+// The walk skips the count−keep newest matches and writes each kept one
+// from its window record straight into its row, back to front; it stops at
+// the counted oldest match. Records inserted since the count are newer than
+// head, so it never meets them. If the window expired or Reset records since
+// the count, the walk falls below the window's head first: the rows written
+// are then moved to the front of the keep reserved, and only they count.
+func (b *Block) AppendJoin(p *Joined, slot int, w *Window, head uint64, count, keep int) int {
+	if keep <= 0 {
+		return 0
+	}
+	key, prec := p.key, p.record()
+	width := w.stride - recFixed
+	rw := len(prec) + width // one row's data words
+	n0, off0 := b.n, b.off
+	rows := b.structs[n0 : n0+keep : n0+keep]
+	data := b.data[off0 : off0+keep*rw : off0+keep*rw]
+	seg := math.Float64frombits(uint64(p.nv)<<32 | uint64(width))
+	part, mask, nv := slot*partWords, p.mask|1<<uint(slot), p.nv+int32(width)
+	recs, wh, rmask, stride := w.recs, w.head, uint64(w.slots-1), w.stride
+	skip, j := count-keep, keep
+	for pos := head; j > 0 && pos >= wh; {
+		r := recs[int(pos&rmask)*stride:][:stride]
+		pos = r[recNext]
+		if int64(r[recKey]) != key {
+			continue
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		j--
+		d := data[j*rw : (j+1)*rw : (j+1)*rw]
+		copy(d, prec)
+		ts, arr := Time(math.Float64frombits(r[recTs])), Time(math.Float64frombits(r[recArr]))
+		d[part+partSeq] = math.Float64frombits(r[recSeq])
+		d[part+partTs] = float64(ts)
+		d[part+partArr] = float64(arr)
+		d[part+partVals] = seg
+		pay := d[len(prec):]
+		for i, u := range r[recFixed:] {
+			pay[i] = math.Float64frombits(u)
+		}
+		row := &rows[j]
+		row.blk, row.doff, row.mask, row.key, row.nv = b, int32(off0+j*rw), mask, key, nv
+		row.Ts, row.Arrival = ts, arr
+		if p.mask != 0 {
+			if p.Ts > ts {
+				row.Ts = p.Ts
+			}
+			if p.Arrival < arr {
+				row.Arrival = p.Arrival
+			}
+		}
+	}
+	n := keep - j
+	if j > 0 {
+		// The walk fell below the window's head: compact what it wrote.
+		copy(data, data[j*rw:])
+		copy(rows, rows[j:])
+		for i := range rows[:n] {
+			rows[i].doff = int32(off0 + i*rw)
+		}
+	}
+	b.n += n
+	b.live += n
+	b.off += n * rw
+	return n
+}
+
+// AppendRows appends the block's rows from, from+1, …, from+n−1 to out and
+// returns it: a stage that writes its rows in one order (AppendJoin, shard
+// by shard) hands them out in another.
+func (b *Block) AppendRows(out []*Joined, from, n int) []*Joined {
+	rows := b.structs[:b.n][from : from+n]
+	for i := range rows {
+		out = append(out, &rows[i])
+	}
+	return out
+}
+
+// Discard recycles a block none of whose rows was handed out, as the last
+// Release of a row would: a join stage's block whose every walk fell below
+// its window's head. A block that has handed out rows is left alone.
+func (b *Block) Discard() {
+	if b.n == 0 {
+		b.recycle()
+	}
+}
+
 // CloneWith returns the block's next row holding p's parts plus the given
 // slot: one join match. p is left as it was and may belong to any block of
-// the block's schema; key must be p's.
+// the block's schema; key must be p's. The pipeline builds its join rows with
+// AppendJoin; CloneWith, one row at a time from a match's fields, is the
+// reference the tests hold AppendJoin's rows to.
 func (b *Block) CloneWith(p *Joined, slot int, seq uint64, ts Time, key int64, arrival Time, vals []float64) *Joined {
 	j := b.take()
 	end := b.off + int(p.nv) + len(vals)

@@ -150,14 +150,14 @@ func (j *Joined) Release() {
 // of the row's other parts. It grows only a row that owns its storage: an
 // Acquired singleton, or a tuple Detach delivered, which it first moves to
 // a block of its own so that the rows delivered with it stay as they were.
-// A row of a live pipeline block is built by Row/AddPart, Seed and
-// CloneWith; SetPart on one panics.
+// A row of a live pipeline block is built by Row/AddPart, Seed, AppendJoin
+// and CloneWith; SetPart on one panics.
 func (j *Joined) SetPart(slot int, seq uint64, ts Time, key int64, arrival Time, vals []float64) {
 	b := j.blk
 	switch {
 	case b.class == singletonBlock:
 	case !b.detached:
-		panic("stream: SetPart on a row of a live pipeline block (build it with Row/AddPart, Seed or CloneWith)")
+		panic("stream: SetPart on a row of a live pipeline block (build it with Row/AddPart, Seed, AppendJoin or CloneWith)")
 	case b.n > 1:
 		rec := j.record()
 		b = &Block{schema: b.schema, class: unpooledBlocks, n: 1, detached: true, data: make([]float64, len(rec), len(rec)+len(vals))}

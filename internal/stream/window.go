@@ -224,41 +224,38 @@ func (w *Window) AppendMatches(key int64, m *Matches) int {
 	return w.AppendGroupMatches([]int64{key}, n[:], m)
 }
 
-// AppendGroupMatches probes every key of keys at once: it sets counts[i] to
-// the number of buffered records matching keys[i] and appends those records
-// to m key by key, each key's oldest first — the rows one AppendMatches call
-// per key would append — returning the total. counts must be at least as
-// long as keys; a key may repeat.
+// CountGroupMatches is the count pass of a group probe: it sets counts[i]
+// to the number of buffered records matching keys[i] and heads[i] to the
+// position keys[i]'s chain starts at (its bucket's newest record), and
+// returns the total. counts and heads must be at least as long as keys; a
+// key may repeat. A head is where a later pass re-walks the chain from
+// (AppendGroupMatches here, or Block.AppendJoin after the window may have
+// changed): records inserted after the count are newer than it, so no walk
+// from it reaches them.
 //
-// The count pass walks all the chains together, one step per key per round:
-// a step is a dependent load that usually misses, and the steps of one round
-// are independent of each other, so their misses overlap where a chain
-// walked on its own waits for each in turn. (The last chain still running,
-// or a group of one, is on its own anyway and is walked out in place.) The
-// fill pass then re-walks each chain, now cached, as far as the key's oldest
-// match.
-func (w *Window) AppendGroupMatches(keys []int64, counts []int32, m *Matches) int {
-	counts = counts[:len(keys)]
+// It walks all the chains together, one step per key per round: a step is a
+// dependent load that usually misses, and the steps of one round are
+// independent of each other, so their misses overlap where a chain walked on
+// its own waits for each in turn. (The last chain still running, or a group
+// of one, is on its own anyway and is walked out in place.)
+func (w *Window) CountGroupMatches(keys []int64, counts []int32, heads []uint64) int {
+	counts, heads = counts[:len(keys)], heads[:len(keys)]
 	if w.head == w.tail {
 		clear(counts)
+		clear(heads)
 		return 0
 	}
-	n := len(keys)
-	if cap(m.walk) < 2*n {
-		m.walk = make([]uint64, 2*n)
-	}
-	first, cur := m.walk[:n], m.walk[n:2*n]
+	// heads serve as the walk's cursors, and are re-read at the end.
 	for i, k := range keys {
-		first[i] = w.bucket[w.bucketOf(k)]
-		cur[i], counts[i] = first[i], 0
+		heads[i], counts[i] = w.bucket[w.bucketOf(k)], 0
 	}
 	recs, head, mask, stride := w.recs, w.head, uint64(w.slots-1), w.stride
 	total := 0
-	for live := n; live > 0; {
+	for live := len(keys); live > 0; {
 		// A chain left on its own has nothing to overlap with: walk it out.
 		alone := live == 1
 		live = 0
-		for i, p := range cur {
+		for i, p := range heads {
 			if p < head {
 				continue // this key's chain has run out
 			}
@@ -273,15 +270,37 @@ func (w *Window) AppendGroupMatches(keys []int64, counts []int32, m *Matches) in
 					break
 				}
 			}
-			cur[i] = p
+			heads[i] = p
 			if p >= head {
 				live++
 			}
 		}
 	}
+	for i, k := range keys {
+		heads[i] = w.bucket[w.bucketOf(k)]
+	}
+	return total
+}
+
+// AppendGroupMatches probes every key of keys at once: it sets counts[i] to
+// the number of buffered records matching keys[i] and appends those records
+// to m key by key, each key's oldest first — the rows one AppendMatches call
+// per key would append — returning the total. counts must be at least as
+// long as keys; a key may repeat.
+//
+// It is CountGroupMatches, then a fill pass that re-walks each chain, now
+// cached, as far as the key's oldest match.
+func (w *Window) AppendGroupMatches(keys []int64, counts []int32, m *Matches) int {
+	n := len(keys)
+	if cap(m.walk) < n {
+		m.walk = make([]uint64, n)
+	}
+	heads := m.walk[:n]
+	total := w.CountGroupMatches(keys, counts, heads)
 	if total == 0 {
 		return 0
 	}
+	recs, mask, stride := w.recs, uint64(w.slots-1), w.stride
 	if m.Len() == 0 {
 		m.width = stride - recFixed
 	}
@@ -295,7 +314,7 @@ func (w *Window) AppendGroupMatches(keys []int64, counts []int32, m *Matches) in
 		// The chain runs newest → oldest; fill the key's rows back to front.
 		start := end
 		end += int(counts[i])
-		for j, p := end, first[i]; j > start; {
+		for j, p := end, heads[i]; j > start; {
 			r := recs[int(p&mask)*stride:][:stride]
 			p = r[recNext]
 			if int64(r[recKey]) != k {
@@ -363,8 +382,10 @@ func (w *Window) Reset() { w.head = w.tail }
 // sequence of AppendMatches / AppendGroupMatches calls, each ValsAt(i) being
 // Width() payload values. Reset before reuse across operators (the width
 // follows the first window appended after a Reset). It also carries the group
-// probe's per-key chain cursors, kept across calls so a probe allocates
-// nothing once they have reached the largest group's size.
+// probe's per-key chain heads, kept across calls so a probe allocates
+// nothing once they have reached the largest group's size. A join stage
+// stages nothing here: it writes its matches straight into its rows (see
+// Block.AppendJoin).
 type Matches struct {
 	Seq  []uint64
 	Ts   []Time
@@ -372,7 +393,7 @@ type Matches struct {
 	Vals []float64
 
 	width int
-	walk  []uint64 // per key of the group in hand: bucket head, then cursor
+	walk  []uint64 // per key of the group in hand: its chain head
 }
 
 // Len returns the number of buffered match records.
