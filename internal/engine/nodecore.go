@@ -56,8 +56,9 @@ func putPartials(s []*stream.Joined) {
 // shardScratch is the pooled per-batch workspace for the vectorized shard
 // paths: counting-sort arrays that group rows (inserts) or partials (probes)
 // by destination shard, and the join stage's per-probe match counts and
-// chain heads, which carry its count pass over to its fill pass. Everything
-// is index- or scalar-typed, so recycling needs no pointer clearing.
+// newest matches, which carry its count pass over to its fill pass, and the
+// count's cursors. Everything is index- or scalar-typed, so recycling needs
+// no pointer clearing.
 type shardScratch struct {
 	shardOf []int32  // item → destination shard
 	starts  []int32  // shard → group start in order (len nShards+1)
@@ -67,7 +68,8 @@ type shardScratch struct {
 	probe   []int32  // join stage: indices of partials that probe
 	keys    []int64  // per probe: its join key, then the same keys grouped by shard
 	gcount  []int32  // per grouped probe: match count
-	heads   []uint64 // per grouped probe: its chain head
+	heads   []uint64 // per grouped probe: its newest match's position
+	walk    []uint64 // per grouped probe: the count pass's cursor
 	mcount  []int32  // per probe: rows written
 	mstart  []int32  // per probe: its first row in the join block
 }
@@ -230,24 +232,31 @@ func (s *opState) recordRestored(b *stream.Batch) {
 		}
 	}
 	if pruned {
-		s.seenPruneAt = max(1024, 2*len(s.seen))
+		s.prunedLocked()
 	}
 }
 
 // pruneSeenLocked drops seen entries whose tuples have aged past the
-// window span — they can no longer be in the window, and a replayed
-// duplicate that old would be expired on arrival anyway. The next prune
-// threshold doubles with the surviving population so the scan stays
-// amortized O(1) per insert.
+// window span (below the operator's cutoff) — they can no longer be in the
+// window, and a replayed duplicate that old would be expired on arrival
+// anyway.
 func (s *opState) pruneSeenLocked() {
-	cutoff := stream.Time(math.Float64frombits(s.maxTs.Load()) - s.span)
+	cutoff := s.cutoff()
 	for id, ts := range s.seen {
 		if ts < cutoff {
 			delete(s.seen, id)
 		}
 	}
-	s.seenPruneAt = max(1024, 2*len(s.seen))
+	s.prunedLocked()
 }
+
+// seenPruneMin is the seen set's first prune threshold, and its least.
+const seenPruneMin = 1024
+
+// prunedLocked sets the seen set's next prune threshold once a prune has
+// dropped the rows below the cutoff: twice the surviving population, so the
+// scan stays amortized O(1) per insert.
+func (s *opState) prunedLocked() { s.seenPruneAt = max(seenPruneMin, 2*len(s.seen)) }
 
 // advanceTs lifts the operator's high-water timestamp to at least ts.
 func (s *opState) advanceTs(ts float64) {
@@ -418,7 +427,7 @@ func newNodeCore(q *query.Query, cfg Config, shards int) (*NodeCore, error) {
 		}
 		if cfg.WALDir != "" && st.op.Kind == query.Join {
 			st.seen = make(map[stream.TupleID]stream.Time)
-			st.seenPruneAt = 1024
+			st.seenPruneAt = seenPruneMin
 		}
 		c.ops = append(c.ops, st)
 		if q.Ops[i].Kind == query.Join {
@@ -529,7 +538,7 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 			// probes by destination shard, and take each shard lock once
 			// per batch for the count pass — expiring the shard against
 			// the operator-wide high-water timestamp, then counting the
-			// shard's keys as one group and saving each key's chain head.
+			// shard's keys as one group and saving each key's newest match.
 			// (Per-shard windows only see their own inserts, so without
 			// the expire a cold shard would answer probes with tuples far
 			// older than the span.)
@@ -548,6 +557,7 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 			}
 			sc.gcount = grow32(sc.gcount, np)
 			sc.heads = slices.Grow(sc.heads[:0], np)[:np]
+			sc.walk = slices.Grow(sc.walk[:0], np)[:np]
 			cutoff := st.cutoff()
 			var delta int64
 			// The count pass sizes the stage's whole output before a row
@@ -564,7 +574,7 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 				before := sh.window.Len()
 				sh.window.ExpireBefore(cutoff)
 				delta += int64(sh.window.Len() - before)
-				sh.window.CountGroupMatches(grouped[lo:hi], sc.gcount[lo:hi], sc.heads[lo:hi])
+				sh.window.CountGroupMatches(grouped[lo:hi], sc.gcount[lo:hi], sc.heads[lo:hi], sc.walk[lo:hi])
 				width := sh.window.Width()
 				sh.mu.Unlock()
 				for oi := lo; oi < hi; oi++ {
@@ -745,7 +755,7 @@ func (c *NodeCore) clearOp(op, rows int) {
 	if st.seen != nil {
 		st.seenMu.Lock()
 		st.seen = make(map[stream.TupleID]stream.Time, rows)
-		st.seenPruneAt = 1024
+		st.seenPruneAt = seenPruneMin
 		st.seenMu.Unlock()
 	}
 }

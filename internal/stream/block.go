@@ -176,8 +176,8 @@ func (b *Block) Seed(slot int, seq uint64, ts Time, key int64, arrival Time, val
 
 // AppendJoin writes one probe's join rows and returns how many it wrote:
 // p's parts plus, in the given slot, each of the keep oldest of the count
-// records of w matching p's key, counted by CountGroupMatches, whose head it
-// re-walks. The rows are the block's next ones, oldest first; AppendRows
+// records of w matching p's key, counted by CountGroupMatches, which saved
+// the newest of them as head. The rows are the block's next ones, oldest first; AppendRows
 // hands them out. count and keep must not exceed what the block was sized
 // for; p is left as it was and may belong to any block of the block's
 // schema, or be an Acquired singleton.
@@ -185,7 +185,8 @@ func (b *Block) Seed(slot int, seq uint64, ts Time, key int64, arrival Time, val
 // The walk skips the count−keep newest matches and writes each kept one
 // from its window record straight into its row, back to front; it stops at
 // the counted oldest match. Records inserted since the count are newer than
-// head, so it never meets them. If the window expired or Reset records since
+// head, so it never meets them, and a ring growth since the count relinked
+// all of head's key's records into head's new chain. If the window expired or Reset records since
 // the count, the walk falls below the window's head first: the rows written
 // are then moved to the front of the keep reserved, and only they count.
 func (b *Block) AppendJoin(p *Joined, slot int, w *Window, head uint64, count, keep int) int {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -19,36 +20,69 @@ import (
 // and cut to the keep oldest of those counted. Released, every block goes
 // back (BlockCounts reads acquired == recycled); delivered, the block the
 // rows fill is stolen whole by Detach when they fill half of it.
+//
+// Each case runs over two key sets. In the first every key has a bucket of
+// its own at both ring sizes. In the second two probed keys share a bucket
+// in the first ring's table, the other one's records being that bucket's
+// newest, and part in the grown ring's: a growth relinks each record into
+// its own key's new chain, so a walk must start from a record of its key.
 func TestAppendJoinInterleavings(t *testing.T) {
-	const slot, n = 1, 200 // n records, ts 0…n-1, keys cycling 0…3
+	const slot, n = 1, 200 // n records, ts 0…n-1, keys cycling through a key set
+	const ring, grown = 256, 1024
+	a, b := splitKeys(ring, grown)
+	keySets := [][]int64{{0, 1, 2, 3}, {0, a, b, b + 1}}
 	mutations := []struct {
 		name  string
 		grows bool // the ring
-		do    func(w *Window)
+		do    func(w *Window, keys []int64)
 	}{
-		{"none", false, func(*Window) {}},
-		{"expire", false, func(w *Window) { w.ExpireBefore(80) }},
-		{"grow", true, func(w *Window) { fillWindow(w, n, 3*n) }},
+		{"none", false, func(*Window, []int64) {}},
+		{"expire", false, func(w *Window, _ []int64) { w.ExpireBefore(80) }},
+		{"grow", true, func(w *Window, keys []int64) { fillWindow(w, n, 3*n, keys) }},
 		// 50 records stay live in 256 slots; 100 more wrap over expired ones.
-		{"expire+wrap", false, func(w *Window) { w.ExpireBefore(150); fillWindow(w, n, n/2) }},
-		{"reset", false, func(w *Window) { w.Reset() }},
+		{"expire+wrap", false, func(w *Window, keys []int64) { w.ExpireBefore(150); fillWindow(w, n, n/2, keys) }},
+		{"reset", false, func(w *Window, _ []int64) { w.Reset() }},
 	}
-	for _, width := range []int{0, 1, 3} {
-		for _, fanout := range []int{0, 5} {
-			for _, mut := range mutations {
-				for _, deliver := range []bool{false, true} {
-					where := fmt.Sprintf("width %d, fanout %d, %s, deliver %v", width, fanout, mut.name, deliver)
-					w := NewWindow(1e6)
-					w.arity = width + 1
-					fillWindow(w, 0, n)
-					slots := ringCap(w)
-					checkInterleaving(t, w, fanout, deliver, func() {
-						mut.do(w)
-						if grown := ringCap(w) != slots; grown != mut.grows {
-							t.Fatalf("%s: ring of %d slots became %d", where, slots, ringCap(w))
+	for _, keys := range keySets {
+		for _, width := range []int{0, 1, 3} {
+			for _, fanout := range []int{0, 5} {
+				for _, mut := range mutations {
+					for _, deliver := range []bool{false, true} {
+						where := fmt.Sprintf("keys %v, width %d, fanout %d, %s, deliver %v", keys, width, fanout, mut.name, deliver)
+						w := NewWindow(1e6)
+						w.arity = width + 1
+						fillWindow(w, 0, n, keys)
+						if ringCap(w) != ring {
+							t.Fatalf("%s: a ring of %d slots, the keys were chosen for %d", where, ringCap(w), ring)
 						}
-					}, slot, where)
+						checkInterleaving(t, w, keys, fanout, deliver, func() {
+							mut.do(w, keys)
+							want := ring
+							if mut.grows {
+								want = grown
+							}
+							if ringCap(w) != want {
+								t.Fatalf("%s: ring of %d slots became %d, want %d", where, ring, ringCap(w), want)
+							}
+						}, slot, where)
+					}
 				}
+			}
+		}
+	}
+}
+
+// splitKeys returns the smallest keys 0 < a < b that share a bucket in the
+// table of a ring of the given slots and fall in different buckets in that
+// of a ring of grown slots.
+func splitKeys(slots, grown int) (a, b int64) {
+	bucket := func(k int64, slots int) uint64 {
+		return uint64(k) * hashMul >> (64 - bits.TrailingZeros(uint(slots*bucketsPerSlot)))
+	}
+	for b = 2; ; b++ {
+		for a = 1; a < b; a++ {
+			if bucket(a, slots) == bucket(b, slots) && bucket(a, grown) != bucket(b, grown) {
+				return a, b
 			}
 		}
 	}
@@ -56,11 +90,11 @@ func TestAppendJoinInterleavings(t *testing.T) {
 
 // fillWindow inserts count records of w's width from sequence number seq0
 // on, with timestamps equal to their sequence numbers and keys cycling
-// through 0…3.
-func fillWindow(w *Window, seq0, count int) {
+// through keys.
+func fillWindow(w *Window, seq0, count int, keys []int64) {
 	b := NewSizedBatch("B", w.Width(), count)
 	for i := seq0; i < seq0+count; i++ {
-		row := b.AppendRow(uint64(i), Time(i), int64(i%4), Time(i)+0.5)
+		row := b.AppendRow(uint64(i), Time(i), keys[i%len(keys)], Time(i)+0.5)
 		for v := range row {
 			row[v] = float64(i) + float64(v)/10
 		}
@@ -73,25 +107,27 @@ func fillWindow(w *Window, seq0, count int) {
 }
 
 // checkInterleaving is one case of TestAppendJoinInterleavings: count
-// against w, mutate it, fill, compare, then release (deliver false) or
-// Detach (true).
-func checkInterleaving(t *testing.T, w *Window, fanout int, deliver bool, mutate func(), slot int, where string) {
+// against w, whose keys cycle through keys (keys[0] being 0, an empty row's
+// key), mutate it, fill, compare, then release (deliver false) or Detach
+// (true).
+func checkInterleaving(t *testing.T, w *Window, keys []int64, fanout int, deliver bool, mutate func(), slot int, where string) {
 	t.Helper()
 	sch := NewJoinSchema([]string{"A", "B", "C"})
 	width := w.Width()
 
-	// The probes: a row of another block holding slots 0 and 2, an Acquired
-	// singleton holding slot 0, and an empty singleton (key 0).
+	// The probes: a row of another block holding slots 0 and 2 (key
+	// keys[2]), an Acquired singleton holding slot 0 (keys[1]), and an empty
+	// singleton (0).
 	in := sch.AcquireBlock(1, 3)
-	blockRow := in.Seed(0, 900, 10, 2, 3, []float64{1, 2})
-	in.AddPart(blockRow, 2, 901, 500, 2, 1, 1)[0] = 3
+	blockRow := in.Seed(0, 900, 10, keys[2], 3, []float64{1, 2})
+	in.AddPart(blockRow, 2, 901, 500, keys[2], 1, 1)[0] = 3
 	single := sch.Acquire()
-	single.SetPart(0, 902, 250, 1, 0.25, []float64{4})
+	single.SetPart(0, 902, 250, keys[1], 0.25, []float64{4})
 	probes := []*Joined{blockRow, single, sch.Acquire()}
-	keys := []int64{2, 1, 0}
+	keys = []int64{keys[2], keys[1], keys[0]}
 
 	counts, heads := make([]int32, len(keys)), make([]uint64, len(keys))
-	w.CountGroupMatches(keys, counts, heads)
+	w.CountGroupMatches(keys, counts, heads, make([]uint64, len(keys)))
 	counted := make([][]uint64, len(keys)) // each probe's kept seqs at count time
 	rows, nvals := 0, 0
 	for i, k := range keys {

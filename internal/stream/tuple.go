@@ -27,8 +27,8 @@
 //     (JoinSchema), followed by their payloads, in the block's data slab.
 //   - A join stage builds its rows from a Window in one probe-then-build
 //     pass: a count pass (Window.CountGroupMatches) sizes one Block for the
-//     stage's output, and Block.AppendJoin re-walks each probe's chain from
-//     its saved head, writing every kept match from its window record
+//     stage's output, and Block.AppendJoin re-walks each probe's matches
+//     from the newest one the count met, writing every kept match from its window record
 //     straight into its row — nothing is staged in between.
 //
 // The boxed Tuple remains as the interchange/view type: Batch.TupleAt,

@@ -226,28 +226,31 @@ func (w *Window) AppendMatches(key int64, m *Matches) int {
 
 // CountGroupMatches is the count pass of a group probe: it sets counts[i]
 // to the number of buffered records matching keys[i] and heads[i] to the
-// position keys[i]'s chain starts at (its bucket's newest record), and
-// returns the total. counts and heads must be at least as long as keys; a
-// key may repeat. A head is where a later pass re-walks the chain from
+// position of the newest of them (0, below every live position, if there is
+// none), and returns the total. walk is the count's scratch, its per-key
+// cursors. counts, heads and walk must be at least as long as keys; a key
+// may repeat. A head is where a later pass re-walks the key's matches from
 // (AppendGroupMatches here, or Block.AppendJoin after the window may have
-// changed): records inserted after the count are newer than it, so no walk
-// from it reaches them.
+// changed). Records inserted after the count are newer than it, so no walk
+// from it reaches them; and a ring growth relinks every record into its own
+// key's chain of the new table, so a walk from a record of the key still
+// meets all its older matches, where one from a bucket's newest record,
+// which may be another key's, would follow that key's chain instead.
 //
 // It walks all the chains together, one step per key per round: a step is a
 // dependent load that usually misses, and the steps of one round are
 // independent of each other, so their misses overlap where a chain walked on
 // its own waits for each in turn. (The last chain still running, or a group
 // of one, is on its own anyway and is walked out in place.)
-func (w *Window) CountGroupMatches(keys []int64, counts []int32, heads []uint64) int {
-	counts, heads = counts[:len(keys)], heads[:len(keys)]
+func (w *Window) CountGroupMatches(keys []int64, counts []int32, heads, walk []uint64) int {
+	counts, heads, walk = counts[:len(keys)], heads[:len(keys)], walk[:len(keys)]
+	clear(heads)
 	if w.head == w.tail {
 		clear(counts)
-		clear(heads)
 		return 0
 	}
-	// heads serve as the walk's cursors, and are re-read at the end.
 	for i, k := range keys {
-		heads[i], counts[i] = w.bucket[w.bucketOf(k)], 0
+		walk[i], counts[i] = w.bucket[w.bucketOf(k)], 0
 	}
 	recs, head, mask, stride := w.recs, w.head, uint64(w.slots-1), w.stride
 	total := 0
@@ -255,13 +258,16 @@ func (w *Window) CountGroupMatches(keys []int64, counts []int32, heads []uint64)
 		// A chain left on its own has nothing to overlap with: walk it out.
 		alone := live == 1
 		live = 0
-		for i, p := range heads {
+		for i, p := range walk {
 			if p < head {
 				continue // this key's chain has run out
 			}
 			for {
 				r := recs[int(p&mask)*stride:]
 				if int64(r[recKey]) == keys[i] {
+					if counts[i] == 0 {
+						heads[i] = p
+					}
 					counts[i]++
 					total++
 				}
@@ -270,14 +276,11 @@ func (w *Window) CountGroupMatches(keys []int64, counts []int32, heads []uint64)
 					break
 				}
 			}
-			heads[i] = p
+			walk[i] = p
 			if p >= head {
 				live++
 			}
 		}
-	}
-	for i, k := range keys {
-		heads[i] = w.bucket[w.bucketOf(k)]
 	}
 	return total
 }
@@ -292,11 +295,11 @@ func (w *Window) CountGroupMatches(keys []int64, counts []int32, heads []uint64)
 // cached, as far as the key's oldest match.
 func (w *Window) AppendGroupMatches(keys []int64, counts []int32, m *Matches) int {
 	n := len(keys)
-	if cap(m.walk) < n {
-		m.walk = make([]uint64, n)
+	if cap(m.walk) < 2*n {
+		m.walk = make([]uint64, 2*n)
 	}
 	heads := m.walk[:n]
-	total := w.CountGroupMatches(keys, counts, heads)
+	total := w.CountGroupMatches(keys, counts, heads, m.walk[n:])
 	if total == 0 {
 		return 0
 	}
@@ -382,10 +385,10 @@ func (w *Window) Reset() { w.head = w.tail }
 // sequence of AppendMatches / AppendGroupMatches calls, each ValsAt(i) being
 // Width() payload values. Reset before reuse across operators (the width
 // follows the first window appended after a Reset). It also carries the group
-// probe's per-key chain heads, kept across calls so a probe allocates
-// nothing once they have reached the largest group's size. A join stage
-// stages nothing here: it writes its matches straight into its rows (see
-// Block.AppendJoin).
+// probe's per-key newest-match positions and cursors, kept across calls so a
+// probe allocates nothing once they have reached the largest group's size. A
+// join stage stages nothing here: it writes its matches straight into its
+// rows (see Block.AppendJoin).
 type Matches struct {
 	Seq  []uint64
 	Ts   []Time
@@ -393,7 +396,7 @@ type Matches struct {
 	Vals []float64
 
 	width int
-	walk  []uint64 // per key of the group in hand: its chain head
+	walk  []uint64 // the group in hand's newest-match positions, then the count's cursors
 }
 
 // Len returns the number of buffered match records.
