@@ -133,25 +133,30 @@ func TestBenchmarkAllocs(t *testing.T) {
 		// The WAL-off side only: what the dedup hooks cost the path that
 		// does not use them.
 		{"IngestDurable/wal=off", 275, func(b *testing.B) { benchIngestDurable(b, "") }},
-		// The join stage alone: its blocks, partials and scratch all come
-		// back to their pools, so it holds at nothing.
-		{"JoinStage", 0, BenchmarkJoinStage},
 	} {
 		alloctest.Bound(t, c.name, "3x", c.bound, c.body)
+	}
+	// The join stage alone, in every shape: its blocks, partials and
+	// scratch all come back to their pools, so it holds at nothing.
+	for _, c := range joinStageCases {
+		alloctest.Bound(t, "JoinStage/"+c.name, "3x", 0, func(b *testing.B) { benchJoinStage(b, c.probes, c.keys, c.shards) })
 	}
 }
 
 // TestRestoreOpAllocs: restoring engine_join's join window into the ring it
 // was snapshotted from — sized already, as in the in-process engine's
 // recovery — allocates nothing: the ring keeps its capacity across ClearOp,
-// and the one-shard run and the rest of the scratch come from the pool.
+// and the one-shard run and the rest of the scratch come from the pool. In
+// durable mode neither does the dedup set, which ClearOp empties in place.
 func TestRestoreOpAllocs(t *testing.T) {
-	core, op, snap := restoreFixture(t, 3, false)
-	restore := func() { core.RestoreOp(op, snap) }
-	for i := 0; i < 5; i++ {
-		restore() // fill the pool
-	}
-	if n := testing.AllocsPerRun(50, restore); n != 0 {
-		t.Fatalf("a restore into a sized ring made %v allocations, want 0", n)
+	for _, durable := range []bool{false, true} {
+		core, op, snap := restoreFixture(t, 3, durable)
+		restore := func() { core.RestoreOp(op, snap) }
+		for i := 0; i < 5; i++ {
+			restore() // fill the pool, grow the dedup set
+		}
+		if n := testing.AllocsPerRun(50, restore); n != 0 {
+			t.Fatalf("durable=%v: a restore into a sized ring made %v allocations, want 0", durable, n)
+		}
 	}
 }

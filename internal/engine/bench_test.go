@@ -247,7 +247,7 @@ func restoreFixture(tb testing.TB, age float64, durable bool) (core *NodeCore, o
 	if durable {
 		cfg.WALDir = tb.TempDir()
 	}
-	core, op = joinWindow(tb, cfg)
+	core, op = joinWindow(tb, cfg, 1)
 	snap = core.SnapshotOp(op)
 	core.ops[op].advanceTs(float64(snap.MaxTs()) + age)
 	return core, op, snap
@@ -255,14 +255,14 @@ func restoreFixture(tb testing.TB, age float64, durable bool) (core *NodeCore, o
 
 // joinWindow is engine_join's join window (bench/rldperf): a 3-way join
 // under cfg at one worker, whose S2 operator, op, holds a full 12 s span at
-// 1 000 tuples a second over 4 096 keys — about 12 000 rows of one payload
-// value, about three to a key.
-func joinWindow(tb testing.TB, cfg Config) (core *NodeCore, op int) {
-	const span, rate, keys, batch = 12, 1000, 4096, 100
+// 1 000 tuples a second over joinKeys keys — about 12 000 rows of one
+// payload value, about three to a key — in the given number of shards.
+func joinWindow(tb testing.TB, cfg Config, shards int) (core *NodeCore, op int) {
+	const span, rate, batch = 12, 1000, 100
 	q := query.NewNWayJoin("RS", 3, rate)
 	q.WindowSeconds = span
 	cfg.Workers = 1
-	core, err := NewNodeCore(q, cfg)
+	core, err := newNodeCore(q, cfg, shards)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func joinWindow(tb testing.TB, cfg Config) (core *NodeCore, op int) {
 		b := stream.NewSizedBatch("S2", 1, batch)
 		for range batch {
 			ts := stream.Time(float64(seq) / rate)
-			b.AppendRow(uint64(seq), ts, rng.Int63n(keys), ts)[0] = rng.Float64() * 100
+			b.AppendRow(uint64(seq), ts, rng.Int63n(joinKeys), ts)[0] = rng.Float64() * 100
 			seq++
 		}
 		if err := core.Insert(op, b); err != nil {
@@ -282,38 +282,58 @@ func joinWindow(tb testing.TB, cfg Config) (core *NodeCore, op int) {
 	return core, op
 }
 
-// BenchmarkJoinStage is engine_join's join stage on its own: a 100-row
-// block-seeded S1 batch, keys drawn from the window's 4 096 (64 batches in
-// turn, so that the chains a batch walks are not the last one's), probes
-// joinWindow's S2 window at MaxFanout 8 — count pass, block, fill pass, and
-// the release of both blocks — and reports the cost per probe.
-//
-//	go test ./internal/engine -run '^$' -bench JoinStage
-func BenchmarkJoinStage(b *testing.B) {
+// joinKeys is the key domain of joinWindow's rows.
+const joinKeys = 4096
+
+// joinStageCases are BenchmarkJoinStage's shapes, each at one shard and at
+// the sixteen a multi-worker node gets: engine_join's stage (100 probes,
+// keys from the window's domain, about three matches each) and
+// engine_ingest's (11 probes, keys from five times the domain, about 0.6
+// matches each).
+var joinStageCases = []struct {
+	name   string
+	probes int
+	keys   int64
+	shards int
+}{
+	{"engine_join", 100, joinKeys, 1},
+	{"engine_join,shards=16", 100, joinKeys, numShards},
+	{"engine_ingest", 11, 5 * joinKeys, 1},
+	{"engine_ingest,shards=16", 11, 5 * joinKeys, numShards},
+}
+
+// benchJoinStage runs one join stage per op over joinWindow's S2 window at
+// MaxFanout 8 with the given shard count: a batch of probes S1 tuples, keys
+// drawn below keys (64 batches in turn, so that the chains a batch walks
+// are not the last one's), seeded into a block as admission seeds them —
+// then count pass, block, fill pass, and the release of both blocks. It
+// reports the cost per probe.
+func benchJoinStage(b *testing.B, probes int, keys int64, shards int) {
 	cfg := DefaultConfig()
 	cfg.MaxFanout = 8
-	core, op := joinWindow(b, cfg)
-	const n = 100
+	core, op := joinWindow(b, cfg, shards)
+	ts := stream.Time(math.Float64frombits(core.ops[op].maxTs.Load()))
 	rng := rand.New(rand.NewSource(9))
-	keys := make([][n]int64, 64)
-	for i := range keys {
-		for j := range keys[i] {
-			keys[i][j] = rng.Int63n(4096)
+	batches := make([]*stream.Batch, 64)
+	for i := range batches {
+		batches[i] = stream.NewSizedBatch("S1", 1, probes)
+		for j := range probes {
+			batches[i].AppendRow(uint64(j), ts, rng.Int63n(keys), ts)[0] = float64(j)
 		}
 	}
-	ts := stream.Time(math.Float64frombits(core.ops[op].maxTs.Load()))
 	sch, results, round := core.Schema(), 0, 0
 	step := func() {
-		blk := sch.AcquireBlock(n, n)
-		ps := core.NewPartials()
 		round++
-		for i, k := range keys[round%len(keys)] {
-			ps = append(ps, blk.Seed(0, uint64(i), ts, k, ts, []float64{float64(i)}))
-		}
+		in := batches[round%len(batches)]
+		ps := sch.AcquireBlock(probes, probes).SeedRows(core.NewPartials(), 0, in)
 		out := core.runStage(op, ps)
 		results += len(out)
 		core.ReleasePartials(out)
 	}
+	// Collect the fixture's garbage first: a collection that ends in the
+	// timed steps drops the per-P caches of every pool they draw from, and
+	// the next Get or Put allocates them again.
+	stdruntime.GC()
 	for range 50 {
 		step() // fill the pools
 	}
@@ -325,7 +345,17 @@ func BenchmarkJoinStage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		step()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/probe")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(probes), "ns/probe")
+}
+
+// BenchmarkJoinStage is a join stage on its own, in each of joinStageCases'
+// shapes (see benchJoinStage).
+//
+//	go test ./internal/engine -run '^$' -bench JoinStage
+func BenchmarkJoinStage(b *testing.B) {
+	for _, c := range joinStageCases {
+		b.Run(c.name, func(b *testing.B) { benchJoinStage(b, c.probes, c.keys, c.shards) })
+	}
 }
 
 // BenchmarkRestoreOp restores engine_join's join window from its snapshot

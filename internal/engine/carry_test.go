@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	stdruntime "runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,6 +39,22 @@ func (f *fakeTransport) ranSince(from int) ([][2]int, []int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return slices.Clone(f.ranOn[from:]), slices.Clone(f.ranLen[from:])
+}
+
+// onPoolWorker reports whether its caller runs on a node's pool worker
+// (Engine.worker), not on a carrying producer.
+func onPoolWorker() bool {
+	pcs := make([]uintptr, 64)
+	frames := stdruntime.CallersFrames(pcs[:stdruntime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".(*Engine).worker") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
 }
 
 func (f *fakeTransport) ran() int {
@@ -224,6 +242,47 @@ func TestProducerCarriesAtTheBound(t *testing.T) {
 	<-ft.entered
 	release()
 	drainOrFail(t, s.e)
+}
+
+// TestProducerCarriesPastAReadingSubscriber: at GOMAXPROCS 1 a subscriber
+// that reads every emission is runnable, not yet run, whenever the producer
+// admits its next batch, so its emission still waits in the buffer. The
+// producer yields to it, and it drains: every one of a thousand depth-1
+// Ingests is carried, none is queued for a pool worker, and the subscriber
+// misses no emission.
+func TestProducerCarriesPastAReadingSubscriber(t *testing.T) {
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(1))
+	s, ft := openCarrySession(t, runtime.SessionOptions{MaxPending: 1, ResultBuffer: 1})
+	ft.mu.Lock()
+	ft.countPooled = true
+	ft.mu.Unlock()
+	read := make(chan int)
+	go func() {
+		n := 0
+		for range s.Results() {
+			n++
+		}
+		read <- n
+	}()
+	ctx := context.Background()
+	const batches = 1000
+	for i := 0; i < batches; i++ {
+		if err := s.Ingest(ctx, flatBatch("S1", 3, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ft.mu.Lock()
+	pooled := ft.pooled
+	ft.mu.Unlock()
+	dropped := s.Stats().ResultsDropped
+	if _, err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The S2 rows of openCarrySession pass through to the sink as well.
+	if n := <-read; pooled != 0 || dropped != 0 || n != batches+1 {
+		t.Fatalf("pool workers ran %d stages of %d batches; %d emissions read, %d dropped, want %d and 0",
+			pooled, batches, n, dropped, batches+1)
+	}
 }
 
 // TestCarriedResultsEqualHandedOff runs one feed through a 3-way join on

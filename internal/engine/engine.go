@@ -785,14 +785,12 @@ func (e *Engine) admit(b *stream.Batch, carry bool) (*message, error) {
 	}
 	e.mu.Unlock()
 
-	// Seed one singleton partial per tuple, all in one block; the columns
-	// are copied, so the caller may reuse or Release b once Ingest returns.
+	// Seed one singleton partial per tuple, all in one block, in one pass
+	// over the batch's columns; they are copied, so the caller may reuse or
+	// Release b once Ingest returns.
 	partials := getPartials()
 	if n > 0 {
-		blk := e.core.schema.AcquireBlock(n, n*b.Width())
-		for i := 0; i < n; i++ {
-			partials = append(partials, blk.Seed(slot, b.Seq[i], b.Ts[i], b.Key[i], b.Arr[i], b.ValsAt(i)))
-		}
+		partials = e.core.schema.AcquireBlock(n, n*b.Width()).SeedRows(partials, slot, b)
 	}
 	msg := msgPool.Get().(*message)
 	*msg = message{

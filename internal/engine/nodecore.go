@@ -57,9 +57,13 @@ func putPartials(s []*stream.Joined) {
 // paths: counting-sort arrays that group rows (inserts) or partials (probes)
 // by destination shard, and the join stage's per-probe match counts and
 // newest matches, which carry its count pass over to its fill pass, and the
-// count's cursors. Everything is index- or scalar-typed, so recycling needs
-// no pointer clearing.
+// count's cursors. Everything but spare is index- or scalar-typed, and spare
+// is put back cleared, so recycling needs no pointer clearing.
 type shardScratch struct {
+	// spare is a join stage's partials slice: the stage writes its output
+	// into it and leaves its cleared inbound slice here for the next, so
+	// the slices circulate without a trip through partialsPool.
+	spare   []*stream.Joined
 	shardOf []int32  // item → destination shard
 	starts  []int32  // shard → group start in order (len nShards+1)
 	cnt     []int32  // counting-sort cursors
@@ -209,7 +213,7 @@ func (s *opState) dedupFilter(b *stream.Batch) *stream.Batch {
 }
 
 // recordRestored records the rows of a snapshot RestoreOp is loading in the
-// seen set clearOp has just emptied, leaving the set as dedupFilter would:
+// seen set ClearOp has just emptied, leaving the set as dedupFilter would:
 // every row, less — when the snapshot reaches the prune threshold — the rows
 // that filter's first prune would drop, those below the current cutoff. It
 // does so without dedupFilter's lookups, which find nothing in an empty set
@@ -518,8 +522,11 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 		st.in.Add(int64(ownIn))
 		st.out.Add(int64(ownOut))
 	case query.Join:
-		out = getPartials()
 		sc := getScratch()
+		out, sc.spare = sc.spare[:0], nil
+		if cap(out) == 0 {
+			out = getPartials() // a scratch fresh from the pool
+		}
 		// Split the batch: partials already carrying this operator's
 		// stream pass through; the rest probe its window.
 		sc.probe = sc.probe[:0]
@@ -633,6 +640,10 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 				partials[pi].Release()
 			}
 		}
+		// The join produced a fresh slice; the inbound one, cleared as
+		// putPartials would, is the next stage's.
+		clear(partials)
+		sc.spare = partials[:0]
 		putScratch(sc)
 		// Joins report the per-pair match probability (hits over pairs
 		// examined) rather than raw fanout, so observed selectivities
@@ -640,8 +651,6 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 		// estimates.
 		st.in.Add(pairs)
 		st.out.Add(hits)
-		// The join produced a fresh slice; recycle the inbound one.
-		putPartials(partials)
 	}
 	return out
 }
@@ -735,13 +744,11 @@ func (c *NodeCore) SnapshotOp(op int) *stream.Batch {
 }
 
 // ClearOp discards operator op's window state (LoseState recovery). In
-// durable mode the seen set resets with the window: RestoreOp repopulates
-// it from the snapshot, so replayed records dedup against the restored
-// state rather than the lost one.
-func (c *NodeCore) ClearOp(op int) { c.clearOp(op, 0) }
-
-// clearOp is ClearOp with the fresh seen set sized for rows entries.
-func (c *NodeCore) clearOp(op, rows int) {
+// durable mode the seen set empties with the window, keeping its storage for
+// the entries to come: RestoreOp repopulates it from the snapshot, so
+// replayed records dedup against the restored state rather than the lost
+// one.
+func (c *NodeCore) ClearOp(op int) {
 	st := c.ops[op]
 	total := 0
 	for _, sh := range st.shards {
@@ -751,10 +758,10 @@ func (c *NodeCore) clearOp(op, rows int) {
 		sh.mu.Unlock()
 	}
 	st.winLen.Add(int64(-total))
-	//rldlint:allow guardedby -- nil-ness is a construction-time mode flag; ClearOp swaps in a fresh map, never nil
+	//rldlint:allow guardedby -- nil-ness is a construction-time mode flag (durable vs not), never written after; only the map contents need seenMu
 	if st.seen != nil {
 		st.seenMu.Lock()
-		st.seen = make(map[stream.TupleID]stream.Time, rows)
+		clear(st.seen)
 		st.seenPruneAt = seenPruneMin
 		st.seenMu.Unlock()
 	}
@@ -762,11 +769,10 @@ func (c *NodeCore) clearOp(op, rows int) {
 
 // RestoreOp replaces operator op's window state with the given snapshot
 // (nil clears it). It clears the operator, records the snapshot's rows as
-// seen in durable mode (in a seen set sized for the snapshot, see
-// recordRestored, so WAL replay dedups against them), lifts the high-water
-// timestamp to the snapshot's, and then loads each shard with its rows from
-// the first one whose timestamp is at or above the operator's cutoff,
-// maxTs − span.
+// seen in durable mode (see recordRestored, so WAL replay dedups against
+// them), lifts the high-water timestamp to the snapshot's, and then loads
+// each shard with its rows from the first one whose timestamp is at or
+// above the operator's cutoff, maxTs − span.
 //
 // That is exact: the cutoff is the one the next probe of any shard expires
 // to, and expiry is a prefix scan, so into an empty shard "load from the
@@ -776,11 +782,10 @@ func (c *NodeCore) clearOp(op, rows int) {
 // whole snapshot; the skipped rows would only have been written, counted
 // and expired again.
 func (c *NodeCore) RestoreOp(op int, snap *stream.Batch) {
+	c.ClearOp(op)
 	if snap == nil {
-		c.ClearOp(op)
 		return
 	}
-	c.clearOp(op, snap.Len())
 	sc := getScratch()
 	c.ops[op].insertBatch(snap, sc, true)
 	putScratch(sc)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -332,10 +333,24 @@ func (s *Session) ready() bool {
 }
 
 // fills reports whether a batch admitted now fills the in-flight bound,
-// which its producer would only wait out, while the Results subscriber is
-// caught up: a producer that never yields would starve a lagging one.
+// which its producer would only wait out, and the Results subscriber is
+// caught up. A producer that never yields would starve a lagging one, so
+// when an emission waits, the producer yields to let the subscriber drain: a
+// subscriber that does lets it carry the batch, one that does not gets the
+// batch handed off. It yields at most twice: Gosched puts the producer on
+// the global run queue, which the scheduler serves first on one schedule in
+// 61, so one yield in 61 comes straight back before the subscriber has run.
 func (s *Session) fills() bool {
-	return s.maxPending > 0 && s.e.Pending()+1 >= s.maxPending && len(s.Results()) == 0
+	if s.maxPending <= 0 || s.e.Pending()+1 < s.maxPending {
+		return false
+	}
+	for range 2 {
+		if len(s.Results()) == 0 {
+			return true
+		}
+		stdruntime.Gosched()
+	}
+	return len(s.Results()) == 0
 }
 
 // Ingest implements runtime.Session: it blocks while the pipeline holds
@@ -343,8 +358,10 @@ func (s *Session) fills() bool {
 // closes. The wait is event-driven: workers signal every pending-count
 // decrement, so a blocked producer wakes as soon as capacity frees (and
 // Close or context cancellation wakes it immediately) instead of on a
-// poll tick. A batch that fills the bound is carried (Engine.carry): Ingest
-// returns once it has passed every idle node on its way.
+// poll tick. A batch that fills the bound is carried (Engine.carry) when the
+// Results subscriber has nothing undelivered, or drains it while the
+// producer yields (see fills): Ingest returns once the batch has passed
+// every idle node on its way.
 func (s *Session) Ingest(ctx context.Context, b *stream.Batch) error {
 	for {
 		if err := ctx.Err(); err != nil {

@@ -52,6 +52,8 @@ type fakeTransport struct {
 	peak         map[int]int   // node → most stages ever in RunStage at once
 	revived      []uint64      // gen of every Restart
 	kills        []int         // node of every Kill
+	countPooled  bool          // count the stages pool workers run in pooled
+	pooled       int           // stages run by a pool worker (onPoolWorker)
 }
 
 func (f *fakeTransport) RunStage(node, op int, in []*stream.Joined) ([]*stream.Joined, error) {
@@ -69,6 +71,9 @@ func (f *fakeTransport) RunStage(node, op int, in []*stream.Joined) ([]*stream.J
 		f.gateNext = -1
 	}
 	killed, gate := f.killed, f.gate
+	if f.countPooled && onPoolWorker() {
+		f.pooled++
+	}
 	f.inStage[node]++
 	f.peak[node] = max(f.peak[node], f.inStage[node])
 	f.mu.Unlock()

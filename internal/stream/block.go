@@ -46,12 +46,13 @@ func blockClass(n int) (class, rows int) {
 // slabs by bumping an index and writing sequentially. structs holds the
 // Joined headers; data, which holds no pointer, holds each row's record and
 // nothing else: w part records of partWords words, one per schema slot, then
-// the row's payload values. Rows are handed out through Seed, Row/AddPart,
-// AppendJoin with AppendRows (a probe's join rows, written from the window's
-// records) and CloneWith (one join row from a match's fields), and given
-// back one Release each; the release of the last live row recycles the block
-// into its schema's pool, unless Detach has stolen it, in which case it is
-// never recycled and the rows are the subscriber's for good.
+// the row's payload values. Rows are handed out through Seed, SeedRows (a
+// batch's tuples, one row each), Row/AddPart, AppendJoin with AppendRows (a
+// probe's join rows, written from the window's records) and CloneWith (one
+// join row from a match's fields), and given back one Release each; the
+// release of the last live row recycles the block into its schema's pool,
+// unless Detach has stolen it, in which case it is never recycled and the
+// rows are the subscriber's for good.
 //
 // A block is not safe for concurrent use, and needs no lock: all its live
 // rows sit in the partials of one message, and a message has one holder at a
@@ -150,7 +151,7 @@ func (b *Block) take() *Joined {
 }
 
 // Row starts the block's next row, empty. It is filled through AddPart, and
-// only until the block's next Row, Seed, AppendJoin or CloneWith.
+// only until the block's next Row, Seed, SeedRows, AppendJoin or CloneWith.
 func (b *Block) Row() *Joined {
 	j := b.take()
 	j.mask, j.Ts, j.Arrival, j.key, j.nv = 0, 0, 0, 0, 0
@@ -172,6 +173,40 @@ func (b *Block) Seed(slot int, seq uint64, ts Time, key int64, arrival Time, val
 	j := b.Row()
 	copy(b.AddPart(j, slot, seq, ts, key, arrival, len(vals)), vals)
 	return j
+}
+
+// SeedRows appends to out one row per tuple of src, in order, each holding
+// that tuple as its one part in the given slot, and returns out: Seed over a
+// whole batch, written column by column. The rows are the block's next ones.
+func (b *Block) SeedRows(out []*Joined, slot int, src *Batch) []*Joined {
+	n := src.Len()
+	if n == 0 {
+		return out
+	}
+	w, rec := src.Width(), b.schema.rec
+	rw := rec + w // one row's data words
+	n0, off0 := b.n, b.off
+	rows := b.structs[n0 : n0+n : n0+n]
+	data := b.data[off0 : off0+n*rw : off0+n*rw]
+	seg := math.Float64frombits(uint64(w)) // the payload starts the row's values
+	part, mask := slot*partWords, uint64(1)<<uint(slot)
+	for i := range rows {
+		d := data[i*rw : (i+1)*rw : (i+1)*rw]
+		ts, arr := src.Ts[i], src.Arr[i]
+		d[part+partSeq] = math.Float64frombits(src.Seq[i])
+		d[part+partTs] = float64(ts)
+		d[part+partArr] = float64(arr)
+		d[part+partVals] = seg
+		copy(d[rec:], src.Vals[i*w:(i+1)*w])
+		row := &rows[i]
+		row.blk, row.doff, row.mask, row.key, row.nv = b, int32(off0+i*rw), mask, src.Key[i], int32(w)
+		row.Ts, row.Arrival = ts, arr
+		out = append(out, row)
+	}
+	b.n += n
+	b.live += n
+	b.off += n * rw
+	return out
 }
 
 // AppendJoin writes one probe's join rows and returns how many it wrote:

@@ -55,6 +55,9 @@ type partSpec struct {
 //
 //   - staged: seeded, then cloned once per stage into the next stage's block,
 //     the way the pipeline builds them;
+//   - seeded in bulk: every row's first part, as one batch's tuples, by
+//     SeedRows, the way admission does, against Seed over the same tuples
+//     bit for bit, at payload widths 0, 1 and 3;
 //   - rebuilt: part by part into one block, the way the wire decoder does;
 //   - copied and stolen: that block delivered by Detach, once without its
 //     last row (a copy) and once whole (a steal), and each then grown by
@@ -179,6 +182,34 @@ func checkRowPaths(t *testing.T, sch *JoinSchema, specs [][]partSpec) {
 	}
 	check("staged", rows, false)
 
+	// Admission's way: the first parts as one batch of the first row's
+	// stream, payloads cut or zero-padded to the batch's width.
+	slot := specs[0][0].slot
+	for _, w := range []int{0, 1, 3} {
+		src := NewSizedBatch(sch.Stream(slot), w, len(specs))
+		for _, ps := range specs {
+			p := ps[0]
+			copy(src.AppendRow(p.seq, p.ts, p.key, p.arr), p.vals)
+		}
+		one := sch.AcquireBlock(len(specs), len(specs)*w)
+		bulk := sch.AcquireBlock(len(specs), len(specs)*w)
+		seeded := bulk.SeedRows(nil, slot, src)
+		refs := make([]*Joined, len(seeded))
+		for i, j := range seeded {
+			refs[i] = one.Seed(slot, src.Seq[i], src.Ts[i], src.Key[i], src.Arr[i], src.ValsAt(i))
+			got, want := *j, *refs[i]
+			got.blk, want.blk = nil, nil
+			if got != want || !sameBits(j.part(slot), refs[i].part(slot)) || !sameBits(j.vals(slot), refs[i].vals(slot)) ||
+				!reflect.DeepEqual(viewOf(j, slots), viewOf(refs[i], slots)) {
+				t.Fatalf("width %d: SeedRows row %d = %+v %+v, Seed row %+v %+v", w, i, got, viewOf(j, slots), want, viewOf(refs[i], slots))
+			}
+		}
+		for i := range seeded {
+			seeded[i].Release()
+			refs[i].Release()
+		}
+	}
+
 	// The decoder's way: every row whole, part by part, in one block —
 	// repeated to at least half the smallest block, so that Detach steals it.
 	rows = make([]*Joined, max(len(specs), minBlockRows/2))
@@ -206,6 +237,11 @@ func checkRowPaths(t *testing.T, sch *JoinSchema, specs [][]partSpec) {
 	if acq, rec := sch.BlockCounts(); acq-acq0 != rec-rec0+1 {
 		t.Fatalf("%d blocks acquired, %d recycled, one stolen", acq-acq0, rec-rec0)
 	}
+}
+
+// sameBits reports whether a and b hold the same words, bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // specialSeqs are sequence numbers whose bits, stored in a float64 slab,
@@ -246,9 +282,9 @@ func TestBlockRowsEqualSetPartChain(t *testing.T) {
 	}
 }
 
-// FuzzBlockRowRoundTrip runs checkRowPaths over rows drawn from the input: a
-// schema of up to eight streams, then per row a key, a slot order, and per
-// part a sequence number and a payload width.
+// FuzzBlockRowRoundTrip runs checkRowPaths — bulk seeding included — over
+// rows drawn from the input: a schema of up to eight streams, then per row a
+// key, a slot order, and per part a sequence number and a payload width.
 func FuzzBlockRowRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 20, 1, 2, 3, 4, 5, 6, 7, 8, 3, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 2})

@@ -134,8 +134,10 @@ func WithBufferedEvents(n int) Option { return func(c *pipelineConfig) { c.sessi
 // default is 1024 × nodes. Admission is concurrent, so with several
 // producers the bound is approximate — each can admit one batch past it
 // before observing the others. On the live substrates the producer runs a
-// batch that fills the bound itself, while Results has nothing undelivered:
-// Ingest or TryIngest returns once the batch has passed every idle node.
+// batch that fills the bound itself, while Results has nothing undelivered
+// (when an emission waits, the producer first yields so the subscriber can
+// take it): Ingest or TryIngest returns once the batch has passed every
+// idle node.
 func WithMaxPending(n int) Option {
 	return func(c *pipelineConfig) { c.session.MaxPending = n; c.havePending = true }
 }
